@@ -59,7 +59,7 @@ print(f"\nargmin hits the true sample on {np.mean(argmin[interior] == 24):.1%} "
 # 1e-3 scale
 smoothed = smooth_cost_volume(volume, radius=(1, 1, 1))
 for temperature in (1e-3, 1e-4, 3e-6):
-    depth, prob = regress_depth(smoothed, temperature)
+    depth, _ = regress_depth(smoothed, temperature)
     err = np.abs(depth.values - true_depth)[interior]
     print(f"temperature {temperature:7.0e}: median |error| = {np.median(err):.4f} "
           f"(hypothesis spacing {hyp.spacing})")

@@ -17,10 +17,11 @@ from symmvs import (
     LossWeights,
     PlanePrimitive,
     SceneSpec,
+    SceneState,
     refine,
     render_scene,
 )
-from symmvs.solver import SolverConfig, SolverState
+from symmvs.solver import SolverConfig
 
 
 def pinhole(center_x, f=55.0, width=64, height=48):
@@ -59,8 +60,8 @@ config = SolverConfig(
     convergence_tol=1e-6,
     weights=LossWeights(tau_occ=1.0),
 )
-state = SolverState(views=views, depths=[d.copy() for d in noisy], masks={},
-                    weights=config.weights)
+state = SceneState(views=views, depths=[d.copy() for d in noisy], masks={},
+                   weights=config.weights)
 
 print(f"start: median |depth error| = {median_error(noisy):.4f} "
       f"(noise sigma = {sigma})")

@@ -6,10 +6,7 @@ from .consistency import (
     LossBreakdown,
     OcclusionMask,
     SceneState,
-    brightness_consistency_loss,
     compute_all_masks,
-    depth_consistency_loss,
-    image_consistency_loss,
     occlusion_mask,
     total_loss,
 )
@@ -38,10 +35,7 @@ from .photometry import (
     census_distance,
     census_transform,
     charbonnier,
-    smoothness_loss,
     ssim_map,
-    synthesis_loss,
-    unary_loss,
 )
 from .scenegen import PlanePrimitive, SceneSpec, render_scene
 from .solver import (
@@ -55,7 +49,6 @@ from .solver import (
 from .volume import (
     CostVolume,
     FeatureMap,
-    ProbabilityVolume,
     build_cost_volume,
     extract_features,
     regress_depth,

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Var",
-    "is_var",
     "value_of",
     "sqrt",
     "exp",
@@ -184,10 +183,6 @@ class Var:
 
         return Var(self.value[idx], (self,), vjp)
 
-    def reshape(self, *shape):
-        old = self.value.shape
-        return Var(self.value.reshape(*shape), (self,), lambda g: (g.reshape(old),))
-
     def sum(self):
         shape = self.value.shape
         return Var(
@@ -196,15 +191,8 @@ class Var:
             lambda g: (np.full(shape, float(g)),),
         )
 
-    def mean(self):
-        return self.sum() / self.value.size
-
 
 # -- dual-dispatch helpers ------------------------------------------------
-
-
-def is_var(x) -> bool:
-    return isinstance(x, Var)
 
 
 def value_of(x) -> np.ndarray:

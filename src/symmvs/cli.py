@@ -95,6 +95,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+_HISTORY_COLUMNS = ("iter", "total", "Lu", "Ls", "Lm", "Ld", "Lb")
+
+
 def _cmd_optimize(args) -> int:
     views, d_min, d_interval, _ = fileio.load_bundle(args.bundle)
     weights = LossWeights()
@@ -121,17 +124,11 @@ def _cmd_optimize(args) -> int:
         fileio.write_pfm(out / f"depth_{i:04d}.pfm", d)
     for (i, j), mask in sorted(state.masks.items()):
         fileio.write_mask_pgm(out / f"mask_{i}_{j}.pgm", mask.valid)
-    rows = ["iter,total,Lu,Ls,Lm,Ld,Lb"]
+    rows = [",".join(_HISTORY_COLUMNS)]
     for entry in state.outer_log:
-        rows.append(
-            f"{entry['iter']},{entry['total']:.17g},{entry['Lu']:.17g},"
-            f"{entry['Ls']:.17g},{entry['Lm']:.17g},{entry['Ld']:.17g},"
-            f"{entry['Lb']:.17g}"
-        )
+        rows.append(",".join(f"{entry[key]:.17g}" for key in _HISTORY_COLUMNS))
     (out / "loss_history.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
-    bd = consistency.total_loss(
-        consistency.SceneState(state.views, state.depths, state.masks, weights)
-    )
+    bd = consistency.total_loss(state)
     (out / "loss_report.txt").write_text(
         "\n".join(bd.report_lines()) + "\n", encoding="ascii"
     )

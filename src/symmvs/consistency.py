@@ -1,5 +1,5 @@
-"""Cross-view consistency: occlusion masks, consistency losses, and the
-total multi-view objective.
+"""Cross-view consistency: the multi-view scene state, occlusion masks, and
+the total multi-view objective.
 
 The occlusion mask for an ordered pair (i, j) compares view i's depth with
 its double-warped version (i -> j -> i); pixels whose round trip moves by
@@ -13,6 +13,10 @@ consistency (robust penalty on warped-depth disagreement), and brightness
 consistency between two second-order synthesized images sharing a
 reference view. Terms whose mask is empty contribute zero and are
 reported, never silently dropped.
+
+One evaluator computes every term; `total_loss` returns them itemized in a
+`LossBreakdown`, so a single term is read from there (for example
+``total_loss(state).depth_consistency[(i, j)]``).
 """
 
 from __future__ import annotations
@@ -36,9 +40,6 @@ __all__ = [
     "SceneState",
     "occlusion_mask",
     "compute_all_masks",
-    "image_consistency_loss",
-    "depth_consistency_loss",
-    "brightness_consistency_loss",
     "total_loss",
 ]
 
@@ -59,13 +60,20 @@ class OcclusionMask:
 
 @dataclass
 class SceneState:
-    """Everything a loss evaluation needs: views, their current depth maps,
-    per-ordered-pair occlusion masks, and the loss weights."""
+    """The multi-view state: views, their current depth maps, occlusion
+    masks for every ordered pair, and the loss weights, followed by the
+    refinement progress (accepted steps, accepted-loss history, per-outer-
+    iteration log, stop flags)."""
 
     views: list
     depths: list
     masks: dict
     weights: LossWeights
+    iteration: int = 0
+    history: list = field(default_factory=list)
+    outer_log: list = field(default_factory=list)
+    converged: bool = False
+    diverged: bool = False
 
 
 @dataclass
@@ -252,8 +260,6 @@ class _Evaluator:
         return ad.sum_all(resid * m.astype(np.float64)) / count
 
     def term_brightness(self, i, j, k):
-        if len({i, j, k}) != 3:
-            raise ValueError("brightness consistency needs three distinct views")
         a, ok_a = self._second(i, j)
         b, ok_b = self._second(i, k)
         m = self.masks[(i, j)].valid & self.masks[(i, k)].valid & ok_a & ok_b
@@ -340,24 +346,3 @@ def total_loss(state: SceneState) -> LossBreakdown:
     """
     bd, _, _ = _evaluate(state.views, state.depths, state.masks, state.weights)
     return bd
-
-
-def image_consistency_loss(i: int, j: int, state: SceneState) -> float:
-    """Second-order image consistency of the ordered pair (i, j): compares
-    view j's image with the twice-synthesized image routed i -> j."""
-    ev = _Evaluator(state.views, state.depths, state.masks, state.weights)
-    return float(value_of(ev.term_image_consistency(i, j)))
-
-
-def depth_consistency_loss(i: int, j: int, state: SceneState) -> float:
-    """Robust mean disagreement between view i's depth and view j's depth
-    warped onto view i, over the pair's occlusion mask."""
-    ev = _Evaluator(state.views, state.depths, state.masks, state.weights)
-    return float(value_of(ev.term_depth_consistency(i, j)))
-
-
-def brightness_consistency_loss(i: int, j: int, k: int, state: SceneState) -> float:
-    """Photometric agreement between the second-order synthesized images of
-    views j and k in reference view i, under both pair masks."""
-    ev = _Evaluator(state.views, state.depths, state.masks, state.weights)
-    return float(value_of(ev.term_brightness(i, j, k)))

@@ -14,7 +14,8 @@ class NonFiniteResult(SymmvsError):
 
 
 class NonFiniteValue(SymmvsError):
-    """A parsed file contains a non-finite number."""
+    """An input (a parsed file, camera parameters, an image) contains a
+    non-finite number."""
 
 
 class TooFewViews(SymmvsError):

@@ -83,6 +83,8 @@ class CameraView:
                 img = img[:, :, None]
             if img.ndim != 3:
                 raise ShapeMismatch("image must be H x W x C")
+            if not np.isfinite(img).all():
+                raise NonFiniteValue("image must be finite")
         self.intrinsics = K
         self.rotation = R
         self.translation = t

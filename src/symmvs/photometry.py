@@ -13,21 +13,21 @@ synthesized counterpart, all averaged over a shared validity mask:
 Edge-aware first- and second-order smoothness penalizes depth variation
 where the image is flat. All pieces accept autodiff Vars where gradients
 are needed and plain arrays otherwise.
+
+These are building blocks: the pairwise synthesis loss and every other term
+of the objective are assembled from them by the one evaluator in
+`consistency` and read from `consistency.total_loss`.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry
 from .autodiff import value_of
 from .errors import BadWindow, EmptyMask, ShapeMismatch
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "LossWeights",
@@ -37,9 +37,6 @@ __all__ = [
     "census_transform",
     "census_distance",
     "ssim_map",
-    "unary_loss",
-    "smoothness_loss",
-    "synthesis_loss",
     "unary_comparator",
     "smoothness_term",
 ]
@@ -200,12 +197,13 @@ def ssim_map(a, b):
 # -- the unary comparator --------------------------------------------------------
 
 
-def unary_comparator(image_ref, image_syn, mask, weights: LossWeights,
-                     census_window: int = DEFAULT_CENSUS_WINDOW):
-    """Masked photometric comparison of two images (scalar; Var-aware).
+def unary_comparator(image_ref, image_syn, mask, weights: LossWeights):
+    """Masked mean of the four-term photometric residual (scalar; Var-aware).
 
-    The census term is computed on plain values and enters as a constant,
-    so it shapes evaluations but contributes zero gradient.
+    The mask must already include the synthesized image's validity; with no
+    valid pixel it raises EmptyMask, and the caller skips the term. The
+    census term is computed on plain values and enters as a constant, so it
+    shapes evaluations but contributes zero gradient.
     """
     ref_v, syn_v = value_of(image_ref), value_of(image_syn)
     if ref_v.shape != syn_v.shape:
@@ -226,8 +224,8 @@ def unary_comparator(image_ref, image_syn, mask, weights: LossWeights,
     ) / 2.0
     t_ssim = (1.0 - ssim_map(image_ref, image_syn)) * 0.5
     dist = census_distance(
-        census_transform(grayscale(ref_v), census_window),
-        census_transform(grayscale(syn_v), census_window),
+        census_transform(grayscale(ref_v)),
+        census_transform(grayscale(syn_v)),
     )
     t_census = float((charbonnier(dist) * m).sum() / count)
 
@@ -237,20 +235,6 @@ def unary_comparator(image_ref, image_syn, mask, weights: LossWeights,
         + weights.lambda3 * masked_mean(t_ssim)
         + weights.lambda4 * t_census
     )
-
-
-def unary_loss(image_ref: np.ndarray, image_syn: np.ndarray, mask: np.ndarray,
-               weights: LossWeights | None = None,
-               census_window: int = DEFAULT_CENSUS_WINDOW) -> float:
-    """Masked mean of the four-term photometric residual (see module docs).
-
-    The mask must already include the synthesized image's validity. Raises
-    EmptyMask when no pixel survives; callers skip the term in that case.
-    """
-    if weights is None:
-        weights = LossWeights()
-    return float(value_of(unary_comparator(image_ref, image_syn, mask, weights,
-                                           census_window)))
 
 
 # -- smoothness -------------------------------------------------------------------
@@ -302,47 +286,3 @@ def smoothness_term(image, depth_values, depth_valid, alpha1: float, alpha2: flo
         total = total + ad.sum_all(ad.absolute(lap_d) * weight) / ((h - 2) * (w - 2))
 
     return total
-
-
-def smoothness_loss(image: np.ndarray, depth: geometry.DepthMap,
-                    alpha1: float = 0.5, alpha2: float = 0.5) -> float:
-    """Edge-aware depth smoothness; invariant to adding a constant depth."""
-    return float(value_of(smoothness_term(image, depth.values, depth.valid,
-                                          alpha1, alpha2)))
-
-
-# -- pairwise synthesis loss ---------------------------------------------------------
-
-
-def _mask_array(mask) -> np.ndarray:
-    valid = getattr(mask, "valid", mask)
-    return np.asarray(valid, dtype=bool)
-
-
-def synthesis_loss(view_i: geometry.CameraView, view_j: geometry.CameraView,
-                   depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
-                   mask_ij, mask_ji, weights: LossWeights | None = None) -> float:
-    """Symmetric pairwise view-synthesis loss.
-
-    Both unary directions are evaluated under their occlusion masks and the
-    pair's smoothness is the average of the two per-view terms. A fully
-    occluded direction is skipped (contributes zero) and logged.
-    """
-    if weights is None:
-        weights = LossWeights()
-    unary = 0.0
-    for ref_view, src_view, ref_depth, mask in (
-        (view_i, view_j, depth_i, mask_ij),
-        (view_j, view_i, depth_j, mask_ji),
-    ):
-        img, ok = geometry.synthesize_view(ref_depth, src_view, ref_view)
-        m = _mask_array(mask) & ok
-        try:
-            unary += unary_loss(ref_view.image, img, m, weights)
-        except EmptyMask:
-            logger.warning("unary term skipped: mask empty for a view pair")
-    smooth = 0.5 * (
-        smoothness_loss(view_i.image, depth_i, weights.alpha1, weights.alpha2)
-        + smoothness_loss(view_j.image, depth_j, weights.alpha1, weights.alpha2)
-    )
-    return weights.omega_u * unary + weights.omega_s * smooth

@@ -5,7 +5,9 @@ all depth maps against the full multi-view objective.
 Refinement runs projected gradient descent with a backtracking (Armijo)
 line search on the total loss, masks frozen within each inner phase, so
 the recorded loss history is non-increasing between mask updates. Depths
-stay clamped to the hypothesis range.
+stay clamped to the hypothesis range. The state being refined is the one
+`consistency.SceneState` that every loss evaluation reads (`SolverState` is
+an alias of it).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import consistency, volume
+from .consistency import SceneState
 from .errors import TooFewViews
 from .geometry import DepthHypotheses, DepthMap
 from .photometry import LossWeights
@@ -69,20 +72,9 @@ class SolverConfig:
             raise ValueError("temperature must be positive")
 
 
-@dataclass
-class SolverState:
-    """Mutable optimization state: one depth map per view, occlusion masks
-    for every ordered pair, and the accepted-loss history."""
-
-    views: list
-    depths: list
-    masks: dict
-    weights: LossWeights
-    iteration: int = 0
-    history: list = field(default_factory=list)
-    outer_log: list = field(default_factory=list)
-    converged: bool = False
-    diverged: bool = False
+# `refine` updates the progress fields of the one scene state in place;
+# `SolverState` names the same class.
+SolverState = SceneState
 
 
 def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
@@ -104,7 +96,7 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
     return depths
 
 
-def loss_gradient(state: SolverState):
+def loss_gradient(state: SceneState):
     """Analytic gradient of the total loss w.r.t. every depth pixel.
 
     Masks are held fixed; the census term is locally constant and
@@ -124,14 +116,14 @@ def loss_gradient(state: SolverState):
     return grads
 
 
-def _total(state: SolverState, depths):
+def _total(state: SceneState, depths):
     bd, _, _ = consistency._evaluate(
         state.views, depths, state.masks, state.weights
     )
     return bd
 
 
-def refine(state: SolverState, config: SolverConfig) -> SolverState:
+def refine(state: SceneState, config: SolverConfig) -> SceneState:
     """Alternate occlusion-mask updates with mask-frozen gradient descent.
 
     Each outer iteration recomputes every occlusion mask at the current
@@ -233,13 +225,13 @@ def refine(state: SolverState, config: SolverConfig) -> SolverState:
     return state
 
 
-def run_pipeline(views, config: SolverConfig) -> SolverState:
+def run_pipeline(views, config: SolverConfig) -> SceneState:
     """Initialize every view's depth from its cost volume, then refine.
 
     Deterministic for fixed inputs and configuration.
     """
     depths = init_depths(views, config.hypotheses, config.temperature,
                          config.feature_mode, config.smooth_radius)
-    state = SolverState(views=list(views), depths=depths, masks={},
-                        weights=config.weights)
+    state = SceneState(views=list(views), depths=depths, masks={},
+                       weights=config.weights)
     return refine(state, config)

@@ -21,7 +21,6 @@ from .errors import TooFewViews, UnknownMode
 __all__ = [
     "FeatureMap",
     "CostVolume",
-    "ProbabilityVolume",
     "extract_features",
     "build_cost_volume",
     "smooth_cost_volume",
@@ -58,13 +57,6 @@ class CostVolume:
     cost: np.ndarray
     support: np.ndarray
     valid: np.ndarray
-
-
-@dataclass
-class ProbabilityVolume:
-    """Per-pixel distribution over depth hypotheses; sums to 1 along D."""
-
-    prob: np.ndarray
 
 
 def extract_features(image: np.ndarray, mode: str = "grad3") -> FeatureMap:
@@ -164,9 +156,10 @@ def regress_depth(vol: CostVolume, temperature: float = 1.0):
     """Softmax expected depth over the hypotheses.
 
     Per pixel, logits are -cost / temperature over the valid hypotheses;
-    the depth is the probability-weighted mean sample. Pixels without any
-    valid hypothesis are marked invalid (their distribution is left
-    uniform so the volume still normalizes).
+    the depth is the probability-weighted mean sample. Returns the depth
+    map and the (D, H, W) probabilities, which sum to 1 along D. Pixels
+    without any valid hypothesis are marked invalid (their distribution is
+    left uniform so the volume still normalizes).
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -182,4 +175,4 @@ def regress_depth(vol: CostVolume, temperature: float = 1.0):
     depth = (samples[:, None, None] * prob).sum(axis=0)
     depth = np.clip(depth, vol.hypotheses.d_min, vol.hypotheses.d_max)
     depth = np.where(any_valid, depth, 0.0)
-    return geometry.DepthMap(depth, any_valid), ProbabilityVolume(prob)
+    return geometry.DepthMap(depth, any_valid), prob

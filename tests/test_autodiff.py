@@ -64,11 +64,6 @@ def test_getitem_and_pad(rng):
     check_against_fd(build, x)
 
 
-def test_reshape_and_mean(rng):
-    x = rng.uniform(0.0, 1.0, (3, 8))
-    check_against_fd(lambda v: (v.reshape(24) * v.reshape(24)).mean(), x)
-
-
 def test_where_mask_blocks_gradient(rng):
     x = rng.uniform(0.0, 1.0, (5, 5))
     mask = rng.uniform(size=(5, 5)) > 0.4

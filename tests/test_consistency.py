@@ -9,15 +9,12 @@ from symmvs import (
     CameraView,
     DepthMap,
     LossWeights,
-    brightness_consistency_loss,
     compute_all_masks,
-    depth_consistency_loss,
-    image_consistency_loss,
     occlusion_mask,
     total_loss,
 )
 from symmvs.consistency import OcclusionMask, SceneState, _evaluate
-from symmvs.errors import EmptyMask, TooFewViews
+from symmvs.errors import TooFewViews
 
 from conftest import scene_state
 
@@ -101,40 +98,38 @@ class TestOcclusionMask:
 
 class TestImageConsistency:
     def test_identical_views_hit_floor(self, plane_scene):
-        state = identical_pair_state(plane_scene)
-        assert image_consistency_loss(0, 1, state) == pytest.approx(
-            UNARY_FLOOR, rel=1e-9
-        )
+        bd = total_loss(identical_pair_state(plane_scene))
+        assert bd.image_consistency[(0, 1)] == pytest.approx(UNARY_FLOOR, rel=1e-9)
 
     def test_ground_truth_beats_perturbed(self, plane_scene):
         views, gt, weights = (plane_scene["views"], plane_scene["gt"],
                               plane_scene["weights"])
-        good = image_consistency_loss(0, 1, scene_state(views, gt, weights))
+        good = total_loss(scene_state(views, gt, weights)).image_consistency[(0, 1)]
         bumped = [DepthMap(d.values * 1.1, d.valid.copy()) for d in gt]
-        bad = image_consistency_loss(0, 1, scene_state(views, bumped, weights))
+        bad = total_loss(scene_state(views, bumped, weights)).image_consistency[(0, 1)]
         assert good < bad
 
     def test_symmetric_for_identical_pair(self, plane_scene):
-        state = identical_pair_state(plane_scene)
-        a = image_consistency_loss(0, 1, state)
-        b = image_consistency_loss(1, 0, state)
+        bd = total_loss(identical_pair_state(plane_scene))
+        a = bd.image_consistency[(0, 1)]
+        b = bd.image_consistency[(1, 0)]
         assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestDepthConsistency:
     def test_consistent_depths_hit_phi_floor(self, plane_scene):
-        state = identical_pair_state(plane_scene)
-        assert depth_consistency_loss(0, 1, state) == pytest.approx(PHI_0, rel=1e-9)
+        bd = total_loss(identical_pair_state(plane_scene))
+        assert bd.depth_consistency[(0, 1)] == pytest.approx(PHI_0, rel=1e-9)
 
     def test_biased_source_gives_phi_of_bias(self, plane_scene):
         views, gt = plane_scene["views"], plane_scene["gt"]
         weights = LossWeights(tau_occ=10.0)
         biased = DepthMap(gt[1].values + 2.0, gt[1].valid.copy())
         state = scene_state([views[0], views[1]], [gt[0], biased], weights)
-        val = depth_consistency_loss(0, 1, state)
+        val = total_loss(state).depth_consistency[(0, 1)]
         assert val == pytest.approx(math.sqrt(4.0 + 1e-6), rel=1e-6)
 
-    def test_empty_mask_raises_and_total_skips(self, plane_scene):
+    def test_empty_mask_total_skips(self, plane_scene):
         views, gt, weights = (plane_scene["views"][:2], plane_scene["gt"][:2],
                               plane_scene["weights"])
         shape = gt[0].values.shape
@@ -142,10 +137,7 @@ class TestDepthConsistency:
             (0, 1): OcclusionMask((0, 1), np.zeros(shape, bool)),
             (1, 0): OcclusionMask((1, 0), np.zeros(shape, bool)),
         }
-        state = SceneState(views, gt, masks, weights)
-        with pytest.raises(EmptyMask):
-            depth_consistency_loss(0, 1, state)
-        bd = total_loss(state)
+        bd = total_loss(SceneState(views, gt, masks, weights))
         assert bd.depth_consistency[(0, 1)] == 0.0
         assert "Ld_0_1" in bd.skipped
         assert "Lu_0_1" in bd.skipped
@@ -153,22 +145,17 @@ class TestDepthConsistency:
 
 class TestBrightnessConsistency:
     def test_three_identical_views_hit_floor(self, plane_scene):
-        state = identical_pair_state(plane_scene, n=3)
-        assert brightness_consistency_loss(0, 1, 2, state) == pytest.approx(
-            UNARY_FLOOR, rel=1e-9
-        )
-
-    def test_repeated_index_rejected(self, plane_scene):
-        state = scene_state(plane_scene["views"], plane_scene["gt"],
-                            plane_scene["weights"])
-        with pytest.raises(ValueError):
-            brightness_consistency_loss(0, 1, 1, state)
+        bd = total_loss(identical_pair_state(plane_scene, n=3))
+        assert bd.brightness[(0, 1, 2)] == pytest.approx(UNARY_FLOOR, rel=1e-9)
 
     def test_symmetric_in_the_two_sources(self, plane_scene):
-        state = scene_state(plane_scene["views"], plane_scene["gt"],
-                            plane_scene["weights"])
-        a = brightness_consistency_loss(0, 1, 2, state)
-        b = brightness_consistency_loss(0, 2, 1, state)
+        # relabeling views 1 and 2 swaps the two sources of Lb_0_1_2
+        views, gt, weights = (plane_scene["views"], plane_scene["gt"],
+                              plane_scene["weights"])
+        perm = [0, 2, 1]
+        a = total_loss(scene_state(views, gt, weights)).brightness[(0, 1, 2)]
+        b = total_loss(scene_state([views[k] for k in perm], [gt[k] for k in perm],
+                                   weights)).brightness[(0, 1, 2)]
         assert a == pytest.approx(b, abs=1e-9)
 
 

@@ -12,7 +12,7 @@ from symmvs import (
     warp_depth,
     warp_field_from_homography,
 )
-from symmvs.errors import NonFiniteResult, ShapeMismatch
+from symmvs.errors import NonFiniteResult, NonFiniteValue, ShapeMismatch
 from symmvs.geometry import (
     DepthHypotheses,
     WarpField,
@@ -63,6 +63,16 @@ class TestCameraView:
     def test_grayscale_image_gains_channel_axis(self):
         cam = CameraView(np.eye(3), np.eye(3), np.zeros(3), np.zeros((4, 5)))
         assert cam.image.shape == (4, 5, 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("image", np.nan), ("intrinsics", np.nan), ("translation", np.inf),
+    ])
+    def test_rejects_non_finite_input(self, field, value):
+        args = {"intrinsics": np.eye(3), "rotation": np.eye(3),
+                "translation": np.zeros(3), "image": np.zeros((4, 5))}
+        args[field].flat[1] = value
+        with pytest.raises(NonFiniteValue):
+            CameraView(**args)
 
 
 class TestDepthMap:

@@ -1,5 +1,5 @@
-"""The robust penalty, census transform, SSIM, the unary comparator, and
-the smoothness and pairwise synthesis losses."""
+"""The robust penalty, census transform, SSIM, the unary comparator, the
+smoothness term, and the pairwise synthesis entries of the total loss."""
 
 import math
 
@@ -11,22 +11,34 @@ from hypothesis import strategies as st
 from symmvs import (
     DepthMap,
     LossWeights,
+    OcclusionMask,
+    SceneState,
     census_distance,
     census_transform,
     charbonnier,
-    smoothness_loss,
     ssim_map,
-    synthesis_loss,
-    unary_loss,
+    total_loss,
 )
 from symmvs.autodiff import Var, value_of
 from symmvs.errors import BadWindow, EmptyMask, ShapeMismatch
-from symmvs.photometry import grayscale
+from symmvs.photometry import grayscale, smoothness_term, unary_comparator
 
 from _oracles import census_bits_brute, ssim_direct
 
 PHI_0 = math.sqrt(1e-6)
 UNARY_FLOOR = (0.5 + 0.8 + 0.2) * PHI_0
+
+
+def smoothness(image, depth, w):
+    return smoothness_term(image, depth.values, depth.valid, w.alpha1, w.alpha2)
+
+
+def pair_synthesis(view_i, view_j, depth_i, depth_j, w):
+    """Synthesis term of the pair (view_i, view_j) under full masks."""
+    full = np.ones(depth_i.values.shape, bool)
+    masks = {(0, 1): OcclusionMask((0, 1), full), (1, 0): OcclusionMask((1, 0), full)}
+    state = SceneState([view_i, view_j], [depth_i, depth_j], masks, w)
+    return total_loss(state).synthesis[(0, 1)]
 
 
 class TestLossWeights:
@@ -172,7 +184,7 @@ class TestUnaryLoss:
         rng = np.random.default_rng(7)
         img = rng.uniform(size=(10, 12, 1))
         mask = np.ones((10, 12), bool)
-        loss = unary_loss(img, img.copy(), mask)
+        loss = unary_comparator(img, img.copy(), mask, LossWeights())
         assert loss == pytest.approx(UNARY_FLOOR, rel=1e-9)
 
     def test_mean_normalization_mask_independent(self):
@@ -184,8 +196,8 @@ class TestUnaryLoss:
         half = full.copy()
         half[:, 6:] = False
         w = LossWeights(lambda2=0.0, lambda3=0.0, lambda4=0.0)
-        assert unary_loss(img, syn, full, w) == pytest.approx(
-            unary_loss(img, syn, half, w), rel=1e-9
+        assert unary_comparator(img, syn, full, w) == pytest.approx(
+            unary_comparator(img, syn, half, w), rel=1e-9
         )
 
     def test_constant_offset_closed_form(self):
@@ -194,7 +206,7 @@ class TestUnaryLoss:
         syn = img + 0.1
         mask = np.ones((12, 14), bool)
         w = LossWeights()
-        loss = unary_loss(img, syn, mask, w)
+        loss = unary_comparator(img, syn, mask, w)
         ssim_term = (1.0 - ssim_direct(img[..., 0], syn[..., 0])).mean() / 2.0
         expected = (
             w.lambda1 * charbonnier(0.1)
@@ -210,12 +222,12 @@ class TestUnaryLoss:
             a = rng.uniform(size=(8, 8, 1))
             b = rng.uniform(size=(8, 8, 1))
             w = LossWeights(lambda3=0.0)
-            assert unary_loss(a, b, np.ones((8, 8), bool), w) >= UNARY_FLOOR - 1e-12
+            assert unary_comparator(a, b, np.ones((8, 8), bool), w) >= UNARY_FLOOR - 1e-12
 
     def test_empty_mask_raises(self):
         img = np.zeros((4, 4, 1))
         with pytest.raises(EmptyMask):
-            unary_loss(img, img, np.zeros((4, 4), bool))
+            unary_comparator(img, img, np.zeros((4, 4), bool), LossWeights())
 
 
 class TestSmoothnessLoss:
@@ -223,27 +235,29 @@ class TestSmoothnessLoss:
         rng = np.random.default_rng(11)
         img = rng.uniform(size=(8, 9, 1))
         d = DepthMap(np.full((8, 9), 2.5))
-        assert smoothness_loss(img, d) == 0.0
+        assert smoothness(img, d, LossWeights()) == 0.0
 
     def test_ramp_with_flat_image_is_one(self):
         img = np.full((10, 12, 1), 0.5)
         gx = np.tile(np.arange(12, dtype=float) + 1.0, (10, 1))
         d = DepthMap(gx)
-        assert smoothness_loss(img, d) == pytest.approx(1.0, rel=1e-12)
+        assert smoothness(img, d, LossWeights()) == pytest.approx(1.0, rel=1e-12)
 
     def test_image_edges_reduce_the_penalty(self):
         gx = np.tile(np.arange(12, dtype=float) + 1.0, (10, 1))
         d = DepthMap(gx)
         flat = np.full((10, 12, 1), 0.5)
         edgy = (gx / 12.0)[:, :, None]
-        assert smoothness_loss(edgy, d) < smoothness_loss(flat, d)
+        w = LossWeights()
+        assert smoothness(edgy, d, w) < smoothness(flat, d, w)
 
     def test_invariant_to_constant_depth_shift(self):
         rng = np.random.default_rng(12)
         img = rng.uniform(size=(8, 9, 1))
         vals = rng.uniform(1.0, 2.0, (8, 9))
-        a = smoothness_loss(img, DepthMap(vals))
-        b = smoothness_loss(img, DepthMap(vals + 5.0))
+        w = LossWeights()
+        a = smoothness(img, DepthMap(vals), w)
+        b = smoothness(img, DepthMap(vals + 5.0), w)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -251,23 +265,21 @@ class TestSynthesisLoss:
     def test_identical_views_hit_floor_plus_smoothness(self, plane_scene):
         views, gt = plane_scene["views"], plane_scene["gt"]
         w = LossWeights()
-        full = np.ones(gt[1].values.shape, bool)
-        loss = synthesis_loss(views[1], views[1], gt[1], gt[1], full, full, w)
-        ls = smoothness_loss(views[1].image, gt[1], w.alpha1, w.alpha2)
+        loss = pair_synthesis(views[1], views[1], gt[1], gt[1], w)
+        ls = smoothness(views[1].image, gt[1], w)
         assert loss == pytest.approx(0.8 * 2 * UNARY_FLOOR + 0.1 * ls, rel=1e-9)
 
     def test_zero_weights_give_zero(self, plane_scene):
         views, gt = plane_scene["views"], plane_scene["gt"]
         w = LossWeights(omega_u=0.0, omega_s=0.0)
-        full = np.ones(gt[0].values.shape, bool)
-        assert synthesis_loss(views[0], views[1], gt[0], gt[1], full, full, w) == 0.0
+        assert pair_synthesis(views[0], views[1], gt[0], gt[1], w) == 0.0
 
     def test_ground_truth_beats_doubled_depth(self, plane_scene):
         views, gt = plane_scene["views"], plane_scene["gt"]
-        full = np.ones(gt[0].values.shape, bool)
-        good = synthesis_loss(views[0], views[1], gt[0], gt[1], full, full)
+        w = LossWeights()
+        good = pair_synthesis(views[0], views[1], gt[0], gt[1], w)
         doubled = [DepthMap(g.values * 2.0, g.valid.copy()) for g in gt[:2]]
-        bad = synthesis_loss(views[0], views[1], doubled[0], doubled[1], full, full)
+        bad = pair_synthesis(views[0], views[1], doubled[0], doubled[1], w)
         assert good < bad
 
 

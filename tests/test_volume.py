@@ -176,7 +176,7 @@ class TestRegressDepth:
                          np.full((192, 4, 5), 3), np.ones((192, 4, 5), bool))
         depth, prob = regress_depth(vol, temperature=1.0)
         np.testing.assert_allclose(depth.values, 680.0, rtol=1e-12)
-        np.testing.assert_allclose(prob.prob.sum(axis=0), 1.0, atol=1e-6)
+        np.testing.assert_allclose(prob.sum(axis=0), 1.0, atol=1e-6)
 
     def test_one_hot_limit(self):
         hyp = DepthHypotheses(1.0, 2.0, 8)
@@ -195,7 +195,7 @@ class TestRegressDepth:
         vol = CostVolume(0, hyp, cost, np.full(cost.shape, 2),
                          np.ones(cost.shape, bool))
         depth, prob = regress_depth(vol, temperature=1.0)
-        np.testing.assert_allclose(prob.prob[:, 0, 0], [0.25, 0.5, 0.25], atol=1e-12)
+        np.testing.assert_allclose(prob[:, 0, 0], [0.25, 0.5, 0.25], atol=1e-12)
         np.testing.assert_allclose(depth.values, 2.0, atol=1e-12)
 
     def test_shift_invariance(self):
@@ -222,7 +222,7 @@ class TestRegressDepth:
         sel = depth.valid
         assert (depth.values[sel] >= hyp.d_min).all()
         assert (depth.values[sel] <= hyp.d_max).all()
-        np.testing.assert_allclose(prob.prob.sum(axis=0), 1.0, atol=1e-6)
+        np.testing.assert_allclose(prob.sum(axis=0), 1.0, atol=1e-6)
 
     def test_partial_hypothesis_validity_normalizes_over_the_valid_subset(self):
         hyp = DepthHypotheses(1.0, 4.0, 4)
@@ -231,7 +231,7 @@ class TestRegressDepth:
         vol = CostVolume(0, hyp, cost, np.where(valid, 2, 1), valid)
         depth, prob = regress_depth(vol, 1.0)
         # equal costs over the two valid samples {1, 2}: expectation 1.5
-        np.testing.assert_allclose(prob.prob[:, 0, 0], [0.5, 0.5, 0.0, 0.0],
+        np.testing.assert_allclose(prob[:, 0, 0], [0.5, 0.5, 0.0, 0.0],
                                    atol=1e-12)
         assert depth.values[0, 0] == pytest.approx(1.5, rel=1e-12)
 
