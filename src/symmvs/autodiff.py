@@ -23,6 +23,7 @@ __all__ = [
     "where_mask",
     "pad_zero",
     "box_sum3",
+    "bilinear_taps",
     "bilinear",
     "sum_all",
 ]
@@ -268,6 +269,31 @@ def box_sum3(x):
     return _box_sum3_raw(np.asarray(x, dtype=np.float64))
 
 
+def bilinear_taps(x, y, mask, height: int, width: int):
+    """Flat corner indices and weights of bilinear sampling on a grid.
+
+    ``x``/``y`` are plain (H, W) coordinates (column, row) into a
+    (height, width) grid; outside ``mask`` they are read as 0. The top-left
+    corner is clipped so all four corners lie on the grid. Returns
+    ``(idx, wts, wx, wy)``: ``idx`` and ``wts`` hold the row-major flat
+    index and the weight of the corners (y0, x0), (y0, x1), (y1, x0),
+    (y1, x1), in that order; ``wx``/``wy`` are the fractional offsets.
+    """
+    m = np.asarray(mask, dtype=bool)
+    xv = np.where(m, x, 0.0).astype(np.float64)
+    yv = np.where(m, y, 0.0).astype(np.float64)
+
+    x0f = np.clip(np.floor(xv), 0.0, width - 2.0)
+    y0f = np.clip(np.floor(yv), 0.0, height - 2.0)
+    wx = xv - x0f
+    wy = yv - y0f
+    i00 = y0f.astype(np.intp) * width + x0f.astype(np.intp)
+    i10 = i00 + width
+    idx = (i00, i00 + 1, i10, i10 + 1)
+    wts = ((1.0 - wx) * (1.0 - wy), wx * (1.0 - wy), (1.0 - wx) * wy, wx * wy)
+    return idx, wts, wx, wy
+
+
 def bilinear(image, x, y, mask):
     """Bilinearly sample ``image`` at coordinates ``(x, y)``.
 
@@ -281,40 +307,19 @@ def bilinear(image, x, y, mask):
     img_v = np.asarray(value_of(image), dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
     h, w = img_v.shape[:2]
-    xv = np.where(m, value_of(x), 0.0).astype(np.float64)
-    yv = np.where(m, value_of(y), 0.0).astype(np.float64)
+    idx, wts, wx, wy = bilinear_taps(value_of(x), value_of(y), m, h, w)
 
-    x0f = np.clip(np.floor(xv), 0.0, w - 2.0)
-    y0f = np.clip(np.floor(yv), 0.0, h - 2.0)
-    wx = xv - x0f
-    wy = yv - y0f
-    x0 = x0f.astype(np.intp)
-    y0 = y0f.astype(np.intp)
-    x1 = x0 + 1
-    y1 = y0 + 1
-
-    w00 = (1.0 - wx) * (1.0 - wy)
-    w01 = wx * (1.0 - wy)
-    w10 = (1.0 - wx) * wy
-    w11 = wx * wy
-
-    c00 = img_v[y0, x0]
-    c01 = img_v[y0, x1]
-    c10 = img_v[y1, x0]
-    c11 = img_v[y1, x1]
+    flat = img_v.reshape((h * w,) + img_v.shape[2:])
+    c00, c01, c10, c11 = (flat[i] for i in idx)
 
     has_channels = img_v.ndim == 3
     if has_channels:
         mexp = m[..., None]
-        out = (
-            c00 * w00[..., None]
-            + c01 * w01[..., None]
-            + c10 * w10[..., None]
-            + c11 * w11[..., None]
-        )
+        wts = tuple(wt[..., None] for wt in wts)
     else:
         mexp = m
-        out = c00 * w00 + c01 * w01 + c10 * w10 + c11 * w11
+    w00, w01, w10, w11 = wts
+    out = c00 * w00 + c01 * w01 + c10 * w10 + c11 * w11
     out = np.where(mexp, out, 0.0)
 
     parents = []
@@ -334,18 +339,16 @@ def bilinear(image, x, y, mask):
         g = np.where(mexp, g, 0.0)
         grads = []
         if want_img:
-            gi = np.zeros_like(img_v)
-            if has_channels:
-                np.add.at(gi, (y0, x0), g * w00[..., None])
-                np.add.at(gi, (y0, x1), g * w01[..., None])
-                np.add.at(gi, (y1, x0), g * w10[..., None])
-                np.add.at(gi, (y1, x1), g * w11[..., None])
-            else:
-                np.add.at(gi, (y0, x0), g * w00)
-                np.add.at(gi, (y0, x1), g * w01)
-                np.add.at(gi, (y1, x0), g * w10)
-                np.add.at(gi, (y1, x1), g * w11)
-            grads.append(gi)
+            # One scatter over all four corners, concatenated in corner
+            # order: each cell accumulates its contributions in the same
+            # sequence as one sequential scatter per corner would.
+            n_ch = img_v.size // (h * w)
+            cells = np.concatenate(idx).ravel()
+            if n_ch > 1:
+                cells = (cells[:, None] * n_ch + np.arange(n_ch)).ravel()
+            contrib = np.concatenate([g * wt for wt in wts]).ravel()
+            gi = np.bincount(cells, weights=contrib, minlength=img_v.size)
+            grads.append(gi.reshape(img_v.shape))
         if want_x or want_y:
             if has_channels:
                 dx = (c01 - c00) * (1.0 - wy)[..., None] + (c11 - c10) * wy[..., None]

@@ -35,6 +35,7 @@ __all__ = [
     "same_camera",
     "relative_motion",
     "plane_homography",
+    "homography_coords",
     "warp_field_from_homography",
     "bilinear_sample",
     "synthesize_view",
@@ -272,15 +273,25 @@ def plane_homography(src: CameraView, dst: CameraView, depth: float) -> np.ndarr
     return h / h[2, 2]
 
 
-def warp_field_from_homography(hmat: np.ndarray, height: int, width: int) -> WarpField:
-    """Apply a homography to the full pixel grid and flag usable samples."""
+def homography_coords(hmat: np.ndarray, height: int, width: int):
+    """Apply a homography to the full pixel grid.
+
+    Returns (x, y, inb): the mapped (H, W) coordinates and the flag of
+    usable samples (in front of the camera and inside the grid). Where
+    ``inb`` is False the coordinates are finite but meaningless.
+    """
     gx, gy = _pixel_grid(height, width)
     den = hmat[2, 0] * gx + hmat[2, 1] * gy + hmat[2, 2]
     front = den > 1e-12
     den_safe = np.where(front, den, 1.0)
     x = (hmat[0, 0] * gx + hmat[0, 1] * gy + hmat[0, 2]) / den_safe
     y = (hmat[1, 0] * gx + hmat[1, 1] * gy + hmat[1, 2]) / den_safe
-    inb = front & _in_bounds(x, y, width, height)
+    return x, y, front & _in_bounds(x, y, width, height)
+
+
+def warp_field_from_homography(hmat: np.ndarray, height: int, width: int) -> WarpField:
+    """Apply a homography to the full pixel grid and flag usable samples."""
+    x, y, inb = homography_coords(hmat, height, width)
     coords = np.stack([np.where(inb, x, -1.0), np.where(inb, y, -1.0)], axis=-1)
     return WarpField(coords, inb)
 

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the slow, obvious way (loops,
-direct formulas) and never calls the code paths it checks.
+direct formulas) and never calls the code paths it checks. The earlier
+forms of two vectorized routines are kept as references the current ones
+must match bit for bit (`cost_volume_loop`, `box_sum_axis_padded`).
 """
 
 import numpy as np
@@ -93,6 +95,83 @@ def box_filter_valid_brute(cost, valid, radius):
                     out[k, y, x] = cost[ks, ys, xs][m].sum() / n
                     ok[k, y, x] = True
     return out, ok
+
+
+def cost_volume_loop(views, features, ref, hyp):
+    """Plane-sweep variance volume, one warp field and one resampled
+    (H, W, F) feature map per hypothesis and source view.
+
+    This is the library's earlier per-hypothesis loop, built from the
+    public geometry calls. Returns (cost, support, valid) as
+    ``build_cost_volume`` does.
+    """
+    from symmvs import geometry
+
+    n_views = len(views)
+    h, w, _ = features[ref].values.shape
+    cost = np.zeros((hyp.count, h, w))
+    support = np.zeros((hyp.count, h, w), dtype=np.int64)
+    others = [v for v in range(n_views) if v != ref]
+    for k, depth in enumerate(hyp.samples):
+        group = [(features[ref].values, np.ones((h, w), dtype=bool))]
+        for src in others:
+            hom = geometry.plane_homography(views[ref], views[src], float(depth))
+            fld = geometry.warp_field_from_homography(hom, h, w)
+            group.append(geometry.bilinear_sample(features[src].values, fld))
+        count = np.zeros((h, w), dtype=np.int64)
+        for _, ok in group:
+            count += ok
+        pair_sq = np.zeros((h, w))
+        for a in range(len(group)):
+            va, oka = group[a]
+            for b in range(a + 1, len(group)):
+                vb, okb = group[b]
+                both = (oka & okb)[..., None]
+                diff = np.where(both, va - vb, 0.0)
+                pair_sq += (diff * diff).mean(axis=2)
+        ok2 = count >= 2
+        denom = np.where(ok2, count, 1).astype(np.float64)
+        cost[k] = np.where(ok2, pair_sq / (denom * denom), 0.0)
+        support[k] = count
+    return cost, support, support >= 2
+
+
+def box_sum_axis_padded(a, radius, axis):
+    """Clipped-window sums along one axis, from a zero-prepended running
+    sum indexed at both window ends (the library's earlier form)."""
+    n = a.shape[axis]
+    c = np.cumsum(a, axis=axis)
+    c = np.concatenate([np.zeros_like(np.take(c, [0], axis=axis)), c], axis=axis)
+    hi = np.minimum(np.arange(n) + radius + 1, n)
+    lo = np.maximum(np.arange(n) - radius, 0)
+    return np.take(c, hi, axis=axis) - np.take(c, lo, axis=axis)
+
+
+def bilinear_image_grad_add_at(image_shape, x, y, mask, g):
+    """Gradient of bilinear sampling with respect to the sampled image:
+    one sequential ``np.add.at`` scatter per corner, corners in the order
+    (y0, x0), (y0, x1), (y1, x0), (y1, x1)."""
+    h, w = image_shape[:2]
+    xv = np.where(mask, x, 0.0)
+    yv = np.where(mask, y, 0.0)
+    x0f = np.clip(np.floor(xv), 0.0, w - 2.0)
+    y0f = np.clip(np.floor(yv), 0.0, h - 2.0)
+    wx = xv - x0f
+    wy = yv - y0f
+    x0 = x0f.astype(np.intp)
+    y0 = y0f.astype(np.intp)
+    corners = [
+        ((y0, x0), (1.0 - wx) * (1.0 - wy)),
+        ((y0, x0 + 1), wx * (1.0 - wy)),
+        ((y0 + 1, x0), (1.0 - wx) * wy),
+        ((y0 + 1, x0 + 1), wx * wy),
+    ]
+    channels = len(image_shape) == 3
+    g = np.where(mask[..., None] if channels else mask, g, 0.0)
+    out = np.zeros(image_shape)
+    for at, wt in corners:
+        np.add.at(out, at, g * (wt[..., None] if channels else wt))
+    return out
 
 
 def population_variance_brute(samples):

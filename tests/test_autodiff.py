@@ -7,6 +7,8 @@ import pytest
 from symmvs import autodiff as ad
 from symmvs.autodiff import Var
 
+from _oracles import bilinear_image_grad_add_at
+
 
 def fd_grad(fn, x, h=1e-6):
     grad = np.zeros_like(x)
@@ -153,3 +155,22 @@ class TestBilinear:
         out = ad.bilinear(img, xv, yv, mask)
         assert out.shape == (6, 7, 3)
         assert (out[~mask] == 0.0).all()
+
+    @pytest.mark.parametrize("shape", [(6, 7), (6, 7, 3)])
+    def test_image_gradient_matches_sequential_scatter(self, rng, shape):
+        # coordinates crowd into a few cells and past the border, so many
+        # samples share corners; the bincount scatter must add them in the
+        # same order as one np.add.at per corner, bit for bit
+        img = rng.uniform(size=shape)
+        xv = rng.uniform(2.2, 3.8, (9, 10))
+        yv = rng.uniform(1.1, 2.9, (9, 10))
+        xv[0, :] = 8.5
+        yv[:, 0] = -0.7
+        mask = rng.uniform(size=(9, 10)) > 0.2
+        g = rng.normal(size=(9, 10) + shape[2:])
+
+        leaf = Var(img)
+        (ad.bilinear(leaf, xv, yv, mask) * g).sum().backward()
+        expected = bilinear_image_grad_add_at(shape, xv, yv, mask, g)
+        np.testing.assert_array_equal(leaf.grad, expected)
+

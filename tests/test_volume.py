@@ -13,10 +13,15 @@ from symmvs import (
     regress_depth,
     smooth_cost_volume,
 )
-from symmvs.errors import TooFewViews, UnknownMode
-from symmvs.volume import CostVolume
+from symmvs.errors import NonFiniteValue, ShapeMismatch, TooFewViews, UnknownMode
+from symmvs.volume import CostVolume, FeatureMap, _box_sum_axis
 
-from _oracles import box_filter_valid_brute, population_variance_brute
+from _oracles import (
+    box_filter_valid_brute,
+    box_sum_axis_padded,
+    cost_volume_loop,
+    population_variance_brute,
+)
 from conftest import DESK_TEMPERATURE, make_camera
 
 
@@ -120,6 +125,37 @@ class TestBuildCostVolume:
         vol_b = build_cost_volume(perm_views, perm_feats, 0, hyp)
         assert np.abs(vol_a.cost - vol_b.cost).max() < 1e-12
 
+    @pytest.mark.parametrize("mode", ["intensity", "grad3"])
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
+    def test_matches_per_view_resampling_loop_exactly(self, request, scene, mode):
+        sc = request.getfixturevalue(scene)
+        views = sc["views"]
+        hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
+        feats = [extract_features(v.image, mode) for v in views]
+        for ref in range(len(views)):
+            vol = build_cost_volume(views, feats, ref, hyp)
+            cost, support, valid = cost_volume_loop(views, feats, ref, hyp)
+            assert np.array_equal(vol.cost, cost)
+            assert np.array_equal(vol.support, support)
+            assert np.array_equal(vol.valid, valid)
+
+    @pytest.mark.parametrize("bad_view", [0, 2])
+    def test_non_finite_features_name_the_view(self, plane_scene, bad_view):
+        views, hyp = plane_scene["views"], plane_scene["hyp"]
+        feats = [extract_features(v.image, "grad3") for v in views]
+        vals = feats[bad_view].values.copy()
+        vals[10, 20, 1] = np.nan
+        feats[bad_view] = FeatureMap(vals)
+        with pytest.raises(NonFiniteValue, match=f"view {bad_view} "):
+            build_cost_volume(views, feats, 1, hyp)
+
+    def test_feature_shape_mismatch(self, plane_scene):
+        views, hyp = plane_scene["views"], plane_scene["hyp"]
+        feats = [extract_features(v.image, "grad3") for v in views]
+        feats[2] = extract_features(views[2].image, "intensity")
+        with pytest.raises(ShapeMismatch, match="view 2 "):
+            build_cost_volume(views, feats, 0, hyp)
+
     def test_too_few_views(self, plane_scene):
         views = plane_scene["views"][:1]
         feats = [extract_features(views[0].image, "grad3")]
@@ -162,11 +198,20 @@ class TestSmoothCostVolume:
         cost = rng.uniform(size=(4, 5, 6))
         valid = rng.uniform(size=(4, 5, 6)) > 0.4
         vol = self.make_volume(np.where(valid, cost, 0.0), valid)
-        out = smooth_cost_volume(vol, (1, 1, 2))
-        expected, expected_ok = box_filter_valid_brute(vol.cost, valid, (1, 1, 2))
-        np.testing.assert_array_equal(out.valid, expected_ok)
-        np.testing.assert_allclose(out.cost[out.valid], expected[expected_ok],
-                                   rtol=1e-10, atol=1e-12)
+        # (5, 7, 9) is wider than every axis: each window is clipped at both ends
+        for radius in [(1, 1, 2), (0, 2, 1), (3, 0, 4), (5, 7, 9)]:
+            out = smooth_cost_volume(vol, radius)
+            expected, expected_ok = box_filter_valid_brute(vol.cost, valid, radius)
+            np.testing.assert_array_equal(out.valid, expected_ok)
+            np.testing.assert_allclose(out.cost[out.valid], expected[expected_ok],
+                                       rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 6])
+    def test_box_sum_matches_padded_running_sum_exactly(self, radius):
+        a = np.random.default_rng(9).normal(size=(5, 7, 6))
+        for axis in range(3):
+            assert np.array_equal(_box_sum_axis(a, radius, axis),
+                                  box_sum_axis_padded(a, radius, axis))
 
 
 class TestRegressDepth:
