@@ -5,6 +5,11 @@ sqrt/exp/abs, full reductions, basic slicing, zero padding, 3x3 box sums,
 and bilinear sampling with gradients to both the sampled image and the
 sampling coordinates.
 
+Zero padding and the 3x3 box sum never build a padded copy: padding writes
+the input into a slice of one zeroed output, and the box sum adds the nine
+shifted in-image windows into one output, in the order the zero-padded form
+would, so every sum is bit-identical to it.
+
 Every module-level helper falls back to plain numpy when no ``Var`` is
 involved, so the photometric formulas can be written once and evaluated
 either with or without gradient tracking.
@@ -239,23 +244,39 @@ def sum_all(x):
     return np.asarray(x).sum()
 
 
+def _pad_raw(a, pads):
+    out = np.zeros(tuple(n + b + e for n, (b, e) in zip(a.shape, pads)), a.dtype)
+    slc = tuple(slice(b, b + n) for (b, _), n in zip(pads, a.shape))
+    out[slc] = a
+    return out, slc
+
+
 def pad_zero(x, pads):
     """Zero-pad with a full per-axis ``np.pad`` width spec."""
     if isinstance(x, Var):
-        out = np.pad(x.value, pads)
-        slc = tuple(slice(b, b + n) for (b, _), n in zip(pads, x.value.shape))
+        out, slc = _pad_raw(x.value, pads)
         return Var(out, (x,), lambda g: (g[slc],))
-    return np.pad(x, pads)
+    return _pad_raw(np.asarray(x), pads)[0]
+
+
+# (destination, source) slices of ``out[y] += a[y + offset]`` along one axis
+# for the offsets -1, 0, 1; on an axis of length 1 the shifted ones are empty.
+_SHIFTS = (
+    (slice(1, None), slice(None, -1)),
+    (slice(None), slice(None)),
+    (slice(None, -1), slice(1, None)),
+)
 
 
 def _box_sum3_raw(a):
-    h, w = a.shape[:2]
-    pads = ((1, 1), (1, 1)) + ((0, 0),) * (a.ndim - 2)
-    p = np.pad(a, pads)
+    # The nine shifted windows are added in the order of the zero-padded
+    # form (row offsets, then column offsets, each -1, 0, 1); a partial sum
+    # that starts at +0.0 is never -0.0, so leaving out the padding zeros
+    # changes no bit.
     out = np.zeros_like(a)
-    for dy in range(3):
-        for dx in range(3):
-            out += p[dy : dy + h, dx : dx + w]
+    for ys_out, ys_in in _SHIFTS:
+        for xs_out, xs_in in _SHIFTS:
+            out[ys_out, xs_out] += a[ys_in, xs_in]
     return out
 
 

@@ -17,11 +17,18 @@ reported, never silently dropped.
 One evaluator computes every term; `total_loss` returns them itemized in a
 `LossBreakdown`, so a single term is read from there (for example
 ``total_loss(state).depth_consistency[(i, j)]``).
+
+Data that depends only on the cameras and images lives in a `ViewContext`:
+each ordered pair's sampling coefficients, each view's comparator
+reference statistics (census bits, gradients, SSIM mean and variance) and
+smoothness edge weights, and the SSIM window normalizer, each computed on
+first use. `solver.refine` builds one per run and hands it to every mask
+update and evaluation; a call without one (`total_loss`, `occlusion_mask`)
+computes the same data fresh through the same helpers.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +39,11 @@ from .autodiff import Var, value_of
 from .errors import EmptyMask, ShapeMismatch, TooFewViews
 from .photometry import LossWeights, charbonnier
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
     "OcclusionMask",
     "LossBreakdown",
     "SceneState",
+    "ViewContext",
     "occlusion_mask",
     "compute_all_masks",
     "total_loss",
@@ -124,25 +130,79 @@ class LossBreakdown:
         return lines
 
 
+class ViewContext:
+    """What one refinement run derives from its views' cameras and images
+    alone, computed on first use and kept until the context is dropped.
+
+    Per ordered pair: the `geometry.pair_coefficients` of the sampling
+    chain. Per view: the image's `photometry.reference_stats` and its
+    `photometry.edge_weights`. Once: the SSIM window normalizer. Nothing is
+    keyed by array identity and nothing outlives the context, so a run that
+    creates one and drops it on return leaves no state behind.
+    """
+
+    def __init__(self, views):
+        self.views = views
+        self._pairs = {}
+        self._refs = {}
+        self._edges = {}
+        self._norm = None
+
+    def pair(self, t: int, s: int, height: int, width: int):
+        """Sampling coefficients of the ordered pair (target t, source s)."""
+        key = (t, s, height, width)
+        if key not in self._pairs:
+            self._pairs[key] = geometry.pair_coefficients(
+                self.views[t], self.views[s], height, width
+            )
+        return self._pairs[key]
+
+    @property
+    def norm(self) -> np.ndarray:
+        """`photometry.box_norm` of the views' grid."""
+        if self._norm is None:
+            self._norm = photometry.box_norm(*self.views[0].image.shape[:2])
+        return self._norm
+
+    def reference(self, i: int) -> photometry.ReferenceStats:
+        """Comparator statistics of view i's image as a reference."""
+        if i not in self._refs:
+            self._refs[i] = photometry.reference_stats(self.views[i].image, self.norm)
+        return self._refs[i]
+
+    def edges(self, i: int, alpha1: float, alpha2: float):
+        """Smoothness edge weights of view i's image."""
+        key = (i, alpha1, alpha2)
+        if key not in self._edges:
+            self._edges[key] = photometry.edge_weights(self.views[i].image,
+                                                       alpha1, alpha2)
+        return self._edges[key]
+
+
 # -- occlusion reasoning -------------------------------------------------------
 
 
 def occlusion_mask(depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
                    cam_i: geometry.CameraView, cam_j: geometry.CameraView,
-                   tau: float, pair: tuple | None = None) -> OcclusionMask:
+                   tau: float, pair: tuple | None = None,
+                   coeffs=(None, None)) -> OcclusionMask:
     """Cross-view depth-consistency mask for the ordered pair (i, j).
 
     View i's depth is warped into view j and back; a pixel stays valid iff
     the round-tripped depth agrees within ``tau`` and every intermediate
-    warp was in-bounds with positive depth.
+    warp was in-bounds with positive depth. ``coeffs`` are the
+    `geometry.pair_coefficients` of (j, i) and (i, j), the two warps'
+    (target, source) pairs, where the caller keeps them.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     first_vals, first_ok = geometry.warp_depth_values(
-        depth_i.values, depth_i.valid, depth_j.values, depth_j.valid, cam_i, cam_j
+        depth_i.values, depth_i.valid, depth_j.values, depth_j.valid, cam_i, cam_j,
+        coeffs[0],
     )
     second_vals, second_ok = geometry.warp_depth_values(
-        value_of(first_vals), first_ok, depth_i.values, depth_i.valid, cam_j, cam_i
+        value_of(first_vals), first_ok, depth_i.values, depth_i.valid, cam_j, cam_i,
+        coeffs[1],
     )
     ok = (
         second_ok
@@ -152,16 +212,25 @@ def occlusion_mask(depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
     return OcclusionMask(pair, ok)
 
 
-def compute_all_masks(views, depths, weights: LossWeights) -> dict:
-    """Occlusion masks for every ordered view pair at the current depths."""
+def compute_all_masks(views, depths, weights: LossWeights,
+                      context: ViewContext | None = None) -> dict:
+    """Occlusion masks for every ordered view pair at the current depths.
+
+    ``context`` is the run's `ViewContext` over ``views``, if it has one.
+    """
     masks = {}
     n = len(views)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
+            coeffs = (None, None)
+            if context is not None:
+                coeffs = (context.pair(j, i, *depths[j].values.shape),
+                          context.pair(i, j, *depths[i].values.shape))
             masks[(i, j)] = occlusion_mask(
-                depths[i], depths[j], views[i], views[j], weights.tau_occ, (i, j)
+                depths[i], depths[j], views[i], views[j], weights.tau_occ, (i, j),
+                coeffs,
             )
     return masks
 
@@ -174,10 +243,12 @@ class _Evaluator:
 
     With ``with_grad`` the depth grids become autodiff leaves and every
     term (except the locally constant census part) is differentiable with
-    respect to them.
+    respect to them. Camera- and image-only data comes from ``context``,
+    the run's `ViewContext`; without one, a fresh context serves this
+    evaluation alone.
     """
 
-    def __init__(self, views, depths, masks, weights, with_grad=False):
+    def __init__(self, views, depths, masks, weights, with_grad=False, context=None):
         if len(views) < 2:
             raise TooFewViews("the objective needs at least two views")
         if any(v.image is None for v in views):
@@ -191,6 +262,8 @@ class _Evaluator:
         self.depths = depths
         self.masks = masks
         self.weights = weights
+        self.ctx = context if context is not None else ViewContext(views)
+        self.grid = views[0].image.shape[:2]
         self.leaves = [Var(d.values) if with_grad else d.values for d in depths]
         self._cache = {}
 
@@ -199,7 +272,8 @@ class _Evaluator:
         key = ("synth", t, s)
         if key not in self._cache:
             self._cache[key] = geometry.synth_values(
-                self.views[t], self.views[s], self.leaves[t], self.depths[t].valid
+                self.views[t], self.views[s], self.leaves[t], self.depths[t].valid,
+                coeffs=self.ctx.pair(t, s, *self.grid),
             )
         return self._cache[key]
 
@@ -212,7 +286,7 @@ class _Evaluator:
             self._cache[key] = geometry.synth_values(
                 self.views[i], self.views[j], self.leaves[i],
                 self.depths[i].valid, source_image=inner_img,
-                source_valid=inner_ok,
+                source_valid=inner_ok, coeffs=self.ctx.pair(i, j, *self.grid),
             )
         return self._cache[key]
 
@@ -223,23 +297,29 @@ class _Evaluator:
             self._cache[key] = geometry.warp_depth_values(
                 self.leaves[j], self.depths[j].valid,
                 self.leaves[i], self.depths[i].valid,
-                self.views[j], self.views[i],
+                self.views[j], self.views[i], self.ctx.pair(i, j, *self.grid),
             )
         return self._cache[key]
+
+    def _compare(self, ref, syn, mask):
+        """Unary comparator against view ``ref``'s own image."""
+        return photometry.unary_comparator(self.views[ref].image, syn, mask,
+                                           self.weights, self.ctx.reference(ref))
 
     def term_unary(self, i, j):
         img, ok = self._synth(i, j)
         m = self.masks[(i, j)].valid & ok
         if not m.any():
             raise EmptyMask(f"Lu_{i}_{j}")
-        return photometry.unary_comparator(self.views[i].image, img, m, self.weights)
+        return self._compare(i, img, m)
 
     def term_smoothness(self, i):
         key = ("smooth", i)
         if key not in self._cache:
+            w = self.weights
             self._cache[key] = photometry.smoothness_term(
                 self.views[i].image, self.leaves[i], self.depths[i].valid,
-                self.weights.alpha1, self.weights.alpha2,
+                w.alpha1, w.alpha2, self.ctx.edges(i, w.alpha1, w.alpha2),
             )
         return self._cache[key]
 
@@ -248,7 +328,7 @@ class _Evaluator:
         m = self.masks[(j, i)].valid & ok
         if not m.any():
             raise EmptyMask(f"Lm_{i}_{j}")
-        return photometry.unary_comparator(self.views[j].image, img, m, self.weights)
+        return self._compare(j, img, m)
 
     def term_depth_consistency(self, i, j):
         vals, ok = self._dwarp(i, j)
@@ -265,7 +345,10 @@ class _Evaluator:
         m = self.masks[(i, j)].valid & self.masks[(i, k)].valid & ok_a & ok_b
         if not m.any():
             raise EmptyMask(f"Lb_{i}_{j}_{k}")
-        return photometry.unary_comparator(a, b, m, self.weights)
+        # the reference here is a synthesized image, new in every evaluation
+        return photometry.unary_comparator(
+            a, b, m, self.weights, photometry.reference_stats(a, self.ctx.norm)
+        )
 
     # -- assembly ---------------------------------------------------------
 
@@ -281,7 +364,6 @@ class _Evaluator:
                 term = fn()
             except EmptyMask:
                 bd.skipped.add(key)
-                logger.warning("loss term %s skipped: empty mask", key)
                 record[store_key] = 0.0
                 return 0.0
             record[store_key] = float(value_of(term))
@@ -329,8 +411,8 @@ class _Evaluator:
         return bd, total
 
 
-def _evaluate(views, depths, masks, weights, with_grad=False):
-    ev = _Evaluator(views, depths, masks, weights, with_grad)
+def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
+    ev = _Evaluator(views, depths, masks, weights, with_grad, context)
     bd, total = ev.run()
     return bd, total, ev.leaves
 

@@ -12,7 +12,12 @@ Conventions
 
 The value-level warping helpers (`synth_values`, `warp_depth_values`)
 accept either plain arrays or autodiff ``Var`` depths, so the loss stack
-can reuse the exact same warping chain with gradient tracking.
+can reuse the exact same warping chain with gradient tracking. The part of
+that chain that depends only on the two cameras, `pair_coefficients`, is
+computed per call unless the caller passes it in: the refinement loop keeps
+one copy per ordered pair for a whole run (`consistency.ViewContext`).
+Sample validity reads its corners and weights from `autodiff.bilinear_taps`,
+the same helper the bilinear sampler uses.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "plane_homography",
     "homography_coords",
     "warp_field_from_homography",
+    "pair_coefficients",
     "bilinear_sample",
     "synthesize_view",
     "warp_depth",
@@ -235,19 +241,13 @@ def _in_bounds(xv: np.ndarray, yv: np.ndarray, width: int, height: int) -> np.nd
 def _sample_validity(valid: np.ndarray, xv: np.ndarray, yv: np.ndarray, inb: np.ndarray):
     """True where every bilinear corner carrying weight is a valid pixel."""
     h, w = valid.shape
-    xs = np.where(inb, xv, 0.0)
-    ys = np.where(inb, yv, 0.0)
-    x0 = np.clip(np.floor(xs), 0, w - 2).astype(np.intp)
-    y0 = np.clip(np.floor(ys), 0, h - 2).astype(np.intp)
-    wx = xs - x0
-    wy = ys - y0
+    idx, wts, _, _ = ad.bilinear_taps(xv, yv, inb, h, w)
+    flat = valid.ravel()
     tol = 1e-12
-    ok = np.ones_like(inb)
-    ok &= valid[y0, x0] | ((1 - wx) * (1 - wy) <= tol)
-    ok &= valid[y0, x0 + 1] | (wx * (1 - wy) <= tol)
-    ok &= valid[y0 + 1, x0] | ((1 - wx) * wy <= tol)
-    ok &= valid[y0 + 1, x0 + 1] | (wx * wy <= tol)
-    return ok & inb
+    ok = inb.copy()
+    for i, wt in zip(idx, wts):
+        ok &= flat[i] | (wt <= tol)
+    return ok
 
 
 # -- plane-induced homography ------------------------------------------------
@@ -316,7 +316,22 @@ def bilinear_sample(image: np.ndarray, fld: WarpField):
 # -- generic warping chain ---------------------------------------------------
 
 
-def sampling_chain(target: CameraView, source: CameraView, target_depth_values, height, width):
+def pair_coefficients(target: CameraView, source: CameraView, height: int, width: int):
+    """Per-pixel coefficients of the target -> source sampling chain.
+
+    Returns (a, b): ``a`` is (3, H, W) with ``a[:, y, x] = K_s R_rel ray(x, y)``
+    and ``b = K_s t_rel``, so a target pixel at depth d lands at the source's
+    homogeneous pixel ``a * d + b``. They depend only on the two cameras and
+    the grid, so a run computes them once per ordered pair.
+    """
+    r_rel, t_rel = relative_motion(target, source)
+    rays = view_rays(target, height, width)
+    a = rays @ (source.intrinsics @ r_rel).T
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)), source.intrinsics @ t_rel
+
+
+def sampling_chain(target: CameraView, source: CameraView, target_depth_values,
+                   height, width, coeffs=None):
     """Source-image coordinates of the scene seen by ``target`` at the given
     depth values.
 
@@ -324,23 +339,23 @@ def sampling_chain(target: CameraView, source: CameraView, target_depth_values, 
     depth of the transformed point in the source camera, and a boolean mask
     where that depth is positive. ``target_depth_values`` may be a Var; the
     outputs then track gradients. Identical cameras short-circuit to the
-    exact pixel grid.
+    exact pixel grid. ``coeffs`` are the pair's `pair_coefficients`,
+    computed here when not given.
     """
     if same_camera(target, source):
         gx, gy = _pixel_grid(height, width)
         front = value_of(target_depth_values) > 0.0
         return gx, gy, target_depth_values, front
 
-    r_rel, t_rel = relative_motion(target, source)
-    rays = view_rays(target, height, width)
-    a = rays @ (source.intrinsics @ r_rel).T
-    b = source.intrinsics @ t_rel
+    if coeffs is None:
+        coeffs = pair_coefficients(target, source, height, width)
+    a, b = coeffs
     d = target_depth_values
-    qx = a[..., 0] * d + b[0]
-    qy = a[..., 1] * d + b[1]
+    qx = a[0] * d + b[0]
+    qy = a[1] * d + b[1]
     # K's bottom row is (0, 0, 1), so the projective divisor is the source-
     # camera z directly.
-    z = a[..., 2] * d + b[2]
+    z = a[2] * d + b[2]
     front = value_of(z) > 1e-12
     z_safe = where_mask(front, z, 1.0)
     x = where_mask(front, qx / z_safe, -1.0)
@@ -349,17 +364,20 @@ def sampling_chain(target: CameraView, source: CameraView, target_depth_values, 
 
 
 def synth_values(target: CameraView, source: CameraView, target_depth_values,
-                 target_depth_valid, source_image=None, source_valid=None):
+                 target_depth_valid, source_image=None, source_valid=None,
+                 coeffs=None):
     """Inverse-warp ``source``'s image content onto ``target``'s grid.
 
     ``source_image`` defaults to the source view's own image; passing an
     already-synthesized image (possibly a Var) with its validity grid builds
-    second-order synthesis. Returns (image, valid).
+    second-order synthesis. ``coeffs`` are the (target, source)
+    `pair_coefficients` if the caller holds them. Returns (image, valid).
     """
     h, w = value_of(target_depth_values).shape
     if source_image is None:
         source_image = source.image
-    x, y, _, front = sampling_chain(target, source, target_depth_values, h, w)
+    x, y, _, front = sampling_chain(target, source, target_depth_values, h, w,
+                                    coeffs)
     xv, yv = value_of(x), value_of(y)
     ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
     if source_valid is not None:
@@ -370,13 +388,15 @@ def synth_values(target: CameraView, source: CameraView, target_depth_values,
 
 def warp_depth_values(source_depth_values, source_depth_valid,
                       target_depth_values, target_depth_valid,
-                      source: CameraView, target: CameraView):
+                      source: CameraView, target: CameraView, coeffs=None):
     """Source depth re-expressed in the target camera (see `warp_depth`).
 
-    Either depth grid may be a Var. Returns (values, valid).
+    Either depth grid may be a Var. ``coeffs`` are the (target, source)
+    `pair_coefficients` if the caller holds them. Returns (values, valid).
     """
     h, w = value_of(target_depth_values).shape
-    x, y, _, front = sampling_chain(target, source, target_depth_values, h, w)
+    x, y, _, front = sampling_chain(target, source, target_depth_values, h, w,
+                                    coeffs)
     xv, yv = value_of(x), value_of(y)
     ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
     ok = ok & _sample_validity(source_depth_valid, xv, yv, ok)

@@ -17,6 +17,12 @@ are needed and plain arrays otherwise.
 These are building blocks: the pairwise synthesis loss and every other term
 of the objective are assembled from them by the one evaluator in
 `consistency` and read from `consistency.total_loss`.
+
+What depends only on a reference image (its gradients, census bits and SSIM
+window statistics: `reference_stats`; the SSIM window normalizer:
+`box_norm`; the smoothness edge weights: `edge_weights`) is split out, so a
+caller that compares against the same image many times can compute it once
+and pass it in. Without it, the same helpers compute it per call.
 """
 
 from __future__ import annotations
@@ -37,7 +43,11 @@ __all__ = [
     "census_transform",
     "census_distance",
     "ssim_map",
+    "box_norm",
+    "ReferenceStats",
+    "reference_stats",
     "unary_comparator",
+    "edge_weights",
     "smoothness_term",
 ]
 
@@ -163,47 +173,99 @@ def census_distance(a: CensusDescriptor, b: CensusDescriptor) -> np.ndarray:
 # -- SSIM ----------------------------------------------------------------------
 
 
-def ssim_map(a, b):
+def box_norm(height: int, width: int) -> np.ndarray:
+    """In-image pixel count of every 3x3 window: the SSIM normalizer."""
+    return ad.box_sum3(np.ones((height, width)))
+
+
+def _window_stats(x, norm):
+    """Windowed mean and variance of one channel."""
+    mu = ad.box_sum3(x) / norm
+    return mu, ad.box_sum3(x * x) / norm - mu * mu
+
+
+def _ssim_reference(a, norm):
+    """Per-channel (channel, mean, variance) of an SSIM reference."""
+    if value_of(a).ndim == 2:
+        channels = [a]
+    else:
+        channels = [a[:, :, c] for c in range(value_of(a).shape[2])]
+    return [(ac, *_window_stats(ac, norm)) for ac in channels]
+
+
+def ssim_map(a, b, ref=None):
     """Structural similarity with a 3x3 uniform window, channel-averaged.
 
     Local statistics are normalized by the in-image window size, so the map
     is defined up to the border and equals 1 wherever the inputs agree.
-    Accepts Vars for either input.
+    Accepts Vars for either input. ``ref`` holds ``a``'s `reference_stats`
+    if the caller keeps them; its window statistics are computed here when
+    not given.
     """
     av, bv = value_of(a), value_of(b)
     if av.shape != bv.shape:
         raise ShapeMismatch("ssim inputs must share shape")
-    n = ad.box_sum3(np.ones(av.shape[:2]))
+    if ref is None:
+        norm = box_norm(*av.shape[:2])
+        stats_a = _ssim_reference(a, norm)
+    else:
+        norm, stats_a = ref.norm, ref.ssim
 
-    def one_channel(ac, bc):
-        mu_a = ad.box_sum3(ac) / n
-        mu_b = ad.box_sum3(bc) / n
-        var_a = ad.box_sum3(ac * ac) / n - mu_a * mu_a
-        var_b = ad.box_sum3(bc * bc) / n - mu_b * mu_b
-        cov = ad.box_sum3(ac * bc) / n - mu_a * mu_b
+    def one_channel(ac, mu_a, var_a, bc):
+        mu_b, var_b = _window_stats(bc, norm)
+        cov = ad.box_sum3(ac * bc) / norm - mu_a * mu_b
         num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
         den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
         return num / den
 
-    if av.ndim == 2:
-        return one_channel(a, b)
-    channels = av.shape[2]
-    acc = one_channel(a[:, :, 0], b[:, :, 0])
-    for c in range(1, channels):
-        acc = acc + one_channel(a[:, :, c], b[:, :, c])
-    return acc / channels
+    if bv.ndim == 2:
+        return one_channel(*stats_a[0], b)
+    acc = one_channel(*stats_a[0], b[:, :, 0])
+    for c in range(1, len(stats_a)):
+        acc = acc + one_channel(*stats_a[c], b[:, :, c])
+    return acc / len(stats_a)
 
 
 # -- the unary comparator --------------------------------------------------------
 
 
-def unary_comparator(image_ref, image_syn, mask, weights: LossWeights):
+@dataclass
+class ReferenceStats:
+    """The parts of the unary comparator that depend only on its reference
+    image: forward-difference gradients, census bits, and per-channel SSIM
+    (channel, mean, variance). A run keeps one per view image; any other
+    reference gets fresh ones from `reference_stats`."""
+
+    grad_x: object
+    grad_y: object
+    census: CensusDescriptor
+    ssim: list
+    norm: np.ndarray
+
+
+def reference_stats(image_ref, norm=None) -> ReferenceStats:
+    """Image-only comparator statistics of ``image_ref`` (Var-aware).
+
+    ``norm`` is the `box_norm` of the grid, computed when not given.
+    """
+    ref_v = value_of(image_ref)
+    if norm is None:
+        norm = box_norm(*ref_v.shape[:2])
+    return ReferenceStats(
+        _grad_x(image_ref), _grad_y(image_ref),
+        census_transform(grayscale(ref_v)), _ssim_reference(image_ref, norm), norm,
+    )
+
+
+def unary_comparator(image_ref, image_syn, mask, weights: LossWeights, ref=None):
     """Masked mean of the four-term photometric residual (scalar; Var-aware).
 
     The mask must already include the synthesized image's validity; with no
     valid pixel it raises EmptyMask, and the caller skips the term. The
     census term is computed on plain values and enters as a constant, so it
-    shapes evaluations but contributes zero gradient.
+    shapes evaluations but contributes zero gradient. ``ref`` holds
+    ``image_ref``'s `reference_stats` if the caller keeps them; they are
+    computed here when not given.
     """
     ref_v, syn_v = value_of(image_ref), value_of(image_syn)
     if ref_v.shape != syn_v.shape:
@@ -212,6 +274,8 @@ def unary_comparator(image_ref, image_syn, mask, weights: LossWeights):
     count = int(mask.sum())
     if count == 0:
         raise EmptyMask("no valid pixels for the unary comparator")
+    if ref is None:
+        ref = reference_stats(image_ref)
     m = mask.astype(np.float64)
 
     def masked_mean(term):
@@ -219,14 +283,11 @@ def unary_comparator(image_ref, image_syn, mask, weights: LossWeights):
 
     t_l1 = _channel_mean(charbonnier(image_ref - image_syn))
     t_grad = (
-        _channel_mean(charbonnier(_grad_x(image_ref) - _grad_x(image_syn)))
-        + _channel_mean(charbonnier(_grad_y(image_ref) - _grad_y(image_syn)))
+        _channel_mean(charbonnier(ref.grad_x - _grad_x(image_syn)))
+        + _channel_mean(charbonnier(ref.grad_y - _grad_y(image_syn)))
     ) / 2.0
-    t_ssim = (1.0 - ssim_map(image_ref, image_syn)) * 0.5
-    dist = census_distance(
-        census_transform(grayscale(ref_v)),
-        census_transform(grayscale(syn_v)),
-    )
+    t_ssim = (1.0 - ssim_map(image_ref, image_syn, ref)) * 0.5
+    dist = census_distance(ref.census, census_transform(grayscale(syn_v)))
     t_census = float((charbonnier(dist) * m).sum() / count)
 
     return (
@@ -240,41 +301,58 @@ def unary_comparator(image_ref, image_syn, mask, weights: LossWeights):
 # -- smoothness -------------------------------------------------------------------
 
 
-def smoothness_term(image, depth_values, depth_valid, alpha1: float, alpha2: float):
-    """Edge-aware first+second order depth smoothness (scalar; Var-aware).
-
-    Each order is averaged over the pixels whose full stencil lies in the
-    image; stencils touching an invalid depth contribute zero.
-    """
+def edge_weights(image, alpha1: float, alpha2: float):
+    """The image-only factors of `smoothness_term`: ``exp(-alpha1 |grad I|)``
+    on the first-order stencils and ``exp(-alpha2 |lap I|)`` on the
+    second-order ones, each None where the image is too small for it."""
     img = np.asarray(value_of(image), dtype=np.float64)
     if img.ndim == 2:
         img = img[:, :, None]
-    d = depth_values
-    dv = value_of(d)
-    h, w = dv.shape
-    total = 0.0
-
+    h, w = img.shape[:2]
+    first = second = None
     if h >= 2 and w >= 2:
-        dx = d[:-1, 1:] - d[:-1, :-1]
-        dy = d[1:, :-1] - d[:-1, :-1]
-        grad_d = ad.absolute(dx) + ad.absolute(dy)
         gi = (
             np.abs(img[:-1, 1:] - img[:-1, :-1]).mean(axis=2)
             + np.abs(img[1:, :-1] - img[:-1, :-1]).mean(axis=2)
         )
-        ok = depth_valid[:-1, :-1] & depth_valid[:-1, 1:] & depth_valid[1:, :-1]
-        weight = np.exp(-alpha1 * gi) * ok
-        total = total + ad.sum_all(grad_d * weight) / ((h - 1) * (w - 1))
-
+        first = np.exp(-alpha1 * gi)
     if h >= 3 and w >= 3:
-        lap_d = (
-            d[1:-1, 2:] + d[1:-1, :-2] + d[2:, 1:-1] + d[:-2, 1:-1]
-            - 4.0 * d[1:-1, 1:-1]
-        )
         lap_i = np.abs(
             img[1:-1, 2:] + img[1:-1, :-2] + img[2:, 1:-1] + img[:-2, 1:-1]
             - 4.0 * img[1:-1, 1:-1]
         ).mean(axis=2)
+        second = np.exp(-alpha2 * lap_i)
+    return first, second
+
+
+def smoothness_term(image, depth_values, depth_valid, alpha1: float, alpha2: float,
+                    edges=None):
+    """Edge-aware first+second order depth smoothness (scalar; Var-aware).
+
+    Each order is averaged over the pixels whose full stencil lies in the
+    image; stencils touching an invalid depth contribute zero. ``edges``
+    are the image's `edge_weights` for these alphas if the caller keeps
+    them; they are computed here when not given.
+    """
+    if edges is None:
+        edges = edge_weights(image, alpha1, alpha2)
+    first, second = edges
+    d = depth_values
+    h, w = value_of(d).shape
+    total = 0.0
+
+    if first is not None:
+        dx = d[:-1, 1:] - d[:-1, :-1]
+        dy = d[1:, :-1] - d[:-1, :-1]
+        grad_d = ad.absolute(dx) + ad.absolute(dy)
+        ok = depth_valid[:-1, :-1] & depth_valid[:-1, 1:] & depth_valid[1:, :-1]
+        total = total + ad.sum_all(grad_d * (first * ok)) / ((h - 1) * (w - 1))
+
+    if second is not None:
+        lap_d = (
+            d[1:-1, 2:] + d[1:-1, :-2] + d[2:, 1:-1] + d[:-2, 1:-1]
+            - 4.0 * d[1:-1, 1:-1]
+        )
         ok = (
             depth_valid[1:-1, 1:-1]
             & depth_valid[1:-1, 2:]
@@ -282,7 +360,6 @@ def smoothness_term(image, depth_values, depth_valid, alpha1: float, alpha2: flo
             & depth_valid[2:, 1:-1]
             & depth_valid[:-2, 1:-1]
         )
-        weight = np.exp(-alpha2 * lap_i) * ok
-        total = total + ad.sum_all(ad.absolute(lap_d) * weight) / ((h - 2) * (w - 2))
+        total = total + ad.sum_all(ad.absolute(lap_d) * (second * ok)) / ((h - 2) * (w - 2))
 
     return total

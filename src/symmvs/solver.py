@@ -12,6 +12,8 @@ an alias of it).
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,8 @@ from .consistency import SceneState
 from .errors import TooFewViews
 from .geometry import DepthHypotheses, DepthMap
 from .photometry import LossWeights
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "SolverConfig",
@@ -96,14 +100,15 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
     return depths
 
 
-def loss_gradient(state: SceneState):
+def loss_gradient(state: SceneState, context=None):
     """Analytic gradient of the total loss w.r.t. every depth pixel.
 
     Masks are held fixed; the census term is locally constant and
-    contributes nothing; invalid pixels get exactly zero.
+    contributes nothing; invalid pixels get exactly zero. ``context`` is
+    the run's `consistency.ViewContext` over ``state.views``, if any.
     """
     _, total, leaves = consistency._evaluate(
-        state.views, state.depths, state.masks, state.weights, with_grad=True
+        state.views, state.depths, state.masks, state.weights, True, context
     )
     grads = []
     if hasattr(total, "backward"):
@@ -116,11 +121,22 @@ def loss_gradient(state: SceneState):
     return grads
 
 
-def _total(state: SceneState, depths):
+def _total(state: SceneState, depths, context, skipped: Counter):
     bd, _, _ = consistency._evaluate(
-        state.views, depths, state.masks, state.weights
+        state.views, depths, state.masks, state.weights, False, context
     )
+    skipped.update(bd.skipped)
     return bd
+
+
+def _warn_skipped(outer: int, skipped: Counter):
+    """One warning per mask phase: each term skipped for an empty mask,
+    with the number of the phase's loss evaluations that skipped it."""
+    if skipped:
+        logger.warning(
+            "mask phase %d: loss terms skipped for an empty mask: %s", outer,
+            ", ".join(f"{key} x{skipped[key]}" for key in sorted(skipped)),
+        )
 
 
 def refine(state: SceneState, config: SolverConfig) -> SceneState:
@@ -134,20 +150,26 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
     below ``convergence_tol``; if the line search cannot move at all while
     a significant gradient remains, the state is flagged diverged and the
     best depths found so far are returned.
+
+    Camera- and image-only data is computed once per run, in one
+    `consistency.ViewContext` that is dropped on return. Loss terms skipped
+    for an empty mask are logged once per mask phase, with counts.
     """
     hyp = config.hypotheses
     step0 = config.step_size if config.step_size is not None else 2.0 * hyp.spacing
+    context = consistency.ViewContext(state.views)
 
     state.masks = consistency.compute_all_masks(state.views, state.depths,
-                                                state.weights)
+                                                state.weights, context)
     if config.max_outer_iters == 0:
         return state
 
     for outer in range(config.max_outer_iters):
         if outer > 0:
             state.masks = consistency.compute_all_masks(state.views, state.depths,
-                                                        state.weights)
-        bd = _total(state, state.depths)
+                                                        state.weights, context)
+        skipped = Counter()
+        bd = _total(state, state.depths, context, skipped)
         f_cur = bd.total
         f_phase_start = f_cur
         state.history.append((state.iteration, f_cur))
@@ -156,7 +178,7 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
         accepted_any = False
         smallest_trial = None
         for _ in range(config.inner_steps_per_mask_update):
-            grads = loss_gradient(state)
+            grads = loss_gradient(state, context)
             ginf = max(float(np.abs(g).max()) for g in grads)
             if ginf == 0.0:
                 break
@@ -175,7 +197,7 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
                     )
                     move_sq += float(((new_vals - d.values) ** 2).sum())
                     cand.append(DepthMap(new_vals, d.valid.copy()))
-                f_new = _total(state, cand).total
+                f_new = _total(state, cand, context, skipped).total
                 smallest_trial = f_new
                 if np.isfinite(f_new) and f_new <= f_cur - (ARMIJO_C / a) * move_sq:
                     accepted = True
@@ -190,7 +212,8 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
             state.history.append((state.iteration, f_cur))
             accepted_any = True
 
-        bd_end = _total(state, state.depths)
+        bd_end = _total(state, state.depths, context, skipped)
+        _warn_skipped(outer, skipped)
         state.outer_log.append(
             {
                 "iter": outer,

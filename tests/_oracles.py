@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (loops,
 direct formulas) and never calls the code paths it checks. The earlier
-forms of two vectorized routines are kept as references the current ones
-must match bit for bit (`cost_volume_loop`, `box_sum_axis_padded`).
+forms of several vectorized routines are kept as references the current
+ones must match bit for bit (`cost_volume_loop`, `box_sum_axis_padded`,
+`box_sum3_padded`, `pad_zero_np`, `sample_validity_direct`).
 """
 
 import numpy as np
@@ -145,6 +146,44 @@ def box_sum_axis_padded(a, radius, axis):
     hi = np.minimum(np.arange(n) + radius + 1, n)
     lo = np.maximum(np.arange(n) - radius, 0)
     return np.take(c, hi, axis=axis) - np.take(c, lo, axis=axis)
+
+
+def box_sum3_padded(a):
+    """3x3 zero-padded box sum over the two leading axes, summed over nine
+    windows of an ``np.pad`` copy, rows then columns (the library's earlier
+    form)."""
+    h, w = a.shape[:2]
+    p = np.pad(a, ((1, 1), (1, 1)) + ((0, 0),) * (a.ndim - 2))
+    out = np.zeros_like(a)
+    for dy in range(3):
+        for dx in range(3):
+            out += p[dy : dy + h, dx : dx + w]
+    return out
+
+
+def pad_zero_np(a, pads):
+    """Zero padding by ``np.pad`` (the library's earlier form)."""
+    return np.pad(a, pads)
+
+
+def sample_validity_direct(valid, xv, yv, inb):
+    """True where every bilinear corner carrying weight is a valid pixel,
+    with its own floor, clip and corner weights (the library's earlier
+    form)."""
+    h, w = valid.shape
+    xs = np.where(inb, xv, 0.0)
+    ys = np.where(inb, yv, 0.0)
+    x0 = np.clip(np.floor(xs), 0, w - 2).astype(np.intp)
+    y0 = np.clip(np.floor(ys), 0, h - 2).astype(np.intp)
+    wx = xs - x0
+    wy = ys - y0
+    tol = 1e-12
+    ok = np.ones_like(inb)
+    ok &= valid[y0, x0] | ((1 - wx) * (1 - wy) <= tol)
+    ok &= valid[y0, x0 + 1] | (wx * (1 - wy) <= tol)
+    ok &= valid[y0 + 1, x0] | ((1 - wx) * wy <= tol)
+    ok &= valid[y0 + 1, x0 + 1] | (wx * wy <= tol)
+    return ok & inb
 
 
 def bilinear_image_grad_add_at(image_shape, x, y, mask, g):

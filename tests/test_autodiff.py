@@ -7,7 +7,7 @@ import pytest
 from symmvs import autodiff as ad
 from symmvs.autodiff import Var
 
-from _oracles import bilinear_image_grad_add_at
+from _oracles import bilinear_image_grad_add_at, box_sum3_padded, pad_zero_np
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -97,6 +97,43 @@ def test_box_sum3_gradient(rng):
     x = rng.uniform(size=(5, 6))
     w = rng.uniform(size=(5, 6))
     check_against_fd(lambda v: (ad.box_sum3(v * v) * w).sum(), x)
+
+
+# Shapes with one or two rows or columns put every pixel on a border.
+EXACT_SHAPES = [(1, 1), (1, 6), (2, 2), (2, 7), (5, 1), (6, 2), (6, 8),
+                (1, 1, 3), (2, 5, 3), (6, 8, 3), (6, 8, 1)]
+
+
+def _wide_range(rng, shape):
+    """Values over 16 decades with both signs and some exact zeros, so any
+    reordering of a sum shows in the last bits."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    return np.where(rng.uniform(size=shape) < 0.1, 0.0, x)
+
+
+@pytest.mark.parametrize("shape", EXACT_SHAPES)
+def test_box_sum3_bit_identical_to_padded_form(rng, shape):
+    x = _wide_range(rng, shape)
+    assert np.array_equal(ad.box_sum3(x), box_sum3_padded(x))
+    g = _wide_range(rng, shape)
+    leaf = Var(x)
+    (ad.box_sum3(leaf) * g).sum().backward()
+    assert np.array_equal(leaf.grad, box_sum3_padded(g))
+
+
+@pytest.mark.parametrize("shape", EXACT_SHAPES)
+def test_pad_zero_bit_identical_to_np_pad(rng, shape):
+    x = _wide_range(rng, shape)
+    pads = ((1, 0), (0, 2)) + ((0, 1),) * (len(shape) - 2)
+    padded = pad_zero_np(x, pads)
+    assert np.array_equal(ad.pad_zero(x, pads), padded)
+    g = _wide_range(rng, padded.shape)
+    leaf = Var(x)
+    out = ad.pad_zero(leaf, pads)
+    assert np.array_equal(out.value, padded)
+    (out * g).sum().backward()
+    inner = tuple(slice(b, b + n) for (b, _), n in zip(pads, shape))
+    assert np.array_equal(leaf.grad, g[inner])
 
 
 def test_shared_subexpression_accumulates(rng):

@@ -11,10 +11,13 @@ from symmvs import (
     LossWeights,
     compute_all_masks,
     occlusion_mask,
+    synthesize_view,
     total_loss,
 )
-from symmvs.consistency import OcclusionMask, SceneState, _evaluate
+from symmvs.consistency import OcclusionMask, SceneState, ViewContext, _evaluate
 from symmvs.errors import TooFewViews
+from symmvs.photometry import unary_comparator
+from symmvs.solver import loss_gradient
 
 from conftest import scene_state
 
@@ -247,3 +250,48 @@ def test_gradient_flows_to_both_depths_of_a_pair(plane_scene):
     total.backward()
     assert leaves[0].grad is not None and np.abs(leaves[0].grad).max() > 0
     assert leaves[1].grad is not None and np.abs(leaves[1].grad).max() > 0
+
+
+class TestViewContext:
+    """A context shared by many evaluations gives exactly what a fresh
+    evaluation of each call gives."""
+
+    @staticmethod
+    def candidates(gt, hyp_min, hyp_max):
+        rng = np.random.default_rng(4)
+        out = [gt]
+        for sigma in (0.05, 0.3):
+            out.append([
+                DepthMap(np.where(d.valid, np.clip(
+                    d.values + rng.normal(0.0, sigma, d.values.shape),
+                    hyp_min, hyp_max), 0.0), d.valid.copy())
+                for d in gt
+            ])
+        out.append([DepthMap(np.where(d.valid, d.values * 1.1, 0.0), d.valid.copy())
+                    for d in gt])
+        return out
+
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
+    def test_reused_context_is_bit_identical(self, scene, request):
+        sc = request.getfixturevalue(scene)
+        views, gt = sc["views"], sc["gt"]
+        weights = LossWeights(tau_occ=1.0)
+        ctx = ViewContext(views)
+        for depths in self.candidates(gt, 1.0, 5.0):
+            masks = compute_all_masks(views, depths, weights)
+            kept = compute_all_masks(views, depths, weights, ctx)
+            assert masks.keys() == kept.keys()
+            for key in masks:
+                assert np.array_equal(masks[key].valid, kept[key].valid)
+            state = SceneState(views, depths, masks, weights)
+            fresh_bd = total_loss(state)
+            kept_bd, _, _ = _evaluate(views, depths, masks, weights, False, ctx)
+            assert kept_bd == fresh_bd
+            # and the shared data is what the public helpers compute alone
+            for (i, j), m in masks.items():
+                img, ok = synthesize_view(depths[i], views[j], views[i])
+                if (m.valid & ok).any():
+                    assert kept_bd.unary[(i, j)] == float(unary_comparator(
+                        views[i].image, img, m.valid & ok, weights))
+            for a, b in zip(loss_gradient(state), loss_gradient(state, ctx)):
+                assert np.array_equal(a, b)

@@ -13,6 +13,7 @@ from symmvs import (
     warp_field_from_homography,
 )
 from symmvs.errors import NonFiniteResult, NonFiniteValue, ShapeMismatch
+from symmvs import geometry
 from symmvs.geometry import (
     DepthHypotheses,
     WarpField,
@@ -20,7 +21,7 @@ from symmvs.geometry import (
     relative_motion,
 )
 
-from _oracles import bilinear_at, project_reproject
+from _oracles import bilinear_at, project_reproject, sample_validity_direct
 from conftest import make_camera
 
 
@@ -361,3 +362,36 @@ def test_points_behind_the_source_camera_are_invalid():
     assert not ok.any()
     warped = warp_depth(depth, depth, ahead, target)
     assert not warped.valid.any()
+
+
+def test_sample_validity_matches_direct_corner_formula():
+    # Random grids with coordinates that hit the pixel lattice exactly, sit
+    # just inside or outside the weight tolerance around it, or lie on the
+    # clipped last row and column; the shared bilinear corner helper must
+    # flag the same pixels.
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        h, w = (int(n) for n in rng.integers(2, 9, size=2))
+        valid = rng.uniform(size=(h, w)) < rng.uniform(0.3, 1.0)
+        xv = rng.uniform(-0.5, w - 0.5, size=(h, w))
+        yv = rng.uniform(-0.5, h - 0.5, size=(h, w))
+        snap = rng.uniform(size=(h, w)) < 0.4
+        xv = np.where(snap, np.round(xv), xv)
+        yv = np.where(rng.uniform(size=(h, w)) < 0.4, np.round(yv), yv)
+        nudge = rng.choice([0.0, 1e-13, -1e-13, 5e-12, -5e-12], size=(h, w))
+        xv = xv + nudge
+        xv[:, -1] = w - 1.0
+        yv[-1, :] = h - 1.0
+        inb = (rng.uniform(size=(h, w)) < 0.9) & (xv > -1.0) & (yv > -1.0)
+        got = geometry._sample_validity(valid, xv, yv, inb)
+        assert np.array_equal(got, sample_validity_direct(valid, xv, yv, inb))
+
+
+def test_sampling_chain_with_pair_coefficients_is_bit_identical(plane_scene):
+    views, gt = plane_scene["views"], plane_scene["gt"]
+    h, w = gt[0].values.shape
+    coeffs = geometry.pair_coefficients(views[0], views[2], h, w)
+    fresh = geometry.sampling_chain(views[0], views[2], gt[0].values, h, w)
+    kept = geometry.sampling_chain(views[0], views[2], gt[0].values, h, w, coeffs)
+    for a, b in zip(fresh, kept):
+        assert np.array_equal(a, b)

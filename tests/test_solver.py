@@ -1,10 +1,18 @@
 """Initialization, analytic gradients, and the alternating refinement loop."""
 
+import hashlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from symmvs import (
     CameraView,
+    DepthHypotheses,
     DepthMap,
     LossWeights,
     compute_all_masks,
@@ -12,6 +20,7 @@ from symmvs import (
     loss_gradient,
     refine,
     run_pipeline,
+    total_loss,
 )
 from symmvs.consistency import _evaluate
 from symmvs.errors import TooFewViews
@@ -344,3 +353,71 @@ class TestRunPipeline:
             np.testing.assert_array_equal(da.values, db.values)
             np.testing.assert_array_equal(da.valid, db.valid)
         assert a.history == b.history
+
+
+def _refine_digest(views, depths, config):
+    """sha256 over everything a refine run returns."""
+    state = refine(SolverState(views=list(views), depths=[d.copy() for d in depths],
+                               masks={}, weights=config.weights), config)
+    h = hashlib.sha256()
+    for d in state.depths:
+        h.update(d.values.tobytes())
+        h.update(d.valid.tobytes())
+    for key in sorted(state.masks):
+        h.update(state.masks[key].valid.tobytes())
+    h.update(repr((state.history, state.outer_log, state.converged,
+                   state.diverged)).encode())
+    return h.hexdigest()
+
+
+_ALONE = """
+import pickle, sys
+from test_solver import _refine_digest
+views, depths, config = pickle.load(sys.stdin.buffer)
+print(_refine_digest(views, depths, config))
+"""
+
+
+def test_refine_leaves_nothing_behind(plane_scene, occluder_scene, tmp_path):
+    """Each scene refines to the same bytes after the other scene's run in
+    this process as alone in a fresh interpreter."""
+    hyp = DepthHypotheses(1.2, 4.95, 64)
+    config = desk_config(hyp, max_outer_iters=2, inner_steps_per_mask_update=2)
+    runs = [(sc["views"], noisy_depths(sc["gt"], 0.1, hyp))
+            for sc in (plane_scene, occluder_scene)]
+    in_process = [_refine_digest(views, depths, config) for views, depths in runs]
+
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")]))
+    for (views, depths), digest in zip(runs, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-c", _ALONE], input=pickle.dumps((views, depths, config)),
+            env=env, cwd=tmp_path, capture_output=True, check=True, timeout=300,
+        )
+        assert alone.stdout.decode().strip() == digest
+
+
+def test_skipped_terms_warned_once_per_mask_phase(plane_scene, caplog):
+    # the second camera looks at a part of the plane the first never sees,
+    # so both occlusion masks are empty and every pair term is skipped
+    far = plane_scene["views"][1]
+    far = CameraView(far.intrinsics, far.rotation, far.translation - [20.0, 0.0, 0.0],
+                     far.image)
+    views = [plane_scene["views"][0], far]
+    config = desk_config(plane_scene["hyp"], max_outer_iters=2,
+                         inner_steps_per_mask_update=2)
+    depths = noisy_depths(plane_scene["gt"][:2], 0.1, plane_scene["hyp"])
+    with caplog.at_level("WARNING", logger="symmvs"):
+        state = refine(SolverState(views=views, depths=depths, masks={},
+                                   weights=config.weights), config)
+    records = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(state.outer_log) == 2
+    assert len(records) == len(state.outer_log)
+    terms = ("Lu_0_1", "Lu_1_0", "Lm_0_1", "Lm_1_0", "Ld_0_1", "Ld_1_0")
+    for phase, rec in enumerate(records):
+        msg = rec.getMessage()
+        assert msg.startswith(f"mask phase {phase}: ")
+        for term in terms:
+            assert f"{term} x" in msg
+    assert set(terms) <= total_loss(state).skipped
