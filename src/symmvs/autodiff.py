@@ -5,10 +5,17 @@ sqrt/exp/abs, full reductions, basic slicing, zero padding, 3x3 box sums,
 and bilinear sampling with gradients to both the sampled image and the
 sampling coordinates.
 
-Zero padding and the 3x3 box sum never build a padded copy: padding writes
-the input into a slice of one zeroed output, and the box sum adds the nine
-shifted in-image windows into one output, in the order the zero-padded form
-would, so every sum is bit-identical to it.
+The small-grid kernels under every loss evaluation keep the arithmetic of
+their plain forms, bit for bit, with less memory traffic and fewer calls:
+
+- Zero padding writes the input into a slice of one zeroed output.
+- The 3x3 box sum writes the input once into a zero-bordered flat buffer
+  and adds the nine windows as contiguous 1-D slices of it, in the order
+  of the zero-padded form, onto a sum that starts at +0.0; the forward
+  pass and the VJP share it.
+- `bilinear_taps` floors and clips in place and forms each complementary
+  weight once; `bilinear` reads the corners with ``np.take`` and takes
+  precomputed taps from a caller that already needed them.
 
 Every module-level helper falls back to plain numpy when no ``Var`` is
 involved, so the photometric formulas can be written once and evaluated
@@ -16,6 +23,8 @@ either with or without gradient tracking.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -259,25 +268,30 @@ def pad_zero(x, pads):
     return _pad_raw(np.asarray(x), pads)[0]
 
 
-# (destination, source) slices of ``out[y] += a[y + offset]`` along one axis
-# for the offsets -1, 0, 1; on an axis of length 1 the shifted ones are empty.
-_SHIFTS = (
-    (slice(1, None), slice(None, -1)),
-    (slice(None), slice(None)),
-    (slice(None, -1), slice(1, None)),
-)
-
-
 def _box_sum3_raw(a):
-    # The nine shifted windows are added in the order of the zero-padded
-    # form (row offsets, then column offsets, each -1, 0, 1); a partial sum
-    # that starts at +0.0 is never -0.0, so leaving out the padding zeros
-    # changes no bit.
-    out = np.zeros_like(a)
-    for ys_out, ys_in in _SHIFTS:
-        for xs_out, xs_in in _SHIFTS:
-            out[ys_out, xs_out] += a[ys_in, xs_in]
-    return out
+    # One buffer holds the zero-bordered input, rows of W + 2 cells of C
+    # values flattened, followed by the sum in the same row layout. Window
+    # (dy, dx) of an output cell sits (dy * (W + 2) + dx) * C values after it
+    # in the padded part, so each window is one contiguous 1-D slice; the
+    # two border columns of every output row collect junk and are cut off
+    # by the returned view. The nine windows are added in the order of the
+    # zero-padded form (row offsets, then column offsets, each -1, 0, 1)
+    # onto a sum that starts at +0.0, so every sum is bit-identical to it.
+    h, w = a.shape[:2]
+    rest = a.shape[2:]
+    c = math.prod(rest)
+    row = (w + 2) * c
+    n_pad = (h + 2) * row
+    # up to the last in-image cell of the last row
+    span = max(h * row - 2 * c, 0)
+    buf = np.zeros(n_pad + h * row)
+    buf[:n_pad].reshape((h + 2, w + 2) + rest)[1:-1, 1:-1] = a
+    acc = buf[n_pad : n_pad + span]
+    for dy in range(3):
+        for dx in range(3):
+            start = (dy * (w + 2) + dx) * c
+            acc += buf[start : start + span]
+    return buf[n_pad:].reshape((h, w + 2) + rest)[:, :w]
 
 
 def box_sum3(x):
@@ -301,21 +315,29 @@ def bilinear_taps(x, y, mask, height: int, width: int):
     (y1, x1), in that order; ``wx``/``wy`` are the fractional offsets.
     """
     m = np.asarray(mask, dtype=bool)
-    xv = np.where(m, x, 0.0).astype(np.float64)
-    yv = np.where(m, y, 0.0).astype(np.float64)
+    # fresh arrays, which become the fractional offsets in place
+    wx = np.asarray(np.where(m, x, 0.0), dtype=np.float64)
+    wy = np.asarray(np.where(m, y, 0.0), dtype=np.float64)
 
-    x0f = np.clip(np.floor(xv), 0.0, width - 2.0)
-    y0f = np.clip(np.floor(yv), 0.0, height - 2.0)
-    wx = xv - x0f
-    wy = yv - y0f
-    i00 = y0f.astype(np.intp) * width + x0f.astype(np.intp)
+    # np.clip's order (lower bound, then upper), in place on the floors
+    x0f = np.floor(wx)
+    np.minimum(np.maximum(x0f, 0.0, out=x0f), width - 2.0, out=x0f)
+    y0f = np.floor(wy)
+    np.minimum(np.maximum(y0f, 0.0, out=y0f), height - 2.0, out=y0f)
+    wx -= x0f
+    wy -= y0f
+    i00 = y0f.astype(np.intp)
+    i00 *= width
+    i00 += x0f.astype(np.intp)
     i10 = i00 + width
     idx = (i00, i00 + 1, i10, i10 + 1)
-    wts = ((1.0 - wx) * (1.0 - wy), wx * (1.0 - wy), (1.0 - wx) * wy, wx * wy)
+    ux = 1.0 - wx
+    uy = 1.0 - wy
+    wts = (ux * uy, wx * uy, ux * wy, wx * wy)
     return idx, wts, wx, wy
 
 
-def bilinear(image, x, y, mask):
+def bilinear(image, x, y, mask, taps=None):
     """Bilinearly sample ``image`` at coordinates ``(x, y)``.
 
     ``image`` is (H, W) or (H, W, C); ``x``/``y`` are (H, W) pixel
@@ -324,14 +346,23 @@ def bilinear(image, x, y, mask):
     ``image``, ``x``, ``y`` may be a Var; gradients flow to the Var inputs
     (coordinate gradients use the corner-difference form, so they are
     exact away from the integer pixel lattice).
+
+    ``taps`` are the `bilinear_taps` of these coordinates if the caller
+    already holds them, computed at ``mask`` or at any mask that contains
+    it; they are computed here at ``mask`` when not given. Both give the
+    same bits: a pixel outside ``mask`` is 0 in the output, and its
+    gradient factor is 0, so its corners only add zeros to the image
+    gradient, whatever they are.
     """
     img_v = np.asarray(value_of(image), dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
     h, w = img_v.shape[:2]
-    idx, wts, wx, wy = bilinear_taps(value_of(x), value_of(y), m, h, w)
+    if taps is None:
+        taps = bilinear_taps(value_of(x), value_of(y), m, h, w)
+    idx, wts, wx, wy = taps
 
     flat = img_v.reshape((h * w,) + img_v.shape[2:])
-    c00, c01, c10, c11 = (flat[i] for i in idx)
+    c00, c01, c10, c11 = (np.take(flat, i, axis=0) for i in idx)
 
     has_channels = img_v.ndim == 3
     if has_channels:

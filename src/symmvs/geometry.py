@@ -17,7 +17,10 @@ that chain that depends only on the two cameras, `pair_coefficients`, is
 computed per call unless the caller passes it in: the refinement loop keeps
 one copy per ordered pair for a whole run (`consistency.ViewContext`).
 Sample validity reads its corners and weights from `autodiff.bilinear_taps`,
-the same helper the bilinear sampler uses.
+the same helper the bilinear sampler uses. Where a warp checks the validity
+of the sampled grid, both read one set of taps, computed at the mask before
+that check narrows it (`autodiff.bilinear` explains why the result is the
+same as with taps at the narrowed mask).
 """
 
 from __future__ import annotations
@@ -238,10 +241,13 @@ def _in_bounds(xv: np.ndarray, yv: np.ndarray, width: int, height: int) -> np.nd
     )
 
 
-def _sample_validity(valid: np.ndarray, xv: np.ndarray, yv: np.ndarray, inb: np.ndarray):
-    """True where every bilinear corner carrying weight is a valid pixel."""
-    h, w = valid.shape
-    idx, wts, _, _ = ad.bilinear_taps(xv, yv, inb, h, w)
+def _sample_validity(valid: np.ndarray, inb: np.ndarray, taps):
+    """True where every bilinear corner carrying weight is a valid pixel.
+
+    ``taps`` are the `autodiff.bilinear_taps` of the sampling coordinates
+    at ``inb``, the ones the sampler reads next.
+    """
+    idx, wts, _, _ = taps
     flat = valid.ravel()
     tol = 1e-12
     ok = inb.copy()
@@ -380,9 +386,11 @@ def synth_values(target: CameraView, source: CameraView, target_depth_values,
                                     coeffs)
     xv, yv = value_of(x), value_of(y)
     ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
+    taps = None
     if source_valid is not None:
-        ok = ok & _sample_validity(source_valid, xv, yv, ok)
-    img = ad.bilinear(source_image, x, y, ok)
+        taps = ad.bilinear_taps(xv, yv, ok, h, w)
+        ok = ok & _sample_validity(source_valid, ok, taps)
+    img = ad.bilinear(source_image, x, y, ok, taps)
     return img, ok
 
 
@@ -399,8 +407,9 @@ def warp_depth_values(source_depth_values, source_depth_valid,
                                     coeffs)
     xv, yv = value_of(x), value_of(y)
     ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
-    ok = ok & _sample_validity(source_depth_valid, xv, yv, ok)
-    d_src = ad.bilinear(source_depth_values, x, y, ok)
+    taps = ad.bilinear_taps(xv, yv, ok, h, w)
+    ok = ok & _sample_validity(source_depth_valid, ok, taps)
+    d_src = ad.bilinear(source_depth_values, x, y, ok, taps)
     r_st, t_st = relative_motion(source, target)
     # z in the target frame of the source-frame point K_s^-1 (x, y, 1) d_src:
     # an affine form in (x, y) times the sampled depth.

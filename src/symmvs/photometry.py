@@ -23,6 +23,12 @@ window statistics: `reference_stats`; the SSIM window normalizer:
 `box_norm`; the smoothness edge weights: `edge_weights`) is split out, so a
 caller that compares against the same image many times can compute it once
 and pass it in. Without it, the same helpers compute it per call.
+
+Census bits are stored as one boolean plane per neighbor, so the transform
+writes each comparison straight into its plane and the distance counts the
+differing planes one after another; both give exactly the bits and
+distances of the per-pixel formulas. A one-channel image needs no channel
+mean, so none is put on the gradient tape.
 """
 
 from __future__ import annotations
@@ -86,7 +92,9 @@ class LossWeights:
 class CensusDescriptor:
     """Per-pixel census bit vectors; bits[y, x, k] compares neighbor k to
     the center (1 where the neighbor is darker). Out-of-image neighbors
-    compare as equal."""
+    compare as equal. `census_transform` stores the bits as (K, H, W)
+    planes, one per neighbor, and ``bits`` is their (H, W, K) transpose
+    view."""
 
     bits: np.ndarray
     window: int
@@ -111,6 +119,8 @@ def _channel_mean(x):
         return x
     channels = v.shape[2]
     acc = x[:, :, 0]
+    if channels == 1:
+        return acc
     for c in range(1, channels):
         acc = acc + x[:, :, c]
     return acc / channels
@@ -147,7 +157,7 @@ def census_transform(image: np.ndarray, window: int = DEFAULT_CENSUS_WINDOW) -> 
         raise BadWindow(f"census window must be odd and >= 3, got {window}")
     h, w = img.shape
     r = window // 2
-    bits = np.zeros((h, w, window * window - 1), dtype=bool)
+    planes = np.zeros((window * window - 1, h, w), dtype=bool)
     k = 0
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
@@ -155,19 +165,24 @@ def census_transform(image: np.ndarray, window: int = DEFAULT_CENSUS_WINDOW) -> 
                 continue
             y_lo, y_hi = max(0, -dy), h - max(0, dy)
             x_lo, x_hi = max(0, -dx), w - max(0, dx)
-            bits[y_lo:y_hi, x_lo:x_hi, k] = (
-                img[y_lo + dy : y_hi + dy, x_lo + dx : x_hi + dx]
-                < img[y_lo:y_hi, x_lo:x_hi]
+            np.less(
+                img[y_lo + dy : y_hi + dy, x_lo + dx : x_hi + dx],
+                img[y_lo:y_hi, x_lo:x_hi],
+                out=planes[k, y_lo:y_hi, x_lo:x_hi],
             )
             k += 1
-    return CensusDescriptor(bits, window)
+    return CensusDescriptor(planes.transpose(1, 2, 0), window)
 
 
 def census_distance(a: CensusDescriptor, b: CensusDescriptor) -> np.ndarray:
     """Per-pixel Hamming distance between descriptors, normalized to [0, 1]."""
     if a.bits.shape != b.bits.shape:
         raise ShapeMismatch("census descriptors must share shape")
-    return (a.bits != b.bits).mean(axis=2)
+    # Bit k of every pixel is plane k; the differing planes are counted one
+    # after another. The counts are exact, so dividing by the bit length
+    # gives the mean over the bit axis to the last bit.
+    pa, pb = a.bits.transpose(2, 0, 1), b.bits.transpose(2, 0, 1)
+    return np.not_equal(pa, pb).sum(axis=0, dtype=np.float64) / pa.shape[0]
 
 
 # -- SSIM ----------------------------------------------------------------------

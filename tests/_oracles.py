@@ -4,7 +4,9 @@ Everything here is deliberately written the slow, obvious way (loops,
 direct formulas) and never calls the code paths it checks. The earlier
 forms of several vectorized routines are kept as references the current
 ones must match bit for bit (`cost_volume_loop`, `box_sum_axis_padded`,
-`box_sum3_padded`, `pad_zero_np`, `sample_validity_direct`).
+`box_sum3_padded`, `pad_zero_np`, `sample_validity_direct`,
+`census_distance_mean`, `synth_values_unshared`,
+`warp_depth_values_unshared`).
 """
 
 import numpy as np
@@ -55,6 +57,12 @@ def census_bits_brute(image, window):
                         bits[y, x, k] = image[yy, xx] < image[y, x]
                     k += 1
     return bits
+
+
+def census_distance_mean(bits_a, bits_b):
+    """Normalized Hamming distance of (H, W, K) census bits as the mean of
+    the differing bits over the bit axis (the library's earlier form)."""
+    return (bits_a != bits_b).mean(axis=2)
 
 
 def ssim_direct(a, b, window=3, c1=0.01 ** 2, c2=0.03 ** 2):
@@ -184,6 +192,44 @@ def sample_validity_direct(valid, xv, yv, inb):
     ok &= valid[y0 + 1, x0] | ((1 - wx) * wy <= tol)
     ok &= valid[y0 + 1, x0 + 1] | (wx * wy <= tol)
     return ok & inb
+
+
+def synth_values_unshared(target, source, depth_values, depth_valid,
+                          source_image, source_valid):
+    """Second-order view synthesis with the bilinear taps computed twice:
+    once for the sample validity at the unnarrowed mask, once more inside
+    the sampler at the narrowed one (the library's earlier form)."""
+    from symmvs import autodiff as ad
+    from symmvs import geometry
+
+    h, w = ad.value_of(depth_values).shape
+    x, y, _, front = geometry.sampling_chain(target, source, depth_values, h, w)
+    xv, yv = ad.value_of(x), ad.value_of(y)
+    ok = front & geometry._in_bounds(xv, yv, w, h) & depth_valid
+    ok = ok & geometry._sample_validity(
+        source_valid, ok, ad.bilinear_taps(xv, yv, ok, h, w))
+    return ad.bilinear(source_image, x, y, ok), ok
+
+
+def warp_depth_values_unshared(source_values, source_valid, target_values,
+                               target_valid, source, target):
+    """`geometry.warp_depth_values` with the bilinear taps computed twice,
+    as `synth_values_unshared` does (the library's earlier form)."""
+    from symmvs import autodiff as ad
+    from symmvs import geometry
+
+    h, w = ad.value_of(target_values).shape
+    x, y, _, front = geometry.sampling_chain(target, source, target_values, h, w)
+    xv, yv = ad.value_of(x), ad.value_of(y)
+    ok = front & geometry._in_bounds(xv, yv, w, h) & target_valid
+    ok = ok & geometry._sample_validity(
+        source_valid, ok, ad.bilinear_taps(xv, yv, ok, h, w))
+    d_src = ad.bilinear(source_values, x, y, ok)
+    r_st, t_st = geometry.relative_motion(source, target)
+    coeff = r_st[2] @ geometry.intrinsics_inverse(source.intrinsics)
+    z = (coeff[0] * x + coeff[1] * y + coeff[2]) * d_src + t_st[2]
+    ok = ok & (ad.value_of(z) > 0.0)
+    return ad.where_mask(ok, z, 0.0), ok
 
 
 def bilinear_image_grad_add_at(image_shape, x, y, mask, g):

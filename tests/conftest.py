@@ -89,6 +89,13 @@ def occluder_scene():
     }
 
 
+def same_bytes(a, b):
+    """Equal shape, dtype and bytes: unlike ``np.array_equal``, this tells
+    -0.0 from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def scene_state(views, depths, weights):
     masks = compute_all_masks(views, depths, weights)
     return SceneState(views, depths, masks, weights)

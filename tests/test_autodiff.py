@@ -8,6 +8,7 @@ from symmvs import autodiff as ad
 from symmvs.autodiff import Var
 
 from _oracles import bilinear_image_grad_add_at, box_sum3_padded, pad_zero_np
+from conftest import same_bytes
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -102,23 +103,31 @@ def test_box_sum3_gradient(rng):
 # Shapes with one or two rows or columns put every pixel on a border.
 EXACT_SHAPES = [(1, 1), (1, 6), (2, 2), (2, 7), (5, 1), (6, 2), (6, 8),
                 (1, 1, 3), (2, 5, 3), (6, 8, 3), (6, 8, 1)]
+# The refinement grids, and their 2x and 4x upsamplings.
+GRID_SHAPES = [(48, 64), (96, 128), (192, 256), (48, 64, 1)]
 
 
 def _wide_range(rng, shape):
-    """Values over 16 decades with both signs and some exact zeros, so any
-    reordering of a sum shows in the last bits."""
+    """Values over 16 decades with both signs and some exact zeros of
+    either sign, so any reordering of a sum, or a sum that starts from
+    -0.0, shows in the bytes."""
     x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-    return np.where(rng.uniform(size=shape) < 0.1, 0.0, x)
+    zero = rng.uniform(size=shape)
+    x = np.where(zero < 0.05, 0.0, x)
+    return np.where(zero > 0.95, -0.0, x)
 
 
-@pytest.mark.parametrize("shape", EXACT_SHAPES)
+@pytest.mark.parametrize("shape", EXACT_SHAPES + GRID_SHAPES)
 def test_box_sum3_bit_identical_to_padded_form(rng, shape):
+    # a block of -0.0 fills whole windows: their sums must read +0.0
     x = _wide_range(rng, shape)
-    assert np.array_equal(ad.box_sum3(x), box_sum3_padded(x))
+    x[:4, :4] = -0.0
+    assert same_bytes(ad.box_sum3(x), box_sum3_padded(x))
     g = _wide_range(rng, shape)
+    g[-4:, -4:] = -0.0
     leaf = Var(x)
     (ad.box_sum3(leaf) * g).sum().backward()
-    assert np.array_equal(leaf.grad, box_sum3_padded(g))
+    assert same_bytes(leaf.grad, box_sum3_padded(g))
 
 
 @pytest.mark.parametrize("shape", EXACT_SHAPES)
@@ -126,14 +135,14 @@ def test_pad_zero_bit_identical_to_np_pad(rng, shape):
     x = _wide_range(rng, shape)
     pads = ((1, 0), (0, 2)) + ((0, 1),) * (len(shape) - 2)
     padded = pad_zero_np(x, pads)
-    assert np.array_equal(ad.pad_zero(x, pads), padded)
+    assert same_bytes(ad.pad_zero(x, pads), padded)
     g = _wide_range(rng, padded.shape)
     leaf = Var(x)
     out = ad.pad_zero(leaf, pads)
-    assert np.array_equal(out.value, padded)
+    assert same_bytes(out.value, padded)
     (out * g).sum().backward()
     inner = tuple(slice(b, b + n) for (b, _), n in zip(pads, shape))
-    assert np.array_equal(leaf.grad, g[inner])
+    assert same_bytes(leaf.grad, g[inner])
 
 
 def test_shared_subexpression_accumulates(rng):

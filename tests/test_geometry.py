@@ -13,7 +13,9 @@ from symmvs import (
     warp_field_from_homography,
 )
 from symmvs.errors import NonFiniteResult, NonFiniteValue, ShapeMismatch
+from symmvs import autodiff as ad
 from symmvs import geometry
+from symmvs.autodiff import Var
 from symmvs.geometry import (
     DepthHypotheses,
     WarpField,
@@ -21,8 +23,14 @@ from symmvs.geometry import (
     relative_motion,
 )
 
-from _oracles import bilinear_at, project_reproject, sample_validity_direct
-from conftest import make_camera
+from _oracles import (
+    bilinear_at,
+    project_reproject,
+    sample_validity_direct,
+    synth_values_unshared,
+    warp_depth_values_unshared,
+)
+from conftest import make_camera, same_bytes
 
 
 def random_camera(rng, width=64, height=48):
@@ -383,7 +391,7 @@ def test_sample_validity_matches_direct_corner_formula():
         xv[:, -1] = w - 1.0
         yv[-1, :] = h - 1.0
         inb = (rng.uniform(size=(h, w)) < 0.9) & (xv > -1.0) & (yv > -1.0)
-        got = geometry._sample_validity(valid, xv, yv, inb)
+        got = geometry._sample_validity(valid, inb, ad.bilinear_taps(xv, yv, inb, h, w))
         assert np.array_equal(got, sample_validity_direct(valid, xv, yv, inb))
 
 
@@ -395,3 +403,50 @@ def test_sampling_chain_with_pair_coefficients_is_bit_identical(plane_scene):
     kept = geometry.sampling_chain(views[0], views[2], gt[0].values, h, w, coeffs)
     for a, b in zip(fresh, kept):
         assert np.array_equal(a, b)
+
+
+def _holey_setup(plane_scene):
+    """Noisy target depth, and a source validity grid with holes, so the
+    sample validity narrows the in-bounds mask."""
+    views, gt = plane_scene["views"], plane_scene["gt"]
+    rng = np.random.default_rng(4)
+    depth = gt[0].values + rng.normal(0.0, 0.05, gt[0].values.shape)
+    holes = rng.uniform(size=depth.shape) < 0.15
+    return views, depth, gt[0].valid, ~holes, rng
+
+
+def test_shared_taps_synthesis_is_bit_identical_to_unshared(plane_scene):
+    views, depth, valid, source_valid, rng = _holey_setup(plane_scene)
+    image = views[1].image
+    g = rng.normal(size=image.shape)
+    runs = []
+    for synth in (geometry.synth_values, synth_values_unshared):
+        d_leaf, img_leaf = Var(depth), Var(image)
+        out, ok = synth(views[0], views[1], d_leaf, valid, img_leaf, source_valid)
+        (out * g).sum().backward()
+        runs.append((out.value, ok, d_leaf.grad, img_leaf.grad))
+    assert all(np.abs(grad).max() > 0.0 for grad in runs[0][2:])
+    for shared, unshared in zip(*runs):
+        assert same_bytes(shared, unshared)
+    _, unnarrowed = geometry.synth_values(views[0], views[1], depth, valid, image,
+                                          np.ones_like(source_valid))
+    assert runs[0][1].sum() < unnarrowed.sum()
+
+
+def test_shared_taps_depth_warp_is_bit_identical_to_unshared(plane_scene):
+    views, depth, valid, source_valid, rng = _holey_setup(plane_scene)
+    # a sloped source depth, so the sampled depth varies with the coordinates
+    source_depth = plane_scene["gt"][1].values + 0.01 * np.arange(depth.shape[1])
+    g = rng.normal(size=depth.shape)
+    runs = []
+    for warp in (geometry.warp_depth_values, warp_depth_values_unshared):
+        s_leaf, t_leaf = Var(source_depth), Var(depth)
+        out, ok = warp(s_leaf, source_valid, t_leaf, valid, views[1], views[0])
+        (out * g).sum().backward()
+        runs.append((out.value, ok, s_leaf.grad, t_leaf.grad))
+    assert all(np.abs(grad).max() > 0.0 for grad in runs[0][2:])
+    for shared, unshared in zip(*runs):
+        assert same_bytes(shared, unshared)
+    _, unnarrowed = geometry.warp_depth_values(source_depth, np.ones_like(source_valid),
+                                               depth, valid, views[1], views[0])
+    assert runs[0][1].sum() < unnarrowed.sum()

@@ -21,9 +21,15 @@ from symmvs import (
 )
 from symmvs.autodiff import Var, value_of
 from symmvs.errors import BadWindow, EmptyMask, ShapeMismatch
-from symmvs.photometry import grayscale, smoothness_term, unary_comparator
+from symmvs.photometry import (
+    CensusDescriptor,
+    grayscale,
+    smoothness_term,
+    unary_comparator,
+)
 
-from _oracles import census_bits_brute, ssim_direct
+from _oracles import census_bits_brute, census_distance_mean, ssim_direct
+from conftest import same_bytes
 
 PHI_0 = math.sqrt(1e-6)
 UNARY_FLOOR = (0.5 + 0.8 + 0.2) * PHI_0
@@ -138,6 +144,24 @@ class TestCensus:
         d = census_distance(census_transform(img_a, 3), census_transform(img_b, 3))
         brute = (census_bits_brute(img_a, 3) != census_bits_brute(img_b, 3)).mean(axis=2)
         np.testing.assert_allclose(d, brute, atol=1e-15)
+
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_planes_and_distance_match_brute_force(self, window):
+        # quantized intensities give many ties, which must read as bit 0
+        rng = np.random.default_rng(window)
+        img_a = np.round(rng.uniform(size=(11, 14)) * 6.0) / 6.0
+        img_b = np.round(rng.uniform(size=(11, 14)) * 6.0) / 6.0
+        a, b = census_transform(img_a, window), census_transform(img_b, window)
+        bits_a, bits_b = census_bits_brute(img_a, window), census_bits_brute(img_b, window)
+        assert a.bits.shape == bits_a.shape
+        np.testing.assert_array_equal(a.bits.transpose(2, 0, 1), bits_a.transpose(2, 0, 1))
+        np.testing.assert_array_equal(b.bits, bits_b)
+        expected = census_distance_mean(bits_a, bits_b)
+        assert same_bytes(census_distance(a, b), expected)
+        # descriptors built by hand in (H, W, K) layout give the same bits
+        hand = census_distance(CensusDescriptor(bits_a.copy(), window),
+                               CensusDescriptor(bits_b.copy(), window))
+        assert same_bytes(hand, expected)
 
     def test_distance_shape_mismatch(self):
         a = census_transform(np.zeros((4, 4)), 3)
