@@ -1,7 +1,8 @@
 """Plane-sweep matching: cost volumes, smoothing, and depth regression.
 
 For every depth hypothesis, each neighboring view is warped into the
-reference view through the plane-induced homography; the per-pixel cost is
+reference view through the fronto-parallel plane at that depth (the same
+sampling chain the refinement uses, at a constant depth); the per-pixel cost is
 the variance of the (fixed, non-learned) features across the views. Where
 the hypothesis is right, the views agree and the variance collapses.
 """

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteValue, ParseError, UnsupportedVariant
+from .errors import NonFiniteValue, ParseError, SymmvsError, UnsupportedVariant
 from .fusion import PointCloud
 from .geometry import CameraView, DepthMap
 from .photometry import LossWeights
@@ -526,7 +526,8 @@ def load_bundle(bundle_dir) -> tuple:
     """Load a bundle directory written by `write_bundle`.
 
     Returns (views, depth_min, depth_interval, gt_depths_or_None). Every
-    image must have a matching camera file and all shapes must agree.
+    image must have a matching camera file and all shapes must agree;
+    errors name the camera or image file at fault.
     """
     bundle = Path(bundle_dir)
     cam_files = sorted(bundle.glob("view_*_cam.txt"))
@@ -550,8 +551,12 @@ def load_bundle(bundle_dir) -> tuple:
             d_min, d_int = dm, di
         image = read_image(img_path)
         if views and image.shape != views[0].image.shape:
-            raise ParseError(f"{bundle}: image sizes are inconsistent")
-        views.append(CameraView(K, R, t, image))
+            raise ParseError(f"{img_path}: image is {image.shape}, the first "
+                             f"view's is {views[0].image.shape}")
+        try:
+            views.append(CameraView(K, R, t, image))
+        except (ValueError, SymmvsError) as exc:
+            raise type(exc)(f"{cam_path}: {exc}") from exc
         gt_path = bundle / f"{stem}_gt.pfm"
         if gt_path.exists():
             gt.append(read_pfm(gt_path))

@@ -1,4 +1,4 @@
-"""Pinhole camera geometry: homographies, warping, and view synthesis.
+"""Pinhole camera geometry: the sampling chain, warping, and view synthesis.
 
 Conventions
 -----------
@@ -10,12 +10,13 @@ Conventions
   clamped, so masked reductions stay unbiased.
 - Points that land behind a camera after a rigid transform are invalid.
 
-The value-level warping helpers (`synth_values`, `warp_depth_values`)
-accept either plain arrays or autodiff ``Var`` depths, so the loss stack
-can reuse the exact same warping chain with gradient tracking. The part of
-that chain that depends only on the two cameras, `pair_coefficients`, is
-computed per call unless the caller passes it in: the refinement loop keeps
-one copy per ordered pair for a whole run (`consistency.ViewContext`).
+One camera model serves every stage: `sampling_chain` sends a target pixel
+at depth d to the homogeneous source pixel ``a * d + b``, with (a, b) the
+pair's `pair_coefficients`. The plane sweep evaluates it at constant
+hypothesis depths; the value-level warping helpers (`synth_values`,
+`warp_depth_values`) at per-pixel depths, plain arrays or autodiff ``Var``.
+Callers keep the coefficients: one set per source view in a sweep, one per
+ordered pair for a whole refinement run (`consistency.ViewContext`).
 Sample validity reads its corners and weights from `autodiff.bilinear_taps`,
 the same helper the bilinear sampler uses. Where a warp checks the validity
 of the sampled grid, both read one set of taps, computed at the mask before
@@ -43,7 +44,6 @@ __all__ = [
     "same_camera",
     "relative_motion",
     "plane_homography",
-    "homography_coords",
     "warp_field_from_homography",
     "pair_coefficients",
     "bilinear_sample",
@@ -279,25 +279,16 @@ def plane_homography(src: CameraView, dst: CameraView, depth: float) -> np.ndarr
     return h / h[2, 2]
 
 
-def homography_coords(hmat: np.ndarray, height: int, width: int):
-    """Apply a homography to the full pixel grid.
-
-    Returns (x, y, inb): the mapped (H, W) coordinates and the flag of
-    usable samples (in front of the camera and inside the grid). Where
-    ``inb`` is False the coordinates are finite but meaningless.
-    """
+def warp_field_from_homography(hmat: np.ndarray, height: int, width: int) -> WarpField:
+    """Apply a homography to the full pixel grid and flag usable samples:
+    in front of the camera and inside the grid."""
     gx, gy = _pixel_grid(height, width)
     den = hmat[2, 0] * gx + hmat[2, 1] * gy + hmat[2, 2]
     front = den > 1e-12
     den_safe = np.where(front, den, 1.0)
     x = (hmat[0, 0] * gx + hmat[0, 1] * gy + hmat[0, 2]) / den_safe
     y = (hmat[1, 0] * gx + hmat[1, 1] * gy + hmat[1, 2]) / den_safe
-    return x, y, front & _in_bounds(x, y, width, height)
-
-
-def warp_field_from_homography(hmat: np.ndarray, height: int, width: int) -> WarpField:
-    """Apply a homography to the full pixel grid and flag usable samples."""
-    x, y, inb = homography_coords(hmat, height, width)
+    inb = front & _in_bounds(x, y, width, height)
     coords = np.stack([np.where(inb, x, -1.0), np.where(inb, y, -1.0)], axis=-1)
     return WarpField(coords, inb)
 

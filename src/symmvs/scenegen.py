@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraView, DepthMap, intrinsics_inverse
+from .geometry import CameraView, DepthMap, view_rays
 
 __all__ = ["PlanePrimitive", "SceneSpec", "render_scene", "plane_axes"]
 
@@ -138,12 +138,7 @@ def texture_value(u: np.ndarray, v: np.ndarray, scale: float, seed: int) -> np.n
 
 
 def _camera_rays_world(cam: CameraView, height: int, width: int):
-    gy, gx = np.mgrid[0:height, 0:width]
-    kinv = intrinsics_inverse(cam.intrinsics)
-    rays_cam = np.empty((height, width, 3))
-    for i in range(3):
-        rays_cam[..., i] = kinv[i, 0] * gx + kinv[i, 1] * gy + kinv[i, 2]
-    rays_world = rays_cam @ cam.rotation
+    rays_world = view_rays(cam, height, width) @ cam.rotation
     origin = -cam.rotation.T @ cam.translation
     return rays_world, origin
 

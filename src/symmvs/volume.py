@@ -2,20 +2,22 @@
 
 Features are fixed (non-learned) image statistics. For every depth
 hypothesis, all non-reference feature maps are warped into the reference
-view through the plane-induced homography; the reference's own features
-join the group, and the per-pixel matching cost is the channel-averaged
-population variance across the contributing views. A separable,
+view through the refinement's `geometry.sampling_chain` at that depth;
+the reference's own features join the group, and the per-pixel matching
+cost is the channel-averaged population variance across the contributing
+views. A separable,
 validity-aware box filter stands in for learned regularization, and the
 depth is read out as the softmax-weighted expectation over hypotheses.
 
 The sweep works channel-first: once per call, every view's (H, W, F)
 features become one contiguous (F, H*W) array, checked for finite values
-there and nowhere else. Per hypothesis and source view, the four bilinear
-corners' flat indices and weights come from ``autodiff.bilinear_taps`` (the
-formula ``autodiff.bilinear`` also uses), and each corner is one gather
-along the pixel axis. The pairwise variance then runs on (F, H, W) arrays,
-summing channels as whole planes. The loop over hypotheses stays: stacking
-all D homographies into one (D, H, W) pass produces large temporaries that
+there and nowhere else. Per hypothesis and source view, the chain gives
+coordinates flagged by the test `geometry.synth_values` applies (source z in
+front, in bounds), the four bilinear corners come from
+``autodiff.bilinear_taps``, and each corner is one gather along the pixel
+axis. The pairwise variance then runs on (F, H, W) arrays, summing channels
+as whole planes. The loop over hypotheses stays: stacking
+all D hypotheses into one (D, H, W) pass produces large temporaries that
 cost more in memory traffic than the Python loop costs in dispatch, and was
 measured slower at 256x192 even in chunks of 4 hypotheses.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry
+from . import geometry, photometry
 from .errors import NonFiniteValue, ShapeMismatch, TooFewViews, UnknownMode
 
 __all__ = [
@@ -74,9 +76,7 @@ class CostVolume:
 def extract_features(image: np.ndarray, mode: str = "grad3") -> FeatureMap:
     """Fixed feature stack: luminance, optionally with forward-difference
     gradients (mode "grad3" gives channels [gray, d/dx, d/dy])."""
-    gray = np.asarray(image, dtype=np.float64)
-    if gray.ndim == 3:
-        gray = gray.mean(axis=2)
+    gray = photometry.grayscale(image)
     if mode == "intensity":
         return FeatureMap(gray[:, :, None])
     if mode == "grad3":
@@ -123,12 +123,15 @@ def build_cost_volume(views, features, ref: int,
     support = np.zeros((d_count, h, w), dtype=np.int64)
 
     others = [v for v in range(n_views) if v != ref]
+    coeffs = {src: geometry.pair_coefficients(views[ref], views[src], h, w)
+              for src in others}
     for k, depth in enumerate(hyp.samples):
         # the reference is valid everywhere; its mask stays implicit (None)
         group = [(ref_vals, None)]
         for src in others:
-            hom = geometry.plane_homography(views[ref], views[src], float(depth))
-            x, y, ok = geometry.homography_coords(hom, h, w)
+            x, y, _, front = geometry.sampling_chain(
+                views[ref], views[src], float(depth), h, w, coeffs[src])
+            ok = front & geometry._in_bounds(x, y, w, h)
             idx, wts, _, _ = ad.bilinear_taps(x, y, ok, h, w)
             taps = [np.take(flat[src], i, axis=1) * wt for i, wt in zip(idx, wts)]
             group.append((taps[0] + taps[1] + taps[2] + taps[3], ok))

@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way (loops,
 direct formulas) and never calls the code paths it checks. The earlier
 forms of several vectorized routines are kept as references the current
-ones must match bit for bit (`cost_volume_loop`, `box_sum_axis_padded`,
+ones must match bit for bit (`cost_volume_loop`,
+`camera_rays_world_int_grid`, `box_sum_axis_padded`,
 `box_sum3_padded`, `pad_zero_np`, `sample_validity_direct`,
 `census_distance_mean`, `synth_values_unshared`,
 `warp_depth_values_unshared`).
@@ -110,9 +111,12 @@ def cost_volume_loop(views, features, ref, hyp):
     """Plane-sweep variance volume, one warp field and one resampled
     (H, W, F) feature map per hypothesis and source view.
 
-    This is the library's earlier per-hypothesis loop, built from the
-    public geometry calls. Returns (cost, support, valid) as
-    ``build_cost_volume`` does.
+    This is the library's earlier per-hypothesis loop. Each warp field
+    holds the sampling chain's coordinates at the hypothesis depth, flagged
+    by the chain's front test and the bounds test, so it checks the gathers
+    and the variance; the chain's agreement with the plane homography has
+    its own test. Returns (cost, support, valid) as ``build_cost_volume``
+    does.
     """
     from symmvs import geometry
 
@@ -124,8 +128,11 @@ def cost_volume_loop(views, features, ref, hyp):
     for k, depth in enumerate(hyp.samples):
         group = [(features[ref].values, np.ones((h, w), dtype=bool))]
         for src in others:
-            hom = geometry.plane_homography(views[ref], views[src], float(depth))
-            fld = geometry.warp_field_from_homography(hom, h, w)
+            x, y, _, front = geometry.sampling_chain(
+                views[ref], views[src], float(depth), h, w)
+            inb = front & geometry._in_bounds(x, y, w, h)
+            coords = np.stack([np.where(inb, x, -1.0), np.where(inb, y, -1.0)], -1)
+            fld = geometry.WarpField(coords, inb)
             group.append(geometry.bilinear_sample(features[src].values, fld))
         count = np.zeros((h, w), dtype=np.int64)
         for _, ok in group:
@@ -143,6 +150,20 @@ def cost_volume_loop(views, features, ref, hyp):
         cost[k] = np.where(ok2, pair_sq / (denom * denom), 0.0)
         support[k] = count
     return cost, support, support >= 2
+
+
+def camera_rays_world_int_grid(cam, height, width):
+    """World-frame ray directions (unit camera-frame z) and the camera
+    centre, from an integer ``np.mgrid`` pixel grid and the closed-form
+    K^-1 (the renderer's earlier form)."""
+    from symmvs import geometry
+
+    gy, gx = np.mgrid[0:height, 0:width]
+    kinv = geometry.intrinsics_inverse(cam.intrinsics)
+    rays_cam = np.empty((height, width, 3))
+    for i in range(3):
+        rays_cam[..., i] = kinv[i, 0] * gx + kinv[i, 1] * gy + kinv[i, 2]
+    return rays_cam @ cam.rotation, -cam.rotation.T @ cam.translation
 
 
 def box_sum_axis_padded(a, radius, axis):

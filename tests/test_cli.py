@@ -1,5 +1,7 @@
 """The command-line surface: subcommands, exit codes, determinism."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,20 @@ def test_missing_camera_file_exits_1(workspace, tmp_path, capsys):
     code = main(["sweep", str(bundle), str(tmp_path / "out")])
     assert code == 1
     assert str(bundle) in capsys.readouterr().err
+
+
+def test_rejected_camera_exits_1_naming_its_file(workspace, tmp_path, capsys):
+    bundle = tmp_path / "bad_camera"
+    shutil.copytree(workspace["bundle"], bundle)
+    cam_path = bundle / "view_0001_cam.txt"
+    lines = cam_path.read_text().splitlines()
+    row = lines[1].split()  # first row of the extrinsic matrix
+    row[1] = "0.5"
+    lines[1] = " ".join(row)
+    cam_path.write_text("\n".join(lines) + "\n")
+    code = main(["optimize", str(bundle), str(tmp_path / "out")])
+    assert code == 1
+    assert f"{cam_path}: rotation must be orthonormal" in capsys.readouterr().err
 
 
 def test_fuse_missing_depth_file_exits_1(workspace, tmp_path, capsys):

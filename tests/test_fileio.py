@@ -272,3 +272,37 @@ class TestBundle:
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("skewed_rotation", "rotation must be orthonormal"),
+        ("negative_focal", "intrinsics need positive focals"),
+    ])
+    def test_rejected_camera_names_its_file(self, tmp_path, plane_scene,
+                                            fault, message):
+        views = plane_scene["views"]
+        out = tmp_path / "bundle"
+        write_bundle(out, views, 1.8, 0.05)
+        cam = views[1]
+        K, R = cam.intrinsics.copy(), cam.rotation.copy()
+        if fault == "skewed_rotation":
+            R[0, 1] = 0.2
+        else:
+            K[0, 0] = -K[0, 0]
+        cam_path = out / "view_0001_cam.txt"
+        write_camera(cam_path, K, R, cam.translation, 1.8, 0.05)
+        with pytest.raises(ValueError) as info:
+            load_bundle(out)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{cam_path}: {message}")
+
+    def test_mismatched_image_size_names_file_and_shapes(self, tmp_path,
+                                                         plane_scene):
+        views = plane_scene["views"]
+        out = tmp_path / "bundle"
+        write_bundle(out, views, 1.8, 0.05)
+        write_image(out / "view_0002.pgm", views[2].image[:40, :60])
+        with pytest.raises(ParseError) as info:
+            load_bundle(out)
+        msg = str(info.value)
+        assert msg.startswith(str(out / "view_0002.pgm"))
+        assert "(40, 60, 1)" in msg and "(48, 64, 1)" in msg

@@ -405,6 +405,30 @@ def test_sampling_chain_with_pair_coefficients_is_bit_identical(plane_scene):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
+def test_plane_homography_agrees_with_sampling_chain(request, scene):
+    # The sweep samples through the chain at a constant depth; the plane-
+    # induced homography of the same depth is the other form of that map.
+    sc = request.getfixturevalue(scene)
+    views = sc["views"]
+    hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
+    h, w = views[0].image.shape[:2]
+    for t in range(len(views)):
+        for s in range(len(views)):
+            if s == t:
+                continue
+            coeffs = geometry.pair_coefficients(views[t], views[s], h, w)
+            for depth in hyp.samples:
+                hom = plane_homography(views[t], views[s], float(depth))
+                fld = warp_field_from_homography(hom, h, w)
+                x, y, _, front = geometry.sampling_chain(
+                    views[t], views[s], float(depth), h, w, coeffs)
+                inb = front & geometry._in_bounds(x, y, w, h)
+                assert np.array_equal(inb, fld.in_bounds)
+                for got, want in ((x, fld.coords[..., 0]), (y, fld.coords[..., 1])):
+                    assert np.abs(got - want)[inb].max(initial=0.0) < 1e-12
+
+
 def _holey_setup(plane_scene):
     """Noisy target depth, and a source validity grid with holes, so the
     sample validity narrows the in-bounds mask."""

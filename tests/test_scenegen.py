@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from symmvs import PlanePrimitive, SceneSpec, render_scene
+from symmvs import CameraView, PlanePrimitive, SceneSpec, render_scene
 from symmvs.geometry import backproject_pixels
-from symmvs.scenegen import plane_axes, texture_value
+from symmvs.scenegen import _camera_rays_world, plane_axes, texture_value
 
-from conftest import make_camera
+from _oracles import camera_rays_world_int_grid
+from conftest import make_camera, same_bytes
 
 
 class TestSinglePlane:
@@ -152,3 +153,18 @@ def test_plane_axes_orthonormal():
             assert abs(a @ b) < 1e-12
         assert abs(np.linalg.norm(u) - 1) < 1e-12
         assert abs(np.linalg.norm(v) - 1) < 1e-12
+
+
+def test_camera_rays_bit_identical_to_int_grid_form(plane_scene, occluder_scene):
+    cams = list(plane_scene["views"]) + list(occluder_scene["views"])
+    # a skewed, off-centre K on a rotated camera
+    a, b = 0.3, -0.2
+    rx = np.array([[1, 0, 0], [0, np.cos(a), -np.sin(a)], [0, np.sin(a), np.cos(a)]])
+    ry = np.array([[np.cos(b), 0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0, np.cos(b)]])
+    K = np.array([[61.3, 0.37, 30.9], [0.0, 58.7, 24.2], [0.0, 0.0, 1.0]])
+    cams.append(CameraView(K, rx @ ry, np.array([0.3, -0.1, 0.7])))
+    for cam in cams:
+        h, w = (48, 64) if cam.image is None else cam.image.shape[:2]
+        got = _camera_rays_world(cam, h, w)
+        want = camera_rays_world_int_grid(cam, h, w)
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
