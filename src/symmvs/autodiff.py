@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 A small tape with exactly the operations the loss terms need: arithmetic,
-sqrt/exp/abs, full reductions, basic slicing, zero padding, 3x3 box sums,
+sqrt/abs, full reductions, basic slicing, zero padding, 3x3 box sums,
 and bilinear sampling with gradients to both the sampled image and the
 sampling coordinates.
 
@@ -32,7 +32,6 @@ __all__ = [
     "Var",
     "value_of",
     "sqrt",
-    "exp",
     "absolute",
     "where_mask",
     "pad_zero",
@@ -222,13 +221,6 @@ def sqrt(x):
         out = np.sqrt(x.value)
         return Var(out, (x,), lambda g: (g * (0.5 / out),))
     return np.sqrt(x)
-
-
-def exp(x):
-    if isinstance(x, Var):
-        out = np.exp(x.value)
-        return Var(out, (x,), lambda g: (g * out,))
-    return np.exp(x)
 
 
 def absolute(x):

@@ -194,7 +194,7 @@ def occlusion_mask(depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
     `geometry.pair_coefficients` of (j, i) and (i, j), the two warps'
     (target, source) pairs, where the caller keeps them.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     first_vals, first_ok = geometry.warp_depth_values(
         depth_i.values, depth_i.valid, depth_j.values, depth_j.valid, cam_i, cam_j,

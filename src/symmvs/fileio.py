@@ -202,7 +202,12 @@ def _read_pnm_header(fh, path):
             tok += ch
 
     magic = token()
-    w, h, maxval = int(token()), int(token()), int(token())
+    try:
+        w, h, maxval = int(token()), int(token()), int(token())
+    except ValueError:
+        raise ParseError(f"{path}: bad header numbers") from None
+    if w < 0 or h < 0:
+        raise ParseError(f"{path}: negative image size {w} x {h}")
     return magic, w, h, maxval
 
 
@@ -301,21 +306,29 @@ def read_ply(path) -> PointCloud:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == b"format":
-                fmt = parts[1].decode()
-            elif parts[0] == b"element":
-                if parts[1] == b"vertex":
-                    n = int(parts[2])
-                elif int(parts[2]) != 0:
-                    raise UnsupportedVariant(f"{path}: only vertex elements supported")
-            elif parts[0] == b"property":
-                props.append((parts[1].decode(), parts[2].decode()))
-            elif parts[0] == b"end_header":
+            if parts[0] == b"end_header":
                 break
+            try:
+                if parts[0] == b"format":
+                    fmt = parts[1].decode()
+                elif parts[0] == b"element":
+                    if parts[1] == b"vertex":
+                        n = int(parts[2])
+                    elif int(parts[2]) != 0:
+                        raise UnsupportedVariant(
+                            f"{path}: only vertex elements supported")
+                elif parts[0] == b"property":
+                    props.append((parts[1].decode(), parts[2].decode()))
+            except (IndexError, ValueError):
+                text = line.decode("ascii", "replace").strip()
+                raise ParseError(f"{path}:{lineno}: malformed header line "
+                                 f"{text!r}") from None
         if fmt not in ("ascii", "binary_little_endian"):
             raise UnsupportedVariant(f"{path}: unsupported format {fmt!r}")
         if n is None:
             raise ParseError(f"{path}: no vertex element")
+        if n < 0:
+            raise ParseError(f"{path}: negative vertex count {n}")
         names = [p[1] for p in props]
         for needed in ("x", "y", "z"):
             if needed not in names:
@@ -336,11 +349,14 @@ def read_ply(path) -> PointCloud:
                 raise ParseError(f"{path}: truncated vertex data")
             rec = np.frombuffer(buf, dtype=dtype)
         else:
-            text = fh.read().decode("ascii").split()
+            try:
+                arr = np.array(fh.read().decode("ascii").split(), dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad vertex data ({exc})") from None
             width = len(props)
-            if len(text) != width * n:
+            if arr.size != width * n:
                 raise ParseError(f"{path}: expected {width * n} vertex tokens")
-            arr = np.array(text, dtype=np.float64).reshape(n, width)
+            arr = arr.reshape(n, width)
             rec = {name: arr[:, k] for k, (name, _) in enumerate(np_props)}
 
     pts = np.stack(

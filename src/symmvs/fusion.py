@@ -51,7 +51,7 @@ def filter_consistent(depths, views, tau_fuse: float, min_views: int = 2):
     """
     if min_views < 1:
         raise ValueError("min_views must be >= 1")
-    if tau_fuse <= 0:
+    if not tau_fuse > 0:
         raise ValueError("tau_fuse must be positive")
     out = []
     for i, di in enumerate(depths):

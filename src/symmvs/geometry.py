@@ -334,10 +334,11 @@ def sampling_chain(target: CameraView, source: CameraView, target_depth_values,
 
     Returns (x, y, z_src, front): continuous source-pixel coordinates, the
     depth of the transformed point in the source camera, and a boolean mask
-    where that depth is positive. ``target_depth_values`` may be a Var; the
-    outputs then track gradients. Identical cameras short-circuit to the
-    exact pixel grid. ``coeffs`` are the pair's `pair_coefficients`,
-    computed here when not given.
+    where that depth is positive. ``x`` and ``y`` mean nothing outside
+    ``front``; every caller masks them with ``front & _in_bounds(...)``.
+    ``target_depth_values`` may be a Var; the outputs then track gradients.
+    Identical cameras short-circuit to the exact pixel grid. ``coeffs`` are
+    the pair's `pair_coefficients`, computed here when not given.
     """
     if same_camera(target, source):
         gx, gy = _pixel_grid(height, width)
@@ -355,9 +356,7 @@ def sampling_chain(target: CameraView, source: CameraView, target_depth_values,
     z = a[2] * d + b[2]
     front = value_of(z) > 1e-12
     z_safe = where_mask(front, z, 1.0)
-    x = where_mask(front, qx / z_safe, -1.0)
-    y = where_mask(front, qy / z_safe, -1.0)
-    return x, y, z, front
+    return qx / z_safe, qy / z_safe, z, front
 
 
 def synth_values(target: CameraView, source: CameraView, target_depth_values,

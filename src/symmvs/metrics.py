@@ -54,15 +54,6 @@ class DepthMetrics:
             f"n_evaluated = {self.n_evaluated}",
         ]
 
-    def csv_row(self):
-        return (
-            f"{self.abs_rel:.17g},{self.abs_diff:.17g},{self.sq_rel:.17g},"
-            f"{self.rmse:.17g},{self.rmse_log:.17g},{self.delta1:.17g},"
-            f"{self.delta2:.17g},{self.delta3:.17g},{self.n_evaluated}"
-        )
-
-    CSV_HEADER = "abs_rel,abs_diff,sq_rel,rmse,rmse_log,delta1,delta2,delta3,n_evaluated"
-
 
 @dataclass
 class CloudMetrics:
@@ -101,17 +92,6 @@ class CloudMetrics:
             f"f_score = {self.f_score:.17g}",
             f"threshold = {self.threshold:.17g}",
         ]
-
-    def csv_row(self):
-        return (
-            f"{self.acc_mean:.17g},{self.acc_median:.17g},{self.acc_var:.17g},"
-            f"{self.comp_mean:.17g},{self.comp_median:.17g},{self.comp_var:.17g},"
-            f"{self.overall:.17g},{self.acc_pct:.17g},{self.comp_pct:.17g},"
-            f"{self.f_score:.17g},{self.threshold:.17g}"
-        )
-
-    CSV_HEADER = ("acc_mean,acc_median,acc_var,comp_mean,comp_median,comp_var,"
-                  "overall,acc_pct,comp_pct,f_score,threshold")
 
 
 def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
@@ -157,7 +137,7 @@ def cloud_metrics(pred: PointCloud, gt: PointCloud, threshold: float) -> CloudMe
     """
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("cloud metrics need non-empty clouds")
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     d_acc, _ = cKDTree(gt.points).query(pred.points, k=1)
     d_comp, _ = cKDTree(pred.points).query(gt.points, k=1)

@@ -84,7 +84,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"loss weight {name} must be non-negative")
 
 

@@ -64,15 +64,16 @@ class SolverConfig:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        if self.max_outer_iters < 0 or self.inner_steps_per_mask_update < 1:
+        # written as `not x > 0` so that NaN fails every check
+        if not (self.max_outer_iters >= 0 and self.inner_steps_per_mask_update >= 1):
             raise ValueError("iteration counts must be sensible")
-        if self.step_size is not None and self.step_size <= 0:
+        if self.step_size is not None and not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack factor must lie in (0, 1)")
-        if self.max_halvings < 0 or self.convergence_tol <= 0:
+        if not (self.max_halvings >= 0 and self.convergence_tol > 0):
             raise ValueError("line-search limits must be positive")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
 

@@ -5,9 +5,11 @@ hypothesis, all non-reference feature maps are warped into the reference
 view through the refinement's `geometry.sampling_chain` at that depth;
 the reference's own features join the group, and the per-pixel matching
 cost is the channel-averaged population variance across the contributing
-views. A separable,
-validity-aware box filter stands in for learned regularization, and the
-depth is read out as the softmax-weighted expectation over hypotheses.
+views. A separable, validity-aware box filter stands in for learned
+regularization, and the depth is read out as the softmax-weighted
+expectation over hypotheses. The filter sums each window directly, one
+offset at a time in place, so an output carries only the rounding of its
+own terms and smoothing needs no buffer beyond its output.
 
 The sweep works channel-first: once per call, every view's (H, W, F)
 features become one contiguous (F, H*W) array, checked for finite values
@@ -80,10 +82,7 @@ def extract_features(image: np.ndarray, mode: str = "grad3") -> FeatureMap:
     if mode == "intensity":
         return FeatureMap(gray[:, :, None])
     if mode == "grad3":
-        gx = np.zeros_like(gray)
-        gy = np.zeros_like(gray)
-        gx[:, :-1] = gray[:, 1:] - gray[:, :-1]
-        gy[:-1, :] = gray[1:, :] - gray[:-1, :]
+        gx, gy = photometry._grad_x(gray), photometry._grad_y(gray)
         return FeatureMap(np.stack([gray, gx, gy], axis=2))
     raise UnknownMode(f"unknown feature mode {mode!r}")
 
@@ -163,23 +162,15 @@ def _box_sum_axis(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
     """Sum of ``a`` over the window [i - radius, i + radius], clipped to the
     array, at every index i along ``axis``.
 
-    Differences of one running sum, written into one preallocated output.
+    Direct window sums: a copy of ``a`` adds ``a[i - k]`` and then
+    ``a[i + k]`` for k = 1 ... radius, in place, wherever they exist.
     """
-    run = np.cumsum(a, axis=axis)
-    out = np.empty_like(run)
-    c = np.moveaxis(run, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    n, r = c.shape[0], radius
-    # windows that start at index 0: c[min(i + r, n - 1)]
-    head = min(r + 1, n)
-    split = max(min(head, n - r), 0)
-    o[:split] = c[r:r + split]
-    o[split:head] = c[n - 1]
-    if head < n:
-        # later windows: c[min(i + r, n - 1)] - c[i - r - 1]
-        mid = max(n - r, head)
-        np.subtract(c[2 * r + 1:mid + r], c[:mid - head], out=o[head:mid])
-        np.subtract(c[n - 1], c[mid - r - 1:n - r - 1], out=o[mid:])
+    out = a.copy()
+    src = np.moveaxis(a, axis, 0)
+    dst = np.moveaxis(out, axis, 0)
+    for k in range(1, min(radius, src.shape[0] - 1) + 1):
+        dst[k:] += src[:-k]
+        dst[:-k] += src[k:]
     return out
 
 
@@ -213,7 +204,7 @@ def regress_depth(vol: CostVolume, temperature: float = 1.0):
     without any valid hypothesis are marked invalid (their distribution is
     left uniform so the volume still normalizes).
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     d_count = vol.cost.shape[0]
     logits = np.where(vol.valid, -vol.cost / temperature, -np.inf)

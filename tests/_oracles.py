@@ -4,10 +4,10 @@ Everything here is deliberately written the slow, obvious way (loops,
 direct formulas) and never calls the code paths it checks. The earlier
 forms of several vectorized routines are kept as references the current
 ones must match bit for bit (`cost_volume_loop`,
-`camera_rays_world_int_grid`, `box_sum_axis_padded`,
-`box_sum3_padded`, `pad_zero_np`, `sample_validity_direct`,
-`census_distance_mean`, `synth_values_unshared`,
-`warp_depth_values_unshared`).
+`camera_rays_world_int_grid`, `box_sum3_padded`, `pad_zero_np`,
+`sample_validity_direct`, `census_distance_mean`, `synth_values_unshared`,
+`warp_depth_values_unshared`); `box_sum_axis_loop` fixes the order in which
+the cost-volume box sum adds each window.
 """
 
 import numpy as np
@@ -166,15 +166,22 @@ def camera_rays_world_int_grid(cam, height, width):
     return rays_cam @ cam.rotation, -cam.rotation.T @ cam.translation
 
 
-def box_sum_axis_padded(a, radius, axis):
-    """Clipped-window sums along one axis, from a zero-prepended running
-    sum indexed at both window ends (the library's earlier form)."""
-    n = a.shape[axis]
-    c = np.cumsum(a, axis=axis)
-    c = np.concatenate([np.zeros_like(np.take(c, [0], axis=axis)), c], axis=axis)
-    hi = np.minimum(np.arange(n) + radius + 1, n)
-    lo = np.maximum(np.arange(n) - radius, 0)
-    return np.take(c, hi, axis=axis) - np.take(c, lo, axis=axis)
+def box_sum_axis_loop(a, radius, axis):
+    """Clipped-window sums along one axis, one index at a time: the centre,
+    then ``a[i - k]`` and ``a[i + k]`` for k = 1 ... radius where they
+    exist, added in that order."""
+    src = np.moveaxis(a, axis, 0)
+    n = src.shape[0]
+    out = np.empty_like(src)
+    for i in range(n):
+        acc = src[i].copy()
+        for k in range(1, radius + 1):
+            if i - k >= 0:
+                acc = acc + src[i - k]
+            if i + k < n:
+                acc = acc + src[i + k]
+        out[i] = acc
+    return np.moveaxis(out, 0, axis)
 
 
 def box_sum3_padded(a):

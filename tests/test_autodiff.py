@@ -50,11 +50,9 @@ def test_broadcast_scalar_and_row(rng):
     check_against_fd(lambda v: ((v + row) * (2.0 - v) / 3.0).sum(), x)
 
 
-def test_sqrt_exp_abs(rng):
+def test_sqrt_abs(rng):
     x = rng.uniform(-2.0, 2.0, (4, 4)) + 0.1  # stay away from |x| = 0
-    check_against_fd(
-        lambda v: (ad.sqrt(v * v + 1.0) + ad.exp(v * 0.3) + ad.absolute(v)).sum(), x
-    )
+    check_against_fd(lambda v: (ad.sqrt(v * v + 1.0) + ad.absolute(v)).sum(), x)
 
 
 def test_getitem_and_pad(rng):

@@ -140,6 +140,15 @@ def test_rejected_camera_exits_1_naming_its_file(workspace, tmp_path, capsys):
     assert f"{cam_path}: rotation must be orthonormal" in capsys.readouterr().err
 
 
+def test_malformed_ply_exits_1_naming_its_file(tmp_path, capsys):
+    ply = tmp_path / "bad.ply"
+    ply.write_text("ply\nformat\nend_header\n")
+    assert main(["eval-cloud", str(ply), str(ply)]) == 1
+    err = capsys.readouterr().err
+    assert f"{ply}:2: malformed header line" in err
+    assert "Traceback" not in err
+
+
 def test_fuse_missing_depth_file_exits_1(workspace, tmp_path, capsys):
     empty = tmp_path / "no_depths"
     empty.mkdir()

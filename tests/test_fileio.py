@@ -1,5 +1,7 @@
 """Round trips and error handling for every file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,13 @@ class TestImages:
         with pytest.raises(ParseError):
             read_image(path)
 
+    @pytest.mark.parametrize("size", [b"ab 2", b"-2 2"])
+    def test_bad_header_size_names_file(self, tmp_path, size):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n\0\0\0\0")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: ")):
+            read_image(path)
+
     def test_png_round_trip_when_pillow_available(self, tmp_path):
         pytest.importorskip("PIL")
         rng = np.random.default_rng(6)
@@ -180,6 +189,40 @@ class TestPly:
         path = tmp_path / "c.ply"
         path.write_bytes(b"obj\n")
         with pytest.raises(ParseError):
+            read_ply(path)
+
+    @pytest.mark.parametrize("header_line, line", [
+        ("format", 2),
+        ("element vertex abc", 3),
+        ("element", 3),
+        ("property float", 4),
+    ])
+    def test_malformed_header_line_names_file_and_line(self, tmp_path,
+                                                       header_line, line):
+        lines = ["ply", "format ascii 1.0", "element vertex 1",
+                 "property float x", "property float y", "property float z",
+                 "end_header", "0 0 0"]
+        lines[line - 1] = header_line
+        path = tmp_path / "c.ply"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError,
+                           match="^" + re.escape(f"{path}:{line}: malformed header")):
+            read_ply(path)
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_negative_vertex_count_names_file(self, tmp_path, binary):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(np.zeros((2, 3))), binary=binary)
+        path.write_bytes(path.read_bytes().replace(b"vertex 2", b"vertex -2"))
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: negative")):
+            read_ply(path)
+
+    def test_non_numeric_ascii_vertex_names_file(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(np.zeros((2, 3))), binary=False)
+        path.write_bytes(path.read_bytes().replace(b"0 0 0\n", b"0 abc 0\n", 1))
+        pattern = "^" + re.escape(f"{path}: bad vertex data") + ".*'abc'"
+        with pytest.raises(ParseError, match=pattern):
             read_ply(path)
 
 

@@ -7,6 +7,8 @@ from symmvs import (
     CameraView,
     DepthMap,
     bilinear_sample,
+    build_cost_volume,
+    extract_features,
     plane_homography,
     synthesize_view,
     warp_depth,
@@ -474,3 +476,66 @@ def test_shared_taps_depth_warp_is_bit_identical_to_unshared(plane_scene):
     _, unnarrowed = geometry.warp_depth_values(source_depth, np.ones_like(source_valid),
                                                depth, valid, views[1], views[0])
     assert runs[0][1].sum() < unnarrowed.sum()
+
+
+def _half_behind_views():
+    """A wide-angle reference, a source turned 60 degrees about y that
+    about half of the reference's rays at depth 1.5-2.5 pass behind, and a
+    plain second source."""
+    rng = np.random.default_rng(12)
+    h, w = 24, 32
+    K = make_camera(0.0, f=12.0, width=w, height=h).intrinsics
+    cos, sin = np.cos(np.pi / 3), np.sin(np.pi / 3)
+    turned = np.array([[cos, 0.0, -sin], [0.0, 1.0, 0.0], [sin, 0.0, cos]])
+    centres = [np.zeros(3), np.array([0.5, 0.0, 1.0]), np.array([0.3, 0.0, 0.0])]
+    rots = [np.eye(3), turned, np.eye(3)]
+    return [CameraView(K, r, -r @ c, rng.uniform(size=(h, w, 1)))
+            for r, c in zip(rots, centres)]
+
+
+def _chain_consumers(views, rng):
+    """Values, validity and Var gradients of every consumer of the chain."""
+    target, source, _ = views
+    h, w = target.image.shape[:2]
+    depth = 2.0 + rng.uniform(-0.3, 0.3, (h, w))
+    valid = np.ones((h, w), bool)
+    holey = rng.uniform(size=(h, w)) > 0.1
+    g = rng.normal(size=(h, w))
+    out = []
+    for source_valid in (None, holey):
+        d_leaf, img_leaf = Var(depth), Var(source.image)
+        img, ok = geometry.synth_values(target, source, d_leaf, valid, img_leaf,
+                                        source_valid)
+        (img * g[..., None]).sum().backward()
+        out += [img.value, ok, d_leaf.grad, img_leaf.grad]
+    s_leaf, t_leaf = Var(depth[::-1] + 0.1), Var(depth)
+    vals, ok = geometry.warp_depth_values(s_leaf, holey, t_leaf, valid,
+                                          source, target)
+    (vals * g).sum().backward()
+    out += [vals.value, ok, s_leaf.grad, t_leaf.grad]
+    feats = [extract_features(v.image, "grad3") for v in views]
+    vol = build_cost_volume(views, feats, 0, DepthHypotheses(1.5, 2.5, 8))
+    out += [vol.cost, vol.support, vol.valid]
+    return out
+
+
+def test_chain_coordinates_outside_front_are_never_read(monkeypatch):
+    views = _half_behind_views()
+    h, w = views[0].image.shape[:2]
+    x, y, _, front = geometry.sampling_chain(views[0], views[1], 2.0, h, w)
+    ok = front & geometry._in_bounds(x, y, w, h)
+    assert ok.sum() > 100 and front.mean() < 0.6
+    plain = _chain_consumers(views, np.random.default_rng(3))
+    assert all(np.abs(a).max() > 0 for a in plain)
+
+    chain = geometry.sampling_chain
+
+    def nan_outside_front(*args, **kwargs):
+        x, y, z, front = chain(*args, **kwargs)
+        return (ad.where_mask(front, x, np.nan), ad.where_mask(front, y, np.nan),
+                z, front)
+
+    monkeypatch.setattr(geometry, "sampling_chain", nan_outside_front)
+    poisoned = _chain_consumers(views, np.random.default_rng(3))
+    for a, b in zip(plain, poisoned):
+        assert same_bytes(a, b)

@@ -12,13 +12,19 @@ import pytest
 
 from symmvs import (
     CameraView,
+    CostVolume,
     DepthHypotheses,
     DepthMap,
     LossWeights,
+    PointCloud,
+    cloud_metrics,
     compute_all_masks,
+    filter_consistent,
     init_depths,
     loss_gradient,
+    occlusion_mask,
     refine,
+    regress_depth,
     run_pipeline,
     total_loss,
 )
@@ -421,3 +427,34 @@ def test_skipped_terms_warned_once_per_mask_phase(plane_scene, caplog):
         for term in terms:
             assert f"{term} x" in msg
     assert set(terms) <= total_loss(state).skipped
+
+
+def _flat_volume():
+    shape = (2, 1, 1)
+    return CostVolume(0, DepthHypotheses(1.0, 2.0, 2), np.zeros(shape),
+                      np.full(shape, 2), np.ones(shape, bool))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda sc: SolverConfig(sc["hyp"], temperature=np.nan),
+                 id="solver-temperature"),
+    pytest.param(lambda sc: SolverConfig(sc["hyp"], step_size=np.nan),
+                 id="step_size"),
+    pytest.param(lambda sc: SolverConfig(sc["hyp"], convergence_tol=np.nan),
+                 id="convergence_tol"),
+    pytest.param(lambda sc: LossWeights(omega_u=np.nan), id="omega_u"),
+    pytest.param(lambda sc: LossWeights(tau_occ=np.nan), id="tau_occ"),
+    pytest.param(lambda sc: filter_consistent(sc["gt"], sc["views"], np.nan),
+                 id="tau_fuse"),
+    pytest.param(lambda sc: cloud_metrics(PointCloud(np.zeros((1, 3))),
+                                          PointCloud(np.zeros((1, 3))), np.nan),
+                 id="threshold"),
+    pytest.param(lambda sc: occlusion_mask(sc["gt"][0], sc["gt"][1], sc["views"][0],
+                                           sc["views"][1], np.nan),
+                 id="occlusion-tau"),
+    pytest.param(lambda sc: regress_depth(_flat_volume(), np.nan),
+                 id="regress-temperature"),
+])
+def test_nan_parameter_is_rejected(plane_scene, call):
+    with pytest.raises(ValueError, match=r"must be (positive|non-negative)$"):
+        call(plane_scene)
