@@ -100,12 +100,13 @@ class Var:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.value)
+        # Reverse topological order: every node's consumers have all
+        # contributed before its own VJP runs, and every VJP returns one
+        # array per parent, so each node reached here holds a gradient.
         for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
+            if node._vjp is None:
                 continue
             for parent, contrib in zip(node._parents, node._vjp(node.grad)):
-                if contrib is None:
-                    continue
                 if parent.grad is None:
                     parent.grad = contrib
                 else:

@@ -21,10 +21,11 @@ One evaluator computes every term; `total_loss` returns them itemized in a
 Data that depends only on the cameras and images lives in a `ViewContext`:
 each ordered pair's sampling coefficients, each view's comparator
 reference statistics (census bits, gradients, SSIM mean and variance) and
-smoothness edge weights, and the SSIM window normalizer, each computed on
-first use. `solver.refine` builds one per run and hands it to every mask
-update and evaluation; a call without one (`total_loss`, `occlusion_mask`)
-computes the same data fresh through the same helpers.
+smoothness edge weights, and the SSIM window normalizer, all computed when
+it is built. `solver.refine` builds one per run and hands it to every mask
+update and evaluation; an evaluation without one (`total_loss`) builds a
+fresh one, and a mask update without one (`compute_all_masks`,
+`occlusion_mask`) computes each pair's coefficients as it goes.
 """
 
 from __future__ import annotations
@@ -132,51 +133,44 @@ class LossBreakdown:
 
 class ViewContext:
     """What one refinement run derives from its views' cameras and images
-    alone, computed on first use and kept until the context is dropped.
+    alone, all computed when it is built.
 
-    Per ordered pair: the `geometry.pair_coefficients` of the sampling
-    chain. Per view: the image's `photometry.reference_stats` and its
-    `photometry.edge_weights`. Once: the SSIM window normalizer. Nothing is
-    keyed by array identity and nothing outlives the context, so a run that
-    creates one and drops it on return leaves no state behind.
+    ``norm`` is the SSIM window normalizer of the views' shared ``grid``;
+    ``pairs[t, s]`` the `geometry.pair_coefficients` of every ordered pair
+    (target t, source s); ``refs[i]`` view i's
+    `photometry.reference_stats` and ``edges[i]`` its
+    `photometry.edge_weights` for ``alphas``, the weights' (alpha1,
+    alpha2). Building one checks the views: at least two (TooFewViews),
+    each with an image (ValueError) of one shape (ShapeMismatch), each
+    error naming the view at fault. Nothing outlives the context, so a run
+    that creates one and drops it on return leaves no state behind.
     """
 
-    def __init__(self, views):
-        self.views = views
-        self._pairs = {}
-        self._refs = {}
-        self._edges = {}
-        self._norm = None
+    def __init__(self, views, weights: LossWeights):
+        if len(views) < 2:
+            raise TooFewViews("the objective needs at least two views")
+        for i, v in enumerate(views):
+            if v.image is None:
+                raise ValueError(f"view {i} has no image; loss evaluation "
+                                 "needs one for every view")
+            if v.image.shape != views[0].image.shape:
+                raise ShapeMismatch(f"view {i} image is {v.image.shape}, "
+                                    f"view 0's is {views[0].image.shape}")
+        n = len(views)
+        self.alphas = (weights.alpha1, weights.alpha2)
+        self.grid = views[0].image.shape[:2]
+        self.norm = photometry.box_norm(*self.grid)
+        self.pairs = {(t, s): geometry.pair_coefficients(views[t], views[s], *self.grid)
+                      for t in range(n) for s in range(n) if t != s}
+        self.refs = [photometry.reference_stats(v.image, self.norm) for v in views]
+        self.edges = [photometry.edge_weights(v.image, *self.alphas) for v in views]
 
-    def pair(self, t: int, s: int, height: int, width: int):
-        """Sampling coefficients of the ordered pair (target t, source s)."""
-        key = (t, s, height, width)
-        if key not in self._pairs:
-            self._pairs[key] = geometry.pair_coefficients(
-                self.views[t], self.views[s], height, width
-            )
-        return self._pairs[key]
-
-    @property
-    def norm(self) -> np.ndarray:
-        """`photometry.box_norm` of the views' grid."""
-        if self._norm is None:
-            self._norm = photometry.box_norm(*self.views[0].image.shape[:2])
-        return self._norm
-
-    def reference(self, i: int) -> photometry.ReferenceStats:
-        """Comparator statistics of view i's image as a reference."""
-        if i not in self._refs:
-            self._refs[i] = photometry.reference_stats(self.views[i].image, self.norm)
-        return self._refs[i]
-
-    def edges(self, i: int, alpha1: float, alpha2: float):
-        """Smoothness edge weights of view i's image."""
-        key = (i, alpha1, alpha2)
-        if key not in self._edges:
-            self._edges[key] = photometry.edge_weights(self.views[i].image,
-                                                       alpha1, alpha2)
-        return self._edges[key]
+    def check_depths(self, depths):
+        """Raise ShapeMismatch naming the first depth map off the grid."""
+        for i, d in enumerate(depths):
+            if d.values.shape != self.grid:
+                raise ShapeMismatch(f"view {i} depth map is {d.values.shape}, "
+                                    f"the views' grid is {self.grid}")
 
 
 # -- occlusion reasoning -------------------------------------------------------
@@ -216,8 +210,11 @@ def compute_all_masks(views, depths, weights: LossWeights,
                       context: ViewContext | None = None) -> dict:
     """Occlusion masks for every ordered view pair at the current depths.
 
-    ``context`` is the run's `ViewContext` over ``views``, if it has one.
+    ``context`` is the run's `ViewContext` over ``views``, if it has one;
+    a depth map off its grid then raises ShapeMismatch.
     """
+    if context is not None:
+        context.check_depths(depths)
     masks = {}
     n = len(views)
     for i in range(n):
@@ -226,8 +223,7 @@ def compute_all_masks(views, depths, weights: LossWeights,
                 continue
             coeffs = (None, None)
             if context is not None:
-                coeffs = (context.pair(j, i, *depths[j].values.shape),
-                          context.pair(i, j, *depths[i].values.shape))
+                coeffs = (context.pairs[j, i], context.pairs[i, j])
             masks[(i, j)] = occlusion_mask(
                 depths[i], depths[j], views[i], views[j], weights.tau_occ, (i, j),
                 coeffs,
@@ -245,25 +241,22 @@ class _Evaluator:
     term (except the locally constant census part) is differentiable with
     respect to them. Camera- and image-only data comes from ``context``,
     the run's `ViewContext`; without one, a fresh context serves this
-    evaluation alone.
+    evaluation alone. A context built for other alphas raises ValueError,
+    a depth map off its grid ShapeMismatch.
     """
 
     def __init__(self, views, depths, masks, weights, with_grad=False, context=None):
-        if len(views) < 2:
-            raise TooFewViews("the objective needs at least two views")
-        if any(v.image is None for v in views):
-            raise ValueError("every view needs an image for loss evaluation")
-        channels = views[0].image.shape[2]
-        shapes = {v.image.shape for v in views}
-        shapes |= {d.values.shape + (channels,) for d in depths}
-        if len(shapes) != 1:
-            raise ShapeMismatch("all views and depth maps must share one grid")
+        ctx = context if context is not None else ViewContext(views, weights)
+        if ctx.alphas != (weights.alpha1, weights.alpha2):
+            raise ValueError(f"the view context's edge weights are for (alpha1, "
+                             f"alpha2) = {ctx.alphas}, the loss weights give "
+                             f"{(weights.alpha1, weights.alpha2)}")
+        ctx.check_depths(depths)
         self.views = views
         self.depths = depths
         self.masks = masks
         self.weights = weights
-        self.ctx = context if context is not None else ViewContext(views)
-        self.grid = views[0].image.shape[:2]
+        self.ctx = ctx
         self.leaves = [Var(d.values) if with_grad else d.values for d in depths]
         self._cache = {}
 
@@ -273,7 +266,7 @@ class _Evaluator:
         if key not in self._cache:
             self._cache[key] = geometry.synth_values(
                 self.views[t], self.views[s], self.leaves[t], self.depths[t].valid,
-                coeffs=self.ctx.pair(t, s, *self.grid),
+                coeffs=self.ctx.pairs[t, s],
             )
         return self._cache[key]
 
@@ -286,7 +279,7 @@ class _Evaluator:
             self._cache[key] = geometry.synth_values(
                 self.views[i], self.views[j], self.leaves[i],
                 self.depths[i].valid, source_image=inner_img,
-                source_valid=inner_ok, coeffs=self.ctx.pair(i, j, *self.grid),
+                source_valid=inner_ok, coeffs=self.ctx.pairs[i, j],
             )
         return self._cache[key]
 
@@ -297,14 +290,14 @@ class _Evaluator:
             self._cache[key] = geometry.warp_depth_values(
                 self.leaves[j], self.depths[j].valid,
                 self.leaves[i], self.depths[i].valid,
-                self.views[j], self.views[i], self.ctx.pair(i, j, *self.grid),
+                self.views[j], self.views[i], self.ctx.pairs[i, j],
             )
         return self._cache[key]
 
     def _compare(self, ref, syn, mask):
         """Unary comparator against view ``ref``'s own image."""
         return photometry.unary_comparator(self.views[ref].image, syn, mask,
-                                           self.weights, self.ctx.reference(ref))
+                                           self.weights, self.ctx.refs[ref])
 
     def term_unary(self, i, j):
         img, ok = self._synth(i, j)
@@ -316,10 +309,8 @@ class _Evaluator:
     def term_smoothness(self, i):
         key = ("smooth", i)
         if key not in self._cache:
-            w = self.weights
             self._cache[key] = photometry.smoothness_term(
-                self.views[i].image, self.leaves[i], self.depths[i].valid,
-                w.alpha1, w.alpha2, self.ctx.edges(i, w.alpha1, w.alpha2),
+                self.leaves[i], self.depths[i].valid, self.ctx.edges[i]
             )
         return self._cache[key]
 

@@ -153,26 +153,15 @@ def read_pfm(path) -> DepthMap:
     return DepthMap(vals, vals > 0)
 
 
-# -- PGM / PPM / PNG images ----------------------------------------------------------
+# -- PGM / PPM images ----------------------------------------------------------------
 
 
 def write_image(path, image: np.ndarray):
-    """8-bit binary PGM (grayscale) or PPM (RGB) from values in [0, 1].
-
-    PNG output needs Pillow and is selected by the .png suffix.
-    """
-    path = Path(path)
+    """8-bit binary PGM (grayscale) or PPM (RGB) from values in [0, 1]."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 3 and img.shape[2] == 1:
         img = img[:, :, 0]
     quant = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    if path.suffix == ".png":
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise UnsupportedVariant("PNG support requires Pillow") from exc
-        Image.fromarray(quant).save(path)
-        return
     h, w = quant.shape[:2]
     if quant.ndim == 2:
         header = f"P5\n{w} {h}\n255\n".encode("ascii")
@@ -212,20 +201,11 @@ def _read_pnm_header(fh, path):
 
 
 def read_image(path) -> np.ndarray:
-    """Read a PGM/PPM (or PNG via Pillow) into float64 values in [0, 1].
+    """Read a binary 8-bit PGM/PPM into float64 values in [0, 1].
 
     Grayscale returns (H, W, 1); color returns (H, W, 3).
     """
     path = Path(path)
-    if path.suffix == ".png":
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise UnsupportedVariant("PNG support requires Pillow") from exc
-        arr = np.asarray(Image.open(path), dtype=np.float64) / 255.0
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        return arr
     with open(path, "rb") as fh:
         magic, w, h, maxval = _read_pnm_header(fh, path)
         if maxval != 255:
@@ -555,7 +535,7 @@ def load_bundle(bundle_dir) -> tuple:
     for cam_path in cam_files:
         stem = cam_path.name[: -len("_cam.txt")]
         img_path = None
-        for suffix in (".pgm", ".ppm", ".png"):
+        for suffix in (".pgm", ".ppm"):
             candidate = bundle / f"{stem}{suffix}"
             if candidate.exists():
                 img_path = candidate

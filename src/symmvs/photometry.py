@@ -12,7 +12,7 @@ synthesized counterpart, all averaged over a shared validity mask:
 
 Edge-aware first- and second-order smoothness penalizes depth variation
 where the image is flat. All pieces accept autodiff Vars where gradients
-are needed and plain arrays otherwise.
+are needed and plain arrays otherwise; images are (H, W, C).
 
 These are building blocks: the pairwise synthesis loss and every other term
 of the objective are assembled from them by the one evaluator in
@@ -20,9 +20,10 @@ of the objective are assembled from them by the one evaluator in
 
 What depends only on a reference image (its gradients, census bits and SSIM
 window statistics: `reference_stats`; the SSIM window normalizer:
-`box_norm`; the smoothness edge weights: `edge_weights`) is split out, so a
-caller that compares against the same image many times can compute it once
-and pass it in. Without it, the same helpers compute it per call.
+`box_norm`; the smoothness edge weights: `edge_weights`) is split out and
+passed in: `ssim_map`, `unary_comparator` and `smoothness_term` take it as
+an argument, so a caller that compares against the same image many times
+computes it once (`consistency.ViewContext` does, per run).
 
 Census bits are stored as one boolean plane per neighbor, so the transform
 writes each comparison straight into its plane and the distance counts the
@@ -114,10 +115,7 @@ def grayscale(image: np.ndarray) -> np.ndarray:
 
 
 def _channel_mean(x):
-    v = value_of(x)
-    if v.ndim == 2:
-        return x
-    channels = v.shape[2]
+    channels = value_of(x).shape[2]
     acc = x[:, :, 0]
     if channels == 1:
         return acc
@@ -201,30 +199,20 @@ def _window_stats(x, norm):
 
 def _ssim_reference(a, norm):
     """Per-channel (channel, mean, variance) of an SSIM reference."""
-    if value_of(a).ndim == 2:
-        channels = [a]
-    else:
-        channels = [a[:, :, c] for c in range(value_of(a).shape[2])]
+    channels = [a[:, :, c] for c in range(value_of(a).shape[2])]
     return [(ac, *_window_stats(ac, norm)) for ac in channels]
 
 
-def ssim_map(a, b, ref=None):
+def ssim_map(a, b, ref):
     """Structural similarity with a 3x3 uniform window, channel-averaged.
 
     Local statistics are normalized by the in-image window size, so the map
     is defined up to the border and equals 1 wherever the inputs agree.
-    Accepts Vars for either input. ``ref`` holds ``a``'s `reference_stats`
-    if the caller keeps them; its window statistics are computed here when
-    not given.
+    Accepts Vars for either input. ``ref`` holds ``a``'s `reference_stats`.
     """
-    av, bv = value_of(a), value_of(b)
-    if av.shape != bv.shape:
+    if value_of(a).shape != value_of(b).shape:
         raise ShapeMismatch("ssim inputs must share shape")
-    if ref is None:
-        norm = box_norm(*av.shape[:2])
-        stats_a = _ssim_reference(a, norm)
-    else:
-        norm, stats_a = ref.norm, ref.ssim
+    norm, stats_a = ref.norm, ref.ssim
 
     def one_channel(ac, mu_a, var_a, bc):
         mu_b, var_b = _window_stats(bc, norm)
@@ -233,8 +221,6 @@ def ssim_map(a, b, ref=None):
         den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
         return num / den
 
-    if bv.ndim == 2:
-        return one_channel(*stats_a[0], b)
     acc = one_channel(*stats_a[0], b[:, :, 0])
     for c in range(1, len(stats_a)):
         acc = acc + one_channel(*stats_a[c], b[:, :, c])
@@ -248,8 +234,9 @@ def ssim_map(a, b, ref=None):
 class ReferenceStats:
     """The parts of the unary comparator that depend only on its reference
     image: forward-difference gradients, census bits, and per-channel SSIM
-    (channel, mean, variance). A run keeps one per view image; any other
-    reference gets fresh ones from `reference_stats`."""
+    (channel, mean, variance), and the grid's `box_norm`. A run keeps one
+    per view image; any other reference gets fresh ones from
+    `reference_stats`."""
 
     grad_x: object
     grad_y: object
@@ -258,29 +245,26 @@ class ReferenceStats:
     norm: np.ndarray
 
 
-def reference_stats(image_ref, norm=None) -> ReferenceStats:
+def reference_stats(image_ref, norm) -> ReferenceStats:
     """Image-only comparator statistics of ``image_ref`` (Var-aware).
 
-    ``norm`` is the `box_norm` of the grid, computed when not given.
+    ``norm`` is the `box_norm` of the image's grid.
     """
-    ref_v = value_of(image_ref)
-    if norm is None:
-        norm = box_norm(*ref_v.shape[:2])
     return ReferenceStats(
         _grad_x(image_ref), _grad_y(image_ref),
-        census_transform(grayscale(ref_v)), _ssim_reference(image_ref, norm), norm,
+        census_transform(grayscale(value_of(image_ref))),
+        _ssim_reference(image_ref, norm), norm,
     )
 
 
-def unary_comparator(image_ref, image_syn, mask, weights: LossWeights, ref=None):
+def unary_comparator(image_ref, image_syn, mask, weights: LossWeights, ref):
     """Masked mean of the four-term photometric residual (scalar; Var-aware).
 
     The mask must already include the synthesized image's validity; with no
     valid pixel it raises EmptyMask, and the caller skips the term. The
     census term is computed on plain values and enters as a constant, so it
     shapes evaluations but contributes zero gradient. ``ref`` holds
-    ``image_ref``'s `reference_stats` if the caller keeps them; they are
-    computed here when not given.
+    ``image_ref``'s `reference_stats`.
     """
     ref_v, syn_v = value_of(image_ref), value_of(image_syn)
     if ref_v.shape != syn_v.shape:
@@ -289,8 +273,6 @@ def unary_comparator(image_ref, image_syn, mask, weights: LossWeights, ref=None)
     count = int(mask.sum())
     if count == 0:
         raise EmptyMask("no valid pixels for the unary comparator")
-    if ref is None:
-        ref = reference_stats(image_ref)
     m = mask.astype(np.float64)
 
     def masked_mean(term):
@@ -321,8 +303,6 @@ def edge_weights(image, alpha1: float, alpha2: float):
     on the first-order stencils and ``exp(-alpha2 |lap I|)`` on the
     second-order ones, each None where the image is too small for it."""
     img = np.asarray(value_of(image), dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
     h, w = img.shape[:2]
     first = second = None
     if h >= 2 and w >= 2:
@@ -340,17 +320,13 @@ def edge_weights(image, alpha1: float, alpha2: float):
     return first, second
 
 
-def smoothness_term(image, depth_values, depth_valid, alpha1: float, alpha2: float,
-                    edges=None):
+def smoothness_term(depth_values, depth_valid, edges):
     """Edge-aware first+second order depth smoothness (scalar; Var-aware).
 
     Each order is averaged over the pixels whose full stencil lies in the
     image; stencils touching an invalid depth contribute zero. ``edges``
-    are the image's `edge_weights` for these alphas if the caller keeps
-    them; they are computed here when not given.
+    are the view image's `edge_weights`.
     """
-    if edges is None:
-        edges = edge_weights(image, alpha1, alpha2)
     first, second = edges
     d = depth_values
     h, w = value_of(d).shape

@@ -158,7 +158,7 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
     """
     hyp = config.hypotheses
     step0 = config.step_size if config.step_size is not None else 2.0 * hyp.spacing
-    context = consistency.ViewContext(state.views)
+    context = consistency.ViewContext(state.views, state.weights)
 
     state.masks = consistency.compute_all_masks(state.views, state.depths,
                                                 state.weights, context)

@@ -1,5 +1,6 @@
 """Occlusion masks, cross-view consistency losses, and the total objective."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from symmvs import (
     total_loss,
 )
 from symmvs.consistency import OcclusionMask, SceneState, ViewContext, _evaluate
-from symmvs.errors import TooFewViews
-from symmvs.photometry import unary_comparator
+from symmvs.errors import ShapeMismatch, TooFewViews
+from symmvs.photometry import box_norm, edge_weights, reference_stats, unary_comparator
 from symmvs.solver import loss_gradient
 
 from conftest import scene_state
@@ -254,7 +255,8 @@ def test_gradient_flows_to_both_depths_of_a_pair(plane_scene):
 
 class TestViewContext:
     """A context shared by many evaluations gives exactly what a fresh
-    evaluation of each call gives."""
+    evaluation of each call gives, and rejects views and caller data it
+    does not fit, naming the view."""
 
     @staticmethod
     def candidates(gt, hyp_min, hyp_max):
@@ -276,7 +278,7 @@ class TestViewContext:
         sc = request.getfixturevalue(scene)
         views, gt = sc["views"], sc["gt"]
         weights = LossWeights(tau_occ=1.0)
-        ctx = ViewContext(views)
+        ctx = ViewContext(views, weights)
         for depths in self.candidates(gt, 1.0, 5.0):
             masks = compute_all_masks(views, depths, weights)
             kept = compute_all_masks(views, depths, weights, ctx)
@@ -291,7 +293,61 @@ class TestViewContext:
             for (i, j), m in masks.items():
                 img, ok = synthesize_view(depths[i], views[j], views[i])
                 if (m.valid & ok).any():
+                    ref = reference_stats(views[i].image,
+                                          box_norm(*views[i].image.shape[:2]))
                     assert kept_bd.unary[(i, j)] == float(unary_comparator(
-                        views[i].image, img, m.valid & ok, weights))
+                        views[i].image, img, m.valid & ok, weights, ref))
             for a, b in zip(loss_gradient(state), loss_gradient(state, ctx)):
                 assert np.array_equal(a, b)
+
+    @staticmethod
+    def with_image(view, image):
+        return CameraView(view.intrinsics, view.rotation, view.translation, image)
+
+    def test_missing_image_names_the_view(self, plane_scene):
+        views, gt, weights = (plane_scene["views"], plane_scene["gt"],
+                              plane_scene["weights"])
+        views = views[:2] + [self.with_image(views[2], None)]
+        with pytest.raises(ValueError, match="^view 2 has no image"):
+            ViewContext(views, weights)
+        with pytest.raises(ValueError, match="^view 2 has no image"):
+            total_loss(SceneState(views, gt, {}, weights))
+        with pytest.raises(TooFewViews):
+            ViewContext(views[:1], weights)
+
+    def test_mismatched_image_shape_names_the_view(self, plane_scene):
+        views, weights = plane_scene["views"], plane_scene["weights"]
+        views = [views[0], self.with_image(views[1], views[1].image[:-1]), views[2]]
+        with pytest.raises(ShapeMismatch, match=r"^view 1 image is \(47, 64, 1\)"):
+            ViewContext(views, weights)
+
+    def test_depth_off_the_grid_names_the_view(self, plane_scene):
+        views, gt, weights = (plane_scene["views"], plane_scene["gt"],
+                              plane_scene["weights"])
+        depths = gt[:2] + [DepthMap(gt[2].values[:, :-1], gt[2].valid[:, :-1])]
+        ctx = ViewContext(views, weights)
+        masks = compute_all_masks(views, gt, weights, ctx)
+        message = r"^view 2 depth map is \(48, 63\)"
+        with pytest.raises(ShapeMismatch, match=message):
+            compute_all_masks(views, depths, weights, ctx)
+        with pytest.raises(ShapeMismatch, match=message):
+            _evaluate(views, depths, masks, weights, False, ctx)
+        with pytest.raises(ShapeMismatch, match=message):
+            total_loss(SceneState(views, depths, masks, weights))
+
+    @pytest.mark.parametrize("change", [{"alpha1": 0.7}, {"alpha2": 0.25}])
+    def test_context_for_other_alphas_is_rejected(self, plane_scene, change):
+        views, gt, weights = (plane_scene["views"], plane_scene["gt"],
+                              plane_scene["weights"])
+        ctx = ViewContext(views, weights)
+        masks = compute_all_masks(views, gt, weights, ctx)
+        other = dataclasses.replace(weights, **change)
+        with pytest.raises(ValueError, match="alpha1, alpha2"):
+            _evaluate(views, gt, masks, other, False, ctx)
+        with pytest.raises(ValueError, match="alpha1, alpha2"):
+            loss_gradient(SceneState(views, gt, masks, other), ctx)
+        # a context built for the other weights holds their edge weights
+        kept = ViewContext(views, other).edges
+        for i, v in enumerate(views):
+            alone = edge_weights(v.image, other.alpha1, other.alpha2)
+            assert all(np.array_equal(a, b) for a, b in zip(kept[i], alone))

@@ -1,9 +1,14 @@
 """Round trips and error handling for every file format."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symmvs import DepthMap, LossWeights, PointCloud
 from symmvs.errors import ParseError, UnsupportedVariant
@@ -150,14 +155,6 @@ class TestImages:
         path.write_bytes(b"P5\n" + size + b"\n255\n\0\0\0\0")
         with pytest.raises(ParseError, match="^" + re.escape(f"{path}: ")):
             read_image(path)
-
-    def test_png_round_trip_when_pillow_available(self, tmp_path):
-        pytest.importorskip("PIL")
-        rng = np.random.default_rng(6)
-        img = np.rint(rng.uniform(size=(5, 7, 1)) * 255) / 255.0
-        path = tmp_path / "img.png"
-        write_image(path, img)
-        np.testing.assert_array_equal(read_image(path), img)
 
 
 class TestPly:
@@ -349,3 +346,69 @@ class TestBundle:
         msg = str(info.value)
         assert msg.startswith(str(out / "view_0002.pgm"))
         assert "(40, 60, 1)" in msg and "(48, 64, 1)" in msg
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+POSITIVE32 = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
+                       width=32)
+
+
+def round_trip(write, read, name, *args, **kwargs):
+    """``read(write(...))`` through a file in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        write(path, *args, **kwargs)
+        return read(path)
+
+
+class TestRoundTripProperties:
+    """``read(write(x))`` gives back ``x`` at the precision each format stores."""
+
+    @given(arrays(np.float64, (3, 3), elements=FINITE),
+           arrays(np.float64, (3, 3), elements=FINITE),
+           arrays(np.float64, 3, elements=FINITE), FINITE, FINITE)
+    @settings(max_examples=50, deadline=None)
+    def test_camera_file_is_exact(self, K, R, t, d_min, d_interval):
+        K2, R2, t2, d_min2, d_interval2 = round_trip(
+            write_camera, read_camera, "cam.txt", K, R, t, d_min, d_interval)
+        np.testing.assert_array_equal(K2, K)
+        np.testing.assert_array_equal(R2, R)
+        np.testing.assert_array_equal(t2, t)
+        assert (d_min2, d_interval2) == (d_min, d_interval)
+
+    @given(st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+        lambda shape: st.tuples(arrays(np.float32, shape, elements=POSITIVE32),
+                                arrays(np.bool_, shape))))
+    @settings(max_examples=50, deadline=None)
+    def test_pfm_keeps_float32_values_and_validity(self, values_valid):
+        values, valid = values_valid
+        back = round_trip(write_pfm, read_pfm, "d.pfm",
+                          DepthMap(values.astype(np.float64), valid))
+        np.testing.assert_array_equal(
+            back.values, np.where(valid, values, 0).astype(np.float64))
+        np.testing.assert_array_equal(back.valid, valid)
+
+    @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.sampled_from([1, 3]))
+           .flatmap(lambda shape: arrays(np.uint8, shape)))
+    @settings(max_examples=50, deadline=None)
+    def test_pgm_ppm_keep_8_bit_values(self, levels):
+        image = levels / 255.0
+        name = "img.pgm" if levels.shape[2] == 1 else "img.ppm"
+        np.testing.assert_array_equal(
+            round_trip(write_image, read_image, name, image), image)
+
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        arrays(np.float32, (n, 3), elements=FINITE32),
+        st.none() | arrays(np.uint8, (n, 3)))), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_ply_keeps_float32_points_and_8_bit_colors(self, cloud, binary):
+        points, levels = cloud
+        colors = None if levels is None else levels / 255.0
+        back = round_trip(write_ply, read_ply, "c.ply",
+                          PointCloud(points.astype(np.float64), colors), binary=binary)
+        np.testing.assert_array_equal(back.points, points.astype(np.float64))
+        if colors is None:
+            assert back.colors is None
+        else:
+            np.testing.assert_array_equal(back.colors, colors)

@@ -1,0 +1,31 @@
+"""The package imports only the standard library, numpy, scipy and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "symmvs").glob("*.py"))
+ALLOWED = {"numpy", "scipy", "symmvs"}
+
+
+def imported_modules(path):
+    """(line, top-level name) of every absolute import in one source file,
+    including those inside functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_every_import_is_stdlib_numpy_scipy_or_the_package():
+    assert any(p.name == "__init__.py" for p in SOURCES)
+    foreign = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        for line, name in imported_modules(path)
+        if name not in sys.stdlib_module_names and name not in ALLOWED
+    ]
+    assert foreign == []

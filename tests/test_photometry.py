@@ -23,7 +23,10 @@ from symmvs.autodiff import Var, value_of
 from symmvs.errors import BadWindow, EmptyMask, ShapeMismatch
 from symmvs.photometry import (
     CensusDescriptor,
+    box_norm,
+    edge_weights,
     grayscale,
+    reference_stats,
     smoothness_term,
     unary_comparator,
 )
@@ -36,7 +39,22 @@ UNARY_FLOOR = (0.5 + 0.8 + 0.2) * PHI_0
 
 
 def smoothness(image, depth, w):
-    return smoothness_term(image, depth.values, depth.valid, w.alpha1, w.alpha2)
+    return smoothness_term(depth.values, depth.valid,
+                           edge_weights(image, w.alpha1, w.alpha2))
+
+
+def stats(image):
+    """`reference_stats` of an (H, W, C) image on its own grid."""
+    return reference_stats(image, box_norm(*image.shape[:2]))
+
+
+def ssim(a, b):
+    """`ssim_map` of two (H, W, C) images, ``a`` as the reference."""
+    return ssim_map(a, b, stats(a))
+
+
+def unary(image_ref, image_syn, mask, w):
+    return unary_comparator(image_ref, image_syn, mask, w, stats(image_ref))
 
 
 def pair_synthesis(view_i, view_j, depth_i, depth_j, w):
@@ -174,24 +192,26 @@ class TestSSIM:
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(3)
         img = rng.uniform(size=(8, 9))
-        np.testing.assert_allclose(ssim_map(img, img), 1.0, atol=1e-9)
+        np.testing.assert_allclose(ssim(img[..., None], img[..., None]), 1.0, atol=1e-9)
 
     def test_equal_constants_give_one(self):
         a = np.full((5, 5), 0.5)
-        np.testing.assert_allclose(ssim_map(a, a.copy()), 1.0, atol=1e-12)
+        np.testing.assert_allclose(ssim(a[..., None], a.copy()[..., None]), 1.0,
+                                   atol=1e-12)
 
     def test_matches_direct_formula_on_inverted_patch(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(size=(7, 8))
         np.testing.assert_allclose(
-            ssim_map(a, 1.0 - a), ssim_direct(a, 1.0 - a), atol=1e-9
+            ssim(a[..., None], (1.0 - a)[..., None]), ssim_direct(a, 1.0 - a),
+            atol=1e-9,
         )
 
     def test_values_within_unit_interval(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(size=(9, 9))
         b = rng.uniform(size=(9, 9))
-        s = ssim_map(a, b)
+        s = ssim(a[..., None], b[..., None])
         assert (s <= 1.0 + 1e-12).all()
         assert (s >= -1.0 - 1e-12).all()
 
@@ -199,8 +219,9 @@ class TestSSIM:
         rng = np.random.default_rng(6)
         a = rng.uniform(size=(6, 6, 3))
         b = rng.uniform(size=(6, 6, 3))
-        per = np.stack([value_of(ssim_map(a[..., c], b[..., c])) for c in range(3)])
-        np.testing.assert_allclose(ssim_map(a, b), per.mean(axis=0), atol=1e-12)
+        per = np.stack([value_of(ssim(a[..., c:c + 1], b[..., c:c + 1]))
+                        for c in range(3)])
+        np.testing.assert_allclose(ssim(a, b), per.mean(axis=0), atol=1e-12)
 
 
 class TestUnaryLoss:
@@ -208,7 +229,7 @@ class TestUnaryLoss:
         rng = np.random.default_rng(7)
         img = rng.uniform(size=(10, 12, 1))
         mask = np.ones((10, 12), bool)
-        loss = unary_comparator(img, img.copy(), mask, LossWeights())
+        loss = unary(img, img.copy(), mask, LossWeights())
         assert loss == pytest.approx(UNARY_FLOOR, rel=1e-9)
 
     def test_mean_normalization_mask_independent(self):
@@ -220,8 +241,8 @@ class TestUnaryLoss:
         half = full.copy()
         half[:, 6:] = False
         w = LossWeights(lambda2=0.0, lambda3=0.0, lambda4=0.0)
-        assert unary_comparator(img, syn, full, w) == pytest.approx(
-            unary_comparator(img, syn, half, w), rel=1e-9
+        assert unary(img, syn, full, w) == pytest.approx(
+            unary(img, syn, half, w), rel=1e-9
         )
 
     def test_constant_offset_closed_form(self):
@@ -230,7 +251,7 @@ class TestUnaryLoss:
         syn = img + 0.1
         mask = np.ones((12, 14), bool)
         w = LossWeights()
-        loss = unary_comparator(img, syn, mask, w)
+        loss = unary(img, syn, mask, w)
         ssim_term = (1.0 - ssim_direct(img[..., 0], syn[..., 0])).mean() / 2.0
         expected = (
             w.lambda1 * charbonnier(0.1)
@@ -246,12 +267,12 @@ class TestUnaryLoss:
             a = rng.uniform(size=(8, 8, 1))
             b = rng.uniform(size=(8, 8, 1))
             w = LossWeights(lambda3=0.0)
-            assert unary_comparator(a, b, np.ones((8, 8), bool), w) >= UNARY_FLOOR - 1e-12
+            assert unary(a, b, np.ones((8, 8), bool), w) >= UNARY_FLOOR - 1e-12
 
     def test_empty_mask_raises(self):
         img = np.zeros((4, 4, 1))
         with pytest.raises(EmptyMask):
-            unary_comparator(img, img, np.zeros((4, 4), bool), LossWeights())
+            unary(img, img, np.zeros((4, 4), bool), LossWeights())
 
 
 class TestSmoothnessLoss:
