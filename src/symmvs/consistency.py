@@ -26,6 +26,13 @@ it is built. `solver.refine` builds one per run and hands it to every mask
 update and evaluation; an evaluation without one (`total_loss`) builds a
 fresh one, and a mask update without one (`compute_all_masks`,
 `occlusion_mask`) computes each pair's coefficients as it goes.
+
+Data that depends on the depths is computed once per evaluation. Each
+ordered pair's `geometry.pair_sampling` (coordinates, sampling flag,
+bilinear taps) serves the pair's first- and second-order synthesis and its
+depth warp. Each synthesized image's `photometry.reference_stats` serves
+every term that compares it: its unary or image-consistency term and, for
+a second-order image, the brightness terms on either side.
 """
 
 from __future__ import annotations
@@ -192,11 +199,11 @@ def occlusion_mask(depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
         raise ValueError("tau must be positive")
     first_vals, first_ok = geometry.warp_depth_values(
         depth_i.values, depth_i.valid, depth_j.values, depth_j.valid, cam_i, cam_j,
-        coeffs[0],
+        geometry.pair_sampling(cam_j, cam_i, depth_j.values, depth_j.valid, coeffs[0]),
     )
     second_vals, second_ok = geometry.warp_depth_values(
         value_of(first_vals), first_ok, depth_i.values, depth_i.valid, cam_j, cam_i,
-        coeffs[1],
+        geometry.pair_sampling(cam_i, cam_j, depth_i.values, depth_i.valid, coeffs[1]),
     )
     ok = (
         second_ok
@@ -237,12 +244,15 @@ def compute_all_masks(views, depths, weights: LossWeights,
 class _Evaluator:
     """Shared-subexpression evaluator for all loss terms of one state.
 
-    With ``with_grad`` the depth grids become autodiff leaves and every
-    term (except the locally constant census part) is differentiable with
-    respect to them. Camera- and image-only data comes from ``context``,
-    the run's `ViewContext`; without one, a fresh context serves this
-    evaluation alone. A context built for other alphas raises ValueError,
-    a depth map off its grid ShapeMismatch.
+    Every pair sampling, warp, synthesized image and image statistic is
+    computed on first use and cached for the rest of the evaluation. With
+    ``with_grad`` the depth grids become autodiff leaves and every term
+    (except the locally constant census part) is differentiable with
+    respect to them; a shared node then collects the gradient of all its
+    consumers before passing it on. Camera- and image-only data comes from
+    ``context``, the run's `ViewContext`; without one, a fresh context
+    serves this evaluation alone. A context built for other alphas raises
+    ValueError, a depth map off its grid ShapeMismatch.
     """
 
     def __init__(self, views, depths, masks, weights, with_grad=False, context=None):
@@ -260,13 +270,25 @@ class _Evaluator:
         self.leaves = [Var(d.values) if with_grad else d.values for d in depths]
         self._cache = {}
 
+    def _sampling(self, t, s):
+        """Where view t's pixels at its depth sample view s: the one
+        `geometry.pair_sampling` of the pair that both of its syntheses
+        and its depth warp read."""
+        key = ("sampling", t, s)
+        if key not in self._cache:
+            self._cache[key] = geometry.pair_sampling(
+                self.views[t], self.views[s], self.leaves[t], self.depths[t].valid,
+                self.ctx.pairs[t, s],
+            )
+        return self._cache[key]
+
     def _synth(self, t, s):
         """First-order synthesis of view s's image into view t's frame."""
         key = ("synth", t, s)
         if key not in self._cache:
             self._cache[key] = geometry.synth_values(
                 self.views[t], self.views[s], self.leaves[t], self.depths[t].valid,
-                coeffs=self.ctx.pairs[t, s],
+                sampling=self._sampling(t, s),
             )
         return self._cache[key]
 
@@ -279,7 +301,7 @@ class _Evaluator:
             self._cache[key] = geometry.synth_values(
                 self.views[i], self.views[j], self.leaves[i],
                 self.depths[i].valid, source_image=inner_img,
-                source_valid=inner_ok, coeffs=self.ctx.pairs[i, j],
+                source_valid=inner_ok, sampling=self._sampling(i, j),
             )
         return self._cache[key]
 
@@ -290,21 +312,28 @@ class _Evaluator:
             self._cache[key] = geometry.warp_depth_values(
                 self.leaves[j], self.depths[j].valid,
                 self.leaves[i], self.depths[i].valid,
-                self.views[j], self.views[i], self.ctx.pairs[i, j],
+                self.views[j], self.views[i], self._sampling(i, j),
             )
         return self._cache[key]
 
-    def _compare(self, ref, syn, mask):
-        """Unary comparator against view ``ref``'s own image."""
-        return photometry.unary_comparator(self.views[ref].image, syn, mask,
-                                           self.weights, self.ctx.refs[ref])
+    def _stats(self, order, t, s):
+        """`photometry.reference_stats` of the first- (``order`` 1) or
+        second-order (2) synthesized image of (t, s), computed once however
+        many terms compare it."""
+        key = ("stats", order, t, s)
+        if key not in self._cache:
+            img, _ = self._synth(t, s) if order == 1 else self._second(t, s)
+            self._cache[key] = photometry.reference_stats(img, self.ctx.norm)
+        return self._cache[key]
 
     def term_unary(self, i, j):
-        img, ok = self._synth(i, j)
+        _, ok = self._synth(i, j)
         m = self.masks[(i, j)].valid & ok
         if not m.any():
             raise EmptyMask(f"Lu_{i}_{j}")
-        return self._compare(i, img, m)
+        return photometry.unary_comparator(self.ctx.refs[i],
+                                           self._stats(1, i, j), m,
+                                           self.weights)
 
     def term_smoothness(self, i):
         key = ("smooth", i)
@@ -315,11 +344,13 @@ class _Evaluator:
         return self._cache[key]
 
     def term_image_consistency(self, i, j):
-        img, ok = self._second(j, i)
+        _, ok = self._second(j, i)
         m = self.masks[(j, i)].valid & ok
         if not m.any():
             raise EmptyMask(f"Lm_{i}_{j}")
-        return self._compare(j, img, m)
+        return photometry.unary_comparator(self.ctx.refs[j],
+                                           self._stats(2, j, i), m,
+                                           self.weights)
 
     def term_depth_consistency(self, i, j):
         vals, ok = self._dwarp(i, j)
@@ -331,15 +362,14 @@ class _Evaluator:
         return ad.sum_all(resid * m.astype(np.float64)) / count
 
     def term_brightness(self, i, j, k):
-        a, ok_a = self._second(i, j)
-        b, ok_b = self._second(i, k)
+        _, ok_a = self._second(i, j)
+        _, ok_b = self._second(i, k)
         m = self.masks[(i, j)].valid & self.masks[(i, k)].valid & ok_a & ok_b
         if not m.any():
             raise EmptyMask(f"Lb_{i}_{j}_{k}")
-        # the reference here is a synthesized image, new in every evaluation
-        return photometry.unary_comparator(
-            a, b, m, self.weights, photometry.reference_stats(a, self.ctx.norm)
-        )
+        return photometry.unary_comparator(self._stats(2, i, j),
+                                           self._stats(2, i, k), m,
+                                           self.weights)
 
     # -- assembly ---------------------------------------------------------
 

@@ -157,7 +157,13 @@ def read_pfm(path) -> DepthMap:
 
 
 def write_image(path, image: np.ndarray):
-    """8-bit binary PGM (grayscale) or PPM (RGB) from values in [0, 1]."""
+    """8-bit binary PGM (grayscale) or PPM (RGB) from values in [0, 1].
+
+    ``path`` must end in ``.pgm`` or ``.ppm``; any other suffix raises
+    UnsupportedVariant naming the path.
+    """
+    if Path(path).suffix not in (".pgm", ".ppm"):
+        raise UnsupportedVariant(f"{path}: images are written as .pgm or .ppm only")
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 3 and img.shape[2] == 1:
         img = img[:, :, 0]

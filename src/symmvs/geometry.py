@@ -17,11 +17,17 @@ hypothesis depths; the value-level warping helpers (`synth_values`,
 `warp_depth_values`) at per-pixel depths, plain arrays or autodiff ``Var``.
 Callers keep the coefficients: one set per source view in a sweep, one per
 ordered pair for a whole refinement run (`consistency.ViewContext`).
-Sample validity reads its corners and weights from `autodiff.bilinear_taps`,
-the same helper the bilinear sampler uses. Where a warp checks the validity
-of the sampled grid, both read one set of taps, computed at the mask before
-that check narrows it (`autodiff.bilinear` explains why the result is the
-same as with taps at the narrowed mask).
+
+A pair's `pair_sampling` at per-pixel target depths bundles what every warp
+of that pair reads: the chain's coordinates, the flag of samples in front,
+in bounds and at a valid target depth, and the `autodiff.bilinear_taps` at
+that flag. It reads no source data, so both syntheses of a pair and its
+depth warp share one: the warping helpers take it precomputed, and a loss
+evaluation computes it once per ordered pair (`consistency`). Where a warp
+checks the validity of the sampled grid, the check and the sampler read
+those taps, computed at the flag before the check narrows it
+(`autodiff.bilinear` explains why the result is the same as with taps at
+the narrowed mask).
 """
 
 from __future__ import annotations
@@ -359,45 +365,61 @@ def sampling_chain(target: CameraView, source: CameraView, target_depth_values,
     return qx / z_safe, qy / z_safe, z, front
 
 
+def pair_sampling(target: CameraView, source: CameraView, target_depth_values,
+                  target_depth_valid, coeffs=None):
+    """Where ``target``'s pixels at the given depths sample ``source``.
+
+    Returns (x, y, ok, taps): the `sampling_chain` coordinates; ``ok``,
+    true where the point is in front of the source camera, inside its grid
+    and at a valid target depth; and the `autodiff.bilinear_taps` of the
+    coordinates at ``ok``. Nothing here reads a source image or depth, so
+    one result serves every warp of the pair at these depths: first- and
+    second-order synthesis and the depth warp (the ``sampling`` argument
+    of `synth_values` and `warp_depth_values`). ``coeffs`` are the pair's
+    `pair_coefficients`, computed here when not given.
+    """
+    h, w = value_of(target_depth_values).shape
+    x, y, _, front = sampling_chain(target, source, target_depth_values, h, w,
+                                    coeffs)
+    xv, yv = value_of(x), value_of(y)
+    ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
+    return x, y, ok, ad.bilinear_taps(xv, yv, ok, h, w)
+
+
 def synth_values(target: CameraView, source: CameraView, target_depth_values,
                  target_depth_valid, source_image=None, source_valid=None,
-                 coeffs=None):
+                 sampling=None):
     """Inverse-warp ``source``'s image content onto ``target``'s grid.
 
     ``source_image`` defaults to the source view's own image; passing an
     already-synthesized image (possibly a Var) with its validity grid builds
-    second-order synthesis. ``coeffs`` are the (target, source)
-    `pair_coefficients` if the caller holds them. Returns (image, valid).
+    second-order synthesis. ``sampling`` is the pair's `pair_sampling` at
+    these depths if the caller holds it. Returns (image, valid).
     """
-    h, w = value_of(target_depth_values).shape
     if source_image is None:
         source_image = source.image
-    x, y, _, front = sampling_chain(target, source, target_depth_values, h, w,
-                                    coeffs)
-    xv, yv = value_of(x), value_of(y)
-    ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
-    taps = None
+    if sampling is None:
+        sampling = pair_sampling(target, source, target_depth_values,
+                                 target_depth_valid)
+    x, y, ok, taps = sampling
     if source_valid is not None:
-        taps = ad.bilinear_taps(xv, yv, ok, h, w)
         ok = ok & _sample_validity(source_valid, ok, taps)
-    img = ad.bilinear(source_image, x, y, ok, taps)
-    return img, ok
+    return ad.bilinear(source_image, x, y, ok, taps), ok
 
 
 def warp_depth_values(source_depth_values, source_depth_valid,
                       target_depth_values, target_depth_valid,
-                      source: CameraView, target: CameraView, coeffs=None):
+                      source: CameraView, target: CameraView, sampling=None):
     """Source depth re-expressed in the target camera (see `warp_depth`).
 
-    Either depth grid may be a Var. ``coeffs`` are the (target, source)
-    `pair_coefficients` if the caller holds them. Returns (values, valid).
+    Either depth grid may be a Var. ``sampling`` is the (target, source)
+    `pair_sampling` at the target depths if the caller holds it. Returns
+    (values, valid).
     """
-    h, w = value_of(target_depth_values).shape
-    x, y, _, front = sampling_chain(target, source, target_depth_values, h, w,
-                                    coeffs)
-    xv, yv = value_of(x), value_of(y)
-    ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
-    taps = ad.bilinear_taps(xv, yv, ok, h, w)
+    if sampling is None:
+        sampling = pair_sampling(target, source, target_depth_values,
+                                 target_depth_valid)
+    x, y, ok, taps = sampling
     ok = ok & _sample_validity(source_depth_valid, ok, taps)
     d_src = ad.bilinear(source_depth_values, x, y, ok, taps)
     r_st, t_st = relative_motion(source, target)

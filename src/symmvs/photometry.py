@@ -18,12 +18,14 @@ These are building blocks: the pairwise synthesis loss and every other term
 of the objective are assembled from them by the one evaluator in
 `consistency` and read from `consistency.total_loss`.
 
-What depends only on a reference image (its gradients, census bits and SSIM
-window statistics: `reference_stats`; the SSIM window normalizer:
-`box_norm`; the smoothness edge weights: `edge_weights`) is split out and
-passed in: `ssim_map`, `unary_comparator` and `smoothness_term` take it as
-an argument, so a caller that compares against the same image many times
-computes it once (`consistency.ViewContext` does, per run).
+What depends on one image alone is split out and passed in: its gradients,
+census bits and SSIM window statistics (`reference_stats`, with the SSIM
+window normalizer `box_norm`) and the smoothness edge weights
+(`edge_weights`). `ssim_map` and `unary_comparator` take the
+`reference_stats` of both images they compare, and `smoothness_term` the
+edge weights, so an image compared many times is processed once: a view
+image once per run (`consistency.ViewContext`), a synthesized image once
+per loss evaluation, whichever side of each comparison it is on.
 
 Census bits are stored as one boolean plane per neighbor, so the transform
 writes each comparison straight into its plane and the distance counts the
@@ -191,40 +193,40 @@ def box_norm(height: int, width: int) -> np.ndarray:
     return ad.box_sum3(np.ones((height, width)))
 
 
-def _window_stats(x, norm):
-    """Windowed mean and variance of one channel."""
-    mu = ad.box_sum3(x) / norm
-    return mu, ad.box_sum3(x * x) / norm - mu * mu
-
-
 def _ssim_reference(a, norm):
-    """Per-channel (channel, mean, variance) of an SSIM reference."""
-    channels = [a[:, :, c] for c in range(value_of(a).shape[2])]
-    return [(ac, *_window_stats(ac, norm)) for ac in channels]
+    """Per-channel (channel, windowed mean, windowed variance) of an SSIM
+    input."""
+    out = []
+    for c in range(value_of(a).shape[2]):
+        ac = a[:, :, c]
+        mu = ad.box_sum3(ac) / norm
+        out.append((ac, mu, ad.box_sum3(ac * ac) / norm - mu * mu))
+    return out
 
 
-def ssim_map(a, b, ref):
+def ssim_map(ref, syn):
     """Structural similarity with a 3x3 uniform window, channel-averaged.
 
-    Local statistics are normalized by the in-image window size, so the map
-    is defined up to the border and equals 1 wherever the inputs agree.
-    Accepts Vars for either input. ``ref`` holds ``a``'s `reference_stats`.
+    ``ref`` and ``syn`` are the two images' `reference_stats`, either of
+    them Var-aware. Local statistics are normalized by the in-image window
+    size, so the map is defined up to the border and equals 1 wherever the
+    inputs agree.
     """
-    if value_of(a).shape != value_of(b).shape:
+    if value_of(ref.image).shape != value_of(syn.image).shape:
         raise ShapeMismatch("ssim inputs must share shape")
-    norm, stats_a = ref.norm, ref.ssim
+    norm = ref.norm
 
-    def one_channel(ac, mu_a, var_a, bc):
-        mu_b, var_b = _window_stats(bc, norm)
+    def one_channel(a, b):
+        (ac, mu_a, var_a), (bc, mu_b, var_b) = a, b
         cov = ad.box_sum3(ac * bc) / norm - mu_a * mu_b
         num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
         den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
         return num / den
 
-    acc = one_channel(*stats_a[0], b[:, :, 0])
-    for c in range(1, len(stats_a)):
-        acc = acc + one_channel(*stats_a[c], b[:, :, c])
-    return acc / len(stats_a)
+    acc = one_channel(ref.ssim[0], syn.ssim[0])
+    for c in range(1, len(ref.ssim)):
+        acc = acc + one_channel(ref.ssim[c], syn.ssim[c])
+    return acc / len(ref.ssim)
 
 
 # -- the unary comparator --------------------------------------------------------
@@ -232,12 +234,13 @@ def ssim_map(a, b, ref):
 
 @dataclass
 class ReferenceStats:
-    """The parts of the unary comparator that depend only on its reference
-    image: forward-difference gradients, census bits, and per-channel SSIM
-    (channel, mean, variance), and the grid's `box_norm`. A run keeps one
-    per view image; any other reference gets fresh ones from
-    `reference_stats`."""
+    """The image-only parts of the unary comparator, for either of its
+    images: the image itself, its forward-difference gradients, census bits
+    and per-channel SSIM (channel, mean, variance), and the grid's
+    `box_norm`. A run keeps one per view image; a loss evaluation makes one
+    per synthesized image it compares, whichever side that image is on."""
 
+    image: object
     grad_x: object
     grad_y: object
     census: CensusDescriptor
@@ -245,29 +248,29 @@ class ReferenceStats:
     norm: np.ndarray
 
 
-def reference_stats(image_ref, norm) -> ReferenceStats:
-    """Image-only comparator statistics of ``image_ref`` (Var-aware).
+def reference_stats(image, norm) -> ReferenceStats:
+    """Image-only comparator statistics of ``image`` (Var-aware).
 
     ``norm`` is the `box_norm` of the image's grid.
     """
     return ReferenceStats(
-        _grad_x(image_ref), _grad_y(image_ref),
-        census_transform(grayscale(value_of(image_ref))),
-        _ssim_reference(image_ref, norm), norm,
+        image, _grad_x(image), _grad_y(image),
+        census_transform(grayscale(value_of(image))),
+        _ssim_reference(image, norm), norm,
     )
 
 
-def unary_comparator(image_ref, image_syn, mask, weights: LossWeights, ref):
+def unary_comparator(ref, syn, mask, weights: LossWeights):
     """Masked mean of the four-term photometric residual (scalar; Var-aware).
 
-    The mask must already include the synthesized image's validity; with no
-    valid pixel it raises EmptyMask, and the caller skips the term. The
-    census term is computed on plain values and enters as a constant, so it
-    shapes evaluations but contributes zero gradient. ``ref`` holds
-    ``image_ref``'s `reference_stats`.
+    ``ref`` and ``syn`` are the `reference_stats` of the reference and the
+    synthesized image. The mask must already include the synthesized
+    image's validity; with no valid pixel it raises EmptyMask, and the
+    caller skips the term. The census term is computed on plain values and
+    enters as a constant, so it shapes evaluations but contributes zero
+    gradient.
     """
-    ref_v, syn_v = value_of(image_ref), value_of(image_syn)
-    if ref_v.shape != syn_v.shape:
+    if value_of(ref.image).shape != value_of(syn.image).shape:
         raise ShapeMismatch("comparator images must share shape")
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
@@ -278,13 +281,13 @@ def unary_comparator(image_ref, image_syn, mask, weights: LossWeights, ref):
     def masked_mean(term):
         return ad.sum_all(term * m) / count
 
-    t_l1 = _channel_mean(charbonnier(image_ref - image_syn))
+    t_l1 = _channel_mean(charbonnier(ref.image - syn.image))
     t_grad = (
-        _channel_mean(charbonnier(ref.grad_x - _grad_x(image_syn)))
-        + _channel_mean(charbonnier(ref.grad_y - _grad_y(image_syn)))
+        _channel_mean(charbonnier(ref.grad_x - syn.grad_x))
+        + _channel_mean(charbonnier(ref.grad_y - syn.grad_y))
     ) / 2.0
-    t_ssim = (1.0 - ssim_map(image_ref, image_syn, ref)) * 0.5
-    dist = census_distance(ref.census, census_transform(grayscale(syn_v)))
+    t_ssim = (1.0 - ssim_map(ref, syn)) * 0.5
+    dist = census_distance(ref.census, syn.census)
     t_census = float((charbonnier(dist) * m).sum() / count)
 
     return (

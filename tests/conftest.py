@@ -89,6 +89,35 @@ def occluder_scene():
     }
 
 
+@pytest.fixture(scope="session")
+def occluder4_scene():
+    """Four cameras in a row at 64x48 over a near patch and a background
+    plane: every view pair sees occlusion, and there are 12 view triples."""
+    patch = PlanePrimitive(
+        normal=[0, 0, 1], offset=1.7, texture_id=1, texture_scale=1.6,
+        bounds=(0.6, 50.0, -50.0, 50.0),
+    )
+    background = PlanePrimitive(normal=[0, 0, 1], offset=3.6, texture_id=0,
+                                texture_scale=1.2)
+    spec = SceneSpec(
+        primitives=[patch, background],
+        cameras=[make_camera(x) for x in np.linspace(-1.1, 1.1, 4)],
+        width=64,
+        height=48,
+        channels=1,
+        seed=7,
+    )
+    views, gt_depths, visibility = render_scene(spec)
+    return {
+        "spec": spec,
+        "views": views,
+        "gt": gt_depths,
+        "visibility": visibility,
+        "hyp": DepthHypotheses(1.2, 4.95, 64),
+        "weights": LossWeights(tau_occ=1.0),
+    }
+
+
 def same_bytes(a, b):
     """Equal shape, dtype and bytes: unlike ``np.array_equal``, this tells
     -0.0 from +0.0."""

@@ -11,16 +11,25 @@ from symmvs import (
     DepthMap,
     LossWeights,
     compute_all_masks,
+    geometry,
     occlusion_mask,
+    photometry,
     synthesize_view,
     total_loss,
 )
-from symmvs.consistency import OcclusionMask, SceneState, ViewContext, _evaluate
+from symmvs.autodiff import value_of
+from symmvs.consistency import (
+    OcclusionMask,
+    SceneState,
+    ViewContext,
+    _evaluate,
+    _Evaluator,
+)
 from symmvs.errors import ShapeMismatch, TooFewViews
 from symmvs.photometry import box_norm, edge_weights, reference_stats, unary_comparator
 from symmvs.solver import loss_gradient
 
-from conftest import scene_state
+from conftest import noisy_depths, same_bytes, scene_state
 
 PHI_0 = math.sqrt(1e-6)
 UNARY_FLOOR = (0.5 + 0.8 + 0.2) * PHI_0
@@ -293,10 +302,10 @@ class TestViewContext:
             for (i, j), m in masks.items():
                 img, ok = synthesize_view(depths[i], views[j], views[i])
                 if (m.valid & ok).any():
-                    ref = reference_stats(views[i].image,
-                                          box_norm(*views[i].image.shape[:2]))
+                    norm = box_norm(*views[i].image.shape[:2])
                     assert kept_bd.unary[(i, j)] == float(unary_comparator(
-                        views[i].image, img, m.valid & ok, weights, ref))
+                        reference_stats(views[i].image, norm),
+                        reference_stats(img, norm), m.valid & ok, weights))
             for a, b in zip(loss_gradient(state), loss_gradient(state, ctx)):
                 assert np.array_equal(a, b)
 
@@ -351,3 +360,104 @@ class TestViewContext:
         for i, v in enumerate(views):
             alone = edge_weights(v.image, other.alpha1, other.alpha2)
             assert all(np.array_equal(a, b) for a, b in zip(kept[i], alone))
+
+
+class TestSharedWork:
+    """One evaluation samples each ordered pair once and processes each
+    synthesized image once, and what it shares is what the standalone
+    warping helpers compute."""
+
+    @staticmethod
+    def state(sc):
+        views, weights = sc["views"], sc["weights"]
+        depths = noisy_depths(sc["gt"], 0.05, sc["hyp"])
+        masks = compute_all_masks(views, depths, weights)
+        return views, depths, masks, weights, ViewContext(views, weights)
+
+    @staticmethod
+    def standalone(views, depths):
+        """Every ordered pair, and its first- and second-order syntheses
+        from `geometry.synth_values` without a precomputed sampling."""
+        n = len(views)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        first = {(t, s): geometry.synth_values(views[t], views[s], depths[t].values,
+                                               depths[t].valid)
+                 for t, s in pairs}
+        second = {(t, s): geometry.synth_values(views[t], views[s], depths[t].values,
+                                                depths[t].valid, *first[(s, t)])
+                  for t, s in pairs}
+        return pairs, first, second
+
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_sampling_chains_and_census_per_evaluation(self, scene, with_grad,
+                                                       request, monkeypatch):
+        views, depths, masks, weights, ctx = self.state(
+            request.getfixturevalue(scene))
+        calls = {"chain": 0, "census": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(geometry, "sampling_chain",
+                            counted("chain", geometry.sampling_chain))
+        monkeypatch.setattr(photometry, "census_transform",
+                            counted("census", photometry.census_transform))
+        bd, _, _ = _evaluate(views, depths, masks, weights, with_grad, ctx)
+        n = len(views)
+        assert not bd.skipped
+        assert len(bd.brightness) == n * (n - 1) * (n - 2) // 2
+        assert calls == {"chain": n * (n - 1), "census": 2 * n * (n - 1)}
+
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_shared_warps_match_the_standalone_helpers(self, scene, with_grad,
+                                                       request):
+        views, depths, masks, weights, ctx = self.state(
+            request.getfixturevalue(scene))
+        ev = _Evaluator(views, depths, masks, weights, with_grad, ctx)
+        pairs, first, second = self.standalone(views, depths)
+        for i, j in pairs:
+            alone = {
+                "synth": first[(i, j)],
+                "second": second[(i, j)],
+                "dwarp": geometry.warp_depth_values(
+                    depths[j].values, depths[j].valid, depths[i].values,
+                    depths[i].valid, views[j], views[i]),
+            }
+            shared = {"synth": ev._synth(i, j), "second": ev._second(i, j),
+                      "dwarp": ev._dwarp(i, j)}
+            for kind, (vals, ok) in alone.items():
+                got_vals, got_ok = shared[kind]
+                assert np.array_equal(got_ok, ok), (kind, i, j)
+                assert ok.any(), (kind, i, j)
+                assert same_bytes(value_of(got_vals), vals), (kind, i, j)
+
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
+    def test_comparator_terms_match_standalone_syntheses(self, scene, request):
+        views, depths, masks, weights, ctx = self.state(
+            request.getfixturevalue(scene))
+        bd, _, _ = _evaluate(views, depths, masks, weights, False, ctx)
+        pairs, first, second = self.standalone(views, depths)
+        norm = box_norm(*ctx.grid)
+
+        def compare(a, b, mask):
+            return float(unary_comparator(reference_stats(a, norm),
+                                          reference_stats(b, norm), mask, weights))
+
+        for i, j in pairs:
+            img, ok = first[(i, j)]
+            assert bd.unary[(i, j)] == compare(views[i].image, img,
+                                               masks[(i, j)].valid & ok)
+            img, ok = second[(j, i)]
+            assert bd.image_consistency[(i, j)] == compare(views[j].image, img,
+                                                           masks[(j, i)].valid & ok)
+        n = len(views)
+        assert len(bd.brightness) == n * (n - 1) * (n - 2) // 2
+        for (i, j, k), value in bd.brightness.items():
+            (a, ok_a), (b, ok_b) = second[(i, j)], second[(i, k)]
+            m = masks[(i, j)].valid & masks[(i, k)].valid & ok_a & ok_b
+            assert value == compare(a, b, m)

@@ -143,6 +143,13 @@ class TestImages:
         back = read_image(path)
         np.testing.assert_array_equal(back[..., 0] > 0.5, mask)
 
+    @pytest.mark.parametrize("name", ["img.png", "img.PGM", "img"])
+    def test_write_rejects_other_suffixes(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(UnsupportedVariant, match="^" + re.escape(f"{path}: ")):
+            write_image(path, np.zeros((5, 7, 1)))
+        assert not path.exists()
+
     def test_rejects_unknown_magic(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P3\n2 2\n255\n0 0 0 0\n")

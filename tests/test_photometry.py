@@ -50,11 +50,11 @@ def stats(image):
 
 def ssim(a, b):
     """`ssim_map` of two (H, W, C) images, ``a`` as the reference."""
-    return ssim_map(a, b, stats(a))
+    return ssim_map(stats(a), stats(b))
 
 
 def unary(image_ref, image_syn, mask, w):
-    return unary_comparator(image_ref, image_syn, mask, w, stats(image_ref))
+    return unary_comparator(stats(image_ref), stats(image_syn), mask, w)
 
 
 def pair_synthesis(view_i, view_j, depth_i, depth_j, w):

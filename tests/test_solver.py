@@ -16,15 +16,19 @@ from symmvs import (
     DepthHypotheses,
     DepthMap,
     LossWeights,
+    PlanePrimitive,
     PointCloud,
+    SceneSpec,
     cloud_metrics,
     compute_all_masks,
+    consistency,
     filter_consistent,
     init_depths,
     loss_gradient,
     occlusion_mask,
     refine,
     regress_depth,
+    render_scene,
     run_pipeline,
     total_loss,
 )
@@ -359,6 +363,33 @@ class TestRunPipeline:
             np.testing.assert_array_equal(da.values, db.values)
             np.testing.assert_array_equal(da.valid, db.valid)
         assert a.history == b.history
+
+
+def test_quick_start_refine_trajectory(monkeypatch):
+    """The README quick-start scene refines with 93 value and 21 gradient
+    evaluations over 20 accepted steps in 6 outer iterations. A gradient
+    that changes by more than rounding flips a line-search decision, and
+    these counts with it."""
+    K = np.array([[55.0, 0, 31.5], [0, 55.0, 23.5], [0, 0, 1.0]])
+    cams = [CameraView(K, np.eye(3), np.array([-cx, 0.0, 0.0]), None)
+            for cx in (-0.55, 0.0, 0.55)]
+    scene = SceneSpec([PlanePrimitive([0, 0, 1], 3.0, texture_scale=1.3)],
+                      cams, width=64, height=48, seed=7)
+    views, _, _ = render_scene(scene)
+    config = SolverConfig(hypotheses=DepthHypotheses(1.8, 4.95, 64),
+                          temperature=3e-6, weights=LossWeights(tau_occ=1.0))
+    evaluations = {False: 0, True: 0}
+    evaluate = consistency._evaluate
+
+    def counted(views, depths, masks, weights, with_grad=False, context=None):
+        evaluations[with_grad] += 1
+        return evaluate(views, depths, masks, weights, with_grad, context)
+
+    monkeypatch.setattr(consistency, "_evaluate", counted)
+    state = run_pipeline(views, config)
+    assert state.converged and not state.diverged
+    assert (evaluations[False], evaluations[True]) == (93, 21)
+    assert (state.iteration, len(state.outer_log)) == (20, 6)
 
 
 def _refine_digest(views, depths, config):
