@@ -19,20 +19,21 @@ One evaluator computes every term; `total_loss` returns them itemized in a
 ``total_loss(state).depth_consistency[(i, j)]``).
 
 Data that depends only on the cameras and images lives in a `ViewContext`:
-each ordered pair's sampling coefficients, each view's comparator
+each ordered pair's `geometry.ViewPair` record, each view's comparator
 reference statistics (census bits, gradients, SSIM mean and variance) and
 smoothness edge weights, and the SSIM window normalizer, all computed when
-it is built. `solver.refine` builds one per run and hands it to every mask
-update and evaluation; an evaluation without one (`total_loss`) builds a
-fresh one, and a mask update without one (`compute_all_masks`,
-`occlusion_mask`) computes each pair's coefficients as it goes.
+it is built. `solver.refine` builds one per run that evaluates a loss and
+hands it to every mask update and evaluation; an evaluation without one
+(`total_loss`) builds a fresh one, and a mask update without one
+(`compute_all_masks`, `occlusion_mask`) builds the pair records it reads.
 
-Data that depends on the depths is computed once per evaluation. Each
-ordered pair's `geometry.pair_sampling` (coordinates, sampling flag,
-bilinear taps) serves the pair's first- and second-order synthesis and its
-depth warp. Each synthesized image's `photometry.reference_stats` serves
-every term that compares it: its unary or image-consistency term and, for
-a second-order image, the brightness terms on either side.
+Data that depends on the depths is computed once per mask update or
+evaluation. Each ordered pair's `geometry.pair_sampling` serves every warp
+of the pair: the first warp of one mask and the second of its reverse, or
+the pair's first- and second-order synthesis and its depth warp. Each
+synthesized image's `photometry.reference_stats` serves every term that
+compares it: its unary or image-consistency term and, for a second-order
+image, the brightness terms on either side.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ class ViewContext:
     alone, all computed when it is built.
 
     ``norm`` is the SSIM window normalizer of the views' shared ``grid``;
-    ``pairs[t, s]`` the `geometry.pair_coefficients` of every ordered pair
-    (target t, source s); ``refs[i]`` view i's
+    ``pairs[t, s]`` the `geometry.ViewPair` of every ordered pair (target
+    t, source s); ``refs[i]`` view i's
     `photometry.reference_stats` and ``edges[i]`` its
     `photometry.edge_weights` for ``alphas``, the weights' (alpha1,
     alpha2). Building one checks the views: at least two (TooFewViews),
@@ -183,34 +184,42 @@ class ViewContext:
 # -- occlusion reasoning -------------------------------------------------------
 
 
+def _round_trips(pairs, depths, keys, tau) -> dict:
+    """Validity of mask (i, j) for each (i, j) in ``keys``, from ``pairs``,
+    the `geometry.ViewPair` records of every (i, j) and (j, i) they need;
+    each record is sampled once, at its target's depth."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    samplings = {(t, s): geometry.pair_sampling(p, depths[t].values, depths[t].valid)
+                 for (t, s), p in pairs.items()}
+    valid = {}
+    for i, j in keys:
+        first_vals, first_ok = geometry.warp_depth_values(
+            pairs[j, i], samplings[j, i], depths[i].values, depths[i].valid)
+        second_vals, second_ok = geometry.warp_depth_values(
+            pairs[i, j], samplings[i, j], value_of(first_vals), first_ok)
+        valid[i, j] = (
+            second_ok
+            & depths[i].valid
+            & (np.abs(depths[i].values - value_of(second_vals)) <= tau)
+        )
+    return valid
+
+
 def occlusion_mask(depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
                    cam_i: geometry.CameraView, cam_j: geometry.CameraView,
-                   tau: float, pair: tuple | None = None,
-                   coeffs=(None, None)) -> OcclusionMask:
+                   tau: float, pair: tuple | None = None) -> OcclusionMask:
     """Cross-view depth-consistency mask for the ordered pair (i, j).
 
     View i's depth is warped into view j and back; a pixel stays valid iff
     the round-tripped depth agrees within ``tau`` and every intermediate
-    warp was in-bounds with positive depth. ``coeffs`` are the
-    `geometry.pair_coefficients` of (j, i) and (i, j), the two warps'
-    (target, source) pairs, where the caller keeps them.
+    warp was in-bounds with positive depth.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    first_vals, first_ok = geometry.warp_depth_values(
-        depth_i.values, depth_i.valid, depth_j.values, depth_j.valid, cam_i, cam_j,
-        geometry.pair_sampling(cam_j, cam_i, depth_j.values, depth_j.valid, coeffs[0]),
-    )
-    second_vals, second_ok = geometry.warp_depth_values(
-        value_of(first_vals), first_ok, depth_i.values, depth_i.valid, cam_j, cam_i,
-        geometry.pair_sampling(cam_i, cam_j, depth_i.values, depth_i.valid, coeffs[1]),
-    )
-    ok = (
-        second_ok
-        & depth_i.valid
-        & (np.abs(depth_i.values - value_of(second_vals)) <= tau)
-    )
-    return OcclusionMask(pair, ok)
+    depths, cams = [depth_i, depth_j], [cam_i, cam_j]
+    pairs = {(t, 1 - t): geometry.pair_coefficients(cams[t], cams[1 - t],
+                                                    *depths[t].values.shape)
+             for t in (0, 1)}
+    return OcclusionMask(pair, _round_trips(pairs, depths, [(0, 1)], tau)[0, 1])
 
 
 def compute_all_masks(views, depths, weights: LossWeights,
@@ -218,24 +227,26 @@ def compute_all_masks(views, depths, weights: LossWeights,
     """Occlusion masks for every ordered view pair at the current depths.
 
     ``context`` is the run's `ViewContext` over ``views``, if it has one;
-    a depth map off its grid then raises ShapeMismatch.
+    a depth map off its grid then raises ShapeMismatch. Each ordered pair
+    is sampled once: (i, j) serves the second warp of mask (i, j) and the
+    first of mask (j, i), which are computed together, one unordered pair
+    at a time, so only that pair's two samplings are held at once.
     """
-    if context is not None:
-        context.check_depths(depths)
-    masks = {}
     n = len(views)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            coeffs = (None, None)
-            if context is not None:
-                coeffs = (context.pairs[j, i], context.pairs[i, j])
-            masks[(i, j)] = occlusion_mask(
-                depths[i], depths[j], views[i], views[j], weights.tau_occ, (i, j),
-                coeffs,
-            )
-    return masks
+    keys = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if context is None:
+        pairs = {(t, s): geometry.pair_coefficients(views[t], views[s],
+                                                    *depths[t].values.shape)
+                 for t, s in keys}
+    else:
+        context.check_depths(depths)
+        pairs = context.pairs
+    valid = {}
+    for i, j in keys:
+        if i < j:
+            both = {(i, j): pairs[i, j], (j, i): pairs[j, i]}
+            valid.update(_round_trips(both, depths, both, weights.tau_occ))
+    return {key: OcclusionMask(key, valid[key]) for key in keys}
 
 
 # -- term evaluation -----------------------------------------------------------
@@ -277,19 +288,15 @@ class _Evaluator:
         key = ("sampling", t, s)
         if key not in self._cache:
             self._cache[key] = geometry.pair_sampling(
-                self.views[t], self.views[s], self.leaves[t], self.depths[t].valid,
-                self.ctx.pairs[t, s],
-            )
+                self.ctx.pairs[t, s], self.leaves[t], self.depths[t].valid)
         return self._cache[key]
 
     def _synth(self, t, s):
         """First-order synthesis of view s's image into view t's frame."""
         key = ("synth", t, s)
         if key not in self._cache:
-            self._cache[key] = geometry.synth_values(
-                self.views[t], self.views[s], self.leaves[t], self.depths[t].valid,
-                sampling=self._sampling(t, s),
-            )
+            self._cache[key] = geometry.synth_values(self._sampling(t, s),
+                                                     self.views[s].image)
         return self._cache[key]
 
     def _second(self, i, j):
@@ -297,12 +304,8 @@ class _Evaluator:
         pulled back onto view i's grid with view i's depth."""
         key = ("second", i, j)
         if key not in self._cache:
-            inner_img, inner_ok = self._synth(j, i)
-            self._cache[key] = geometry.synth_values(
-                self.views[i], self.views[j], self.leaves[i],
-                self.depths[i].valid, source_image=inner_img,
-                source_valid=inner_ok, sampling=self._sampling(i, j),
-            )
+            self._cache[key] = geometry.synth_values(self._sampling(i, j),
+                                                     *self._synth(j, i))
         return self._cache[key]
 
     def _dwarp(self, i, j):
@@ -310,10 +313,8 @@ class _Evaluator:
         key = ("dwarp", i, j)
         if key not in self._cache:
             self._cache[key] = geometry.warp_depth_values(
-                self.leaves[j], self.depths[j].valid,
-                self.leaves[i], self.depths[i].valid,
-                self.views[j], self.views[i], self._sampling(i, j),
-            )
+                self.ctx.pairs[i, j], self._sampling(i, j),
+                self.leaves[j], self.depths[j].valid)
         return self._cache[key]
 
     def _stats(self, order, t, s):

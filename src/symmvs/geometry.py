@@ -10,24 +10,21 @@ Conventions
   clamped, so masked reductions stay unbiased.
 - Points that land behind a camera after a rigid transform are invalid.
 
-One camera model serves every stage: `sampling_chain` sends a target pixel
-at depth d to the homogeneous source pixel ``a * d + b``, with (a, b) the
-pair's `pair_coefficients`. The plane sweep evaluates it at constant
-hypothesis depths; the value-level warping helpers (`synth_values`,
-`warp_depth_values`) at per-pixel depths, plain arrays or autodiff ``Var``.
-Callers keep the coefficients: one set per source view in a sweep, one per
-ordered pair for a whole refinement run (`consistency.ViewContext`).
-
-A pair's `pair_sampling` at per-pixel target depths bundles what every warp
-of that pair reads: the chain's coordinates, the flag of samples in front,
-in bounds and at a valid target depth, and the `autodiff.bilinear_taps` at
-that flag. It reads no source data, so both syntheses of a pair and its
-depth warp share one: the warping helpers take it precomputed, and a loss
-evaluation computes it once per ordered pair (`consistency`). Where a warp
-checks the validity of the sampled grid, the check and the sampler read
-those taps, computed at the flag before the check narrows it
-(`autodiff.bilinear` explains why the result is the same as with taps at
-the narrowed mask).
+One camera model serves every stage. `pair_coefficients` builds the
+`ViewPair` record of an ordered (target, source) pair from the two cameras
+and the grid alone, so callers build it once: per source view in a sweep,
+per ordered pair for a refinement run (`consistency.ViewContext`). The
+per-depth functions read that record and no camera. `sampling_chain` sends
+a target pixel at depth d to the homogeneous source pixel ``a * d + b``;
+`pair_sampling`, at per-pixel depths or one constant sweep depth, bundles
+what every warp of the pair reads: the chain's coordinates, the flag of
+samples in front, in bounds and at a valid target depth, and the
+`autodiff.bilinear_taps` at that flag. It reads no source data, so the
+sweep's feature gathers, both syntheses of a pair and its depth warp share
+one (`synth_values`, `warp_depth_values`). Where a warp checks the
+validity of the sampled grid, the check and the sampler read those taps,
+computed at the flag before the check narrows it (`autodiff.bilinear`
+explains why the result is the same as with taps at the narrowed mask).
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ __all__ = [
     "DepthMap",
     "DepthHypotheses",
     "WarpField",
+    "ViewPair",
     "intrinsics_inverse",
     "same_camera",
     "relative_motion",
@@ -319,41 +317,59 @@ def bilinear_sample(image: np.ndarray, fld: WarpField):
 # -- generic warping chain ---------------------------------------------------
 
 
-def pair_coefficients(target: CameraView, source: CameraView, height: int, width: int):
-    """Per-pixel coefficients of the target -> source sampling chain.
+@dataclass(frozen=True, eq=False)
+class ViewPair:
+    """Camera-only data of an ordered (target, source) pair on a grid.
 
-    Returns (a, b): ``a`` is (3, H, W) with ``a[:, y, x] = K_s R_rel ray(x, y)``
-    and ``b = K_s t_rel``, so a target pixel at depth d lands at the source's
-    homogeneous pixel ``a * d + b``. They depend only on the two cameras and
-    the grid, so a run computes them once per ordered pair.
+    ``same`` flags identical cameras, whose chain is the exact pixel grid.
+    ``a`` (3, H, W) and ``b`` are the chain's ``K_s R_ts ray(x, y)`` and
+    ``K_s t_ts``, for the motion from target to source. The source-frame
+    point ``K_s^-1 (x, y, 1) d`` has the target-frame z ``(z_row @ (x, y, 1))
+    * d + z_off``: ``z_row = R_st[2] @ K_s^-1`` and ``z_off = t_st[2]``.
     """
-    r_rel, t_rel = relative_motion(target, source)
+
+    grid: tuple
+    same: bool
+    a: np.ndarray
+    b: np.ndarray
+    z_row: np.ndarray
+    z_off: float
+
+
+def pair_coefficients(target: CameraView, source: CameraView, height: int,
+                      width: int) -> ViewPair:
+    """The `ViewPair` record of (target, source) on a (height, width) grid."""
+    r_ts, t_ts = relative_motion(target, source)
     rays = view_rays(target, height, width)
-    a = rays @ (source.intrinsics @ r_rel).T
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0)), source.intrinsics @ t_rel
+    a = rays @ (source.intrinsics @ r_ts).T
+    r_st, t_st = relative_motion(source, target)
+    return ViewPair(
+        grid=(height, width),
+        same=same_camera(target, source),
+        a=np.ascontiguousarray(np.moveaxis(a, -1, 0)),
+        b=source.intrinsics @ t_ts,
+        z_row=r_st[2] @ intrinsics_inverse(source.intrinsics),
+        z_off=t_st[2],
+    )
 
 
-def sampling_chain(target: CameraView, source: CameraView, target_depth_values,
-                   height, width, coeffs=None):
-    """Source-image coordinates of the scene seen by ``target`` at the given
-    depth values.
+def sampling_chain(pair: ViewPair, target_depth_values):
+    """Source-image coordinates of the scene the pair's target sees at the
+    given depth values, per pixel or one constant.
 
     Returns (x, y, z_src, front): continuous source-pixel coordinates, the
     depth of the transformed point in the source camera, and a boolean mask
     where that depth is positive. ``x`` and ``y`` mean nothing outside
-    ``front``; every caller masks them with ``front & _in_bounds(...)``.
+    ``front``; `pair_sampling` masks them with ``front & _in_bounds(...)``.
     ``target_depth_values`` may be a Var; the outputs then track gradients.
-    Identical cameras short-circuit to the exact pixel grid. ``coeffs`` are
-    the pair's `pair_coefficients`, computed here when not given.
+    Identical cameras short-circuit to the exact pixel grid.
     """
-    if same_camera(target, source):
-        gx, gy = _pixel_grid(height, width)
+    if pair.same:
+        gx, gy = _pixel_grid(*pair.grid)
         front = value_of(target_depth_values) > 0.0
         return gx, gy, target_depth_values, front
 
-    if coeffs is None:
-        coeffs = pair_coefficients(target, source, height, width)
-    a, b = coeffs
+    a, b = pair.a, pair.b
     d = target_depth_values
     qx = a[0] * d + b[0]
     qy = a[1] * d + b[1]
@@ -365,68 +381,51 @@ def sampling_chain(target: CameraView, source: CameraView, target_depth_values,
     return qx / z_safe, qy / z_safe, z, front
 
 
-def pair_sampling(target: CameraView, source: CameraView, target_depth_values,
-                  target_depth_valid, coeffs=None):
-    """Where ``target``'s pixels at the given depths sample ``source``.
+def pair_sampling(pair: ViewPair, target_depth_values, target_depth_valid):
+    """Where the pair's target pixels at the given depths sample its source.
 
     Returns (x, y, ok, taps): the `sampling_chain` coordinates; ``ok``,
     true where the point is in front of the source camera, inside its grid
     and at a valid target depth; and the `autodiff.bilinear_taps` of the
-    coordinates at ``ok``. Nothing here reads a source image or depth, so
-    one result serves every warp of the pair at these depths: first- and
-    second-order synthesis and the depth warp (the ``sampling`` argument
-    of `synth_values` and `warp_depth_values`). ``coeffs`` are the pair's
-    `pair_coefficients`, computed here when not given.
+    coordinates at ``ok``. The depths may be one constant (a sweep
+    hypothesis, with ``target_depth_valid`` True). Nothing here reads a
+    source image or depth, so one result serves every warp of the pair at
+    these depths: the ``sampling`` of `synth_values` and
+    `warp_depth_values`.
     """
-    h, w = value_of(target_depth_values).shape
-    x, y, _, front = sampling_chain(target, source, target_depth_values, h, w,
-                                    coeffs)
+    h, w = pair.grid
+    x, y, _, front = sampling_chain(pair, target_depth_values)
     xv, yv = value_of(x), value_of(y)
     ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
     return x, y, ok, ad.bilinear_taps(xv, yv, ok, h, w)
 
 
-def synth_values(target: CameraView, source: CameraView, target_depth_values,
-                 target_depth_valid, source_image=None, source_valid=None,
-                 sampling=None):
-    """Inverse-warp ``source``'s image content onto ``target``'s grid.
+def synth_values(sampling, source_image, source_valid=None):
+    """Inverse-warp ``source_image`` onto the target's grid at a pair's
+    `pair_sampling`.
 
-    ``source_image`` defaults to the source view's own image; passing an
-    already-synthesized image (possibly a Var) with its validity grid builds
-    second-order synthesis. ``sampling`` is the pair's `pair_sampling` at
-    these depths if the caller holds it. Returns (image, valid).
+    ``source_image`` is the source view's image, or an already-synthesized
+    image (possibly a Var) with its validity grid ``source_valid`` for
+    second-order synthesis. Returns (image, valid).
     """
-    if source_image is None:
-        source_image = source.image
-    if sampling is None:
-        sampling = pair_sampling(target, source, target_depth_values,
-                                 target_depth_valid)
     x, y, ok, taps = sampling
     if source_valid is not None:
         ok = ok & _sample_validity(source_valid, ok, taps)
     return ad.bilinear(source_image, x, y, ok, taps), ok
 
 
-def warp_depth_values(source_depth_values, source_depth_valid,
-                      target_depth_values, target_depth_valid,
-                      source: CameraView, target: CameraView, sampling=None):
-    """Source depth re-expressed in the target camera (see `warp_depth`).
+def warp_depth_values(pair: ViewPair, sampling, source_depth_values,
+                      source_depth_valid):
+    """The source depth re-expressed in the target camera (see `warp_depth`)
+    at the pair's `pair_sampling`.
 
-    Either depth grid may be a Var. ``sampling`` is the (target, source)
-    `pair_sampling` at the target depths if the caller holds it. Returns
-    (values, valid).
+    Either depth grid may be a Var. Returns (values, valid).
     """
-    if sampling is None:
-        sampling = pair_sampling(target, source, target_depth_values,
-                                 target_depth_valid)
     x, y, ok, taps = sampling
     ok = ok & _sample_validity(source_depth_valid, ok, taps)
     d_src = ad.bilinear(source_depth_values, x, y, ok, taps)
-    r_st, t_st = relative_motion(source, target)
-    # z in the target frame of the source-frame point K_s^-1 (x, y, 1) d_src:
-    # an affine form in (x, y) times the sampled depth.
-    coeff = r_st[2] @ intrinsics_inverse(source.intrinsics)
-    z = (coeff[0] * x + coeff[1] * y + coeff[2]) * d_src + t_st[2]
+    c = pair.z_row
+    z = (c[0] * x + c[1] * y + c[2]) * d_src + pair.z_off
     ok = ok & (value_of(z) > 0.0)
     return where_mask(ok, z, 0.0), ok
 
@@ -444,8 +443,9 @@ def synthesize_view(target_depth: DepthMap, source: CameraView, target: CameraVi
     """
     if source.image is None:
         raise ValueError("source view has no image")
-    img, ok = synth_values(target, source, target_depth.values, target_depth.valid)
-    return img, ok
+    pair = pair_coefficients(target, source, *target_depth.values.shape)
+    return synth_values(pair_sampling(pair, target_depth.values, target_depth.valid),
+                        source.image)
 
 
 def warp_depth(source_depth: DepthMap, target_depth: DepthMap,
@@ -457,10 +457,10 @@ def warp_depth(source_depth: DepthMap, target_depth: DepthMap,
     sampled source-frame point is rigid-transformed into the target camera;
     its z-component is the output. Validity follows `synthesize_view`.
     """
+    pair = pair_coefficients(target, source, *target_depth.values.shape)
     vals, ok = warp_depth_values(
+        pair, pair_sampling(pair, target_depth.values, target_depth.valid),
         source_depth.values, source_depth.valid,
-        target_depth.values, target_depth.valid,
-        source, target,
     )
     return DepthMap(np.where(ok, value_of(vals), 0.0), ok)
 

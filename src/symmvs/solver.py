@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import consistency, volume
+from .autodiff import Var
 from .consistency import SceneState
 from .errors import TooFewViews
 from .geometry import DepthHypotheses, DepthMap
@@ -111,13 +112,11 @@ def loss_gradient(state: SceneState, context=None):
     _, total, leaves = consistency._evaluate(
         state.views, state.depths, state.masks, state.weights, True, context
     )
-    grads = []
-    if hasattr(total, "backward"):
+    if isinstance(total, Var):
         total.backward()
+    grads = []
     for leaf, depth in zip(leaves, state.depths):
-        g = leaf.grad if getattr(leaf, "grad", None) is not None else None
-        if g is None:
-            g = np.zeros_like(depth.values)
+        g = leaf.grad if leaf.grad is not None else np.zeros_like(depth.values)
         grads.append(np.where(depth.valid, g, 0.0))
     return grads
 
@@ -153,22 +152,22 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
     best depths found so far are returned.
 
     Camera- and image-only data is computed once per run, in one
-    `consistency.ViewContext` that is dropped on return. Loss terms skipped
-    for an empty mask are logged once per mask phase, with counts.
+    `consistency.ViewContext` that is dropped on return; a run with
+    ``max_outer_iters == 0`` only updates the masks and builds none. Loss
+    terms skipped for an empty mask are logged once per mask phase, with
+    counts.
     """
     hyp = config.hypotheses
     step0 = config.step_size if config.step_size is not None else 2.0 * hyp.spacing
+    if config.max_outer_iters == 0:
+        state.masks = consistency.compute_all_masks(state.views, state.depths,
+                                                    state.weights)
+        return state
     context = consistency.ViewContext(state.views, state.weights)
 
-    state.masks = consistency.compute_all_masks(state.views, state.depths,
-                                                state.weights, context)
-    if config.max_outer_iters == 0:
-        return state
-
     for outer in range(config.max_outer_iters):
-        if outer > 0:
-            state.masks = consistency.compute_all_masks(state.views, state.depths,
-                                                        state.weights, context)
+        state.masks = consistency.compute_all_masks(state.views, state.depths,
+                                                    state.weights, context)
         skipped = Counter()
         bd = _total(state, state.depths, context, skipped)
         f_cur = bd.total

@@ -2,22 +2,22 @@
 
 Features are fixed (non-learned) image statistics. For every depth
 hypothesis, all non-reference feature maps are warped into the reference
-view through the refinement's `geometry.sampling_chain` at that depth;
-the reference's own features join the group, and the per-pixel matching
-cost is the channel-averaged population variance across the contributing
-views. A separable, validity-aware box filter stands in for learned
-regularization, and the depth is read out as the softmax-weighted
-expectation over hypotheses. The filter sums each window directly, one
-offset at a time in place, so an output carries only the rounding of its
-own terms and smoothing needs no buffer beyond its output.
+view through the refinement's sampling: one `geometry.pair_coefficients`
+record per source view, read by `geometry.pair_sampling` at each constant
+hypothesis depth. The reference's own features join the group, and the
+per-pixel matching cost is the channel-averaged population variance across
+the contributing views. A separable, validity-aware box filter stands in
+for learned regularization, and the depth is read out as the
+softmax-weighted expectation over hypotheses. The filter sums each window
+directly, one offset at a time in place, so an output carries only the
+rounding of its own terms and smoothing needs no buffer beyond its output.
 
 The sweep works channel-first: once per call, every view's (H, W, F)
 features become one contiguous (F, H*W) array, checked for finite values
-there and nowhere else. Per hypothesis and source view, the chain gives
-coordinates flagged by the test `geometry.synth_values` applies (source z in
-front, in bounds), the four bilinear corners come from
-``autodiff.bilinear_taps``, and each corner is one gather along the pixel
-axis. The pairwise variance then runs on (F, H, W) arrays, summing channels
+there and nowhere else. Per hypothesis and source view, the pair's
+sampling flags the samples in front of the source camera and in bounds,
+and each of its four bilinear corners is one gather along the pixel axis.
+The pairwise variance then runs on (F, H, W) arrays, summing channels
 as whole planes. The loop over hypotheses stays: stacking
 all D hypotheses into one (D, H, W) pass produces large temporaries that
 cost more in memory traffic than the Python loop costs in dispatch, and was
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import geometry, photometry
 from .errors import NonFiniteValue, ShapeMismatch, TooFewViews, UnknownMode
 
@@ -122,16 +121,14 @@ def build_cost_volume(views, features, ref: int,
     support = np.zeros((d_count, h, w), dtype=np.int64)
 
     others = [v for v in range(n_views) if v != ref]
-    coeffs = {src: geometry.pair_coefficients(views[ref], views[src], h, w)
-              for src in others}
+    pairs = {src: geometry.pair_coefficients(views[ref], views[src], h, w)
+             for src in others}
     for k, depth in enumerate(hyp.samples):
         # the reference is valid everywhere; its mask stays implicit (None)
         group = [(ref_vals, None)]
         for src in others:
-            x, y, _, front = geometry.sampling_chain(
-                views[ref], views[src], float(depth), h, w, coeffs[src])
-            ok = front & geometry._in_bounds(x, y, w, h)
-            idx, wts, _, _ = ad.bilinear_taps(x, y, ok, h, w)
+            _, _, ok, (idx, wts, _, _) = geometry.pair_sampling(
+                pairs[src], float(depth), True)
             taps = [np.take(flat[src], i, axis=1) * wt for i, wt in zip(idx, wts)]
             group.append((taps[0] + taps[1] + taps[2] + taps[3], ok))
 

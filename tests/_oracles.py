@@ -129,7 +129,8 @@ def cost_volume_loop(views, features, ref, hyp):
         group = [(features[ref].values, np.ones((h, w), dtype=bool))]
         for src in others:
             x, y, _, front = geometry.sampling_chain(
-                views[ref], views[src], float(depth), h, w)
+                geometry.pair_coefficients(views[ref], views[src], h, w),
+                float(depth))
             inb = front & geometry._in_bounds(x, y, w, h)
             coords = np.stack([np.where(inb, x, -1.0), np.where(inb, y, -1.0)], -1)
             fld = geometry.WarpField(coords, inb)
@@ -231,7 +232,8 @@ def synth_values_unshared(target, source, depth_values, depth_valid,
     from symmvs import geometry
 
     h, w = ad.value_of(depth_values).shape
-    x, y, _, front = geometry.sampling_chain(target, source, depth_values, h, w)
+    x, y, _, front = geometry.sampling_chain(
+        geometry.pair_coefficients(target, source, h, w), depth_values)
     xv, yv = ad.value_of(x), ad.value_of(y)
     ok = front & geometry._in_bounds(xv, yv, w, h) & depth_valid
     ok = ok & geometry._sample_validity(
@@ -247,7 +249,8 @@ def warp_depth_values_unshared(source_values, source_valid, target_values,
     from symmvs import geometry
 
     h, w = ad.value_of(target_values).shape
-    x, y, _, front = geometry.sampling_chain(target, source, target_values, h, w)
+    x, y, _, front = geometry.sampling_chain(
+        geometry.pair_coefficients(target, source, h, w), target_values)
     xv, yv = ad.value_of(x), ad.value_of(y)
     ok = front & geometry._in_bounds(xv, yv, w, h) & target_valid
     ok = ok & geometry._sample_validity(
@@ -328,7 +331,8 @@ def fd_smooth_region(views, depths, v, step, diff_guard=0.01):
         ends = []
         for delta in (-step, +step):
             cx, cy, _, front = geometry.sampling_chain(
-                views[v], views[s], d.values + delta, h, w)
+                geometry.pair_coefficients(views[v], views[s], h, w),
+                d.values + delta)
             ends.append((value_of(cx), value_of(cy), front))
         (x0, y0, f0), (x1, y1, f1) = ends
         ok &= f0 & f1

@@ -43,6 +43,13 @@ def identical_pair_state(plane_scene, n=2):
     return scene_state(views, depths, weights)
 
 
+def sampled(views, depths, t, s):
+    """A fresh `geometry.ViewPair` of (t, s) and its sampling at view t's
+    depth."""
+    pair = geometry.pair_coefficients(views[t], views[s], *depths[t].values.shape)
+    return pair, geometry.pair_sampling(pair, depths[t].values, depths[t].valid)
+
+
 class TestOcclusionMask:
     def test_same_view_fully_valid(self, plane_scene):
         gt, views = plane_scene["gt"], plane_scene["views"]
@@ -56,13 +63,10 @@ class TestOcclusionMask:
         m_huge = occlusion_mask(gt[0], gt[1], views[0], views[1], tau=1e12)
         # the huge threshold never binds: validity equals pure warp validity
         assert m_huge.valid_count >= m_small.valid_count
-        from symmvs.geometry import warp_depth_values
-        first, first_ok = warp_depth_values(
-            gt[0].values, gt[0].valid, gt[1].values, gt[1].valid,
-            views[0], views[1])
-        second, second_ok = warp_depth_values(
-            first, first_ok, gt[0].values, gt[0].valid, views[1], views[0])
-        np.testing.assert_array_equal(m_huge.valid, second_ok & gt[0].valid)
+        from symmvs.geometry import warp_depth
+        first = warp_depth(gt[0], gt[1], views[0], views[1])
+        second = warp_depth(first, gt[0], views[1], views[0])
+        np.testing.assert_array_equal(m_huge.valid, second.valid & gt[0].valid)
 
     def test_monotone_in_tau(self, plane_scene):
         gt, views = plane_scene["gt"], plane_scene["views"]
@@ -363,9 +367,9 @@ class TestViewContext:
 
 
 class TestSharedWork:
-    """One evaluation samples each ordered pair once and processes each
-    synthesized image once, and what it shares is what the standalone
-    warping helpers compute."""
+    """One evaluation or mask update samples each ordered pair once, an
+    evaluation processes each synthesized image once and does no camera-only
+    work, and what they share is what the standalone helpers compute."""
 
     @staticmethod
     def state(sc):
@@ -375,16 +379,31 @@ class TestSharedWork:
         return views, depths, masks, weights, ViewContext(views, weights)
 
     @staticmethod
+    def counting(monkeypatch, module, names):
+        """Wrap ``module``'s functions ``names`` to count their calls."""
+        calls = dict.fromkeys(names, 0)
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+        return calls
+
+    @staticmethod
     def standalone(views, depths):
         """Every ordered pair, and its first- and second-order syntheses
-        from `geometry.synth_values` without a precomputed sampling."""
+        from `geometry.synth_values`, each at its own record and sampling."""
         n = len(views)
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        first = {(t, s): geometry.synth_values(views[t], views[s], depths[t].values,
-                                               depths[t].valid)
+        first = {(t, s): geometry.synth_values(sampled(views, depths, t, s)[1],
+                                               views[s].image)
                  for t, s in pairs}
-        second = {(t, s): geometry.synth_values(views[t], views[s], depths[t].values,
-                                                depths[t].valid, *first[(s, t)])
+        second = {(t, s): geometry.synth_values(sampled(views, depths, t, s)[1],
+                                                *first[(s, t)])
                   for t, s in pairs}
         return pairs, first, second
 
@@ -394,23 +413,14 @@ class TestSharedWork:
                                                        request, monkeypatch):
         views, depths, masks, weights, ctx = self.state(
             request.getfixturevalue(scene))
-        calls = {"chain": 0, "census": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(geometry, "sampling_chain",
-                            counted("chain", geometry.sampling_chain))
-        monkeypatch.setattr(photometry, "census_transform",
-                            counted("census", photometry.census_transform))
+        chains = self.counting(monkeypatch, geometry, ["sampling_chain"])
+        census = self.counting(monkeypatch, photometry, ["census_transform"])
         bd, _, _ = _evaluate(views, depths, masks, weights, with_grad, ctx)
         n = len(views)
         assert not bd.skipped
         assert len(bd.brightness) == n * (n - 1) * (n - 2) // 2
-        assert calls == {"chain": n * (n - 1), "census": 2 * n * (n - 1)}
+        assert chains == {"sampling_chain": n * (n - 1)}
+        assert census == {"census_transform": 2 * n * (n - 1)}
 
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
     @pytest.mark.parametrize("with_grad", [False, True])
@@ -425,8 +435,8 @@ class TestSharedWork:
                 "synth": first[(i, j)],
                 "second": second[(i, j)],
                 "dwarp": geometry.warp_depth_values(
-                    depths[j].values, depths[j].valid, depths[i].values,
-                    depths[i].valid, views[j], views[i]),
+                    *sampled(views, depths, i, j), depths[j].values,
+                    depths[j].valid),
             }
             shared = {"synth": ev._synth(i, j), "second": ev._second(i, j),
                       "dwarp": ev._dwarp(i, j)}
@@ -461,3 +471,36 @@ class TestSharedWork:
             (a, ok_a), (b, ok_b) = second[(i, j)], second[(i, k)]
             m = masks[(i, j)].valid & masks[(i, k)].valid & ok_a & ok_b
             assert value == compare(a, b, m)
+
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_mask_pass_samples_each_ordered_pair_once(self, scene, kept, request,
+                                                      monkeypatch):
+        views, depths, _, weights, ctx = self.state(request.getfixturevalue(scene))
+        weights = dataclasses.replace(weights, tau_occ=0.05)
+        alone = {(i, j): occlusion_mask(depths[i], depths[j], views[i], views[j],
+                                        weights.tau_occ, (i, j))
+                 for i in range(len(views)) for j in range(len(views)) if i != j}
+        calls = self.counting(monkeypatch, geometry,
+                              ["pair_sampling", "pair_coefficients"])
+        masks = compute_all_masks(views, depths, weights, ctx if kept else None)
+        n = len(views)
+        assert calls == {"pair_sampling": n * (n - 1),
+                         "pair_coefficients": 0 if kept else n * (n - 1)}
+        assert masks.keys() == alone.keys()
+        assert any(not m.valid.all() for m in alone.values())
+        for key, m in masks.items():
+            assert m.pair == key
+            assert same_bytes(m.valid, alone[key].valid), key
+
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_evaluation_does_no_camera_only_work(self, scene, with_grad, request,
+                                                 monkeypatch):
+        views, depths, masks, weights, ctx = self.state(
+            request.getfixturevalue(scene))
+        calls = self.counting(monkeypatch, geometry, [
+            "same_camera", "relative_motion", "intrinsics_inverse", "view_rays"])
+        bd, _, _ = _evaluate(views, depths, masks, weights, with_grad, ctx)
+        assert not bd.skipped
+        assert calls == dict.fromkeys(calls, 0)

@@ -398,13 +398,22 @@ def test_sample_validity_matches_direct_corner_formula():
 
 
 def test_sampling_chain_with_pair_coefficients_is_bit_identical(plane_scene):
+    # a kept record gives the chain computed from the two cameras in place
     views, gt = plane_scene["views"], plane_scene["gt"]
     h, w = gt[0].values.shape
-    coeffs = geometry.pair_coefficients(views[0], views[2], h, w)
-    fresh = geometry.sampling_chain(views[0], views[2], gt[0].values, h, w)
-    kept = geometry.sampling_chain(views[0], views[2], gt[0].values, h, w, coeffs)
-    for a, b in zip(fresh, kept):
-        assert np.array_equal(a, b)
+    pair = geometry.pair_coefficients(views[0], views[2], h, w)
+    r_rel, t_rel = relative_motion(views[0], views[2])
+    a = geometry.view_rays(views[0], h, w) @ (views[2].intrinsics @ r_rel).T
+    b = views[2].intrinsics @ t_rel
+    d = gt[0].values
+    z = a[..., 2] * d + b[2]
+    front = z > 1e-12
+    z_safe = np.where(front, z, 1.0)
+    fresh = ((a[..., 0] * d + b[0]) / z_safe, (a[..., 1] * d + b[1]) / z_safe,
+             z, front)
+    for _ in range(2):
+        for want, got in zip(fresh, geometry.sampling_chain(pair, d)):
+            assert np.array_equal(want, got)
 
 
 @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
@@ -419,12 +428,11 @@ def test_plane_homography_agrees_with_sampling_chain(request, scene):
         for s in range(len(views)):
             if s == t:
                 continue
-            coeffs = geometry.pair_coefficients(views[t], views[s], h, w)
+            pair = geometry.pair_coefficients(views[t], views[s], h, w)
             for depth in hyp.samples:
                 hom = plane_homography(views[t], views[s], float(depth))
                 fld = warp_field_from_homography(hom, h, w)
-                x, y, _, front = geometry.sampling_chain(
-                    views[t], views[s], float(depth), h, w, coeffs)
+                x, y, _, front = geometry.sampling_chain(pair, float(depth))
                 inb = front & geometry._in_bounds(x, y, w, h)
                 assert np.array_equal(inb, fld.in_bounds)
                 for got, want in ((x, fld.coords[..., 0]), (y, fld.coords[..., 1])):
@@ -441,12 +449,27 @@ def _holey_setup(plane_scene):
     return views, depth, gt[0].valid, ~holes, rng
 
 
+def _synth(target, source, depth, valid, image, source_valid):
+    """`geometry.synth_values` at the pair's own record and sampling."""
+    pair = geometry.pair_coefficients(target, source, *valid.shape)
+    return geometry.synth_values(geometry.pair_sampling(pair, depth, valid), image,
+                                 source_valid)
+
+
+def _warp(source_values, source_valid, target_values, target_valid, source, target):
+    """`geometry.warp_depth_values` at the pair's own record and sampling."""
+    pair = geometry.pair_coefficients(target, source, *target_valid.shape)
+    return geometry.warp_depth_values(
+        pair, geometry.pair_sampling(pair, target_values, target_valid),
+        source_values, source_valid)
+
+
 def test_shared_taps_synthesis_is_bit_identical_to_unshared(plane_scene):
     views, depth, valid, source_valid, rng = _holey_setup(plane_scene)
     image = views[1].image
     g = rng.normal(size=image.shape)
     runs = []
-    for synth in (geometry.synth_values, synth_values_unshared):
+    for synth in (_synth, synth_values_unshared):
         d_leaf, img_leaf = Var(depth), Var(image)
         out, ok = synth(views[0], views[1], d_leaf, valid, img_leaf, source_valid)
         (out * g).sum().backward()
@@ -454,8 +477,8 @@ def test_shared_taps_synthesis_is_bit_identical_to_unshared(plane_scene):
     assert all(np.abs(grad).max() > 0.0 for grad in runs[0][2:])
     for shared, unshared in zip(*runs):
         assert same_bytes(shared, unshared)
-    _, unnarrowed = geometry.synth_values(views[0], views[1], depth, valid, image,
-                                          np.ones_like(source_valid))
+    _, unnarrowed = _synth(views[0], views[1], depth, valid, image,
+                           np.ones_like(source_valid))
     assert runs[0][1].sum() < unnarrowed.sum()
 
 
@@ -465,7 +488,7 @@ def test_shared_taps_depth_warp_is_bit_identical_to_unshared(plane_scene):
     source_depth = plane_scene["gt"][1].values + 0.01 * np.arange(depth.shape[1])
     g = rng.normal(size=depth.shape)
     runs = []
-    for warp in (geometry.warp_depth_values, warp_depth_values_unshared):
+    for warp in (_warp, warp_depth_values_unshared):
         s_leaf, t_leaf = Var(source_depth), Var(depth)
         out, ok = warp(s_leaf, source_valid, t_leaf, valid, views[1], views[0])
         (out * g).sum().backward()
@@ -473,8 +496,8 @@ def test_shared_taps_depth_warp_is_bit_identical_to_unshared(plane_scene):
     assert all(np.abs(grad).max() > 0.0 for grad in runs[0][2:])
     for shared, unshared in zip(*runs):
         assert same_bytes(shared, unshared)
-    _, unnarrowed = geometry.warp_depth_values(source_depth, np.ones_like(source_valid),
-                                               depth, valid, views[1], views[0])
+    _, unnarrowed = _warp(source_depth, np.ones_like(source_valid),
+                          depth, valid, views[1], views[0])
     assert runs[0][1].sum() < unnarrowed.sum()
 
 
@@ -504,13 +527,11 @@ def _chain_consumers(views, rng):
     out = []
     for source_valid in (None, holey):
         d_leaf, img_leaf = Var(depth), Var(source.image)
-        img, ok = geometry.synth_values(target, source, d_leaf, valid, img_leaf,
-                                        source_valid)
+        img, ok = _synth(target, source, d_leaf, valid, img_leaf, source_valid)
         (img * g[..., None]).sum().backward()
         out += [img.value, ok, d_leaf.grad, img_leaf.grad]
     s_leaf, t_leaf = Var(depth[::-1] + 0.1), Var(depth)
-    vals, ok = geometry.warp_depth_values(s_leaf, holey, t_leaf, valid,
-                                          source, target)
+    vals, ok = _warp(s_leaf, holey, t_leaf, valid, source, target)
     (vals * g).sum().backward()
     out += [vals.value, ok, s_leaf.grad, t_leaf.grad]
     feats = [extract_features(v.image, "grad3") for v in views]
@@ -522,7 +543,8 @@ def _chain_consumers(views, rng):
 def test_chain_coordinates_outside_front_are_never_read(monkeypatch):
     views = _half_behind_views()
     h, w = views[0].image.shape[:2]
-    x, y, _, front = geometry.sampling_chain(views[0], views[1], 2.0, h, w)
+    x, y, _, front = geometry.sampling_chain(
+        geometry.pair_coefficients(views[0], views[1], h, w), 2.0)
     ok = front & geometry._in_bounds(x, y, w, h)
     assert ok.sum() > 100 and front.mean() < 0.6
     plain = _chain_consumers(views, np.random.default_rng(3))

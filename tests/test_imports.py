@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy, scipy and itself."""
+"""The package imports only the standard library, numpy, scipy and itself,
+and keeps the sampling primitives inside the modules that own them."""
 
 import ast
 import sys
@@ -29,3 +30,32 @@ def test_every_import_is_stdlib_numpy_scipy_or_the_package():
         if name not in sys.stdlib_module_names and name not in ALLOWED
     ]
     assert foreign == []
+
+
+# Where a pair samples and whether the sample counts is decided in
+# `geometry.pair_sampling`; every other module reads its result.
+SAMPLING_PRIMITIVES = {"_in_bounds", "bilinear_taps"}
+SAMPLING_OWNERS = {"geometry.py", "autodiff.py"}
+
+
+def referenced_names(path):
+    """(line, name) of every identifier, attribute and imported name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name.rpartition(".")[2]
+
+
+def test_sampling_primitives_stay_in_geometry_and_autodiff():
+    leaks = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        if path.name not in SAMPLING_OWNERS
+        for line, name in referenced_names(path)
+        if name in SAMPLING_PRIMITIVES
+    ]
+    assert leaks == []

@@ -32,6 +32,7 @@ from symmvs import (
     run_pipeline,
     total_loss,
 )
+from symmvs import photometry
 from symmvs.consistency import _evaluate
 from symmvs.errors import TooFewViews
 from symmvs.solver import SolverConfig, SolverState
@@ -243,17 +244,24 @@ class TestRefine:
             assert (d.values[d.valid] >= hyp.d_min).all()
             assert (d.values[d.valid] <= hyp.d_max).all()
 
-    def test_zero_outer_iters_only_recomputes_masks(self, plane_scene):
+    def test_zero_outer_iters_only_recomputes_masks(self, plane_scene,
+                                                    monkeypatch):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         config = desk_config(hyp, max_outer_iters=0)
         state = SolverState(views=views, depths=[d.copy() for d in gt],
                             masks={}, weights=config.weights)
+        called = []
+        # no loss is evaluated, so no view context's image data is built
+        for name in ("reference_stats", "edge_weights"):
+            monkeypatch.setattr(photometry, name,
+                                lambda *args, name=name: called.append(name))
         state = refine(state, config)
         assert set(state.masks) == {(i, j) for i in range(3) for j in range(3)
                                     if i != j}
         for d, g in zip(state.depths, gt):
             np.testing.assert_array_equal(d.values, g.values)
         assert state.history == []
+        assert called == []
 
     def test_mask_counts_grow_once_loss_improves(self, plane_scene):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
