@@ -14,7 +14,9 @@ consistency between two second-order synthesized images sharing a
 reference view. Terms whose mask is empty contribute zero and are
 reported, never silently dropped.
 
-One evaluator computes every term; `total_loss` returns them itemized in a
+One evaluation computes every term, in straight-line order: every warp,
+then every synthesized image's statistics and every smoothness term, then
+the terms and their sums. `total_loss` returns the terms itemized in a
 `LossBreakdown`, so a single term is read from there (for example
 ``total_loss(state).depth_consistency[(i, j)]``).
 
@@ -31,8 +33,9 @@ Data that depends on the depths is computed once per mask update or
 evaluation. Each ordered pair's `geometry.pair_sampling` serves every warp
 of the pair: the first warp of one mask and the second of its reverse, or
 the pair's first- and second-order synthesis and its depth warp. Each
-synthesized image's `photometry.reference_stats` serves every term that
-compares it: its unary or image-consistency term and, for a second-order
+synthesized image's `photometry.reference_stats` is computed once per
+evaluation, also when every term that compares it is skipped, and serves
+all of them: its unary or image-consistency term and, for a second-order
 image, the brightness terms on either side.
 """
 
@@ -164,21 +167,29 @@ class ViewContext:
             if v.image.shape != views[0].image.shape:
                 raise ShapeMismatch(f"view {i} image is {v.image.shape}, "
                                     f"view 0's is {views[0].image.shape}")
-        n = len(views)
         self.alphas = (weights.alpha1, weights.alpha2)
         self.grid = views[0].image.shape[:2]
         self.norm = photometry.box_norm(*self.grid)
-        self.pairs = {(t, s): geometry.pair_coefficients(views[t], views[s], *self.grid)
-                      for t in range(n) for s in range(n) if t != s}
+        self.pairs = _pair_records(views, self.grid)
         self.refs = [photometry.reference_stats(v.image, self.norm) for v in views]
         self.edges = [photometry.edge_weights(v.image, *self.alphas) for v in views]
 
-    def check_depths(self, depths):
-        """Raise ShapeMismatch naming the first depth map off the grid."""
-        for i, d in enumerate(depths):
-            if d.values.shape != self.grid:
-                raise ShapeMismatch(f"view {i} depth map is {d.values.shape}, "
-                                    f"the views' grid is {self.grid}")
+
+def _pair_records(cams, grid) -> dict:
+    """The `geometry.ViewPair` of every ordered pair (t, s) of ``cams`` on
+    ``grid``."""
+    n = len(cams)
+    return {(t, s): geometry.pair_coefficients(cams[t], cams[s], *grid)
+            for t in range(n) for s in range(n) if t != s}
+
+
+def _check_grid(depths, grid, labels=None):
+    """Raise ShapeMismatch naming the first depth map off ``grid``; map k
+    is view ``labels[k]``, or view k without labels."""
+    for k, d in enumerate(depths):
+        if d.values.shape != grid:
+            raise ShapeMismatch(f"view {k if labels is None else labels[k]} depth "
+                                f"map is {d.values.shape}, the views' grid is {grid}")
 
 
 # -- occlusion reasoning -------------------------------------------------------
@@ -213,12 +224,13 @@ def occlusion_mask(depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
 
     View i's depth is warped into view j and back; a pixel stays valid iff
     the round-tripped depth agrees within ``tau`` and every intermediate
-    warp was in-bounds with positive depth.
+    warp was in-bounds with positive depth. A ``depth_j`` off
+    ``depth_i``'s grid raises ShapeMismatch naming view j (``pair[1]``, or
+    1 without a pair).
     """
-    depths, cams = [depth_i, depth_j], [cam_i, cam_j]
-    pairs = {(t, 1 - t): geometry.pair_coefficients(cams[t], cams[1 - t],
-                                                    *depths[t].values.shape)
-             for t in (0, 1)}
+    depths, grid = [depth_i, depth_j], depth_i.values.shape
+    _check_grid(depths, grid, pair)
+    pairs = _pair_records([cam_i, cam_j], grid)
     return OcclusionMask(pair, _round_trips(pairs, depths, [(0, 1)], tau)[0, 1])
 
 
@@ -226,8 +238,9 @@ def compute_all_masks(views, depths, weights: LossWeights,
                       context: ViewContext | None = None) -> dict:
     """Occlusion masks for every ordered view pair at the current depths.
 
-    ``context`` is the run's `ViewContext` over ``views``, if it has one;
-    a depth map off its grid then raises ShapeMismatch. Each ordered pair
+    ``context`` is the run's `ViewContext` over ``views``, if it has one.
+    A depth map off its grid, or off view 0's depth grid without a context,
+    raises ShapeMismatch naming its view. Each ordered pair
     is sampled once: (i, j) serves the second warp of mask (i, j) and the
     first of mask (j, i), which are computed together, one unordered pair
     at a time, so only that pair's two samplings are held at once.
@@ -235,12 +248,11 @@ def compute_all_masks(views, depths, weights: LossWeights,
     n = len(views)
     keys = [(i, j) for i in range(n) for j in range(n) if i != j]
     if context is None:
-        pairs = {(t, s): geometry.pair_coefficients(views[t], views[s],
-                                                    *depths[t].values.shape)
-                 for t, s in keys}
+        grid = depths[0].values.shape
+        pairs = _pair_records(views, grid)
     else:
-        context.check_depths(depths)
-        pairs = context.pairs
+        grid, pairs = context.grid, context.pairs
+    _check_grid(depths, grid)
     valid = {}
     for i, j in keys:
         if i < j:
@@ -252,191 +264,117 @@ def compute_all_masks(views, depths, weights: LossWeights,
 # -- term evaluation -----------------------------------------------------------
 
 
-class _Evaluator:
-    """Shared-subexpression evaluator for all loss terms of one state.
+def _warps(ctx, views, leaves, depths):
+    """Every warp of one evaluation, keyed by ordered pair (t, s), each a
+    (values, valid) pair read from the one `geometry.pair_sampling` of
+    (t, s) at view t's depth: ``first[t, s]`` is view s's image synthesized
+    on view t's grid, ``second[t, s]`` view s's ``first`` of view t pulled
+    back onto view t's grid, and ``dwarp[t, s]`` view s's depth re-expressed
+    on view t's grid."""
+    samplings = {(t, s): geometry.pair_sampling(pair, leaves[t], depths[t].valid)
+                 for (t, s), pair in ctx.pairs.items()}
+    first = {(t, s): geometry.synth_values(smp, views[s].image)
+             for (t, s), smp in samplings.items()}
+    second = {(t, s): geometry.synth_values(smp, *first[s, t])
+              for (t, s), smp in samplings.items()}
+    dwarp = {(t, s): geometry.warp_depth_values(ctx.pairs[t, s], smp, leaves[s],
+                                                depths[s].valid)
+             for (t, s), smp in samplings.items()}
+    return first, second, dwarp
 
-    Every pair sampling, warp, synthesized image and image statistic is
-    computed on first use and cached for the rest of the evaluation. With
-    ``with_grad`` the depth grids become autodiff leaves and every term
-    (except the locally constant census part) is differentiable with
-    respect to them; a shared node then collects the gradient of all its
-    consumers before passing it on. Camera- and image-only data comes from
-    ``context``, the run's `ViewContext`; without one, a fresh context
-    serves this evaluation alone. A context built for other alphas raises
-    ValueError, a depth map off its grid ShapeMismatch.
-    """
 
-    def __init__(self, views, depths, masks, weights, with_grad=False, context=None):
-        ctx = context if context is not None else ViewContext(views, weights)
-        if ctx.alphas != (weights.alpha1, weights.alpha2):
-            raise ValueError(f"the view context's edge weights are for (alpha1, "
-                             f"alpha2) = {ctx.alphas}, the loss weights give "
-                             f"{(weights.alpha1, weights.alpha2)}")
-        ctx.check_depths(depths)
-        self.views = views
-        self.depths = depths
-        self.masks = masks
-        self.weights = weights
-        self.ctx = ctx
-        self.leaves = [Var(d.values) if with_grad else d.values for d in depths]
-        self._cache = {}
-
-    def _sampling(self, t, s):
-        """Where view t's pixels at its depth sample view s: the one
-        `geometry.pair_sampling` of the pair that both of its syntheses
-        and its depth warp read."""
-        key = ("sampling", t, s)
-        if key not in self._cache:
-            self._cache[key] = geometry.pair_sampling(
-                self.ctx.pairs[t, s], self.leaves[t], self.depths[t].valid)
-        return self._cache[key]
-
-    def _synth(self, t, s):
-        """First-order synthesis of view s's image into view t's frame."""
-        key = ("synth", t, s)
-        if key not in self._cache:
-            self._cache[key] = geometry.synth_values(self._sampling(t, s),
-                                                     self.views[s].image)
-        return self._cache[key]
-
-    def _second(self, i, j):
-        """Second-order image: view j's first-order synthesis of view i,
-        pulled back onto view i's grid with view i's depth."""
-        key = ("second", i, j)
-        if key not in self._cache:
-            self._cache[key] = geometry.synth_values(self._sampling(i, j),
-                                                     *self._synth(j, i))
-        return self._cache[key]
-
-    def _dwarp(self, i, j):
-        """View j's depth re-expressed on view i's grid."""
-        key = ("dwarp", i, j)
-        if key not in self._cache:
-            self._cache[key] = geometry.warp_depth_values(
-                self.ctx.pairs[i, j], self._sampling(i, j),
-                self.leaves[j], self.depths[j].valid)
-        return self._cache[key]
-
-    def _stats(self, order, t, s):
-        """`photometry.reference_stats` of the first- (``order`` 1) or
-        second-order (2) synthesized image of (t, s), computed once however
-        many terms compare it."""
-        key = ("stats", order, t, s)
-        if key not in self._cache:
-            img, _ = self._synth(t, s) if order == 1 else self._second(t, s)
-            self._cache[key] = photometry.reference_stats(img, self.ctx.norm)
-        return self._cache[key]
-
-    def term_unary(self, i, j):
-        _, ok = self._synth(i, j)
-        m = self.masks[(i, j)].valid & ok
-        if not m.any():
-            raise EmptyMask(f"Lu_{i}_{j}")
-        return photometry.unary_comparator(self.ctx.refs[i],
-                                           self._stats(1, i, j), m,
-                                           self.weights)
-
-    def term_smoothness(self, i):
-        key = ("smooth", i)
-        if key not in self._cache:
-            self._cache[key] = photometry.smoothness_term(
-                self.leaves[i], self.depths[i].valid, self.ctx.edges[i]
-            )
-        return self._cache[key]
-
-    def term_image_consistency(self, i, j):
-        _, ok = self._second(j, i)
-        m = self.masks[(j, i)].valid & ok
-        if not m.any():
-            raise EmptyMask(f"Lm_{i}_{j}")
-        return photometry.unary_comparator(self.ctx.refs[j],
-                                           self._stats(2, j, i), m,
-                                           self.weights)
-
-    def term_depth_consistency(self, i, j):
-        vals, ok = self._dwarp(i, j)
-        m = self.masks[(i, j)].valid & self.depths[i].valid & ok
-        count = int(m.sum())
-        if count == 0:
-            raise EmptyMask(f"Ld_{i}_{j}")
-        resid = charbonnier(self.leaves[i] - vals)
-        return ad.sum_all(resid * m.astype(np.float64)) / count
-
-    def term_brightness(self, i, j, k):
-        _, ok_a = self._second(i, j)
-        _, ok_b = self._second(i, k)
-        m = self.masks[(i, j)].valid & self.masks[(i, k)].valid & ok_a & ok_b
-        if not m.any():
-            raise EmptyMask(f"Lb_{i}_{j}_{k}")
-        return photometry.unary_comparator(self._stats(2, i, j),
-                                           self._stats(2, i, k), m,
-                                           self.weights)
-
-    # -- assembly ---------------------------------------------------------
-
-    def run(self):
-        """Evaluate every term; returns (breakdown, total) where total is a
-        Var when gradients were requested."""
-        w = self.weights
-        bd = LossBreakdown()
-        n = len(self.views)
-
-        def attempt(fn, record, key, store_key):
-            try:
-                term = fn()
-            except EmptyMask:
-                bd.skipped.add(key)
-                record[store_key] = 0.0
-                return 0.0
-            record[store_key] = float(value_of(term))
-            return term
-
-        synth_sum = 0.0
-        cons_sum = 0.0
-        for i in range(n):
-            bd.smoothness[i] = float(value_of(self.term_smoothness(i)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                lu_ij = attempt(lambda: self.term_unary(i, j), bd.unary,
-                                f"Lu_{i}_{j}", (i, j))
-                lu_ji = attempt(lambda: self.term_unary(j, i), bd.unary,
-                                f"Lu_{j}_{i}", (j, i))
-                smooth = 0.5 * (self.term_smoothness(i) + self.term_smoothness(j))
-                pair_synth = w.omega_u * (lu_ij + lu_ji) + w.omega_s * smooth
-                bd.synthesis[(i, j)] = float(value_of(pair_synth))
-                synth_sum = synth_sum + pair_synth
-
-                lm_ij = attempt(lambda: self.term_image_consistency(i, j),
-                                bd.image_consistency, f"Lm_{i}_{j}", (i, j))
-                lm_ji = attempt(lambda: self.term_image_consistency(j, i),
-                                bd.image_consistency, f"Lm_{j}_{i}", (j, i))
-                ld_ij = attempt(lambda: self.term_depth_consistency(i, j),
-                                bd.depth_consistency, f"Ld_{i}_{j}", (i, j))
-                ld_ji = attempt(lambda: self.term_depth_consistency(j, i),
-                                bd.depth_consistency, f"Ld_{j}_{i}", (j, i))
-                pair_cons = w.lambda5 * (lm_ij + lm_ji) + w.lambda6 * (ld_ij + ld_ji)
-                bd.pair_consistency[(i, j)] = float(value_of(pair_cons))
-                cons_sum = cons_sum + pair_cons
-
-        for ref in range(n):
-            others = [o for o in range(n) if o != ref]
-            for a in range(len(others)):
-                for b in range(a + 1, len(others)):
-                    j, k = others[a], others[b]
-                    lb = attempt(lambda: self.term_brightness(ref, j, k),
-                                 bd.brightness, f"Lb_{ref}_{j}_{k}", (ref, j, k))
-                    cons_sum = cons_sum + lb
-
-        total = synth_sum + cons_sum
-        bd.consistency_total = float(value_of(cons_sum))
-        bd.total = float(value_of(total))
-        return bd, total
+def _depth_consistency(leaf, warped, mask):
+    """Mean Charbonnier disagreement of a view's depth and another view's
+    depth warped onto its grid, over ``mask``; EmptyMask if it is empty."""
+    count = int(mask.sum())
+    if count == 0:
+        raise EmptyMask("no valid pixels for depth consistency")
+    return ad.sum_all(charbonnier(leaf - warped) * mask.astype(np.float64)) / count
 
 
 def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
-    ev = _Evaluator(views, depths, masks, weights, with_grad, context)
-    bd, total = ev.run()
-    return bd, total, ev.leaves
+    """Evaluate every loss term of one state.
+
+    Returns (breakdown, total, leaves): ``total`` is a Var and ``leaves``
+    the depth grids as autodiff leaves when ``with_grad``, and every term
+    (except the locally constant census part) is then differentiable with
+    respect to them. Camera- and image-only data comes from ``context``,
+    the run's `ViewContext`; without one, a fresh context serves this
+    evaluation alone. A context built for other alphas raises ValueError,
+    a depth map off its grid ShapeMismatch. A term whose mask is empty
+    records zero and lands in ``skipped``.
+    """
+    ctx = context if context is not None else ViewContext(views, weights)
+    if ctx.alphas != (weights.alpha1, weights.alpha2):
+        raise ValueError(f"the view context's edge weights are for (alpha1, "
+                         f"alpha2) = {ctx.alphas}, the loss weights give "
+                         f"{(weights.alpha1, weights.alpha2)}")
+    _check_grid(depths, ctx.grid)
+    w = weights
+    n = len(views)
+    leaves = [Var(d.values) if with_grad else d.values for d in depths]
+    first, second, dwarp = _warps(ctx, views, leaves, depths)
+    first_stats = {key: photometry.reference_stats(img, ctx.norm)
+                   for key, (img, _) in first.items()}
+    second_stats = {key: photometry.reference_stats(img, ctx.norm)
+                    for key, (img, _) in second.items()}
+    smooth = [photometry.smoothness_term(leaves[i], depths[i].valid, ctx.edges[i])
+              for i in range(n)]
+    bd = LossBreakdown()
+
+    def term(record, prefix, key, fn, *args):
+        try:
+            value = fn(*args)
+        except EmptyMask:
+            bd.skipped.add("_".join([prefix, *map(str, key)]))
+            value = 0.0
+        record[key] = float(value_of(value))
+        return value
+
+    # (i, j) then (j, i) for each i < j: the order every per-pair record
+    # is filled in, which order-sensitive sums of a record rely on.
+    ordered = [key for i in range(n) for j in range(i + 1, n)
+               for key in ((i, j), (j, i))]
+    lu = {(i, j): term(bd.unary, "Lu", (i, j), photometry.unary_comparator,
+                       ctx.refs[i], first_stats[i, j],
+                       masks[i, j].valid & first[i, j][1], w)
+          for i, j in ordered}
+    lm = {(i, j): term(bd.image_consistency, "Lm", (i, j),
+                       photometry.unary_comparator, ctx.refs[j], second_stats[j, i],
+                       masks[j, i].valid & second[j, i][1], w)
+          for i, j in ordered}
+    ld = {(i, j): term(bd.depth_consistency, "Ld", (i, j), _depth_consistency,
+                       leaves[i], dwarp[i, j][0],
+                       masks[i, j].valid & depths[i].valid & dwarp[i, j][1])
+          for i, j in ordered}
+    lb = [term(bd.brightness, "Lb", (r, j, k), photometry.unary_comparator,
+               second_stats[r, j], second_stats[r, k],
+               masks[r, j].valid & masks[r, k].valid & second[r, j][1]
+               & second[r, k][1], w)
+          for r in range(n) for j in range(n) for k in range(j + 1, n)
+          if r not in (j, k)]
+
+    synth_sum = 0.0
+    cons_sum = 0.0
+    for i in range(n):
+        bd.smoothness[i] = float(value_of(smooth[i]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair_synth = (w.omega_u * (lu[i, j] + lu[j, i])
+                          + w.omega_s * (0.5 * (smooth[i] + smooth[j])))
+            bd.synthesis[(i, j)] = float(value_of(pair_synth))
+            synth_sum = synth_sum + pair_synth
+            pair_cons = (w.lambda5 * (lm[i, j] + lm[j, i])
+                         + w.lambda6 * (ld[i, j] + ld[j, i]))
+            bd.pair_consistency[(i, j)] = float(value_of(pair_cons))
+            cons_sum = cons_sum + pair_cons
+    for value in lb:
+        cons_sum = cons_sum + value
+
+    total = synth_sum + cons_sum
+    bd.consistency_total = float(value_of(cons_sum))
+    bd.total = float(value_of(total))
+    return bd, total, leaves
 
 
 # -- public operations ----------------------------------------------------------

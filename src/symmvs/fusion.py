@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .consistency import _check_grid
 
 __all__ = ["PointCloud", "filter_consistent", "depths_to_cloud"]
 
@@ -47,8 +48,11 @@ def filter_consistent(depths, views, tau_fuse: float, min_views: int = 2):
     A view j confirms pixel p of view i when j's depth, warped onto view i,
     lands within ``tau_fuse`` of view i's depth there. Surviving depths are
     replaced by the mean over the agreeing set (the pixel's own value plus
-    every confirming warped value).
+    every confirming warped value). Depth maps of different sizes raise
+    ShapeMismatch naming the first view off view 0's grid.
     """
+    if depths:
+        _check_grid(depths, depths[0].values.shape)
     if min_views < 1:
         raise ValueError("min_views must be >= 1")
     if not tau_fuse > 0:

@@ -145,8 +145,8 @@ class DepthHypotheses:
     samples: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.d_min < self.d_max):
-            raise ValueError("need 0 < d_min < d_max")
+        if not (0.0 < self.d_min < self.d_max < np.inf):
+            raise ValueError("need 0 < d_min < d_max, both finite")
         if self.count < 2:
             raise ValueError("need at least two depth samples")
         object.__setattr__(

@@ -15,8 +15,9 @@ where the image is flat. All pieces accept autodiff Vars where gradients
 are needed and plain arrays otherwise; images are (H, W, C).
 
 These are building blocks: the pairwise synthesis loss and every other term
-of the objective are assembled from them by the one evaluator in
-`consistency` and read from `consistency.total_loss`.
+of the objective are assembled from them by the one loss evaluation in
+`consistency` (`consistency._evaluate`) and read from
+`consistency.total_loss`.
 
 What depends on one image alone is split out and passed in: its gradients,
 census bits and SSIM window statistics (`reference_stats`, with the SSIM

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from symmvs.cli import main
-from symmvs.fileio import read_pfm, read_ply, write_ply
+from symmvs.fileio import read_pfm, read_ply, write_pfm, write_ply
 from symmvs.fusion import PointCloud
+from symmvs.geometry import DepthMap
 
 
 SCENE_CFG = """\
@@ -156,6 +157,18 @@ def test_fuse_missing_depth_file_exits_1(workspace, tmp_path, capsys):
                  str(tmp_path / "out.ply")])
     assert code == 1
     assert "depth_0000.pfm" in capsys.readouterr().err
+
+
+def test_fuse_depth_maps_of_other_sizes_exit_1(workspace, tmp_path, capsys):
+    for i, rows in enumerate((36, 36, 30)):
+        write_pfm(tmp_path / f"depth_{i:04d}.pfm",
+                  DepthMap(np.full((rows, 48), 3.0), np.ones((rows, 48), bool)))
+    code = main(["fuse", str(tmp_path), str(workspace["bundle"]),
+                 str(tmp_path / "out.ply")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: view 2 depth map is (30, 48)" in err
+    assert "Traceback" not in err
 
 
 def test_missing_scene_file_exits_1(tmp_path, capsys):

@@ -17,13 +17,13 @@ from symmvs import (
     synthesize_view,
     total_loss,
 )
-from symmvs.autodiff import value_of
+from symmvs.autodiff import Var, value_of
 from symmvs.consistency import (
     OcclusionMask,
     SceneState,
     ViewContext,
     _evaluate,
-    _Evaluator,
+    _warps,
 )
 from symmvs.errors import ShapeMismatch, TooFewViews
 from symmvs.photometry import box_norm, edge_weights, reference_stats, unary_comparator
@@ -337,16 +337,21 @@ class TestViewContext:
     def test_depth_off_the_grid_names_the_view(self, plane_scene):
         views, gt, weights = (plane_scene["views"], plane_scene["gt"],
                               plane_scene["weights"])
-        depths = gt[:2] + [DepthMap(gt[2].values[:, :-1], gt[2].valid[:, :-1])]
         ctx = ViewContext(views, weights)
         masks = compute_all_masks(views, gt, weights, ctx)
-        message = r"^view 2 depth map is \(48, 63\)"
-        with pytest.raises(ShapeMismatch, match=message):
-            compute_all_masks(views, depths, weights, ctx)
-        with pytest.raises(ShapeMismatch, match=message):
-            _evaluate(views, depths, masks, weights, False, ctx)
-        with pytest.raises(ShapeMismatch, match=message):
-            total_loss(SceneState(views, depths, masks, weights))
+        for rows, cols in [(48, 63), (40, 64)]:
+            off = DepthMap(gt[2].values[:rows, :cols], gt[2].valid[:rows, :cols])
+            depths = gt[:2] + [off]
+            message = rf"^view 2 depth map is \({rows}, {cols}\)"
+            for context in (ctx, None):
+                with pytest.raises(ShapeMismatch, match=message):
+                    compute_all_masks(views, depths, weights, context)
+            with pytest.raises(ShapeMismatch, match=message):
+                occlusion_mask(gt[0], off, views[0], views[2], 1.0, (0, 2))
+            with pytest.raises(ShapeMismatch, match=message):
+                _evaluate(views, depths, masks, weights, False, ctx)
+            with pytest.raises(ShapeMismatch, match=message):
+                total_loss(SceneState(views, depths, masks, weights))
 
     @pytest.mark.parametrize("change", [{"alpha1": 0.7}, {"alpha2": 0.25}])
     def test_context_for_other_alphas_is_rejected(self, plane_scene, change):
@@ -428,7 +433,9 @@ class TestSharedWork:
                                                        request):
         views, depths, masks, weights, ctx = self.state(
             request.getfixturevalue(scene))
-        ev = _Evaluator(views, depths, masks, weights, with_grad, ctx)
+        leaves = [Var(d.values) if with_grad else d.values for d in depths]
+        tables = dict(zip(("synth", "second", "dwarp"),
+                          _warps(ctx, views, leaves, depths)))
         pairs, first, second = self.standalone(views, depths)
         for i, j in pairs:
             alone = {
@@ -438,10 +445,8 @@ class TestSharedWork:
                     *sampled(views, depths, i, j), depths[j].values,
                     depths[j].valid),
             }
-            shared = {"synth": ev._synth(i, j), "second": ev._second(i, j),
-                      "dwarp": ev._dwarp(i, j)}
             for kind, (vals, ok) in alone.items():
-                got_vals, got_ok = shared[kind]
+                got_vals, got_ok = tables[kind][i, j]
                 assert np.array_equal(got_ok, ok), (kind, i, j)
                 assert ok.any(), (kind, i, j)
                 assert same_bytes(value_of(got_vals), vals), (kind, i, j)

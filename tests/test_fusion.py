@@ -9,6 +9,7 @@ from symmvs import (
     depths_to_cloud,
     filter_consistent,
 )
+from symmvs.errors import ShapeMismatch
 from symmvs.geometry import project_points
 
 from conftest import make_camera
@@ -91,6 +92,12 @@ class TestFilterConsistent:
             filter_consistent(gt, views, tau_fuse=0.0, min_views=1)
         with pytest.raises(ValueError):
             filter_consistent(gt, views, tau_fuse=0.1, min_views=0)
+
+    def test_depth_maps_of_other_sizes_name_the_view(self, plane_scene):
+        views, gt = plane_scene["views"], plane_scene["gt"]
+        depths = gt[:2] + [DepthMap(gt[2].values[:40], gt[2].valid[:40])]
+        with pytest.raises(ShapeMismatch, match=r"^view 2 depth map is \(40, 64\)"):
+            filter_consistent(depths, views, tau_fuse=0.1)
 
 
 class TestDepthsToCloud:

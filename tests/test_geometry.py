@@ -104,8 +104,10 @@ class TestDepthHypotheses:
         np.testing.assert_allclose(np.diff(hyp.samples), hyp.spacing, atol=1e-12)
 
     def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            DepthHypotheses(4.0, 2.0, 8)
+        for d_min, d_max in [(4.0, 2.0), (1.0, np.inf), (1.0, np.nan),
+                             (np.nan, 2.0), (-np.inf, 2.0)]:
+            with pytest.raises(ValueError):
+                DepthHypotheses(d_min, d_max, 8)
 
 
 class TestIntrinsicsInverse:

@@ -33,7 +33,7 @@ from symmvs import (
     total_loss,
 )
 from symmvs import photometry
-from symmvs.consistency import _evaluate
+from symmvs.consistency import OcclusionMask, _evaluate
 from symmvs.errors import TooFewViews
 from symmvs.solver import SolverConfig, SolverState
 
@@ -105,37 +105,45 @@ class TestLossGradient:
             np.testing.assert_array_equal(g[~d.valid], 0.0)
 
     def test_matches_finite_differences_spot_check(self, plane_scene):
-        # a small version of the full oracle run in the acceptance suite
+        # a small version of the full oracle run in the acceptance suite, on
+        # the full masks and again with mask (0, 1) emptied, which skips
+        # every term that reads it
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         weights = LossWeights(tau_occ=1.0)
         fd_weights = LossWeights(lambda4=0.0, tau_occ=1.0)
         depths = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=5)
-        masks = compute_all_masks(views, depths, weights)
-        state = SolverState(views=views, depths=depths, masks=masks, weights=weights)
-        grads = loss_gradient(state)
-        rng = np.random.default_rng(2)
-        h = 1e-4
-        checked = 0
-        while checked < 12:
-            v = int(rng.integers(0, 3))
-            y = int(rng.integers(6, 42))
-            x = int(rng.integers(16, 48))
-            if abs(grads[v][y, x]) < 1e-4:
-                continue
-            base = depths[v].values[y, x]
-            vals = []
-            for s in (+1, -1):
-                pert = [d.copy() for d in depths]
-                pert[v].values[y, x] = base + s * h
-                vals.append(_evaluate(views, pert, masks, fd_weights)[0].total)
-            fd = (vals[0] - vals[1]) / (2 * h)
-            an = grads[v][y, x]
-            # unguarded sampling: allow the occasional kink crossing
-            if abs(an - fd) / max(abs(an), abs(fd)) < 1e-3:
-                checked += 1
-            else:
-                checked += 1 if abs(an - fd) < 5e-4 else 0
-        assert checked == 12
+        full = compute_all_masks(views, depths, weights)
+        cut = dict(full)
+        cut[0, 1] = OcclusionMask((0, 1), np.zeros_like(full[0, 1].valid))
+        for masks, skipped in [(full, set()),
+                               (cut, {"Lu_0_1", "Ld_0_1", "Lm_1_0", "Lb_0_1_2"})]:
+            assert _evaluate(views, depths, masks, weights)[0].skipped == skipped
+            state = SolverState(views=views, depths=depths, masks=masks,
+                                weights=weights)
+            grads = loss_gradient(state)
+            rng = np.random.default_rng(2)
+            h = 1e-4
+            checked = 0
+            while checked < 12:
+                v = int(rng.integers(0, 3))
+                y = int(rng.integers(6, 42))
+                x = int(rng.integers(16, 48))
+                if abs(grads[v][y, x]) < 1e-4:
+                    continue
+                base = depths[v].values[y, x]
+                vals = []
+                for s in (+1, -1):
+                    pert = [d.copy() for d in depths]
+                    pert[v].values[y, x] = base + s * h
+                    vals.append(_evaluate(views, pert, masks, fd_weights)[0].total)
+                fd = (vals[0] - vals[1]) / (2 * h)
+                an = grads[v][y, x]
+                # unguarded sampling: allow the occasional kink crossing
+                if abs(an - fd) / max(abs(an), abs(fd)) < 1e-3:
+                    checked += 1
+                else:
+                    checked += 1 if abs(an - fd) < 5e-4 else 0
+            assert checked == 12
 
     def test_matches_finite_differences_at_coarse_step(self, plane_scene):
         # same oracle at the coarser 1e-3 step: valid only where the
