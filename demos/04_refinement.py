@@ -71,7 +71,8 @@ elapsed = time.time() - t0
 
 print(f"after {len(state.outer_log)} outer iterations ({elapsed:.1f}s): "
       f"median |depth error| = {median_error(state.depths):.4f}")
-print(f"converged={state.converged}  diverged={state.diverged}")
+print(f"converged={state.converged}  diverged={state.diverged}  "
+      f"stopped: {state.stop_reason}")
 
 print("\nper-outer-iteration loss totals:")
 for entry in state.outer_log[:8]:

@@ -2,6 +2,7 @@
 
 Subcommands: synth, sweep, optimize, fuse, eval-depth, eval-cloud.
 Exit codes: 0 success, 1 input error, 2 refinement flagged as diverged.
+``optimize`` prints why refinement stopped on stderr.
 Runs are deterministic, so identical invocations write identical bytes.
 """
 
@@ -132,6 +133,7 @@ def _cmd_optimize(args) -> int:
     (out / "loss_report.txt").write_text(
         "\n".join(bd.report_lines()) + "\n", encoding="ascii"
     )
+    print(f"refinement stopped: {state.stop_reason}", file=sys.stderr)
     if state.diverged:
         print("refinement diverged; best state written", file=sys.stderr)
         return 2

@@ -81,7 +81,7 @@ class SceneState:
     """The multi-view state: views, their current depth maps, occlusion
     masks for every ordered pair, and the loss weights, followed by the
     refinement progress (accepted steps, accepted-loss history, per-outer-
-    iteration log, stop flags)."""
+    iteration log, stop flags and the reason `solver.refine` stopped)."""
 
     views: list
     depths: list
@@ -92,6 +92,7 @@ class SceneState:
     outer_log: list = field(default_factory=list)
     converged: bool = False
     diverged: bool = False
+    stop_reason: str | None = None
 
 
 @dataclass
@@ -289,7 +290,15 @@ def _depth_consistency(leaf, warped, mask):
     count = int(mask.sum())
     if count == 0:
         raise EmptyMask("no valid pixels for depth consistency")
-    return ad.sum_all(charbonnier(leaf - warped) * mask.astype(np.float64)) / count
+    m = mask.astype(np.float64)
+    lv, wv = value_of(leaf), value_of(warped)
+
+    def vjp(g):
+        r = lv - wv
+        d = m * (g / count) * (r / charbonnier(r))
+        return d, -d
+
+    return ad.fused((charbonnier(lv - wv) * m).sum() / count, (leaf, warped), vjp)
 
 
 def _evaluate(views, depths, masks, weights, with_grad=False, context=None):

@@ -30,6 +30,11 @@ class BadWindow(SymmvsError):
     """Census window must be an odd integer >= 3."""
 
 
+class NoParallax(SymmvsError):
+    """Every source camera of a reference view sits at its centre, so no
+    depth changes where a pixel lands and the depth cannot be estimated."""
+
+
 class EmptyMask(SymmvsError):
     """A masked reduction has no valid pixels; the term must be skipped."""
 

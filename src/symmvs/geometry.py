@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import value_of, where_mask
+from .autodiff import value_of
 from .errors import NonFiniteResult, NonFiniteValue, ShapeMismatch
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "plane_homography",
     "warp_field_from_homography",
     "pair_coefficients",
+    "pair_baseline",
     "bilinear_sample",
     "synthesize_view",
     "warp_depth",
@@ -336,10 +337,17 @@ class ViewPair:
     z_off: float
 
 
+def pair_baseline(target: CameraView, source: CameraView) -> np.ndarray:
+    """``K_s t_ts``, the `ViewPair` ``b`` of (target, source): zero exactly
+    when the source camera sits at the target's centre, so that depth moves
+    no target pixel in the source image."""
+    return source.intrinsics @ relative_motion(target, source)[1]
+
+
 def pair_coefficients(target: CameraView, source: CameraView, height: int,
                       width: int) -> ViewPair:
     """The `ViewPair` record of (target, source) on a (height, width) grid."""
-    r_ts, t_ts = relative_motion(target, source)
+    r_ts, _ = relative_motion(target, source)
     rays = view_rays(target, height, width)
     a = rays @ (source.intrinsics @ r_ts).T
     r_st, t_st = relative_motion(source, target)
@@ -347,7 +355,7 @@ def pair_coefficients(target: CameraView, source: CameraView, height: int,
         grid=(height, width),
         same=same_camera(target, source),
         a=np.ascontiguousarray(np.moveaxis(a, -1, 0)),
-        b=source.intrinsics @ t_ts,
+        b=pair_baseline(target, source),
         z_row=r_st[2] @ intrinsics_inverse(source.intrinsics),
         z_off=t_st[2],
     )
@@ -361,8 +369,9 @@ def sampling_chain(pair: ViewPair, target_depth_values):
     depth of the transformed point in the source camera, and a boolean mask
     where that depth is positive. ``x`` and ``y`` mean nothing outside
     ``front``; `pair_sampling` masks them with ``front & _in_bounds(...)``.
-    ``target_depth_values`` may be a Var; the outputs then track gradients.
-    Identical cameras short-circuit to the exact pixel grid.
+    ``target_depth_values`` may be a Var; ``x``, ``y`` and ``z_src`` are
+    then one tape node each over it. Identical cameras short-circuit to the
+    exact pixel grid.
     """
     if pair.same:
         gx, gy = _pixel_grid(*pair.grid)
@@ -371,14 +380,23 @@ def sampling_chain(pair: ViewPair, target_depth_values):
 
     a, b = pair.a, pair.b
     d = target_depth_values
-    qx = a[0] * d + b[0]
-    qy = a[1] * d + b[1]
+    dv = value_of(d)
+    qx = a[0] * dv + b[0]
+    qy = a[1] * dv + b[1]
     # K's bottom row is (0, 0, 1), so the projective divisor is the source-
     # camera z directly.
-    z = a[2] * d + b[2]
-    front = value_of(z) > 1e-12
-    z_safe = where_mask(front, z, 1.0)
-    return qx / z_safe, qy / z_safe, z, front
+    z = a[2] * dv + b[2]
+    front = z > 1e-12
+    z_safe = np.where(front, z, 1.0)
+
+    def coordinate(q, a_q):
+        # d(q / z)/dd = (a_q - (q / z) a_z) / z where z is not clamped to 1
+        p = q / z_safe
+        return ad.fused(p, (d,), lambda g: (
+            g / z_safe * (a_q - np.where(front, p, 0.0) * a[2]),))
+
+    return (coordinate(qx, a[0]), coordinate(qy, a[1]),
+            ad.fused(z, (d,), lambda g: (g * a[2],)), front)
 
 
 def pair_sampling(pair: ViewPair, target_depth_values, target_depth_valid):
@@ -425,9 +443,17 @@ def warp_depth_values(pair: ViewPair, sampling, source_depth_values,
     ok = ok & _sample_validity(source_depth_valid, ok, taps)
     d_src = ad.bilinear(source_depth_values, x, y, ok, taps)
     c = pair.z_row
-    z = (c[0] * x + c[1] * y + c[2]) * d_src + pair.z_off
-    ok = ok & (value_of(z) > 0.0)
-    return where_mask(ok, z, 0.0), ok
+    dv = value_of(d_src)
+    scale = c[0] * value_of(x) + c[1] * value_of(y) + c[2]
+    z = scale * dv + pair.z_off
+    ok = ok & (z > 0.0)
+
+    def vjp(g):
+        gz = np.where(ok, g, 0.0)
+        gs = gz * dv
+        return gs * c[0], gs * c[1], gz * scale
+
+    return ad.fused(np.where(ok, z, 0.0), (x, y, d_src), vjp), ok
 
 
 # -- public warping operations ------------------------------------------------

@@ -28,11 +28,26 @@ edge weights, so an image compared many times is processed once: a view
 image once per run (`consistency.ViewContext`), a synthesized image once
 per loss evaluation, whichever side of each comparison it is on.
 
+Each formula is one `autodiff.fused` tape node, so the gradient path keeps
+one value per formula instead of one per array operation (see `autodiff`
+for what that costs): `charbonnier`, the forward differences `_grad_x` and
+`_grad_y`, `ssim_map`, `unary_comparator` and `smoothness_term`. Their
+forward passes are the plain expressions, with the same values bit for
+bit; their VJPs are derived by hand. The SSIM window means and variances
+are plain arrays in `reference_stats`, and `ssim_map`'s VJP carries the
+gradient through them and the covariance to both images; it recomputes
+the few products it needs, so the tape keeps only the covariance of them.
+The comparator's node takes both images, their gradients and the
+`ssim_map` node as inputs, and recomputes its residuals in the VJP. Op by
+op, with 4 views at 64x48, these formulas held most of the 54.6 MB that
+one gradient evaluation kept: 29% in the per-channel SSIM ratio, 16% in
+Charbonnier, 16% in the comparator's sums and masked means and 9% in the
+SSIM window statistics.
+
 Census bits are stored as one boolean plane per neighbor, so the transform
 writes each comparison straight into its plane and the distance counts the
 differing planes one after another; both give exactly the bits and
-distances of the per-pixel formulas. A one-channel image needs no channel
-mean, so none is put on the gradient tape.
+distances of the per-pixel formulas.
 """
 
 from __future__ import annotations
@@ -105,8 +120,13 @@ class CensusDescriptor:
 
 
 def charbonnier(x):
-    """Smooth robust penalty sqrt(x^2 + 1e-6); even, with floor 1e-3 at 0."""
-    return ad.sqrt(x * x + 1.0e-6)
+    """Smooth robust penalty sqrt(x^2 + 1e-6); even, with floor 1e-3 at 0.
+
+    Its derivative is ``x / charbonnier(x)``.
+    """
+    v = value_of(x)
+    out = np.sqrt(v * v + 1.0e-6)
+    return ad.fused(out, (x,), lambda g: (g * (v / out),))
 
 
 def grayscale(image: np.ndarray) -> np.ndarray:
@@ -117,28 +137,48 @@ def grayscale(image: np.ndarray) -> np.ndarray:
     return img.mean(axis=2)
 
 
-def _channel_mean(x):
-    channels = value_of(x).shape[2]
-    acc = x[:, :, 0]
+def _channel_mean(v):
+    """Mean over the channel axis of a plain (H, W, C) array, added one
+    channel after another."""
+    channels = v.shape[2]
+    acc = v[:, :, 0]
     if channels == 1:
         return acc
     for c in range(1, channels):
-        acc = acc + x[:, :, c]
+        acc = acc + v[:, :, c]
     return acc / channels
 
 
 def _grad_x(x):
+    """Forward difference along columns, zero in the last column."""
     v = value_of(x)
-    d = x[:, 1:] - x[:, :-1]
-    pads = ((0, 0), (0, 1)) + ((0, 0),) * (v.ndim - 2)
-    return ad.pad_zero(d, pads)
+    out = np.zeros(v.shape)
+    np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1])
+
+    def vjp(g):
+        gd = g[:, :-1]
+        gv = np.zeros(g.shape)
+        gv[:, 1:] = gd
+        gv[:, :-1] -= gd
+        return (gv,)
+
+    return ad.fused(out, (x,), vjp)
 
 
 def _grad_y(x):
+    """Forward difference along rows, zero in the last row."""
     v = value_of(x)
-    d = x[1:, :] - x[:-1, :]
-    pads = ((0, 1), (0, 0)) + ((0, 0),) * (v.ndim - 2)
-    return ad.pad_zero(d, pads)
+    out = np.zeros(v.shape)
+    np.subtract(v[1:], v[:-1], out=out[:-1])
+
+    def vjp(g):
+        gd = g[:-1]
+        gv = np.zeros(g.shape)
+        gv[1:] = gd
+        gv[:-1] -= gd
+        return (gv,)
+
+    return ad.fused(out, (x,), vjp)
 
 
 # -- census ------------------------------------------------------------------
@@ -194,40 +234,57 @@ def box_norm(height: int, width: int) -> np.ndarray:
     return ad.box_sum3(np.ones((height, width)))
 
 
-def _ssim_reference(a, norm):
-    """Per-channel (channel, windowed mean, windowed variance) of an SSIM
-    input."""
-    out = []
-    for c in range(value_of(a).shape[2]):
-        ac = a[:, :, c]
-        mu = ad.box_sum3(ac) / norm
-        out.append((ac, mu, ad.box_sum3(ac * ac) / norm - mu * mu))
-    return out
-
-
 def ssim_map(ref, syn):
     """Structural similarity with a 3x3 uniform window, channel-averaged.
 
-    ``ref`` and ``syn`` are the two images' `reference_stats`, either of
-    them Var-aware. Local statistics are normalized by the in-image window
-    size, so the map is defined up to the border and equals 1 wherever the
-    inputs agree.
+    ``ref`` and ``syn`` are the two images' `reference_stats`, either image
+    a Var. Local statistics are normalized by the in-image window size, so
+    the map is defined up to the border and equals 1 wherever the inputs
+    agree. The map is one tape node over the two images: its VJP runs the
+    gradient through the windowed means, variances and covariance itself.
     """
     if value_of(ref.image).shape != value_of(syn.image).shape:
         raise ShapeMismatch("ssim inputs must share shape")
-    norm = ref.norm
+    a, b = value_of(ref.image), value_of(syn.image)
+    mu_a, var_a, mu_b, var_b = ref.mu, ref.var, syn.mu, syn.var
+    norm = ref.norm[:, :, None]
+    cov = ad.box_sum3(a * b) / norm - mu_a * mu_b
 
-    def one_channel(a, b):
-        (ac, mu_a, var_a), (bc, mu_b, var_b) = a, b
-        cov = ad.box_sum3(ac * bc) / norm - mu_a * mu_b
-        num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
-        den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
-        return num / den
+    def parts():
+        # the factors of S = a1 a2 / den, den = b1 b2, per channel; the VJP
+        # makes them again, so the tape keeps only ``cov`` of them
+        a1 = 2.0 * mu_a * mu_b + _SSIM_C1
+        b1 = mu_a * mu_a + mu_b * mu_b + _SSIM_C1
+        b2 = var_a + var_b + _SSIM_C2
+        return a1, 2.0 * cov + _SSIM_C2, b1, b2, b1 * b2
 
-    acc = one_channel(ref.ssim[0], syn.ssim[0])
-    for c in range(1, len(ref.ssim)):
-        acc = acc + one_channel(ref.ssim[c], syn.ssim[c])
-    return acc / len(ref.ssim)
+    a1, a2, _, _, den = parts()
+    channels = a.shape[2]
+    sides = ((ref.image, a, b, mu_a, mu_b), (syn.image, b, a, mu_b, mu_a))
+
+    def vjp(g):
+        # With var_x = E[x^2] - mu_x^2 and cov = E[ab] - mu_a mu_b for the
+        # window mean E: dS/dE[ab] = 2 a1 / den, dS/dE[x^2] = -S / b2 and,
+        # with the variance and covariance chains folded in, dS/dmu_x =
+        # 2 (mu_y (a2 - a1) - mu_x S (b2 - b1)) / den. E is a box sum over
+        # the window size, so its adjoint is box_sum3(. / norm); u carries
+        # the 2 / (den norm) of every term, and one box sum serves them all.
+        a1, a2, b1, b2, den = parts()
+        u = g[:, :, None] * (2.0 / channels) / (den * norm)
+        e_ab = u * a1
+        e_sq = e_ab * a2 / b2
+        c_mu = u * (a2 - a1)
+        s_mu = e_sq * (b2 - b1) / b1
+        want = [isinstance(inp, ad.Var) for inp, *_ in sides]
+        terms = [e_ab, e_sq] + [mu_y * c_mu - mu_x * s_mu
+                                for (_, _, _, mu_x, mu_y), w in zip(sides, want) if w]
+        box_ab, box_sq, *box_mu = np.split(
+            ad.box_sum3(np.concatenate(terms, axis=2)), len(terms), axis=2)
+        box_mu = iter(box_mu)
+        return tuple(next(box_mu) - x * box_sq + y * box_ab if w else None
+                     for (_, x, y, _, _), w in zip(sides, want))
+
+    return ad.fused(_channel_mean(a1 * a2 / den), (ref.image, syn.image), vjp)
 
 
 # -- the unary comparator --------------------------------------------------------
@@ -236,16 +293,20 @@ def ssim_map(ref, syn):
 @dataclass
 class ReferenceStats:
     """The image-only parts of the unary comparator, for either of its
-    images: the image itself, its forward-difference gradients, census bits
-    and per-channel SSIM (channel, mean, variance), and the grid's
-    `box_norm`. A run keeps one per view image; a loss evaluation makes one
-    per synthesized image it compares, whichever side that image is on."""
+    images: the image itself, its forward-difference gradients, census bits,
+    the SSIM windowed mean ``mu`` and variance ``var`` per pixel and
+    channel, and the grid's `box_norm`. Only the image and its gradients
+    are Vars when the image is one: `ssim_map` differentiates through the
+    window statistics itself. A run keeps one per view image; a loss
+    evaluation makes one per synthesized image it compares, whichever side
+    that image is on."""
 
     image: object
     grad_x: object
     grad_y: object
     census: CensusDescriptor
-    ssim: list
+    mu: np.ndarray
+    var: np.ndarray
     norm: np.ndarray
 
 
@@ -254,10 +315,13 @@ def reference_stats(image, norm) -> ReferenceStats:
 
     ``norm`` is the `box_norm` of the image's grid.
     """
+    v = value_of(image)
+    n = norm[:, :, None]
+    mu = ad.box_sum3(v) / n
     return ReferenceStats(
         image, _grad_x(image), _grad_y(image),
-        census_transform(grayscale(value_of(image))),
-        _ssim_reference(image, norm), norm,
+        census_transform(grayscale(v)),
+        mu, ad.box_sum3(v * v) / n - mu * mu, norm,
     )
 
 
@@ -269,7 +333,8 @@ def unary_comparator(ref, syn, mask, weights: LossWeights):
     image's validity; with no valid pixel it raises EmptyMask, and the
     caller skips the term. The census term is computed on plain values and
     enters as a constant, so it shapes evaluations but contributes zero
-    gradient.
+    gradient. The sum is one tape node over both images, their gradients
+    and the `ssim_map` node.
     """
     if value_of(ref.image).shape != value_of(syn.image).shape:
         raise ShapeMismatch("comparator images must share shape")
@@ -280,23 +345,38 @@ def unary_comparator(ref, syn, mask, weights: LossWeights):
     m = mask.astype(np.float64)
 
     def masked_mean(term):
-        return ad.sum_all(term * m) / count
+        return (term * m).sum() / count
 
-    t_l1 = _channel_mean(charbonnier(ref.image - syn.image))
-    t_grad = (
-        _channel_mean(charbonnier(ref.grad_x - syn.grad_x))
-        + _channel_mean(charbonnier(ref.grad_y - syn.grad_y))
-    ) / 2.0
-    t_ssim = (1.0 - ssim_map(ref, syn)) * 0.5
+    operands = ((ref.image, syn.image), (ref.grad_x, syn.grad_x),
+                (ref.grad_y, syn.grad_y))
+    pen = [charbonnier(value_of(a) - value_of(b)) for a, b in operands]
+    ssim = ssim_map(ref, syn)
+    t_l1 = _channel_mean(pen[0])
+    t_grad = (_channel_mean(pen[1]) + _channel_mean(pen[2])) / 2.0
+    t_ssim = (1.0 - value_of(ssim)) * 0.5
     dist = census_distance(ref.census, syn.census)
     t_census = float((charbonnier(dist) * m).sum() / count)
-
-    return (
+    value = (
         weights.lambda1 * masked_mean(t_l1)
         + weights.lambda2 * masked_mean(t_grad)
         + weights.lambda3 * masked_mean(t_ssim)
         + weights.lambda4 * t_census
     )
+    channels = value_of(ref.image).shape[2]
+
+    def vjp(g):
+        dm = mask * (g / count)
+        scales = (weights.lambda1, weights.lambda2 / 2.0, weights.lambda2 / 2.0)
+        grads = [None] * 6
+        for k, ((a, b), lam) in enumerate(zip(operands, scales)):
+            if isinstance(a, ad.Var) or isinstance(b, ad.Var):
+                r = value_of(a) - value_of(b)
+                d = (dm * (-lam / channels))[:, :, None] * (r / charbonnier(r))
+                grads[k], grads[3 + k] = -d if isinstance(a, ad.Var) else None, d
+        return tuple(grads) + (dm * (-0.5 * weights.lambda3),)
+
+    inputs = [a for a, _ in operands] + [b for _, b in operands] + [ssim]
+    return ad.fused(value, inputs, vjp)
 
 
 # -- smoothness -------------------------------------------------------------------
@@ -329,19 +409,22 @@ def smoothness_term(depth_values, depth_valid, edges):
 
     Each order is averaged over the pixels whose full stencil lies in the
     image; stencils touching an invalid depth contribute zero. ``edges``
-    are the view image's `edge_weights`.
+    are the view image's `edge_weights`. The sum is one tape node over the
+    depth grid.
     """
     first, second = edges
-    d = depth_values
-    h, w = value_of(d).shape
+    d = value_of(depth_values)
+    h, w = d.shape
     total = 0.0
 
     if first is not None:
         dx = d[:-1, 1:] - d[:-1, :-1]
         dy = d[1:, :-1] - d[:-1, :-1]
-        grad_d = ad.absolute(dx) + ad.absolute(dy)
+        grad_d = np.abs(dx) + np.abs(dy)
         ok = depth_valid[:-1, :-1] & depth_valid[:-1, 1:] & depth_valid[1:, :-1]
-        total = total + ad.sum_all(grad_d * (first * ok)) / ((h - 1) * (w - 1))
+        w1 = first * ok
+        n1 = (h - 1) * (w - 1)
+        total = total + (grad_d * w1).sum() / n1
 
     if second is not None:
         lap_d = (
@@ -355,6 +438,25 @@ def smoothness_term(depth_values, depth_valid, edges):
             & depth_valid[2:, 1:-1]
             & depth_valid[:-2, 1:-1]
         )
-        total = total + ad.sum_all(ad.absolute(lap_d) * (second * ok)) / ((h - 2) * (w - 2))
+        w2 = second * ok
+        n2 = (h - 2) * (w - 2)
+        total = total + (np.abs(lap_d) * w2).sum() / n2
 
-    return total
+    def vjp(g):
+        gd = np.zeros((h, w))
+        if first is not None:
+            t = w1 * (g / n1)
+            tx, ty = np.sign(dx) * t, np.sign(dy) * t
+            gd[:-1, 1:] += tx
+            gd[1:, :-1] += ty
+            gd[:-1, :-1] -= tx + ty
+        if second is not None:
+            t = np.sign(lap_d) * (w2 * (g / n2))
+            gd[1:-1, 2:] += t
+            gd[1:-1, :-2] += t
+            gd[2:, 1:-1] += t
+            gd[:-2, 1:-1] += t
+            gd[1:-1, 1:-1] -= 4.0 * t
+        return (gd,)
+
+    return ad.fused(total, (depth_values,), vjp)

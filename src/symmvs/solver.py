@@ -7,7 +7,8 @@ line search on the total loss, masks frozen within each inner phase, so
 the recorded loss history is non-increasing between mask updates. Depths
 stay clamped to the hypothesis range. The state being refined is the one
 `consistency.SceneState` that every loss evaluation reads (`SolverState` is
-an alias of it).
+an alias of it); `refine` records why it stopped in its ``stop_reason``,
+one of `STOP_REASONS`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import numpy as np
 from . import consistency, volume
 from .autodiff import Var
 from .consistency import SceneState
-from .errors import TooFewViews
-from .geometry import DepthHypotheses, DepthMap
+from .errors import NoParallax, TooFewViews
+from .geometry import DepthHypotheses, DepthMap, pair_baseline
 from .photometry import LossWeights
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "STOP_REASONS",
     "SolverConfig",
     "SolverState",
     "init_depths",
@@ -41,6 +43,14 @@ ARMIJO_C = 1e-4
 # smallest admissible step still increases the loss by more than this
 # relative amount; flat stalls are stationary points.
 _STALL_REL_JUMP = 1e-2
+
+# Why `refine` stopped: the relative decrease over a mask phase fell below
+# the tolerance; the outer-iteration cap ran out (also a cap of zero); a
+# phase began at a zero gradient; a phase's line search could not move but
+# its smallest step barely raised the loss (a stationary point); or it
+# raised the loss steeply (the state is flagged diverged).
+STOP_REASONS = ("tol_reached", "max_iters", "zero_gradient", "stationary_stall",
+                "line_search_failed")
 
 
 @dataclass
@@ -88,10 +98,17 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
     """Initial depth map for every view from its own smoothed cost volume.
 
     Every view serves as reference exactly once, so the initialization is
-    symmetric under view relabeling.
+    symmetric under view relabeling. A reference view whose every source
+    camera sits at its centre raises NoParallax naming it: no depth
+    hypothesis would change its cost.
     """
     if len(views) < 2:
         raise TooFewViews("initialization needs at least two views")
+    for ref, target in enumerate(views):
+        if not any(pair_baseline(target, source).any()
+                   for s, source in enumerate(views) if s != ref):
+            raise NoParallax(f"view {ref}: every other camera sits at its centre, "
+                             "so its depth cannot be estimated")
     feats = [volume.extract_features(v.image, feature_mode) for v in views]
     depths = []
     for ref in range(len(views)):
@@ -149,7 +166,8 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
     Stops when the relative loss decrease over an outer iteration falls
     below ``convergence_tol``; if the line search cannot move at all while
     a significant gradient remains, the state is flagged diverged and the
-    best depths found so far are returned.
+    best depths found so far are returned. ``state.stop_reason`` says which
+    of `STOP_REASONS` ended the run.
 
     Camera- and image-only data is computed once per run, in one
     `consistency.ViewContext` that is dropped on return; a run with
@@ -162,6 +180,7 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
     if config.max_outer_iters == 0:
         state.masks = consistency.compute_all_masks(state.views, state.depths,
                                                     state.weights)
+        state.stop_reason = "max_iters"
         return state
     context = consistency.ViewContext(state.views, state.weights)
 
@@ -232,19 +251,20 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
             # Line search exhausted for the whole inner cycle. A flat stall
             # is a stationary point; a steep increase at the smallest
             # admissible step means the search genuinely failed.
+            # No trial at all means the phase began at a zero gradient.
             jump_cap = f_cur + max(_STALL_REL_JUMP * abs(f_cur), 1e-9)
-            if smallest_trial is None or (
-                np.isfinite(smallest_trial) and smallest_trial <= jump_cap
-            ):
-                state.converged = True
+            if smallest_trial is None:
+                state.converged, state.stop_reason = True, "zero_gradient"
+            elif np.isfinite(smallest_trial) and smallest_trial <= jump_cap:
+                state.converged, state.stop_reason = True, "stationary_stall"
             else:
-                state.diverged = True
+                state.diverged, state.stop_reason = True, "line_search_failed"
             break
         if rel_decrease < config.convergence_tol:
-            state.converged = True
+            state.converged, state.stop_reason = True, "tol_reached"
             break
     else:
-        state.converged = True
+        state.converged, state.stop_reason = True, "max_iters"
     return state
 
 

@@ -7,10 +7,16 @@ ones must match bit for bit (`cost_volume_loop`,
 `camera_rays_world_int_grid`, `box_sum3_padded`, `pad_zero_np`,
 `sample_validity_direct`, `census_distance_mean`, `synth_values_unshared`,
 `warp_depth_values_unshared`); `box_sum_axis_loop` fixes the order in which
-the cost-volume box sum adds each window.
+the cost-volume box sum adds each window. The loss formulas that the
+library records as single tape nodes are kept here in their op-by-op form,
+one node per array operation (`charbonnier_chain` to `smoothness_chain`,
+built on the Var helpers `sqrt`, `absolute`, `where_mask`, `sum_all` and
+`pad_zero`).
 """
 
 import numpy as np
+
+from symmvs.autodiff import Var, value_of
 
 
 def project_reproject(K_src, R_src, t_src, K_dst, R_dst, t_dst, px, py, depth):
@@ -260,7 +266,7 @@ def warp_depth_values_unshared(source_values, source_valid, target_values,
     coeff = r_st[2] @ geometry.intrinsics_inverse(source.intrinsics)
     z = (coeff[0] * x + coeff[1] * y + coeff[2]) * d_src + t_st[2]
     ok = ok & (ad.value_of(z) > 0.0)
-    return ad.where_mask(ok, z, 0.0), ok
+    return where_mask(ok, z, 0.0), ok
 
 
 def bilinear_image_grad_add_at(image_shape, x, y, mask, g):
@@ -389,3 +395,197 @@ def smoothness_gradient_flat_image(depth_values, h_step=1e-6):
             minus[y, x] -= h_step
             grad[y, x] = (term(plus) - term(minus)) / (2 * h_step)
     return grad
+
+
+# -- op-by-op compositions of the fused tape nodes ----------------------------
+#
+# The loss formulas as the library wrote them before each became one tape
+# node: every elementary operation is its own node, with its own VJP. A
+# fused node must give the same forward bits and, to rounding, the same
+# gradients. The elementwise helpers fall back to plain numpy without a Var.
+
+
+def sqrt(x):
+    if isinstance(x, Var):
+        out = np.sqrt(x.value)
+        return Var(out, (x,), lambda g: (g * (0.5 / out),))
+    return np.sqrt(x)
+
+
+def absolute(x):
+    if isinstance(x, Var):
+        s = np.sign(x.value)
+        return Var(np.abs(x.value), (x,), lambda g: (g * s,))
+    return np.abs(x)
+
+
+def where_mask(mask, x, fill):
+    """``x`` where ``mask`` else ``fill``; gradient passes only inside it."""
+    m = np.asarray(mask, dtype=bool)
+    if isinstance(x, Var):
+        out = np.where(m, x.value, fill)
+        return Var(out, (x,), lambda g: (np.where(m, g, 0.0),))
+    return np.where(m, x, fill)
+
+
+def sum_all(x):
+    if isinstance(x, Var):
+        return x.sum()
+    return np.asarray(x).sum()
+
+
+def pad_zero(x, pads):
+    """Zero-pad with a full per-axis ``np.pad`` width spec, by writing the
+    input into a slice of one zeroed output."""
+    def raw(a):
+        out = np.zeros(tuple(n + b + e for n, (b, e) in zip(a.shape, pads)), a.dtype)
+        slc = tuple(slice(b, b + n) for (b, _), n in zip(pads, a.shape))
+        out[slc] = a
+        return out, slc
+
+    if isinstance(x, Var):
+        out, slc = raw(x.value)
+        return Var(out, (x,), lambda g: (g[slc],))
+    return raw(np.asarray(x))[0]
+
+
+def charbonnier_chain(x):
+    return sqrt(x * x + 1.0e-6)
+
+
+def channel_mean_chain(x):
+    channels = value_of(x).shape[2]
+    acc = x[:, :, 0]
+    if channels == 1:
+        return acc
+    for c in range(1, channels):
+        acc = acc + x[:, :, c]
+    return acc / channels
+
+
+def grad_x_chain(x):
+    d = x[:, 1:] - x[:, :-1]
+    return pad_zero(d, ((0, 0), (0, 1)) + ((0, 0),) * (value_of(x).ndim - 2))
+
+
+def grad_y_chain(x):
+    d = x[1:, :] - x[:-1, :]
+    return pad_zero(d, ((0, 1), (0, 0)) + ((0, 0),) * (value_of(x).ndim - 2))
+
+
+def ssim_reference_chain(a, norm):
+    """Per-channel (channel, windowed mean, windowed variance)."""
+    from symmvs import autodiff as ad
+
+    out = []
+    for c in range(ad.value_of(a).shape[2]):
+        ac = a[:, :, c]
+        mu = ad.box_sum3(ac) / norm
+        out.append((ac, mu, ad.box_sum3(ac * ac) / norm - mu * mu))
+    return out
+
+
+def ssim_map_chain(a, b, norm):
+    """SSIM map of two (H, W, C) images, either a Var, one channel at a
+    time."""
+    from symmvs import autodiff as ad
+
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    sa, sb = ssim_reference_chain(a, norm), ssim_reference_chain(b, norm)
+
+    def one_channel(x, y):
+        (xc, mu_x, var_x), (yc, mu_y, var_y) = x, y
+        cov = ad.box_sum3(xc * yc) / norm - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+        den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        return num / den
+
+    acc = one_channel(sa[0], sb[0])
+    for c in range(1, len(sa)):
+        acc = acc + one_channel(sa[c], sb[c])
+    return acc / len(sa)
+
+
+def unary_comparator_chain(a, b, mask, weights, norm):
+    """The unary comparator of reference image ``a`` and synthesized image
+    ``b``, either a Var; the census term enters as a constant."""
+    from symmvs import autodiff as ad
+    from symmvs import photometry
+
+    mask = np.asarray(mask, dtype=bool)
+    count = int(mask.sum())
+    m = mask.astype(np.float64)
+
+    def masked_mean(term):
+        return sum_all(term * m) / count
+
+    t_l1 = channel_mean_chain(charbonnier_chain(a - b))
+    t_grad = (
+        channel_mean_chain(charbonnier_chain(grad_x_chain(a) - grad_x_chain(b)))
+        + channel_mean_chain(charbonnier_chain(grad_y_chain(a) - grad_y_chain(b)))
+    ) / 2.0
+    t_ssim = (1.0 - ssim_map_chain(a, b, norm)) * 0.5
+    census = [photometry.census_transform(photometry.grayscale(ad.value_of(x)))
+              for x in (a, b)]
+    dist = photometry.census_distance(*census)
+    t_census = float((np.sqrt(dist * dist + 1.0e-6) * m).sum() / count)
+    return (
+        weights.lambda1 * masked_mean(t_l1)
+        + weights.lambda2 * masked_mean(t_grad)
+        + weights.lambda3 * masked_mean(t_ssim)
+        + weights.lambda4 * t_census
+    )
+
+
+def sampling_chain_ops(pair, d):
+    """`geometry.sampling_chain` of a distinct-camera pair at depths ``d``
+    (a Var or plain)."""
+    a, b = pair.a, pair.b
+    qx = a[0] * d + b[0]
+    qy = a[1] * d + b[1]
+    z = a[2] * d + b[2]
+    front = value_of(z) > 1e-12
+    z_safe = where_mask(front, z, 1.0)
+    return qx / z_safe, qy / z_safe, z, front
+
+
+def warped_z_chain(pair, x, y, d_src, ok):
+    """The z formula of `geometry.warp_depth_values`: the sampled source
+    depth re-expressed in the target camera, zero outside ``ok`` and where
+    it is not positive. Returns (values, ok)."""
+    c = pair.z_row
+    z = (c[0] * x + c[1] * y + c[2]) * d_src + pair.z_off
+    ok = ok & (value_of(z) > 0.0)
+    return where_mask(ok, z, 0.0), ok
+
+
+def depth_consistency_chain(leaf, warped, mask):
+    count = int(mask.sum())
+    return sum_all(charbonnier_chain(leaf - warped) * mask.astype(np.float64)) / count
+
+
+def smoothness_chain(d, depth_valid, edges):
+    """`photometry.smoothness_term` of depths ``d`` (a Var or plain)."""
+    first, second = edges
+    h, w = value_of(d).shape
+    total = 0.0
+    if first is not None:
+        dx = d[:-1, 1:] - d[:-1, :-1]
+        dy = d[1:, :-1] - d[:-1, :-1]
+        grad_d = absolute(dx) + absolute(dy)
+        ok = depth_valid[:-1, :-1] & depth_valid[:-1, 1:] & depth_valid[1:, :-1]
+        total = total + sum_all(grad_d * (first * ok)) / ((h - 1) * (w - 1))
+    if second is not None:
+        lap_d = (
+            d[1:-1, 2:] + d[1:-1, :-2] + d[2:, 1:-1] + d[:-2, 1:-1]
+            - 4.0 * d[1:-1, 1:-1]
+        )
+        ok = (
+            depth_valid[1:-1, 1:-1]
+            & depth_valid[1:-1, 2:]
+            & depth_valid[1:-1, :-2]
+            & depth_valid[2:, 1:-1]
+            & depth_valid[:-2, 1:-1]
+        )
+        total = total + sum_all(absolute(lap_d) * (second * ok)) / ((h - 2) * (w - 2))
+    return total

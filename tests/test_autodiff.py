@@ -1,13 +1,16 @@
 """Gradient correctness of the reverse-mode core, checked against central
 finite differences on random inputs."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from symmvs import autodiff as ad
 from symmvs.autodiff import Var
 
-from _oracles import bilinear_image_grad_add_at, box_sum3_padded, pad_zero_np
+from _oracles import (absolute, bilinear_image_grad_add_at, box_sum3_padded, pad_zero,
+                      pad_zero_np, sqrt, where_mask)
 from conftest import same_bytes
 
 
@@ -52,7 +55,7 @@ def test_broadcast_scalar_and_row(rng):
 
 def test_sqrt_abs(rng):
     x = rng.uniform(-2.0, 2.0, (4, 4)) + 0.1  # stay away from |x| = 0
-    check_against_fd(lambda v: (ad.sqrt(v * v + 1.0) + ad.absolute(v)).sum(), x)
+    check_against_fd(lambda v: (sqrt(v * v + 1.0) + absolute(v)).sum(), x)
 
 
 def test_getitem_and_pad(rng):
@@ -60,7 +63,7 @@ def test_getitem_and_pad(rng):
 
     def build(v):
         d = v[:, 1:] - v[:, :-1]
-        return (ad.pad_zero(d, ((0, 0), (0, 1))) * 2.0).sum()
+        return (pad_zero(d, ((0, 0), (0, 1))) * 2.0).sum()
 
     check_against_fd(build, x)
 
@@ -69,7 +72,7 @@ def test_where_mask_blocks_gradient(rng):
     x = rng.uniform(0.0, 1.0, (5, 5))
     mask = rng.uniform(size=(5, 5)) > 0.4
     leaf = Var(x)
-    out = (ad.where_mask(mask, leaf, 7.0) * 1.0).sum()
+    out = (where_mask(mask, leaf, 7.0) * 1.0).sum()
     out.backward()
     np.testing.assert_array_equal(leaf.grad, mask.astype(float))
 
@@ -133,14 +136,47 @@ def test_pad_zero_bit_identical_to_np_pad(rng, shape):
     x = _wide_range(rng, shape)
     pads = ((1, 0), (0, 2)) + ((0, 1),) * (len(shape) - 2)
     padded = pad_zero_np(x, pads)
-    assert same_bytes(ad.pad_zero(x, pads), padded)
+    assert same_bytes(pad_zero(x, pads), padded)
     g = _wide_range(rng, padded.shape)
     leaf = Var(x)
-    out = ad.pad_zero(leaf, pads)
+    out = pad_zero(leaf, pads)
     assert same_bytes(out.value, padded)
     (out * g).sum().backward()
     inner = tuple(slice(b, b + n) for (b, _), n in zip(pads, shape))
     assert same_bytes(leaf.grad, g[inner])
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_accumulation_never_writes_into_returned_arrays(order):
+    # x gets three contributions: its consumer's own g (``x + 0.0`` passes
+    # g through), an array its VJP keeps from the forward pass, and a fresh
+    # one. Whichever comes first, only a buffer backward made is written.
+    x = Var(np.ones((2, 3)))
+    kept = np.arange(6.0).reshape(2, 3)
+    consumers = [lambda: x + 0.0,
+                 lambda: ad.fused(x.value * 2.0, (x,), lambda g: (kept,)),
+                 lambda: x * 3.0]
+    made = [consumers[k]() for k in order]
+    s = made[0] + made[1] + made[2]
+    s.sum().backward()
+    np.testing.assert_array_equal(kept, np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(s.grad, np.ones((2, 3)))
+    for node in made:
+        np.testing.assert_array_equal(node.grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(x.grad, 4.0 + kept)
+
+
+def test_fused_without_vars_is_the_plain_value():
+    value = np.arange(3.0)
+    assert ad.fused(value, (np.ones(3), 2.0), None) is value
+
+
+def test_fused_drops_gradients_of_plain_inputs(rng):
+    a, b = rng.uniform(size=(3, 4)), rng.uniform(size=(3, 4))
+    leaf = Var(b)
+    out = ad.fused(a * b, (a, leaf), lambda g: (None, g * a))
+    (out * 2.0).sum().backward()
+    np.testing.assert_array_equal(leaf.grad, 2.0 * a)
 
 
 def test_shared_subexpression_accumulates(rng):

@@ -9,6 +9,7 @@ from symmvs.cli import main
 from symmvs.fileio import read_pfm, read_ply, write_pfm, write_ply
 from symmvs.fusion import PointCloud
 from symmvs.geometry import DepthMap
+from symmvs.solver import STOP_REASONS
 
 
 SCENE_CFG = """\
@@ -72,7 +73,9 @@ def test_optimize_then_eval_depth(workspace, capsys):
     header = (out / "loss_history.csv").read_text().splitlines()[0]
     assert header == "iter,total,Lu,Ls,Lm,Ld,Lb"
     assert (out / "mask_0_1.pgm").exists()
-    capsys.readouterr()
+    reason = capsys.readouterr().err.splitlines()[-1]
+    assert reason.startswith("refinement stopped: ")
+    assert reason.split(": ")[1] in STOP_REASONS
 
     code = main(["eval-depth", str(out), str(workspace["bundle"])])
     assert code == 0
@@ -189,3 +192,19 @@ def test_diverged_run_exits_2(workspace, tmp_path):
     code = main(["optimize", str(workspace["bundle"]), str(tmp_path / "out"),
                  "--config", str(cfg)])
     assert code == 2
+
+
+def test_coincident_cameras_exit_1_naming_the_view(tmp_path, capsys):
+    scene, run_cfg = tmp_path / "twin.cfg", tmp_path / "run.cfg"
+    run_cfg.write_text(RUN_CFG)
+    # two cameras at one centre, no third
+    scene.write_text(SCENE_CFG.replace("center=-0.4,0,0", "center=0,0,0")
+                     .replace("camera fx=42 cx=23.5 cy=17.5 center=0.4,0,0\n", ""))
+    assert main(["synth", str(scene), str(tmp_path / "bundle")]) == 0
+    capsys.readouterr()
+    code = main(["optimize", str(tmp_path / "bundle"), str(tmp_path / "out"),
+                 "--config", str(run_cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: view 0: every other camera sits at its centre" in err
+    assert "Traceback" not in err

@@ -266,6 +266,48 @@ def test_gradient_flows_to_both_depths_of_a_pair(plane_scene):
     assert leaves[1].grad is not None and np.abs(leaves[1].grad).max() > 0
 
 
+@pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
+def test_gradient_and_value_paths_report_the_same_terms(scene, request):
+    # every term value and every skip, with one mask emptied
+    sc = request.getfixturevalue(scene)
+    state = scene_state(sc["views"], noisy_depths(sc["gt"], 0.05, sc["hyp"]),
+                        sc["weights"])
+    state.masks[0, 1] = OcclusionMask((0, 1), np.zeros_like(state.masks[0, 1].valid))
+    value_bd, _, _ = _evaluate(state.views, state.depths, state.masks,
+                               state.weights, False)
+    grad_bd, total, _ = _evaluate(state.views, state.depths, state.masks,
+                                  state.weights, True)
+    assert isinstance(total, Var)
+    assert {"Lu_0_1", "Lm_1_0", "Ld_0_1"} <= value_bd.skipped
+    assert grad_bd.skipped == value_bd.skipped
+    assert grad_bd.report_lines() == value_bd.report_lines()
+
+
+def tape(total):
+    """Every node reachable from ``total``."""
+    seen = {}
+    stack = [total]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_gradient_tape_stays_small(plane_scene):
+    # Each loss formula is one tape node; a formula that falls back to one
+    # node per array operation multiplies both counts (op by op, this
+    # evaluation recorded 1,264 nodes holding 24,726,104 bytes).
+    state = scene_state(plane_scene["views"], plane_scene["gt"],
+                        plane_scene["weights"])
+    _, total, _ = _evaluate(state.views, state.depths, state.masks,
+                            state.weights, True)
+    nodes = tape(total)
+    assert len(nodes) <= 145
+    assert sum(n.value.nbytes for n in nodes) <= 1_917_464
+
+
 class TestViewContext:
     """A context shared by many evaluations gives exactly what a fresh
     evaluation of each call gives, and rejects views and caller data it

@@ -31,6 +31,7 @@ from _oracles import (
     sample_validity_direct,
     synth_values_unshared,
     warp_depth_values_unshared,
+    where_mask,
 )
 from conftest import make_camera, same_bytes
 
@@ -556,7 +557,7 @@ def test_chain_coordinates_outside_front_are_never_read(monkeypatch):
 
     def nan_outside_front(*args, **kwargs):
         x, y, z, front = chain(*args, **kwargs)
-        return (ad.where_mask(front, x, np.nan), ad.where_mask(front, y, np.nan),
+        return (where_mask(front, x, np.nan), where_mask(front, y, np.nan),
                 z, front)
 
     monkeypatch.setattr(geometry, "sampling_chain", nan_outside_front)

@@ -34,7 +34,7 @@ from symmvs import (
 )
 from symmvs import photometry
 from symmvs.consistency import OcclusionMask, _evaluate
-from symmvs.errors import TooFewViews
+from symmvs.errors import NoParallax, TooFewViews
 from symmvs.solver import SolverConfig, SolverState
 
 from _oracles import smoothness_gradient_flat_image
@@ -74,6 +74,19 @@ class TestInitDepths:
         interior[4:-4, 20:-20] = True
         err = np.abs(depths[0].values - z0)[interior & depths[0].valid]
         assert np.median(err) < 0.5 * hyp.spacing
+
+    def test_coincident_cameras_raise_no_parallax(self, plane_scene):
+        # without a baseline every hypothesis scores the same; the sweep
+        # would return one depth everywhere and call it valid
+        views, hyp = plane_scene["views"], plane_scene["hyp"]
+        v = views[1]
+        twin = CameraView(v.intrinsics, v.rotation, v.translation, v.image[::-1])
+        with pytest.raises(NoParallax, match="view 0"):
+            init_depths([v, twin], hyp, DESK_TEMPERATURE)
+        with pytest.raises(NoParallax, match="view 0"):
+            run_pipeline([v, twin], desk_config(hyp))
+        # a third view gives every reference a baseline
+        assert len(init_depths([v, twin, views[2]], hyp, DESK_TEMPERATURE)) == 3
 
     def test_single_view_rejected(self, plane_scene):
         with pytest.raises(TooFewViews):
@@ -211,6 +224,7 @@ class TestRefine:
                             masks={}, weights=config.weights)
         state = refine(state, config)
         assert state.converged and not state.diverged
+        assert state.stop_reason == "stationary_stall"
         for d, g in zip(state.depths, gt):
             moved = np.abs(d.values - g.values)[g.valid].max()
             assert moved < 0.1 * hyp.spacing
@@ -251,6 +265,28 @@ class TestRefine:
         for d in state.depths:
             assert (d.values[d.valid] >= hyp.d_min).all()
             assert (d.values[d.valid] <= hyp.d_max).all()
+        # the outer-iteration cap ran out; the flag keeps its old meaning
+        assert state.stop_reason == "max_iters" and len(state.outer_log) == 4
+        assert state.converged
+
+    def test_loose_tolerance_stops_after_one_phase(self, plane_scene):
+        views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
+        start = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=6)
+        config = desk_config(hyp, max_outer_iters=4, convergence_tol=0.9)
+        state = refine(SolverState(views=views, depths=start, masks={},
+                                   weights=config.weights), config)
+        assert state.stop_reason == "tol_reached" and len(state.outer_log) == 1
+        assert state.converged and state.iteration > 0
+
+    def test_zero_objective_stops_at_zero_gradient(self, plane_scene):
+        views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
+        zero = LossWeights(**{name: 0.0 for name in LossWeights.__dataclass_fields__
+                              if name != "tau_occ"}, tau_occ=1.0)
+        config = desk_config(hyp, max_outer_iters=3, weights=zero)
+        state = refine(SolverState(views=views, depths=[d.copy() for d in gt],
+                                   masks={}, weights=zero), config)
+        assert state.stop_reason == "zero_gradient" and state.iteration == 0
+        assert state.converged and not state.diverged
 
     def test_zero_outer_iters_only_recomputes_masks(self, plane_scene,
                                                     monkeypatch):
@@ -270,6 +306,7 @@ class TestRefine:
             np.testing.assert_array_equal(d.values, g.values)
         assert state.history == []
         assert called == []
+        assert state.stop_reason == "max_iters" and not state.converged
 
     def test_mask_counts_grow_once_loss_improves(self, plane_scene):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
@@ -299,6 +336,7 @@ class TestRefine:
         state = refine(SolverState(views=views, depths=start, masks={},
                                    weights=config.weights), config)
         assert state.diverged and not state.converged
+        assert state.stop_reason == "line_search_failed"
 
 
 class TestRunPipeline:
