@@ -35,6 +35,11 @@ class NoParallax(SymmvsError):
     depth changes where a pixel lands and the depth cannot be estimated."""
 
 
+class EmptySweep(SymmvsError):
+    """No pixel of a reference view sees a second view at any depth
+    hypothesis, so the hypothesis range misses the scene."""
+
+
 class EmptyMask(SymmvsError):
     """A masked reduction has no valid pixels; the term must be skipped."""
 

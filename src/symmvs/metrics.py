@@ -133,14 +133,16 @@ def cloud_metrics(pred: PointCloud, gt: PointCloud, threshold: float) -> CloudMe
 
     Accuracy reduces nearest-ground-truth distances of predicted points;
     completeness reduces nearest-prediction distances of ground-truth
-    points. Nearest neighbors are exact.
+    points. Nearest neighbors are exact; both k-d trees split at the
+    midpoint of each cell (``balanced_tree=False``), which builds faster
+    than median splits and finds the same distances.
     """
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("cloud metrics need non-empty clouds")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    d_acc, _ = cKDTree(gt.points).query(pred.points, k=1)
-    d_comp, _ = cKDTree(pred.points).query(gt.points, k=1)
+    d_acc, _ = cKDTree(gt.points, balanced_tree=False).query(pred.points, k=1)
+    d_comp, _ = cKDTree(pred.points, balanced_tree=False).query(gt.points, k=1)
     acc_pct = 100.0 * float(np.mean(d_acc < threshold))
     comp_pct = 100.0 * float(np.mean(d_comp < threshold))
     denom = acc_pct + comp_pct

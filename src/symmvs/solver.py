@@ -22,7 +22,7 @@ import numpy as np
 from . import consistency, volume
 from .autodiff import Var
 from .consistency import SceneState
-from .errors import NoParallax, TooFewViews
+from .errors import EmptySweep, NoParallax, TooFewViews, UnknownMode
 from .geometry import DepthHypotheses, DepthMap, pair_baseline
 from .photometry import LossWeights
 
@@ -86,6 +86,9 @@ class SolverConfig:
             raise ValueError("line-search limits must be positive")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
+        volume.check_radius(self.smooth_radius)
+        if self.feature_mode not in volume.FEATURE_MODES:
+            raise UnknownMode(f"unknown feature mode {self.feature_mode!r}")
 
 
 # `refine` updates the progress fields of the one scene state in place;
@@ -100,7 +103,9 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
     Every view serves as reference exactly once, so the initialization is
     symmetric under view relabeling. A reference view whose every source
     camera sits at its centre raises NoParallax naming it: no depth
-    hypothesis would change its cost.
+    hypothesis would change its cost. The first reference view without a
+    single valid depth raises EmptySweep naming it: no second view sees
+    any of its pixels at any hypothesis, so the range misses the scene.
     """
     if len(views) < 2:
         raise TooFewViews("initialization needs at least two views")
@@ -114,7 +119,13 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
     for ref in range(len(views)):
         vol = volume.build_cost_volume(views, feats, ref, hypotheses)
         vol = volume.smooth_cost_volume(vol, smooth_radius)
-        depth, _ = volume.regress_depth(vol, temperature)
+        depth = volume.regress_depth(vol, temperature)[0]
+        del vol  # the next reference's sweep holds no volume of this one
+        if not depth.valid.any():
+            raise EmptySweep(
+                f"view {ref}: no pixel sees a second view at any depth in "
+                f"[{hypotheses.d_min:g}, {hypotheses.d_max:g}], so the "
+                "hypothesis range misses the scene")
         depths.append(depth)
     return depths
 

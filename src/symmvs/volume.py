@@ -8,20 +8,26 @@ hypothesis depth. The reference's own features join the group, and the
 per-pixel matching cost is the channel-averaged population variance across
 the contributing views. A separable, validity-aware box filter stands in
 for learned regularization, and the depth is read out as the
-softmax-weighted expectation over hypotheses. The filter sums each window
-directly, one offset at a time in place, so an output carries only the
-rounding of its own terms and smoothing needs no buffer beyond its output.
+softmax-weighted expectation over hypotheses.
 
-The sweep works channel-first: once per call, every view's (H, W, F)
-features become one contiguous (F, H*W) array, checked for finite values
-there and nowhere else. Per hypothesis and source view, the pair's
-sampling flags the samples in front of the source camera and in bounds,
-and each of its four bilinear corners is one gather along the pixel axis.
-The pairwise variance then runs on (F, H, W) arrays, summing channels
-as whole planes. The loop over hypotheses stays: stacking
-all D hypotheses into one (D, H, W) pass produces large temporaries that
-cost more in memory traffic than the Python loop costs in dispatch, and was
-measured slower at 256x192 even in chunks of 4 hypotheses.
+What each stage holds at volume size (D, H, W), beyond its input:
+- `build_cost_volume`: the float cost, the support count as
+  ``np.min_scalar_type(n_views)`` (one byte up to 255 views) and the
+  boolean validity, 10 bytes per entry. It works channel-first: once per
+  call every view's (H, W, F) features become one contiguous (F, H*W)
+  array, checked for finite values there and nowhere else. Per hypothesis
+  and source view, the pair's sampling flags the samples in front of the
+  source camera and in bounds, and each of its four bilinear corners is
+  one gather along the pixel axis; the gathers and the pairwise variance
+  write into (F, H, W) and (H, W) buffers allocated once per call.
+- `smooth_cost_volume`: its output cost and validity. It streams over
+  depth slices and sums each window directly, one offset at a time, so an
+  output carries only the rounding of its own terms.
+- `regress_depth`: one float buffer, in which the logits become the
+  returned probabilities in place.
+
+`solver.init_depths` drops each reference view's volumes before it builds
+the next, so a sweep holds at most two float volumes at once.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
     "CostVolume",
     "extract_features",
     "build_cost_volume",
+    "check_radius",
     "smooth_cost_volume",
     "regress_depth",
 ]
@@ -63,8 +70,10 @@ class CostVolume:
     """Variance-aggregated matching cost per depth hypothesis.
 
     ``cost`` is (D, H, W), lower is better; ``support`` counts contributing
-    views; entries with support < 2 carry no information and are flagged
-    False in ``valid`` (their cost holds the sentinel 0).
+    views, as the narrowest unsigned integer that holds the view count
+    (``np.min_scalar_type(n_views)``, uint8 up to 255 views); entries with
+    support < 2 carry no information and are flagged False in ``valid``
+    (their cost holds the sentinel 0).
     """
 
     ref_view: int
@@ -118,39 +127,54 @@ def build_cost_volume(views, features, ref: int,
 
     d_count = hyp.count
     cost = np.zeros((d_count, h, w))
-    support = np.zeros((d_count, h, w), dtype=np.int64)
+    support = np.zeros((d_count, h, w), dtype=np.min_scalar_type(n_views))
 
     others = [v for v in range(n_views) if v != ref]
     pairs = {src: geometry.pair_coefficients(views[ref], views[src], h, w)
              for src in others}
+    # per-call buffers: one resampled (F, H, W) map per source, one gather,
+    # one difference, one channel sum and the sum over pairs
+    warped = {src: np.empty((n_feat, h, w)) for src in others}
+    tap = np.empty((n_feat, h, w))
+    diff = np.empty((n_feat, h, w))
+    chan = np.empty((h, w))
+    pair_sq = np.empty((h, w))
     for k, depth in enumerate(hyp.samples):
         # the reference is valid everywhere; its mask stays implicit (None)
         group = [(ref_vals, None)]
         for src in others:
             _, _, ok, (idx, wts, _, _) = geometry.pair_sampling(
                 pairs[src], float(depth), True)
-            taps = [np.take(flat[src], i, axis=1) * wt for i, wt in zip(idx, wts)]
-            group.append((taps[0] + taps[1] + taps[2] + taps[3], ok))
+            acc = warped[src]
+            np.take(flat[src], idx[0], axis=1, out=acc)
+            acc *= wts[0]
+            for i, wt in zip(idx[1:], wts[1:]):
+                np.take(flat[src], i, axis=1, out=tap)
+                tap *= wt
+                acc += tap
+            group.append((acc, ok))
 
-        count = np.ones((h, w), dtype=np.int64)
+        count = support[k]
+        count += 1
         for _, ok in group[1:]:
             count += ok
-        pair_sq = np.zeros((h, w))
+        pair_sq.fill(0.0)
         for a in range(len(group)):
             va, oka = group[a]
             for b in range(a + 1, len(group)):
                 vb, okb = group[b]
                 both = okb if oka is None else oka & okb
-                diff = np.where(both, va - vb, 0.0)
-                sq = diff * diff
-                chan = sq[0]
+                np.subtract(va, vb, out=diff)
+                np.copyto(diff, 0.0, where=~both)
+                diff *= diff
+                np.copyto(chan, diff[0])
                 for c in range(1, n_feat):
-                    chan = chan + sq[c]
-                pair_sq += chan / n_feat
+                    chan += diff[c]
+                chan /= n_feat
+                pair_sq += chan
         ok2 = count >= 2
         denom = np.where(ok2, count, 1).astype(np.float64)
         cost[k] = np.where(ok2, pair_sq / (denom * denom), 0.0)
-        support[k] = count
 
     return CostVolume(ref, hyp, cost, support, support >= 2)
 
@@ -171,25 +195,55 @@ def _box_sum_axis(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
     return out
 
 
+def check_radius(radius) -> tuple:
+    """The smoothing radii (r_d, r_h, r_w) as ints.
+
+    Raises ValueError unless ``radius`` holds three non-negative integral
+    numbers.
+    """
+    try:
+        radii = tuple(float(r) for r in radius)
+    except (TypeError, ValueError):
+        radii = ()
+    if len(radii) != 3 or not all(r >= 0 and r.is_integer() for r in radii):
+        raise ValueError(
+            f"smoothing radii must be three non-negative integers, got {radius!r}")
+    return tuple(int(r) for r in radii)
+
+
 def smooth_cost_volume(vol: CostVolume, radius=(1, 1, 1)) -> CostVolume:
     """Separable box smoothing over valid cost entries.
 
     Each output is the mean of the valid entries inside the
-    (2r_d+1, 2r_h+1, 2r_w+1) window; support is passed through unchanged.
+    (2r_d+1, 2r_h+1, 2r_w+1) window (0 where the window holds none); the
+    input's ``support`` array is passed through, not copied. Raises
+    ValueError unless the radii are non-negative integers.
+
+    One depth slice at a time: a slice's numerator and count add their
+    depth neighbours in `_box_sum_axis`'s order (centre, then -1, +1, -2,
+    +2, ...), then are box-summed along rows and columns, so every output
+    equals the whole-volume separable filter bit for bit. Only the output
+    cost and validity are allocated at volume size.
     """
-    rd, rh, rw = (int(r) for r in radius)
-    if min(rd, rh, rw) < 0:
-        raise ValueError("radii must be non-negative")
-    num = np.where(vol.valid, vol.cost, 0.0)
-    den = vol.valid.astype(np.float64)
-    for axis, r in ((0, rd), (1, rh), (2, rw)):
-        if r == 0:
-            continue
-        num = _box_sum_axis(num, r, axis)
-        den = _box_sum_axis(den, r, axis)
-    ok = den > 0.5
-    cost = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-    return CostVolume(vol.ref_view, vol.hypotheses, cost, vol.support.copy(), ok)
+    rd, rh, rw = check_radius(radius)
+    d_count = vol.cost.shape[0]
+    cost = np.zeros(vol.cost.shape)
+    ok = np.empty(vol.valid.shape, dtype=bool)
+    for k in range(d_count):
+        num = np.where(vol.valid[k], vol.cost[k], 0.0)
+        den = vol.valid[k].astype(np.float64)
+        for j in range(1, min(rd, d_count - 1) + 1):
+            for n in (k - j, k + j):
+                if 0 <= n < d_count:
+                    num += np.where(vol.valid[n], vol.cost[n], 0.0)
+                    den += vol.valid[n]
+        for axis, r in ((0, rh), (1, rw)):
+            if r:
+                num = _box_sum_axis(num, r, axis)
+                den = _box_sum_axis(den, r, axis)
+        np.greater(den, 0.5, out=ok[k])
+        np.divide(num, den, out=cost[k], where=ok[k])
+    return CostVolume(vol.ref_view, vol.hypotheses, cost, vol.support, ok)
 
 
 def regress_depth(vol: CostVolume, temperature: float = 1.0):
@@ -200,19 +254,30 @@ def regress_depth(vol: CostVolume, temperature: float = 1.0):
     map and the (D, H, W) probabilities, which sum to 1 along D. Pixels
     without any valid hypothesis are marked invalid (their distribution is
     left uniform so the volume still normalizes).
+
+    The logits, their exponentials and the probabilities are computed in
+    place in the one (D, H, W) buffer that is returned; the depth adds one
+    hypothesis at a time, in `sum(axis=0)`'s order.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     d_count = vol.cost.shape[0]
-    logits = np.where(vol.valid, -vol.cost / temperature, -np.inf)
+    prob = np.negative(vol.cost)
+    prob /= temperature
+    np.copyto(prob, -np.inf, where=~vol.valid)
     any_valid = vol.valid.any(axis=0)
-    peak = np.where(any_valid, logits.max(axis=0), 0.0)
-    expo = np.where(vol.valid, np.exp(logits - peak), 0.0)
-    norm = expo.sum(axis=0)
-    prob = expo / np.where(any_valid, norm, 1.0)
-    prob = np.where(any_valid, prob, 1.0 / d_count)
+    peak = np.where(any_valid, prob.max(axis=0), 0.0)
+    prob -= peak
+    np.exp(prob, out=prob)
+    norm = prob.sum(axis=0)
+    prob /= np.where(any_valid, norm, 1.0)
+    np.copyto(prob, 1.0 / d_count, where=~any_valid)
     samples = vol.hypotheses.samples
-    depth = (samples[:, None, None] * prob).sum(axis=0)
+    depth = samples[0] * prob[0]
+    term = np.empty_like(depth)
+    for k in range(1, d_count):
+        np.multiply(samples[k], prob[k], out=term)
+        depth += term
     depth = np.clip(depth, vol.hypotheses.d_min, vol.hypotheses.d_max)
     depth = np.where(any_valid, depth, 0.0)
     return geometry.DepthMap(depth, any_valid), prob

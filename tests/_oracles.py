@@ -4,6 +4,7 @@ Everything here is deliberately written the slow, obvious way (loops,
 direct formulas) and never calls the code paths it checks. The earlier
 forms of several vectorized routines are kept as references the current
 ones must match bit for bit (`cost_volume_loop`,
+`smooth_cost_volume_whole`, `regress_depth_whole`,
 `camera_rays_world_int_grid`, `box_sum3_padded`, `pad_zero_np`,
 `sample_validity_direct`, `census_distance_mean`, `synth_values_unshared`,
 `warp_depth_values_unshared`); `box_sum_axis_loop` fixes the order in which
@@ -157,6 +158,40 @@ def cost_volume_loop(views, features, ref, hyp):
         cost[k] = np.where(ok2, pair_sq / (denom * denom), 0.0)
         support[k] = count
     return cost, support, support >= 2
+
+
+def smooth_cost_volume_whole(vol, radius):
+    """Validity-aware box smoothing of a whole (D, H, W) volume at once:
+    the masked numerator and the count are box-summed along depth, rows and
+    columns in turn, each a whole-volume temporary (the library's earlier
+    form). Returns (cost, valid)."""
+    num = np.where(vol.valid, vol.cost, 0.0)
+    den = vol.valid.astype(np.float64)
+    for axis, r in enumerate(radius):
+        if r == 0:
+            continue
+        num = box_sum_axis_loop(num, r, axis)
+        den = box_sum_axis_loop(den, r, axis)
+    ok = den > 0.5
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0), ok
+
+
+def regress_depth_whole(vol, temperature):
+    """Softmax expected depth with one whole-volume temporary per step
+    (the library's earlier form). Returns (depth values, depth valid,
+    probabilities)."""
+    d_count = vol.cost.shape[0]
+    logits = np.where(vol.valid, -vol.cost / temperature, -np.inf)
+    any_valid = vol.valid.any(axis=0)
+    peak = np.where(any_valid, logits.max(axis=0), 0.0)
+    expo = np.where(vol.valid, np.exp(logits - peak), 0.0)
+    norm = expo.sum(axis=0)
+    prob = expo / np.where(any_valid, norm, 1.0)
+    prob = np.where(any_valid, prob, 1.0 / d_count)
+    samples = vol.hypotheses.samples
+    depth = (samples[:, None, None] * prob).sum(axis=0)
+    depth = np.clip(depth, vol.hypotheses.d_min, vol.hypotheses.d_max)
+    return np.where(any_valid, depth, 0.0), any_valid, prob
 
 
 def camera_rays_world_int_grid(cam, height, width):

@@ -208,3 +208,20 @@ def test_coincident_cameras_exit_1_naming_the_view(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: view 0: every other camera sits at its centre" in err
     assert "Traceback" not in err
+
+
+def test_sweep_range_that_misses_the_scene_exits_1(tmp_path, capsys):
+    # hypotheses at 0.01-0.0131 in front of a plane at 3: every warp leaves
+    # the source image, so no pixel of view 0 gets a depth
+    scene = tmp_path / "near.cfg"
+    scene.write_text(SCENE_CFG.replace("depth_range 2.0 0.04",
+                                       "depth_range 0.01 0.0001"))
+    assert main(["synth", str(scene), str(tmp_path / "bundle")]) == 0
+    capsys.readouterr()
+    code = main(["sweep", str(tmp_path / "bundle"), str(tmp_path / "out"),
+                 "--hyp-count", "32", "--temperature", "3e-6"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: view 0: no pixel sees a second view at any depth" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

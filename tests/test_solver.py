@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,12 @@ from symmvs import (
     regress_depth,
     render_scene,
     run_pipeline,
+    smooth_cost_volume,
     total_loss,
 )
 from symmvs import photometry
 from symmvs.consistency import OcclusionMask, _evaluate
-from symmvs.errors import NoParallax, TooFewViews
+from symmvs.errors import EmptySweep, NoParallax, TooFewViews, UnknownMode
 from symmvs.solver import SolverConfig, SolverState
 
 from _oracles import smoothness_gradient_flat_image
@@ -91,6 +93,44 @@ class TestInitDepths:
     def test_single_view_rejected(self, plane_scene):
         with pytest.raises(TooFewViews):
             init_depths(plane_scene["views"][:1], plane_scene["hyp"], 1.0)
+
+    def test_range_that_misses_the_scene_raises_empty_sweep(self, plane_scene):
+        # at depths of 0.01-0.02 every warp leaves the source image: no
+        # hypothesis has a second view, and refinement would "converge" at
+        # a loss of 0 on depth maps without a valid pixel
+        views, hyp = plane_scene["views"], DepthHypotheses(0.01, 0.02, 8)
+        with pytest.raises(EmptySweep, match=r"^view 0: .*\[0\.01, 0\.02\]"):
+            init_depths(views, hyp, DESK_TEMPERATURE)
+        with pytest.raises(EmptySweep, match="^view 0: "):
+            run_pipeline(views, desk_config(hyp))
+
+    def test_empty_sweep_names_the_first_view_without_depth(self, plane_scene):
+        # the third camera sits 60 units off to the side: views 0 and 1
+        # still see each other, but no pixel of view 2 lands in either
+        views = plane_scene["views"]
+        far = CameraView(views[2].intrinsics, views[2].rotation,
+                         views[2].translation - np.array([60.0, 0.0, 0.0]),
+                         views[2].image)
+        hyp = DepthHypotheses(1.8, 2.2, 4)
+        with pytest.raises(EmptySweep, match="^view 2: "):
+            init_depths([views[0], views[1], far], hyp, DESK_TEMPERATURE)
+
+    def test_sweep_memory_stays_near_two_volumes(self, occluder_scene):
+        # one float volume at 3 views, 96x128, 32 hypotheses is 3 MiB; the
+        # sweep holds a raw and a smoothed volume, or a smoothed volume and
+        # its probabilities, plus the features and one hypothesis' samplings.
+        # Measured: 3.27 volumes; whole-volume smoothing or regression
+        # temporaries, int64 support or a previous reference's volume kept
+        # alive each give 4.1 to 5.7 (7.7 before streaming)
+        views, hyp = occluder_scene["views"], DepthHypotheses(1.5, 4.0, 32)
+        h, w = views[0].image.shape[:2]
+        tracemalloc.start()
+        try:
+            init_depths(views, hyp, DESK_TEMPERATURE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.8 * hyp.count * h * w * 8
 
 
 class TestLossGradient:
@@ -543,3 +583,29 @@ def _flat_volume():
 def test_nan_parameter_is_rejected(plane_scene, call):
     with pytest.raises(ValueError, match=r"must be (positive|non-negative)$"):
         call(plane_scene)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda sc: SolverConfig(sc["hyp"], smooth_radius=(-1, 1, 1)),
+                 id="negative-radius"),
+    pytest.param(lambda sc: SolverConfig(sc["hyp"], smooth_radius=(1.7, 1, 1)),
+                 id="fractional-radius"),
+    pytest.param(lambda sc: SolverConfig(sc["hyp"], smooth_radius=(np.nan, 1, 1)),
+                 id="nan-radius"),
+    pytest.param(lambda sc: SolverConfig(sc["hyp"], smooth_radius=(1, 1)),
+                 id="two-radii"),
+    pytest.param(lambda sc: smooth_cost_volume(_flat_volume(), (1.7, 1, 1)),
+                 id="smooth-fractional-radius"),
+    pytest.param(lambda sc: smooth_cost_volume(_flat_volume(), (1, np.nan, 1)),
+                 id="smooth-nan-radius"),
+])
+def test_bad_smoothing_radius_is_rejected(plane_scene, call):
+    with pytest.raises(ValueError, match="must be three non-negative integers"):
+        call(plane_scene)
+
+
+def test_unknown_feature_mode_is_rejected_up_front(plane_scene):
+    with pytest.raises(UnknownMode, match="'bogus'"):
+        SolverConfig(plane_scene["hyp"], feature_mode="bogus")
+    SolverConfig(plane_scene["hyp"], feature_mode="intensity",
+                 smooth_radius=(0, 2.0, np.int64(1)))

@@ -21,6 +21,8 @@ from _oracles import (
     box_sum_axis_loop,
     cost_volume_loop,
     population_variance_brute,
+    regress_depth_whole,
+    smooth_cost_volume_whole,
 )
 from conftest import DESK_TEMPERATURE, make_camera
 
@@ -137,6 +139,7 @@ class TestBuildCostVolume:
             cost, support, valid = cost_volume_loop(views, feats, ref, hyp)
             assert np.array_equal(vol.cost, cost)
             assert np.array_equal(vol.support, support)
+            assert vol.support.dtype == np.uint8
             assert np.array_equal(vol.valid, valid)
 
     @pytest.mark.parametrize("bad_view", [0, 2])
@@ -161,6 +164,28 @@ class TestBuildCostVolume:
         feats = [extract_features(views[0].image, "grad3")]
         with pytest.raises(TooFewViews):
             build_cost_volume(views, feats, 0, plane_scene["hyp"])
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: tells 0.0 from -0.0 and compares NaNs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_volume(seed, shape, p_valid=0.6, dead_pixels=3):
+    """A cost volume with scattered invalid cells whose cost is not the
+    sentinel 0, and a few pixels with no valid hypothesis at all."""
+    rng = np.random.default_rng(seed)
+    d, h, w = shape
+    cost = rng.uniform(0.0, 2.0, size=shape)
+    valid = rng.uniform(size=shape) < p_valid
+    for _ in range(dead_pixels):
+        valid[:, rng.integers(h), rng.integers(w)] = False
+    support = np.where(valid, 2, 1).astype(np.uint8)
+    return CostVolume(0, DepthHypotheses(1.0, 3.0, d), cost, support, valid)
+
+
+VOLUME_SHAPES = [(2, 5, 7), (3, 1, 6), (5, 6, 1), (8, 9, 11), (17, 4, 5)]
 
 
 class TestSmoothCostVolume:
@@ -205,6 +230,42 @@ class TestSmoothCostVolume:
             np.testing.assert_array_equal(out.valid, expected_ok)
             np.testing.assert_allclose(out.cost[out.valid], expected[expected_ok],
                                        rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", VOLUME_SHAPES)
+    def test_streamed_matches_whole_volume_form_bit_for_bit(self, shape):
+        vol = random_volume(sum(shape), shape)
+        # radii from 0 to wider than every axis, each axis on its own too
+        for radius in [(0, 0, 0), (1, 1, 1), (1, 2, 1), (3, 0, 4), (2, 1, 1),
+                       (0, 1, 0), (0, 0, 2), (4, 0, 0), (20, 12, 13)]:
+            out = smooth_cost_volume(vol, radius)
+            cost, ok = smooth_cost_volume_whole(vol, radius)
+            assert same_bits(out.cost, cost), radius
+            assert same_bits(out.valid, ok), radius
+            assert out.support is vol.support
+
+    def test_signed_zero_costs_keep_their_bits(self):
+        # -0.0 everywhere: an invalid neighbour adds +0.0, which turns a
+        # window of -0.0 into +0.0; skipping that neighbour would keep -0.0
+        vol = random_volume(11, (4, 5, 6))
+        vol.cost[...] = -0.0
+        for radius in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 0, 1)]:
+            out = smooth_cost_volume(vol, radius)
+            cost, ok = smooth_cost_volume_whole(vol, radius)
+            assert same_bits(out.cost, cost) and same_bits(out.valid, ok)
+
+    def test_integral_float_radii_equal_int_radii(self):
+        vol = random_volume(12, (4, 5, 6))
+        a = smooth_cost_volume(vol, (1.0, np.int64(2), 1))
+        b = smooth_cost_volume(vol, (1, 2, 1))
+        assert same_bits(a.cost, b.cost) and same_bits(a.valid, b.valid)
+
+    @pytest.mark.parametrize("radius", [(1.7, 1, 1), (1, 0.5, 1), (1, -1, 1),
+                                        (np.nan, 1, 1), (1, np.inf, 1), (1, 1),
+                                        (1, 1, 1, 1), 1, ("a", 1, 1)])
+    def test_bad_radius_is_rejected(self, radius):
+        vol = random_volume(13, (3, 4, 5))
+        with pytest.raises(ValueError, match="three non-negative integers"):
+            smooth_cost_volume(vol, radius)
 
     @pytest.mark.parametrize("radius", range(7))
     def test_box_sum_matches_per_index_loop_exactly(self, radius):
@@ -296,6 +357,54 @@ class TestRegressDepth:
         vol2 = CostVolume(0, hyp, cost + shift, vol.support, vol.valid)
         d2, _ = regress_depth(vol2, 0.5)
         np.testing.assert_allclose(d1.values, d2.values, atol=1e-9)
+
+
+    @pytest.mark.parametrize("shape", VOLUME_SHAPES)
+    @pytest.mark.parametrize("temperature", [1e-3, 0.3, 50.0])
+    def test_in_place_matches_whole_volume_form_bit_for_bit(self, shape,
+                                                            temperature):
+        vol = random_volume(sum(shape) + 1, shape)
+        depth, prob = regress_depth(vol, temperature)
+        values, any_valid, expected_prob = regress_depth_whole(vol, temperature)
+        assert same_bits(depth.values, values)
+        assert same_bits(depth.valid, any_valid)
+        assert same_bits(prob, expected_prob)
+        assert not depth.valid.all()
+
+    def test_no_valid_hypothesis_anywhere(self):
+        vol = random_volume(14, (4, 3, 5), p_valid=0.0)
+        depth, prob = regress_depth(vol, 0.5)
+        values, any_valid, expected_prob = regress_depth_whole(vol, 0.5)
+        assert same_bits(depth.values, values) and same_bits(prob, expected_prob)
+        assert not depth.valid.any()
+        assert (prob == 0.25).all()
+
+    def test_input_volume_is_left_unchanged(self):
+        vol = random_volume(15, (6, 4, 5))
+        before = [a.copy() for a in (vol.cost, vol.support, vol.valid)]
+        out = smooth_cost_volume(vol, (1, 1, 1))
+        regress_depth(vol, 0.5)
+        regress_depth(out, 0.5)
+        for a, b in zip(before, (vol.cost, vol.support, vol.valid)):
+            assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
+def test_sweep_stages_match_whole_volume_forms_on_scenes(request, scene):
+    sc = request.getfixturevalue(scene)
+    views = sc["views"]
+    hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
+    feats = [extract_features(v.image, "grad3") for v in views]
+    for ref in range(len(views)):
+        vol = build_cost_volume(views, feats, ref, hyp)
+        smoothed = smooth_cost_volume(vol, (1, 1, 1))
+        cost, ok = smooth_cost_volume_whole(vol, (1, 1, 1))
+        assert same_bits(smoothed.cost, cost) and same_bits(smoothed.valid, ok)
+        depth, prob = regress_depth(smoothed, DESK_TEMPERATURE)
+        values, any_valid, expected_prob = regress_depth_whole(smoothed,
+                                                               DESK_TEMPERATURE)
+        assert same_bits(depth.values, values) and same_bits(depth.valid, any_valid)
+        assert same_bits(prob, expected_prob)
 
 
 def test_smoothed_regression_accuracy_on_plane(plane_scene):
