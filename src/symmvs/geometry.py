@@ -12,8 +12,9 @@ Conventions
 
 One camera model serves every stage. `pair_coefficients` builds the
 `ViewPair` record of an ordered (target, source) pair from the two cameras
-and the grid alone, so callers build it once: per source view in a sweep,
-per ordered pair for a refinement run (`consistency.ViewContext`). The
+and the grid alone, over all target rows or a band of them, so callers
+build it once: per source view and row band in a sweep, per ordered pair
+for a refinement run (`consistency.ViewContext`). The
 per-depth functions read that record and no camera. `sampling_chain` sends
 a target pixel at depth d to the homogeneous source pixel ``a * d + b``;
 `pair_sampling`, at per-pixel depths or one constant sweep depth, bundles
@@ -221,11 +222,27 @@ def _pixel_grid(height: int, width: int):
     return gx.astype(np.float64), gy.astype(np.float64)
 
 
-def view_rays(cam: CameraView, height: int, width: int) -> np.ndarray:
-    """Backprojected ray per pixel, K^-1 @ (x, y, 1); z-component exactly 1."""
-    gx, gy = _pixel_grid(height, width)
+def _row_range(rows, height: int) -> tuple:
+    """``rows`` as (top, bottom) with 0 <= top < bottom <= height; None
+    means every row."""
+    if rows is None:
+        return 0, height
+    top, bottom = (int(r) for r in rows)
+    if not 0 <= top < bottom <= height:
+        raise ValueError(f"rows {rows!r} are not a range of rows of {height}")
+    return top, bottom
+
+
+def view_rays(cam: CameraView, height: int, width: int, rows=None) -> np.ndarray:
+    """Backprojected ray per pixel, K^-1 @ (x, y, 1); z-component exactly 1.
+
+    ``rows`` = (top, bottom) limits the rays to those rows of the
+    (height, width) grid; each ray has the same bits as in the whole grid.
+    """
+    top, bottom = _row_range(rows, height)
+    gx, gy = (g[top:bottom] for g in _pixel_grid(height, width))
     kinv = intrinsics_inverse(cam.intrinsics)
-    rays = np.empty((height, width, 3))
+    rays = np.empty((bottom - top, width, 3))
     for i in range(3):
         rays[..., i] = kinv[i, 0] * gx + kinv[i, 1] * gy + kinv[i, 2]
     return rays
@@ -322,14 +339,20 @@ def bilinear_sample(image: np.ndarray, fld: WarpField):
 class ViewPair:
     """Camera-only data of an ordered (target, source) pair on a grid.
 
-    ``same`` flags identical cameras, whose chain is the exact pixel grid.
-    ``a`` (3, H, W) and ``b`` are the chain's ``K_s R_ts ray(x, y)`` and
-    ``K_s t_ts``, for the motion from target to source. The source-frame
-    point ``K_s^-1 (x, y, 1) d`` has the target-frame z ``(z_row @ (x, y, 1))
-    * d + z_off``: ``z_row = R_st[2] @ K_s^-1`` and ``z_off = t_st[2]``.
+    ``grid`` is the (H, W) image grid of both views. The record covers the
+    target rows ``rows`` = (top, bottom) of it, so every per-depth result
+    has ``bottom - top`` rows, while bounds and bilinear taps address the
+    whole source grid. ``same`` flags identical cameras, whose chain is the
+    exact pixel grid of those rows. ``a`` (3, bottom - top, W) and ``b``
+    are the chain's ``K_s R_ts ray(x, y)`` and ``K_s t_ts``, for the
+    motion from target to source. The source-frame point
+    ``K_s^-1 (x, y, 1) d`` has the target-frame z
+    ``(z_row @ (x, y, 1)) * d + z_off``: ``z_row = R_st[2] @ K_s^-1`` and
+    ``z_off = t_st[2]``.
     """
 
     grid: tuple
+    rows: tuple
     same: bool
     a: np.ndarray
     b: np.ndarray
@@ -345,14 +368,20 @@ def pair_baseline(target: CameraView, source: CameraView) -> np.ndarray:
 
 
 def pair_coefficients(target: CameraView, source: CameraView, height: int,
-                      width: int) -> ViewPair:
-    """The `ViewPair` record of (target, source) on a (height, width) grid."""
+                      width: int, rows=None) -> ViewPair:
+    """The `ViewPair` record of (target, source) on a (height, width) grid,
+    over the target rows ``rows`` = (top, bottom), by default all of them.
+
+    A record over some rows holds the bits of the whole-grid record's rows.
+    """
+    rows = _row_range(rows, height)
     r_ts, _ = relative_motion(target, source)
-    rays = view_rays(target, height, width)
+    rays = view_rays(target, height, width, rows)
     a = rays @ (source.intrinsics @ r_ts).T
     r_st, t_st = relative_motion(source, target)
     return ViewPair(
         grid=(height, width),
+        rows=rows,
         same=same_camera(target, source),
         a=np.ascontiguousarray(np.moveaxis(a, -1, 0)),
         b=pair_baseline(target, source),
@@ -371,10 +400,11 @@ def sampling_chain(pair: ViewPair, target_depth_values):
     ``front``; `pair_sampling` masks them with ``front & _in_bounds(...)``.
     ``target_depth_values`` may be a Var; ``x``, ``y`` and ``z_src`` are
     then one tape node each over it. Identical cameras short-circuit to the
-    exact pixel grid.
+    exact pixel grid of the pair's rows.
     """
     if pair.same:
-        gx, gy = _pixel_grid(*pair.grid)
+        top, bottom = pair.rows
+        gx, gy = (g[top:bottom] for g in _pixel_grid(*pair.grid))
         front = value_of(target_depth_values) > 0.0
         return gx, gy, target_depth_values, front
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud, EmptyOverlap, NonPositiveGT
 from .fusion import PointCloud
@@ -137,6 +136,9 @@ def cloud_metrics(pred: PointCloud, gt: PointCloud, threshold: float) -> CloudMe
     midpoint of each cell (``balanced_tree=False``), which builds faster
     than median splits and finds the same distances.
     """
+    # imported here, not at module level: it takes most of `import symmvs`
+    from scipy.spatial import cKDTree
+
     if len(pred) == 0 or len(gt) == 0:
         raise EmptyCloud("cloud metrics need non-empty clouds")
     if not threshold > 0:

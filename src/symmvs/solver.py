@@ -96,12 +96,51 @@ class SolverConfig:
 SolverState = SceneState
 
 
+# Byte budget of one band's float cost volume in `init_depths`: a band
+# holds as many reference rows as fit D x rows x W float64 entries in it
+# (64 rows at W = 256, D = 64), plus the smoothing window's halo rows. An
+# image whose whole volume fits is swept in one band. Smaller bands repeat
+# a build's per-hypothesis Python work more often (2 MiB bands sweep about
+# 20% slower at 256x192, D = 64), larger ones hold more memory (16 MiB
+# bands: 1.8x the sweep's peak with 8 MiB bands).
+SWEEP_BAND_BYTES = 8 * 2**20
+
+
+def _sweep_reference(views, feats, ref: int, hypotheses: DepthHypotheses,
+                     temperature: float, smooth_radius) -> DepthMap:
+    """The depth map of reference view ``ref``, swept in bands of rows.
+
+    Cost, smoothing and regression are independent per row apart from the
+    smoothing window, so each band's volume carries ``r_h`` halo rows on
+    either side (clipped at the image edges) and keeps only its own rows:
+    the depths equal the whole-image sweep's bit for bit.
+    """
+    h, w = feats[ref].values.shape[:2]
+    halo = volume.check_radius(smooth_radius)[1]
+    band = max(1, SWEEP_BAND_BYTES // (hypotheses.count * w * 8))
+    values = np.empty((h, w))
+    valid = np.empty((h, w), dtype=bool)
+    for top in range(0, h, band):
+        bottom = min(top + band, h)
+        lo, hi = max(0, top - halo), min(h, bottom + halo)
+        vol = volume.build_cost_volume(views, feats, ref, hypotheses, (lo, hi))
+        vol = volume.smooth_cost_volume(vol, smooth_radius)
+        depth = volume.regress_depth(vol, temperature)[0]
+        del vol  # the next band's sweep holds no volume of this one
+        values[top:bottom] = depth.values[top - lo:bottom - lo]
+        valid[top:bottom] = depth.valid[top - lo:bottom - lo]
+    return DepthMap(values, valid)
+
+
 def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
                 feature_mode: str = "grad3", smooth_radius=(1, 1, 1)):
     """Initial depth map for every view from its own smoothed cost volume.
 
     Every view serves as reference exactly once, so the initialization is
-    symmetric under view relabeling. A reference view whose every source
+    symmetric under view relabeling. Each reference is swept in bands of
+    rows whose float cost fits `SWEEP_BAND_BYTES`, one band after the
+    other, so no whole-image volume is built unless it fits; the depths
+    are those of the whole-image sweep. A reference view whose every source
     camera sits at its centre raises NoParallax naming it: no depth
     hypothesis would change its cost. The first reference view without a
     single valid depth raises EmptySweep naming it: no second view sees
@@ -117,10 +156,8 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
     feats = [volume.extract_features(v.image, feature_mode) for v in views]
     depths = []
     for ref in range(len(views)):
-        vol = volume.build_cost_volume(views, feats, ref, hypotheses)
-        vol = volume.smooth_cost_volume(vol, smooth_radius)
-        depth = volume.regress_depth(vol, temperature)[0]
-        del vol  # the next reference's sweep holds no volume of this one
+        depth = _sweep_reference(views, feats, ref, hypotheses, temperature,
+                                 smooth_radius)
         if not depth.valid.any():
             raise EmptySweep(
                 f"view {ref}: no pixel sees a second view at any depth in "

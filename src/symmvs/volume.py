@@ -10,24 +10,35 @@ the contributing views. A separable, validity-aware box filter stands in
 for learned regularization, and the depth is read out as the
 softmax-weighted expectation over hypotheses.
 
-What each stage holds at volume size (D, H, W), beyond its input:
+`build_cost_volume` sweeps a range of reference rows, by default all of
+them; `solver.init_depths` sweeps each reference view in horizontal bands
+of rows, so a volume here is a band's (D, rows, W) unless the whole
+image's volume fits the band budget.
+
+What each stage holds at the size (D, rows, W) of its volume, beyond its
+input:
 - `build_cost_volume`: the float cost, the support count as
   ``np.min_scalar_type(n_views)`` (one byte up to 255 views) and the
-  boolean validity, 10 bytes per entry. It works channel-first: once per
-  call every view's (H, W, F) features become one contiguous (F, H*W)
-  array, checked for finite values there and nowhere else. Per hypothesis
-  and source view, the pair's sampling flags the samples in front of the
-  source camera and in bounds, and each of its four bilinear corners is
-  one gather along the pixel axis; the gathers and the pairwise variance
-  write into (F, H, W) and (H, W) buffers allocated once per call.
+  boolean validity, 10 bytes per entry. Once per call every view's whole
+  (H, W, F) features become one contiguous (F, H*W) array, checked for
+  finite values there and nowhere else; the pair records cover the band's
+  rows only. Per hypothesis and source view, the pair's sampling flags the
+  samples in front of the source camera and in bounds, and each of its
+  four bilinear corners is one gather along the whole source image's pixel
+  axis; the gathers and the pairwise variance write into (F, rows, W) and
+  (rows, W) buffers allocated once per call. A source's sampling is
+  dropped before the next source samples.
 - `smooth_cost_volume`: its output cost and validity. It streams over
   depth slices and sums each window directly, one offset at a time, so an
-  output carries only the rounding of its own terms.
+  output carries only the rounding of its own terms. Its row window is
+  clipped to the volume's rows, so a band needs ``r_h`` halo rows on each
+  side, clipped at the image edges, for its own rows to match the
+  whole-image volume's.
 - `regress_depth`: one float buffer, in which the logits become the
   returned probabilities in place.
 
-`solver.init_depths` drops each reference view's volumes before it builds
-the next, so a sweep holds at most two float volumes at once.
+`solver.init_depths` drops each band's volumes before it builds the next,
+so a sweep holds at most two float volumes of one band at once.
 """
 
 from __future__ import annotations
@@ -69,7 +80,8 @@ class FeatureMap:
 class CostVolume:
     """Variance-aggregated matching cost per depth hypothesis.
 
-    ``cost`` is (D, H, W), lower is better; ``support`` counts contributing
+    ``cost`` is (D, rows, W) over the reference rows it was built for (all
+    H of them by default), lower is better; ``support`` counts contributing
     views, as the narrowest unsigned integer that holds the view count
     (``np.min_scalar_type(n_views)``, uint8 up to 255 views); entries with
     support < 2 carry no information and are flagged False in ``valid``
@@ -95,10 +107,30 @@ def extract_features(image: np.ndarray, mode: str = "grad3") -> FeatureMap:
     raise UnknownMode(f"unknown feature mode {mode!r}")
 
 
+def _resample(flat_src, pair, depth: float, out, tap):
+    """Bilinearly sample one source's (F, H*W) features into ``out`` at the
+    pair's sampling at ``depth``; return the sampling's flag.
+
+    The sampling's coordinates and taps die with this call, so the next
+    source samples without them alive.
+    """
+    _, _, ok, (idx, wts, _, _) = geometry.pair_sampling(pair, depth, True)
+    np.take(flat_src, idx[0], axis=1, out=out)
+    out *= wts[0]
+    for i, wt in zip(idx[1:], wts[1:]):
+        np.take(flat_src, i, axis=1, out=tap)
+        tap *= wt
+        out += tap
+    return ok
+
+
 def build_cost_volume(views, features, ref: int,
-                      hyp: geometry.DepthHypotheses) -> CostVolume:
+                      hyp: geometry.DepthHypotheses, rows=None) -> CostVolume:
     """Sweep depth hypotheses and score cross-view feature agreement.
 
+    ``rows`` = (top, bottom) limits the volume to those reference rows, by
+    default all of them; each entry has the bits of the whole-image
+    volume's entry. Sources are sampled over their whole images.
     The population variance is accumulated from pairwise squared
     differences, so identical contributions give exactly zero cost.
     Raises ShapeMismatch if a view's features differ in shape from the
@@ -123,36 +155,30 @@ def build_cost_volume(views, features, ref: int,
             raise NonFiniteValue(f"features of view {v} must be finite")
         chan_first = np.ascontiguousarray(np.moveaxis(vals, 2, 0))
         flat.append(chan_first.reshape(n_feat, h * w))
-    ref_vals = flat[ref].reshape(n_feat, h, w)
-
-    d_count = hyp.count
-    cost = np.zeros((d_count, h, w))
-    support = np.zeros((d_count, h, w), dtype=np.min_scalar_type(n_views))
 
     others = [v for v in range(n_views) if v != ref]
-    pairs = {src: geometry.pair_coefficients(views[ref], views[src], h, w)
+    pairs = {src: geometry.pair_coefficients(views[ref], views[src], h, w, rows)
              for src in others}
-    # per-call buffers: one resampled (F, H, W) map per source, one gather,
-    # one difference, one channel sum and the sum over pairs
-    warped = {src: np.empty((n_feat, h, w)) for src in others}
-    tap = np.empty((n_feat, h, w))
-    diff = np.empty((n_feat, h, w))
-    chan = np.empty((h, w))
-    pair_sq = np.empty((h, w))
+    top, bottom = pairs[others[0]].rows
+    ref_vals = flat[ref].reshape(n_feat, h, w)[:, top:bottom]
+    band = (bottom - top, w)
+
+    d_count = hyp.count
+    cost = np.zeros((d_count, *band))
+    support = np.zeros((d_count, *band), dtype=np.min_scalar_type(n_views))
+    # per-call buffers: one resampled (F, rows, W) map per source, one
+    # gather, one difference, one channel sum and the sum over pairs
+    warped = {src: np.empty((n_feat, *band)) for src in others}
+    tap = np.empty((n_feat, *band))
+    diff = np.empty((n_feat, *band))
+    chan = np.empty(band)
+    pair_sq = np.empty(band)
     for k, depth in enumerate(hyp.samples):
         # the reference is valid everywhere; its mask stays implicit (None)
         group = [(ref_vals, None)]
         for src in others:
-            _, _, ok, (idx, wts, _, _) = geometry.pair_sampling(
-                pairs[src], float(depth), True)
-            acc = warped[src]
-            np.take(flat[src], idx[0], axis=1, out=acc)
-            acc *= wts[0]
-            for i, wt in zip(idx[1:], wts[1:]):
-                np.take(flat[src], i, axis=1, out=tap)
-                tap *= wt
-                acc += tap
-            group.append((acc, ok))
+            ok = _resample(flat[src], pairs[src], float(depth), warped[src], tap)
+            group.append((warped[src], ok))
 
         count = support[k]
         count += 1

@@ -419,6 +419,39 @@ def test_sampling_chain_with_pair_coefficients_is_bit_identical(plane_scene):
             assert np.array_equal(want, got)
 
 
+@pytest.mark.parametrize("source", [2, 0])
+@pytest.mark.parametrize("rows", [(0, 48), (0, 13), (13, 26), (47, 48)])
+def test_pair_record_over_rows_holds_the_whole_records_rows(plane_scene, source,
+                                                            rows):
+    # source 0 is the target itself: its chain is the pixel grid of the rows
+    views, gt = plane_scene["views"], plane_scene["gt"]
+    h, w = gt[0].values.shape
+    top, bottom = rows
+    whole = geometry.pair_coefficients(views[0], views[source], h, w)
+    band = geometry.pair_coefficients(views[0], views[source], h, w, rows)
+    assert band.rows == rows and band.grid == (h, w) and band.same == whole.same
+    assert np.array_equal(band.a, whole.a[:, top:bottom])
+    for depth in (gt[0].values, 2.4):
+        band_depth = depth if np.isscalar(depth) else depth[top:bottom]
+        got = geometry.pair_sampling(band, band_depth, True)
+        want = geometry.pair_sampling(whole, depth, True)
+        for g, e in zip(got[:3] + got[3][0] + got[3][1],
+                        want[:3] + want[3][0] + want[3][1]):
+            assert np.array_equal(g, e[top:bottom])
+    if source == 0:
+        x, y = geometry.sampling_chain(band, 2.4)[:2]
+        assert np.array_equal(y, np.broadcast_to(np.arange(top, bottom)[:, None],
+                                                 (bottom - top, w)))
+        assert np.array_equal(x[0], np.arange(w))
+
+
+@pytest.mark.parametrize("rows", [(0, 0), (5, 3), (-1, 4), (0, 49)])
+def test_pair_record_rejects_rows_outside_the_grid(plane_scene, rows):
+    views = plane_scene["views"]
+    with pytest.raises(ValueError, match="rows"):
+        geometry.pair_coefficients(views[0], views[1], 48, 64, rows)
+
+
 @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
 def test_plane_homography_agrees_with_sampling_chain(request, scene):
     # The sweep samples through the chain at a constant depth; the plane-

@@ -2,10 +2,13 @@
 and keeps the sampling primitives inside the modules that own them."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "symmvs").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "symmvs"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 ALLOWED = {"numpy", "scipy", "symmvs"}
 
 
@@ -59,3 +62,13 @@ def test_sampling_primitives_stay_in_geometry_and_autodiff():
         if name in SAMPLING_PRIMITIVES
     ]
     assert leaks == []
+
+
+def test_importing_the_package_leaves_scipy_spatial_unloaded():
+    # `scipy.spatial` takes most of the package's import time; only
+    # `metrics.cloud_metrics` needs it, and imports it when called
+    code = "import sys, symmvs; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -34,13 +34,46 @@ from symmvs import (
     smooth_cost_volume,
     total_loss,
 )
-from symmvs import photometry
+from symmvs import photometry, solver, volume
 from symmvs.consistency import OcclusionMask, _evaluate
 from symmvs.errors import EmptySweep, NoParallax, TooFewViews, UnknownMode
 from symmvs.solver import SolverConfig, SolverState
 
 from _oracles import smoothness_gradient_flat_image
-from conftest import DESK_TEMPERATURE, median_abs_error, noisy_depths
+from conftest import (DESK_TEMPERATURE, make_camera, median_abs_error, noisy_depths,
+                      same_bytes)
+
+
+def whole_image_depths(views, hyp, radius=(1, 1, 1)):
+    """The oracle of the banded sweep: build, smooth and regress each
+    reference's whole-image volume."""
+    feats = [volume.extract_features(v.image, "grad3") for v in views]
+    depths = []
+    for ref in range(len(views)):
+        vol = volume.build_cost_volume(views, feats, ref, hyp)
+        vol = volume.smooth_cost_volume(vol, radius)
+        depths.append(volume.regress_depth(vol, DESK_TEMPERATURE)[0])
+    return depths
+
+
+def record_builds(monkeypatch):
+    """A list that collects (reference, rows) of every cost-volume build."""
+    builds = []
+    build = volume.build_cost_volume
+
+    def recording(views, feats, ref, hyp, rows=None):
+        builds.append((ref, rows))
+        return build(views, feats, ref, hyp, rows)
+
+    monkeypatch.setattr(volume, "build_cost_volume", recording)
+    return builds
+
+
+def sweep_in_bands(monkeypatch, band_rows, hyp, width):
+    """Make `init_depths` sweep ``band_rows`` reference rows per band, and
+    record its builds."""
+    monkeypatch.setattr(solver, "SWEEP_BAND_BYTES", band_rows * hyp.count * width * 8)
+    return record_builds(monkeypatch)
 
 
 def desk_config(hyp, **kw):
@@ -115,6 +148,56 @@ class TestInitDepths:
         with pytest.raises(EmptySweep, match="^view 2: "):
             init_depths([views[0], views[1], far], hyp, DESK_TEMPERATURE)
 
+    def test_banded_sweep_names_the_empty_view(self, plane_scene, monkeypatch):
+        # the two cases above, in bands of 13 rows: every band of the
+        # reference is swept before the whole view is found empty
+        views = plane_scene["views"]
+        far = CameraView(views[2].intrinsics, views[2].rotation,
+                         views[2].translation - np.array([60.0, 0.0, 0.0]),
+                         views[2].image)
+        builds = sweep_in_bands(monkeypatch, 13, DepthHypotheses(1.8, 2.2, 4), 64)
+        with pytest.raises(EmptySweep, match=r"^view 0: .*\[0\.01, 0\.02\]"):
+            init_depths(views, DepthHypotheses(0.01, 0.02, 4), DESK_TEMPERATURE)
+        assert [ref for ref, _ in builds] == [0] * 4
+        builds.clear()
+        with pytest.raises(EmptySweep, match="^view 2: "):
+            init_depths([views[0], views[1], far], DepthHypotheses(1.8, 2.2, 4),
+                        DESK_TEMPERATURE)
+        assert [ref for ref, _ in builds] == [0] * 4 + [1] * 4 + [2] * 4
+
+    @pytest.mark.parametrize("radius", [(1, 1, 1), (0, 2, 1)])
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
+    def test_banded_sweep_is_bit_identical_to_whole_image(self, request, scene,
+                                                          radius, monkeypatch):
+        # 13 rows per band divide neither 48 nor 96 rows
+        views = request.getfixturevalue(scene)["views"]
+        hyp = DepthHypotheses(1.5, 4.0, 16)
+        h, w = views[0].image.shape[:2]
+        want = whole_image_depths(views, hyp, radius)
+        builds = sweep_in_bands(monkeypatch, 13, hyp, w)
+        got = init_depths(views, hyp, DESK_TEMPERATURE, smooth_radius=radius)
+        halo = radius[1]
+        bands = [(max(0, t - halo), min(h, t + 13 + halo)) for t in range(0, h, 13)]
+        assert len(bands) >= 4
+        assert builds == [(ref, rows) for ref in range(len(views)) for rows in bands]
+        for g, e in zip(got, want):
+            assert same_bytes(g.values, e.values) and same_bytes(g.valid, e.valid)
+
+    def test_banded_sweep_with_a_twin_of_the_reference_camera(self, plane_scene,
+                                                              monkeypatch):
+        # view 1 is view 0's camera and image: in every band of either, the
+        # twin's chain is the band's pixel grid and its pair costs exactly 0
+        views, hyp = plane_scene["views"], DepthHypotheses(1.5, 4.0, 16)
+        v = views[0]
+        rig = [v, CameraView(v.intrinsics, v.rotation, v.translation, v.image),
+               views[2]]
+        want = whole_image_depths(rig, hyp)
+        sweep_in_bands(monkeypatch, 13, hyp, 64)
+        got = init_depths(rig, hyp, DESK_TEMPERATURE)
+        for g, e in zip(got, want):
+            assert same_bytes(g.values, e.values) and same_bytes(g.valid, e.valid)
+        assert same_bytes(got[0].values, got[1].values)
+
     def test_sweep_memory_stays_near_two_volumes(self, occluder_scene):
         # one float volume at 3 views, 96x128, 32 hypotheses is 3 MiB; the
         # sweep holds a raw and a smoothed volume, or a smoothed volume and
@@ -131,6 +214,30 @@ class TestInitDepths:
         finally:
             tracemalloc.stop()
         assert peak <= 3.8 * hyp.count * h * w * 8
+
+    def test_banded_sweep_holds_less_than_one_whole_volume(self, monkeypatch):
+        # the bench's 256x192 plane at 64 hypotheses: three bands of 64 rows
+        # under the default budget. The whole volume as `build_cost_volume`
+        # returns it takes 10 bytes an entry (float cost, one-byte support,
+        # validity), 30 MiB. Measured: 25.0 MiB; a single whole-image band
+        # gives 63.0 MiB, and a 12 MiB budget (two bands) 34.4 MiB
+        width, height = 256, 192
+        cams = [make_camera(x, f=220.0, width=width, height=height)
+                for x in (-0.55, 0.0, 0.55)]
+        spec = SceneSpec([PlanePrimitive(normal=[0, 0, 1], offset=3.0,
+                                         texture_scale=1.3)],
+                         cams, width=width, height=height, seed=7)
+        views = render_scene(spec)[0]
+        hyp = DepthHypotheses(1.8, 4.95, 64)
+        builds = record_builds(monkeypatch)
+        tracemalloc.start()
+        try:
+            init_depths(views, hyp, DESK_TEMPERATURE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rows for _, rows in builds] == [(0, 65), (63, 129), (127, 192)] * 3
+        assert peak < hyp.count * height * width * 10
 
 
 class TestLossGradient:

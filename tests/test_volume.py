@@ -55,7 +55,8 @@ class TestExtractFeatures:
 
 
 class TestBuildCostVolume:
-    def test_identical_views_give_exactly_zero_cost(self):
+    @staticmethod
+    def identical_views():
         rng = np.random.default_rng(1)
         img = rng.uniform(size=(12, 16))
         views = [
@@ -63,12 +64,39 @@ class TestBuildCostVolume:
                        np.eye(3), np.zeros(3), img)
             for _ in range(3)
         ]
-        feats = [extract_features(v.image, "grad3") for v in views]
+        return views, [extract_features(v.image, "grad3") for v in views]
+
+    def test_identical_views_give_exactly_zero_cost(self):
+        views, feats = self.identical_views()
         hyp = DepthHypotheses(1.0, 2.0, 5)
         vol = build_cost_volume(views, feats, 0, hyp)
         assert (vol.cost == 0.0).all()
         assert (vol.support == 3).all()
         assert vol.valid.all()
+
+    @pytest.mark.parametrize("rows", [(0, 5), (5, 12), (11, 12)])
+    def test_identical_views_give_exactly_zero_cost_over_rows(self, rows):
+        views, feats = self.identical_views()
+        vol = build_cost_volume(views, feats, 0, DepthHypotheses(1.0, 2.0, 5), rows)
+        assert vol.cost.shape == (5, rows[1] - rows[0], 16)
+        assert (vol.cost == 0.0).all()
+        assert (vol.support == 3).all()
+        assert vol.valid.all()
+
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
+    def test_volume_over_rows_holds_the_whole_volumes_rows(self, request, scene):
+        sc = request.getfixturevalue(scene)
+        views = sc["views"]
+        hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
+        feats = [extract_features(v.image, "grad3") for v in views]
+        h = views[0].image.shape[0]
+        for ref in range(len(views)):
+            whole = build_cost_volume(views, feats, ref, hyp)
+            for top, bottom in ((0, 7), (7, h - 5), (h - 5, h), (0, h)):
+                band = build_cost_volume(views, feats, ref, hyp, (top, bottom))
+                for got, want in ((band.cost, whole.cost), (band.support, whole.support),
+                                  (band.valid, whole.valid)):
+                    assert same_bits(got, np.ascontiguousarray(want[:, top:bottom]))
 
     def test_true_depth_wins_argmin_on_interior(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
