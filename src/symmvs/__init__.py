@@ -30,7 +30,6 @@ from .metrics import (
     overall_from_means,
 )
 from .photometry import (
-    CensusDescriptor,
     LossWeights,
     census_distance,
     census_transform,

@@ -129,10 +129,9 @@ def _cmd_optimize(args) -> int:
     for entry in state.outer_log:
         rows.append(",".join(f"{entry[key]:.17g}" for key in _HISTORY_COLUMNS))
     (out / "loss_history.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
-    bd = consistency.total_loss(state)
-    (out / "loss_report.txt").write_text(
-        "\n".join(bd.report_lines()) + "\n", encoding="ascii"
-    )
+    lines = consistency.total_loss(state).report_lines()
+    lines.append(f"stop_reason = {state.stop_reason}")
+    (out / "loss_report.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     print(f"refinement stopped: {state.stop_reason}", file=sys.stderr)
     if state.diverged:
         print("refinement diverged; best state written", file=sys.stderr)

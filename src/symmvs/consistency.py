@@ -81,7 +81,8 @@ class SceneState:
     """The multi-view state: views, their current depth maps, occlusion
     masks for every ordered pair, and the loss weights, followed by the
     refinement progress (accepted steps, accepted-loss history, per-outer-
-    iteration log, stop flags and the reason `solver.refine` stopped)."""
+    iteration log and the reason `solver.refine` stopped). The flags
+    ``converged`` and ``diverged`` are read from that reason."""
 
     views: list
     depths: list
@@ -90,9 +91,17 @@ class SceneState:
     iteration: int = 0
     history: list = field(default_factory=list)
     outer_log: list = field(default_factory=list)
-    converged: bool = False
-    diverged: bool = False
     stop_reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        """Refinement stopped at a stationary point or within tolerance."""
+        return self.stop_reason in ("tol_reached", "zero_gradient", "stationary_stall")
+
+    @property
+    def diverged(self) -> bool:
+        """Refinement stopped because a line search failed."""
+        return self.stop_reason == "line_search_failed"
 
 
 @dataclass

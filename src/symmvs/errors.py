@@ -26,10 +26,6 @@ class UnknownMode(SymmvsError):
     """Unrecognized feature-extraction mode."""
 
 
-class BadWindow(SymmvsError):
-    """Census window must be an odd integer >= 3."""
-
-
 class NoParallax(SymmvsError):
     """Every source camera of a reference view sits at its centre, so no
     depth changes where a pixel lands and the depth cannot be estimated."""

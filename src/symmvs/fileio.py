@@ -139,6 +139,8 @@ def read_pfm(path) -> DepthMap:
             w, h = int(dims[0]), int(dims[1])
         except ValueError:
             raise ParseError(f"{path}:2: bad dimensions") from None
+        if w < 0 or h < 0:
+            raise ParseError(f"{path}:2: negative dimensions {w} x {h}")
         try:
             scale = float(fh.readline())
         except ValueError:

@@ -6,9 +6,9 @@ synthesized counterpart, all averaged over a shared validity mask:
 - robust L1 on intensities,
 - robust L1 on forward-difference image gradients,
 - a structural-dissimilarity term (1 - SSIM) / 2 with a 3x3 uniform window,
-- the Charbonnier-penalized normalized Hamming distance between census
-  descriptors (illumination-order invariant; treated as locally constant
-  by the gradient path).
+- the Charbonnier-penalized normalized Hamming distance between the 3x3
+  census bits of the two images (illumination-order invariant; treated as
+  locally constant by the gradient path).
 
 Edge-aware first- and second-order smoothness penalizes depth variation
 where the image is flat. All pieces accept autodiff Vars where gradients
@@ -44,10 +44,11 @@ one gradient evaluation kept: 29% in the per-channel SSIM ratio, 16% in
 Charbonnier, 16% in the comparator's sums and masked means and 9% in the
 SSIM window statistics.
 
-Census bits are stored as one boolean plane per neighbor, so the transform
-writes each comparison straight into its plane and the distance counts the
-differing planes one after another; both give exactly the bits and
-distances of the per-pixel formulas.
+The census of an image is its eight bit planes: an (8, H, W) boolean array,
+one plane per neighbor of the 3x3 window. The transform writes each
+comparison straight into its plane, and the distance counts the differing
+planes one after another; both give exactly the bits and distances of the
+per-pixel formulas.
 """
 
 from __future__ import annotations
@@ -58,11 +59,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import value_of
-from .errors import BadWindow, EmptyMask, ShapeMismatch
+from .errors import EmptyMask, ShapeMismatch
 
 __all__ = [
     "LossWeights",
-    "CensusDescriptor",
     "charbonnier",
     "grayscale",
     "census_transform",
@@ -78,7 +78,6 @@ __all__ = [
 
 _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
-DEFAULT_CENSUS_WINDOW = 3
 
 
 @dataclass
@@ -105,18 +104,6 @@ class LossWeights:
         for name in self.__dataclass_fields__:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"loss weight {name} must be non-negative")
-
-
-@dataclass
-class CensusDescriptor:
-    """Per-pixel census bit vectors; bits[y, x, k] compares neighbor k to
-    the center (1 where the neighbor is darker). Out-of-image neighbors
-    compare as equal. `census_transform` stores the bits as (K, H, W)
-    planes, one per neighbor, and ``bits`` is their (H, W, K) transpose
-    view."""
-
-    bits: np.ndarray
-    window: int
 
 
 def charbonnier(x):
@@ -184,46 +171,39 @@ def _grad_y(x):
 # -- census ------------------------------------------------------------------
 
 
-def census_transform(image: np.ndarray, window: int = DEFAULT_CENSUS_WINDOW) -> CensusDescriptor:
-    """Census descriptor of a grayscale image.
+def census_transform(image: np.ndarray) -> np.ndarray:
+    """The 3x3 census bits of a grayscale image, as (8, H, W) planes.
 
-    One bit per non-center neighbor in the window, set where the neighbor
-    is strictly darker than the center. Neighbors outside the image compare
-    as equal (bit 0), so the bit length is constant everywhere.
+    Plane k holds, at every pixel, the bit of neighbor k in row-major
+    window order: set where the neighbor is strictly darker than the
+    center. Neighbors outside the image compare as equal (bit 0), so every
+    pixel has eight bits.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ShapeMismatch("census expects a grayscale H x W image")
-    if window < 3 or window % 2 == 0:
-        raise BadWindow(f"census window must be odd and >= 3, got {window}")
     h, w = img.shape
-    r = window // 2
-    planes = np.zeros((window * window - 1, h, w), dtype=bool)
-    k = 0
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if dy == 0 and dx == 0:
-                continue
-            y_lo, y_hi = max(0, -dy), h - max(0, dy)
-            x_lo, x_hi = max(0, -dx), w - max(0, dx)
-            np.less(
-                img[y_lo + dy : y_hi + dy, x_lo + dx : x_hi + dx],
-                img[y_lo:y_hi, x_lo:x_hi],
-                out=planes[k, y_lo:y_hi, x_lo:x_hi],
-            )
-            k += 1
-    return CensusDescriptor(planes.transpose(1, 2, 0), window)
+    planes = np.zeros((8, h, w), dtype=bool)
+    offsets = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
+    for k, (dy, dx) in enumerate(offsets):
+        y_lo, y_hi = max(0, -dy), h - max(0, dy)
+        x_lo, x_hi = max(0, -dx), w - max(0, dx)
+        np.less(
+            img[y_lo + dy : y_hi + dy, x_lo + dx : x_hi + dx],
+            img[y_lo:y_hi, x_lo:x_hi],
+            out=planes[k, y_lo:y_hi, x_lo:x_hi],
+        )
+    return planes
 
 
-def census_distance(a: CensusDescriptor, b: CensusDescriptor) -> np.ndarray:
-    """Per-pixel Hamming distance between descriptors, normalized to [0, 1]."""
-    if a.bits.shape != b.bits.shape:
-        raise ShapeMismatch("census descriptors must share shape")
-    # Bit k of every pixel is plane k; the differing planes are counted one
-    # after another. The counts are exact, so dividing by the bit length
-    # gives the mean over the bit axis to the last bit.
-    pa, pb = a.bits.transpose(2, 0, 1), b.bits.transpose(2, 0, 1)
-    return np.not_equal(pa, pb).sum(axis=0, dtype=np.float64) / pa.shape[0]
+def census_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-pixel Hamming distance between census planes, normalized to [0, 1]."""
+    if a.shape != b.shape:
+        raise ShapeMismatch("census planes must share shape")
+    # The differing planes are counted one after another. The counts are
+    # exact, so dividing by the bit count gives the mean over the bits to
+    # the last bit.
+    return np.not_equal(a, b).sum(axis=0, dtype=np.float64) / a.shape[0]
 
 
 # -- SSIM ----------------------------------------------------------------------
@@ -293,18 +273,19 @@ def ssim_map(ref, syn):
 @dataclass
 class ReferenceStats:
     """The image-only parts of the unary comparator, for either of its
-    images: the image itself, its forward-difference gradients, census bits,
-    the SSIM windowed mean ``mu`` and variance ``var`` per pixel and
-    channel, and the grid's `box_norm`. Only the image and its gradients
-    are Vars when the image is one: `ssim_map` differentiates through the
-    window statistics itself. A run keeps one per view image; a loss
+    images: the image itself, its forward-difference gradients, the
+    (8, H, W) census planes of its `census_transform`, the SSIM windowed
+    mean ``mu`` and variance ``var`` per pixel and channel, and the grid's
+    `box_norm`. Only the image and its gradients are Vars when the image
+    is one: `ssim_map` differentiates through the window statistics
+    itself. A run keeps one per view image; a loss
     evaluation makes one per synthesized image it compares, whichever side
     that image is on."""
 
     image: object
     grad_x: object
     grad_y: object
-    census: CensusDescriptor
+    census: np.ndarray
     mu: np.ndarray
     var: np.ndarray
     norm: np.ndarray

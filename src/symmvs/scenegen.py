@@ -68,6 +68,8 @@ class SceneSpec:
             raise ValueError("a scene needs at least one primitive")
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
+        if not (self.width >= 1 and self.height >= 1):
+            raise ValueError("width and height must be at least 1")
 
 
 def plane_axes(normal: np.ndarray):

@@ -302,17 +302,17 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
             # No trial at all means the phase began at a zero gradient.
             jump_cap = f_cur + max(_STALL_REL_JUMP * abs(f_cur), 1e-9)
             if smallest_trial is None:
-                state.converged, state.stop_reason = True, "zero_gradient"
+                state.stop_reason = "zero_gradient"
             elif np.isfinite(smallest_trial) and smallest_trial <= jump_cap:
-                state.converged, state.stop_reason = True, "stationary_stall"
+                state.stop_reason = "stationary_stall"
             else:
-                state.diverged, state.stop_reason = True, "line_search_failed"
+                state.stop_reason = "line_search_failed"
             break
         if rel_decrease < config.convergence_tol:
-            state.converged, state.stop_reason = True, "tol_reached"
+            state.stop_reason = "tol_reached"
             break
     else:
-        state.converged, state.stop_reason = True, "max_iters"
+        state.stop_reason = "max_iters"
     return state
 
 

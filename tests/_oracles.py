@@ -48,29 +48,29 @@ def bilinear_at(image, x, y):
     )
 
 
-def census_bits_brute(image, window):
-    """Per-pixel census bits by explicit neighbor loops."""
+def census_bits_brute(image):
+    """3x3 census bits by explicit per-pixel neighbor loops, as (8, H, W)
+    planes in row-major neighbor order."""
     h, w = image.shape
-    r = window // 2
-    bits = np.zeros((h, w, window * window - 1), dtype=bool)
+    bits = np.zeros((8, h, w), dtype=bool)
     for y in range(h):
         for x in range(w):
             k = 0
-            for dy in range(-r, r + 1):
-                for dx in range(-r, r + 1):
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
                     if dy == 0 and dx == 0:
                         continue
                     yy, xx = y + dy, x + dx
                     if 0 <= yy < h and 0 <= xx < w:
-                        bits[y, x, k] = image[yy, xx] < image[y, x]
+                        bits[k, y, x] = image[yy, xx] < image[y, x]
                     k += 1
     return bits
 
 
 def census_distance_mean(bits_a, bits_b):
-    """Normalized Hamming distance of (H, W, K) census bits as the mean of
+    """Normalized Hamming distance of (8, H, W) census bits as the mean of
     the differing bits over the bit axis (the library's earlier form)."""
-    return (bits_a != bits_b).mean(axis=2)
+    return (bits_a != bits_b).mean(axis=0)
 
 
 def ssim_direct(a, b, window=3, c1=0.01 ** 2, c2=0.03 ** 2):

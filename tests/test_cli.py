@@ -76,6 +76,8 @@ def test_optimize_then_eval_depth(workspace, capsys):
     reason = capsys.readouterr().err.splitlines()[-1]
     assert reason.startswith("refinement stopped: ")
     assert reason.split(": ")[1] in STOP_REASONS
+    report = (out / "loss_report.txt").read_text().splitlines()
+    assert report[-1] == "stop_reason = " + reason.split(": ")[1]
 
     code = main(["eval-depth", str(out), str(workspace["bundle"])])
     assert code == 0

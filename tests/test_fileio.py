@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symmvs import DepthMap, LossWeights, PointCloud
+from symmvs import DepthMap, LossWeights, PointCloud, fileio
 from symmvs.errors import ParseError, UnsupportedVariant
 from symmvs.fileio import (
     load_bundle,
@@ -115,6 +115,13 @@ class TestPfm:
         path = tmp_path / "d.pfm"
         path.write_bytes(b"PF\n2 2\n-1.0\n" + b"\x00" * 48)
         with pytest.raises(UnsupportedVariant):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("size", [b"-1 -1", b"-2 3", b"3 -2"])
+    def test_negative_size_names_file_and_line(self, tmp_path, size):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n" + size + b"\n-1.0\n" + b"\x00" * 24)
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:2: ")):
             read_pfm(path)
 
 
@@ -291,6 +298,20 @@ class TestRunConfig:
         cfg.write_text("lamda1 = 0.4\n")
         with pytest.raises(ParseError):
             read_run_config(cfg)
+
+    def test_documented_keys_are_the_accepted_keys(self, tmp_path):
+        # the run.cfg block of docs/formats.md lists every key once
+        doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+        section = doc.split("## Run configuration", 1)[1]
+        block = section.split("```", 2)[1]
+        documented = re.findall(r"(\w+) =", block)
+        assert len(documented) == len(set(documented))
+        accepted = set(LossWeights.__dataclass_fields__) | set(fileio._SOLVER_KEYS)
+        assert set(documented) == accepted
+        # and read_run_config takes every one of them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = 1\n" for key in sorted(accepted)))
+        assert set(read_run_config(cfg)[1]) == set(fileio._SOLVER_KEYS)
 
 
 class TestBundle:

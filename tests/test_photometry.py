@@ -20,9 +20,8 @@ from symmvs import (
     total_loss,
 )
 from symmvs.autodiff import Var, value_of
-from symmvs.errors import BadWindow, EmptyMask, ShapeMismatch
+from symmvs.errors import EmptyMask, ShapeMismatch
 from symmvs.photometry import (
-    CensusDescriptor,
     box_norm,
     edge_weights,
     grayscale,
@@ -110,24 +109,18 @@ class TestCharbonnier:
 
 class TestCensus:
     def test_constant_image_all_zero(self):
-        desc = census_transform(np.full((5, 6), 0.3), 3)
-        assert desc.bits.shape == (5, 6, 8)
-        assert not desc.bits.any()
+        planes = census_transform(np.full((5, 6), 0.3))
+        assert planes.shape == (8, 5, 6)
+        assert not planes.any()
 
     def test_step_edge_matches_brute_force(self):
         img = np.zeros((5, 8))
         img[:, 4:] = 1.0
-        desc = census_transform(img, 3)
-        np.testing.assert_array_equal(desc.bits, census_bits_brute(img, 3))
+        planes = census_transform(img)
+        np.testing.assert_array_equal(planes, census_bits_brute(img))
         # a pixel just right of the edge sees exactly its 3 left neighbors
         # as darker
-        assert desc.bits[2, 4].sum() == 3
-
-    def test_window5_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        img = rng.uniform(size=(7, 7))
-        desc = census_transform(img, 5)
-        np.testing.assert_array_equal(desc.bits, census_bits_brute(img, 5))
+        assert planes[:, 2, 4].sum() == 3
 
     @given(st.floats(min_value=0.05, max_value=20.0),
            st.floats(min_value=-5.0, max_value=5.0))
@@ -135,55 +128,41 @@ class TestCensus:
     def test_gain_bias_invariance(self, gain, bias):
         rng = np.random.default_rng(1)
         img = rng.uniform(size=(6, 6))
-        a = census_transform(img, 3)
-        b = census_transform(gain * img + bias, 3)
-        np.testing.assert_array_equal(a.bits, b.bits)
-
-    def test_bad_window(self):
-        with pytest.raises(BadWindow):
-            census_transform(np.zeros((4, 4)), 4)
-        with pytest.raises(BadWindow):
-            census_transform(np.zeros((4, 4)), 1)
+        np.testing.assert_array_equal(census_transform(img),
+                                      census_transform(gain * img + bias))
 
     def test_distance_identical_and_complementary(self):
         rng = np.random.default_rng(2)
         img = rng.uniform(size=(5, 5))
-        desc = census_transform(img, 3)
-        np.testing.assert_array_equal(census_distance(desc, desc), 0.0)
-        flipped = census_transform(-img, 3)
+        planes = census_transform(img)
+        np.testing.assert_array_equal(census_distance(planes, planes), 0.0)
+        flipped = census_transform(-img)
         # interior pixels have no boundary ties, so all 8 bits flip
-        np.testing.assert_allclose(census_distance(desc, flipped)[1:-1, 1:-1], 1.0)
+        np.testing.assert_allclose(census_distance(planes, flipped)[1:-1, 1:-1], 1.0)
 
     def test_distance_of_shifted_edge_matches_bit_count(self):
         img_a = np.zeros((5, 8))
         img_a[:, 4:] = 1.0
         img_b = np.zeros((5, 8))
         img_b[:, 5:] = 1.0
-        d = census_distance(census_transform(img_a, 3), census_transform(img_b, 3))
-        brute = (census_bits_brute(img_a, 3) != census_bits_brute(img_b, 3)).mean(axis=2)
+        d = census_distance(census_transform(img_a), census_transform(img_b))
+        brute = (census_bits_brute(img_a) != census_bits_brute(img_b)).mean(axis=0)
         np.testing.assert_allclose(d, brute, atol=1e-15)
 
-    @pytest.mark.parametrize("window", [3, 5])
-    def test_planes_and_distance_match_brute_force(self, window):
+    def test_planes_and_distance_match_brute_force(self):
         # quantized intensities give many ties, which must read as bit 0
-        rng = np.random.default_rng(window)
+        rng = np.random.default_rng(3)
         img_a = np.round(rng.uniform(size=(11, 14)) * 6.0) / 6.0
         img_b = np.round(rng.uniform(size=(11, 14)) * 6.0) / 6.0
-        a, b = census_transform(img_a, window), census_transform(img_b, window)
-        bits_a, bits_b = census_bits_brute(img_a, window), census_bits_brute(img_b, window)
-        assert a.bits.shape == bits_a.shape
-        np.testing.assert_array_equal(a.bits.transpose(2, 0, 1), bits_a.transpose(2, 0, 1))
-        np.testing.assert_array_equal(b.bits, bits_b)
-        expected = census_distance_mean(bits_a, bits_b)
-        assert same_bytes(census_distance(a, b), expected)
-        # descriptors built by hand in (H, W, K) layout give the same bits
-        hand = census_distance(CensusDescriptor(bits_a.copy(), window),
-                               CensusDescriptor(bits_b.copy(), window))
-        assert same_bytes(hand, expected)
+        a, b = census_transform(img_a), census_transform(img_b)
+        bits_a, bits_b = census_bits_brute(img_a), census_bits_brute(img_b)
+        np.testing.assert_array_equal(a, bits_a)
+        np.testing.assert_array_equal(b, bits_b)
+        assert same_bytes(census_distance(a, b), census_distance_mean(bits_a, bits_b))
 
     def test_distance_shape_mismatch(self):
-        a = census_transform(np.zeros((4, 4)), 3)
-        b = census_transform(np.zeros((4, 5)), 3)
+        a = census_transform(np.zeros((4, 4)))
+        b = census_transform(np.zeros((4, 5)))
         with pytest.raises(ShapeMismatch):
             census_distance(a, b)
 

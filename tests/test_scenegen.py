@@ -132,6 +132,12 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             render_scene(spec)
 
+    @pytest.mark.parametrize("width, height", [(0, 24), (32, 0), (-1, 24)])
+    def test_empty_image_size_rejected(self, width, height):
+        with pytest.raises(ValueError, match="width and height"):
+            SceneSpec([PlanePrimitive([0, 0, 1], 2.0, 0, 1.0)],
+                      [make_camera(0.0)], width, height, 1, 5)
+
     def test_rgb_channels(self):
         spec = SceneSpec(
             [PlanePrimitive([0, 0, 1], 2.0, 0, 1.0)],

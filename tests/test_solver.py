@@ -412,9 +412,9 @@ class TestRefine:
         for d in state.depths:
             assert (d.values[d.valid] >= hyp.d_min).all()
             assert (d.values[d.valid] <= hyp.d_max).all()
-        # the outer-iteration cap ran out; the flag keeps its old meaning
+        # the outer-iteration cap ran out, which is not convergence
         assert state.stop_reason == "max_iters" and len(state.outer_log) == 4
-        assert state.converged
+        assert not state.converged and not state.diverged
 
     def test_loose_tolerance_stops_after_one_phase(self, plane_scene):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
@@ -474,6 +474,18 @@ class TestRefine:
         slack = max(2, counts[0] // 1000)
         assert all(b >= a - slack for a, b in zip(tail, tail[1:]))
         assert tail[-1] >= tail[0]
+
+    def test_flags_derive_from_the_stop_reason(self):
+        flags = {"tol_reached": (True, False), "max_iters": (False, False),
+                 "zero_gradient": (True, False), "stationary_stall": (True, False),
+                 "line_search_failed": (False, True), None: (False, False)}
+        assert set(flags) - {None} == set(solver.STOP_REASONS)
+        state = SolverState(views=[], depths=[], masks={}, weights=LossWeights())
+        for reason, (converged, diverged) in flags.items():
+            state.stop_reason = reason
+            assert (state.converged, state.diverged) == (converged, diverged)
+        with pytest.raises(AttributeError):
+            state.converged = True
 
     def test_diverged_flag_on_hopeless_line_search(self, plane_scene):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
