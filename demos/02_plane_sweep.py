@@ -39,7 +39,7 @@ views, gt, _ = render_scene(spec)
 print(f"sweeping {hyp.count} hypotheses over [{hyp.d_min}, {hyp.d_max:.2f}], "
       f"true depth {true_depth} = sample #24")
 
-features = [extract_features(v.image, "grad3") for v in views]
+features = [extract_features(v.image) for v in views]
 volume = build_cost_volume(views, features, ref=1, hyp=hyp)
 
 y, x = 24, 32
@@ -55,10 +55,10 @@ interior[2:-2, 14:-14] = True
 print(f"\nargmin hits the true sample on {np.mean(argmin[interior] == 24):.1%} "
       "of interior pixels")
 
-# box smoothing stands in for learned regularization; the softmax
+# 3x3x3 box smoothing stands in for learned regularization; the softmax
 # expectation needs a sharp temperature because these costs live at the
 # 1e-3 scale
-smoothed = smooth_cost_volume(volume, radius=(1, 1, 1))
+smoothed = smooth_cost_volume(volume)
 for temperature in (1e-3, 1e-4, 3e-6):
     depth, _ = regress_depth(smoothed, temperature)
     err = np.abs(depth.values - true_depth)[interior]

@@ -47,7 +47,6 @@ from .solver import (
 )
 from .volume import (
     CostVolume,
-    FeatureMap,
     build_cost_volume,
     extract_features,
     regress_depth,

@@ -106,14 +106,8 @@ def _cmd_optimize(args) -> int:
     if args.config is not None:
         weights, solver_kw = fileio.read_run_config(args.config)
     hyp_count = solver_kw.pop("hyp_count", 64)
-    radius = (
-        solver_kw.pop("smooth_radius_d", 1),
-        solver_kw.pop("smooth_radius_h", 1),
-        solver_kw.pop("smooth_radius_w", 1),
-    )
     config = solver.SolverConfig(
         hypotheses=_hypotheses(d_min, d_interval, hyp_count),
-        smooth_radius=radius,
         weights=weights,
         **solver_kw,
     )

@@ -193,6 +193,13 @@ def _pair_records(cams, grid) -> dict:
             for t in range(n) for s in range(n) if t != s}
 
 
+def _check_count(depths, views):
+    """Raise ShapeMismatch naming both counts unless there is one depth map
+    per view."""
+    if len(depths) != len(views):
+        raise ShapeMismatch(f"{len(depths)} depth maps for {len(views)} views")
+
+
 def _check_grid(depths, grid, labels=None):
     """Raise ShapeMismatch naming the first depth map off ``grid``; map k
     is view ``labels[k]``, or view k without labels."""
@@ -249,12 +256,14 @@ def compute_all_masks(views, depths, weights: LossWeights,
     """Occlusion masks for every ordered view pair at the current depths.
 
     ``context`` is the run's `ViewContext` over ``views``, if it has one.
-    A depth map off its grid, or off view 0's depth grid without a context,
-    raises ShapeMismatch naming its view. Each ordered pair
+    A depth map count other than the view count raises ShapeMismatch, and
+    so does a depth map off its grid, or off view 0's depth grid without a
+    context, naming its view. Each ordered pair
     is sampled once: (i, j) serves the second warp of mask (i, j) and the
     first of mask (j, i), which are computed together, one unordered pair
     at a time, so only that pair's two samplings are held at once.
     """
+    _check_count(depths, views)
     n = len(views)
     keys = [(i, j) for i in range(n) for j in range(n) if i != j]
     if context is None:
@@ -318,8 +327,9 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     (except the locally constant census part) is then differentiable with
     respect to them. Camera- and image-only data comes from ``context``,
     the run's `ViewContext`; without one, a fresh context serves this
-    evaluation alone. A context built for other alphas raises ValueError,
-    a depth map off its grid ShapeMismatch. A term whose mask is empty
+    evaluation alone. A context built for other alphas raises ValueError;
+    a depth map count other than the view count, or a depth map off its
+    grid, raises ShapeMismatch. A term whose mask is empty
     records zero and lands in ``skipped``.
     """
     ctx = context if context is not None else ViewContext(views, weights)
@@ -327,6 +337,7 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
         raise ValueError(f"the view context's edge weights are for (alpha1, "
                          f"alpha2) = {ctx.alphas}, the loss weights give "
                          f"{(weights.alpha1, weights.alpha2)}")
+    _check_count(depths, views)
     _check_grid(depths, ctx.grid)
     w = weights
     n = len(views)

@@ -22,13 +22,10 @@ class TooFewViews(SymmvsError):
     """An operation needs at least two views."""
 
 
-class UnknownMode(SymmvsError):
-    """Unrecognized feature-extraction mode."""
-
-
 class NoParallax(SymmvsError):
-    """Every source camera of a reference view sits at its centre, so no
-    depth changes where a pixel lands and the depth cannot be estimated."""
+    """No source camera moves any pixel of a reference view by half a pixel
+    over the depth range (a camera at its centre moves none), so the depth
+    cannot be estimated."""
 
 
 class EmptySweep(SymmvsError):

@@ -463,10 +463,6 @@ _SOLVER_KEYS = {
     "convergence_tol": float,
     "hyp_count": int,
     "temperature": float,
-    "feature_mode": str,
-    "smooth_radius_d": int,
-    "smooth_radius_h": int,
-    "smooth_radius_w": int,
 }
 
 

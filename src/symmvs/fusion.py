@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .consistency import _check_grid
+from .consistency import _check_count, _check_grid
 
 __all__ = ["PointCloud", "filter_consistent", "depths_to_cloud"]
 
@@ -48,9 +48,11 @@ def filter_consistent(depths, views, tau_fuse: float, min_views: int = 2):
     A view j confirms pixel p of view i when j's depth, warped onto view i,
     lands within ``tau_fuse`` of view i's depth there. Surviving depths are
     replaced by the mean over the agreeing set (the pixel's own value plus
-    every confirming warped value). Depth maps of different sizes raise
-    ShapeMismatch naming the first view off view 0's grid.
+    every confirming warped value). A depth map count other than the view
+    count raises ShapeMismatch, and so do depth maps of different sizes,
+    naming the first view off view 0's grid.
     """
+    _check_count(depths, views)
     if depths:
         _check_grid(depths, depths[0].values.shape)
     if min_views < 1:
@@ -82,8 +84,10 @@ def depths_to_cloud(filtered, views) -> PointCloud:
     """Back-project every surviving pixel to world coordinates.
 
     Colors come from the owning view's image; grayscale images are
-    replicated across RGB.
+    replicated across RGB. A depth map count other than the view count
+    raises ShapeMismatch.
     """
+    _check_count(filtered, views)
     points = []
     colors = []
     for depth, view in zip(filtered, views):

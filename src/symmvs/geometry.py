@@ -51,7 +51,6 @@ __all__ = [
     "plane_homography",
     "warp_field_from_homography",
     "pair_coefficients",
-    "pair_baseline",
     "bilinear_sample",
     "synthesize_view",
     "warp_depth",
@@ -360,13 +359,6 @@ class ViewPair:
     z_off: float
 
 
-def pair_baseline(target: CameraView, source: CameraView) -> np.ndarray:
-    """``K_s t_ts``, the `ViewPair` ``b`` of (target, source): zero exactly
-    when the source camera sits at the target's centre, so that depth moves
-    no target pixel in the source image."""
-    return source.intrinsics @ relative_motion(target, source)[1]
-
-
 def pair_coefficients(target: CameraView, source: CameraView, height: int,
                       width: int, rows=None) -> ViewPair:
     """The `ViewPair` record of (target, source) on a (height, width) grid,
@@ -375,7 +367,7 @@ def pair_coefficients(target: CameraView, source: CameraView, height: int,
     A record over some rows holds the bits of the whole-grid record's rows.
     """
     rows = _row_range(rows, height)
-    r_ts, _ = relative_motion(target, source)
+    r_ts, t_ts = relative_motion(target, source)
     rays = view_rays(target, height, width, rows)
     a = rays @ (source.intrinsics @ r_ts).T
     r_st, t_st = relative_motion(source, target)
@@ -384,7 +376,7 @@ def pair_coefficients(target: CameraView, source: CameraView, height: int,
         rows=rows,
         same=same_camera(target, source),
         a=np.ascontiguousarray(np.moveaxis(a, -1, 0)),
-        b=pair_baseline(target, source),
+        b=source.intrinsics @ t_ts,
         z_row=r_st[2] @ intrinsics_inverse(source.intrinsics),
         z_off=t_st[2],
     )

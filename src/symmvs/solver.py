@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import consistency, volume
+from . import consistency, geometry, volume
 from .autodiff import Var
 from .consistency import SceneState
-from .errors import EmptySweep, NoParallax, TooFewViews, UnknownMode
-from .geometry import DepthHypotheses, DepthMap, pair_baseline
+from .errors import EmptySweep, NoParallax, TooFewViews
+from .geometry import DepthHypotheses, DepthMap
 from .photometry import LossWeights
 
 logger = logging.getLogger(__name__)
@@ -70,8 +70,6 @@ class SolverConfig:
     max_halvings: int = 8
     convergence_tol: float = 1e-5
     temperature: float = 1.0
-    feature_mode: str = "grad3"
-    smooth_radius: tuple = (1, 1, 1)
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
@@ -86,9 +84,6 @@ class SolverConfig:
             raise ValueError("line-search limits must be positive")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        volume.check_radius(self.smooth_radius)
-        if self.feature_mode not in volume.FEATURE_MODES:
-            raise UnknownMode(f"unknown feature mode {self.feature_mode!r}")
 
 
 # `refine` updates the progress fields of the one scene state in place;
@@ -98,33 +93,38 @@ SolverState = SceneState
 
 # Byte budget of one band's float cost volume in `init_depths`: a band
 # holds as many reference rows as fit D x rows x W float64 entries in it
-# (64 rows at W = 256, D = 64), plus the smoothing window's halo rows. An
-# image whose whole volume fits is swept in one band. Smaller bands repeat
-# a build's per-hypothesis Python work more often (2 MiB bands sweep about
-# 20% slower at 256x192, D = 64), larger ones hold more memory (16 MiB
-# bands: 1.8x the sweep's peak with 8 MiB bands).
+# (64 rows at W = 256, D = 64), plus the smoothing window's halo row on
+# either side. An image whose whole volume fits is swept in one band.
+# Smaller bands repeat a build's per-hypothesis Python work more often
+# (2 MiB bands sweep about 20% slower at 256x192, D = 64), larger ones hold
+# more memory (16 MiB bands: 1.8x the sweep's peak with 8 MiB bands).
 SWEEP_BAND_BYTES = 8 * 2**20
+
+# A reference view needs a source camera that moves at least one of its
+# pixels this far, in source pixels, between the ends of the hypothesis
+# range. Below it every hypothesis samples nearly the same texture, the
+# softmax is nearly flat, and every depth lands near the range's midpoint.
+MIN_PARALLAX_PX = 0.5
 
 
 def _sweep_reference(views, feats, ref: int, hypotheses: DepthHypotheses,
-                     temperature: float, smooth_radius) -> DepthMap:
+                     temperature: float) -> DepthMap:
     """The depth map of reference view ``ref``, swept in bands of rows.
 
     Cost, smoothing and regression are independent per row apart from the
-    smoothing window, so each band's volume carries ``r_h`` halo rows on
+    3x3x3 smoothing window, so each band's volume carries one halo row on
     either side (clipped at the image edges) and keeps only its own rows:
     the depths equal the whole-image sweep's bit for bit.
     """
-    h, w = feats[ref].values.shape[:2]
-    halo = volume.check_radius(smooth_radius)[1]
+    h, w = feats[ref].shape[1:]
     band = max(1, SWEEP_BAND_BYTES // (hypotheses.count * w * 8))
     values = np.empty((h, w))
     valid = np.empty((h, w), dtype=bool)
     for top in range(0, h, band):
         bottom = min(top + band, h)
-        lo, hi = max(0, top - halo), min(h, bottom + halo)
+        lo, hi = max(0, top - 1), min(h, bottom + 1)
         vol = volume.build_cost_volume(views, feats, ref, hypotheses, (lo, hi))
-        vol = volume.smooth_cost_volume(vol, smooth_radius)
+        vol = volume.smooth_cost_volume(vol)
         depth = volume.regress_depth(vol, temperature)[0]
         del vol  # the next band's sweep holds no volume of this one
         values[top:bottom] = depth.values[top - lo:bottom - lo]
@@ -132,32 +132,51 @@ def _sweep_reference(views, feats, ref: int, hypotheses: DepthHypotheses,
     return DepthMap(values, valid)
 
 
-def init_depths(views, hypotheses: DepthHypotheses, temperature: float,
-                feature_mode: str = "grad3", smooth_radius=(1, 1, 1)):
+def _largest_parallax(target, source, hypotheses: DepthHypotheses) -> float:
+    """The largest distance, in source pixels, between where a target pixel
+    lands at ``d_min`` and at ``d_max``, over the pixels in front of the
+    source camera at both depths; 0 for a source at the target's centre."""
+    pair = geometry.pair_coefficients(target, source, *target.image.shape[:2])
+    x0, y0, _, front0 = geometry.sampling_chain(pair, hypotheses.d_min)
+    x1, y1, _, front1 = geometry.sampling_chain(pair, hypotheses.d_max)
+    moved = np.hypot(x1 - x0, y1 - y0)[front0 & front1]
+    return float(moved.max()) if moved.size else 0.0
+
+
+def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
     """Initial depth map for every view from its own smoothed cost volume.
 
     Every view serves as reference exactly once, so the initialization is
-    symmetric under view relabeling. Each reference is swept in bands of
-    rows whose float cost fits `SWEEP_BAND_BYTES`, one band after the
-    other, so no whole-image volume is built unless it fits; the depths
-    are those of the whole-image sweep. A reference view whose every source
-    camera sits at its centre raises NoParallax naming it: no depth
-    hypothesis would change its cost. The first reference view without a
-    single valid depth raises EmptySweep naming it: no second view sees
-    any of its pixels at any hypothesis, so the range misses the scene.
+    symmetric under view relabeling. The features are `volume`'s fixed
+    grad3 stack and the smoothing its 3x3x3 window. Each reference is
+    swept in bands of rows whose float cost fits `SWEEP_BAND_BYTES`, one
+    band after the other, so no whole-image volume is built unless it
+    fits; the depths are those of the whole-image sweep.
+
+    A reference view raises NoParallax naming it and its largest
+    displacement when no source camera moves any of its pixels by
+    `MIN_PARALLAX_PX` or more over the hypothesis range (a source at its
+    centre moves none): its costs barely change with the hypothesis. The
+    first reference view without a single valid depth raises EmptySweep
+    naming it: no second view sees any of its pixels at any hypothesis, so
+    the range misses the scene.
     """
     if len(views) < 2:
         raise TooFewViews("initialization needs at least two views")
     for ref, target in enumerate(views):
-        if not any(pair_baseline(target, source).any()
-                   for s, source in enumerate(views) if s != ref):
-            raise NoParallax(f"view {ref}: every other camera sits at its centre, "
-                             "so its depth cannot be estimated")
-    feats = [volume.extract_features(v.image, feature_mode) for v in views]
+        moved = max(_largest_parallax(target, source, hypotheses)
+                    for s, source in enumerate(views) if s != ref)
+        if moved < MIN_PARALLAX_PX:
+            raise NoParallax(
+                f"view {ref}: no other camera moves any of its pixels by "
+                f"{MIN_PARALLAX_PX:g} px over the depth range "
+                f"[{hypotheses.d_min:g}, {hypotheses.d_max:g}]; the largest "
+                f"displacement is {moved:.3g} px, so its depth cannot be "
+                "estimated")
+    feats = [volume.extract_features(v.image) for v in views]
     depths = []
     for ref in range(len(views)):
-        depth = _sweep_reference(views, feats, ref, hypotheses, temperature,
-                                 smooth_radius)
+        depth = _sweep_reference(views, feats, ref, hypotheses, temperature)
         if not depth.valid.any():
             raise EmptySweep(
                 f"view {ref}: no pixel sees a second view at any depth in "
@@ -321,8 +340,7 @@ def run_pipeline(views, config: SolverConfig) -> SceneState:
 
     Deterministic for fixed inputs and configuration.
     """
-    depths = init_depths(views, config.hypotheses, config.temperature,
-                         config.feature_mode, config.smooth_radius)
+    depths = init_depths(views, config.hypotheses, config.temperature)
     state = SceneState(views=list(views), depths=depths, masks={},
                        weights=config.weights)
     return refine(state, config)

@@ -6,8 +6,8 @@ view through the refinement's sampling: one `geometry.pair_coefficients`
 record per source view, read by `geometry.pair_sampling` at each constant
 hypothesis depth. The reference's own features join the group, and the
 per-pixel matching cost is the channel-averaged population variance across
-the contributing views. A separable, validity-aware box filter stands in
-for learned regularization, and the depth is read out as the
+the contributing views. A separable, validity-aware 3x3x3 box filter
+stands in for learned regularization, and the depth is read out as the
 softmax-weighted expectation over hypotheses.
 
 `build_cost_volume` sweeps a range of reference rows, by default all of
@@ -19,19 +19,20 @@ What each stage holds at the size (D, rows, W) of its volume, beyond its
 input:
 - `build_cost_volume`: the float cost, the support count as
   ``np.min_scalar_type(n_views)`` (one byte up to 255 views) and the
-  boolean validity, 10 bytes per entry. Once per call every view's whole
-  (H, W, F) features become one contiguous (F, H*W) array, checked for
-  finite values there and nowhere else; the pair records cover the band's
-  rows only. Per hypothesis and source view, the pair's sampling flags the
+  boolean validity, 10 bytes per entry. Every view's channel-first
+  (F, H, W) features, as `extract_features` returns them, are checked for
+  finite values once per call and reshaped to (F, H*W), a view of such
+  contiguous arrays, not a copy; the pair records cover the band's rows
+  only. Per hypothesis and source view, the pair's sampling flags the
   samples in front of the source camera and in bounds, and each of its
   four bilinear corners is one gather along the whole source image's pixel
   axis; the gathers and the pairwise variance write into (F, rows, W) and
   (rows, W) buffers allocated once per call. A source's sampling is
   dropped before the next source samples.
 - `smooth_cost_volume`: its output cost and validity. It streams over
-  depth slices and sums each window directly, one offset at a time, so an
-  output carries only the rounding of its own terms. Its row window is
-  clipped to the volume's rows, so a band needs ``r_h`` halo rows on each
+  depth slices and sums each 3x3x3 window directly, one offset at a time,
+  so an output carries only the rounding of its own terms. Its row window
+  is clipped to the volume's rows, so a band needs one halo row on each
   side, clipped at the image edges, for its own rows to match the
   whole-image volume's.
 - `regress_depth`: one float buffer, in which the logits become the
@@ -48,32 +49,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, photometry
-from .errors import NonFiniteValue, ShapeMismatch, TooFewViews, UnknownMode
+from .errors import NonFiniteValue, ShapeMismatch, TooFewViews
 
 __all__ = [
-    "FeatureMap",
     "CostVolume",
     "extract_features",
     "build_cost_volume",
-    "check_radius",
     "smooth_cost_volume",
     "regress_depth",
 ]
-
-FEATURE_MODES = ("intensity", "grad3")
-
-
-@dataclass
-class FeatureMap:
-    """Per-pixel feature vectors, (H, W, F)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3 or v.shape[2] < 1:
-            raise ValueError("feature map must be H x W x F with F >= 1")
-        self.values = v
 
 
 @dataclass
@@ -95,16 +79,11 @@ class CostVolume:
     valid: np.ndarray
 
 
-def extract_features(image: np.ndarray, mode: str = "grad3") -> FeatureMap:
-    """Fixed feature stack: luminance, optionally with forward-difference
-    gradients (mode "grad3" gives channels [gray, d/dx, d/dy])."""
+def extract_features(image: np.ndarray) -> np.ndarray:
+    """Fixed feature stack, channel-first (3, H, W): luminance and its
+    forward-difference gradients, [gray, d/dx, d/dy]."""
     gray = photometry.grayscale(image)
-    if mode == "intensity":
-        return FeatureMap(gray[:, :, None])
-    if mode == "grad3":
-        gx, gy = photometry._grad_x(gray), photometry._grad_y(gray)
-        return FeatureMap(np.stack([gray, gx, gy], axis=2))
-    raise UnknownMode(f"unknown feature mode {mode!r}")
+    return np.stack([gray, photometry._grad_x(gray), photometry._grad_y(gray)])
 
 
 def _resample(flat_src, pair, depth: float, out, tap):
@@ -133,7 +112,9 @@ def build_cost_volume(views, features, ref: int,
     volume's entry. Sources are sampled over their whole images.
     The population variance is accumulated from pairwise squared
     differences, so identical contributions give exactly zero cost.
-    Raises ShapeMismatch if a view's features differ in shape from the
+    ``features`` holds one channel-first (F, H, W) array per view, F >= 1,
+    as `extract_features` returns them. Raises ShapeMismatch naming the
+    first view whose features are not 3-D or differ in shape from the
     reference's, and NonFiniteValue naming the first view whose features
     are not finite.
     """
@@ -142,19 +123,21 @@ def build_cost_volume(views, features, ref: int,
         raise TooFewViews("cost volume needs at least two views")
     if not 0 <= ref < n_views:
         raise IndexError(f"reference index {ref} out of range")
-    shape = features[ref].values.shape
-    h, w, n_feat = shape
+    shape = np.shape(features[ref])
+    if len(shape) != 3 or shape[0] < 1:
+        raise ShapeMismatch(f"features of view {ref} are {shape}, not (F, H, W) "
+                            "with F >= 1")
+    n_feat, h, w = shape
     flat = []
     for v in range(n_views):
-        vals = features[v].values
+        vals = np.asarray(features[v], dtype=np.float64)
         if vals.shape != shape:
             raise ShapeMismatch(
                 f"features of view {v} are {vals.shape}, reference's are {shape}"
             )
         if not np.isfinite(vals).all():
             raise NonFiniteValue(f"features of view {v} must be finite")
-        chan_first = np.ascontiguousarray(np.moveaxis(vals, 2, 0))
-        flat.append(chan_first.reshape(n_feat, h * w))
+        flat.append(vals.reshape(n_feat, h * w))
 
     others = [v for v in range(n_views) if v != ref]
     pairs = {src: geometry.pair_coefficients(views[ref], views[src], h, w, rows)
@@ -205,68 +188,47 @@ def build_cost_volume(views, features, ref: int,
     return CostVolume(ref, hyp, cost, support, support >= 2)
 
 
-def _box_sum_axis(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    """Sum of ``a`` over the window [i - radius, i + radius], clipped to the
-    array, at every index i along ``axis``.
+def _box_sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of ``a`` over the window [i - 1, i + 1], clipped to the array,
+    at every index i along ``axis``.
 
-    Direct window sums: a copy of ``a`` adds ``a[i - k]`` and then
-    ``a[i + k]`` for k = 1 ... radius, in place, wherever they exist.
+    Direct window sums: a copy of ``a`` adds ``a[i - 1]`` and then
+    ``a[i + 1]``, in place, wherever they exist.
     """
     out = a.copy()
     src = np.moveaxis(a, axis, 0)
     dst = np.moveaxis(out, axis, 0)
-    for k in range(1, min(radius, src.shape[0] - 1) + 1):
-        dst[k:] += src[:-k]
-        dst[:-k] += src[k:]
+    dst[1:] += src[:-1]
+    dst[:-1] += src[1:]
     return out
 
 
-def check_radius(radius) -> tuple:
-    """The smoothing radii (r_d, r_h, r_w) as ints.
+def smooth_cost_volume(vol: CostVolume) -> CostVolume:
+    """Separable 3x3x3 box smoothing over valid cost entries.
 
-    Raises ValueError unless ``radius`` holds three non-negative integral
-    numbers.
+    Each output is the mean of the valid entries inside its 3x3x3 window,
+    clipped to the volume (0 where the window holds none); the input's
+    ``support`` array is passed through, not copied.
+
+    One depth slice at a time: a slice's numerator and count add the slice
+    before it and then the one after it, then are box-summed along rows
+    and columns, so every output equals the whole-volume separable filter
+    bit for bit. Only the output cost and validity are allocated at volume
+    size.
     """
-    try:
-        radii = tuple(float(r) for r in radius)
-    except (TypeError, ValueError):
-        radii = ()
-    if len(radii) != 3 or not all(r >= 0 and r.is_integer() for r in radii):
-        raise ValueError(
-            f"smoothing radii must be three non-negative integers, got {radius!r}")
-    return tuple(int(r) for r in radii)
-
-
-def smooth_cost_volume(vol: CostVolume, radius=(1, 1, 1)) -> CostVolume:
-    """Separable box smoothing over valid cost entries.
-
-    Each output is the mean of the valid entries inside the
-    (2r_d+1, 2r_h+1, 2r_w+1) window (0 where the window holds none); the
-    input's ``support`` array is passed through, not copied. Raises
-    ValueError unless the radii are non-negative integers.
-
-    One depth slice at a time: a slice's numerator and count add their
-    depth neighbours in `_box_sum_axis`'s order (centre, then -1, +1, -2,
-    +2, ...), then are box-summed along rows and columns, so every output
-    equals the whole-volume separable filter bit for bit. Only the output
-    cost and validity are allocated at volume size.
-    """
-    rd, rh, rw = check_radius(radius)
     d_count = vol.cost.shape[0]
     cost = np.zeros(vol.cost.shape)
     ok = np.empty(vol.valid.shape, dtype=bool)
     for k in range(d_count):
         num = np.where(vol.valid[k], vol.cost[k], 0.0)
         den = vol.valid[k].astype(np.float64)
-        for j in range(1, min(rd, d_count - 1) + 1):
-            for n in (k - j, k + j):
-                if 0 <= n < d_count:
-                    num += np.where(vol.valid[n], vol.cost[n], 0.0)
-                    den += vol.valid[n]
-        for axis, r in ((0, rh), (1, rw)):
-            if r:
-                num = _box_sum_axis(num, r, axis)
-                den = _box_sum_axis(den, r, axis)
+        for n in (k - 1, k + 1):
+            if 0 <= n < d_count:
+                num += np.where(vol.valid[n], vol.cost[n], 0.0)
+                den += vol.valid[n]
+        for axis in (0, 1):
+            num = _box_sum_axis(num, axis)
+            den = _box_sum_axis(den, axis)
         np.greater(den, 0.5, out=ok[k])
         np.divide(num, den, out=cost[k], where=ok[k])
     return CostVolume(vol.ref_view, vol.hypotheses, cost, vol.support, ok)

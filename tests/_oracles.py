@@ -116,7 +116,8 @@ def box_filter_valid_brute(cost, valid, radius):
 
 def cost_volume_loop(views, features, ref, hyp):
     """Plane-sweep variance volume, one warp field and one resampled
-    (H, W, F) feature map per hypothesis and source view.
+    (H, W, F) feature map per hypothesis and source view, from the
+    channel-first (F, H, W) ``features`` that ``build_cost_volume`` takes.
 
     This is the library's earlier per-hypothesis loop. Each warp field
     holds the sampling chain's coordinates at the hypothesis depth, flagged
@@ -128,12 +129,13 @@ def cost_volume_loop(views, features, ref, hyp):
     from symmvs import geometry
 
     n_views = len(views)
-    h, w, _ = features[ref].values.shape
+    maps = [np.moveaxis(f, 0, -1) for f in features]
+    h, w, _ = maps[ref].shape
     cost = np.zeros((hyp.count, h, w))
     support = np.zeros((hyp.count, h, w), dtype=np.int64)
     others = [v for v in range(n_views) if v != ref]
     for k, depth in enumerate(hyp.samples):
-        group = [(features[ref].values, np.ones((h, w), dtype=bool))]
+        group = [(maps[ref], np.ones((h, w), dtype=bool))]
         for src in others:
             x, y, _, front = geometry.sampling_chain(
                 geometry.pair_coefficients(views[ref], views[src], h, w),
@@ -141,7 +143,7 @@ def cost_volume_loop(views, features, ref, hyp):
             inb = front & geometry._in_bounds(x, y, w, h)
             coords = np.stack([np.where(inb, x, -1.0), np.where(inb, y, -1.0)], -1)
             fld = geometry.WarpField(coords, inb)
-            group.append(geometry.bilinear_sample(features[src].values, fld))
+            group.append(geometry.bilinear_sample(maps[src], fld))
         count = np.zeros((h, w), dtype=np.int64)
         for _, ok in group:
             count += ok

@@ -119,7 +119,7 @@ def test_criterion_03_cost_volume_sanity(plane_scene):
         assert gt[0].values.shape == (48, 64)
 
         start = time.monotonic()
-        feats = [extract_features(v.image, "grad3") for v in views]
+        feats = [extract_features(v.image) for v in views]
         vol = build_cost_volume(views, feats, 1, hyp)
         arg = np.argmin(np.where(vol.valid, vol.cost, np.inf), axis=0)
         interior = np.zeros(arg.shape, bool)
@@ -127,7 +127,7 @@ def test_criterion_03_cost_volume_sanity(plane_scene):
         interior &= vol.valid.all(axis=0)
         assert (arg[interior] == 24).mean() >= 0.98
 
-        smoothed = smooth_cost_volume(vol, (1, 1, 1))
+        smoothed = smooth_cost_volume(vol)
         depth, _ = regress_depth(smoothed, DESK_TEMPERATURE)
         err = np.abs(depth.values - z0)[interior & depth.valid]
         assert np.median(err) < hyp.spacing

@@ -208,7 +208,9 @@ def test_coincident_cameras_exit_1_naming_the_view(tmp_path, capsys):
                  "--config", str(run_cfg)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "error: view 0: every other camera sits at its centre" in err
+    assert ("error: view 0: no other camera moves any of its pixels by 0.5 px"
+            in err)
+    assert "the largest displacement is 0 px" in err
     assert "Traceback" not in err
 
 

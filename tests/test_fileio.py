@@ -27,6 +27,7 @@ from symmvs.fileio import (
     write_pfm,
     write_ply,
 )
+from symmvs.solver import SolverConfig
 
 
 
@@ -312,6 +313,18 @@ class TestRunConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = 1\n" for key in sorted(accepted)))
         assert set(read_run_config(cfg)[1]) == set(fileio._SOLVER_KEYS)
+
+    def test_solver_keys_are_the_solver_config_fields(self):
+        # hyp_count stands for the hypotheses; the weights have their own keys
+        fields = set(SolverConfig.__dataclass_fields__) - {"hypotheses", "weights"}
+        assert set(fileio._SOLVER_KEYS) - {"hyp_count"} == fields
+
+    @pytest.mark.parametrize("key", ["feature_mode", "smooth_radius_h"])
+    def test_removed_sweep_keys_are_rejected(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"temperature = 1e-5\n{key} = 1\n")
+        with pytest.raises(ParseError, match=f":2: unknown key '{key}'$"):
+            read_run_config(cfg)
 
 
 class TestBundle:

@@ -570,7 +570,7 @@ def _chain_consumers(views, rng):
     vals, ok = _warp(s_leaf, holey, t_leaf, valid, source, target)
     (vals * g).sum().backward()
     out += [vals.value, ok, s_leaf.grad, t_leaf.grad]
-    feats = [extract_features(v.image, "grad3") for v in views]
+    feats = [extract_features(v.image) for v in views]
     vol = build_cost_volume(views, feats, 0, DepthHypotheses(1.5, 2.5, 8))
     out += [vol.cost, vol.support, vol.valid]
     return out

@@ -23,6 +23,7 @@ from symmvs import (
     cloud_metrics,
     compute_all_masks,
     consistency,
+    depths_to_cloud,
     filter_consistent,
     init_depths,
     loss_gradient,
@@ -31,12 +32,11 @@ from symmvs import (
     regress_depth,
     render_scene,
     run_pipeline,
-    smooth_cost_volume,
     total_loss,
 )
 from symmvs import photometry, solver, volume
 from symmvs.consistency import OcclusionMask, _evaluate
-from symmvs.errors import EmptySweep, NoParallax, TooFewViews, UnknownMode
+from symmvs.errors import EmptySweep, NoParallax, ShapeMismatch, TooFewViews
 from symmvs.solver import SolverConfig, SolverState
 
 from _oracles import smoothness_gradient_flat_image
@@ -44,14 +44,14 @@ from conftest import (DESK_TEMPERATURE, make_camera, median_abs_error, noisy_dep
                       same_bytes)
 
 
-def whole_image_depths(views, hyp, radius=(1, 1, 1)):
+def whole_image_depths(views, hyp):
     """The oracle of the banded sweep: build, smooth and regress each
     reference's whole-image volume."""
-    feats = [volume.extract_features(v.image, "grad3") for v in views]
+    feats = [volume.extract_features(v.image) for v in views]
     depths = []
     for ref in range(len(views)):
         vol = volume.build_cost_volume(views, feats, ref, hyp)
-        vol = volume.smooth_cost_volume(vol, radius)
+        vol = volume.smooth_cost_volume(vol)
         depths.append(volume.regress_depth(vol, DESK_TEMPERATURE)[0])
     return depths
 
@@ -123,6 +123,23 @@ class TestInitDepths:
         # a third view gives every reference a baseline
         assert len(init_depths([v, twin, views[2]], hyp, DESK_TEMPERATURE)) == 3
 
+    @pytest.mark.parametrize("spread, moved", [(1e-3, "0.0389"), (1e-2, "0.389")])
+    def test_near_zero_parallax_raises_naming_the_largest_displacement(
+            self, plane_scene, spread, moved):
+        # cameras at -spread, 0 and +spread: [1.8, 4.95] moves every pixel
+        # of view 0 by 55 * 2 * spread * (1 / 1.8 - 1 / 4.95) px at most, so
+        # every hypothesis samples nearly the same texture, and the sweep
+        # would put every depth near the midpoint 3.375, every pixel valid
+        spec = plane_scene["spec"]
+        rig = SceneSpec(spec.primitives, [make_camera(x) for x in (-spread, 0.0, spread)],
+                        width=64, height=48, channels=1, seed=7)
+        views, hyp = render_scene(rig)[0], plane_scene["hyp"]
+        with pytest.raises(NoParallax, match=(r"^view 0: .*\[1\.8, 4\.95\]; the "
+                                              rf"largest displacement is {moved} px")):
+            init_depths(views, hyp, DESK_TEMPERATURE)
+        with pytest.raises(NoParallax, match="^view 0: "):
+            run_pipeline(views, desk_config(hyp))
+
     def test_single_view_rejected(self, plane_scene):
         with pytest.raises(TooFewViews):
             init_depths(plane_scene["views"][:1], plane_scene["hyp"], 1.0)
@@ -165,19 +182,18 @@ class TestInitDepths:
                         DESK_TEMPERATURE)
         assert [ref for ref, _ in builds] == [0] * 4 + [1] * 4 + [2] * 4
 
-    @pytest.mark.parametrize("radius", [(1, 1, 1), (0, 2, 1)])
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
     def test_banded_sweep_is_bit_identical_to_whole_image(self, request, scene,
-                                                          radius, monkeypatch):
-        # 13 rows per band divide neither 48 nor 96 rows
+                                                          monkeypatch):
+        # 13 rows per band divide neither 48 nor 96 rows; each band carries
+        # one halo row on either side
         views = request.getfixturevalue(scene)["views"]
         hyp = DepthHypotheses(1.5, 4.0, 16)
         h, w = views[0].image.shape[:2]
-        want = whole_image_depths(views, hyp, radius)
+        want = whole_image_depths(views, hyp)
         builds = sweep_in_bands(monkeypatch, 13, hyp, w)
-        got = init_depths(views, hyp, DESK_TEMPERATURE, smooth_radius=radius)
-        halo = radius[1]
-        bands = [(max(0, t - halo), min(h, t + 13 + halo)) for t in range(0, h, 13)]
+        got = init_depths(views, hyp, DESK_TEMPERATURE)
+        bands = [(max(0, t - 1), min(h, t + 14)) for t in range(0, h, 13)]
         assert len(bands) >= 4
         assert builds == [(ref, rows) for ref in range(len(views)) for rows in bands]
         for g, e in zip(got, want):
@@ -704,27 +720,27 @@ def test_nan_parameter_is_rejected(plane_scene, call):
         call(plane_scene)
 
 
+@pytest.mark.parametrize("n_views, n_depths", [(3, 2), (2, 3)])
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda sc: SolverConfig(sc["hyp"], smooth_radius=(-1, 1, 1)),
-                 id="negative-radius"),
-    pytest.param(lambda sc: SolverConfig(sc["hyp"], smooth_radius=(1.7, 1, 1)),
-                 id="fractional-radius"),
-    pytest.param(lambda sc: SolverConfig(sc["hyp"], smooth_radius=(np.nan, 1, 1)),
-                 id="nan-radius"),
-    pytest.param(lambda sc: SolverConfig(sc["hyp"], smooth_radius=(1, 1)),
-                 id="two-radii"),
-    pytest.param(lambda sc: smooth_cost_volume(_flat_volume(), (1.7, 1, 1)),
-                 id="smooth-fractional-radius"),
-    pytest.param(lambda sc: smooth_cost_volume(_flat_volume(), (1, np.nan, 1)),
-                 id="smooth-nan-radius"),
+    pytest.param(lambda sc, views, depths: compute_all_masks(views, depths,
+                                                             sc["weights"]),
+                 id="compute_all_masks"),
+    pytest.param(lambda sc, views, depths: total_loss(
+        SolverState(views=views, depths=depths, masks={}, weights=sc["weights"])),
+                 id="total_loss"),
+    pytest.param(lambda sc, views, depths: refine(
+        SolverState(views=views, depths=depths, masks={}, weights=sc["weights"]),
+        desk_config(sc["hyp"])),
+                 id="refine"),
+    pytest.param(lambda sc, views, depths: filter_consistent(depths, views, 0.1),
+                 id="filter_consistent"),
+    pytest.param(lambda sc, views, depths: depths_to_cloud(depths, views),
+                 id="depths_to_cloud"),
 ])
-def test_bad_smoothing_radius_is_rejected(plane_scene, call):
-    with pytest.raises(ValueError, match="must be three non-negative integers"):
-        call(plane_scene)
-
-
-def test_unknown_feature_mode_is_rejected_up_front(plane_scene):
-    with pytest.raises(UnknownMode, match="'bogus'"):
-        SolverConfig(plane_scene["hyp"], feature_mode="bogus")
-    SolverConfig(plane_scene["hyp"], feature_mode="intensity",
-                 smooth_radius=(0, 2.0, np.int64(1)))
+def test_depth_count_other_than_view_count_is_rejected(plane_scene, call, n_views,
+                                                       n_depths):
+    # the views and depth maps of one scene; either list one longer
+    views = plane_scene["views"][:n_views]
+    depths = [d.copy() for d in plane_scene["gt"][:n_depths]]
+    with pytest.raises(ShapeMismatch, match=f"^{n_depths} depth maps for {n_views} views$"):
+        call(plane_scene, views, depths)

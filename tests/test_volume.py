@@ -13,8 +13,9 @@ from symmvs import (
     regress_depth,
     smooth_cost_volume,
 )
-from symmvs.errors import NonFiniteValue, ShapeMismatch, TooFewViews, UnknownMode
-from symmvs.volume import CostVolume, FeatureMap, _box_sum_axis
+from symmvs.errors import NonFiniteValue, ShapeMismatch, TooFewViews
+from symmvs.photometry import grayscale
+from symmvs.volume import CostVolume, _box_sum_axis
 
 from _oracles import (
     box_filter_valid_brute,
@@ -27,31 +28,25 @@ from _oracles import (
 from conftest import DESK_TEMPERATURE, make_camera
 
 
+def gray_features(view):
+    """One-channel (1, H, W) features: the view's luminance."""
+    return grayscale(view.image)[None]
+
+
 class TestExtractFeatures:
     def test_constant_image_grad3(self):
-        fm = extract_features(np.full((6, 8), 0.4), "grad3")
-        assert fm.values.shape == (6, 8, 3)
-        np.testing.assert_allclose(fm.values[..., 0], 0.4)
-        np.testing.assert_array_equal(fm.values[..., 1], 0.0)
-        np.testing.assert_array_equal(fm.values[..., 2], 0.0)
+        fm = extract_features(np.full((6, 8), 0.4))
+        assert fm.shape == (3, 6, 8)
+        np.testing.assert_allclose(fm[0], 0.4)
+        np.testing.assert_array_equal(fm[1], 0.0)
+        np.testing.assert_array_equal(fm[2], 0.0)
 
     def test_x_ramp_gradient_channel(self):
         w = 8
         gx = np.tile(np.arange(w, dtype=float) / w, (6, 1))
-        fm = extract_features(gx, "grad3")
-        np.testing.assert_allclose(fm.values[:, :-1, 1], 1.0 / w, atol=1e-12)
-        np.testing.assert_array_equal(fm.values[:, -1, 1], 0.0)
-
-    def test_intensity_mode_is_channel_mean(self):
-        rng = np.random.default_rng(0)
-        img = rng.uniform(size=(5, 5, 3))
-        fm = extract_features(img, "intensity")
-        assert fm.values.shape == (5, 5, 1)
-        np.testing.assert_allclose(fm.values[..., 0], img.mean(axis=2), atol=1e-12)
-
-    def test_unknown_mode(self):
-        with pytest.raises(UnknownMode):
-            extract_features(np.zeros((4, 4)), "sift")
+        fm = extract_features(gx)
+        np.testing.assert_allclose(fm[1, :, :-1], 1.0 / w, atol=1e-12)
+        np.testing.assert_array_equal(fm[1, :, -1], 0.0)
 
 
 class TestBuildCostVolume:
@@ -64,7 +59,7 @@ class TestBuildCostVolume:
                        np.eye(3), np.zeros(3), img)
             for _ in range(3)
         ]
-        return views, [extract_features(v.image, "grad3") for v in views]
+        return views, [extract_features(v.image) for v in views]
 
     def test_identical_views_give_exactly_zero_cost(self):
         views, feats = self.identical_views()
@@ -88,7 +83,7 @@ class TestBuildCostVolume:
         sc = request.getfixturevalue(scene)
         views = sc["views"]
         hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
-        feats = [extract_features(v.image, "grad3") for v in views]
+        feats = [extract_features(v.image) for v in views]
         h = views[0].image.shape[0]
         for ref in range(len(views)):
             whole = build_cost_volume(views, feats, ref, hyp)
@@ -100,7 +95,7 @@ class TestBuildCostVolume:
 
     def test_true_depth_wins_argmin_on_interior(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
-        feats = [extract_features(v.image, "grad3") for v in views]
+        feats = [extract_features(v.image) for v in views]
         vol = build_cost_volume(views, feats, 1, hyp)
         am = np.argmin(np.where(vol.valid, vol.cost, np.inf), axis=0)
         interior = np.zeros(am.shape, bool)
@@ -115,7 +110,7 @@ class TestBuildCostVolume:
                           np.eye(3), np.zeros(3), img)
         far = CameraView(make_camera(50.0, f=20.0, width=16, height=12).intrinsics,
                          np.eye(3), np.array([-50.0, 0.0, 0.0]), img)
-        feats = [extract_features(v.image, "intensity") for v in (near, far)]
+        feats = [gray_features(v) for v in (near, far)]
         hyp = DepthHypotheses(0.5, 1.0, 3)
         vol = build_cost_volume([near, far], feats, 0, hyp)
         # the second camera is 50 units off axis: every warp misses it
@@ -124,21 +119,21 @@ class TestBuildCostVolume:
 
     def test_variance_matches_brute_force(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
-        feats = [extract_features(v.image, "intensity") for v in views]
+        feats = [gray_features(v) for v in views]
         vol = build_cost_volume(views, feats, 0, hyp)
         # spot-check a few cells against the direct per-view resampling
         from symmvs import plane_homography, warp_field_from_homography, bilinear_sample
         rng = np.random.default_rng(3)
-        h, w, _ = feats[0].values.shape
+        h, w = feats[0].shape[1:]
         for _ in range(20):
             k = int(rng.integers(0, hyp.count))
             y = int(rng.integers(2, h - 2))
             x = int(rng.integers(2, w - 2))
-            samples = [feats[0].values[y, x, 0]]
+            samples = [feats[0][0, y, x]]
             for s in (1, 2):
                 hom = plane_homography(views[0], views[s], float(hyp.samples[k]))
                 fld = warp_field_from_homography(hom, h, w)
-                vals, ok = bilinear_sample(feats[s].values, fld)
+                vals, ok = bilinear_sample(np.moveaxis(feats[s], 0, -1), fld)
                 if ok[y, x]:
                     samples.append(vals[y, x, 0])
             if len(samples) >= 2:
@@ -148,20 +143,25 @@ class TestBuildCostVolume:
 
     def test_permutation_invariance(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
-        feats = [extract_features(v.image, "grad3") for v in views]
+        feats = [extract_features(v.image) for v in views]
         vol_a = build_cost_volume(views, feats, 0, hyp)
         perm_views = [views[0], views[2], views[1]]
         perm_feats = [feats[0], feats[2], feats[1]]
         vol_b = build_cost_volume(perm_views, perm_feats, 0, hyp)
         assert np.abs(vol_a.cost - vol_b.cost).max() < 1e-12
 
-    @pytest.mark.parametrize("mode", ["intensity", "grad3"])
+    @pytest.mark.parametrize("features", [
+        pytest.param(gray_features, id="intensity"),
+        pytest.param(lambda v: extract_features(v.image), id="grad3"),
+    ])
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
-    def test_matches_per_view_resampling_loop_exactly(self, request, scene, mode):
+    def test_matches_per_view_resampling_loop_exactly(self, request, scene,
+                                                      features):
+        # F = 1 and F = 3 channels
         sc = request.getfixturevalue(scene)
         views = sc["views"]
         hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
-        feats = [extract_features(v.image, mode) for v in views]
+        feats = [features(v) for v in views]
         for ref in range(len(views)):
             vol = build_cost_volume(views, feats, ref, hyp)
             cost, support, valid = cost_volume_loop(views, feats, ref, hyp)
@@ -173,23 +173,48 @@ class TestBuildCostVolume:
     @pytest.mark.parametrize("bad_view", [0, 2])
     def test_non_finite_features_name_the_view(self, plane_scene, bad_view):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
-        feats = [extract_features(v.image, "grad3") for v in views]
-        vals = feats[bad_view].values.copy()
-        vals[10, 20, 1] = np.nan
-        feats[bad_view] = FeatureMap(vals)
+        feats = [extract_features(v.image) for v in views]
+        feats[bad_view] = feats[bad_view].copy()
+        feats[bad_view][1, 10, 20] = np.nan
         with pytest.raises(NonFiniteValue, match=f"view {bad_view} "):
             build_cost_volume(views, feats, 1, hyp)
 
     def test_feature_shape_mismatch(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
-        feats = [extract_features(v.image, "grad3") for v in views]
-        feats[2] = extract_features(views[2].image, "intensity")
+        feats = [extract_features(v.image) for v in views]
+        feats[2] = gray_features(views[2])
         with pytest.raises(ShapeMismatch, match="view 2 "):
             build_cost_volume(views, feats, 0, hyp)
 
+    @pytest.mark.parametrize("bad_view", [0, 2])
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda f: f[0], id="2-D"),
+        pytest.param(lambda f: f[:, :, :, None], id="4-D"),
+        pytest.param(lambda f: f[:0], id="no-channel"),
+    ])
+    def test_features_not_f_h_w_name_the_view(self, plane_scene, bad_view, bad):
+        views, hyp = plane_scene["views"], plane_scene["hyp"]
+        feats = [extract_features(v.image) for v in views]
+        feats[bad_view] = bad(feats[bad_view])
+        with pytest.raises(ShapeMismatch, match=f"^features of view {bad_view} "):
+            build_cost_volume(views, feats, 0, hyp)
+
+    def test_features_are_read_without_a_copy(self, plane_scene, monkeypatch):
+        # each view's (3, H, W) stack is reshaped to (3, H*W) as a view: every
+        # array the gathers read shares memory with a source's features
+        views = plane_scene["views"]
+        feats = [extract_features(v.image) for v in views]
+        read = []
+        take = np.take
+        monkeypatch.setattr(np, "take", lambda a, *args, **kw: (
+            read.append(a), take(a, *args, **kw))[1])
+        build_cost_volume(views, feats, 0, DepthHypotheses(2.0, 3.0, 2))
+        assert read and all(any(np.shares_memory(a, f) for f in feats[1:])
+                            for a in read)
+
     def test_too_few_views(self, plane_scene):
         views = plane_scene["views"][:1]
-        feats = [extract_features(views[0].image, "grad3")]
+        feats = [extract_features(views[0].image)]
         with pytest.raises(TooFewViews):
             build_cost_volume(views, feats, 0, plane_scene["hyp"])
 
@@ -223,88 +248,61 @@ class TestSmoothCostVolume:
         support = np.where(valid, 2, 1)
         return CostVolume(0, DepthHypotheses(1.0, 2.0, d), cost, support, valid)
 
-    def test_zero_radius_is_identity(self):
-        rng = np.random.default_rng(4)
-        cost = rng.uniform(size=(4, 5, 6))
-        valid = rng.uniform(size=(4, 5, 6)) > 0.3
-        vol = self.make_volume(np.where(valid, cost, 0.0), valid)
-        out = smooth_cost_volume(vol, (0, 0, 0))
-        np.testing.assert_array_equal(out.cost, vol.cost)
-        np.testing.assert_array_equal(out.valid, vol.valid)
-        np.testing.assert_array_equal(out.support, vol.support)
-
     def test_constant_volume_unchanged(self):
         vol = self.make_volume(np.full((3, 4, 5), 0.7))
-        out = smooth_cost_volume(vol, (1, 2, 1))
+        out = smooth_cost_volume(vol)
         np.testing.assert_allclose(out.cost, 0.7, rtol=1e-12)
 
     def test_impulse_spreads_over_neighborhood(self):
         cost = np.zeros((5, 5, 5))
         cost[2, 2, 2] = 27.0
         vol = self.make_volume(cost)
-        out = smooth_cost_volume(vol, (1, 1, 1))
+        out = smooth_cost_volume(vol)
         np.testing.assert_allclose(out.cost[1:4, 1:4, 1:4], 1.0, rtol=1e-12)
         assert out.cost[0, 2, 2] == 0.0
 
     def test_matches_brute_force_with_invalid_cells(self):
         rng = np.random.default_rng(5)
-        cost = rng.uniform(size=(4, 5, 6))
-        valid = rng.uniform(size=(4, 5, 6)) > 0.4
-        vol = self.make_volume(np.where(valid, cost, 0.0), valid)
-        # (5, 7, 9) is wider than every axis: each window is clipped at both ends
-        for radius in [(1, 1, 2), (0, 2, 1), (3, 0, 4), (5, 7, 9)]:
-            out = smooth_cost_volume(vol, radius)
-            expected, expected_ok = box_filter_valid_brute(vol.cost, valid, radius)
+        # the 3x3x3 window is wider than every axis of (2, 1, 2): each
+        # window is clipped at both ends
+        for shape in [(4, 5, 6), (2, 1, 2)]:
+            cost = rng.uniform(size=shape)
+            valid = rng.uniform(size=shape) > 0.4
+            vol = self.make_volume(np.where(valid, cost, 0.0), valid)
+            out = smooth_cost_volume(vol)
+            expected, expected_ok = box_filter_valid_brute(vol.cost, valid, (1, 1, 1))
             np.testing.assert_array_equal(out.valid, expected_ok)
             np.testing.assert_allclose(out.cost[out.valid], expected[expected_ok],
                                        rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("shape", VOLUME_SHAPES)
     def test_streamed_matches_whole_volume_form_bit_for_bit(self, shape):
+        # axes of 1 clip the window at both ends
         vol = random_volume(sum(shape), shape)
-        # radii from 0 to wider than every axis, each axis on its own too
-        for radius in [(0, 0, 0), (1, 1, 1), (1, 2, 1), (3, 0, 4), (2, 1, 1),
-                       (0, 1, 0), (0, 0, 2), (4, 0, 0), (20, 12, 13)]:
-            out = smooth_cost_volume(vol, radius)
-            cost, ok = smooth_cost_volume_whole(vol, radius)
-            assert same_bits(out.cost, cost), radius
-            assert same_bits(out.valid, ok), radius
-            assert out.support is vol.support
+        out = smooth_cost_volume(vol)
+        cost, ok = smooth_cost_volume_whole(vol, (1, 1, 1))
+        assert same_bits(out.cost, cost)
+        assert same_bits(out.valid, ok)
+        assert out.support is vol.support
 
     def test_signed_zero_costs_keep_their_bits(self):
         # -0.0 everywhere: an invalid neighbour adds +0.0, which turns a
         # window of -0.0 into +0.0; skipping that neighbour would keep -0.0
         vol = random_volume(11, (4, 5, 6))
         vol.cost[...] = -0.0
-        for radius in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 0, 1)]:
-            out = smooth_cost_volume(vol, radius)
-            cost, ok = smooth_cost_volume_whole(vol, radius)
-            assert same_bits(out.cost, cost) and same_bits(out.valid, ok)
+        out = smooth_cost_volume(vol)
+        cost, ok = smooth_cost_volume_whole(vol, (1, 1, 1))
+        assert same_bits(out.cost, cost) and same_bits(out.valid, ok)
 
-    def test_integral_float_radii_equal_int_radii(self):
-        vol = random_volume(12, (4, 5, 6))
-        a = smooth_cost_volume(vol, (1.0, np.int64(2), 1))
-        b = smooth_cost_volume(vol, (1, 2, 1))
-        assert same_bits(a.cost, b.cost) and same_bits(a.valid, b.valid)
-
-    @pytest.mark.parametrize("radius", [(1.7, 1, 1), (1, 0.5, 1), (1, -1, 1),
-                                        (np.nan, 1, 1), (1, np.inf, 1), (1, 1),
-                                        (1, 1, 1, 1), 1, ("a", 1, 1)])
-    def test_bad_radius_is_rejected(self, radius):
-        vol = random_volume(13, (3, 4, 5))
-        with pytest.raises(ValueError, match="three non-negative integers"):
-            smooth_cost_volume(vol, radius)
-
-    @pytest.mark.parametrize("radius", range(7))
-    def test_box_sum_matches_per_index_loop_exactly(self, radius):
-        # axes of 1, 2, 5 and 7: radii up to 6 include windows wider than
-        # the axis, clipped at both ends
+    def test_box_sum_matches_per_index_loop_exactly(self):
+        # axes of 1, 2, 5 and 7: on axes of 1 and 2 the window is wider
+        # than the axis, clipped at both ends
         rng = np.random.default_rng(9)
         for shape in [(5, 7, 2), (1, 7, 5)]:
             a = rng.normal(size=shape)
             for axis in range(3):
-                assert np.array_equal(_box_sum_axis(a, radius, axis),
-                                      box_sum_axis_loop(a, radius, axis))
+                assert np.array_equal(_box_sum_axis(a, axis),
+                                      box_sum_axis_loop(a, 1, axis))
 
 
 class TestRegressDepth:
@@ -410,7 +408,7 @@ class TestRegressDepth:
     def test_input_volume_is_left_unchanged(self):
         vol = random_volume(15, (6, 4, 5))
         before = [a.copy() for a in (vol.cost, vol.support, vol.valid)]
-        out = smooth_cost_volume(vol, (1, 1, 1))
+        out = smooth_cost_volume(vol)
         regress_depth(vol, 0.5)
         regress_depth(out, 0.5)
         for a, b in zip(before, (vol.cost, vol.support, vol.valid)):
@@ -422,10 +420,10 @@ def test_sweep_stages_match_whole_volume_forms_on_scenes(request, scene):
     sc = request.getfixturevalue(scene)
     views = sc["views"]
     hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
-    feats = [extract_features(v.image, "grad3") for v in views]
+    feats = [extract_features(v.image) for v in views]
     for ref in range(len(views)):
         vol = build_cost_volume(views, feats, ref, hyp)
-        smoothed = smooth_cost_volume(vol, (1, 1, 1))
+        smoothed = smooth_cost_volume(vol)
         cost, ok = smooth_cost_volume_whole(vol, (1, 1, 1))
         assert same_bits(smoothed.cost, cost) and same_bits(smoothed.valid, ok)
         depth, prob = regress_depth(smoothed, DESK_TEMPERATURE)
@@ -437,9 +435,9 @@ def test_sweep_stages_match_whole_volume_forms_on_scenes(request, scene):
 
 def test_smoothed_regression_accuracy_on_plane(plane_scene):
     views, hyp, z0 = plane_scene["views"], plane_scene["hyp"], plane_scene["z0"]
-    feats = [extract_features(v.image, "grad3") for v in views]
+    feats = [extract_features(v.image) for v in views]
     vol = build_cost_volume(views, feats, 1, hyp)
-    vol = smooth_cost_volume(vol, (1, 1, 1))
+    vol = smooth_cost_volume(vol)
     depth, _ = regress_depth(vol, DESK_TEMPERATURE)
     gt = plane_scene["gt"][1]
     err = np.abs(depth.values - gt.values)[depth.valid & gt.valid]
