@@ -168,15 +168,7 @@ class ViewContext:
     """
 
     def __init__(self, views, weights: LossWeights):
-        if len(views) < 2:
-            raise TooFewViews("the objective needs at least two views")
-        for i, v in enumerate(views):
-            if v.image is None:
-                raise ValueError(f"view {i} has no image; loss evaluation "
-                                 "needs one for every view")
-            if v.image.shape != views[0].image.shape:
-                raise ShapeMismatch(f"view {i} image is {v.image.shape}, "
-                                    f"view 0's is {views[0].image.shape}")
+        _check_views(views, "the objective")
         self.alphas = (weights.alpha1, weights.alpha2)
         self.grid = views[0].image.shape[:2]
         self.norm = photometry.box_norm(*self.grid)
@@ -191,6 +183,21 @@ def _pair_records(cams, grid) -> dict:
     n = len(cams)
     return {(t, s): geometry.pair_coefficients(cams[t], cams[s], *grid)
             for t in range(n) for s in range(n) if t != s}
+
+
+def _check_views(views, user: str):
+    """Raise, naming the view at fault, unless there are at least two views
+    (TooFewViews), each with an image (ValueError) of one shape
+    (ShapeMismatch); ``user`` names what needs them in the messages."""
+    if len(views) < 2:
+        raise TooFewViews(f"{user} needs at least two views")
+    for i, v in enumerate(views):
+        if v.image is None:
+            raise ValueError(f"view {i} has no image; {user} needs one for "
+                             "every view")
+        if v.image.shape != views[0].image.shape:
+            raise ShapeMismatch(f"view {i} image is {v.image.shape}, "
+                                f"view 0's is {views[0].image.shape}")
 
 
 def _check_count(depths, views):

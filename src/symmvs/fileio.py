@@ -457,9 +457,6 @@ _WEIGHT_KEYS = set(LossWeights().__dataclass_fields__)
 _SOLVER_KEYS = {
     "max_outer_iters": int,
     "inner_steps_per_mask_update": int,
-    "step_size": float,
-    "backtrack_factor": float,
-    "max_halvings": int,
     "convergence_tol": float,
     "hyp_count": int,
     "temperature": float,
@@ -490,12 +487,8 @@ def read_run_config(path) -> tuple:
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad number {val!r}") from None
             elif key in _SOLVER_KEYS:
-                caster = _SOLVER_KEYS[key]
-                if key == "step_size" and val == "auto":
-                    solver_kw[key] = None
-                    continue
                 try:
-                    solver_kw[key] = caster(val)
+                    solver_kw[key] = _SOLVER_KEYS[key](val)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad value {val!r}") from None
             else:

@@ -386,19 +386,19 @@ def sampling_chain(pair: ViewPair, target_depth_values):
     """Source-image coordinates of the scene the pair's target sees at the
     given depth values, per pixel or one constant.
 
-    Returns (x, y, z_src, front): continuous source-pixel coordinates, the
-    depth of the transformed point in the source camera, and a boolean mask
-    where that depth is positive. ``x`` and ``y`` mean nothing outside
-    ``front``; `pair_sampling` masks them with ``front & _in_bounds(...)``.
-    ``target_depth_values`` may be a Var; ``x``, ``y`` and ``z_src`` are
-    then one tape node each over it. Identical cameras short-circuit to the
+    Returns (x, y, front): continuous source-pixel coordinates and a
+    boolean mask where the depth of the transformed point in the source
+    camera is positive. ``x`` and ``y`` mean nothing outside ``front``;
+    `pair_sampling` masks them with ``front & _in_bounds(...)``.
+    ``target_depth_values`` may be a Var; ``x`` and ``y`` are then one
+    tape node each over it. Identical cameras short-circuit to the
     exact pixel grid of the pair's rows.
     """
     if pair.same:
         top, bottom = pair.rows
         gx, gy = (g[top:bottom] for g in _pixel_grid(*pair.grid))
         front = value_of(target_depth_values) > 0.0
-        return gx, gy, target_depth_values, front
+        return gx, gy, front
 
     a, b = pair.a, pair.b
     d = target_depth_values
@@ -417,8 +417,7 @@ def sampling_chain(pair: ViewPair, target_depth_values):
         return ad.fused(p, (d,), lambda g: (
             g / z_safe * (a_q - np.where(front, p, 0.0) * a[2]),))
 
-    return (coordinate(qx, a[0]), coordinate(qy, a[1]),
-            ad.fused(z, (d,), lambda g: (g * a[2],)), front)
+    return coordinate(qx, a[0]), coordinate(qy, a[1]), front
 
 
 def pair_sampling(pair: ViewPair, target_depth_values, target_depth_valid):
@@ -434,7 +433,7 @@ def pair_sampling(pair: ViewPair, target_depth_values, target_depth_valid):
     `warp_depth_values`.
     """
     h, w = pair.grid
-    x, y, _, front = sampling_chain(pair, target_depth_values)
+    x, y, front = sampling_chain(pair, target_depth_values)
     xv, yv = value_of(x), value_of(y)
     ok = front & _in_bounds(xv, yv, w, h) & target_depth_valid
     return x, y, ok, ad.bilinear_taps(xv, yv, ok, h, w)

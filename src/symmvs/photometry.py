@@ -30,8 +30,8 @@ per loss evaluation, whichever side of each comparison it is on.
 
 Each formula is one `autodiff.fused` tape node, so the gradient path keeps
 one value per formula instead of one per array operation (see `autodiff`
-for what that costs): `charbonnier`, the forward differences `_grad_x` and
-`_grad_y`, `ssim_map`, `unary_comparator` and `smoothness_term`. Their
+for what that costs): `charbonnier`, the forward difference `_forward_diff`
+along either axis, `ssim_map`, `unary_comparator` and `smoothness_term`. Their
 forward passes are the plain expressions, with the same values bit for
 bit; their VJPs are derived by hand. The SSIM window means and variances
 are plain arrays in `reference_stats`, and `ssim_map`'s VJP carries the
@@ -64,7 +64,7 @@ from .errors import EmptyMask, ShapeMismatch
 __all__ = [
     "LossWeights",
     "charbonnier",
-    "grayscale",
+    "channel_mean",
     "census_transform",
     "census_distance",
     "ssim_map",
@@ -116,53 +116,34 @@ def charbonnier(x):
     return ad.fused(out, (x,), lambda g: (g * (v / out),))
 
 
-def grayscale(image: np.ndarray) -> np.ndarray:
-    """Channel-mean luminance; (H, W) images pass through."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        return img
-    return img.mean(axis=2)
-
-
-def _channel_mean(v):
-    """Mean over the channel axis of a plain (H, W, C) array, added one
-    channel after another."""
-    channels = v.shape[2]
-    acc = v[:, :, 0]
+def channel_mean(a):
+    """Mean over the channel axis of a plain (H, W, C) array, the channels
+    added one after another from the first; (H, W) arrays pass through."""
+    if a.ndim == 2:
+        return a
+    channels = a.shape[2]
+    acc = a[:, :, 0]
     if channels == 1:
         return acc
     for c in range(1, channels):
-        acc = acc + v[:, :, c]
+        acc = acc + a[:, :, c]
     return acc / channels
 
 
-def _grad_x(x):
-    """Forward difference along columns, zero in the last column."""
+def _forward_diff(x, axis: int):
+    """Forward difference along ``axis`` (1: columns, 0: rows), zero in the
+    last column or row."""
     v = value_of(x)
+    head = (slice(None),) * axis + (slice(1, None),)
+    tail = (slice(None),) * axis + (slice(None, -1),)
     out = np.zeros(v.shape)
-    np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1])
+    np.subtract(v[head], v[tail], out=out[tail])
 
     def vjp(g):
-        gd = g[:, :-1]
+        gd = g[tail]
         gv = np.zeros(g.shape)
-        gv[:, 1:] = gd
-        gv[:, :-1] -= gd
-        return (gv,)
-
-    return ad.fused(out, (x,), vjp)
-
-
-def _grad_y(x):
-    """Forward difference along rows, zero in the last row."""
-    v = value_of(x)
-    out = np.zeros(v.shape)
-    np.subtract(v[1:], v[:-1], out=out[:-1])
-
-    def vjp(g):
-        gd = g[:-1]
-        gv = np.zeros(g.shape)
-        gv[1:] = gd
-        gv[:-1] -= gd
+        gv[head] = gd
+        gv[tail] -= gd
         return (gv,)
 
     return ad.fused(out, (x,), vjp)
@@ -264,7 +245,7 @@ def ssim_map(ref, syn):
         return tuple(next(box_mu) - x * box_sq + y * box_ab if w else None
                      for (_, x, y, _, _), w in zip(sides, want))
 
-    return ad.fused(_channel_mean(a1 * a2 / den), (ref.image, syn.image), vjp)
+    return ad.fused(channel_mean(a1 * a2 / den), (ref.image, syn.image), vjp)
 
 
 # -- the unary comparator --------------------------------------------------------
@@ -300,8 +281,8 @@ def reference_stats(image, norm) -> ReferenceStats:
     n = norm[:, :, None]
     mu = ad.box_sum3(v) / n
     return ReferenceStats(
-        image, _grad_x(image), _grad_y(image),
-        census_transform(grayscale(v)),
+        image, _forward_diff(image, 1), _forward_diff(image, 0),
+        census_transform(channel_mean(v)),
         mu, ad.box_sum3(v * v) / n - mu * mu, norm,
     )
 
@@ -332,8 +313,8 @@ def unary_comparator(ref, syn, mask, weights: LossWeights):
                 (ref.grad_y, syn.grad_y))
     pen = [charbonnier(value_of(a) - value_of(b)) for a, b in operands]
     ssim = ssim_map(ref, syn)
-    t_l1 = _channel_mean(pen[0])
-    t_grad = (_channel_mean(pen[1]) + _channel_mean(pen[2])) / 2.0
+    t_l1 = channel_mean(pen[0])
+    t_grad = (channel_mean(pen[1]) + channel_mean(pen[2])) / 2.0
     t_ssim = (1.0 - value_of(ssim)) * 0.5
     dist = census_distance(ref.census, syn.census)
     t_census = float((charbonnier(dist) * m).sum() / count)
@@ -371,16 +352,14 @@ def edge_weights(image, alpha1: float, alpha2: float):
     h, w = img.shape[:2]
     first = second = None
     if h >= 2 and w >= 2:
-        gi = (
-            np.abs(img[:-1, 1:] - img[:-1, :-1]).mean(axis=2)
-            + np.abs(img[1:, :-1] - img[:-1, :-1]).mean(axis=2)
-        )
+        gi = (channel_mean(np.abs(img[:-1, 1:] - img[:-1, :-1]))
+              + channel_mean(np.abs(img[1:, :-1] - img[:-1, :-1])))
         first = np.exp(-alpha1 * gi)
     if h >= 3 and w >= 3:
-        lap_i = np.abs(
+        lap_i = channel_mean(np.abs(
             img[1:-1, 2:] + img[1:-1, :-2] + img[2:, 1:-1] + img[:-2, 1:-1]
             - 4.0 * img[1:-1, 1:-1]
-        ).mean(axis=2)
+        ))
         second = np.exp(-alpha2 * lap_i)
     return first, second
 

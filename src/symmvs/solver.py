@@ -22,7 +22,7 @@ import numpy as np
 from . import consistency, geometry, volume
 from .autodiff import Var
 from .consistency import SceneState
-from .errors import EmptySweep, NoParallax, TooFewViews
+from .errors import EmptySweep, NoParallax
 from .geometry import DepthHypotheses, DepthMap
 from .photometry import LossWeights
 
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 ARMIJO_C = 1e-4
+# The line search's first trial step, in hypothesis spacings; a rejected
+# step is halved, at most MAX_HALVINGS times per descent step.
+INITIAL_STEP = 2.0
+MAX_HALVINGS = 8
 # A stalled line search counts as failure (not convergence) only when the
 # smallest admissible step still increases the loss by more than this
 # relative amount; flat stalls are stationary points.
@@ -57,17 +61,14 @@ STOP_REASONS = ("tol_reached", "max_iters", "zero_gradient", "stationary_stall",
 class SolverConfig:
     """Knobs of the refinement driver.
 
-    ``step_size`` is the initial line-search step in depth units (None
-    picks twice the hypothesis spacing). ``weights`` carries every loss
-    weight, including the occlusion threshold used at mask updates.
+    ``weights`` carries every loss weight, including the occlusion
+    threshold used at mask updates; `refine` requires the state's weights
+    to equal them.
     """
 
     hypotheses: DepthHypotheses
     max_outer_iters: int = 30
     inner_steps_per_mask_update: int = 4
-    step_size: float | None = None
-    backtrack_factor: float = 0.5
-    max_halvings: int = 8
     convergence_tol: float = 1e-5
     temperature: float = 1.0
     weights: LossWeights = field(default_factory=LossWeights)
@@ -76,12 +77,8 @@ class SolverConfig:
         # written as `not x > 0` so that NaN fails every check
         if not (self.max_outer_iters >= 0 and self.inner_steps_per_mask_update >= 1):
             raise ValueError("iteration counts must be sensible")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        if not (self.max_halvings >= 0 and self.convergence_tol > 0):
-            raise ValueError("line-search limits must be positive")
+        if not self.convergence_tol > 0:
+            raise ValueError("convergence_tol must be positive")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
@@ -137,8 +134,8 @@ def _largest_parallax(target, source, hypotheses: DepthHypotheses) -> float:
     lands at ``d_min`` and at ``d_max``, over the pixels in front of the
     source camera at both depths; 0 for a source at the target's centre."""
     pair = geometry.pair_coefficients(target, source, *target.image.shape[:2])
-    x0, y0, _, front0 = geometry.sampling_chain(pair, hypotheses.d_min)
-    x1, y1, _, front1 = geometry.sampling_chain(pair, hypotheses.d_max)
+    x0, y0, front0 = geometry.sampling_chain(pair, hypotheses.d_min)
+    x1, y1, front1 = geometry.sampling_chain(pair, hypotheses.d_max)
     moved = np.hypot(x1 - x0, y1 - y0)[front0 & front1]
     return float(moved.max()) if moved.size else 0.0
 
@@ -153,6 +150,8 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
     band after the other, so no whole-image volume is built unless it
     fits; the depths are those of the whole-image sweep.
 
+    The views are checked first, as a loss evaluation checks them: at least
+    two, each with an image of one shape, errors naming the view at fault.
     A reference view raises NoParallax naming it and its largest
     displacement when no source camera moves any of its pixels by
     `MIN_PARALLAX_PX` or more over the hypothesis range (a source at its
@@ -161,8 +160,7 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
     naming it: no second view sees any of its pixels at any hypothesis, so
     the range misses the scene.
     """
-    if len(views) < 2:
-        raise TooFewViews("initialization needs at least two views")
+    consistency._check_views(views, "initialization")
     for ref, target in enumerate(views):
         moved = max(_largest_parallax(target, source, hypotheses)
                     for s, source in enumerate(views) if s != ref)
@@ -240,10 +238,16 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
     `consistency.ViewContext` that is dropped on return; a run with
     ``max_outer_iters == 0`` only updates the masks and builds none. Loss
     terms skipped for an empty mask are logged once per mask phase, with
-    counts.
+    counts. Every mask and loss reads ``state.weights``, so weights that
+    differ from ``config.weights`` raise ValueError naming the fields.
     """
+    if state.weights != config.weights:
+        fields = [f for f in vars(config.weights)
+                  if getattr(state.weights, f) != getattr(config.weights, f)]
+        raise ValueError(f"the state's loss weights differ from the config's in "
+                         f"{', '.join(fields)}; refine would read the state's")
     hyp = config.hypotheses
-    step0 = config.step_size if config.step_size is not None else 2.0 * hyp.spacing
+    step0 = INITIAL_STEP * hyp.spacing
     if config.max_outer_iters == 0:
         state.masks = consistency.compute_all_masks(state.views, state.depths,
                                                     state.weights)
@@ -272,7 +276,7 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
 
             a = min(alpha * 2.0, step0)
             accepted = False
-            for _ in range(config.max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 cand = []
                 move_sq = 0.0
                 for d, direction in zip(state.depths, dirs):
@@ -288,7 +292,7 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
                 if np.isfinite(f_new) and f_new <= f_cur - (ARMIJO_C / a) * move_sq:
                     accepted = True
                     break
-                a *= config.backtrack_factor
+                a *= 0.5
             if not accepted:
                 break
             state.depths = cand

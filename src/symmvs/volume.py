@@ -82,8 +82,9 @@ class CostVolume:
 def extract_features(image: np.ndarray) -> np.ndarray:
     """Fixed feature stack, channel-first (3, H, W): luminance and its
     forward-difference gradients, [gray, d/dx, d/dy]."""
-    gray = photometry.grayscale(image)
-    return np.stack([gray, photometry._grad_x(gray), photometry._grad_y(gray)])
+    gray = photometry.channel_mean(image)
+    return np.stack([gray, photometry._forward_diff(gray, 1),
+                     photometry._forward_diff(gray, 0)])
 
 
 def _resample(flat_src, pair, depth: float, out, tap):

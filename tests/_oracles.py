@@ -137,7 +137,7 @@ def cost_volume_loop(views, features, ref, hyp):
     for k, depth in enumerate(hyp.samples):
         group = [(maps[ref], np.ones((h, w), dtype=bool))]
         for src in others:
-            x, y, _, front = geometry.sampling_chain(
+            x, y, front = geometry.sampling_chain(
                 geometry.pair_coefficients(views[ref], views[src], h, w),
                 float(depth))
             inb = front & geometry._in_bounds(x, y, w, h)
@@ -275,7 +275,7 @@ def synth_values_unshared(target, source, depth_values, depth_valid,
     from symmvs import geometry
 
     h, w = ad.value_of(depth_values).shape
-    x, y, _, front = geometry.sampling_chain(
+    x, y, front = geometry.sampling_chain(
         geometry.pair_coefficients(target, source, h, w), depth_values)
     xv, yv = ad.value_of(x), ad.value_of(y)
     ok = front & geometry._in_bounds(xv, yv, w, h) & depth_valid
@@ -292,7 +292,7 @@ def warp_depth_values_unshared(source_values, source_valid, target_values,
     from symmvs import geometry
 
     h, w = ad.value_of(target_values).shape
-    x, y, _, front = geometry.sampling_chain(
+    x, y, front = geometry.sampling_chain(
         geometry.pair_coefficients(target, source, h, w), target_values)
     xv, yv = ad.value_of(x), ad.value_of(y)
     ok = front & geometry._in_bounds(xv, yv, w, h) & target_valid
@@ -373,7 +373,7 @@ def fd_smooth_region(views, depths, v, step, diff_guard=0.01):
             continue
         ends = []
         for delta in (-step, +step):
-            cx, cy, _, front = geometry.sampling_chain(
+            cx, cy, front = geometry.sampling_chain(
                 geometry.pair_coefficients(views[v], views[s], h, w),
                 d.values + delta)
             ends.append((value_of(cx), value_of(cy), front))
@@ -562,7 +562,7 @@ def unary_comparator_chain(a, b, mask, weights, norm):
         + channel_mean_chain(charbonnier_chain(grad_y_chain(a) - grad_y_chain(b)))
     ) / 2.0
     t_ssim = (1.0 - ssim_map_chain(a, b, norm)) * 0.5
-    census = [photometry.census_transform(photometry.grayscale(ad.value_of(x)))
+    census = [photometry.census_transform(photometry.channel_mean(ad.value_of(x)))
               for x in (a, b)]
     dist = photometry.census_distance(*census)
     t_census = float((np.sqrt(dist * dist + 1.0e-6) * m).sum() / count)
@@ -583,7 +583,7 @@ def sampling_chain_ops(pair, d):
     z = a[2] * d + b[2]
     front = value_of(z) > 1e-12
     z_safe = where_mask(front, z, 1.0)
-    return qx / z_safe, qy / z_safe, z, front
+    return qx / z_safe, qy / z_safe, front
 
 
 def warped_z_chain(pair, x, y, d_src, ok):

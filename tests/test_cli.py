@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from symmvs import solver
 from symmvs.cli import main
 from symmvs.fileio import read_pfm, read_ply, write_pfm, write_ply
 from symmvs.fusion import PointCloud
@@ -188,9 +189,13 @@ def test_usage_error_exits_1(capsys):
     assert "usage" in err.lower()
 
 
-def test_diverged_run_exits_2(workspace, tmp_path):
+def test_diverged_run_exits_2(workspace, tmp_path, monkeypatch):
+    # a first step of 1e6 depth units at the bundle's spacing of 0.04,
+    # never halved
+    monkeypatch.setattr(solver, "INITIAL_STEP", 1e6 / 0.04)
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(RUN_CFG + "step_size = 1e6\nmax_halvings = 0\n")
+    cfg.write_text(RUN_CFG)
     code = main(["optimize", str(workspace["bundle"]), str(tmp_path / "out"),
                  "--config", str(cfg)])
     assert code == 2

@@ -282,7 +282,6 @@ class TestRunConfig:
             "lambda1 = 0.4\n"
             "tau_occ = 1.0\n"
             "max_outer_iters = 7\n"
-            "step_size = auto\n"
             "temperature = 1e-5\n"
             "hyp_count = 32\n"
         )
@@ -291,7 +290,6 @@ class TestRunConfig:
         assert weights.lambda2 == LossWeights().lambda2
         assert weights.tau_occ == 1.0
         assert solver_kw["max_outer_iters"] == 7
-        assert solver_kw["step_size"] is None
         assert solver_kw["temperature"] == 1e-5
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -323,6 +321,16 @@ class TestRunConfig:
     def test_removed_sweep_keys_are_rejected(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"temperature = 1e-5\n{key} = 1\n")
+        with pytest.raises(ParseError, match=f":2: unknown key '{key}'$"):
+            read_run_config(cfg)
+
+    @pytest.mark.parametrize("key, value", [("step_size", "auto"),
+                                            ("backtrack_factor", "0.5"),
+                                            ("max_halvings", "8")])
+    def test_removed_line_search_keys_are_rejected(self, tmp_path, key, value):
+        # the line search's first step and halvings are solver constants
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"temperature = 1e-5\n{key} = {value}\n")
         with pytest.raises(ParseError, match=f":2: unknown key '{key}'$"):
             read_run_config(cfg)
 

@@ -12,8 +12,7 @@ from symmvs.consistency import _depth_consistency
 from symmvs.geometry import CameraView
 from symmvs.photometry import (
     LossWeights,
-    _grad_x,
-    _grad_y,
+    _forward_diff,
     box_norm,
     charbonnier,
     edge_weights,
@@ -91,22 +90,26 @@ def test_charbonnier(rng):
         assert_same_node(charbonnier, charbonnier_chain, [x], as_var, w)
 
 
+# The difference along columns (axis 1) is the x gradient, along rows
+# (axis 0) the y gradient; the ids name the two directions.
+AXES = [pytest.param(1, grad_x_chain, id="_grad_x-grad_x_chain"),
+        pytest.param(0, grad_y_chain, id="_grad_y-grad_y_chain")]
+
+
 @pytest.mark.parametrize("shape", [(12, 15, 1), (12, 15, 3), (1, 4, 3), (5, 1, 1)])
-@pytest.mark.parametrize("fused, chain", [(_grad_x, grad_x_chain),
-                                          (_grad_y, grad_y_chain)])
-def test_forward_differences(rng, shape, fused, chain):
+@pytest.mark.parametrize("axis, chain", AXES)
+def test_forward_differences(rng, shape, axis, chain):
     x = rng.uniform(size=shape)
     w = rng.normal(size=shape)
     for as_var in ((False,), (True,)):
-        assert_same_node(fused, chain, [x], as_var, w)
+        assert_same_node(lambda v: _forward_diff(v, axis), chain, [x], as_var, w)
 
 
-@pytest.mark.parametrize("fused, chain", [(_grad_x, grad_x_chain),
-                                          (_grad_y, grad_y_chain)])
-def test_forward_differences_of_plain_gray_image(rng, fused, chain):
+@pytest.mark.parametrize("axis, chain", AXES)
+def test_forward_differences_of_plain_gray_image(rng, axis, chain):
     # the 2-D input that volume.extract_features passes
     gray = rng.uniform(size=(9, 13))
-    out = fused(gray)
+    out = _forward_diff(gray, axis)
     assert isinstance(out, np.ndarray)
     assert same_bytes(out, chain(gray))
 
@@ -167,13 +170,13 @@ def test_sampling_chain(rng):
     pair, depth, (h, w) = rotated_pair(rng)
     # a band behind the source camera, where the divisor is clamped to 1
     depth[:, :5] = -depth[:, :5]
-    ws = [rng.normal(size=(h, w)) for _ in range(3)]
+    ws = [rng.normal(size=(h, w)) for _ in range(2)]
 
     def weighted(chain):
         def fn(d):
-            x, y, z, front = chain(pair, d)
+            x, y, front = chain(pair, d)
             assert not front.all()
-            return x * ws[0] + y * ws[1] + z * ws[2], value_of(x), value_of(y), front
+            return x * ws[0] + y * ws[1], value_of(x), value_of(y), front
         return fn
 
     for as_var in ((False,), (True,)):
@@ -198,7 +201,7 @@ def test_warped_depth(rng):
         return geometry.warp_depth_values(pair, sampling, s, source_valid)
 
     def chain(t, s):
-        x, y, _, front = sampling_chain_ops(pair, t)
+        x, y, front = sampling_chain_ops(pair, t)
         xv, yv = value_of(x), value_of(y)
         ok = front & geometry._in_bounds(xv, yv, w, h) & valid
         taps = ad.bilinear_taps(xv, yv, ok, h, w)

@@ -413,10 +413,12 @@ def test_sampling_chain_with_pair_coefficients_is_bit_identical(plane_scene):
     front = z > 1e-12
     z_safe = np.where(front, z, 1.0)
     fresh = ((a[..., 0] * d + b[0]) / z_safe, (a[..., 1] * d + b[1]) / z_safe,
-             z, front)
+             front)
     for _ in range(2):
-        for want, got in zip(fresh, geometry.sampling_chain(pair, d)):
-            assert np.array_equal(want, got)
+        got = geometry.sampling_chain(pair, d)
+        assert len(got) == len(fresh)
+        for want, g in zip(fresh, got):
+            assert np.array_equal(want, g)
 
 
 @pytest.mark.parametrize("source", [2, 0])
@@ -468,7 +470,7 @@ def test_plane_homography_agrees_with_sampling_chain(request, scene):
             for depth in hyp.samples:
                 hom = plane_homography(views[t], views[s], float(depth))
                 fld = warp_field_from_homography(hom, h, w)
-                x, y, _, front = geometry.sampling_chain(pair, float(depth))
+                x, y, front = geometry.sampling_chain(pair, float(depth))
                 inb = front & geometry._in_bounds(x, y, w, h)
                 assert np.array_equal(inb, fld.in_bounds)
                 for got, want in ((x, fld.coords[..., 0]), (y, fld.coords[..., 1])):
@@ -579,7 +581,7 @@ def _chain_consumers(views, rng):
 def test_chain_coordinates_outside_front_are_never_read(monkeypatch):
     views = _half_behind_views()
     h, w = views[0].image.shape[:2]
-    x, y, _, front = geometry.sampling_chain(
+    x, y, front = geometry.sampling_chain(
         geometry.pair_coefficients(views[0], views[1], h, w), 2.0)
     ok = front & geometry._in_bounds(x, y, w, h)
     assert ok.sum() > 100 and front.mean() < 0.6
@@ -589,9 +591,9 @@ def test_chain_coordinates_outside_front_are_never_read(monkeypatch):
     chain = geometry.sampling_chain
 
     def nan_outside_front(*args, **kwargs):
-        x, y, z, front = chain(*args, **kwargs)
+        x, y, front = chain(*args, **kwargs)
         return (where_mask(front, x, np.nan), where_mask(front, y, np.nan),
-                z, front)
+                front)
 
     monkeypatch.setattr(geometry, "sampling_chain", nan_outside_front)
     poisoned = _chain_consumers(views, np.random.default_rng(3))

@@ -23,8 +23,8 @@ from symmvs.autodiff import Var, value_of
 from symmvs.errors import EmptyMask, ShapeMismatch
 from symmvs.photometry import (
     box_norm,
+    channel_mean,
     edge_weights,
-    grayscale,
     reference_stats,
     smoothness_term,
     unary_comparator,
@@ -308,6 +308,11 @@ class TestSynthesisLoss:
 
 
 def test_grayscale_is_channel_mean():
+    # the channels are added one after another, from the first
     rng = np.random.default_rng(13)
     img = rng.uniform(size=(5, 6, 3))
-    np.testing.assert_allclose(grayscale(img), img.mean(axis=2), atol=1e-15)
+    assert same_bytes(channel_mean(img),
+                      (img[:, :, 0] + img[:, :, 1] + img[:, :, 2]) / 3)
+    np.testing.assert_allclose(channel_mean(img), img.mean(axis=2), atol=1e-15)
+    gray = img[:, :, 0]
+    assert channel_mean(gray) is gray

@@ -144,6 +144,14 @@ class TestInitDepths:
         with pytest.raises(TooFewViews):
             init_depths(plane_scene["views"][:1], plane_scene["hyp"], 1.0)
 
+    def test_missing_image_names_the_view(self, plane_scene):
+        # the same check as a loss evaluation's, before any camera is read
+        views = list(plane_scene["views"])
+        views[1] = CameraView(views[1].intrinsics, views[1].rotation,
+                              views[1].translation, None)
+        with pytest.raises(ValueError, match="^view 1 has no image; "):
+            init_depths(views, plane_scene["hyp"], DESK_TEMPERATURE)
+
     def test_range_that_misses_the_scene_raises_empty_sweep(self, plane_scene):
         # at depths of 0.01-0.02 every warp leaves the source image: no
         # hypothesis has a second view, and refinement would "converge" at
@@ -432,6 +440,18 @@ class TestRefine:
         assert state.stop_reason == "max_iters" and len(state.outer_log) == 4
         assert not state.converged and not state.diverged
 
+    @pytest.mark.parametrize("outer", [0, 3])
+    def test_weights_other_than_the_configs_are_rejected(self, plane_scene, outer):
+        # every mask and loss reads the state's weights, so a config whose
+        # weights differ would be ignored without a word
+        views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
+        config = desk_config(hyp, max_outer_iters=outer,
+                             weights=LossWeights(tau_occ=1.0, lambda4=0.0))
+        state = SolverState(views=views, depths=gt, masks={}, weights=LossWeights())
+        with pytest.raises(ValueError, match=r"config's in lambda4, tau_occ;"):
+            refine(state, config)
+        assert state.masks == {} and state.stop_reason is None
+
     def test_loose_tolerance_stops_after_one_phase(self, plane_scene):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         start = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=6)
@@ -503,11 +523,13 @@ class TestRefine:
         with pytest.raises(AttributeError):
             state.converged = True
 
-    def test_diverged_flag_on_hopeless_line_search(self, plane_scene):
+    def test_diverged_flag_on_hopeless_line_search(self, plane_scene, monkeypatch):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         start = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=8)
-        config = desk_config(hyp, max_outer_iters=3, step_size=1e6,
-                             max_halvings=0)
+        # a first step of 1e6 depth units, never halved
+        monkeypatch.setattr(solver, "INITIAL_STEP", 1e6 / hyp.spacing)
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+        config = desk_config(hyp, max_outer_iters=3)
         state = refine(SolverState(views=views, depths=start, masks={},
                                    weights=config.weights), config)
         assert state.diverged and not state.converged
@@ -698,8 +720,6 @@ def _flat_volume():
 @pytest.mark.parametrize("call", [
     pytest.param(lambda sc: SolverConfig(sc["hyp"], temperature=np.nan),
                  id="solver-temperature"),
-    pytest.param(lambda sc: SolverConfig(sc["hyp"], step_size=np.nan),
-                 id="step_size"),
     pytest.param(lambda sc: SolverConfig(sc["hyp"], convergence_tol=np.nan),
                  id="convergence_tol"),
     pytest.param(lambda sc: LossWeights(omega_u=np.nan), id="omega_u"),

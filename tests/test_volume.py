@@ -14,7 +14,7 @@ from symmvs import (
     smooth_cost_volume,
 )
 from symmvs.errors import NonFiniteValue, ShapeMismatch, TooFewViews
-from symmvs.photometry import grayscale
+from symmvs.photometry import channel_mean
 from symmvs.volume import CostVolume, _box_sum_axis
 
 from _oracles import (
@@ -30,7 +30,7 @@ from conftest import DESK_TEMPERATURE, make_camera
 
 def gray_features(view):
     """One-channel (1, H, W) features: the view's luminance."""
-    return grayscale(view.image)[None]
+    return channel_mean(view.image)[None]
 
 
 class TestExtractFeatures:
