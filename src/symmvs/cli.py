@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import consistency, fileio, fusion, metrics, scenegen, solver
+from . import consistency, fileio, fusion, metrics, scenegen, solver, volume
 from .errors import SymmvsError
 from .geometry import DepthHypotheses
 from .photometry import LossWeights
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("bundle")
     sp.add_argument("out_dir")
     sp.add_argument("--hyp-count", type=int, default=64)
-    sp.add_argument("--temperature", type=float, default=1.0)
+    sp.add_argument("--temperature", type=float, default=volume.DEFAULT_TEMPERATURE)
 
     sp = sub.add_parser("optimize", help="full pipeline: init + refinement")
     sp.add_argument("bundle")
@@ -56,9 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("bundle")
     sp.add_argument("out_ply")
     sp.add_argument("--tau", type=float, default=None,
-                    help="agreement threshold (default: one hypothesis spacing)")
+                    help="agreement threshold (default: the bundle's "
+                         "depth_interval, one hypothesis spacing)")
     sp.add_argument("--min-views", type=int, default=2)
-    sp.add_argument("--hyp-count", type=int, default=64)
     sp.add_argument("--ascii", action="store_true")
 
     sp = sub.add_parser("eval-depth", help="depth metrics of PFMs against GT PFMs")
@@ -135,7 +135,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    views, d_min, d_interval, _ = fileio.load_bundle(args.bundle)
+    views, _, d_interval, _ = fileio.load_bundle(args.bundle)
     depth_dir = Path(args.depth_dir)
     depths = []
     for i in range(len(views)):
@@ -143,8 +143,7 @@ def _cmd_fuse(args) -> int:
         if not path.exists():
             raise FileNotFoundError(str(path))
         depths.append(fileio.read_pfm(path))
-    hyp = _hypotheses(d_min, d_interval, args.hyp_count)
-    tau = args.tau if args.tau is not None else hyp.spacing
+    tau = args.tau if args.tau is not None else d_interval
     filtered = fusion.filter_consistent(depths, views, tau, args.min_views)
     cloud = fusion.depths_to_cloud(filtered, views)
     fileio.write_ply(args.out_ply, cloud, binary=not args.ascii)

@@ -50,13 +50,17 @@ def filter_consistent(depths, views, tau_fuse: float, min_views: int = 2):
     replaced by the mean over the agreeing set (the pixel's own value plus
     every confirming warped value). A depth map count other than the view
     count raises ShapeMismatch, and so do depth maps of different sizes,
-    naming the first view off view 0's grid.
+    naming the first view off view 0's grid. A ``min_views`` below 1 or
+    above the number of other views raises ValueError.
     """
     _check_count(depths, views)
     if depths:
         _check_grid(depths, depths[0].values.shape)
     if min_views < 1:
         raise ValueError("min_views must be >= 1")
+    if depths and min_views > len(depths) - 1:
+        raise ValueError(f"min_views = {min_views} exceeds the "
+                         f"{len(depths) - 1} other views")
     if not tau_fuse > 0:
         raise ValueError("tau_fuse must be positive")
     out = []

@@ -232,6 +232,16 @@ def _row_range(rows, height: int) -> tuple:
     return top, bottom
 
 
+def _rays(cam: CameraView, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """K^-1 @ (x, y, 1) at float pixel coordinates (xs, ys), one component
+    at a time, on a new last axis; z-component exactly 1."""
+    kinv = intrinsics_inverse(cam.intrinsics)
+    rays = np.empty(np.shape(xs) + (3,))
+    for i in range(3):
+        rays[..., i] = kinv[i, 0] * xs + kinv[i, 1] * ys + kinv[i, 2]
+    return rays
+
+
 def view_rays(cam: CameraView, height: int, width: int, rows=None) -> np.ndarray:
     """Backprojected ray per pixel, K^-1 @ (x, y, 1); z-component exactly 1.
 
@@ -239,12 +249,7 @@ def view_rays(cam: CameraView, height: int, width: int, rows=None) -> np.ndarray
     (height, width) grid; each ray has the same bits as in the whole grid.
     """
     top, bottom = _row_range(rows, height)
-    gx, gy = (g[top:bottom] for g in _pixel_grid(height, width))
-    kinv = intrinsics_inverse(cam.intrinsics)
-    rays = np.empty((bottom - top, width, 3))
-    for i in range(3):
-        rays[..., i] = kinv[i, 0] * gx + kinv[i, 1] * gy + kinv[i, 2]
-    return rays
+    return _rays(cam, *(g[top:bottom] for g in _pixel_grid(height, width)))
 
 
 # Tolerance band on the bounds test: coordinates that land on an image
@@ -516,12 +521,11 @@ def warp_depth(source_depth: DepthMap, target_depth: DepthMap,
 
 
 def backproject_pixels(cam: CameraView, xs, ys, depths) -> np.ndarray:
-    """World-frame points for pixels (xs, ys) at the given depths."""
-    kinv = intrinsics_inverse(cam.intrinsics)
-    ones = np.ones_like(np.asarray(xs, dtype=np.float64))
-    p = np.stack([np.asarray(xs, dtype=np.float64),
-                  np.asarray(ys, dtype=np.float64), ones], axis=-1)
-    x_cam = (p @ kinv.T) * np.asarray(depths, dtype=np.float64)[..., None]
+    """World-frame points for pixels (xs, ys) at the given depths; a pixel's
+    ray has the bits of its `view_rays` ray."""
+    rays = _rays(cam, np.asarray(xs, dtype=np.float64),
+                 np.asarray(ys, dtype=np.float64))
+    x_cam = rays * np.asarray(depths, dtype=np.float64)[..., None]
     return (x_cam - cam.translation) @ cam.rotation
 
 

@@ -70,7 +70,7 @@ class SolverConfig:
     max_outer_iters: int = 30
     inner_steps_per_mask_update: int = 4
     convergence_tol: float = 1e-5
-    temperature: float = 1.0
+    temperature: float = volume.DEFAULT_TEMPERATURE
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):

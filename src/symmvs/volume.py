@@ -17,17 +17,17 @@ image's volume fits the band budget.
 
 What each stage holds at the size (D, rows, W) of its volume, beyond its
 input:
-- `build_cost_volume`: the float cost, the support count as
-  ``np.min_scalar_type(n_views)`` (one byte up to 255 views) and the
-  boolean validity, 10 bytes per entry. Every view's channel-first
+- `build_cost_volume`: the float cost and the boolean validity, 9 bytes
+  per entry. Every view's channel-first
   (F, H, W) features, as `extract_features` returns them, are checked for
   finite values once per call and reshaped to (F, H*W), a view of such
   contiguous arrays, not a copy; the pair records cover the band's rows
   only. Per hypothesis and source view, the pair's sampling flags the
   samples in front of the source camera and in bounds, and each of its
   four bilinear corners is one gather along the whole source image's pixel
-  axis; the gathers and the pairwise variance write into (F, rows, W) and
-  (rows, W) buffers allocated once per call. A source's sampling is
+  axis; the gathers, the pairwise variance and the count of contributing
+  views (as ``np.min_scalar_type(n_views)``, one byte up to 255 views)
+  write into (F, rows, W) and (rows, W) buffers allocated once per call. A source's sampling is
   dropped before the next source samples.
 - `smooth_cost_volume`: its output cost and validity. It streams over
   depth slices and sums each 3x3x3 window directly, one offset at a time,
@@ -52,6 +52,7 @@ from . import geometry, photometry
 from .errors import NonFiniteValue, ShapeMismatch, TooFewViews
 
 __all__ = [
+    "DEFAULT_TEMPERATURE",
     "CostVolume",
     "extract_features",
     "build_cost_volume",
@@ -59,23 +60,25 @@ __all__ = [
     "regress_depth",
 ]
 
+# Softmax temperature of `regress_depth`, and the default of
+# `solver.SolverConfig` and ``symmvs sweep``. Matching costs are feature
+# variances near 1e-3 on desk-scale scenes; a temperature of 1.0 flattens
+# the softmax so that every depth lands near the range's midpoint.
+DEFAULT_TEMPERATURE = 3e-6
+
 
 @dataclass
 class CostVolume:
     """Variance-aggregated matching cost per depth hypothesis.
 
     ``cost`` is (D, rows, W) over the reference rows it was built for (all
-    H of them by default), lower is better; ``support`` counts contributing
-    views, as the narrowest unsigned integer that holds the view count
-    (``np.min_scalar_type(n_views)``, uint8 up to 255 views); entries with
-    support < 2 carry no information and are flagged False in ``valid``
-    (their cost holds the sentinel 0).
+    H of them by default), lower is better; ``valid`` flags the entries
+    that at least two views, the reference included, contribute to. The
+    others carry no information (their cost holds the sentinel 0).
     """
 
-    ref_view: int
     hypotheses: geometry.DepthHypotheses
     cost: np.ndarray
-    support: np.ndarray
     valid: np.ndarray
 
 
@@ -149,14 +152,16 @@ def build_cost_volume(views, features, ref: int,
 
     d_count = hyp.count
     cost = np.zeros((d_count, *band))
-    support = np.zeros((d_count, *band), dtype=np.min_scalar_type(n_views))
+    valid = np.empty((d_count, *band), dtype=bool)
     # per-call buffers: one resampled (F, rows, W) map per source, one
-    # gather, one difference, one channel sum and the sum over pairs
+    # gather, one difference, one channel sum, the sum over pairs and the
+    # count of contributing views
     warped = {src: np.empty((n_feat, *band)) for src in others}
     tap = np.empty((n_feat, *band))
     diff = np.empty((n_feat, *band))
     chan = np.empty(band)
     pair_sq = np.empty(band)
+    count = np.empty(band, dtype=np.min_scalar_type(n_views))
     for k, depth in enumerate(hyp.samples):
         # the reference is valid everywhere; its mask stays implicit (None)
         group = [(ref_vals, None)]
@@ -164,8 +169,7 @@ def build_cost_volume(views, features, ref: int,
             ok = _resample(flat[src], pairs[src], float(depth), warped[src], tap)
             group.append((warped[src], ok))
 
-        count = support[k]
-        count += 1
+        count.fill(1)
         for _, ok in group[1:]:
             count += ok
         pair_sq.fill(0.0)
@@ -182,11 +186,11 @@ def build_cost_volume(views, features, ref: int,
                     chan += diff[c]
                 chan /= n_feat
                 pair_sq += chan
-        ok2 = count >= 2
+        ok2 = np.greater_equal(count, 2, out=valid[k])
         denom = np.where(ok2, count, 1).astype(np.float64)
         cost[k] = np.where(ok2, pair_sq / (denom * denom), 0.0)
 
-    return CostVolume(ref, hyp, cost, support, support >= 2)
+    return CostVolume(hyp, cost, valid)
 
 
 def _box_sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
@@ -208,8 +212,7 @@ def smooth_cost_volume(vol: CostVolume) -> CostVolume:
     """Separable 3x3x3 box smoothing over valid cost entries.
 
     Each output is the mean of the valid entries inside its 3x3x3 window,
-    clipped to the volume (0 where the window holds none); the input's
-    ``support`` array is passed through, not copied.
+    clipped to the volume (0 where the window holds none).
 
     One depth slice at a time: a slice's numerator and count add the slice
     before it and then the one after it, then are box-summed along rows
@@ -232,10 +235,10 @@ def smooth_cost_volume(vol: CostVolume) -> CostVolume:
             den = _box_sum_axis(den, axis)
         np.greater(den, 0.5, out=ok[k])
         np.divide(num, den, out=cost[k], where=ok[k])
-    return CostVolume(vol.ref_view, vol.hypotheses, cost, vol.support, ok)
+    return CostVolume(vol.hypotheses, cost, ok)
 
 
-def regress_depth(vol: CostVolume, temperature: float = 1.0):
+def regress_depth(vol: CostVolume, temperature: float = DEFAULT_TEMPERATURE):
     """Softmax expected depth over the hypotheses.
 
     Per pixel, logits are -cost / temperature over the valid hypotheses;

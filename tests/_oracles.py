@@ -123,8 +123,7 @@ def cost_volume_loop(views, features, ref, hyp):
     holds the sampling chain's coordinates at the hypothesis depth, flagged
     by the chain's front test and the bounds test, so it checks the gathers
     and the variance; the chain's agreement with the plane homography has
-    its own test. Returns (cost, support, valid) as ``build_cost_volume``
-    does.
+    its own test. Returns (cost, valid) as ``build_cost_volume`` does.
     """
     from symmvs import geometry
 
@@ -132,7 +131,7 @@ def cost_volume_loop(views, features, ref, hyp):
     maps = [np.moveaxis(f, 0, -1) for f in features]
     h, w, _ = maps[ref].shape
     cost = np.zeros((hyp.count, h, w))
-    support = np.zeros((hyp.count, h, w), dtype=np.int64)
+    valid = np.zeros((hyp.count, h, w), dtype=bool)
     others = [v for v in range(n_views) if v != ref]
     for k, depth in enumerate(hyp.samples):
         group = [(maps[ref], np.ones((h, w), dtype=bool))]
@@ -158,8 +157,8 @@ def cost_volume_loop(views, features, ref, hyp):
         ok2 = count >= 2
         denom = np.where(ok2, count, 1).astype(np.float64)
         cost[k] = np.where(ok2, pair_sq / (denom * denom), 0.0)
-        support[k] = count
-    return cost, support, support >= 2
+        valid[k] = ok2
+    return cost, valid
 
 
 def smooth_cost_volume_whole(vol, radius):

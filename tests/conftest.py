@@ -14,8 +14,8 @@ from symmvs import (
 from symmvs.consistency import SceneState
 
 # Desk-scale softmax temperature: matching costs live at the ~1e-3 feature-
-# variance scale here, so the expectation needs a much sharper softmax than
-# the 1.0 default.
+# variance scale here, so the expectation needs a sharp softmax. The
+# library's default, `volume.DEFAULT_TEMPERATURE`, has this value.
 DESK_TEMPERATURE = 3e-6
 
 

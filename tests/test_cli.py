@@ -102,7 +102,7 @@ def test_fuse_and_eval_cloud(workspace, capsys):
     out = workspace["root"] / "opt"
     ply = workspace["root"] / "fused.ply"
     code = main(["fuse", str(out), str(workspace["bundle"]), str(ply),
-                 "--min-views", "2", "--hyp-count", "32"])
+                 "--min-views", "2"])
     assert code == 0
     cloud = read_ply(ply)
     assert len(cloud) > 1000
@@ -113,6 +113,16 @@ def test_fuse_and_eval_cloud(workspace, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "f_score = 100" in printed
+
+
+def test_fuse_quorum_beyond_the_other_views_exits_1(workspace, tmp_path, capsys):
+    # three views: a pixel has two other views to confirm it
+    ply = tmp_path / "none.ply"
+    code = main(["fuse", str(workspace["root"] / "opt"), str(workspace["bundle"]),
+                 str(ply), "--min-views", "3"])
+    assert code == 1
+    assert "min_views = 3 exceeds the 2 other views" in capsys.readouterr().err
+    assert not ply.exists()
 
 
 def test_eval_cloud_self_comparison(workspace, tmp_path, capsys):

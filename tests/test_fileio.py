@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symmvs import DepthMap, LossWeights, PointCloud, fileio
+from symmvs import DepthHypotheses, DepthMap, LossWeights, PointCloud, fileio
 from symmvs.errors import ParseError, UnsupportedVariant
 from symmvs.fileio import (
     load_bundle,
@@ -311,6 +311,15 @@ class TestRunConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = 1\n" for key in sorted(accepted)))
         assert set(read_run_config(cfg)[1]) == set(fileio._SOLVER_KEYS)
+
+    def test_documented_values_are_the_defaults(self):
+        doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+        block = doc.split("## Run configuration", 1)[1].split("```", 2)[1]
+        documented = {k: float(v) for k, v in re.findall(r"(\w+) = (\S+)", block)}
+        defaults = {**vars(LossWeights()), **vars(SolverConfig(DepthHypotheses(1, 2, 2)))}
+        for key, value in documented.items():
+            if key != "hyp_count":  # stands for the hypotheses; 64 in the CLI
+                assert value == defaults[key], key
 
     def test_solver_keys_are_the_solver_config_fields(self):
         # hyp_count stands for the hypotheses; the weights have their own keys

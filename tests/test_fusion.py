@@ -82,7 +82,7 @@ class TestFilterConsistent:
         assert counts_tau == sorted(counts_tau)
         counts_quorum = [
             sum(d.valid.sum() for d in filter_consistent(gt, views, 0.05, q))
-            for q in (1, 2, 3)
+            for q in (1, 2)
         ]
         assert counts_quorum == sorted(counts_quorum, reverse=True)
 
@@ -92,6 +92,14 @@ class TestFilterConsistent:
             filter_consistent(gt, views, tau_fuse=0.0, min_views=1)
         with pytest.raises(ValueError):
             filter_consistent(gt, views, tau_fuse=0.1, min_views=0)
+
+    @pytest.mark.parametrize("n_views", [2, 3])
+    def test_quorum_beyond_the_other_views_is_rejected(self, plane_scene, n_views):
+        # a pixel has n - 1 other views to confirm it; asking for n keeps none
+        views, gt = plane_scene["views"][:n_views], plane_scene["gt"][:n_views]
+        with pytest.raises(ValueError, match=f"^min_views = {n_views} exceeds "
+                                             f"the {n_views - 1} other views$"):
+            filter_consistent(gt, views, tau_fuse=0.1, min_views=n_views)
 
     def test_depth_maps_of_other_sizes_name_the_view(self, plane_scene):
         views, gt = plane_scene["views"], plane_scene["gt"]

@@ -421,6 +421,19 @@ def test_sampling_chain_with_pair_coefficients_is_bit_identical(plane_scene):
             assert np.array_equal(want, g)
 
 
+def test_backprojected_pixels_lie_on_their_view_rays_bit_for_bit():
+    # skew and rotation make every entry of K^-1 and R count: a pixel's
+    # point is its `view_rays` ray scaled by its depth, to the bit
+    rng = np.random.default_rng(11)
+    cam = random_camera(rng)
+    h, w = 48, 64
+    depth = rng.uniform(1.0, 3.0, (h, w))
+    gy, gx = np.mgrid[0:h, 0:w]
+    got = geometry.backproject_pixels(cam, gx, gy, depth)
+    rays = geometry.view_rays(cam, h, w)
+    assert same_bytes(got, (rays * depth[..., None] - cam.translation) @ cam.rotation)
+
+
 @pytest.mark.parametrize("source", [2, 0])
 @pytest.mark.parametrize("rows", [(0, 48), (0, 13), (13, 26), (47, 48)])
 def test_pair_record_over_rows_holds_the_whole_records_rows(plane_scene, source,
@@ -574,7 +587,7 @@ def _chain_consumers(views, rng):
     out += [vals.value, ok, s_leaf.grad, t_leaf.grad]
     feats = [extract_features(v.image) for v in views]
     vol = build_cost_volume(views, feats, 0, DepthHypotheses(1.5, 2.5, 8))
-    out += [vol.cost, vol.support, vol.valid]
+    out += [vol.cost, vol.valid]
     return out
 
 

@@ -22,6 +22,7 @@ from symmvs import (
     SceneSpec,
     cloud_metrics,
     compute_all_masks,
+    depth_metrics,
     consistency,
     depths_to_cloud,
     filter_consistent,
@@ -76,6 +77,17 @@ def sweep_in_bands(monkeypatch, band_rows, hyp, width):
     return record_builds(monkeypatch)
 
 
+def quick_start_scene():
+    """The README quick-start plane: its views and true depths."""
+    K = np.array([[55.0, 0, 31.5], [0, 55.0, 23.5], [0, 0, 1.0]])
+    cams = [CameraView(K, np.eye(3), np.array([-cx, 0.0, 0.0]), None)
+            for cx in (-0.55, 0.0, 0.55)]
+    scene = SceneSpec([PlanePrimitive([0, 0, 1], 3.0, texture_scale=1.3)],
+                      cams, width=64, height=48, seed=7)
+    views, gt, _ = render_scene(scene)
+    return views, gt
+
+
 def desk_config(hyp, **kw):
     base = dict(
         hypotheses=hyp,
@@ -90,6 +102,15 @@ def desk_config(hyp, **kw):
 
 
 class TestInitDepths:
+    def test_default_temperature_recovers_the_quick_start_plane(self):
+        # within the bench's init bound on this scene, 0.06; a temperature
+        # of 1.0 flattens the softmax and gives 0.43
+        views, gt = quick_start_scene()
+        hyp = DepthHypotheses(1.8, 4.95, 64)
+        depths = init_depths(views, hyp, SolverConfig(hyp).temperature)
+        err = [depth_metrics(d, g).abs_diff for d, g in zip(depths, gt)]
+        assert np.mean(err) <= 0.06
+
     def test_three_views_agree_with_each_other(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
         depths = init_depths(views, hyp, DESK_TEMPERATURE)
@@ -227,8 +248,9 @@ class TestInitDepths:
         # sweep holds a raw and a smoothed volume, or a smoothed volume and
         # its probabilities, plus the features and one hypothesis' samplings.
         # Measured: 3.27 volumes; whole-volume smoothing or regression
-        # temporaries, int64 support or a previous reference's volume kept
-        # alive each give 4.1 to 5.7 (7.7 before streaming)
+        # temporaries, an int64 view count per entry or a previous
+        # reference's volume kept alive each give 4.1 to 5.7 (7.7 before
+        # streaming)
         views, hyp = occluder_scene["views"], DepthHypotheses(1.5, 4.0, 32)
         h, w = views[0].image.shape[:2]
         tracemalloc.start()
@@ -242,9 +264,9 @@ class TestInitDepths:
     def test_banded_sweep_holds_less_than_one_whole_volume(self, monkeypatch):
         # the bench's 256x192 plane at 64 hypotheses: three bands of 64 rows
         # under the default budget. The whole volume as `build_cost_volume`
-        # returns it takes 10 bytes an entry (float cost, one-byte support,
-        # validity), 30 MiB. Measured: 25.0 MiB; a single whole-image band
-        # gives 63.0 MiB, and a 12 MiB budget (two bands) 34.4 MiB
+        # returns it takes 9 bytes an entry (float cost and validity),
+        # 27 MiB. Measured: 24.0 MiB; a single whole-image band gives
+        # 60.1 MiB, and a 12 MiB budget (two bands) 32.9 MiB
         width, height = 256, 192
         cams = [make_camera(x, f=220.0, width=width, height=height)
                 for x in (-0.55, 0.0, 0.55)]
@@ -261,7 +283,7 @@ class TestInitDepths:
         finally:
             tracemalloc.stop()
         assert [rows for _, rows in builds] == [(0, 65), (63, 129), (127, 192)] * 3
-        assert peak < hyp.count * height * width * 10
+        assert peak < hyp.count * height * width * 9
 
 
 class TestLossGradient:
@@ -621,12 +643,7 @@ def test_quick_start_refine_trajectory(monkeypatch):
     evaluations over 20 accepted steps in 6 outer iterations. A gradient
     that changes by more than rounding flips a line-search decision, and
     these counts with it."""
-    K = np.array([[55.0, 0, 31.5], [0, 55.0, 23.5], [0, 0, 1.0]])
-    cams = [CameraView(K, np.eye(3), np.array([-cx, 0.0, 0.0]), None)
-            for cx in (-0.55, 0.0, 0.55)]
-    scene = SceneSpec([PlanePrimitive([0, 0, 1], 3.0, texture_scale=1.3)],
-                      cams, width=64, height=48, seed=7)
-    views, _, _ = render_scene(scene)
+    views, _ = quick_start_scene()
     config = SolverConfig(hypotheses=DepthHypotheses(1.8, 4.95, 64),
                           temperature=3e-6, weights=LossWeights(tau_occ=1.0))
     evaluations = {False: 0, True: 0}
@@ -713,8 +730,8 @@ def test_skipped_terms_warned_once_per_mask_phase(plane_scene, caplog):
 
 def _flat_volume():
     shape = (2, 1, 1)
-    return CostVolume(0, DepthHypotheses(1.0, 2.0, 2), np.zeros(shape),
-                      np.full(shape, 2), np.ones(shape, bool))
+    return CostVolume(DepthHypotheses(1.0, 2.0, 2), np.zeros(shape),
+                      np.ones(shape, bool))
 
 
 @pytest.mark.parametrize("call", [

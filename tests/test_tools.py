@@ -28,3 +28,25 @@ def test_digests_of_a_rerun_are_identical():
     assert set(digests) == {"init", "init_gradient", "refined", "masks",
                             "filtered", "cloud", "history", "outer_log", "report"}
     assert all(len(v) == 64 for v in digests.values())
+
+
+def test_diff_of_a_checkout_against_itself_reads_zero():
+    # --diff states the largest output difference of a refactor; a
+    # checkout against itself must read 0 in every float output and
+    # identical in every discrete one
+    cmd = [sys.executable, str(ROOT / "tools" / "digests.py"),
+           "--workload", "refine-plane3-64", "--seed", "7", "--diff", str(ROOT)]
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True,
+                         timeout=300).stdout
+    lines = out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert (record["workload"], record["seed"]) == ("refine-plane3-64", 7)
+    assert set(record["max_abs_diff"]) == {
+        "init", "refined", "filtered", "init_gradient", "points", "colors",
+        "history", "outer_log", "report"}
+    assert all(v == 0.0 for v in record["max_abs_diff"].values())
+    assert set(record["identical"]) == {
+        "init_valid", "refined_valid", "filtered_valid", "masks", "point_count",
+        "history_iterations", "stop_reason", "iteration"}
+    assert all(v is True for v in record["identical"].values())

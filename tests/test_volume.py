@@ -66,7 +66,6 @@ class TestBuildCostVolume:
         hyp = DepthHypotheses(1.0, 2.0, 5)
         vol = build_cost_volume(views, feats, 0, hyp)
         assert (vol.cost == 0.0).all()
-        assert (vol.support == 3).all()
         assert vol.valid.all()
 
     @pytest.mark.parametrize("rows", [(0, 5), (5, 12), (11, 12)])
@@ -75,7 +74,6 @@ class TestBuildCostVolume:
         vol = build_cost_volume(views, feats, 0, DepthHypotheses(1.0, 2.0, 5), rows)
         assert vol.cost.shape == (5, rows[1] - rows[0], 16)
         assert (vol.cost == 0.0).all()
-        assert (vol.support == 3).all()
         assert vol.valid.all()
 
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
@@ -89,8 +87,7 @@ class TestBuildCostVolume:
             whole = build_cost_volume(views, feats, ref, hyp)
             for top, bottom in ((0, 7), (7, h - 5), (h - 5, h), (0, h)):
                 band = build_cost_volume(views, feats, ref, hyp, (top, bottom))
-                for got, want in ((band.cost, whole.cost), (band.support, whole.support),
-                                  (band.valid, whole.valid)):
+                for got, want in ((band.cost, whole.cost), (band.valid, whole.valid)):
                     assert same_bits(got, np.ascontiguousarray(want[:, top:bottom]))
 
     def test_true_depth_wins_argmin_on_interior(self, plane_scene):
@@ -114,7 +111,6 @@ class TestBuildCostVolume:
         hyp = DepthHypotheses(0.5, 1.0, 3)
         vol = build_cost_volume([near, far], feats, 0, hyp)
         # the second camera is 50 units off axis: every warp misses it
-        assert (vol.support == 1).all()
         assert not vol.valid.any()
 
     def test_variance_matches_brute_force(self, plane_scene):
@@ -139,7 +135,7 @@ class TestBuildCostVolume:
             if len(samples) >= 2:
                 expected = population_variance_brute(samples)
                 assert vol.cost[k, y, x] == pytest.approx(expected, rel=1e-9, abs=1e-15)
-                assert vol.support[k, y, x] == len(samples)
+                assert vol.valid[k, y, x]
 
     def test_permutation_invariance(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
@@ -164,10 +160,8 @@ class TestBuildCostVolume:
         feats = [features(v) for v in views]
         for ref in range(len(views)):
             vol = build_cost_volume(views, feats, ref, hyp)
-            cost, support, valid = cost_volume_loop(views, feats, ref, hyp)
+            cost, valid = cost_volume_loop(views, feats, ref, hyp)
             assert np.array_equal(vol.cost, cost)
-            assert np.array_equal(vol.support, support)
-            assert vol.support.dtype == np.uint8
             assert np.array_equal(vol.valid, valid)
 
     @pytest.mark.parametrize("bad_view", [0, 2])
@@ -234,8 +228,7 @@ def random_volume(seed, shape, p_valid=0.6, dead_pixels=3):
     valid = rng.uniform(size=shape) < p_valid
     for _ in range(dead_pixels):
         valid[:, rng.integers(h), rng.integers(w)] = False
-    support = np.where(valid, 2, 1).astype(np.uint8)
-    return CostVolume(0, DepthHypotheses(1.0, 3.0, d), cost, support, valid)
+    return CostVolume(DepthHypotheses(1.0, 3.0, d), cost, valid)
 
 
 VOLUME_SHAPES = [(2, 5, 7), (3, 1, 6), (5, 6, 1), (8, 9, 11), (17, 4, 5)]
@@ -245,8 +238,7 @@ class TestSmoothCostVolume:
     def make_volume(self, cost, valid=None):
         d, h, w = cost.shape
         valid = np.ones(cost.shape, bool) if valid is None else valid
-        support = np.where(valid, 2, 1)
-        return CostVolume(0, DepthHypotheses(1.0, 2.0, d), cost, support, valid)
+        return CostVolume(DepthHypotheses(1.0, 2.0, d), cost, valid)
 
     def test_constant_volume_unchanged(self):
         vol = self.make_volume(np.full((3, 4, 5), 0.7))
@@ -283,7 +275,6 @@ class TestSmoothCostVolume:
         cost, ok = smooth_cost_volume_whole(vol, (1, 1, 1))
         assert same_bits(out.cost, cost)
         assert same_bits(out.valid, ok)
-        assert out.support is vol.support
 
     def test_signed_zero_costs_keep_their_bits(self):
         # -0.0 everywhere: an invalid neighbour adds +0.0, which turns a
@@ -308,8 +299,7 @@ class TestSmoothCostVolume:
 class TestRegressDepth:
     def test_uniform_cost_gives_midpoint(self):
         hyp = DepthHypotheses(425.0, 935.0, 192)
-        vol = CostVolume(0, hyp, np.full((192, 4, 5), 0.3),
-                         np.full((192, 4, 5), 3), np.ones((192, 4, 5), bool))
+        vol = CostVolume(hyp, np.full((192, 4, 5), 0.3), np.ones((192, 4, 5), bool))
         depth, prob = regress_depth(vol, temperature=1.0)
         np.testing.assert_allclose(depth.values, 680.0, rtol=1e-12)
         np.testing.assert_allclose(prob.sum(axis=0), 1.0, atol=1e-6)
@@ -318,8 +308,7 @@ class TestRegressDepth:
         hyp = DepthHypotheses(1.0, 2.0, 8)
         cost = np.full((8, 3, 3), 1e4)
         cost[5] = 0.0
-        vol = CostVolume(0, hyp, cost, np.full(cost.shape, 2),
-                         np.ones(cost.shape, bool))
+        vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
         depth, _ = regress_depth(vol, temperature=1.0)
         np.testing.assert_allclose(depth.values, hyp.samples[5], rtol=1e-12)
 
@@ -328,8 +317,7 @@ class TestRegressDepth:
         hyp = DepthHypotheses(1.0, 3.0, 3)
         cost = np.zeros((3, 2, 2))
         cost[0] = cost[2] = np.log(2.0)
-        vol = CostVolume(0, hyp, cost, np.full(cost.shape, 2),
-                         np.ones(cost.shape, bool))
+        vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
         depth, prob = regress_depth(vol, temperature=1.0)
         np.testing.assert_allclose(prob[:, 0, 0], [0.25, 0.5, 0.25], atol=1e-12)
         np.testing.assert_allclose(depth.values, 2.0, atol=1e-12)
@@ -338,10 +326,9 @@ class TestRegressDepth:
         rng = np.random.default_rng(6)
         hyp = DepthHypotheses(1.0, 2.0, 16)
         cost = rng.uniform(size=(16, 4, 4))
-        vol = CostVolume(0, hyp, cost, np.full(cost.shape, 2),
-                         np.ones(cost.shape, bool))
+        vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
         d1, _ = regress_depth(vol, 0.1)
-        vol2 = CostVolume(0, hyp, cost + 3.7, vol.support, vol.valid)
+        vol2 = CostVolume(hyp, cost + 3.7, vol.valid)
         d2, _ = regress_depth(vol2, 0.1)
         np.testing.assert_allclose(d1.values, d2.values, atol=1e-9)
 
@@ -351,7 +338,7 @@ class TestRegressDepth:
         cost = rng.uniform(size=(8, 3, 3))
         valid = np.ones(cost.shape, bool)
         valid[:, 0, 0] = False
-        vol = CostVolume(0, hyp, cost, np.where(valid, 2, 1), valid)
+        vol = CostVolume(hyp, cost, valid)
         depth, prob = regress_depth(vol, 0.05)
         assert not depth.valid[0, 0]
         assert depth.valid[1:].all()
@@ -364,7 +351,7 @@ class TestRegressDepth:
         hyp = DepthHypotheses(1.0, 4.0, 4)
         cost = np.zeros((4, 1, 1))
         valid = np.array([True, True, False, False]).reshape(4, 1, 1)
-        vol = CostVolume(0, hyp, cost, np.where(valid, 2, 1), valid)
+        vol = CostVolume(hyp, cost, valid)
         depth, prob = regress_depth(vol, 1.0)
         # equal costs over the two valid samples {1, 2}: expectation 1.5
         np.testing.assert_allclose(prob[:, 0, 0], [0.5, 0.5, 0.0, 0.0],
@@ -377,10 +364,9 @@ class TestRegressDepth:
         rng = np.random.default_rng(8)
         hyp = DepthHypotheses(1.0, 2.0, 6)
         cost = rng.uniform(size=(6, 2, 2))
-        vol = CostVolume(0, hyp, cost, np.full(cost.shape, 2),
-                         np.ones(cost.shape, bool))
+        vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
         d1, _ = regress_depth(vol, 0.5)
-        vol2 = CostVolume(0, hyp, cost + shift, vol.support, vol.valid)
+        vol2 = CostVolume(hyp, cost + shift, vol.valid)
         d2, _ = regress_depth(vol2, 0.5)
         np.testing.assert_allclose(d1.values, d2.values, atol=1e-9)
 
@@ -407,11 +393,11 @@ class TestRegressDepth:
 
     def test_input_volume_is_left_unchanged(self):
         vol = random_volume(15, (6, 4, 5))
-        before = [a.copy() for a in (vol.cost, vol.support, vol.valid)]
+        before = [a.copy() for a in (vol.cost, vol.valid)]
         out = smooth_cost_volume(vol)
         regress_depth(vol, 0.5)
         regress_depth(out, 0.5)
-        for a, b in zip(before, (vol.cost, vol.support, vol.valid)):
+        for a, b in zip(before, (vol.cost, vol.valid)):
             assert same_bits(a, b)
 
 
