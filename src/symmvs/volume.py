@@ -6,9 +6,9 @@ view through the refinement's sampling: one `geometry.pair_coefficients`
 record per source view, read by `geometry.pair_sampling` at each constant
 hypothesis depth. The reference's own features join the group, and the
 per-pixel matching cost is the channel-averaged population variance across
-the contributing views. A separable, validity-aware 3x3x3 box filter
-stands in for learned regularization, and the depth is read out as the
-softmax-weighted expectation over hypotheses.
+the contributing views. A validity-aware 3x3x3 box filter stands in for
+learned regularization, and the depth is read out as the softmax-weighted
+expectation over hypotheses.
 
 `build_cost_volume` sweeps a range of reference rows, by default all of
 them; `solver.init_depths` sweeps each reference view in horizontal bands
@@ -18,23 +18,23 @@ image's volume fits the band budget.
 What each stage holds at the size (D, rows, W) of its volume, beyond its
 input:
 - `build_cost_volume`: the float cost and the boolean validity, 9 bytes
-  per entry. Every view's channel-first
-  (F, H, W) features, as `extract_features` returns them, are checked for
-  finite values once per call and reshaped to (F, H*W), a view of such
-  contiguous arrays, not a copy; the pair records cover the band's rows
-  only. Per hypothesis and source view, the pair's sampling flags the
-  samples in front of the source camera and in bounds, and each of its
-  four bilinear corners is one gather along the whole source image's pixel
-  axis; the gathers, the pairwise variance and the count of contributing
-  views (as ``np.min_scalar_type(n_views)``, one byte up to 255 views)
-  write into (F, rows, W) and (rows, W) buffers allocated once per call. A source's sampling is
-  dropped before the next source samples.
+  per entry. Every view's channel-first (F, H, W) features, as
+  `extract_features` returns them, are checked for finite values once per
+  call and reshaped to (F, H*W), a view of such contiguous arrays, not a
+  copy; the pair records cover the band's rows only. Per hypothesis and
+  source view, the pair's sampling flags the samples in front of the
+  source camera and in bounds, and each of its four bilinear corners is
+  one gather along the whole source image's pixel axis; the gathers, the
+  pairwise variance and the count of contributing views (as
+  ``np.min_scalar_type(n_views)``, one byte up to 255 views) write into
+  (F, rows, W) and (rows, W) buffers allocated once per call. A source's
+  sampling is dropped before the next source samples.
 - `smooth_cost_volume`: its output cost and validity. It streams over
-  depth slices and sums each 3x3x3 window directly, one offset at a time,
-  so an output carries only the rounding of its own terms. Its row window
-  is clipped to the volume's rows, so a band needs one halo row on each
-  side, clipped at the image edges, for its own rows to match the
-  whole-image volume's.
+  depth slices, adds each slice's two depth neighbours to it and sums its
+  3x3 windows with `autodiff.box_sum3`, so an output carries only the
+  rounding of its own terms. Its row window is clipped to the volume's
+  rows, so a band needs one halo row on each side, clipped at the image
+  edges, for its own rows to match the whole-image volume's.
 - `regress_depth`: one float buffer, in which the logits become the
   returned probabilities in place.
 
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import geometry, photometry
 from .errors import NonFiniteValue, ShapeMismatch, TooFewViews
 
@@ -193,32 +194,17 @@ def build_cost_volume(views, features, ref: int,
     return CostVolume(hyp, cost, valid)
 
 
-def _box_sum_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum of ``a`` over the window [i - 1, i + 1], clipped to the array,
-    at every index i along ``axis``.
-
-    Direct window sums: a copy of ``a`` adds ``a[i - 1]`` and then
-    ``a[i + 1]``, in place, wherever they exist.
-    """
-    out = a.copy()
-    src = np.moveaxis(a, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[1:] += src[:-1]
-    dst[:-1] += src[1:]
-    return out
-
-
 def smooth_cost_volume(vol: CostVolume) -> CostVolume:
-    """Separable 3x3x3 box smoothing over valid cost entries.
+    """3x3x3 box smoothing over valid cost entries.
 
     Each output is the mean of the valid entries inside its 3x3x3 window,
     clipped to the volume (0 where the window holds none).
 
     One depth slice at a time: a slice's numerator and count add the slice
-    before it and then the one after it, then are box-summed along rows
-    and columns, so every output equals the whole-volume separable filter
-    bit for bit. Only the output cost and validity are allocated at volume
-    size.
+    before it and then the one after it, then each is summed over its 3x3
+    windows by `autodiff.box_sum3`, whose zero padding gives the clipped
+    window's sum. Only the output cost and validity are allocated at
+    volume size.
     """
     d_count = vol.cost.shape[0]
     cost = np.zeros(vol.cost.shape)
@@ -230,9 +216,7 @@ def smooth_cost_volume(vol: CostVolume) -> CostVolume:
             if 0 <= n < d_count:
                 num += np.where(vol.valid[n], vol.cost[n], 0.0)
                 den += vol.valid[n]
-        for axis in (0, 1):
-            num = _box_sum_axis(num, axis)
-            den = _box_sum_axis(den, axis)
+        num, den = ad.box_sum3(num), ad.box_sum3(den)
         np.greater(den, 0.5, out=ok[k])
         np.divide(num, den, out=cost[k], where=ok[k])
     return CostVolume(vol.hypotheses, cost, ok)

@@ -8,7 +8,7 @@ ones must match bit for bit (`cost_volume_loop`,
 `camera_rays_world_int_grid`, `box_sum3_padded`, `pad_zero_np`,
 `sample_validity_direct`, `census_distance_mean`, `synth_values_unshared`,
 `warp_depth_values_unshared`); `box_sum_axis_loop` fixes the order in which
-the cost-volume box sum adds each window. The loss formulas that the
+the cost-volume smoothing adds each slice's depth neighbours. The loss formulas that the
 library records as single tape nodes are kept here in their op-by-op form,
 one node per array operation (`charbonnier_chain` to `smoothness_chain`,
 built on the Var helpers `sqrt`, `absolute`, `where_mask`, `sum_all` and
@@ -161,18 +161,17 @@ def cost_volume_loop(views, features, ref, hyp):
     return cost, valid
 
 
-def smooth_cost_volume_whole(vol, radius):
-    """Validity-aware box smoothing of a whole (D, H, W) volume at once:
-    the masked numerator and the count are box-summed along depth, rows and
-    columns in turn, each a whole-volume temporary (the library's earlier
-    form). Returns (cost, valid)."""
-    num = np.where(vol.valid, vol.cost, 0.0)
-    den = vol.valid.astype(np.float64)
-    for axis, r in enumerate(radius):
-        if r == 0:
-            continue
-        num = box_sum_axis_loop(num, r, axis)
-        den = box_sum_axis_loop(den, r, axis)
+def smooth_cost_volume_whole(vol):
+    """Validity-aware 3x3x3 box smoothing of a whole (D, H, W) volume at
+    once: the masked numerator and the count are summed along depth by
+    `box_sum_axis_loop`, then over each slice's 3x3 windows by
+    `box_sum3_padded`, each a whole-volume temporary. Returns (cost, valid)."""
+    def box3(a):
+        a = np.moveaxis(box_sum_axis_loop(a, 1, 0), 0, -1)  # (H, W, D)
+        return np.moveaxis(box_sum3_padded(a), -1, 0)
+
+    num = box3(np.where(vol.valid, vol.cost, 0.0))
+    den = box3(vol.valid.astype(np.float64))
     ok = den > 0.5
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0), ok
 

@@ -22,8 +22,8 @@ from symmvs import (
     SceneSpec,
     cloud_metrics,
     compute_all_masks,
-    depth_metrics,
     consistency,
+    depth_metrics,
     depths_to_cloud,
     filter_consistent,
     init_depths,

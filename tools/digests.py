@@ -131,7 +131,8 @@ def _report_values(lines) -> tuple:
 
 def _max_abs(a, b):
     """Largest |a - b| over equally shaped float arrays (0 where both are
-    NaN or equal infinities); None when the shapes differ."""
+    NaN or equal infinities; None reads as a NaN); None when the shapes
+    differ."""
     import numpy as np
 
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -144,9 +145,12 @@ def _max_abs(a, b):
         return float(np.where(same, 0.0, np.abs(a - b)).max())
 
 
-def _max_abs_all(pairs):
-    """`_max_abs` over a sequence of array pairs; None if any is None."""
-    diffs = [_max_abs(a, b) for a, b in pairs]
+def _max_abs_all(xs, ys):
+    """`_max_abs` over two lists of arrays; None if their lengths or the
+    shapes of any pair differ."""
+    if len(xs) != len(ys):
+        return None
+    diffs = [_max_abs(x, y) for x, y in zip(xs, ys)]
     return None if None in diffs else max(diffs, default=0.0)
 
 
@@ -163,19 +167,13 @@ def diff(a: dict, b: dict) -> dict:
     line = {"workload": a["workload"], "seed": a["seed"]}
     delta, same = {}, {}
     for key in DEPTH_OUTPUTS:
-        if len(a[key]) != len(b[key]):
-            delta[key], same[key + "_valid"] = None, False
-            continue
-        delta[key] = _max_abs_all((x[0], y[0]) for x, y in zip(a[key], b[key]))
-        same[key + "_valid"] = _same_arrays([x[1] for x in a[key]],
-                                            [y[1] for y in b[key]])
-    grads = (a["init_gradient"], b["init_gradient"])
-    delta["init_gradient"] = (_max_abs_all(zip(*grads))
-                              if len(grads[0]) == len(grads[1]) else None)
+        delta[key] = _max_abs_all([v for v, _ in a[key]], [v for v, _ in b[key]])
+        same[key + "_valid"] = _same_arrays([m for _, m in a[key]],
+                                            [m for _, m in b[key]])
+    delta["init_gradient"] = _max_abs_all(a["init_gradient"], b["init_gradient"])
     (pa, ca), (pb, cb) = a["cloud"], b["cloud"]
     delta["points"] = _max_abs(pa, pb)
-    delta["colors"] = (_max_abs(ca, cb) if ca is not None and cb is not None
-                       else (0.0 if ca is None and cb is None else None))
+    delta["colors"] = _max_abs(ca, cb)
     delta["history"] = _max_abs([f for _, f in a["history"]],
                                 [f for _, f in b["history"]])
     keys_a = [sorted(e) for e in a["outer_log"]]
