@@ -14,11 +14,30 @@ consistency between two second-order synthesized images sharing a
 reference view. Terms whose mask is empty contribute zero and are
 reported, never silently dropped.
 
-One evaluation computes every term, in straight-line order: every warp,
-then every synthesized image's statistics and every smoothness term, then
-the terms and their sums. `total_loss` returns the terms itemized in a
-`LossBreakdown`, so a single term is read from there (for example
-``total_loss(state).depth_consistency[(i, j)]``).
+One evaluation streams its terms, in one order for values and gradients:
+- per unordered pair (i, j), i < j: it samples (i, j) and (j, i),
+  synthesizes both first-order images, then both second-order images,
+  warps both depths and takes the two depth-consistency terms, then takes
+  each first-order image's statistics and its unary term. The samplings,
+  the first-order images and the depth warps die with the pair; the
+  second-order images are kept.
+- per reference view r: it takes the statistics of every second-order
+  image (r, s), the image-consistency terms that compare them with view
+  r's image and the brightness terms (r, j, k), and drops the statistics.
+- last, every view's smoothness term.
+
+Then the records of the breakdown are filled, and the sums taken, in a
+fixed order that the streaming does not change: (i, j) then (j, i) for
+each i < j, and the brightness terms by reference view r, then j < k.
+
+A value evaluation therefore holds the `ViewContext` it reads (a fresh one
+when it is given none), every second-order image with its validity, and at
+once either one pair's samplings, syntheses and depth warps, or one
+reference view's second-order statistics: its peak grows with the number
+of views, not with the number of pairs. A gradient evaluation keeps every
+node of its tape until the backward pass, as it must. `total_loss` returns
+the terms itemized in a `LossBreakdown`, so a single term is read from
+there (for example ``total_loss(state).depth_consistency[(i, j)]``).
 
 Data that depends only on the cameras and images lives in a `ViewContext`:
 each ordered pair's `geometry.ViewPair` record, each view's comparator
@@ -216,6 +235,21 @@ def _check_grid(depths, grid, labels=None):
                                 f"map is {d.values.shape}, the views' grid is {grid}")
 
 
+def _check_masks(masks, n, grid):
+    """Raise ShapeMismatch naming the first ordered pair of the ``n`` views
+    whose mask ``masks`` lacks or holds off ``grid``."""
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if (i, j) not in masks:
+                raise ShapeMismatch(f"no occlusion mask for pair ({i}, {j})")
+            shape = np.shape(masks[i, j].valid)
+            if shape != grid:
+                raise ShapeMismatch(f"pair ({i}, {j}) mask is {shape}, the "
+                                    f"views' grid is {grid}")
+
+
 # -- occlusion reasoning -------------------------------------------------------
 
 
@@ -290,22 +324,25 @@ def compute_all_masks(views, depths, weights: LossWeights,
 # -- term evaluation -----------------------------------------------------------
 
 
-def _warps(ctx, views, leaves, depths):
-    """Every warp of one evaluation, keyed by ordered pair (t, s), each a
-    (values, valid) pair read from the one `geometry.pair_sampling` of
-    (t, s) at view t's depth: ``first[t, s]`` is view s's image synthesized
-    on view t's grid, ``second[t, s]`` view s's ``first`` of view t pulled
-    back onto view t's grid, and ``dwarp[t, s]`` view s's depth re-expressed
-    on view t's grid."""
-    samplings = {(t, s): geometry.pair_sampling(pair, leaves[t], depths[t].valid)
-                 for (t, s), pair in ctx.pairs.items()}
-    first = {(t, s): geometry.synth_values(smp, views[s].image)
-             for (t, s), smp in samplings.items()}
-    second = {(t, s): geometry.synth_values(smp, *first[s, t])
-              for (t, s), smp in samplings.items()}
-    dwarp = {(t, s): geometry.warp_depth_values(ctx.pairs[t, s], smp, leaves[s],
-                                                depths[s].valid)
-             for (t, s), smp in samplings.items()}
+def _pair_warps(ctx, views, leaves, depths, i, j):
+    """Every warp of the unordered pair (i, j), keyed by its ordered pairs
+    (t, s), (i, j) and (j, i), each a (values, valid) pair read from the
+    one `geometry.pair_sampling` of (t, s) at view t's depth:
+    ``first[t, s]`` is view s's image synthesized on view t's grid,
+    ``second[t, s]`` view s's ``first`` of view t pulled back onto view t's
+    grid, and ``dwarp[t, s]`` view s's depth re-expressed on view t's
+    grid. The two samplings die on return."""
+    keys = ((i, j), (j, i))
+    samplings = {(t, s): geometry.pair_sampling(ctx.pairs[t, s], leaves[t],
+                                                depths[t].valid)
+                 for t, s in keys}
+    first = {(t, s): geometry.synth_values(samplings[t, s], views[s].image)
+             for t, s in keys}
+    second = {(t, s): geometry.synth_values(samplings[t, s], *first[s, t])
+              for t, s in keys}
+    dwarp = {(t, s): geometry.warp_depth_values(ctx.pairs[t, s], samplings[t, s],
+                                                leaves[s], depths[s].valid)
+             for t, s in keys}
     return first, second, dwarp
 
 
@@ -335,9 +372,10 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     respect to them. Camera- and image-only data comes from ``context``,
     the run's `ViewContext`; without one, a fresh context serves this
     evaluation alone. A context built for other alphas raises ValueError;
-    a depth map count other than the view count, or a depth map off its
-    grid, raises ShapeMismatch. A term whose mask is empty
-    records zero and lands in ``skipped``.
+    a depth map count other than the view count, a depth map off its
+    grid, or a missing ordered pair's mask or one off the grid raises
+    ShapeMismatch. A term whose mask is empty records zero and lands in
+    ``skipped``.
     """
     ctx = context if context is not None else ViewContext(views, weights)
     if ctx.alphas != (weights.alpha1, weights.alpha2):
@@ -346,49 +384,67 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
                          f"{(weights.alpha1, weights.alpha2)}")
     _check_count(depths, views)
     _check_grid(depths, ctx.grid)
+    _check_masks(masks, len(views), ctx.grid)
     w = weights
     n = len(views)
     leaves = [Var(d.values) if with_grad else d.values for d in depths]
-    first, second, dwarp = _warps(ctx, views, leaves, depths)
-    first_stats = {key: photometry.reference_stats(img, ctx.norm)
-                   for key, (img, _) in first.items()}
-    second_stats = {key: photometry.reference_stats(img, ctx.norm)
-                    for key, (img, _) in second.items()}
-    smooth = [photometry.smoothness_term(leaves[i], depths[i].valid, ctx.edges[i])
-              for i in range(n)]
     bd = LossBreakdown()
 
-    def term(record, prefix, key, fn, *args):
+    def term(prefix, key, fn, *args):
         try:
-            value = fn(*args)
+            return fn(*args)
         except EmptyMask:
             bd.skipped.add("_".join([prefix, *map(str, key)]))
-            value = 0.0
-        record[key] = float(value_of(value))
-        return value
+            return 0.0
+
+    def stats(image):
+        return photometry.reference_stats(image, ctx.norm)
+
+    # One unordered pair at a time: its depth-consistency and unary terms,
+    # keeping only its second-order images.
+    lu, lm, ld, lb, second = {}, {}, {}, {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            first, second_ij, dwarp = _pair_warps(ctx, views, leaves, depths, i, j)
+            second.update(second_ij)
+            for t, s in ((i, j), (j, i)):
+                ld[t, s] = term("Ld", (t, s), _depth_consistency, leaves[t],
+                                dwarp[t, s][0],
+                                masks[t, s].valid & depths[t].valid & dwarp[t, s][1])
+            for t, s in ((i, j), (j, i)):
+                lu[t, s] = term("Lu", (t, s), photometry.unary_comparator,
+                                ctx.refs[t], stats(first[t, s][0]),
+                                masks[t, s].valid & first[t, s][1], w)
+            del first, dwarp
+    # One reference view r at a time: the statistics of its second-order
+    # images, and the image-consistency and brightness terms that read them.
+    for r in range(n):
+        second_stats = {s: stats(second[r, s][0]) for s in range(n) if s != r}
+        for s in second_stats:
+            lm[s, r] = term("Lm", (s, r), photometry.unary_comparator, ctx.refs[r],
+                            second_stats[s], masks[r, s].valid & second[r, s][1], w)
+        for j in range(n):
+            for k in range(j + 1, n):
+                if r not in (j, k):
+                    lb[r, j, k] = term(
+                        "Lb", (r, j, k), photometry.unary_comparator,
+                        second_stats[j], second_stats[k],
+                        masks[r, j].valid & masks[r, k].valid & second[r, j][1]
+                        & second[r, k][1], w)
+        del second_stats
+    smooth = [photometry.smoothness_term(leaves[i], depths[i].valid, ctx.edges[i])
+              for i in range(n)]
 
     # (i, j) then (j, i) for each i < j: the order every per-pair record
     # is filled in, which order-sensitive sums of a record rely on.
     ordered = [key for i in range(n) for j in range(i + 1, n)
                for key in ((i, j), (j, i))]
-    lu = {(i, j): term(bd.unary, "Lu", (i, j), photometry.unary_comparator,
-                       ctx.refs[i], first_stats[i, j],
-                       masks[i, j].valid & first[i, j][1], w)
-          for i, j in ordered}
-    lm = {(i, j): term(bd.image_consistency, "Lm", (i, j),
-                       photometry.unary_comparator, ctx.refs[j], second_stats[j, i],
-                       masks[j, i].valid & second[j, i][1], w)
-          for i, j in ordered}
-    ld = {(i, j): term(bd.depth_consistency, "Ld", (i, j), _depth_consistency,
-                       leaves[i], dwarp[i, j][0],
-                       masks[i, j].valid & depths[i].valid & dwarp[i, j][1])
-          for i, j in ordered}
-    lb = [term(bd.brightness, "Lb", (r, j, k), photometry.unary_comparator,
-               second_stats[r, j], second_stats[r, k],
-               masks[r, j].valid & masks[r, k].valid & second[r, j][1]
-               & second[r, k][1], w)
-          for r in range(n) for j in range(n) for k in range(j + 1, n)
-          if r not in (j, k)]
+    for record, values in ((bd.unary, lu), (bd.image_consistency, lm),
+                           (bd.depth_consistency, ld)):
+        for key in ordered:
+            record[key] = float(value_of(values[key]))
+    for key, value in lb.items():
+        bd.brightness[key] = float(value_of(value))
 
     synth_sum = 0.0
     cons_sum = 0.0
@@ -404,7 +460,7 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
                          + w.lambda6 * (ld[i, j] + ld[j, i]))
             bd.pair_consistency[(i, j)] = float(value_of(pair_cons))
             cons_sum = cons_sum + pair_cons
-    for value in lb:
+    for value in lb.values():
         cons_sum = cons_sum + value
 
     total = synth_sum + cons_sum

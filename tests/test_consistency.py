@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from symmvs.consistency import (
     SceneState,
     ViewContext,
     _evaluate,
-    _warps,
+    _pair_warps,
 )
 from symmvs.errors import ShapeMismatch, TooFewViews
 from symmvs.photometry import box_norm, edge_weights, reference_stats, unary_comparator
@@ -308,6 +309,51 @@ def test_gradient_tape_stays_small(plane_scene):
     assert sum(n.value.nbytes for n in nodes) <= 1_917_464
 
 
+@pytest.mark.parametrize("scene, bound", [("plane_scene", 87),
+                                          ("occluder_scene", 87),
+                                          ("occluder4_scene", 119)])
+def test_value_evaluation_holds_one_pair_at_a_time(scene, bound, request):
+    # the tracemalloc peak of one `total_loss`, in image-sized float64
+    # arrays, its fresh `ViewContext` included. Measured: 82.9, 82.3 and
+    # 114.8; building every pair's samplings, syntheses and statistics
+    # before the first term held 140.1, 139.4 and 258.1, growing with the
+    # number of pairs where the streamed order grows with the views
+    sc = request.getfixturevalue(scene)
+    state = scene_state(sc["views"], sc["gt"], LossWeights(tau_occ=1.0))
+    h, w = state.depths[0].values.shape
+    tracemalloc.start()
+    try:
+        total_loss(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * h * w * 8
+
+
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_breakdown_records_keep_their_insertion_order(occluder4_scene, with_grad):
+    # `report_lines` sorts its keys; `solver.refine` sums the records in
+    # insertion order, so that order is part of every logged value
+    sc = occluder4_scene
+    state = scene_state(sc["views"], noisy_depths(sc["gt"], 0.05, sc["hyp"]),
+                        sc["weights"])
+    state.masks[2, 1] = OcclusionMask((2, 1), np.zeros_like(state.masks[2, 1].valid))
+    bd, _, _ = _evaluate(state.views, state.depths, state.masks, state.weights,
+                         with_grad)
+    n = len(state.views)
+    unordered = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ordered = [key for i, j in unordered for key in ((i, j), (j, i))]
+    assert {"Lu_2_1", "Lm_1_2", "Ld_2_1"} <= bd.skipped
+    assert list(bd.unary) == ordered
+    assert list(bd.image_consistency) == ordered
+    assert list(bd.depth_consistency) == ordered
+    assert list(bd.brightness) == [(r, j, k) for r in range(n) for j in range(n)
+                                   for k in range(j + 1, n) if r not in (j, k)]
+    assert list(bd.synthesis) == unordered
+    assert list(bd.pair_consistency) == unordered
+    assert list(bd.smoothness) == list(range(n))
+
+
 class TestViewContext:
     """A context shared by many evaluations gives exactly what a fresh
     evaluation of each call gives, and rejects views and caller data it
@@ -395,6 +441,36 @@ class TestViewContext:
             with pytest.raises(ShapeMismatch, match=message):
                 total_loss(SceneState(views, depths, masks, weights))
 
+    @staticmethod
+    def evaluations(views, depths, masks, weights):
+        """The value and the gradient path of one evaluation."""
+        state = SceneState(views, depths, masks, weights)
+        return (lambda: total_loss(state), lambda: loss_gradient(state))
+
+    @pytest.mark.parametrize("shape", [(48, 1), (24, 32)])
+    def test_mask_off_the_grid_names_the_pair(self, plane_scene, shape):
+        # a (48, 1) mask used to broadcast against the grid and change the
+        # loss silently; a (24, 32) one raised numpy's broadcasting error
+        views, gt, weights = (plane_scene["views"], plane_scene["gt"],
+                              plane_scene["weights"])
+        masks = compute_all_masks(views, gt, weights)
+        masks[0, 1] = OcclusionMask((0, 1), np.ones(shape, dtype=bool))
+        message = (rf"^pair \(0, 1\) mask is \({shape[0]}, {shape[1]}\), "
+                   r"the views' grid is \(48, 64\)")
+        for evaluation in self.evaluations(views, gt, masks, weights):
+            with pytest.raises(ShapeMismatch, match=message):
+                evaluation()
+
+    def test_missing_mask_names_the_pair(self, plane_scene):
+        views, gt, weights = (plane_scene["views"], plane_scene["gt"],
+                              plane_scene["weights"])
+        masks = compute_all_masks(views, gt, weights)
+        del masks[1, 2]
+        for evaluation in self.evaluations(views, gt, masks, weights):
+            with pytest.raises(ShapeMismatch,
+                               match=r"^no occlusion mask for pair \(1, 2\)"):
+                evaluation()
+
     @pytest.mark.parametrize("change", [{"alpha1": 0.7}, {"alpha2": 0.25}])
     def test_context_for_other_alphas_is_rejected(self, plane_scene, change):
         views, gt, weights = (plane_scene["views"], plane_scene["gt"],
@@ -476,10 +552,11 @@ class TestSharedWork:
         views, depths, masks, weights, ctx = self.state(
             request.getfixturevalue(scene))
         leaves = [Var(d.values) if with_grad else d.values for d in depths]
-        tables = dict(zip(("synth", "second", "dwarp"),
-                          _warps(ctx, views, leaves, depths)))
         pairs, first, second = self.standalone(views, depths)
         for i, j in pairs:
+            tables = dict(zip(("synth", "second", "dwarp"),
+                              _pair_warps(ctx, views, leaves, depths,
+                                          min(i, j), max(i, j))))
             alone = {
                 "synth": first[(i, j)],
                 "second": second[(i, j)],

@@ -50,3 +50,20 @@ def test_diff_of_a_checkout_against_itself_reads_zero():
         "init_valid", "refined_valid", "filtered_valid", "masks", "point_count",
         "history_iterations", "stop_reason", "iteration"}
     assert all(v is True for v in record["identical"].values())
+
+
+def test_evalcost_prints_one_line_per_workload_and_grid():
+    cmd = [sys.executable, str(ROOT / "tools" / "evalcost.py"),
+           "--workload", "refine-occluder4-64", "--grid", "16x12",
+           "--calls", "2"]
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True,
+                         timeout=300).stdout
+    lines = out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"workload", "seed", "grid", "value_ms",
+                           "gradient_ms", "total_loss_peak_mib"}
+    assert (record["workload"], record["seed"], record["grid"]) == (
+        "refine-occluder4-64", 7, "16x12")
+    assert all(record[key] > 0 for key in ("value_ms", "gradient_ms",
+                                           "total_loss_peak_mib"))
