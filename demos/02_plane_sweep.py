@@ -16,6 +16,7 @@ from symmvs import (
     SceneSpec,
     build_cost_volume,
     extract_features,
+    pair_records,
     regress_depth,
     render_scene,
     smooth_cost_volume,
@@ -40,7 +41,9 @@ print(f"sweeping {hyp.count} hypotheses over [{hyp.d_min}, {hyp.d_max:.2f}], "
       f"true depth {true_depth} = sample #24")
 
 features = [extract_features(v.image) for v in views]
-volume = build_cost_volume(views, features, ref=1, hyp=hyp)
+# each (reference, source) pair's camera record, built once from the cameras
+pairs = pair_records(views, (48, 64))
+volume = build_cost_volume(pairs, features, ref=1, hyp=hyp)
 
 y, x = 24, 32
 profile = volume.cost[:, y, x]

@@ -17,6 +17,7 @@ from .geometry import (
     DepthMap,
     WarpField,
     bilinear_sample,
+    pair_records,
     plane_homography,
     synthesize_view,
     warp_depth,

@@ -191,17 +191,9 @@ class ViewContext:
         self.alphas = (weights.alpha1, weights.alpha2)
         self.grid = views[0].image.shape[:2]
         self.norm = photometry.box_norm(*self.grid)
-        self.pairs = _pair_records(views, self.grid)
+        self.pairs = geometry.pair_records(views, self.grid)
         self.refs = [photometry.reference_stats(v.image, self.norm) for v in views]
         self.edges = [photometry.edge_weights(v.image, *self.alphas) for v in views]
-
-
-def _pair_records(cams, grid) -> dict:
-    """The `geometry.ViewPair` of every ordered pair (t, s) of ``cams`` on
-    ``grid``."""
-    n = len(cams)
-    return {(t, s): geometry.pair_coefficients(cams[t], cams[s], *grid)
-            for t in range(n) for s in range(n) if t != s}
 
 
 def _check_views(views, user: str):
@@ -288,7 +280,7 @@ def occlusion_mask(depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
     """
     depths, grid = [depth_i, depth_j], depth_i.values.shape
     _check_grid(depths, grid, pair)
-    pairs = _pair_records([cam_i, cam_j], grid)
+    pairs = geometry.pair_records([cam_i, cam_j], grid)
     return OcclusionMask(pair, _round_trips(pairs, depths, [(0, 1)], tau)[0, 1])
 
 
@@ -309,7 +301,7 @@ def compute_all_masks(views, depths, weights: LossWeights,
     keys = [(i, j) for i in range(n) for j in range(n) if i != j]
     if context is None:
         grid = depths[0].values.shape
-        pairs = _pair_records(views, grid)
+        pairs = geometry.pair_records(views, grid)
     else:
         grid, pairs = context.grid, context.pairs
     _check_grid(depths, grid)

@@ -519,8 +519,8 @@ def load_bundle(bundle_dir) -> tuple:
     """Load a bundle directory written by `write_bundle`.
 
     Returns (views, depth_min, depth_interval, gt_depths_or_None). Every
-    image must have a matching camera file and all shapes must agree;
-    errors name the camera or image file at fault.
+    image must have a matching camera file, and all shapes and camera depth
+    ranges must agree; errors name the camera or image file at fault.
     """
     bundle = Path(bundle_dir)
     cam_files = sorted(bundle.glob("view_*_cam.txt"))
@@ -542,6 +542,9 @@ def load_bundle(bundle_dir) -> tuple:
         K, R, t, dm, di = read_camera(cam_path)
         if d_min is None:
             d_min, d_int = dm, di
+        elif (dm, di) != (d_min, d_int):
+            raise ParseError(f"{cam_path}: depth range {dm} {di} differs from "
+                             f"{cam_files[0].name}'s {d_min} {d_int}")
         image = read_image(img_path)
         if views and image.shape != views[0].image.shape:
             raise ParseError(f"{img_path}: image is {image.shape}, the first "

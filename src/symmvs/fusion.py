@@ -79,7 +79,7 @@ def filter_consistent(depths, views, tau_fuse: float, min_views: int = 2):
             agree_count += ok
             agree_sum += np.where(ok, warped.values, 0.0)
         keep = di.valid & (agree_count >= min_views)
-        mean = agree_sum / np.maximum(agree_count + 1, 1)
+        mean = agree_sum / (agree_count + 1)
         out.append(geometry.DepthMap(np.where(keep, mean, 0.0), keep))
     return out
 

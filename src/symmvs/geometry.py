@@ -10,12 +10,12 @@ Conventions
   clamped, so masked reductions stay unbiased.
 - Points that land behind a camera after a rigid transform are invalid.
 
-One camera model serves every stage. `pair_coefficients` builds the
-`ViewPair` record of an ordered (target, source) pair from the two cameras
-and the grid alone, over all target rows or a band of them, so callers
-build it once: per source view and row band in a sweep, per ordered pair
-for a refinement run (`consistency.ViewContext`). The
-per-depth functions read that record and no camera. `sampling_chain` sends
+One camera model serves every stage, and only this module turns cameras
+into records. `pair_coefficients` builds the `ViewPair` record of an
+ordered (target, source) pair from the two cameras and the grid alone, and
+`pair_records` those of a view list, so callers build each once; a sweep's
+row bands read row views of it (`ViewPair.band`). The per-depth functions
+read a record and no camera. `sampling_chain` sends
 a target pixel at depth d to the homogeneous source pixel ``a * d + b``;
 `pair_sampling`, at per-pixel depths or one constant sweep depth, bundles
 what every warp of the pair reads: the chain's coordinates, the flag of
@@ -30,7 +30,7 @@ explains why the result is the same as with taps at the narrowed mask).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
     "plane_homography",
     "warp_field_from_homography",
     "pair_coefficients",
+    "pair_records",
     "bilinear_sample",
     "synthesize_view",
     "warp_depth",
@@ -148,8 +149,8 @@ class DepthHypotheses:
     def __post_init__(self):
         if not (0.0 < self.d_min < self.d_max < np.inf):
             raise ValueError("need 0 < d_min < d_max, both finite")
-        if self.count < 2:
-            raise ValueError("need at least two depth samples")
+        if not (isinstance(self.count, (int, np.integer)) and self.count >= 2):
+            raise ValueError(f"count must be an integer >= 2, got {self.count!r}")
         object.__setattr__(
             self, "samples", np.linspace(self.d_min, self.d_max, self.count)
         )
@@ -221,17 +222,6 @@ def _pixel_grid(height: int, width: int):
     return gx.astype(np.float64), gy.astype(np.float64)
 
 
-def _row_range(rows, height: int) -> tuple:
-    """``rows`` as (top, bottom) with 0 <= top < bottom <= height; None
-    means every row."""
-    if rows is None:
-        return 0, height
-    top, bottom = (int(r) for r in rows)
-    if not 0 <= top < bottom <= height:
-        raise ValueError(f"rows {rows!r} are not a range of rows of {height}")
-    return top, bottom
-
-
 def _rays(cam: CameraView, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """K^-1 @ (x, y, 1) at float pixel coordinates (xs, ys), one component
     at a time, on a new last axis; z-component exactly 1."""
@@ -242,14 +232,9 @@ def _rays(cam: CameraView, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return rays
 
 
-def view_rays(cam: CameraView, height: int, width: int, rows=None) -> np.ndarray:
-    """Backprojected ray per pixel, K^-1 @ (x, y, 1); z-component exactly 1.
-
-    ``rows`` = (top, bottom) limits the rays to those rows of the
-    (height, width) grid; each ray has the same bits as in the whole grid.
-    """
-    top, bottom = _row_range(rows, height)
-    return _rays(cam, *(g[top:bottom] for g in _pixel_grid(height, width)))
+def view_rays(cam: CameraView, height: int, width: int) -> np.ndarray:
+    """Backprojected ray per pixel, K^-1 @ (x, y, 1); z-component exactly 1."""
+    return _rays(cam, *_pixel_grid(height, width))
 
 
 # Tolerance band on the bounds test: coordinates that land on an image
@@ -363,28 +348,39 @@ class ViewPair:
     z_row: np.ndarray
     z_off: float
 
+    def band(self, top: int, bottom: int) -> "ViewPair":
+        """The record over the grid's target rows [top, bottom), which lie
+        within this record's rows (else ValueError): a row view of ``a``."""
+        first, last = self.rows
+        if not first <= top < bottom <= last:
+            raise ValueError(f"rows ({top}, {bottom}) lie outside the record's "
+                             f"rows {self.rows}")
+        return replace(self, rows=(top, bottom),
+                       a=self.a[:, top - first:bottom - first])
+
 
 def pair_coefficients(target: CameraView, source: CameraView, height: int,
-                      width: int, rows=None) -> ViewPair:
-    """The `ViewPair` record of (target, source) on a (height, width) grid,
-    over the target rows ``rows`` = (top, bottom), by default all of them.
-
-    A record over some rows holds the bits of the whole-grid record's rows.
-    """
-    rows = _row_range(rows, height)
+                      width: int) -> ViewPair:
+    """The `ViewPair` record of (target, source) over every row of a
+    (height, width) grid."""
     r_ts, t_ts = relative_motion(target, source)
-    rays = view_rays(target, height, width, rows)
-    a = rays @ (source.intrinsics @ r_ts).T
+    a = view_rays(target, height, width) @ (source.intrinsics @ r_ts).T
     r_st, t_st = relative_motion(source, target)
     return ViewPair(
         grid=(height, width),
-        rows=rows,
+        rows=(0, height),
         same=same_camera(target, source),
         a=np.ascontiguousarray(np.moveaxis(a, -1, 0)),
         b=source.intrinsics @ t_ts,
         z_row=r_st[2] @ intrinsics_inverse(source.intrinsics),
         z_off=t_st[2],
     )
+
+
+def pair_records(cams, grid) -> dict:
+    """The `ViewPair` record of every ordered pair (t, s) of ``cams`` on ``grid``."""
+    return {(t, s): pair_coefficients(cams[t], cams[s], *grid)
+            for t in range(len(cams)) for s in range(len(cams)) if t != s}
 
 
 def sampling_chain(pair: ViewPair, target_depth_values):

@@ -74,9 +74,12 @@ class SolverConfig:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
+        for name, least in (("max_outer_iters", 0),
+                            ("inner_steps_per_mask_update", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         # written as `not x > 0` so that NaN fails every check
-        if not (self.max_outer_iters >= 0 and self.inner_steps_per_mask_update >= 1):
-            raise ValueError("iteration counts must be sensible")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
         if not self.temperature > 0:
@@ -108,19 +111,32 @@ def _sweep_reference(views, feats, ref: int, hypotheses: DepthHypotheses,
                      temperature: float) -> DepthMap:
     """The depth map of reference view ``ref``, swept in bands of rows.
 
+    Its whole-grid `geometry.ViewPair` records serve its NoParallax check
+    and, as row views, every band.
     Cost, smoothing and regression are independent per row apart from the
     3x3x3 smoothing window, so each band's volume carries one halo row on
     either side (clipped at the image edges) and keeps only its own rows:
     the depths equal the whole-image sweep's bit for bit.
     """
     h, w = feats[ref].shape[1:]
+    pairs = {(ref, s): geometry.pair_coefficients(views[ref], source, h, w)
+             for s, source in enumerate(views) if s != ref}
+    moved = max(_largest_parallax(pair, hypotheses) for pair in pairs.values())
+    if moved < MIN_PARALLAX_PX:
+        raise NoParallax(
+            f"view {ref}: no other camera moves any of its pixels by "
+            f"{MIN_PARALLAX_PX:g} px over the depth range "
+            f"[{hypotheses.d_min:g}, {hypotheses.d_max:g}]; the largest "
+            f"displacement is {moved:.3g} px, so its depth cannot be "
+            "estimated")
     band = max(1, SWEEP_BAND_BYTES // (hypotheses.count * w * 8))
     values = np.empty((h, w))
     valid = np.empty((h, w), dtype=bool)
     for top in range(0, h, band):
         bottom = min(top + band, h)
         lo, hi = max(0, top - 1), min(h, bottom + 1)
-        vol = volume.build_cost_volume(views, feats, ref, hypotheses, (lo, hi))
+        band_pairs = {key: pair.band(lo, hi) for key, pair in pairs.items()}
+        vol = volume.build_cost_volume(band_pairs, feats, ref, hypotheses)
         vol = volume.smooth_cost_volume(vol)
         depth = volume.regress_depth(vol, temperature)[0]
         del vol  # the next band's sweep holds no volume of this one
@@ -129,15 +145,13 @@ def _sweep_reference(views, feats, ref: int, hypotheses: DepthHypotheses,
     return DepthMap(values, valid)
 
 
-def _largest_parallax(target, source, hypotheses: DepthHypotheses) -> float:
+def _largest_parallax(pair: geometry.ViewPair, hypotheses: DepthHypotheses) -> float:
     """The largest distance, in source pixels, between where a target pixel
     lands at ``d_min`` and at ``d_max``, over the pixels in front of the
     source camera at both depths; 0 for a source at the target's centre."""
-    pair = geometry.pair_coefficients(target, source, *target.image.shape[:2])
     x0, y0, front0 = geometry.sampling_chain(pair, hypotheses.d_min)
     x1, y1, front1 = geometry.sampling_chain(pair, hypotheses.d_max)
-    moved = np.hypot(x1 - x0, y1 - y0)[front0 & front1]
-    return float(moved.max()) if moved.size else 0.0
+    return float(np.hypot(x1 - x0, y1 - y0)[front0 & front1].max(initial=0.0))
 
 
 def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
@@ -152,25 +166,15 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
 
     The views are checked first, as a loss evaluation checks them: at least
     two, each with an image of one shape, errors naming the view at fault.
-    A reference view raises NoParallax naming it and its largest
-    displacement when no source camera moves any of its pixels by
-    `MIN_PARALLAX_PX` or more over the hypothesis range (a source at its
+    Just before its sweep, a reference view raises NoParallax naming it and
+    its largest displacement when no source camera moves any of its pixels
+    by `MIN_PARALLAX_PX` or more over the hypothesis range (a source at its
     centre moves none): its costs barely change with the hypothesis. The
     first reference view without a single valid depth raises EmptySweep
     naming it: no second view sees any of its pixels at any hypothesis, so
     the range misses the scene.
     """
     consistency._check_views(views, "initialization")
-    for ref, target in enumerate(views):
-        moved = max(_largest_parallax(target, source, hypotheses)
-                    for s, source in enumerate(views) if s != ref)
-        if moved < MIN_PARALLAX_PX:
-            raise NoParallax(
-                f"view {ref}: no other camera moves any of its pixels by "
-                f"{MIN_PARALLAX_PX:g} px over the depth range "
-                f"[{hypotheses.d_min:g}, {hypotheses.d_max:g}]; the largest "
-                f"displacement is {moved:.3g} px, so its depth cannot be "
-                "estimated")
     feats = [volume.extract_features(v.image) for v in views]
     depths = []
     for ref in range(len(views)):

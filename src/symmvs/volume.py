@@ -2,18 +2,17 @@
 
 Features are fixed (non-learned) image statistics. For every depth
 hypothesis, all non-reference feature maps are warped into the reference
-view through the refinement's sampling: one `geometry.pair_coefficients`
-record per source view, read by `geometry.pair_sampling` at each constant
-hypothesis depth. The reference's own features join the group, and the
-per-pixel matching cost is the channel-averaged population variance across
-the contributing views. A validity-aware 3x3x3 box filter stands in for
-learned regularization, and the depth is read out as the softmax-weighted
-expectation over hypotheses.
+view by the refinement's sampling of the caller's `geometry.ViewPair`
+records; this module reads no camera. The reference's own features join
+the group, and the per-pixel matching cost is the channel-averaged
+population variance across the contributing views. A validity-aware
+3x3x3 box filter stands in for learned regularization, and the depth is
+read out as the softmax-weighted expectation over hypotheses.
 
-`build_cost_volume` sweeps a range of reference rows, by default all of
-them; `solver.init_depths` sweeps each reference view in horizontal bands
-of rows, so a volume here is a band's (D, rows, W) unless the whole
-image's volume fits the band budget.
+`build_cost_volume` sweeps the reference rows its records cover;
+`solver.init_depths` sweeps each reference view in horizontal bands of
+rows, so a volume here is a band's (D, rows, W) unless the whole image's
+volume fits the band budget.
 
 What each stage holds at the size (D, rows, W) of its volume, beyond its
 input:
@@ -21,14 +20,13 @@ input:
   per entry. Every view's channel-first (F, H, W) features, as
   `extract_features` returns them, are checked for finite values once per
   call and reshaped to (F, H*W), a view of such contiguous arrays, not a
-  copy; the pair records cover the band's rows only. Per hypothesis and
-  source view, the pair's sampling flags the samples in front of the
-  source camera and in bounds, and each of its four bilinear corners is
-  one gather along the whole source image's pixel axis; the gathers, the
-  pairwise variance and the count of contributing views (as
-  ``np.min_scalar_type(n_views)``, one byte up to 255 views) write into
-  (F, rows, W) and (rows, W) buffers allocated once per call. A source's
-  sampling is dropped before the next source samples.
+  copy. Per hypothesis and source view, the pair's sampling flags the
+  samples in front of the source camera and in bounds, and each of its
+  four bilinear corners is one gather along the whole source image's
+  pixel axis; the gathers, the pairwise variance and the count of
+  contributing views (as ``np.min_scalar_type(n_views)``, one byte up to
+  255 views) write into (F, rows, W) and (rows, W) buffers allocated once
+  per call. A source's sampling is dropped before the next source samples.
 - `smooth_cost_volume`: its output cost and validity. It streams over
   depth slices, adds each slice's two depth neighbours to it and sums its
   3x3 windows with `autodiff.box_sum3`, so an output carries only the
@@ -108,22 +106,23 @@ def _resample(flat_src, pair, depth: float, out, tap):
     return ok
 
 
-def build_cost_volume(views, features, ref: int,
-                      hyp: geometry.DepthHypotheses, rows=None) -> CostVolume:
+def build_cost_volume(pairs, features, ref: int,
+                      hyp: geometry.DepthHypotheses) -> CostVolume:
     """Sweep depth hypotheses and score cross-view feature agreement.
 
-    ``rows`` = (top, bottom) limits the volume to those reference rows, by
-    default all of them; each entry has the bits of the whole-image
-    volume's entry. Sources are sampled over their whole images.
-    The population variance is accumulated from pairwise squared
+    ``pairs[ref, s]`` is the `geometry.ViewPair` record of every source s
+    (`geometry.pair_records`), or its row view (`ViewPair.band`): the
+    volume covers the records' rows, and each entry has the bits of the
+    whole-image volume's entry. Sources are sampled over their whole
+    images. The population variance is accumulated from pairwise squared
     differences, so identical contributions give exactly zero cost.
     ``features`` holds one channel-first (F, H, W) array per view, F >= 1,
     as `extract_features` returns them. Raises ShapeMismatch naming the
     first view whose features are not 3-D or differ in shape from the
-    reference's, and NonFiniteValue naming the first view whose features
-    are not finite.
+    reference's or pair whose record is off their grid or the first's rows,
+    and NonFiniteValue naming the first view whose features are not finite.
     """
-    n_views = len(views)
+    n_views = len(features)
     if n_views < 2:
         raise TooFewViews("cost volume needs at least two views")
     if not 0 <= ref < n_views:
@@ -145,9 +144,12 @@ def build_cost_volume(views, features, ref: int,
         flat.append(vals.reshape(n_feat, h * w))
 
     others = [v for v in range(n_views) if v != ref]
-    pairs = {src: geometry.pair_coefficients(views[ref], views[src], h, w, rows)
-             for src in others}
-    top, bottom = pairs[others[0]].rows
+    records = {src: pairs[ref, src] for src in others}
+    top, bottom = records[others[0]].rows
+    for src, pair in records.items():
+        if (pair.grid, pair.rows) != ((h, w), (top, bottom)):
+            raise ShapeMismatch(f"pair ({ref}, {src}) record covers rows {pair.rows} "
+                                f"of {pair.grid}, not {(top, bottom)} of {(h, w)}")
     ref_vals = flat[ref].reshape(n_feat, h, w)[:, top:bottom]
     band = (bottom - top, w)
 
@@ -167,7 +169,7 @@ def build_cost_volume(views, features, ref: int,
         # the reference is valid everywhere; its mask stays implicit (None)
         group = [(ref_vals, None)]
         for src in others:
-            ok = _resample(flat[src], pairs[src], float(depth), warped[src], tap)
+            ok = _resample(flat[src], records[src], float(depth), warped[src], tap)
             group.append((warped[src], ok))
 
         count.fill(1)

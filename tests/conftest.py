@@ -9,6 +9,7 @@ from symmvs import (
     PlanePrimitive,
     SceneSpec,
     compute_all_masks,
+    pair_records,
     render_scene,
 )
 from symmvs.consistency import SceneState
@@ -17,6 +18,13 @@ from symmvs.consistency import SceneState
 # variance scale here, so the expectation needs a sharp softmax. The
 # library's default, `volume.DEFAULT_TEMPERATURE`, has this value.
 DESK_TEMPERATURE = 3e-6
+
+
+def records(views, rows=None):
+    """Every ordered pair's `geometry.ViewPair` record of ``views`` on their
+    image grid, or its row view over ``rows`` = (top, bottom)."""
+    pairs = pair_records(views, views[0].image.shape[:2])
+    return pairs if rows is None else {k: p.band(*rows) for k, p in pairs.items()}
 
 
 def make_camera(center_x, f=55.0, width=64, height=48, center=None):

@@ -34,7 +34,8 @@ from symmvs import consistency, geometry
 from symmvs.cli import main as cli_main
 from symmvs.solver import SolverConfig, SolverState, loss_gradient
 
-from conftest import DESK_TEMPERATURE, median_abs_error, noisy_depths, scene_state
+from conftest import (DESK_TEMPERATURE, median_abs_error, noisy_depths, records,
+                      scene_state)
 
 
 @contextmanager
@@ -120,7 +121,7 @@ def test_criterion_03_cost_volume_sanity(plane_scene):
 
         start = time.monotonic()
         feats = [extract_features(v.image) for v in views]
-        vol = build_cost_volume(views, feats, 1, hyp)
+        vol = build_cost_volume(records(views), feats, 1, hyp)
         arg = np.argmin(np.where(vol.valid, vol.cost, np.inf), axis=0)
         interior = np.zeros(arg.shape, bool)
         interior[2:-2, 14:-14] = True

@@ -393,6 +393,21 @@ class TestBundle:
         assert type(info.value) is ValueError
         assert str(info.value).startswith(f"{cam_path}: {message}")
 
+    def test_differing_depth_range_names_file_and_ranges(self, tmp_path,
+                                                         plane_scene):
+        # one range serves every view; the first camera file's used to win
+        views = plane_scene["views"]
+        out = tmp_path / "bundle"
+        write_bundle(out, views, 1.8, 0.05)
+        cam = views[2]
+        cam_path = out / "view_0002_cam.txt"
+        write_camera(cam_path, cam.intrinsics, cam.rotation, cam.translation,
+                     1.8, 0.04)
+        with pytest.raises(ParseError, match=(
+                rf"^{re.escape(str(cam_path))}: depth range 1\.8 0\.04 differs "
+                r"from view_0000_cam\.txt's 1\.8 0\.05$")):
+            load_bundle(out)
+
     def test_mismatched_image_size_names_file_and_shapes(self, tmp_path,
                                                          plane_scene):
         views = plane_scene["views"]

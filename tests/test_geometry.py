@@ -33,7 +33,7 @@ from _oracles import (
     warp_depth_values_unshared,
     where_mask,
 )
-from conftest import make_camera, same_bytes
+from conftest import make_camera, records, same_bytes
 
 
 def random_camera(rng, width=64, height=48):
@@ -443,9 +443,15 @@ def test_pair_record_over_rows_holds_the_whole_records_rows(plane_scene, source,
     h, w = gt[0].values.shape
     top, bottom = rows
     whole = geometry.pair_coefficients(views[0], views[source], h, w)
-    band = geometry.pair_coefficients(views[0], views[source], h, w, rows)
+    band = whole.band(top, bottom)
+    assert whole.rows == (0, h)
     assert band.rows == rows and band.grid == (h, w) and band.same == whole.same
+    assert np.shares_memory(band.a, whole.a)
     assert np.array_equal(band.a, whole.a[:, top:bottom])
+    # a band of a band takes rows of the grid too
+    outer = whole.band(max(0, top - 1), bottom)
+    assert outer.band(top, bottom).rows == rows
+    assert np.array_equal(outer.band(top, bottom).a, band.a)
     for depth in (gt[0].values, 2.4):
         band_depth = depth if np.isscalar(depth) else depth[top:bottom]
         got = geometry.pair_sampling(band, band_depth, True)
@@ -463,8 +469,12 @@ def test_pair_record_over_rows_holds_the_whole_records_rows(plane_scene, source,
 @pytest.mark.parametrize("rows", [(0, 0), (5, 3), (-1, 4), (0, 49)])
 def test_pair_record_rejects_rows_outside_the_grid(plane_scene, rows):
     views = plane_scene["views"]
+    whole = geometry.pair_coefficients(views[0], views[1], 48, 64)
     with pytest.raises(ValueError, match="rows"):
-        geometry.pair_coefficients(views[0], views[1], 48, 64, rows)
+        whole.band(*rows)
+    # a band's row view must lie within the band's rows
+    with pytest.raises(ValueError, match=r"record's rows \(10, 20\)"):
+        whole.band(10, 20).band(9, 15)
 
 
 @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
@@ -586,7 +596,7 @@ def _chain_consumers(views, rng):
     (vals * g).sum().backward()
     out += [vals.value, ok, s_leaf.grad, t_leaf.grad]
     feats = [extract_features(v.image) for v in views]
-    vol = build_cost_volume(views, feats, 0, DepthHypotheses(1.5, 2.5, 8))
+    vol = build_cost_volume(records(views), feats, 0, DepthHypotheses(1.5, 2.5, 8))
     out += [vol.cost, vol.valid]
     return out
 

@@ -1,5 +1,6 @@
 """The package imports only the standard library, numpy, scipy and itself,
-and keeps the sampling primitives inside the modules that own them."""
+keeps the sampling primitives inside the modules that own them, and builds
+camera records in `geometry` only."""
 
 import ast
 import os
@@ -61,6 +62,19 @@ def test_sampling_primitives_stay_in_geometry_and_autodiff():
         for line, name in referenced_names(path)
         if name in SAMPLING_PRIMITIVES
     ]
+    assert leaks == []
+
+
+# Only `geometry` turns cameras into `ViewPair` records; the sweep reads the
+# records its caller built and no camera.
+CAMERA_API = {"pair_coefficients", "pair_records", "view_rays", "relative_motion",
+              "CameraView"}
+
+
+def test_volume_references_no_camera_api():
+    leaks = [f"volume.py:{line}: {name}"
+             for line, name in referenced_names(PACKAGE / "volume.py")
+             if name in CAMERA_API]
     assert leaks == []
 
 

@@ -35,14 +35,14 @@ from symmvs import (
     run_pipeline,
     total_loss,
 )
-from symmvs import photometry, solver, volume
+from symmvs import geometry, photometry, solver, volume
 from symmvs.consistency import OcclusionMask, _evaluate
 from symmvs.errors import EmptySweep, NoParallax, ShapeMismatch, TooFewViews
 from symmvs.solver import SolverConfig, SolverState
 
 from _oracles import smoothness_gradient_flat_image
 from conftest import (DESK_TEMPERATURE, make_camera, median_abs_error, noisy_depths,
-                      same_bytes)
+                      records, same_bytes)
 
 
 def whole_image_depths(views, hyp):
@@ -51,7 +51,7 @@ def whole_image_depths(views, hyp):
     feats = [volume.extract_features(v.image) for v in views]
     depths = []
     for ref in range(len(views)):
-        vol = volume.build_cost_volume(views, feats, ref, hyp)
+        vol = volume.build_cost_volume(records(views), feats, ref, hyp)
         vol = volume.smooth_cost_volume(vol)
         depths.append(volume.regress_depth(vol, DESK_TEMPERATURE)[0])
     return depths
@@ -62,9 +62,9 @@ def record_builds(monkeypatch):
     builds = []
     build = volume.build_cost_volume
 
-    def recording(views, feats, ref, hyp, rows=None):
-        builds.append((ref, rows))
-        return build(views, feats, ref, hyp, rows)
+    def recording(pairs, feats, ref, hyp):
+        builds.append((ref, next(iter(pairs.values())).rows))
+        return build(pairs, feats, ref, hyp)
 
     monkeypatch.setattr(volume, "build_cost_volume", recording)
     return builds
@@ -242,6 +242,30 @@ class TestInitDepths:
         for g, e in zip(got, want):
             assert same_bytes(g.values, e.values) and same_bytes(g.valid, e.valid)
         assert same_bytes(got[0].values, got[1].values)
+
+    @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
+    def test_each_ordered_pair_record_is_built_once(self, request, scene,
+                                                    monkeypatch):
+        # three bands of 16 rows: a reference's parallax check and every
+        # band of its sweep read its whole-grid records (each pair's record
+        # was built four times: for the check and once per band)
+        views = request.getfixturevalue(scene)["views"]
+        hyp = DepthHypotheses(1.5, 4.0, 16)
+        h, w = views[0].image.shape[:2]
+        builds = sweep_in_bands(monkeypatch, h // 3, hyp, w)
+        built = []
+        coefficients = geometry.pair_coefficients
+        index = {id(v): k for k, v in enumerate(views)}
+
+        def counting(target, source, *grid):
+            built.append((index[id(target)], index[id(source)]))
+            return coefficients(target, source, *grid)
+
+        monkeypatch.setattr(geometry, "pair_coefficients", counting)
+        init_depths(views, hyp, DESK_TEMPERATURE)
+        n = len(views)
+        assert len(builds) == 3 * n
+        assert sorted(built) == [(t, s) for t in range(n) for s in range(n) if t != s]
 
     def test_sweep_memory_stays_near_two_volumes(self, occluder_scene):
         # one float volume at 3 views, 96x128, 32 hypotheses is 3 MiB; the
@@ -755,6 +779,32 @@ def _flat_volume():
 def test_nan_parameter_is_rejected(plane_scene, call):
     with pytest.raises(ValueError, match=r"must be (positive|non-negative)$"):
         call(plane_scene)
+
+
+@pytest.mark.parametrize("field, call", [
+    ("max_outer_iters", lambda hyp: SolverConfig(hyp, max_outer_iters=2.5)),
+    ("max_outer_iters", lambda hyp: SolverConfig(hyp, max_outer_iters=3.0)),
+    ("max_outer_iters", lambda hyp: SolverConfig(hyp, max_outer_iters=-1)),
+    ("inner_steps_per_mask_update",
+     lambda hyp: SolverConfig(hyp, inner_steps_per_mask_update=1.5)),
+    ("inner_steps_per_mask_update",
+     lambda hyp: SolverConfig(hyp, inner_steps_per_mask_update=0)),
+    ("count", lambda hyp: DepthHypotheses(1.0, 2.0, 2.5)),
+    ("count", lambda hyp: DepthHypotheses(1.0, 2.0, "4")),
+    ("count", lambda hyp: DepthHypotheses(1.0, 2.0, 1)),
+])
+def test_bad_count_is_rejected_naming_its_field(plane_scene, field, call):
+    # a fractional count used to pass, and `range()` raised a bare TypeError
+    # only once `refine` reached it
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= \d, got "):
+        call(plane_scene["hyp"])
+
+
+def test_numpy_integer_counts_are_accepted(plane_scene):
+    config = SolverConfig(plane_scene["hyp"], max_outer_iters=np.int64(2),
+                          inner_steps_per_mask_update=np.int32(3))
+    assert config.max_outer_iters == 2
+    assert DepthHypotheses(1.0, 2.0, np.int64(5)).samples.shape == (5,)
 
 
 @pytest.mark.parametrize("n_views, n_depths", [(3, 2), (2, 3)])

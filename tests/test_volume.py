@@ -10,6 +10,7 @@ from symmvs import (
     DepthHypotheses,
     build_cost_volume,
     extract_features,
+    pair_records,
     regress_depth,
     smooth_cost_volume,
 )
@@ -24,7 +25,7 @@ from _oracles import (
     regress_depth_whole,
     smooth_cost_volume_whole,
 )
-from conftest import DESK_TEMPERATURE, make_camera
+from conftest import DESK_TEMPERATURE, make_camera, records
 
 
 def gray_features(view):
@@ -63,14 +64,15 @@ class TestBuildCostVolume:
     def test_identical_views_give_exactly_zero_cost(self):
         views, feats = self.identical_views()
         hyp = DepthHypotheses(1.0, 2.0, 5)
-        vol = build_cost_volume(views, feats, 0, hyp)
+        vol = build_cost_volume(records(views), feats, 0, hyp)
         assert (vol.cost == 0.0).all()
         assert vol.valid.all()
 
     @pytest.mark.parametrize("rows", [(0, 5), (5, 12), (11, 12)])
     def test_identical_views_give_exactly_zero_cost_over_rows(self, rows):
         views, feats = self.identical_views()
-        vol = build_cost_volume(views, feats, 0, DepthHypotheses(1.0, 2.0, 5), rows)
+        vol = build_cost_volume(records(views, rows), feats, 0,
+                                DepthHypotheses(1.0, 2.0, 5))
         assert vol.cost.shape == (5, rows[1] - rows[0], 16)
         assert (vol.cost == 0.0).all()
         assert vol.valid.all()
@@ -83,16 +85,17 @@ class TestBuildCostVolume:
         feats = [extract_features(v.image) for v in views]
         h = views[0].image.shape[0]
         for ref in range(len(views)):
-            whole = build_cost_volume(views, feats, ref, hyp)
+            whole = build_cost_volume(records(views), feats, ref, hyp)
             for top, bottom in ((0, 7), (7, h - 5), (h - 5, h), (0, h)):
-                band = build_cost_volume(views, feats, ref, hyp, (top, bottom))
+                band = build_cost_volume(records(views, (top, bottom)), feats, ref,
+                                         hyp)
                 for got, want in ((band.cost, whole.cost), (band.valid, whole.valid)):
                     assert same_bits(got, np.ascontiguousarray(want[:, top:bottom]))
 
     def test_true_depth_wins_argmin_on_interior(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
         feats = [extract_features(v.image) for v in views]
-        vol = build_cost_volume(views, feats, 1, hyp)
+        vol = build_cost_volume(records(views), feats, 1, hyp)
         am = np.argmin(np.where(vol.valid, vol.cost, np.inf), axis=0)
         interior = np.zeros(am.shape, bool)
         interior[2:-2, 14:-14] = True
@@ -108,14 +111,14 @@ class TestBuildCostVolume:
                          np.eye(3), np.array([-50.0, 0.0, 0.0]), img)
         feats = [gray_features(v) for v in (near, far)]
         hyp = DepthHypotheses(0.5, 1.0, 3)
-        vol = build_cost_volume([near, far], feats, 0, hyp)
+        vol = build_cost_volume(records([near, far]), feats, 0, hyp)
         # the second camera is 50 units off axis: every warp misses it
         assert not vol.valid.any()
 
     def test_variance_matches_brute_force(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
         feats = [gray_features(v) for v in views]
-        vol = build_cost_volume(views, feats, 0, hyp)
+        vol = build_cost_volume(records(views), feats, 0, hyp)
         # spot-check a few cells against the direct per-view resampling
         from symmvs import plane_homography, warp_field_from_homography, bilinear_sample
         rng = np.random.default_rng(3)
@@ -139,10 +142,10 @@ class TestBuildCostVolume:
     def test_permutation_invariance(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
         feats = [extract_features(v.image) for v in views]
-        vol_a = build_cost_volume(views, feats, 0, hyp)
+        vol_a = build_cost_volume(records(views), feats, 0, hyp)
         perm_views = [views[0], views[2], views[1]]
         perm_feats = [feats[0], feats[2], feats[1]]
-        vol_b = build_cost_volume(perm_views, perm_feats, 0, hyp)
+        vol_b = build_cost_volume(records(perm_views), perm_feats, 0, hyp)
         assert np.abs(vol_a.cost - vol_b.cost).max() < 1e-12
 
     @pytest.mark.parametrize("features", [
@@ -158,7 +161,7 @@ class TestBuildCostVolume:
         hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
         feats = [features(v) for v in views]
         for ref in range(len(views)):
-            vol = build_cost_volume(views, feats, ref, hyp)
+            vol = build_cost_volume(records(views), feats, ref, hyp)
             cost, valid = cost_volume_loop(views, feats, ref, hyp)
             assert np.array_equal(vol.cost, cost)
             assert np.array_equal(vol.valid, valid)
@@ -170,14 +173,14 @@ class TestBuildCostVolume:
         feats[bad_view] = feats[bad_view].copy()
         feats[bad_view][1, 10, 20] = np.nan
         with pytest.raises(NonFiniteValue, match=f"view {bad_view} "):
-            build_cost_volume(views, feats, 1, hyp)
+            build_cost_volume(records(views), feats, 1, hyp)
 
     def test_feature_shape_mismatch(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
         feats = [extract_features(v.image) for v in views]
         feats[2] = gray_features(views[2])
         with pytest.raises(ShapeMismatch, match="view 2 "):
-            build_cost_volume(views, feats, 0, hyp)
+            build_cost_volume(records(views), feats, 0, hyp)
 
     @pytest.mark.parametrize("bad_view", [0, 2])
     @pytest.mark.parametrize("bad", [
@@ -190,7 +193,7 @@ class TestBuildCostVolume:
         feats = [extract_features(v.image) for v in views]
         feats[bad_view] = bad(feats[bad_view])
         with pytest.raises(ShapeMismatch, match=f"^features of view {bad_view} "):
-            build_cost_volume(views, feats, 0, hyp)
+            build_cost_volume(records(views), feats, 0, hyp)
 
     def test_features_are_read_without_a_copy(self, plane_scene, monkeypatch):
         # each view's (3, H, W) stack is reshaped to (3, H*W) as a view: every
@@ -201,15 +204,31 @@ class TestBuildCostVolume:
         take = np.take
         monkeypatch.setattr(np, "take", lambda a, *args, **kw: (
             read.append(a), take(a, *args, **kw))[1])
-        build_cost_volume(views, feats, 0, DepthHypotheses(2.0, 3.0, 2))
+        build_cost_volume(records(views), feats, 0, DepthHypotheses(2.0, 3.0, 2))
         assert read and all(any(np.shares_memory(a, f) for f in feats[1:])
                             for a in read)
+
+    def test_records_off_the_grid_or_the_rows_name_the_pair(self, plane_scene):
+        views, hyp = plane_scene["views"], plane_scene["hyp"]
+        feats = [extract_features(v.image) for v in views]
+        # a record over other rows than the first, or built for another grid,
+        # whose bilinear taps would index the features at the wrong pixels
+        pairs = records(views)
+        pairs[0, 2] = pairs[0, 2].band(0, 20)
+        message = (r"^pair \(0, 2\) record covers rows \(0, 20\) of \(48, 64\), "
+                   r"not \(0, 48\) ")
+        with pytest.raises(ShapeMismatch, match=message):
+            build_cost_volume(pairs, feats, 0, hyp)
+        message = (r"^pair \(1, 0\) record covers rows .* of \(24, 32\), "
+                   r"not .* of \(48, 64\)$")
+        with pytest.raises(ShapeMismatch, match=message):
+            build_cost_volume(pair_records(views, (24, 32)), feats, 1, hyp)
 
     def test_too_few_views(self, plane_scene):
         views = plane_scene["views"][:1]
         feats = [extract_features(views[0].image)]
         with pytest.raises(TooFewViews):
-            build_cost_volume(views, feats, 0, plane_scene["hyp"])
+            build_cost_volume(records(views), feats, 0, plane_scene["hyp"])
 
 
 def same_bits(a, b):
@@ -398,7 +417,7 @@ def test_sweep_stages_match_whole_volume_forms_on_scenes(request, scene):
     hyp = sc.get("hyp", DepthHypotheses(1.5, 4.0, 16))
     feats = [extract_features(v.image) for v in views]
     for ref in range(len(views)):
-        vol = build_cost_volume(views, feats, ref, hyp)
+        vol = build_cost_volume(records(views), feats, ref, hyp)
         smoothed = smooth_cost_volume(vol)
         cost, ok = smooth_cost_volume_whole(vol)
         assert same_bits(smoothed.cost, cost) and same_bits(smoothed.valid, ok)
@@ -412,7 +431,7 @@ def test_sweep_stages_match_whole_volume_forms_on_scenes(request, scene):
 def test_smoothed_regression_accuracy_on_plane(plane_scene):
     views, hyp, z0 = plane_scene["views"], plane_scene["hyp"], plane_scene["z0"]
     feats = [extract_features(v.image) for v in views]
-    vol = build_cost_volume(views, feats, 1, hyp)
+    vol = build_cost_volume(records(views), feats, 1, hyp)
     vol = smooth_cost_volume(vol)
     depth, _ = regress_depth(vol, DESK_TEMPERATURE)
     gt = plane_scene["gt"][1]
