@@ -1,21 +1,19 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A small tape: `Var` arithmetic, slicing and sums, 3x3 box sums, bilinear
-sampling with gradients to both the sampled image and the sampling
-coordinates, and `fused`, which records a whole formula as one node.
+A tape of two kinds of node: leaves, the depth maps a gradient is taken
+with respect to, and `fused` nodes, each a whole formula recorded as one
+node. Its forward pass is the plain numpy expression, the same code and
+order as without a `Var`, so a loss value has the same bits with and
+without gradients; its VJP is derived by hand. `box_sum3` and `bilinear`,
+the 3x3 box sum and bilinear sampling with gradients to both the sampled
+image and the sampling coordinates, are `fused` nodes too. A `Var` has no
+arithmetic: a formula combines plain arrays and wraps the result in
+`fused`.
 
-Every loss formula on the gradient path is one `fused` node: its forward
-pass is the plain numpy expression, the same code and order as without a
-Var, so a loss value has the same bits with and without gradients; its VJP
-is derived by hand. A node's value and what its VJP keeps stay alive until
-the backward pass, and op by op one gradient evaluation kept 1,264 nodes
-and 24.7 MB of values at 64x48 with 3 views (2,799 nodes and 54.6 MB with
-4), where a 48x64 array op whose result is kept costs about 10.8 us
-against 3.3 us for one whose memory is reused (a shared 2-vCPU VM, one
-BLAS thread). As single nodes, the
-formulas keep 145 nodes and 1.9 MB (303 and 3.9 MB with 4 views). `Var`
-arithmetic stays for the few scalar sums that assemble the loss, and for
-the op-by-op compositions that tests check each formula against.
+The loss total is one `fused` node over its terms (see
+`consistency._evaluate`): the objective is a fixed weighted sum, so its
+VJP seeds each term with the term's weight, and the backward pass starts
+from there.
 
 `Var.backward` adds a node's second gradient contribution into a fresh
 buffer that the node then owns, and later ones into that buffer in place.
@@ -33,8 +31,8 @@ their plain forms, bit for bit, with less memory traffic and fewer calls:
   weight once; `bilinear` reads the corners with ``np.take`` and takes
   precomputed taps from a caller that already needed them.
 
-`fused`, `box_sum3` and `bilinear` fall back to plain numpy when no ``Var``
-is involved, so the formulas are written once for both paths.
+`fused`, `box_sum3` and `bilinear` return plain numpy when no ``Var`` is
+involved, so the formulas are written once for both paths.
 """
 
 from __future__ import annotations
@@ -53,26 +51,13 @@ __all__ = [
 ]
 
 
-def _unbroadcast(grad, shape):
-    """Sum a gradient down to the shape of the operand it belongs to."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Var:
-    """Array node of a reverse-mode graph."""
+    """Node of a reverse-mode graph: a leaf, or a `fused` formula."""
 
     __slots__ = ("value", "grad", "_parents", "_vjp")
 
-    # Keep numpy from absorbing Var operands into object arrays; binary ops
-    # with ndarrays then dispatch to the reflected Var operators.
+    # Keep numpy from absorbing a Var into an object array: arithmetic
+    # with a Var operand raises TypeError instead.
     __array_ufunc__ = None
 
     def __init__(self, value, _parents=(), _vjp=None):
@@ -80,16 +65,6 @@ class Var:
         self.grad = None
         self._parents = _parents
         self._vjp = _vjp
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    # -- graph ----------------------------------------------------------
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into ``.grad`` across the graph."""
@@ -130,100 +105,6 @@ class Var:
                 else:
                     parent.grad = parent.grad + contrib
                     owned.add(id(parent))
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Var):
-            sa, sb = self.value.shape, other.value.shape
-            return Var(
-                self.value + other.value,
-                (self, other),
-                lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
-            )
-        c = np.asarray(other, dtype=np.float64)
-        s = self.value.shape
-        return Var(self.value + c, (self,), lambda g: (_unbroadcast(g, s),))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Var):
-            sa, sb = self.value.shape, other.value.shape
-            return Var(
-                self.value - other.value,
-                (self, other),
-                lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
-            )
-        c = np.asarray(other, dtype=np.float64)
-        s = self.value.shape
-        return Var(self.value - c, (self,), lambda g: (_unbroadcast(g, s),))
-
-    def __rsub__(self, other):
-        c = np.asarray(other, dtype=np.float64)
-        s = self.value.shape
-        return Var(c - self.value, (self,), lambda g: (_unbroadcast(-g, s),))
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            va, vb = self.value, other.value
-            sa, sb = va.shape, vb.shape
-            return Var(
-                va * vb,
-                (self, other),
-                lambda g: (_unbroadcast(g * vb, sa), _unbroadcast(g * va, sb)),
-            )
-        c = np.asarray(other, dtype=np.float64)
-        s = self.value.shape
-        return Var(self.value * c, (self,), lambda g: (_unbroadcast(g * c, s),))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            va, vb = self.value, other.value
-            sa, sb = va.shape, vb.shape
-            return Var(
-                va / vb,
-                (self, other),
-                lambda g: (
-                    _unbroadcast(g / vb, sa),
-                    _unbroadcast(-g * va / (vb * vb), sb),
-                ),
-            )
-        c = np.asarray(other, dtype=np.float64)
-        s = self.value.shape
-        return Var(self.value / c, (self,), lambda g: (_unbroadcast(g / c, s),))
-
-    def __rtruediv__(self, other):
-        c = np.asarray(other, dtype=np.float64)
-        v = self.value
-        s = v.shape
-        return Var(c / v, (self,), lambda g: (_unbroadcast(-g * c / (v * v), s),))
-
-    def __neg__(self):
-        s = self.value.shape
-        return Var(-self.value, (self,), lambda g: (_unbroadcast(-g, s),))
-
-    # -- shape / reductions ----------------------------------------------
-
-    def __getitem__(self, idx):
-        shape = self.value.shape
-
-        def vjp(g):
-            buf = np.zeros(shape, dtype=np.float64)
-            buf[idx] = g
-            return (buf,)
-
-        return Var(self.value[idx], (self,), vjp)
-
-    def sum(self):
-        shape = self.value.shape
-        return Var(
-            np.asarray(self.value.sum()),
-            (self,),
-            lambda g: (np.full(shape, float(g)),),
-        )
 
 
 # -- dual-dispatch helpers ------------------------------------------------
@@ -286,9 +167,8 @@ def box_sum3(x):
 
     The operator is self-adjoint, so its backward pass is itself.
     """
-    if isinstance(x, Var):
-        return Var(_box_sum3_raw(x.value), (x,), lambda g: (_box_sum3_raw(g),))
-    return _box_sum3_raw(np.asarray(x, dtype=np.float64))
+    value = _box_sum3_raw(np.asarray(value_of(x), dtype=np.float64))
+    return fused(value, (x,), lambda g: (_box_sum3_raw(g),))
 
 
 def bilinear_taps(x, y, mask, height: int, width: int):
@@ -361,18 +241,9 @@ def bilinear(image, x, y, mask, taps=None):
     out = c00 * w00 + c01 * w01 + c10 * w10 + c11 * w11
     out = np.where(mexp, out, 0.0)
 
-    parents = []
     want_img = isinstance(image, Var)
     want_x = isinstance(x, Var)
     want_y = isinstance(y, Var)
-    if want_img:
-        parents.append(image)
-    if want_x:
-        parents.append(x)
-    if want_y:
-        parents.append(y)
-    if not parents:
-        return out
     if want_x or want_y:
         # d(out)/dx and d(out)/dy, in place of the corners they read
         if has_channels:
@@ -384,7 +255,7 @@ def bilinear(image, x, y, mask, taps=None):
 
     def vjp(g):
         g = np.where(mexp, g, 0.0)
-        grads = []
+        gi = gx = gy = None
         if want_img:
             # One scatter over all four corners, concatenated in corner
             # order: each cell accumulates its contributions in the same
@@ -395,7 +266,7 @@ def bilinear(image, x, y, mask, taps=None):
                 cells = (cells[:, None] * n_ch + np.arange(n_ch)).ravel()
             contrib = np.concatenate([g * wt for wt in wts]).ravel()
             gi = np.bincount(cells, weights=contrib, minlength=img_v.size)
-            grads.append(gi.reshape(img_v.shape))
+            gi = gi.reshape(img_v.shape)
         if want_x or want_y:
             if has_channels:
                 gx = (g * fx).sum(axis=2)
@@ -403,10 +274,8 @@ def bilinear(image, x, y, mask, taps=None):
             else:
                 gx = g * fx
                 gy = g * fy
-            if want_x:
-                grads.append(np.where(m, gx, 0.0))
-            if want_y:
-                grads.append(np.where(m, gy, 0.0))
-        return tuple(grads)
+            gx = np.where(m, gx, 0.0) if want_x else None
+            gy = np.where(m, gy, 0.0) if want_y else None
+        return gi, gx, gy
 
-    return Var(out, tuple(parents), vjp)
+    return fused(out, (image, x, y), vjp)

@@ -227,6 +227,14 @@ def _check_grid(depths, grid, labels=None):
                                 f"map is {d.values.shape}, the views' grid is {grid}")
 
 
+def _check_image_grids(depths, views):
+    """Raise ShapeMismatch naming the first view that carries an image
+    whose depth map is off the image's grid."""
+    for k, (d, v) in enumerate(zip(depths, views)):
+        if v.image is not None:
+            _check_grid([d], v.image.shape[:2], [k])
+
+
 def _check_masks(masks, n, grid):
     """Raise ShapeMismatch naming the first ordered pair of the ``n`` views
     whose mask ``masks`` lacks or holds off ``grid``."""
@@ -290,13 +298,14 @@ def compute_all_masks(views, depths, weights: LossWeights,
 
     ``context`` is the run's `ViewContext` over ``views``, if it has one.
     A depth map count other than the view count raises ShapeMismatch, and
-    so does a depth map off its grid, or off view 0's depth grid without a
-    context, naming its view. Each ordered pair
+    so does a depth map off its view's image grid, off the context's grid,
+    or off view 0's depth grid, naming its view. Each ordered pair
     is sampled once: (i, j) serves the second warp of mask (i, j) and the
     first of mask (j, i), which are computed together, one unordered pair
     at a time, so only that pair's two samplings are held at once.
     """
     _check_count(depths, views)
+    _check_image_grids(depths, views)
     n = len(views)
     keys = [(i, j) for i in range(n) for j in range(n) if i != j]
     if context is None:
@@ -358,16 +367,18 @@ def _depth_consistency(leaf, warped, mask):
 def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     """Evaluate every loss term of one state.
 
-    Returns (breakdown, total, leaves): ``total`` is a Var and ``leaves``
-    the depth grids as autodiff leaves when ``with_grad``, and every term
-    (except the locally constant census part) is then differentiable with
-    respect to them. Camera- and image-only data comes from ``context``,
-    the run's `ViewContext`; without one, a fresh context serves this
-    evaluation alone. A context built for other alphas raises ValueError;
-    a depth map count other than the view count, a depth map off its
-    grid, or a missing ordered pair's mask or one off the grid raises
-    ShapeMismatch. A term whose mask is empty records zero and lands in
-    ``skipped``.
+    Returns (breakdown, total, leaves): ``total`` is ``breakdown.total``
+    and ``leaves`` the depth grids. When ``with_grad``, the leaves are
+    autodiff leaves, every term (except the locally constant census part)
+    is differentiable with respect to them, and ``total`` is one
+    `autodiff.fused` node over the terms, whose VJP hands each term its
+    weight in the objective. Camera- and image-only data comes from
+    ``context``, the run's `ViewContext`; without one, a fresh context
+    serves this evaluation alone. A context built for other alphas raises
+    ValueError; a depth map count other than the view count, a depth map
+    off its grid, or a missing ordered pair's mask or one off the grid
+    raises ShapeMismatch. A term whose mask is empty records zero and
+    lands in ``skipped``.
     """
     ctx = context if context is not None else ViewContext(views, weights)
     if ctx.alphas != (weights.alpha1, weights.alpha2):
@@ -437,27 +448,38 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
             record[key] = float(value_of(values[key]))
     for key, value in lb.items():
         bd.brightness[key] = float(value_of(value))
-
-    synth_sum = 0.0
-    cons_sum = 0.0
     for i in range(n):
         bd.smoothness[i] = float(value_of(smooth[i]))
+
+    # The objective is a fixed weighted sum of the terms, so the sums are
+    # taken on the recorded floats, and the total's node hands each term
+    # its weight: a view's smoothness once for every pair it enters.
+    u, s, m, d = bd.unary, bd.smoothness, bd.image_consistency, bd.depth_consistency
+    synth_sum = 0.0
+    cons_sum = 0.0
+    terms, coefs = [], []
     for i in range(n):
         for j in range(i + 1, n):
-            pair_synth = (w.omega_u * (lu[i, j] + lu[j, i])
-                          + w.omega_s * (0.5 * (smooth[i] + smooth[j])))
-            bd.synthesis[(i, j)] = float(value_of(pair_synth))
+            pair_synth = (w.omega_u * (u[i, j] + u[j, i])
+                          + w.omega_s * (0.5 * (s[i] + s[j])))
+            bd.synthesis[(i, j)] = pair_synth
             synth_sum = synth_sum + pair_synth
-            pair_cons = (w.lambda5 * (lm[i, j] + lm[j, i])
-                         + w.lambda6 * (ld[i, j] + ld[j, i]))
-            bd.pair_consistency[(i, j)] = float(value_of(pair_cons))
+            pair_cons = (w.lambda5 * (m[i, j] + m[j, i])
+                         + w.lambda6 * (d[i, j] + d[j, i]))
+            bd.pair_consistency[(i, j)] = pair_cons
             cons_sum = cons_sum + pair_cons
-    for value in lb.values():
-        cons_sum = cons_sum + value
+            terms += [lu[i, j], lu[j, i], smooth[i], smooth[j],
+                      lm[i, j], lm[j, i], ld[i, j], ld[j, i]]
+            coefs += ([w.omega_u] * 2 + [0.5 * w.omega_s] * 2
+                      + [w.lambda5] * 2 + [w.lambda6] * 2)
+    for key, value in lb.items():
+        cons_sum = cons_sum + bd.brightness[key]
+        terms.append(value)
+        coefs.append(1.0)
 
-    total = synth_sum + cons_sum
-    bd.consistency_total = float(value_of(cons_sum))
-    bd.total = float(value_of(total))
+    bd.consistency_total = cons_sum
+    bd.total = synth_sum + cons_sum
+    total = ad.fused(bd.total, terms, lambda g: [g * c for c in coefs])
     return bd, total, leaves
 
 

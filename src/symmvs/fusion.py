@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .consistency import _check_count, _check_grid
+from .consistency import _check_count, _check_grid, _check_image_grids
 
 __all__ = ["PointCloud", "filter_consistent", "depths_to_cloud"]
 
@@ -49,11 +49,13 @@ def filter_consistent(depths, views, tau_fuse: float, min_views: int = 2):
     lands within ``tau_fuse`` of view i's depth there. Surviving depths are
     replaced by the mean over the agreeing set (the pixel's own value plus
     every confirming warped value). A depth map count other than the view
-    count raises ShapeMismatch, and so do depth maps of different sizes,
-    naming the first view off view 0's grid. A ``min_views`` below 1 or
-    above the number of other views raises ValueError.
+    count raises ShapeMismatch, and so does a depth map off its view's
+    image grid or off view 0's depth grid, naming its view. A
+    ``min_views`` below 1 or above the number of other views raises
+    ValueError.
     """
     _check_count(depths, views)
+    _check_image_grids(depths, views)
     if depths:
         _check_grid(depths, depths[0].values.shape)
     if min_views < 1:
@@ -89,9 +91,11 @@ def depths_to_cloud(filtered, views) -> PointCloud:
 
     Colors come from the owning view's image; grayscale images are
     replicated across RGB. A depth map count other than the view count
-    raises ShapeMismatch.
+    raises ShapeMismatch, and so does a depth map off its view's image
+    grid, naming its view.
     """
     _check_count(filtered, views)
+    _check_image_grids(filtered, views)
     points = []
     colors = []
     for depth, view in zip(filtered, views):

@@ -218,8 +218,11 @@ def relative_motion(src: CameraView, dst: CameraView):
 
 @lru_cache(maxsize=32)
 def _pixel_grid(height: int, width: int):
-    gy, gx = np.mgrid[0:height, 0:width]
-    return gx.astype(np.float64), gy.astype(np.float64)
+    """Column and row coordinates of every pixel; shared by every caller,
+    so they are read-only."""
+    grid = np.mgrid[0:height, 0:width].astype(np.float64)
+    grid.flags.writeable = False
+    return grid[1], grid[0]
 
 
 def _rays(cam: CameraView, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

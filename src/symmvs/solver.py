@@ -193,7 +193,10 @@ def loss_gradient(state: SceneState, context=None):
 
     Masks are held fixed; the census term is locally constant and
     contributes nothing; invalid pixels get exactly zero. ``context`` is
-    the run's `consistency.ViewContext` over ``state.views``, if any.
+    the run's `consistency.ViewContext` over ``state.views``, if any. The
+    backward pass starts at the total's node, which seeds every term with
+    its weight in the objective, and runs through one node per term
+    formula down to the depth leaves.
     """
     _, total, leaves = consistency._evaluate(
         state.views, state.depths, state.masks, state.weights, True, context

@@ -11,8 +11,8 @@ ones must match bit for bit (`cost_volume_loop`,
 the cost-volume smoothing adds each slice's depth neighbours. The loss formulas that the
 library records as single tape nodes are kept here in their op-by-op form,
 one node per array operation (`charbonnier_chain` to `smoothness_chain`,
-built on the Var helpers `sqrt`, `absolute`, `where_mask`, `sum_all` and
-`pad_zero`).
+built on `OpVar` arithmetic and the helpers `sqrt`, `absolute`,
+`where_mask`, `sum_all` and `pad_zero`).
 """
 
 import numpy as np
@@ -296,7 +296,8 @@ def warp_depth_values_unshared(source_values, source_valid, target_values,
     ok = front & geometry._in_bounds(xv, yv, w, h) & target_valid
     ok = ok & geometry._sample_validity(
         source_valid, ok, ad.bilinear_taps(xv, yv, ok, h, w))
-    d_src = ad.bilinear(source_values, x, y, ok)
+    d_src = lift(ad.bilinear(source_values, x, y, ok))
+    x, y = lift(x), lift(y)
     r_st, t_st = geometry.relative_motion(source, target)
     coeff = r_st[2] @ geometry.intrinsics_inverse(source.intrinsics)
     z = (coeff[0] * x + coeff[1] * y + coeff[2]) * d_src + t_st[2]
@@ -432,25 +433,142 @@ def smoothness_gradient_flat_image(depth_values, h_step=1e-6):
     return grad
 
 
+# -- op-by-op arithmetic --------------------------------------------------------
+#
+# The library's tape records whole formulas only (`autodiff.fused`). These
+# oracles compose the same formulas one array operation at a time, so they
+# carry their own node arithmetic: every operator, slice and sum of an
+# `OpVar` records one node with its own VJP, and ``lift`` turns a node the
+# library made into an `OpVar` through one identity node.
+
+
+def _unbroadcast(grad, shape):
+    """Sum a gradient down to the shape of the operand it belongs to."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _operand(x):
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def _node(value, operands, grads):
+    """An `OpVar` of ``value``, computed from ``operands`` by broadcasting;
+    ``grads[k](g)`` is operand k's gradient before it is summed down to
+    the operand's shape. Plain operands get none."""
+    shapes = [_operand(x).shape for x in operands]
+    parents = tuple(x for x in operands if isinstance(x, Var))
+
+    def vjp(g):
+        return tuple(_unbroadcast(d(g), s)
+                     for x, d, s in zip(operands, grads, shapes) if isinstance(x, Var))
+
+    return OpVar(value, parents, vjp)
+
+
+def _same(g):
+    return g
+
+
+def _negated(g):
+    return -g
+
+
+class OpVar(Var):
+    """A Var whose arithmetic, slicing and sum each record one node; either
+    operand of a binary operator may be any Var or a plain array."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _node(self.value + _operand(other), (self, other), (_same, _same))
+
+    def __radd__(self, other):
+        return _node(_operand(other) + self.value, (other, self), (_same, _same))
+
+    def __sub__(self, other):
+        return _node(self.value - _operand(other), (self, other), (_same, _negated))
+
+    def __rsub__(self, other):
+        return _node(_operand(other) - self.value, (other, self), (_same, _negated))
+
+    def __mul__(self, other):
+        a, b = self.value, _operand(other)
+        return _node(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
+
+    def __rmul__(self, other):
+        a, b = _operand(other), self.value
+        return _node(a * b, (other, self), (lambda g: g * b, lambda g: g * a))
+
+    def __truediv__(self, other):
+        a, b = self.value, _operand(other)
+        return _node(a / b, (self, other),
+                     (lambda g: g / b, lambda g: -g * a / (b * b)))
+
+    def __rtruediv__(self, other):
+        a, b = _operand(other), self.value
+        return _node(a / b, (other, self),
+                     (lambda g: g / b, lambda g: -g * a / (b * b)))
+
+    def __neg__(self):
+        return _node(-self.value, (self,), (_negated,))
+
+    def __getitem__(self, idx):
+        shape = self.value.shape
+
+        def vjp(g):
+            buf = np.zeros(shape, dtype=np.float64)
+            buf[idx] = g
+            return (buf,)
+
+        return OpVar(self.value[idx], (self,), vjp)
+
+    def sum(self):
+        shape = self.value.shape
+        return OpVar(np.asarray(self.value.sum()), (self,),
+                     lambda g: (np.full(shape, float(g)),))
+
+
+def lift(x):
+    """``x`` as an `OpVar` if it is a Var, else ``x`` itself."""
+    if isinstance(x, Var) and not isinstance(x, OpVar):
+        return OpVar(x.value, (x,), lambda g: (g,))
+    return x
+
+
+def box_sum3(x):
+    from symmvs import autodiff as ad
+
+    return lift(ad.box_sum3(x))
+
+
 # -- op-by-op compositions of the fused tape nodes ----------------------------
 #
 # The loss formulas as the library wrote them before each became one tape
 # node: every elementary operation is its own node, with its own VJP. A
 # fused node must give the same forward bits and, to rounding, the same
-# gradients. The elementwise helpers fall back to plain numpy without a Var.
+# gradients. The elementwise helpers fall back to plain numpy without a Var,
+# and every composition lifts the Vars it is given.
 
 
 def sqrt(x):
     if isinstance(x, Var):
         out = np.sqrt(x.value)
-        return Var(out, (x,), lambda g: (g * (0.5 / out),))
+        return OpVar(out, (x,), lambda g: (g * (0.5 / out),))
     return np.sqrt(x)
 
 
 def absolute(x):
     if isinstance(x, Var):
         s = np.sign(x.value)
-        return Var(np.abs(x.value), (x,), lambda g: (g * s,))
+        return OpVar(np.abs(x.value), (x,), lambda g: (g * s,))
     return np.abs(x)
 
 
@@ -459,13 +577,13 @@ def where_mask(mask, x, fill):
     m = np.asarray(mask, dtype=bool)
     if isinstance(x, Var):
         out = np.where(m, x.value, fill)
-        return Var(out, (x,), lambda g: (np.where(m, g, 0.0),))
+        return OpVar(out, (x,), lambda g: (np.where(m, g, 0.0),))
     return np.where(m, x, fill)
 
 
 def sum_all(x):
     if isinstance(x, Var):
-        return x.sum()
+        return lift(x).sum()
     return np.asarray(x).sum()
 
 
@@ -480,15 +598,17 @@ def pad_zero(x, pads):
 
     if isinstance(x, Var):
         out, slc = raw(x.value)
-        return Var(out, (x,), lambda g: (g[slc],))
+        return OpVar(out, (x,), lambda g: (g[slc],))
     return raw(np.asarray(x))[0]
 
 
 def charbonnier_chain(x):
+    x = lift(x)
     return sqrt(x * x + 1.0e-6)
 
 
 def channel_mean_chain(x):
+    x = lift(x)
     channels = value_of(x).shape[2]
     acc = x[:, :, 0]
     if channels == 1:
@@ -499,38 +619,37 @@ def channel_mean_chain(x):
 
 
 def grad_x_chain(x):
+    x = lift(x)
     d = x[:, 1:] - x[:, :-1]
     return pad_zero(d, ((0, 0), (0, 1)) + ((0, 0),) * (value_of(x).ndim - 2))
 
 
 def grad_y_chain(x):
+    x = lift(x)
     d = x[1:, :] - x[:-1, :]
     return pad_zero(d, ((0, 1), (0, 0)) + ((0, 0),) * (value_of(x).ndim - 2))
 
 
 def ssim_reference_chain(a, norm):
     """Per-channel (channel, windowed mean, windowed variance)."""
-    from symmvs import autodiff as ad
-
+    a = lift(a)
     out = []
-    for c in range(ad.value_of(a).shape[2]):
+    for c in range(value_of(a).shape[2]):
         ac = a[:, :, c]
-        mu = ad.box_sum3(ac) / norm
-        out.append((ac, mu, ad.box_sum3(ac * ac) / norm - mu * mu))
+        mu = box_sum3(ac) / norm
+        out.append((ac, mu, box_sum3(ac * ac) / norm - mu * mu))
     return out
 
 
 def ssim_map_chain(a, b, norm):
     """SSIM map of two (H, W, C) images, either a Var, one channel at a
     time."""
-    from symmvs import autodiff as ad
-
     c1, c2 = 0.01 ** 2, 0.03 ** 2
     sa, sb = ssim_reference_chain(a, norm), ssim_reference_chain(b, norm)
 
     def one_channel(x, y):
         (xc, mu_x, var_x), (yc, mu_y, var_y) = x, y
-        cov = ad.box_sum3(xc * yc) / norm - mu_x * mu_y
+        cov = box_sum3(xc * yc) / norm - mu_x * mu_y
         num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
         den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
         return num / den
@@ -547,6 +666,7 @@ def unary_comparator_chain(a, b, mask, weights, norm):
     from symmvs import autodiff as ad
     from symmvs import photometry
 
+    a, b = lift(a), lift(b)
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     m = mask.astype(np.float64)
@@ -576,6 +696,7 @@ def sampling_chain_ops(pair, d):
     """`geometry.sampling_chain` of a distinct-camera pair at depths ``d``
     (a Var or plain)."""
     a, b = pair.a, pair.b
+    d = lift(d)
     qx = a[0] * d + b[0]
     qy = a[1] * d + b[1]
     z = a[2] * d + b[2]
@@ -588,6 +709,7 @@ def warped_z_chain(pair, x, y, d_src, ok):
     """The z formula of `geometry.warp_depth_values`: the sampled source
     depth re-expressed in the target camera, zero outside ``ok`` and where
     it is not positive. Returns (values, ok)."""
+    x, y, d_src = lift(x), lift(y), lift(d_src)
     c = pair.z_row
     z = (c[0] * x + c[1] * y + c[2]) * d_src + pair.z_off
     ok = ok & (value_of(z) > 0.0)
@@ -596,12 +718,14 @@ def warped_z_chain(pair, x, y, d_src, ok):
 
 def depth_consistency_chain(leaf, warped, mask):
     count = int(mask.sum())
+    leaf, warped = lift(leaf), lift(warped)
     return sum_all(charbonnier_chain(leaf - warped) * mask.astype(np.float64)) / count
 
 
 def smoothness_chain(d, depth_valid, edges):
     """`photometry.smoothness_term` of depths ``d`` (a Var or plain)."""
     first, second = edges
+    d = lift(d)
     h, w = value_of(d).shape
     total = 0.0
     if first is not None:

@@ -1,5 +1,6 @@
-"""Gradient correctness of the reverse-mode core, checked against central
-finite differences on random inputs."""
+"""Gradient correctness of the reverse-mode core, and of the `OpVar`
+arithmetic the op-by-op oracles build on, checked against central finite
+differences on random inputs."""
 
 import itertools
 
@@ -9,8 +10,8 @@ import pytest
 from symmvs import autodiff as ad
 from symmvs.autodiff import Var
 
-from _oracles import (absolute, bilinear_image_grad_add_at, box_sum3_padded, pad_zero,
-                      pad_zero_np, sqrt, where_mask)
+from _oracles import (OpVar, absolute, bilinear_image_grad_add_at, box_sum3_padded,
+                      lift, pad_zero, pad_zero_np, sqrt, where_mask)
 from conftest import same_bytes
 
 
@@ -29,10 +30,10 @@ def fd_grad(fn, x, h=1e-6):
 
 
 def check_against_fd(build, x, rtol=1e-6, atol=1e-9):
-    leaf = Var(x)
+    leaf = OpVar(x)
     out = build(leaf)
     out.backward()
-    numeric = fd_grad(lambda v: float(ad.value_of(build(Var(v)))), x)
+    numeric = fd_grad(lambda v: float(ad.value_of(build(OpVar(v)))), x)
     np.testing.assert_allclose(leaf.grad, numeric, rtol=rtol, atol=atol)
 
 
@@ -98,7 +99,7 @@ def test_box_sum3_is_self_adjoint(rng):
 def test_box_sum3_gradient(rng):
     x = rng.uniform(size=(5, 6))
     w = rng.uniform(size=(5, 6))
-    check_against_fd(lambda v: (ad.box_sum3(v * v) * w).sum(), x)
+    check_against_fd(lambda v: (lift(ad.box_sum3(v * v)) * w).sum(), x)
 
 
 # Shapes with one or two rows or columns put every pixel on a border.
@@ -127,7 +128,7 @@ def test_box_sum3_bit_identical_to_padded_form(rng, shape):
     g = _wide_range(rng, shape)
     g[-4:, -4:] = -0.0
     leaf = Var(x)
-    (ad.box_sum3(leaf) * g).sum().backward()
+    (lift(ad.box_sum3(leaf)) * g).sum().backward()
     assert same_bytes(leaf.grad, box_sum3_padded(g))
 
 
@@ -151,7 +152,7 @@ def test_accumulation_never_writes_into_returned_arrays(order):
     # x gets three contributions: its consumer's own g (``x + 0.0`` passes
     # g through), an array its VJP keeps from the forward pass, and a fresh
     # one. Whichever comes first, only a buffer backward made is written.
-    x = Var(np.ones((2, 3)))
+    x = OpVar(np.ones((2, 3)))
     kept = np.arange(6.0).reshape(2, 3)
     consumers = [lambda: x + 0.0,
                  lambda: ad.fused(x.value * 2.0, (x,), lambda g: (kept,)),
@@ -175,7 +176,7 @@ def test_fused_drops_gradients_of_plain_inputs(rng):
     a, b = rng.uniform(size=(3, 4)), rng.uniform(size=(3, 4))
     leaf = Var(b)
     out = ad.fused(a * b, (a, leaf), lambda g: (None, g * a))
-    (out * 2.0).sum().backward()
+    (lift(out) * 2.0).sum().backward()
     np.testing.assert_array_equal(leaf.grad, 2.0 * a)
 
 
@@ -205,7 +206,7 @@ class TestBilinear:
         w = rng.uniform(size=(4, 5))
 
         leaf = Var(xv)
-        out = (ad.bilinear(img, leaf, yv, mask) * w).sum()
+        out = (lift(ad.bilinear(img, leaf, yv, mask)) * w).sum()
         out.backward()
         numeric = fd_grad(
             lambda v: float((ad.bilinear(img, v, yv, mask) * w).sum()), xv
@@ -220,7 +221,7 @@ class TestBilinear:
         w = rng.uniform(size=(5, 5))
 
         leaf = Var(img)
-        out = (ad.bilinear(leaf, xv, yv, mask) * w).sum()
+        out = (lift(ad.bilinear(leaf, xv, yv, mask)) * w).sum()
         out.backward()
         numeric = fd_grad(
             lambda v: float((ad.bilinear(v, xv, yv, mask) * w).sum()), img
@@ -250,7 +251,7 @@ class TestBilinear:
         g = rng.normal(size=(9, 10) + shape[2:])
 
         leaf = Var(img)
-        (ad.bilinear(leaf, xv, yv, mask) * g).sum().backward()
+        (lift(ad.bilinear(leaf, xv, yv, mask)) * g).sum().backward()
         expected = bilinear_image_grad_add_at(shape, xv, yv, mask, g)
         np.testing.assert_array_equal(leaf.grad, expected)
 

@@ -187,6 +187,20 @@ def test_fuse_depth_maps_of_other_sizes_exit_1(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_fuse_depth_maps_off_the_image_grid_exit_1(workspace, tmp_path, capsys):
+    # maps of one size, half the 48x36 images' in each direction
+    for i in range(3):
+        write_pfm(tmp_path / f"depth_{i:04d}.pfm",
+                  DepthMap(np.full((18, 24), 3.0), np.ones((18, 24), bool)))
+    out = tmp_path / "out.ply"
+    code = main(["fuse", str(tmp_path), str(workspace["bundle"]), str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: view 0 depth map is (18, 24), the views' grid is (36, 48)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_scene_file_exits_1(tmp_path, capsys):
     code = main(["synth", str(tmp_path / "nope.cfg"), str(tmp_path / "out")])
     assert code == 1

@@ -296,17 +296,28 @@ def tape(total):
     return list(seen.values())
 
 
-def test_gradient_tape_stays_small(plane_scene):
-    # Each loss formula is one tape node; a formula that falls back to one
-    # node per array operation multiplies both counts (op by op, this
-    # evaluation recorded 1,264 nodes holding 24,726,104 bytes).
-    state = scene_state(plane_scene["views"], plane_scene["gt"],
-                        plane_scene["weights"])
+def assert_tape_within(sc, count, nbytes):
+    """One gradient evaluation of scene ``sc`` at its ground truth records
+    at most ``count`` nodes holding at most ``nbytes`` of values."""
+    state = scene_state(sc["views"], sc["gt"], sc["weights"])
     _, total, _ = _evaluate(state.views, state.depths, state.masks,
                             state.weights, True)
     nodes = tape(total)
-    assert len(nodes) <= 145
-    assert sum(n.value.nbytes for n in nodes) <= 1_917_464
+    assert len(nodes) <= count
+    assert sum(n.value.nbytes for n in nodes) <= nbytes
+
+
+def test_gradient_tape_stays_small(plane_scene):
+    # Each loss formula is one tape node, and so is the weighted sum of
+    # the terms. A formula that falls back to one node per array operation
+    # multiplies both counts (op by op, this evaluation recorded 1,264
+    # nodes holding 24,726,104 bytes); a total summed with one node per
+    # addition adds 42 nodes here and 90 with four views.
+    assert_tape_within(plane_scene, 103, 1_917_128)
+
+
+def test_gradient_tape_stays_small_with_four_views(occluder4_scene):
+    assert_tape_within(occluder4_scene, 213, 3_932_584)
 
 
 @pytest.mark.parametrize("scene, bound", [("plane_scene", 87),
@@ -440,6 +451,11 @@ class TestViewContext:
                 _evaluate(views, depths, masks, weights, False, ctx)
             with pytest.raises(ShapeMismatch, match=message):
                 total_loss(SceneState(views, depths, masks, weights))
+        # depths on one grid other than the images' would be warped on
+        # their own grid with the cameras of the images' grid
+        half = [DepthMap(d.values[::2, ::2], d.valid[::2, ::2]) for d in gt]
+        with pytest.raises(ShapeMismatch, match=r"^view 0 depth map is \(24, 32\)"):
+            compute_all_masks(views, half, weights)
 
     @staticmethod
     def evaluations(views, depths, masks, weights):

@@ -27,6 +27,7 @@ from _oracles import (
     depth_consistency_chain,
     grad_x_chain,
     grad_y_chain,
+    lift,
     sampling_chain_ops,
     smoothness_chain,
     ssim_map_chain,
@@ -52,7 +53,7 @@ def run(fn, arrays, as_var, weight=None):
         rest = ()
     value = np.array(value_of(out))
     if any(as_var):
-        loss = out if weight is None else (out * weight).sum()
+        loss = out if weight is None else (lift(out) * weight).sum()
         loss.backward()
     return value, rest, [leaf.grad for leaf in leaves if isinstance(leaf, Var)]
 
@@ -176,7 +177,8 @@ def test_sampling_chain(rng):
         def fn(d):
             x, y, front = chain(pair, d)
             assert not front.all()
-            return x * ws[0] + y * ws[1], value_of(x), value_of(y), front
+            return (lift(x) * ws[0] + lift(y) * ws[1], value_of(x), value_of(y),
+                    front)
         return fn
 
     for as_var in ((False,), (True,)):

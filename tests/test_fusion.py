@@ -106,6 +106,11 @@ class TestFilterConsistent:
         depths = gt[:2] + [DepthMap(gt[2].values[:40], gt[2].valid[:40])]
         with pytest.raises(ShapeMismatch, match=r"^view 2 depth map is \(40, 64\)"):
             filter_consistent(depths, views, tau_fuse=0.1)
+        # half-size maps agree with one another but not with the 48x64 views
+        half = [DepthMap(d.values[::2, ::2], d.valid[::2, ::2]) for d in gt]
+        with pytest.raises(ShapeMismatch, match=r"^view 0 depth map is \(24, 32\), "
+                                                r"the views' grid is \(48, 64\)"):
+            filter_consistent(half, views, tau_fuse=0.1)
 
 
 class TestDepthsToCloud:
@@ -132,6 +137,13 @@ class TestDepthsToCloud:
                           np.zeros(d.values.shape, bool)) for d in gt]
         cloud = depths_to_cloud(empty, views)
         assert len(cloud) == 0
+
+    def test_depth_map_off_its_image_grid_names_the_view(self, plane_scene):
+        views, gt = plane_scene["views"], plane_scene["gt"]
+        depths = gt[:1] + [DepthMap(d.values[::2, ::2], d.valid[::2, ::2])
+                           for d in gt[1:]]
+        with pytest.raises(ShapeMismatch, match=r"^view 1 depth map is \(24, 32\)"):
+            depths_to_cloud(depths, views)
 
     def test_plane_scene_points_lie_on_the_plane(self, plane_scene):
         views, gt, z0 = plane_scene["views"], plane_scene["gt"], plane_scene["z0"]

@@ -27,6 +27,7 @@ from symmvs.geometry import (
 
 from _oracles import (
     bilinear_at,
+    lift,
     project_reproject,
     sample_validity_direct,
     synth_values_unshared,
@@ -361,6 +362,20 @@ def test_relative_motion_identity_fast_path():
     np.testing.assert_array_equal(t, np.zeros(3))
 
 
+def test_same_camera_sampling_cannot_shift_the_cached_pixel_grid():
+    # a same-camera pair samples at the shared pixel grid itself; writing
+    # into its coordinates would shift every later ray on that grid
+    cam = make_camera(0.0, width=8, height=6)
+    rays = geometry.view_rays(cam, 6, 8)
+    pair = geometry.pair_coefficients(cam, cam, 6, 8)
+    x, y, _, _ = geometry.pair_sampling(pair, np.full((6, 8), 2.0),
+                                        np.ones((6, 8), bool))
+    for coords in (x, y):
+        with pytest.raises(ValueError, match="read-only"):
+            coords += 5.0
+    assert same_bytes(geometry.view_rays(cam, 6, 8), rays)
+
+
 def test_points_behind_the_source_camera_are_invalid():
     # the source camera sits far in front of the scene looking the same
     # way, so every transformed point gets a negative z there
@@ -533,7 +548,7 @@ def test_shared_taps_synthesis_is_bit_identical_to_unshared(plane_scene):
     for synth in (_synth, synth_values_unshared):
         d_leaf, img_leaf = Var(depth), Var(image)
         out, ok = synth(views[0], views[1], d_leaf, valid, img_leaf, source_valid)
-        (out * g).sum().backward()
+        (lift(out) * g).sum().backward()
         runs.append((out.value, ok, d_leaf.grad, img_leaf.grad))
     assert all(np.abs(grad).max() > 0.0 for grad in runs[0][2:])
     for shared, unshared in zip(*runs):
@@ -552,7 +567,7 @@ def test_shared_taps_depth_warp_is_bit_identical_to_unshared(plane_scene):
     for warp in (_warp, warp_depth_values_unshared):
         s_leaf, t_leaf = Var(source_depth), Var(depth)
         out, ok = warp(s_leaf, source_valid, t_leaf, valid, views[1], views[0])
-        (out * g).sum().backward()
+        (lift(out) * g).sum().backward()
         runs.append((out.value, ok, s_leaf.grad, t_leaf.grad))
     assert all(np.abs(grad).max() > 0.0 for grad in runs[0][2:])
     for shared, unshared in zip(*runs):
@@ -589,11 +604,11 @@ def _chain_consumers(views, rng):
     for source_valid in (None, holey):
         d_leaf, img_leaf = Var(depth), Var(source.image)
         img, ok = _synth(target, source, d_leaf, valid, img_leaf, source_valid)
-        (img * g[..., None]).sum().backward()
+        (lift(img) * g[..., None]).sum().backward()
         out += [img.value, ok, d_leaf.grad, img_leaf.grad]
     s_leaf, t_leaf = Var(depth[::-1] + 0.1), Var(depth)
     vals, ok = _warp(s_leaf, holey, t_leaf, valid, source, target)
-    (vals * g).sum().backward()
+    (lift(vals) * g).sum().backward()
     out += [vals.value, ok, s_leaf.grad, t_leaf.grad]
     feats = [extract_features(v.image) for v in views]
     vol = build_cost_volume(records(views), feats, 0, DepthHypotheses(1.5, 2.5, 8))

@@ -1,6 +1,7 @@
 """The package imports only the standard library, numpy, scipy and itself,
-keeps the sampling primitives inside the modules that own them, and builds
-camera records in `geometry` only."""
+keeps the sampling primitives inside the modules that own them, builds
+camera records in `geometry` only, and records tape nodes only through
+`autodiff.fused`."""
 
 import ast
 import os
@@ -76,6 +77,39 @@ def test_volume_references_no_camera_api():
              for line, name in referenced_names(PACKAGE / "volume.py")
              if name in CAMERA_API]
     assert leaks == []
+
+
+# A tape node is a depth leaf or a `fused` formula: `Var` has no arithmetic,
+# and only those two places construct one.
+OPERATORS = {f"__{p}{op}__" for op in ("add", "sub", "mul", "truediv", "floordiv",
+                                         "mod", "pow", "matmul")
+             for p in ("", "r", "i")} | {"__neg__", "__pos__", "__abs__",
+                                         "__getitem__", "sum"}
+
+
+def var_calls(path):
+    """The enclosing function of every call of ``Var`` or ``ad.Var``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) == "Var":
+                yield func
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    yield from visit(tree, None)
+
+
+def test_tape_nodes_are_leaves_or_fused_formulas():
+    from symmvs.autodiff import Var
+
+    assert sorted(op for op in OPERATORS if hasattr(Var, op)) == []
+    makers = {f"{path.name}:{func}" for path in SOURCES for func in var_calls(path)}
+    assert makers == {"autodiff.py:fused", "consistency.py:_evaluate"}
 
 
 def test_importing_the_package_leaves_scipy_spatial_unloaded():

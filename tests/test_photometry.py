@@ -30,7 +30,7 @@ from symmvs.photometry import (
     unary_comparator,
 )
 
-from _oracles import census_bits_brute, census_distance_mean, ssim_direct
+from _oracles import census_bits_brute, census_distance_mean, lift, ssim_direct
 from conftest import same_bytes
 
 PHI_0 = math.sqrt(1e-6)
@@ -101,7 +101,7 @@ class TestCharbonnier:
     def test_derivative_matches_finite_differences(self):
         xs = np.linspace(-2, 2, 101)
         leaf = Var(xs)
-        charbonnier(leaf).sum().backward()
+        lift(charbonnier(leaf)).sum().backward()
         h = 1e-6
         numeric = (charbonnier(xs + h) - charbonnier(xs - h)) / (2 * h)
         np.testing.assert_allclose(leaf.grad, numeric, rtol=1e-6, atol=1e-10)

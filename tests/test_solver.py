@@ -537,6 +537,16 @@ class TestRefine:
         assert called == []
         assert state.stop_reason == "max_iters" and not state.converged
 
+    def test_zero_outer_iters_check_the_depths_against_the_images(self,
+                                                                  plane_scene):
+        views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
+        config = desk_config(hyp, max_outer_iters=0)
+        half = [DepthMap(d.values[::2, ::2], d.valid[::2, ::2]) for d in gt]
+        state = SolverState(views=views, depths=half, masks={},
+                            weights=config.weights)
+        with pytest.raises(ShapeMismatch, match=r"^view 0 depth map is \(24, 32\)"):
+            refine(state, config)
+
     def test_mask_counts_grow_once_loss_improves(self, plane_scene):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         start = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=7)

@@ -1,6 +1,7 @@
 """Print the cost of one loss evaluation on a bench scene: the time of a
-value evaluation and of a gradient evaluation, and the memory peak of one
-`total_loss`.
+value evaluation and of a gradient evaluation, the memory peaks of one
+`total_loss` and of one `loss_gradient`, and the size of the gradient's
+tape.
 
     python3 tools/evalcost.py [--root CHECKOUT] [--workload W] [--grid WxH]
                               [--seed S] [--calls N]
@@ -23,7 +24,12 @@ and their `compute_all_masks` masks:
 - ``gradient_ms``: the median time of one `solver.loss_gradient` with that
   context;
 - ``total_loss_peak_mib``: the `tracemalloc` peak of one `total_loss`,
-  which builds its own context.
+  which builds its own context;
+- ``gradient_peak_mib``: the `tracemalloc` peak of one `loss_gradient`
+  with the context, which is built before tracing starts;
+- ``gradient_nodes``: the number of tape nodes that one `loss_gradient`
+  runs its backward pass over: every node reachable from the total of
+  `consistency._evaluate` with gradients, the depth leaves included.
 
 The two timings alternate over ``--calls`` rounds after one untimed call of
 each. The tool sets no bounds and is not part of the bench.
@@ -47,6 +53,27 @@ def _grid(text: str) -> tuple:
     if not sep or not width.isdigit() or not height.isdigit():
         raise argparse.ArgumentTypeError(f"grid {text!r} is not WxH")
     return int(width), int(height)
+
+
+def _peak(fn) -> int:
+    """The `tracemalloc` peak, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _tape_size(total) -> int:
+    """The number of nodes reachable from ``total``."""
+    seen, stack = {}, [total]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return len(seen)
 
 
 def cost(harness, workload, seed: int, calls: int) -> dict:
@@ -73,17 +100,16 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
             t0 = time.perf_counter()
             fn()
             spent.append(time.perf_counter() - t0)
-    tracemalloc.start()
-    try:
-        consistency.total_loss(state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak(lambda: consistency.total_loss(state))
+    gradient_peak = _peak(gradient)
+    _, total, _ = consistency._evaluate(views, depths, masks, weights, True, ctx)
     return {"workload": workload.name, "seed": seed,
             "grid": f"{workload.width}x{workload.height}",
             "value_ms": 1e3 * statistics.median(times[value][1:]),
             "gradient_ms": 1e3 * statistics.median(times[gradient][1:]),
-            "total_loss_peak_mib": peak / 2**20}
+            "total_loss_peak_mib": peak / 2**20,
+            "gradient_peak_mib": gradient_peak / 2**20,
+            "gradient_nodes": _tape_size(total)}
 
 
 def main(argv=None) -> int:
