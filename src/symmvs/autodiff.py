@@ -15,10 +15,13 @@ The loss total is one `fused` node over its terms (see
 VJP seeds each term with the term's weight, and the backward pass starts
 from there.
 
-`Var.backward` adds a node's second gradient contribution into a fresh
-buffer that the node then owns, and later ones into that buffer in place.
-The first contribution is never written: a VJP may return its ``g`` or an
-array it keeps.
+`Var.backward` consumes a graph in one walk, newest node first: a node is
+created after its parents, so all its consumers have run when its VJP
+runs, and once that VJP has run the node drops it and its parents, with
+what they kept. A graph is therefore differentiated once. A node's second
+gradient contribution goes into a fresh buffer that the node then owns,
+and later ones into it in place; the first is never written, as a VJP may
+return its ``g`` or an array it keeps.
 
 The small-grid kernels under every loss evaluation keep the arithmetic of
 their plain forms, bit for bit, with less memory traffic and fewer calls:
@@ -37,6 +40,8 @@ involved, so the formulas are written once for both paths.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -50,11 +55,15 @@ __all__ = [
     "bilinear",
 ]
 
+# Creation order of every Var; `Var.backward` walks a graph in reverse. Only
+# the order within one graph is read, so one process-wide count serves all.
+_created = itertools.count()
+
 
 class Var:
     """Node of a reverse-mode graph: a leaf, or a `fused` formula."""
 
-    __slots__ = ("value", "grad", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "_parents", "_vjp", "_seq")
 
     # Keep numpy from absorbing a Var into an object array: arithmetic
     # with a Var operand raises TypeError instead.
@@ -65,46 +74,27 @@ class Var:
         self.grad = None
         self._parents = _parents
         self._vjp = _vjp
+        self._seq = next(_created)
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into ``.grad`` across the graph."""
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        for node in topo:
-            node.grad = None
+        """Accumulate d(self)/d(leaf) into ``.grad``, consuming the graph."""
         self.grad = np.ones_like(self.value)
-        # Reverse topological order: every node's consumers have all
-        # contributed before its own VJP runs, and every VJP returns one
-        # array per parent, so each node reached here holds a gradient.
-        # A first contribution may be a VJP's ``g`` or an array its node
-        # keeps, so it is only read; the second is added into a fresh
-        # buffer that the node then owns, and later ones go into it in
-        # place (the same bits as a fresh sum).
+        heap = [(-self._seq, self)]
         owned = set()
-        for node in reversed(topo):
-            if node._vjp is None:
-                continue
-            for parent, contrib in zip(node._parents, node._vjp(node.grad)):
-                if parent.grad is None:
-                    parent.grad = contrib
-                elif id(parent) in owned:
-                    parent.grad += contrib
-                else:
-                    parent.grad = parent.grad + contrib
-                    owned.add(id(parent))
+        while heap:
+            _, node = heapq.heappop(heap)
+            if node._vjp is not None:
+                for parent, contrib in zip(node._parents, node._vjp(node.grad)):
+                    if parent.grad is None:
+                        parent.grad = contrib
+                        heapq.heappush(heap, (-parent._seq, parent))
+                    elif id(parent) in owned:
+                        parent.grad += contrib
+                    else:
+                        parent.grad = parent.grad + contrib
+                        owned.add(id(parent))
+            node._parents = ()
+            node._vjp = None
 
 
 # -- dual-dispatch helpers ------------------------------------------------
@@ -129,10 +119,7 @@ def fused(value, inputs, vjp):
     want = [isinstance(x, Var) for x in inputs]
     if not any(want):
         return value
-    parents = tuple(x for x, w in zip(inputs, want) if w)
-    if all(want):
-        return Var(value, parents, vjp)
-    return Var(value, parents,
+    return Var(value, tuple(x for x, w in zip(inputs, want) if w),
                lambda g: tuple(gr for gr, w in zip(vjp(g), want) if w))
 
 

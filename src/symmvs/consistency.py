@@ -34,8 +34,9 @@ A value evaluation therefore holds the `ViewContext` it reads (a fresh one
 when it is given none), every second-order image with its validity, and at
 once either one pair's samplings, syntheses and depth warps, or one
 reference view's second-order statistics: its peak grows with the number
-of views, not with the number of pairs. A gradient evaluation keeps every
-node of its tape until the backward pass, as it must. `total_loss` returns
+of views, not with the number of pairs. A gradient evaluation keeps its
+tape until the backward pass, which frees it node by node, newest first,
+as each node's VJP runs. `total_loss` returns
 the terms itemized in a `LossBreakdown`, so a single term is read from
 there (for example ``total_loss(state).depth_consistency[(i, j)]``).
 

@@ -44,8 +44,9 @@ def read_camera(path):
     """Parse a camera file: ``extrinsic`` + 4x4 world-to-camera matrix,
     ``intrinsic`` + 3x3 matrix, then ``depth_min depth_interval``.
 
-    Whitespace-tolerant. Returns (intrinsics, rotation, translation,
-    depth_min, depth_interval).
+    Whitespace-tolerant; a depth range that is not positive raises
+    ParseError. Returns (intrinsics, rotation, translation, depth_min,
+    depth_interval).
     """
     path = Path(path)
     tokens = []
@@ -88,7 +89,17 @@ def read_camera(path):
     if not (np.isfinite(ext).all() and np.isfinite(intr).all()
             and np.isfinite([d_min, d_interval]).all()):
         raise NonFiniteValue(f"{path}: non-finite camera values")
+    _check_positive(path, tokens[pos - 1][1], depth_min=d_min,
+                    depth_interval=d_interval)
     return intr, ext[:3, :3], ext[:3, 3], float(d_min), float(d_interval)
+
+
+def _check_positive(path, line, **values):
+    """ParseError at ``path``:``line`` unless every value is positive and finite."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ParseError(f"{path}:{line}: {name} must be positive, "
+                             f"got {float(value)}")
 
 
 def write_camera(path, intrinsics, rotation, translation,
@@ -124,7 +135,8 @@ def write_pfm(path, depth: DepthMap):
 
 
 def read_pfm(path) -> DepthMap:
-    """Read a grayscale PFM written by `write_pfm`; zeros become invalid."""
+    """Read a grayscale PFM written by `write_pfm`; zeros become invalid and
+    a non-finite pixel raises NonFiniteValue naming the path."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -151,6 +163,8 @@ def read_pfm(path) -> DepthMap:
         if len(buf) != 4 * w * h:
             raise ParseError(f"{path}: truncated pixel data")
     vals = np.frombuffer(buf, dtype="<f4").reshape(h, w)
+    if not np.isfinite(vals).all():
+        raise NonFiniteValue(f"{path}: non-finite pixel values")
     vals = np.flipud(vals).astype(np.float64)
     return DepthMap(vals, vals > 0)
 
@@ -284,7 +298,8 @@ def read_ply(path) -> PointCloud:
             raise ParseError(f"{path}:1: not a PLY file")
         fmt = None
         n = None
-        props = []
+        element = None
+        props = []  # the vertex element's
         lineno = 1
         while True:
             line = fh.readline()
@@ -300,13 +315,18 @@ def read_ply(path) -> PointCloud:
                 if parts[0] == b"format":
                     fmt = parts[1].decode()
                 elif parts[0] == b"element":
-                    if parts[1] == b"vertex":
-                        n = int(parts[2])
-                    elif int(parts[2]) != 0:
+                    element, count = parts[1], int(parts[2])
+                    if element == b"vertex":
+                        n = count
+                    elif count != 0:
                         raise UnsupportedVariant(
                             f"{path}: only vertex elements supported")
                 elif parts[0] == b"property":
-                    props.append((parts[1].decode(), parts[2].decode()))
+                    prop = (parts[1].decode(), parts[2].decode())
+                    if element is None:
+                        raise ParseError(f"{path}:{lineno}: property before any element")
+                    if element == b"vertex":
+                        props.append(prop)
             except (IndexError, ValueError):
                 text = line.decode("ascii", "replace").strip()
                 raise ParseError(f"{path}:{lineno}: malformed header line "
@@ -347,16 +367,11 @@ def read_ply(path) -> PointCloud:
             arr = arr.reshape(n, width)
             rec = {name: arr[:, k] for k, (name, _) in enumerate(np_props)}
 
-    pts = np.stack(
-        [np.asarray(rec["x"], np.float64), np.asarray(rec["y"], np.float64),
-         np.asarray(rec["z"], np.float64)], axis=1,
-    )
+    pts = np.stack([np.asarray(rec[k], np.float64) for k in ("x", "y", "z")], axis=1)
     colors = None
     if has_color:
-        colors = np.stack(
-            [np.asarray(rec["red"], np.float64), np.asarray(rec["green"], np.float64),
-             np.asarray(rec["blue"], np.float64)], axis=1,
-        ) / 255.0
+        colors = np.stack([np.asarray(rec[k], np.float64)
+                           for k in ("red", "green", "blue")], axis=1) / 255.0
     return PointCloud(pts, colors)
 
 
@@ -408,6 +423,8 @@ def read_scene_config(path) -> tuple:
                     seed = int(parts[1])
                 elif kind == "depth_range":
                     depth_min, depth_interval = float(parts[1]), float(parts[2])
+                    _check_positive(path, lineno, depth_min=depth_min,
+                                    depth_interval=depth_interval)
                 elif kind == "camera":
                     kv = _parse_kv(parts[1:], path, lineno)
                     fx = float(kv["fx"])
@@ -436,8 +453,6 @@ def read_scene_config(path) -> tuple:
                     )
                 else:
                     raise ParseError(f"{path}:{lineno}: unknown entry {kind!r}")
-            except ParseError:
-                raise
             except (KeyError, ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
     if size is None:
@@ -556,7 +571,5 @@ def load_bundle(bundle_dir) -> tuple:
         gt_path = bundle / f"{stem}_gt.pfm"
         if gt_path.exists():
             gt.append(read_pfm(gt_path))
-    if len(views) < 1:
-        raise ParseError(f"{bundle}: empty bundle")
     gt_out = gt if len(gt) == len(views) else None
     return views, d_min, d_int, gt_out

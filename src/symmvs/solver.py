@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import consistency, geometry, volume
-from .autodiff import Var
 from .consistency import SceneState
 from .errors import EmptySweep, NoParallax
 from .geometry import DepthHypotheses, DepthMap
@@ -196,18 +195,15 @@ def loss_gradient(state: SceneState, context=None):
     the run's `consistency.ViewContext` over ``state.views``, if any. The
     backward pass starts at the total's node, which seeds every term with
     its weight in the objective, and runs through one node per term
-    formula down to the depth leaves.
+    formula down to the depth leaves, each of which enters its view's
+    smoothness term; the pass frees each node once its VJP has run.
     """
     _, total, leaves = consistency._evaluate(
         state.views, state.depths, state.masks, state.weights, True, context
     )
-    if isinstance(total, Var):
-        total.backward()
-    grads = []
-    for leaf, depth in zip(leaves, state.depths):
-        g = leaf.grad if leaf.grad is not None else np.zeros_like(depth.values)
-        grads.append(np.where(depth.valid, g, 0.0))
-    return grads
+    total.backward()
+    return [np.where(depth.valid, leaf.grad, 0.0)
+            for leaf, depth in zip(leaves, state.depths)]
 
 
 def _total(state: SceneState, depths, context, skipped: Counter):

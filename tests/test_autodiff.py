@@ -167,6 +167,19 @@ def test_accumulation_never_writes_into_returned_arrays(order):
     np.testing.assert_array_equal(x.grad, 4.0 + kept)
 
 
+def test_backward_consumes_the_graph():
+    # x reaches the root directly and through a; a's VJP runs only after
+    # both of x's consumers have handed it their share, and every node
+    # that ran its VJP lets go of it and of its parents
+    x = Var(np.ones(3))
+    a = ad.fused(2.0 * x.value, (x,), lambda g: (2.0 * g,))
+    root = ad.fused(a.value + x.value, (a, x), lambda g: (g, g))
+    root.backward()
+    np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
+    for node in (root, a):
+        assert node._vjp is None and node._parents == ()
+
+
 def test_fused_without_vars_is_the_plain_value():
     value = np.arange(3.0)
     assert ad.fused(value, (np.ones(3), 2.0), None) is value

@@ -243,6 +243,17 @@ def test_coincident_cameras_exit_1_naming_the_view(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_synth_rejects_a_zero_depth_interval(tmp_path, capsys):
+    # a range of 1.8 to 1.8 would be written into every camera file
+    scene = tmp_path / "flat.cfg"
+    scene.write_text(SCENE_CFG.replace("depth_range 2.0 0.04", "depth_range 1.8 0"))
+    assert main(["synth", str(scene), str(tmp_path / "bundle")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {scene}:4: depth_interval must be positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_sweep_range_that_misses_the_scene_exits_1(tmp_path, capsys):
     # hypotheses at 0.01-0.0131 in front of a plane at 3: every warp leaves
     # the source image, so no pixel of view 0 gets a depth

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symmvs import DepthHypotheses, DepthMap, LossWeights, PointCloud, fileio
-from symmvs.errors import ParseError, UnsupportedVariant
+from symmvs.errors import NonFiniteValue, ParseError, UnsupportedVariant
 from symmvs.fileio import (
     load_bundle,
     read_camera,
@@ -82,6 +82,21 @@ class TestCameraFiles:
         with pytest.raises(ParseError):
             read_camera(path)
 
+    @pytest.mark.parametrize("depth_line, name", [
+        ("0 2.6", "depth_min"), ("-1 2.6", "depth_min"),
+        ("425 0", "depth_interval"), ("425 -2.6", "depth_interval"),
+    ])
+    def test_non_positive_depth_range_names_file_and_line(self, tmp_path,
+                                                         depth_line, name):
+        path = tmp_path / "cam.txt"
+        path.write_text(
+            "extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\n"
+            "intrinsic\n1 0 0\n0 1 0\n0 0 1\n\n" + depth_line + "\n"
+        )
+        with pytest.raises(ParseError,
+                           match="^" + re.escape(f"{path}:12: {name} must be positive")):
+            read_camera(path)
+
 
 class TestPfm:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -123,6 +138,15 @@ class TestPfm:
         path = tmp_path / "d.pfm"
         path.write_bytes(b"Pf\n" + size + b"\n-1.0\n" + b"\x00" * 24)
         with pytest.raises(ParseError, match="^" + re.escape(f"{path}:2: ")):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_pixel_names_file(self, tmp_path, bad):
+        pixels = np.array([[1.0, 2.0], [bad, 0.0]], dtype="<f4")
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n2 2\n-1.0\n" + pixels.tobytes())
+        with pytest.raises(NonFiniteValue,
+                           match="^" + re.escape(f"{path}: non-finite")):
             read_pfm(path)
 
 
@@ -229,6 +253,43 @@ class TestPly:
         with pytest.raises(ParseError, match="^" + re.escape(f"{path}: negative")):
             read_ply(path)
 
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("extra, after", [
+        (b"element face 0\nproperty list uchar int vertex_indices\n", True),
+        (b"element camera 0\nproperty float fx\n", False),
+    ])
+    def test_empty_non_vertex_elements_are_skipped(self, tmp_path, binary,
+                                                   extra, after):
+        pts = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, 3.0]])
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(pts), binary=binary)
+        raw = path.read_bytes()
+        at = raw.index(b"end_header" if after else b"element vertex")
+        path.write_bytes(raw[:at] + extra + raw[at:])
+        np.testing.assert_array_equal(read_ply(path).points, pts)
+
+    def test_property_before_any_element_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(np.zeros((2, 3))), binary=False)
+        raw = path.read_bytes()
+        at = raw.index(b"element vertex")
+        path.write_bytes(raw[:at] + b"property float w\n" + raw[at:])
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{path}:3: property before any element")):
+            read_ply(path)
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_list_property_on_the_vertex_element_is_unsupported(self, tmp_path,
+                                                                binary):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(np.zeros((2, 3))), binary=binary)
+        raw = path.read_bytes()
+        at = raw.index(b"end_header")
+        path.write_bytes(raw[:at] + b"property list uchar int vertex_indices\n"
+                         + raw[at:])
+        with pytest.raises(UnsupportedVariant, match="'list' unsupported"):
+            read_ply(path)
+
     def test_non_numeric_ascii_vertex_names_file(self, tmp_path):
         path = tmp_path / "c.ply"
         write_ply(path, PointCloud(np.zeros((2, 3))), binary=False)
@@ -265,6 +326,19 @@ class TestSceneConfig:
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("size 8 8\ndepth_range 1 0.1\nsphere radius=1\n")
         with pytest.raises(ParseError):
+            read_scene_config(cfg)
+
+    @pytest.mark.parametrize("depth_range, name", [
+        ("1.8 0", "depth_interval"), ("1.8 -0.05", "depth_interval"),
+        ("0 0.05", "depth_min"), ("-1 0.05", "depth_min"),
+    ])
+    def test_non_positive_depth_range_names_file_and_line(self, tmp_path,
+                                                         depth_range, name):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text("size 8 8\ndepth_range " + depth_range
+                       + "\ncamera fx=1 cx=0 cy=0 center=0,0,0\n")
+        with pytest.raises(ParseError,
+                           match="^" + re.escape(f"{cfg}:2: {name} must be positive")):
             read_scene_config(cfg)
 
     def test_missing_size_rejected(self, tmp_path):
@@ -423,6 +497,7 @@ class TestBundle:
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 FINITE32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 POSITIVE32 = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
                        width=32)
 
@@ -440,7 +515,7 @@ class TestRoundTripProperties:
 
     @given(arrays(np.float64, (3, 3), elements=FINITE),
            arrays(np.float64, (3, 3), elements=FINITE),
-           arrays(np.float64, 3, elements=FINITE), FINITE, FINITE)
+           arrays(np.float64, 3, elements=FINITE), POSITIVE, POSITIVE)
     @settings(max_examples=50, deadline=None)
     def test_camera_file_is_exact(self, K, R, t, d_min, d_interval):
         K2, R2, t2, d_min2, d_interval2 = round_trip(

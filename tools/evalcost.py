@@ -1,7 +1,7 @@
 """Print the cost of one loss evaluation on a bench scene: the time of a
 value evaluation and of a gradient evaluation, the memory peaks of one
-`total_loss` and of one `loss_gradient`, and the size of the gradient's
-tape.
+`total_loss`, of one value evaluation and of one `loss_gradient`, and the
+size of the gradient's tape.
 
     python3 tools/evalcost.py [--root CHECKOUT] [--workload W] [--grid WxH]
                               [--seed S] [--calls N]
@@ -25,6 +25,9 @@ and their `compute_all_masks` masks:
   context;
 - ``total_loss_peak_mib``: the `tracemalloc` peak of one `total_loss`,
   which builds its own context;
+- ``value_peak_mib``: the `tracemalloc` peak of one value-only
+  `consistency._evaluate` with the context, which is built before tracing
+  starts;
 - ``gradient_peak_mib``: the `tracemalloc` peak of one `loss_gradient`
   with the context, which is built before tracing starts;
 - ``gradient_nodes``: the number of tape nodes that one `loss_gradient`
@@ -101,6 +104,7 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
             fn()
             spent.append(time.perf_counter() - t0)
     peak = _peak(lambda: consistency.total_loss(state))
+    value_peak = _peak(value)
     gradient_peak = _peak(gradient)
     _, total, _ = consistency._evaluate(views, depths, masks, weights, True, ctx)
     return {"workload": workload.name, "seed": seed,
@@ -108,6 +112,7 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
             "value_ms": 1e3 * statistics.median(times[value][1:]),
             "gradient_ms": 1e3 * statistics.median(times[gradient][1:]),
             "total_loss_peak_mib": peak / 2**20,
+            "value_peak_mib": value_peak / 2**20,
             "gradient_peak_mib": gradient_peak / 2**20,
             "gradient_nodes": _tape_size(total)}
 
