@@ -16,7 +16,6 @@ from symmvs import (
     PlanePrimitive,
     SceneSpec,
     compute_all_masks,
-    occlusion_mask,
     render_scene,
     total_loss,
 )
@@ -69,8 +68,8 @@ occ_spec = SceneSpec(
 )
 occ_views, occ_gt, occ_vis = render_scene(occ_spec)
 
-mask = occlusion_mask(occ_gt[2], occ_gt[0], occ_views[2], occ_views[0],
-                      tau=0.05, pair=(2, 0))
+# a tight threshold: the patch and the background are 1.9 depth units apart
+mask = compute_all_masks(occ_views, occ_gt, LossWeights(tau_occ=0.05))[2, 0]
 hidden = ~occ_vis[(2, 0)]
 print("\nocclusion reasoning, view 2 against view 0:")
 print(f"  analytically hidden pixels: {hidden.sum()}")

@@ -7,7 +7,6 @@ from .consistency import (
     OcclusionMask,
     SceneState,
     compute_all_masks,
-    occlusion_mask,
     total_loss,
 )
 from .fusion import PointCloud, depths_to_cloud, filter_consistent

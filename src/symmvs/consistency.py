@@ -47,7 +47,7 @@ smoothness edge weights, and the SSIM window normalizer, all computed when
 it is built. `solver.refine` builds one per run that evaluates a loss and
 hands it to every mask update and evaluation; an evaluation without one
 (`total_loss`) builds a fresh one, and a mask update without one
-(`compute_all_masks`, `occlusion_mask`) builds the pair records it reads.
+(`compute_all_masks`) builds the pair records it reads.
 
 Data that depends on the depths is computed once per mask update or
 evaluation. Each ordered pair's `geometry.pair_sampling` serves every warp
@@ -76,7 +76,6 @@ __all__ = [
     "LossBreakdown",
     "SceneState",
     "ViewContext",
-    "occlusion_mask",
     "compute_all_masks",
     "total_loss",
 ]
@@ -87,7 +86,7 @@ class OcclusionMask:
     """Mutual-visibility flags for an ordered view pair, in the first
     view's pixel grid."""
 
-    pair: tuple | None
+    pair: tuple
     valid: np.ndarray
     valid_count: int = field(init=False)
 
@@ -182,9 +181,10 @@ class ViewContext:
     `photometry.reference_stats` and ``edges[i]`` its
     `photometry.edge_weights` for ``alphas``, the weights' (alpha1,
     alpha2). Building one checks the views: at least two (TooFewViews),
-    each with an image (ValueError) of one shape (ShapeMismatch), each
-    error naming the view at fault. Nothing outlives the context, so a run
-    that creates one and drops it on return leaves no state behind.
+    each with an image (ValueError) of one shape, at least 2 by 2
+    (ShapeMismatch), each error naming the view at fault. Nothing outlives
+    the context, so a run that creates one and drops it on return leaves
+    no state behind.
     """
 
     def __init__(self, views, weights: LossWeights):
@@ -199,8 +199,9 @@ class ViewContext:
 
 def _check_views(views, user: str):
     """Raise, naming the view at fault, unless there are at least two views
-    (TooFewViews), each with an image (ValueError) of one shape
-    (ShapeMismatch); ``user`` names what needs them in the messages."""
+    (TooFewViews), each with an image (ValueError) of one shape, at least 2
+    rows and 2 columns (ShapeMismatch), the least grid a bilinear tap's
+    four corners fit on; ``user`` names what needs them in the messages."""
     if len(views) < 2:
         raise TooFewViews(f"{user} needs at least two views")
     for i, v in enumerate(views):
@@ -210,6 +211,9 @@ def _check_views(views, user: str):
         if v.image.shape != views[0].image.shape:
             raise ShapeMismatch(f"view {i} image is {v.image.shape}, "
                                 f"view 0's is {views[0].image.shape}")
+        if min(v.image.shape[:2]) < 2:
+            raise ShapeMismatch(f"view {i} image is {v.image.shape}; {user} "
+                                "needs at least 2 rows and 2 columns")
 
 
 def _check_count(depths, views):
@@ -254,61 +258,27 @@ def _check_masks(masks, n, grid):
 # -- occlusion reasoning -------------------------------------------------------
 
 
-def _round_trips(pairs, depths, keys, tau) -> dict:
-    """Validity of mask (i, j) for each (i, j) in ``keys``, from ``pairs``,
-    the `geometry.ViewPair` records of every (i, j) and (j, i) they need;
-    each record is sampled once, at its target's depth."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    samplings = {(t, s): geometry.pair_sampling(p, depths[t].values, depths[t].valid)
-                 for (t, s), p in pairs.items()}
-    valid = {}
-    for i, j in keys:
-        first_vals, first_ok = geometry.warp_depth_values(
-            pairs[j, i], samplings[j, i], depths[i].values, depths[i].valid)
-        second_vals, second_ok = geometry.warp_depth_values(
-            pairs[i, j], samplings[i, j], value_of(first_vals), first_ok)
-        valid[i, j] = (
-            second_ok
-            & depths[i].valid
-            & (np.abs(depths[i].values - value_of(second_vals)) <= tau)
-        )
-    return valid
-
-
-def occlusion_mask(depth_i: geometry.DepthMap, depth_j: geometry.DepthMap,
-                   cam_i: geometry.CameraView, cam_j: geometry.CameraView,
-                   tau: float, pair: tuple | None = None) -> OcclusionMask:
-    """Cross-view depth-consistency mask for the ordered pair (i, j).
-
-    View i's depth is warped into view j and back; a pixel stays valid iff
-    the round-tripped depth agrees within ``tau`` and every intermediate
-    warp was in-bounds with positive depth. A ``depth_j`` off
-    ``depth_i``'s grid raises ShapeMismatch naming view j (``pair[1]``, or
-    1 without a pair).
-    """
-    depths, grid = [depth_i, depth_j], depth_i.values.shape
-    _check_grid(depths, grid, pair)
-    pairs = geometry.pair_records([cam_i, cam_j], grid)
-    return OcclusionMask(pair, _round_trips(pairs, depths, [(0, 1)], tau)[0, 1])
-
-
 def compute_all_masks(views, depths, weights: LossWeights,
                       context: ViewContext | None = None) -> dict:
     """Occlusion masks for every ordered view pair at the current depths.
 
+    Mask (t, s) warps view t's depth onto view s and back; a pixel stays
+    valid iff both warps were in bounds with positive depth and the round
+    trip moves its depth by at most ``weights.tau_occ``, which
+    `LossWeights` has checked to be positive.
+
     ``context`` is the run's `ViewContext` over ``views``, if it has one.
     A depth map count other than the view count raises ShapeMismatch, and
     so does a depth map off its view's image grid, off the context's grid,
-    or off view 0's depth grid, naming its view. Each ordered pair
-    is sampled once: (i, j) serves the second warp of mask (i, j) and the
-    first of mask (j, i), which are computed together, one unordered pair
-    at a time, so only that pair's two samplings are held at once.
+    or off view 0's depth grid, naming its view. Each ordered pair is
+    sampled once, at its target's depth: (t, s) serves the second warp of
+    mask (t, s) and the first of mask (s, t), which are computed together,
+    one unordered pair at a time, so only that pair's two samplings are
+    held at once.
     """
     _check_count(depths, views)
     _check_image_grids(depths, views)
     n = len(views)
-    keys = [(i, j) for i in range(n) for j in range(n) if i != j]
     if context is None:
         grid = depths[0].values.shape
         pairs = geometry.pair_records(views, grid)
@@ -316,11 +286,22 @@ def compute_all_masks(views, depths, weights: LossWeights,
         grid, pairs = context.grid, context.pairs
     _check_grid(depths, grid)
     valid = {}
-    for i, j in keys:
-        if i < j:
-            both = {(i, j): pairs[i, j], (j, i): pairs[j, i]}
-            valid.update(_round_trips(both, depths, both, weights.tau_occ))
-    return {key: OcclusionMask(key, valid[key]) for key in keys}
+    for i in range(n):
+        for j in range(i + 1, n):
+            keys = ((i, j), (j, i))
+            samplings = {(t, s): geometry.pair_sampling(pairs[t, s], depths[t].values,
+                                                        depths[t].valid)
+                         for t, s in keys}
+            for t, s in keys:
+                there, there_ok = geometry.warp_depth_values(
+                    pairs[s, t], samplings[s, t], depths[t].values, depths[t].valid)
+                back, back_ok = geometry.warp_depth_values(
+                    pairs[t, s], samplings[t, s], value_of(there), there_ok)
+                valid[t, s] = (back_ok & depths[t].valid
+                               & (np.abs(depths[t].values - value_of(back))
+                                  <= weights.tau_occ))
+    return {(i, j): OcclusionMask((i, j), valid[i, j])
+            for i in range(n) for j in range(n) if i != j}
 
 
 # -- term evaluation -----------------------------------------------------------

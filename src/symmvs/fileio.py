@@ -135,8 +135,9 @@ def write_pfm(path, depth: DepthMap):
 
 
 def read_pfm(path) -> DepthMap:
-    """Read a grayscale PFM written by `write_pfm`; zeros become invalid and
-    a non-finite pixel raises NonFiniteValue naming the path."""
+    """Read a grayscale PFM written by `write_pfm`; zeros become invalid, a
+    non-finite pixel raises NonFiniteValue naming the path, and a scale
+    that is not a finite number ParseError naming its line."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -156,7 +157,9 @@ def read_pfm(path) -> DepthMap:
         try:
             scale = float(fh.readline())
         except ValueError:
-            raise ParseError(f"{path}:3: bad scale") from None
+            scale = float("nan")
+        if not np.isfinite(scale):
+            raise ParseError(f"{path}:3: bad scale")
         if scale >= 0:
             raise UnsupportedVariant(f"{path}: big-endian PFM is not supported")
         buf = fh.read(4 * w * h)
@@ -291,7 +294,8 @@ def write_ply(path, cloud: PointCloud, binary: bool = True):
 
 
 def read_ply(path) -> PointCloud:
-    """Read an ASCII or binary little-endian PLY with x/y/z (+ rgb)."""
+    """Read an ASCII or binary little-endian PLY with x/y/z (+ rgb); a
+    non-finite coordinate or color raises NonFiniteValue naming the path."""
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"ply":
@@ -372,6 +376,8 @@ def read_ply(path) -> PointCloud:
     if has_color:
         colors = np.stack([np.asarray(rec[k], np.float64)
                            for k in ("red", "green", "blue")], axis=1) / 255.0
+    if not (np.isfinite(pts).all() and (colors is None or np.isfinite(colors).all())):
+        raise NonFiniteValue(f"{path}: non-finite vertex values")
     return PointCloud(pts, colors)
 
 
@@ -482,7 +488,8 @@ def read_run_config(path) -> tuple:
     """Flat ``key = value`` run configuration.
 
     Keys mirror the loss-weight and solver fields; unknown keys raise
-    ParseError so typos cannot silently change a run. Returns
+    ParseError so typos cannot silently change a run, and so does a weight
+    that `LossWeights` rejects, each naming the file and line. Returns
     (LossWeights, dict of solver settings).
     """
     path = Path(path)
@@ -501,6 +508,10 @@ def read_run_config(path) -> tuple:
                     weights_kw[key] = float(val)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad number {val!r}") from None
+                try:
+                    LossWeights(**{key: weights_kw[key]})
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
             elif key in _SOLVER_KEYS:
                 try:
                     solver_kw[key] = _SOLVER_KEYS[key](val)

@@ -85,7 +85,9 @@ class LossWeights:
     """Weights of every loss term, with the stock defaults.
 
     ``tau_occ`` is the cross-view depth-consistency threshold used for
-    occlusion masks, in the same units as depth.
+    occlusion masks, in the same units as depth. Every weight is checked
+    here, where it enters, and nowhere else: one that is negative or NaN,
+    or a ``tau_occ`` that is not positive, raises ValueError naming it.
     """
 
     omega_u: float = 0.8
@@ -101,6 +103,8 @@ class LossWeights:
     tau_occ: float = 5.0
 
     def __post_init__(self):
+        if not self.tau_occ > 0:
+            raise ValueError("loss weight tau_occ must be positive")
         for name in self.__dataclass_fields__:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"loss weight {name} must be non-negative")

@@ -164,7 +164,8 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
     fits; the depths are those of the whole-image sweep.
 
     The views are checked first, as a loss evaluation checks them: at least
-    two, each with an image of one shape, errors naming the view at fault.
+    two, each with an image of one shape at least 2 by 2, errors naming the
+    view at fault.
     Just before its sweep, a reference view raises NoParallax naming it and
     its largest displacement when no source camera moves any of its pixels
     by `MIN_PARALLAX_PX` or more over the hypothesis range (a source at its

@@ -7,7 +7,8 @@ ones must match bit for bit (`cost_volume_loop`,
 `smooth_cost_volume_whole`, `regress_depth_whole`,
 `camera_rays_world_int_grid`, `box_sum3_padded`, `pad_zero_np`,
 `sample_validity_direct`, `census_distance_mean`, `synth_values_unshared`,
-`warp_depth_values_unshared`); `box_sum_axis_loop` fixes the order in which
+`warp_depth_values_unshared`); `round_trip_mask` builds an occlusion mask
+from two whole-map depth warps; `box_sum_axis_loop` fixes the order in which
 the cost-volume smoothing adds each slice's depth neighbours. The loss formulas that the
 library records as single tape nodes are kept here in their op-by-op form,
 one node per array operation (`charbonnier_chain` to `smoothness_chain`,
@@ -303,6 +304,19 @@ def warp_depth_values_unshared(source_values, source_valid, target_values,
     z = (coeff[0] * x + coeff[1] * y + coeff[2]) * d_src + t_st[2]
     ok = ok & (ad.value_of(z) > 0.0)
     return where_mask(ok, z, 0.0), ok
+
+
+def round_trip_mask(views, depths, t, s, tau):
+    """Occlusion mask (t, s) from two `geometry.warp_depth` calls, each on a
+    fresh camera pair: view t's depth warped onto view s, then back onto
+    view t, kept where both warps and view t's depth are valid and the
+    round trip moves the depth by at most ``tau``."""
+    from symmvs import geometry
+
+    there = geometry.warp_depth(depths[t], depths[s], views[t], views[s])
+    back = geometry.warp_depth(there, depths[t], views[s], views[t])
+    return (back.valid & depths[t].valid
+            & (np.abs(depths[t].values - back.values) <= tau))
 
 
 def bilinear_image_grad_add_at(image_shape, x, y, mask, g):

@@ -22,7 +22,6 @@ from symmvs import (
     depths_to_cloud,
     extract_features,
     filter_consistent,
-    occlusion_mask,
     overall_from_means,
     refine,
     regress_depth,
@@ -178,7 +177,7 @@ def test_criterion_06_occlusion_reasoning(occluder_scene):
     with criterion(6, "occlusion mask matches the analytic hidden band"):
         views, gt = occluder_scene["views"], occluder_scene["gt"]
         vis = occluder_scene["visibility"][(2, 0)]
-        m = occlusion_mask(gt[2], gt[0], views[2], views[0], tau=0.05, pair=(2, 0))
+        m = compute_all_masks(views, gt, LossWeights(tau_occ=0.05))[2, 0]
         h, w = gt[2].values.shape
         gx, gy = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
         pts = geometry.backproject_pixels(views[2], gx, gy, gt[2].values)

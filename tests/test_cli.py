@@ -243,6 +243,49 @@ def test_coincident_cameras_exit_1_naming_the_view(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_grid_one_pixel_tall_exits_1_naming_the_view(tmp_path, capsys):
+    # a 16x1 bundle used to reach the image gradient's scatter, which
+    # printed numpy's "'list' argument must have no negative elements"
+    scene, run_cfg = tmp_path / "row.cfg", tmp_path / "run.cfg"
+    run_cfg.write_text(RUN_CFG)
+    scene.write_text("size 16 1\nchannels 1\nseed 7\ndepth_range 1.8 0.1\n"
+                     "camera fx=20 cx=7.5 cy=0 center=-0.2,0,0\n"
+                     "camera fx=20 cx=7.5 cy=0 center=0.2,0,0\n"
+                     "plane normal=0,0,1 offset=3.0 texture=0 scale=1.5\n")
+    assert main(["synth", str(scene), str(tmp_path / "bundle")]) == 0
+    capsys.readouterr()
+    code = main(["optimize", str(tmp_path / "bundle"), str(tmp_path / "out"),
+                 "--config", str(run_cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("error: view 0 image is (1, 16, 1); initialization needs at least "
+            "2 rows and 2 columns") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lambda1 = -1", "loss weight lambda1 must be non-negative"),
+    ("tau_occ = 0", "loss weight tau_occ must be positive"),
+])
+def test_rejected_run_config_weight_exits_1_naming_its_line(workspace, tmp_path,
+                                                            capsys, monkeypatch,
+                                                            line, message):
+    # a zero tau_occ used to load, and the run failed only at its first
+    # mask pass, after the whole sweep
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(RUN_CFG + line + "\n")
+    monkeypatch.setattr(solver, "init_depths",
+                        lambda *args: pytest.fail("the bundle was swept"))
+    code = main(["optimize", str(workspace["bundle"]), str(tmp_path / "out"),
+                 "--config", str(run_cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {run_cfg}:7: {message}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_rejects_a_zero_depth_interval(tmp_path, capsys):
     # a range of 1.8 to 1.8 would be written into every camera file
     scene = tmp_path / "flat.cfg"

@@ -13,7 +13,6 @@ from symmvs import (
     LossWeights,
     compute_all_masks,
     geometry,
-    occlusion_mask,
     photometry,
     synthesize_view,
     total_loss,
@@ -30,6 +29,7 @@ from symmvs.errors import ShapeMismatch, TooFewViews
 from symmvs.photometry import box_norm, edge_weights, reference_stats, unary_comparator
 from symmvs.solver import loss_gradient
 
+from _oracles import round_trip_mask
 from conftest import noisy_depths, same_bytes, scene_state
 
 PHI_0 = math.sqrt(1e-6)
@@ -51,17 +51,22 @@ def sampled(views, depths, t, s):
     return pair, geometry.pair_sampling(pair, depths[t].values, depths[t].valid)
 
 
+def pair_mask(views, depths, t, s, tau):
+    """Mask (t, s) of `compute_all_masks` over ``views`` at ``depths``."""
+    return compute_all_masks(views, depths, LossWeights(tau_occ=tau))[t, s]
+
+
 class TestOcclusionMask:
     def test_same_view_fully_valid(self, plane_scene):
         gt, views = plane_scene["gt"], plane_scene["views"]
-        m = occlusion_mask(gt[0], gt[0], views[0], views[0], tau=0.01)
+        m = pair_mask([views[0]] * 2, [gt[0]] * 2, 0, 1, tau=0.01)
         np.testing.assert_array_equal(m.valid, gt[0].valid)
         assert m.valid_count == int(gt[0].valid.sum())
 
     def test_huge_tau_keeps_all_warp_valid_pixels(self, plane_scene):
         gt, views = plane_scene["gt"], plane_scene["views"]
-        m_small = occlusion_mask(gt[0], gt[1], views[0], views[1], tau=1e-12)
-        m_huge = occlusion_mask(gt[0], gt[1], views[0], views[1], tau=1e12)
+        m_small = pair_mask(views[:2], gt[:2], 0, 1, tau=1e-12)
+        m_huge = pair_mask(views[:2], gt[:2], 0, 1, tau=1e12)
         # the huge threshold never binds: validity equals pure warp validity
         assert m_huge.valid_count >= m_small.valid_count
         from symmvs.geometry import warp_depth
@@ -72,22 +77,22 @@ class TestOcclusionMask:
     def test_monotone_in_tau(self, plane_scene):
         gt, views = plane_scene["gt"], plane_scene["views"]
         counts = [
-            occlusion_mask(gt[0], gt[1], views[0], views[1], tau=t).valid_count
+            pair_mask(views[:2], gt[:2], 0, 1, tau=t).valid_count
             for t in (1e-6, 1e-4, 0.01, 0.05, 1.0)
         ]
         assert counts == sorted(counts)
 
     def test_fixed_point_on_occlusion_free_scene(self, plane_scene):
         gt, views, hyp = plane_scene["gt"], plane_scene["views"], plane_scene["hyp"]
-        m = occlusion_mask(gt[0], gt[1], views[0], views[1], tau=hyp.spacing)
-        m_loose = occlusion_mask(gt[0], gt[1], views[0], views[1], tau=1e12)
+        m = pair_mask(views[:2], gt[:2], 0, 1, tau=hyp.spacing)
+        m_loose = pair_mask(views[:2], gt[:2], 0, 1, tau=1e12)
         np.testing.assert_array_equal(m.valid, m_loose.valid)
 
     def test_occluded_band_detected(self, occluder_scene):
         from symmvs.geometry import backproject_pixels, project_points
         views, gt = occluder_scene["views"], occluder_scene["gt"]
         vis = occluder_scene["visibility"][(2, 0)]
-        m = occlusion_mask(gt[2], gt[0], views[2], views[0], tau=0.05, pair=(2, 0))
+        m = pair_mask(views, gt, 2, 0, tau=0.05)
         # comparison region: pixels whose point projects inside view 0,
         # derived analytically so it is independent of the warp chain
         h, w = gt[2].values.shape
@@ -108,10 +113,12 @@ class TestOcclusionMask:
         assert (region & vis).sum() > 1000
         assert inter / union >= 0.95
 
-    def test_rejects_nonpositive_tau(self, plane_scene):
-        gt, views = plane_scene["gt"], plane_scene["views"]
-        with pytest.raises(ValueError):
-            occlusion_mask(gt[0], gt[1], views[0], views[1], tau=0.0)
+    def test_rejects_nonpositive_tau(self):
+        # the threshold is checked where it enters, so no mask pass sees one
+        for tau in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="^loss weight tau_occ must be "
+                                                 "positive$"):
+                LossWeights(tau_occ=tau)
 
 
 class TestImageConsistency:
@@ -466,8 +473,6 @@ class TestViewContext:
                 with pytest.raises(ShapeMismatch, match=message):
                     compute_all_masks(views, depths, weights, context)
             with pytest.raises(ShapeMismatch, match=message):
-                occlusion_mask(gt[0], off, views[0], views[2], 1.0, (0, 2))
-            with pytest.raises(ShapeMismatch, match=message):
                 _evaluate(views, depths, masks, weights, False, ctx)
             with pytest.raises(ShapeMismatch, match=message):
                 total_loss(SceneState(views, depths, masks, weights))
@@ -638,8 +643,7 @@ class TestSharedWork:
                                                       monkeypatch):
         views, depths, _, weights, ctx = self.state(request.getfixturevalue(scene))
         weights = dataclasses.replace(weights, tau_occ=0.05)
-        alone = {(i, j): occlusion_mask(depths[i], depths[j], views[i], views[j],
-                                        weights.tau_occ, (i, j))
+        alone = {(i, j): round_trip_mask(views, depths, i, j, weights.tau_occ)
                  for i in range(len(views)) for j in range(len(views)) if i != j}
         calls = self.counting(monkeypatch, geometry,
                               ["pair_sampling", "pair_coefficients"])
@@ -648,10 +652,10 @@ class TestSharedWork:
         assert calls == {"pair_sampling": n * (n - 1),
                          "pair_coefficients": 0 if kept else n * (n - 1)}
         assert masks.keys() == alone.keys()
-        assert any(not m.valid.all() for m in alone.values())
+        assert any(not m.all() for m in alone.values())
         for key, m in masks.items():
             assert m.pair == key
-            assert same_bytes(m.valid, alone[key].valid), key
+            assert same_bytes(m.valid, alone[key]), key
 
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
     @pytest.mark.parametrize("with_grad", [False, True])

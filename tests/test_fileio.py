@@ -140,6 +140,15 @@ class TestPfm:
         with pytest.raises(ParseError, match="^" + re.escape(f"{path}:2: ")):
             read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"-inf", b"inf", b"-1.0x"])
+    def test_scale_that_is_not_a_finite_number_names_file_and_line(self, tmp_path,
+                                                                   scale):
+        # a NaN scale failed `scale >= 0` and was read as little-endian
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + b"\x00" * 16)
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:3: bad scale")):
+            read_pfm(path)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_pixel_names_file(self, tmp_path, bad):
         pixels = np.array([[1.0, 2.0], [bad, 0.0]], dtype="<f4")
@@ -290,6 +299,35 @@ class TestPly:
         with pytest.raises(UnsupportedVariant, match="'list' unsupported"):
             read_ply(path)
 
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_names_file(self, tmp_path, binary, bad):
+        # `PointCloud` raised a ValueError that named no file
+        path = tmp_path / "c.ply"
+        pts = np.array([[0.5, -1.0, 2.0], [1.5, bad, 3.0]])
+        colors = np.ones((2, 3))
+        write_ply(path, PointCloud(np.zeros((2, 3)), colors), binary=binary)
+        raw = path.read_bytes()
+        at = raw.index(b"end_header\n") + len(b"end_header\n")
+        if binary:
+            rec = np.frombuffer(raw[at:], dtype=[("p", "<f4", 3), ("c", "u1", 3)]).copy()
+            rec["p"] = pts
+            body = rec.tobytes()
+        else:
+            body = "".join(f"{x} {y} {z} 255 255 255\n" for x, y, z in pts).encode()
+        path.write_bytes(raw[:at] + body)
+        with pytest.raises(NonFiniteValue, match="^" + re.escape(
+                f"{path}: non-finite vertex values")):
+            read_ply(path)
+
+    def test_non_finite_ascii_color_names_file(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(np.zeros((2, 3)), np.ones((2, 3))), binary=False)
+        path.write_bytes(path.read_bytes().replace(b"255\n", b"nan\n", 1))
+        with pytest.raises(NonFiniteValue, match="^" + re.escape(
+                f"{path}: non-finite vertex values")):
+            read_ply(path)
+
     def test_non_numeric_ascii_vertex_names_file(self, tmp_path):
         path = tmp_path / "c.ply"
         write_ply(path, PointCloud(np.zeros((2, 3))), binary=False)
@@ -365,6 +403,21 @@ class TestRunConfig:
         assert weights.tau_occ == 1.0
         assert solver_kw["max_outer_iters"] == 7
         assert solver_kw["temperature"] == 1e-5
+
+    @pytest.mark.parametrize("line, message", [
+        ("lambda1 = -1", "loss weight lambda1 must be non-negative"),
+        ("omega_s = nan", "loss weight omega_s must be non-negative"),
+        ("tau_occ = 0", "loss weight tau_occ must be positive"),
+        ("tau_occ = nan", "loss weight tau_occ must be positive"),
+    ])
+    def test_rejected_weight_names_file_and_line(self, tmp_path, line, message):
+        # the error of `LossWeights` used to surface without the file; a
+        # zero tau_occ loaded, and only the first mask pass refused it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tau_occ = 1.0\nmax_outer_iters = 7\n{line}\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{cfg}:3: {message}")
+                           + "$"):
+            read_run_config(cfg)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,7 @@
 """The package imports only the standard library, numpy, scipy and itself,
 keeps the sampling primitives inside the modules that own them, builds
-camera records in `geometry` only, and records tape nodes only through
-`autodiff.fused`."""
+camera records in `geometry` only, records tape nodes only through
+`autodiff.fused`, and builds occlusion masks in one mask pass."""
 
 import ast
 import os
@@ -87,8 +87,8 @@ OPERATORS = {f"__{p}{op}__" for op in ("add", "sub", "mul", "truediv", "floordiv
                                          "__getitem__", "sum"}
 
 
-def var_calls(path):
-    """The enclosing function of every call of ``Var`` or ``ad.Var``."""
+def calls_of(path, name):
+    """The enclosing function of every call of ``name`` or ``<module>.name``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
     def visit(node, func):
@@ -96,7 +96,7 @@ def var_calls(path):
             func = node.name
         if isinstance(node, ast.Call):
             callee = node.func
-            if getattr(callee, "id", getattr(callee, "attr", None)) == "Var":
+            if getattr(callee, "id", getattr(callee, "attr", None)) == name:
                 yield func
         for child in ast.iter_child_nodes(node):
             yield from visit(child, func)
@@ -108,8 +108,16 @@ def test_tape_nodes_are_leaves_or_fused_formulas():
     from symmvs.autodiff import Var
 
     assert sorted(op for op in OPERATORS if hasattr(Var, op)) == []
-    makers = {f"{path.name}:{func}" for path in SOURCES for func in var_calls(path)}
+    makers = {f"{path.name}:{func}" for path in SOURCES
+              for func in calls_of(path, "Var")}
     assert makers == {"autodiff.py:fused", "consistency.py:_evaluate"}
+
+
+# Every occlusion mask comes from the one round trip of the mask pass.
+def test_only_the_mask_pass_builds_occlusion_masks():
+    builders = {f"{path.name}:{func}" for path in SOURCES
+                for func in calls_of(path, "OcclusionMask")}
+    assert builders == {"consistency.py:compute_all_masks"}
 
 
 def test_importing_the_package_leaves_scipy_spatial_unloaded():

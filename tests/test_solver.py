@@ -1,5 +1,6 @@
 """Initialization, analytic gradients, and the alternating refinement loop."""
 
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -28,7 +29,6 @@ from symmvs import (
     filter_consistent,
     init_depths,
     loss_gradient,
-    occlusion_mask,
     refine,
     regress_depth,
     render_scene,
@@ -172,6 +172,28 @@ class TestInitDepths:
                               views[1].translation, None)
         with pytest.raises(ValueError, match="^view 1 has no image; "):
             init_depths(views, plane_scene["hyp"], DESK_TEMPERATURE)
+
+    @pytest.mark.parametrize("width, height", [(16, 1), (1, 16)])
+    def test_grid_one_pixel_tall_or_wide_names_the_view(self, plane_scene, width,
+                                                         height):
+        # a bilinear tap's four corners need a 2x2 grid: on a 16x1 one the
+        # corner indices went negative, and the image gradient's scatter
+        # raised numpy's "'list' argument must have no negative elements"
+        cameras = [make_camera(x, f=20.0, width=width, height=height)
+                   for x in (-0.2, 0.2)]
+        views, gt, _ = render_scene(SceneSpec(plane_scene["spec"].primitives, cameras,
+                                              width=width, height=height, seed=7))
+        hyp = DepthHypotheses(1.8, 4.95, 32)
+        message = rf"^view 0 image is \({height}, {width}, 1\); "
+        with pytest.raises(ShapeMismatch, match=message + "initialization needs"):
+            init_depths(views, hyp, DESK_TEMPERATURE)
+        with pytest.raises(ShapeMismatch, match=message + "initialization needs"):
+            run_pipeline(views, desk_config(hyp))
+        state = SolverState(views=views, depths=gt, masks={},
+                            weights=LossWeights(tau_occ=100.0))
+        for evaluation in (total_loss, loss_gradient):
+            with pytest.raises(ShapeMismatch, match=message + "the objective needs"):
+                evaluation(state)
 
     def test_range_that_misses_the_scene_raises_empty_sweep(self, plane_scene):
         # at depths of 0.01-0.02 every warp leaves the source image: no
@@ -594,14 +616,12 @@ class TestRefine:
 
 class TestRunPipeline:
     def test_outputs_are_cross_view_consistent(self, plane_scene):
-        from symmvs import occlusion_mask
         views, hyp = plane_scene["views"], plane_scene["hyp"]
         config = desk_config(hyp, max_outer_iters=10)
         state = run_pipeline(views, config)
-        m = occlusion_mask(state.depths[0], state.depths[1], views[0], views[1],
-                           tau=hyp.spacing)
-        loose = occlusion_mask(state.depths[0], state.depths[1], views[0],
-                               views[1], tau=1e12)
+        m, loose = (compute_all_masks(views[:2], state.depths[:2],
+                                      LossWeights(tau_occ=tau))[0, 1]
+                    for tau in (hyp.spacing, 1e12))
         interior = np.zeros(m.valid.shape, bool)
         interior[4:-4, 14:-14] = True
         region = loose.valid & interior
@@ -780,8 +800,8 @@ def _flat_volume():
     pytest.param(lambda sc: cloud_metrics(PointCloud(np.zeros((1, 3))),
                                           PointCloud(np.zeros((1, 3))), np.nan),
                  id="threshold"),
-    pytest.param(lambda sc: occlusion_mask(sc["gt"][0], sc["gt"][1], sc["views"][0],
-                                           sc["views"][1], np.nan),
+    pytest.param(lambda sc: compute_all_masks(
+        sc["views"], sc["gt"], dataclasses.replace(sc["weights"], tau_occ=np.nan)),
                  id="occlusion-tau"),
     pytest.param(lambda sc: regress_depth(_flat_volume(), np.nan),
                  id="regress-temperature"),

@@ -62,12 +62,12 @@ def test_evalcost_prints_one_line_per_workload_and_grid():
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert set(record) == {"workload", "seed", "grid", "value_ms",
-                           "gradient_ms", "total_loss_peak_mib",
+                           "gradient_ms", "mask_ms", "total_loss_peak_mib",
                            "value_peak_mib", "gradient_peak_mib",
                            "gradient_nodes"}
     assert (record["workload"], record["seed"], record["grid"]) == (
         "refine-occluder4-64", 7, "16x12")
-    assert all(record[key] > 0 for key in ("value_ms", "gradient_ms",
+    assert all(record[key] > 0 for key in ("value_ms", "gradient_ms", "mask_ms",
                                            "total_loss_peak_mib",
                                            "value_peak_mib",
                                            "gradient_peak_mib"))

@@ -1,7 +1,7 @@
 """Print the cost of one loss evaluation on a bench scene: the time of a
-value evaluation and of a gradient evaluation, the memory peaks of one
-`total_loss`, of one value evaluation and of one `loss_gradient`, and the
-size of the gradient's tape.
+value evaluation, of a gradient evaluation and of a mask pass, the memory
+peaks of one `total_loss`, of one value evaluation and of one
+`loss_gradient`, and the size of the gradient's tape.
 
     python3 tools/evalcost.py [--root CHECKOUT] [--workload W] [--grid WxH]
                               [--seed S] [--calls N]
@@ -23,6 +23,8 @@ and their `compute_all_masks` masks:
   runs it);
 - ``gradient_ms``: the median time of one `solver.loss_gradient` with that
   context;
+- ``mask_ms``: the median time of one `consistency.compute_all_masks` with
+  that context;
 - ``total_loss_peak_mib``: the `tracemalloc` peak of one `total_loss`,
   which builds its own context;
 - ``value_peak_mib``: the `tracemalloc` peak of one value-only
@@ -34,8 +36,8 @@ and their `compute_all_masks` masks:
   runs its backward pass over: every node reachable from the total of
   `consistency._evaluate` with gradients, the depth leaves included.
 
-The two timings alternate over ``--calls`` rounds after one untimed call of
-each. The tool sets no bounds and is not part of the bench.
+The three timings alternate over ``--calls`` rounds after one untimed call
+of each. The tool sets no bounds and is not part of the bench.
 """
 
 import argparse
@@ -97,7 +99,10 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
     def gradient():
         solver.loss_gradient(state, ctx)
 
-    times = {value: [], gradient: []}
+    def mask_pass():
+        consistency.compute_all_masks(views, depths, weights, ctx)
+
+    times = {value: [], gradient: [], mask_pass: []}
     for _ in range(calls + 1):
         for fn, spent in times.items():
             t0 = time.perf_counter()
@@ -111,6 +116,7 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
             "grid": f"{workload.width}x{workload.height}",
             "value_ms": 1e3 * statistics.median(times[value][1:]),
             "gradient_ms": 1e3 * statistics.median(times[gradient][1:]),
+            "mask_ms": 1e3 * statistics.median(times[mask_pass][1:]),
             "total_loss_peak_mib": peak / 2**20,
             "value_peak_mib": value_peak / 2**20,
             "gradient_peak_mib": gradient_peak / 2**20,
