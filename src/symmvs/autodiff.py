@@ -10,18 +10,20 @@ image and the sampling coordinates, are `fused` nodes too. A `Var` has no
 arithmetic: a formula combines plain arrays and wraps the result in
 `fused`.
 
-The loss total is one `fused` node over its terms (see
-`consistency._evaluate`): the objective is a fixed weighted sum, so its
-VJP seeds each term with the term's weight, and the backward pass starts
-from there.
-
 `Var.backward` consumes a graph in one walk, newest node first: a node is
 created after its parents, so all its consumers have run when its VJP
 runs, and once that VJP has run the node drops it and its parents, with
 what they kept. A graph is therefore differentiated once. A node's second
 gradient contribution goes into a fresh buffer that the node then owns,
 and later ones into it in place; the first is never written, as a VJP may
-return its ``g`` or an array it keeps.
+return its ``g`` or an array it keeps. A leaf keeps its ``.grad`` from one
+pass to the next and adds to it.
+
+`backprop` runs one such pass from several outputs at once, each seeded
+with an adjoint the caller already knows. The loss is a fixed weighted sum
+of its terms, so `consistency._evaluate` pushes each group of terms back
+with their weights as soon as the group exists, and no tape outlives it
+(see `consistency`).
 
 The small-grid kernels under every loss evaluation keep the arithmetic of
 their plain forms, bit for bit, with less memory traffic and fewer calls:
@@ -50,6 +52,7 @@ __all__ = [
     "Var",
     "value_of",
     "fused",
+    "backprop",
     "box_sum3",
     "bilinear_taps",
     "bilinear",
@@ -121,6 +124,21 @@ def fused(value, inputs, vjp):
         return value
     return Var(value, tuple(x for x, w in zip(inputs, want) if w),
                lambda g: tuple(gr for gr, w in zip(vjp(g), want) if w))
+
+
+def backprop(outputs, seeds):
+    """Add ``seeds[k]`` times the derivative of ``outputs[k]``, summed over
+    k, into the ``.grad`` of every leaf the outputs depend on.
+
+    Each seed is shaped like its output, a float for a scalar. A plain
+    output (a term skipped for an empty mask, or any value of a path
+    without a Var) is dropped, and with no Var output nothing runs. One
+    `Var.backward` pass, from a root whose VJP hands each output its seed,
+    consumes the outputs' graphs.
+    """
+    root = fused(0.0, outputs, lambda g: seeds)
+    if isinstance(root, Var):
+        root.backward()
 
 
 def _box_sum3_raw(a):

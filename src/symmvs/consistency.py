@@ -23,7 +23,8 @@ One evaluation streams its terms, in one order for values and gradients:
   second-order images are kept.
 - per reference view r: it takes the statistics of every second-order
   image (r, s), the image-consistency terms that compare them with view
-  r's image and the brightness terms (r, j, k), and drops the statistics.
+  r's image and the brightness terms (r, j, k), and drops the statistics
+  and the images.
 - last, every view's smoothness term.
 
 Then the records of the breakdown are filled, and the sums taken, in a
@@ -31,14 +32,38 @@ fixed order that the streaming does not change: (i, j) then (j, i) for
 each i < j, and the brightness terms by reference view r, then j < k.
 
 A value evaluation therefore holds the `ViewContext` it reads (a fresh one
-when it is given none), every second-order image with its validity, and at
-once either one pair's samplings, syntheses and depth warps, or one
-reference view's second-order statistics: its peak grows with the number
-of views, not with the number of pairs. A gradient evaluation keeps its
-tape until the backward pass, which frees it node by node, newest first,
-as each node's VJP runs. `total_loss` returns
-the terms itemized in a `LossBreakdown`, so a single term is read from
-there (for example ``total_loss(state).depth_consistency[(i, j)]``).
+when it is given none), the second-order images not yet compared, with
+their validity, and at once either one pair's samplings, syntheses and
+depth warps, or one reference view's second-order statistics: its peak
+grows with the number of views, not with the number of pairs.
+
+A gradient evaluation runs the same stages and needs no tape over the
+whole of them, because the objective is a fixed weighted sum: the
+gradient reaching each term is its weight (omega_u, lambda5, lambda6, 1
+for brightness, and omega_s (n - 1) / 2 for a view's smoothness, which
+enters n - 1 pairs), known before the term exists. So each group of terms
+is pushed back with `autodiff.backprop` as soon as it is done, and its
+graph dies there (reverse accumulation with checkpointing: Griewank and
+Walther, *Evaluating Derivatives*, 2008, ch. 12):
+- a pair's depth-consistency and unary terms, through its samplings,
+  first-order images and depth warps, to the depth leaves. Its
+  second-order images are computed as plain values.
+- a reference view's image-consistency and brightness terms, onto its
+  second-order images, held as fresh leaves. Each image's gradient waits
+  until the other reference view of its pair is done too; then the pair's
+  second-order images are rebuilt on a small tape (`_second_orders`: both
+  samplings again, and the first- and second-order synthesis) and pushed
+  on to the depth leaves, seeded with those gradients. An image that no
+  term compared, all its terms skipped, is not rebuilt.
+- last, the smoothness terms.
+
+The leaves add the passes up in their ``.grad``. A gradient evaluation
+samples each ordered pair twice, and its peak is about twice a value
+evaluation's.
+
+`total_loss` returns the terms itemized in a `LossBreakdown`, so a single
+term is read from there (for example
+``total_loss(state).depth_consistency[(i, j)]``).
 
 Data that depends only on the cameras and images lives in a `ViewContext`:
 each ordered pair's `geometry.ViewPair` record, each view's comparator
@@ -50,9 +75,10 @@ hands it to every mask update and evaluation; an evaluation without one
 (`compute_all_masks`) builds the pair records it reads.
 
 Data that depends on the depths is computed once per mask update or
-evaluation. Each ordered pair's `geometry.pair_sampling` serves every warp
-of the pair: the first warp of one mask and the second of its reverse, or
-the pair's first- and second-order synthesis and its depth warp. Each
+evaluation, but for the gradient's rebuilt second-order images. Each
+ordered pair's `geometry.pair_sampling` serves every warp of the pair: the
+first warp of one mask and the second of its reverse, or the pair's
+first- and second-order synthesis and its depth warp. Each
 synthesized image's `photometry.reference_stats` is computed once per
 evaluation, also when every term that compares it is skipped, and serves
 all of them: its unary or image-consistency term and, for a second-order
@@ -314,19 +340,39 @@ def _pair_warps(ctx, views, leaves, depths, i, j):
     ``first[t, s]`` is view s's image synthesized on view t's grid,
     ``second[t, s]`` view s's ``first`` of view t pulled back onto view t's
     grid, and ``dwarp[t, s]`` view s's depth re-expressed on view t's
-    grid. The two samplings die on return."""
+    grid. The second-order images are plain values, whatever the leaves
+    (`_second_orders` rebuilds them on a tape). The two samplings die on
+    return."""
     keys = ((i, j), (j, i))
     samplings = {(t, s): geometry.pair_sampling(ctx.pairs[t, s], leaves[t],
                                                 depths[t].valid)
                  for t, s in keys}
     first = {(t, s): geometry.synth_values(samplings[t, s], views[s].image)
              for t, s in keys}
-    second = {(t, s): geometry.synth_values(samplings[t, s], *first[s, t])
-              for t, s in keys}
+    second = {}
+    for t, s in keys:
+        x, y, ok, taps = samplings[t, s]
+        image, valid = first[s, t]
+        second[t, s] = geometry.synth_values((value_of(x), value_of(y), ok, taps),
+                                             value_of(image), valid)
     dwarp = {(t, s): geometry.warp_depth_values(ctx.pairs[t, s], samplings[t, s],
                                                 leaves[s], depths[s].valid)
              for t, s in keys}
     return first, second, dwarp
+
+
+def _second_orders(ctx, views, leaves, depths, i, j, keys):
+    """The images ``second[t, s]`` of `_pair_warps` for the ordered pairs
+    ``keys`` of the unordered pair (i, j), with the same bits, rebuilt on
+    the depth leaves of views i and j: (i, j) and (j, i) are sampled once
+    each, and each image is view t's own, synthesized on view s's grid and
+    pulled back onto view t's."""
+    samplings = {(t, s): geometry.pair_sampling(ctx.pairs[t, s], leaves[t],
+                                                depths[t].valid)
+                 for t, s in ((i, j), (j, i))}
+    return [geometry.synth_values(
+                samplings[t, s], *geometry.synth_values(samplings[s, t], views[t].image))[0]
+            for t, s in keys]
 
 
 def _depth_consistency(leaf, warped, mask):
@@ -349,12 +395,12 @@ def _depth_consistency(leaf, warped, mask):
 def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     """Evaluate every loss term of one state.
 
-    Returns (breakdown, total, leaves): ``total`` is ``breakdown.total``
-    and ``leaves`` the depth grids. When ``with_grad``, the leaves are
-    autodiff leaves, every term (except the locally constant census part)
-    is differentiable with respect to them, and ``total`` is one
-    `autodiff.fused` node over the terms, whose VJP hands each term its
-    weight in the objective. Camera- and image-only data comes from
+    Returns (breakdown, leaves), ``leaves`` the depth grids. When
+    ``with_grad``, the leaves are autodiff leaves and hold in ``.grad`` the
+    gradient of ``breakdown.total``: every term (except the locally
+    constant census part) is differentiated with respect to them, pushed
+    back with its weight in the objective as soon as its group is done (see
+    the module docstring). Camera- and image-only data comes from
     ``context``, the run's `ViewContext`; without one, a fresh context
     serves this evaluation alone. A context built for other alphas raises
     ValueError; a depth map count other than the view count, a depth map
@@ -386,39 +432,63 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
         return photometry.reference_stats(image, ctx.norm)
 
     # One unordered pair at a time: its depth-consistency and unary terms,
-    # keeping only its second-order images.
-    lu, lm, ld, lb, second = {}, {}, {}, {}, {}
+    # pushed back to the depths together, keeping only its second-order
+    # images. `ad.backprop` does nothing without a Var.
+    lu, lm, ld, lb, second, adjoint = {}, {}, {}, {}, {}, {}
     for i in range(n):
         for j in range(i + 1, n):
+            keys = ((i, j), (j, i))
             first, second_ij, dwarp = _pair_warps(ctx, views, leaves, depths, i, j)
             second.update(second_ij)
-            for t, s in ((i, j), (j, i)):
+            for t, s in keys:
                 ld[t, s] = term("Ld", (t, s), _depth_consistency, leaves[t],
                                 dwarp[t, s][0],
                                 masks[t, s].valid & depths[t].valid & dwarp[t, s][1])
-            for t, s in ((i, j), (j, i)):
+            for t, s in keys:
                 lu[t, s] = term("Lu", (t, s), photometry.unary_comparator,
                                 ctx.refs[t], stats(first[t, s][0]),
                                 masks[t, s].valid & first[t, s][1], w)
             del first, dwarp
+            ad.backprop([ld[key] for key in keys] + [lu[key] for key in keys],
+                        [w.lambda6] * 2 + [w.omega_u] * 2)
     # One reference view r at a time: the statistics of its second-order
-    # images, and the image-consistency and brightness terms that read them.
+    # images, and the image-consistency and brightness terms that read
+    # them. With gradients the images are fresh leaves, whose gradients
+    # wait until both reference views of their pair are done and are then
+    # pushed on to the depths through `_second_orders`.
     for r in range(n):
-        second_stats = {s: stats(second[r, s][0]) for s in range(n) if s != r}
+        images, valid = {}, {}
+        for s in range(n):
+            if s != r:
+                image, valid[s] = second.pop((r, s))
+                images[s] = Var(image) if with_grad else image
+        second_stats = {s: stats(image) for s, image in images.items()}
         for s in second_stats:
             lm[s, r] = term("Lm", (s, r), photometry.unary_comparator, ctx.refs[r],
-                            second_stats[s], masks[r, s].valid & second[r, s][1], w)
-        for j in range(n):
-            for k in range(j + 1, n):
-                if r not in (j, k):
-                    lb[r, j, k] = term(
-                        "Lb", (r, j, k), photometry.unary_comparator,
-                        second_stats[j], second_stats[k],
-                        masks[r, j].valid & masks[r, k].valid & second[r, j][1]
-                        & second[r, k][1], w)
+                            second_stats[s], masks[r, s].valid & valid[s], w)
+        triples = [(r, j, k) for j in range(n) for k in range(j + 1, n)
+                   if r not in (j, k)]
+        for _, j, k in triples:
+            lb[r, j, k] = term(
+                "Lb", (r, j, k), photometry.unary_comparator,
+                second_stats[j], second_stats[k],
+                masks[r, j].valid & masks[r, k].valid & valid[j] & valid[k], w)
         del second_stats
+        ad.backprop([lm[s, r] for s in images] + [lb[key] for key in triples],
+                    [w.lambda5] * len(images) + [1.0] * len(triples))
+        if with_grad:
+            adjoint.update(((r, s), image.grad) for s, image in images.items()
+                           if image.grad is not None)
+            # both reference views of each pair (i, r), i < r, are done
+            for i in range(r):
+                keys = [key for key in ((i, r), (r, i)) if key in adjoint]
+                if keys:
+                    ad.backprop(_second_orders(ctx, views, leaves, depths, i, r, keys),
+                                [adjoint.pop(key) for key in keys])
+    # Last, each view's smoothness, weighted once for every pair it enters.
     smooth = [photometry.smoothness_term(leaves[i], depths[i].valid, ctx.edges[i])
               for i in range(n)]
+    ad.backprop(smooth, [0.5 * w.omega_s * (n - 1)] * n)
 
     # (i, j) then (j, i) for each i < j: the order every per-pair record
     # is filled in, which order-sensitive sums of a record rely on.
@@ -433,13 +503,11 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     for i in range(n):
         bd.smoothness[i] = float(value_of(smooth[i]))
 
-    # The objective is a fixed weighted sum of the terms, so the sums are
-    # taken on the recorded floats, and the total's node hands each term
-    # its weight: a view's smoothness once for every pair it enters.
+    # The objective is a fixed weighted sum of the terms, taken on the
+    # recorded floats.
     u, s, m, d = bd.unary, bd.smoothness, bd.image_consistency, bd.depth_consistency
     synth_sum = 0.0
     cons_sum = 0.0
-    terms, coefs = [], []
     for i in range(n):
         for j in range(i + 1, n):
             pair_synth = (w.omega_u * (u[i, j] + u[j, i])
@@ -450,19 +518,12 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
                          + w.lambda6 * (d[i, j] + d[j, i]))
             bd.pair_consistency[(i, j)] = pair_cons
             cons_sum = cons_sum + pair_cons
-            terms += [lu[i, j], lu[j, i], smooth[i], smooth[j],
-                      lm[i, j], lm[j, i], ld[i, j], ld[j, i]]
-            coefs += ([w.omega_u] * 2 + [0.5 * w.omega_s] * 2
-                      + [w.lambda5] * 2 + [w.lambda6] * 2)
-    for key, value in lb.items():
+    for key in lb:
         cons_sum = cons_sum + bd.brightness[key]
-        terms.append(value)
-        coefs.append(1.0)
 
     bd.consistency_total = cons_sum
     bd.total = synth_sum + cons_sum
-    total = ad.fused(bd.total, terms, lambda g: [g * c for c in coefs])
-    return bd, total, leaves
+    return bd, leaves
 
 
 # -- public operations ----------------------------------------------------------
@@ -474,5 +535,4 @@ def total_loss(state: SceneState) -> LossBreakdown:
     The grand total is the sum of the per-pair synthesis terms plus the
     consistency total, and stays recomputable from the recorded parts.
     """
-    bd, _, _ = _evaluate(state.views, state.depths, state.masks, state.weights)
-    return bd
+    return _evaluate(state.views, state.depths, state.masks, state.weights)[0]

@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import NonFiniteValue, ParseError, SymmvsError, UnsupportedVariant
 from .fusion import PointCloud
-from .geometry import CameraView, DepthMap
+from .geometry import CameraView, DepthHypotheses, DepthMap
 from .photometry import LossWeights
 from .scenegen import PlanePrimitive, SceneSpec
+from .solver import SolverConfig
 
 __all__ = [
     "read_camera",
@@ -489,7 +490,9 @@ def read_run_config(path) -> tuple:
 
     Keys mirror the loss-weight and solver fields; unknown keys raise
     ParseError so typos cannot silently change a run, and so does a weight
-    that `LossWeights` rejects, each naming the file and line. Returns
+    that `LossWeights` rejects or a solver setting that
+    `solver.SolverConfig.check` rejects (``hyp_count``:
+    `DepthHypotheses.check_count`), each naming the file and line. Returns
     (LossWeights, dict of solver settings).
     """
     path = Path(path)
@@ -517,6 +520,13 @@ def read_run_config(path) -> tuple:
                     solver_kw[key] = _SOLVER_KEYS[key](val)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad value {val!r}") from None
+                try:
+                    if key == "hyp_count":
+                        DepthHypotheses.check_count(solver_kw[key], key)
+                    else:
+                        SolverConfig.check(key, solver_kw[key])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
             else:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
     return LossWeights(**weights_kw), solver_kw

@@ -149,11 +149,17 @@ class DepthHypotheses:
     def __post_init__(self):
         if not (0.0 < self.d_min < self.d_max < np.inf):
             raise ValueError("need 0 < d_min < d_max, both finite")
-        if not (isinstance(self.count, (int, np.integer)) and self.count >= 2):
-            raise ValueError(f"count must be an integer >= 2, got {self.count!r}")
+        self.check_count(self.count)
         object.__setattr__(
             self, "samples", np.linspace(self.d_min, self.d_max, self.count)
         )
+
+    @staticmethod
+    def check_count(count, name="count"):
+        """Raise ValueError naming ``name`` unless ``count`` is an integer
+        of at least 2."""
+        if not (isinstance(count, (int, np.integer)) and count >= 2):
+            raise ValueError(f"{name} must be an integer >= 2, got {count!r}")
 
     @property
     def spacing(self) -> float:

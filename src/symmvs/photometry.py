@@ -80,7 +80,7 @@ _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     """Weights of every loss term, with the stock defaults.
 
@@ -88,6 +88,8 @@ class LossWeights:
     occlusion masks, in the same units as depth. Every weight is checked
     here, where it enters, and nowhere else: one that is negative or NaN,
     or a ``tau_occ`` that is not positive, raises ValueError naming it.
+    The weights are frozen, so no later assignment skips the check; vary
+    one with `dataclasses.replace`.
     """
 
     omega_u: float = 0.8

@@ -56,13 +56,14 @@ STOP_REASONS = ("tol_reached", "max_iters", "zero_gradient", "stationary_stall",
                 "line_search_failed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the refinement driver.
 
     ``weights`` carries every loss weight, including the occlusion
     threshold used at mask updates; `refine` requires the state's weights
-    to equal them.
+    to equal them. Each setting is checked by `check` when the config is
+    built, and the config is frozen, so no later assignment skips it.
     """
 
     hypotheses: DepthHypotheses
@@ -72,17 +73,26 @@ class SolverConfig:
     temperature: float = volume.DEFAULT_TEMPERATURE
     weights: LossWeights = field(default_factory=LossWeights)
 
-    def __post_init__(self):
-        for name, least in (("max_outer_iters", 0),
-                            ("inner_steps_per_mask_update", 1)):
-            value = getattr(self, name)
+    # the least value of each integer setting; the others must be positive
+    _LEAST = {"max_outer_iters": 0, "inner_steps_per_mask_update": 1}
+
+    @classmethod
+    def check(cls, name: str, value):
+        """Raise ValueError naming ``name`` unless ``value`` suits that
+        setting: an integer count at or above its least value, or a
+        positive ``convergence_tol`` or ``temperature`` (NaN fails)."""
+        least = cls._LEAST.get(name)
+        if least is not None:
             if not (isinstance(value, (int, np.integer)) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        # written as `not x > 0` so that NaN fails every check
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        # written as `not x > 0` so that NaN fails
+        elif not value > 0:
+            raise ValueError(f"{name} must be positive")
+
+    def __post_init__(self):
+        for name in ("max_outer_iters", "inner_steps_per_mask_update",
+                     "convergence_tol", "temperature"):
+            self.check(name, getattr(self, name))
 
 
 # `refine` updates the progress fields of the one scene state in place;
@@ -194,21 +204,20 @@ def loss_gradient(state: SceneState, context=None):
     Masks are held fixed; the census term is locally constant and
     contributes nothing; invalid pixels get exactly zero. ``context`` is
     the run's `consistency.ViewContext` over ``state.views``, if any. The
-    backward pass starts at the total's node, which seeds every term with
-    its weight in the objective, and runs through one node per term
-    formula down to the depth leaves, each of which enters its view's
-    smoothness term; the pass frees each node once its VJP has run.
+    gradient is what the evaluation leaves in its depth leaves' ``.grad``:
+    it pushes each group of terms back with their weights in the objective
+    as soon as the group is done, so no tape outlives its group, and every
+    leaf enters its view's smoothness term.
     """
-    _, total, leaves = consistency._evaluate(
+    _, leaves = consistency._evaluate(
         state.views, state.depths, state.masks, state.weights, True, context
     )
-    total.backward()
     return [np.where(depth.valid, leaf.grad, 0.0)
             for leaf, depth in zip(leaves, state.depths)]
 
 
 def _total(state: SceneState, depths, context, skipped: Counter):
-    bd, _, _ = consistency._evaluate(
+    bd, _ = consistency._evaluate(
         state.views, depths, state.masks, state.weights, False, context
     )
     skipped.update(bd.skipped)

@@ -100,7 +100,7 @@ def test_criterion_02_gradient_oracle(plane_scene):
             for sign in (+1, -1):
                 pert = [d.copy() for d in depths]
                 pert[v].values[y, x] = base + sign * FD_STEP
-                bd, _, _ = consistency._evaluate(views, pert, masks, fd_weights)
+                bd, _ = consistency._evaluate(views, pert, masks, fd_weights)
                 vals.append(bd.total)
             fd = (vals[0] - vals[1]) / (2 * FD_STEP)
             an = grads[v][y, x]

@@ -286,6 +286,24 @@ def test_rejected_run_config_weight_exits_1_naming_its_line(workspace, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_rejected_run_config_solver_setting_exits_1_naming_its_line(
+        workspace, tmp_path, capsys, monkeypatch):
+    # a negative outer-iteration cap used to load, and the error of
+    # `SolverConfig` named no file or line
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(RUN_CFG + "max_outer_iters = -1\n")
+    monkeypatch.setattr(solver, "init_depths",
+                        lambda *args: pytest.fail("the bundle was swept"))
+    code = main(["optimize", str(workspace["bundle"]), str(tmp_path / "out"),
+                 "--config", str(run_cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (f"error: {run_cfg}:7: max_outer_iters must be an integer >= 0, "
+            "got -1\n") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_rejects_a_zero_depth_interval(tmp_path, capsys):
     # a range of 1.8 to 1.8 would be written into every camera file
     scene = tmp_path / "flat.cfg"

@@ -419,6 +419,26 @@ class TestRunConfig:
                            + "$"):
             read_run_config(cfg)
 
+    @pytest.mark.parametrize("line, message", [
+        ("max_outer_iters = -1", "max_outer_iters must be an integer >= 0, got -1"),
+        ("inner_steps_per_mask_update = 0",
+         "inner_steps_per_mask_update must be an integer >= 1, got 0"),
+        ("convergence_tol = 0", "convergence_tol must be positive"),
+        ("convergence_tol = nan", "convergence_tol must be positive"),
+        ("temperature = -1e-6", "temperature must be positive"),
+        ("temperature = nan", "temperature must be positive"),
+        ("hyp_count = 1", "hyp_count must be an integer >= 2, got 1"),
+    ])
+    def test_rejected_solver_setting_names_file_and_line(self, tmp_path, line,
+                                                         message):
+        # the checks of `SolverConfig` and `DepthHypotheses` used to run only
+        # when the command built them, and their errors named no file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tau_occ = 1.0\nmax_outer_iters = 7\n{line}\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{cfg}:3: {message}")
+                           + "$"):
+            read_run_config(cfg)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lamda1 = 0.4\n")
@@ -434,9 +454,9 @@ class TestRunConfig:
         assert len(documented) == len(set(documented))
         accepted = set(LossWeights.__dataclass_fields__) | set(fileio._SOLVER_KEYS)
         assert set(documented) == accepted
-        # and read_run_config takes every one of them
+        # and read_run_config takes every one of them (2 is valid for each)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key} = 1\n" for key in sorted(accepted)))
+        cfg.write_text("".join(f"{key} = 2\n" for key in sorted(accepted)))
         assert set(read_run_config(cfg)[1]) == set(fileio._SOLVER_KEYS)
 
     def test_documented_values_are_the_defaults(self):

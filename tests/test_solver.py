@@ -430,6 +430,57 @@ class TestLossGradient:
             errors.append(abs(an - fd) / max(abs(an), abs(fd)))
         assert max(errors) < 1e-3
 
+    def test_matches_finite_differences_with_skipped_terms(self, occluder4_scene,
+                                                          monkeypatch):
+        # four views with mask (0, 1) emptied: Lu_0_1, Ld_0_1, Lm_1_0 and
+        # both brightness terms over (0, 1) are skipped, so the second-order
+        # image (0, 1) gets no gradient, and the pair's second-order pass
+        # pushes back (1, 0) alone; pixels away from lattice crossings, as
+        # in criterion 02
+        from _oracles import fd_smooth_region
+        from symmvs import consistency
+        sc = occluder4_scene
+        views, hyp = sc["views"], sc["hyp"]
+        weights = LossWeights(lambda4=0.0, tau_occ=1.0)
+        depths = noisy_depths(sc["gt"], 2 * hyp.spacing, hyp, seed=5)
+        masks = compute_all_masks(views, depths, weights)
+        masks[0, 1] = OcclusionMask((0, 1), np.zeros_like(masks[0, 1].valid))
+        skipped = _evaluate(views, depths, masks, weights)[0].skipped
+        assert skipped == {"Lu_0_1", "Ld_0_1", "Lm_1_0", "Lb_0_1_2", "Lb_0_1_3"}
+        replayed = {}
+        rebuild = consistency._second_orders
+
+        def recorded(ctx, views, leaves, depths, i, j, keys):
+            replayed[i, j] = keys
+            return rebuild(ctx, views, leaves, depths, i, j, keys)
+
+        monkeypatch.setattr(consistency, "_second_orders", recorded)
+        grads = loss_gradient(SolverState(views=views, depths=depths, masks=masks,
+                                          weights=weights))
+        assert replayed[0, 1] == [(1, 0)]
+        assert all(len(keys) == 2 for pair, keys in replayed.items() if pair != (0, 1))
+        step = 1e-4
+        regions = [fd_smooth_region(views, depths, v, step) for v in range(4)]
+        h, w = depths[0].values.shape
+        rng = np.random.default_rng(3)
+        errors = []
+        while len(errors) < 40:
+            v = int(rng.integers(0, 4))
+            y = int(rng.integers(0, h))
+            x = int(rng.integers(0, w))
+            if not regions[v][y, x] or abs(grads[v][y, x]) < 1e-4:
+                continue
+            base = depths[v].values[y, x]
+            vals = []
+            for sign in (+1, -1):
+                pert = [d.copy() for d in depths]
+                pert[v].values[y, x] = base + sign * step
+                vals.append(_evaluate(views, pert, masks, weights)[0].total)
+            fd = (vals[0] - vals[1]) / (2 * step)
+            an = grads[v][y, x]
+            errors.append(abs(an - fd) / max(abs(an), abs(fd)))
+        assert max(errors) < 1e-3
+
     def test_flat_image_leaves_only_smoothness_gradient(self):
         # constant images: photometric residuals and their gradients vanish,
         # so the loss gradient reduces to the smoothness closed form
@@ -828,6 +879,22 @@ def test_bad_count_is_rejected_naming_its_field(plane_scene, field, call):
     # only once `refine` reached it
     with pytest.raises(ValueError, match=rf"^{field} must be an integer >= \d, got "):
         call(plane_scene["hyp"])
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (lambda hyp: LossWeights(), "tau_occ", float("nan")),
+    (lambda hyp: LossWeights(), "lambda1", -1.0),
+    (lambda hyp: SolverConfig(hyp), "max_outer_iters", -1),
+    (lambda hyp: SolverConfig(hyp), "weights", LossWeights(tau_occ=1.0)),
+])
+def test_assigning_a_checked_field_raises(plane_scene, make, field, value):
+    # a field assigned after construction used to skip the only check: a
+    # NaN tau_occ gave masks with no valid pixel, and every term was skipped
+    obj = make(plane_scene["hyp"])
+    before = getattr(obj, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, value)
+    assert getattr(obj, field) is before
 
 
 def test_numpy_integer_counts_are_accepted(plane_scene):

@@ -71,7 +71,9 @@ def test_evalcost_prints_one_line_per_workload_and_grid():
                                            "total_loss_peak_mib",
                                            "value_peak_mib",
                                            "gradient_peak_mib"))
-    # more than the four depth leaves and the total, and no more than the
-    # occluder's tape at 64x48
+    # more than the four depth leaves and one pass's root, and no more than
+    # the nodes of an occluder evaluation that skips no term: 4 leaves, 21
+    # per pair's terms, 22 per reference view, 9 per pair's second-order
+    # replay and 5 for the smoothness terms
     assert isinstance(record["gradient_nodes"], int)
-    assert 5 < record["gradient_nodes"] <= 213
+    assert 5 < record["gradient_nodes"] <= 4 + 6 * 21 + 4 * 22 + 6 * 9 + 5

@@ -1,7 +1,7 @@
 """Print the cost of one loss evaluation on a bench scene: the time of a
 value evaluation, of a gradient evaluation and of a mask pass, the memory
 peaks of one `total_loss`, of one value evaluation and of one
-`loss_gradient`, and the size of the gradient's tape.
+`loss_gradient`, and the number of tape nodes the gradient makes.
 
     python3 tools/evalcost.py [--root CHECKOUT] [--workload W] [--grid WxH]
                               [--seed S] [--calls N]
@@ -32,9 +32,11 @@ and their `compute_all_masks` masks:
   starts;
 - ``gradient_peak_mib``: the `tracemalloc` peak of one `loss_gradient`
   with the context, which is built before tracing starts;
-- ``gradient_nodes``: the number of tape nodes that one `loss_gradient`
-  runs its backward pass over: every node reachable from the total of
-  `consistency._evaluate` with gradients, the depth leaves included.
+- ``gradient_nodes``: the number of `autodiff.Var` nodes that one
+  `loss_gradient` with the context creates, read from the creation
+  counter `autodiff._created` before and after: the depth leaves, every
+  term's formulas, the second-order images' leaves and replays, and the
+  root of each backward pass.
 
 The three timings alternate over ``--calls`` rounds after one untimed call
 of each. The tool sets no bounds and is not part of the bench.
@@ -70,21 +72,10 @@ def _peak(fn) -> int:
         tracemalloc.stop()
 
 
-def _tape_size(total) -> int:
-    """The number of nodes reachable from ``total``."""
-    seen, stack = {}, [total]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return len(seen)
-
-
 def cost(harness, workload, seed: int, calls: int) -> dict:
     """The evaluation cost of ``workload`` (a `harness.Workload`) with view
     order ``seed``."""
-    from symmvs import consistency, solver
+    from symmvs import autodiff, consistency, solver
 
     scene = harness.build_scene(workload, seed)
     views, weights = scene.views, scene.config.weights
@@ -111,7 +102,10 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
     peak = _peak(lambda: consistency.total_loss(state))
     value_peak = _peak(value)
     gradient_peak = _peak(gradient)
-    _, total, _ = consistency._evaluate(views, depths, masks, weights, True, ctx)
+    # `next` takes a number itself, so the nodes in between are one fewer
+    before = next(autodiff._created)
+    gradient()
+    nodes = next(autodiff._created) - before - 1
     return {"workload": workload.name, "seed": seed,
             "grid": f"{workload.width}x{workload.height}",
             "value_ms": 1e3 * statistics.median(times[value][1:]),
@@ -120,7 +114,7 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
             "total_loss_peak_mib": peak / 2**20,
             "value_peak_mib": value_peak / 2**20,
             "gradient_peak_mib": gradient_peak / 2**20,
-            "gradient_nodes": _tape_size(total)}
+            "gradient_nodes": nodes}
 
 
 def main(argv=None) -> int:
