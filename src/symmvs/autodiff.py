@@ -4,11 +4,10 @@ A tape of two kinds of node: leaves, the depth maps a gradient is taken
 with respect to, and `fused` nodes, each a whole formula recorded as one
 node. Its forward pass is the plain numpy expression, the same code and
 order as without a `Var`, so a loss value has the same bits with and
-without gradients; its VJP is derived by hand. `box_sum3` and `bilinear`,
-the 3x3 box sum and bilinear sampling with gradients to both the sampled
-image and the sampling coordinates, are `fused` nodes too. A `Var` has no
-arithmetic: a formula combines plain arrays and wraps the result in
-`fused`.
+without gradients; its VJP is derived by hand. `bilinear`, bilinear
+sampling with gradients to both the sampled image and the sampling
+coordinates, is a `fused` node too. A `Var` has no arithmetic: a formula
+combines plain arrays and wraps the result in `fused`.
 
 `Var.backward` consumes a graph in one walk, newest node first: a node is
 created after its parents, so all its consumers have run when its VJP
@@ -28,16 +27,17 @@ with their weights as soon as the group exists, and no tape outlives it
 The small-grid kernels under every loss evaluation keep the arithmetic of
 their plain forms, bit for bit, with less memory traffic and fewer calls:
 
-- The 3x3 box sum writes the input once into a zero-bordered flat buffer
-  and adds the nine windows as contiguous 1-D slices of it, in the order
-  of the zero-padded form, onto a sum that starts at +0.0; the forward
-  pass and the VJP share it.
+- `box_sum3`, the 3x3 box sum, a plain kernel and no tape node (its
+  callers, `ssim_map`'s VJP among them, hand it plain arrays), writes the
+  input once into a zero-bordered flat buffer and adds the nine windows
+  as contiguous 1-D slices of it, in the order of the zero-padded form,
+  onto a sum that starts at +0.0.
 - `bilinear_taps` floors and clips in place and forms each complementary
   weight once; `bilinear` reads the corners with ``np.take`` and takes
   precomputed taps from a caller that already needed them.
 
-`fused`, `box_sum3` and `bilinear` return plain numpy when no ``Var`` is
-involved, so the formulas are written once for both paths.
+`fused` and `bilinear` return plain numpy when no ``Var`` is involved, so
+the formulas are written once for both paths.
 """
 
 from __future__ import annotations
@@ -141,7 +141,11 @@ def backprop(outputs, seeds):
         root.backward()
 
 
-def _box_sum3_raw(a):
+def box_sum3(a):
+    """3x3 zero-padded box sum of a plain array over its two leading axes.
+
+    The operator is self-adjoint, so it is also its own VJP.
+    """
     # One buffer holds the zero-bordered input, rows of W + 2 cells of C
     # values flattened, followed by the sum in the same row layout. Window
     # (dy, dx) of an output cell sits (dy * (W + 2) + dx) * C values after it
@@ -150,6 +154,7 @@ def _box_sum3_raw(a):
     # by the returned view. The nine windows are added in the order of the
     # zero-padded form (row offsets, then column offsets, each -1, 0, 1)
     # onto a sum that starts at +0.0, so every sum is bit-identical to it.
+    a = np.asarray(a, dtype=np.float64)
     h, w = a.shape[:2]
     rest = a.shape[2:]
     c = math.prod(rest)
@@ -165,15 +170,6 @@ def _box_sum3_raw(a):
             start = (dy * (w + 2) + dx) * c
             acc += buf[start : start + span]
     return buf[n_pad:].reshape((h, w + 2) + rest)[:, :w]
-
-
-def box_sum3(x):
-    """3x3 zero-padded box sum over the two leading axes.
-
-    The operator is self-adjoint, so its backward pass is itself.
-    """
-    value = _box_sum3_raw(np.asarray(value_of(x), dtype=np.float64))
-    return fused(value, (x,), lambda g: (_box_sum3_raw(g),))
 
 
 def bilinear_taps(x, y, mask, height: int, width: int):

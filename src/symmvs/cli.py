@@ -20,6 +20,10 @@ from .geometry import DepthHypotheses
 from .photometry import LossWeights
 
 
+# The hypothesis count of `sweep` and `optimize` when no flag or run config sets one
+HYP_COUNT = 64
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with code 1."""
 
@@ -43,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="plane-sweep initialization only")
     sp.add_argument("bundle")
     sp.add_argument("out_dir")
-    sp.add_argument("--hyp-count", type=int, default=64)
+    sp.add_argument("--hyp-count", type=int, default=HYP_COUNT)
     sp.add_argument("--temperature", type=float, default=volume.DEFAULT_TEMPERATURE)
 
     sp = sub.add_parser("optimize", help="full pipeline: init + refinement")
@@ -85,6 +89,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    DepthHypotheses.check_count(args.hyp_count, "--hyp-count")
+    solver.SolverConfig.check("--temperature", args.temperature)
     views, d_min, d_interval, _ = fileio.load_bundle(args.bundle)
     hyp = _hypotheses(d_min, d_interval, args.hyp_count)
     depths = solver.init_depths(views, hyp, args.temperature)
@@ -96,7 +102,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_HISTORY_COLUMNS = ("iter", "total", "Lu", "Ls", "Lm", "Ld", "Lb")
+_HISTORY_COLUMNS = ("iter", "total", *(kind.name for kind in consistency.TERMS))
 
 
 def _cmd_optimize(args) -> int:
@@ -105,7 +111,7 @@ def _cmd_optimize(args) -> int:
     solver_kw = {}
     if args.config is not None:
         weights, solver_kw = fileio.read_run_config(args.config)
-    hyp_count = solver_kw.pop("hyp_count", 64)
+    hyp_count = solver_kw.pop("hyp_count", HYP_COUNT)
     config = solver.SolverConfig(
         hypotheses=_hypotheses(d_min, d_interval, hyp_count),
         weights=weights,

@@ -6,8 +6,11 @@ its double-warped version (i -> j -> i); pixels whose round trip moves by
 more than the threshold, or whose warps leave bounds or go behind a
 camera, are excluded from every loss term of that pair.
 
-The total objective combines, per unordered view pair, both unary
-synthesis losses plus the pair's smoothness; and per pair/triple, image
+The objective is a fixed weighted sum of five kinds of term, each with one
+entry in the table `TERMS`: its short name in reports, skip keys and logs,
+its `LossBreakdown` record, and its weight in the total, which the sums
+and the gradient's seeds both read. Per unordered view pair, both unary
+synthesis losses and the pair's smoothness; per pair and triple, image
 consistency (second-order synthesis against the real image), depth
 consistency (robust penalty on warped-depth disagreement), and brightness
 consistency between two second-order synthesized images sharing a
@@ -15,12 +18,11 @@ reference view. Terms whose mask is empty contribute zero and are
 reported, never silently dropped.
 
 One evaluation streams its terms, in one order for values and gradients:
-- per unordered pair (i, j), i < j: it samples (i, j) and (j, i),
-  synthesizes both first-order images, then both second-order images,
-  warps both depths and takes the two depth-consistency terms, then takes
-  each first-order image's statistics and its unary term. The samplings,
-  the first-order images and the depth warps die with the pair; the
-  second-order images are kept.
+- per unordered pair (i, j), i < j: it samples (i, j) and (j, i)
+  (`_pair_samplings`), synthesizes both first-order images, then both
+  second-order images, warps both depths and takes the two
+  depth-consistency terms, then each first-order image's statistics and
+  its unary term. Only the second-order images outlive the pair.
 - per reference view r: it takes the statistics of every second-order
   image (r, s), the image-consistency terms that compare them with view
   r's image and the brightness terms (r, j, k), and drops the statistics
@@ -30,63 +32,45 @@ One evaluation streams its terms, in one order for values and gradients:
 Then the records of the breakdown are filled, and the sums taken, in a
 fixed order that the streaming does not change: (i, j) then (j, i) for
 each i < j, and the brightness terms by reference view r, then j < k.
+The peak of a value evaluation grows with the number of views, not with
+the number of pairs.
 
-A value evaluation therefore holds the `ViewContext` it reads (a fresh one
-when it is given none), the second-order images not yet compared, with
-their validity, and at once either one pair's samplings, syntheses and
-depth warps, or one reference view's second-order statistics: its peak
-grows with the number of views, not with the number of pairs.
-
-A gradient evaluation runs the same stages and needs no tape over the
-whole of them, because the objective is a fixed weighted sum: the
-gradient reaching each term is its weight (omega_u, lambda5, lambda6, 1
-for brightness, and omega_s (n - 1) / 2 for a view's smoothness, which
-enters n - 1 pairs), known before the term exists. So each group of terms
-is pushed back with `autodiff.backprop` as soon as it is done, and its
-graph dies there (reverse accumulation with checkpointing: Griewank and
-Walther, *Evaluating Derivatives*, 2008, ch. 12):
+A gradient evaluation needs no tape over the whole of these stages: the
+gradient reaching each term is its weight (n - 1 times it for a view's
+smoothness, which enters n - 1 pairs), known before the term exists. So
+each group of terms is pushed back with `autodiff.backprop` as soon as it
+is done, and its graph dies there (reverse accumulation with
+checkpointing: Griewank and Walther, *Evaluating Derivatives*, 2008,
+ch. 12):
 - a pair's depth-consistency and unary terms, through its samplings,
   first-order images and depth warps, to the depth leaves. Its
   second-order images are computed as plain values.
 - a reference view's image-consistency and brightness terms, onto its
-  second-order images, held as fresh leaves. Each image's gradient waits
-  until the other reference view of its pair is done too; then the pair's
-  second-order images are rebuilt on a small tape (`_second_orders`: both
-  samplings again, and the first- and second-order synthesis) and pushed
-  on to the depth leaves, seeded with those gradients. An image that no
-  term compared, all its terms skipped, is not rebuilt.
+  second-order images, held as fresh leaves. Once both reference views of
+  a pair are done, the pair's second-order images are rebuilt on a small
+  tape (`_second_orders`: both samplings again, and both syntheses) and
+  pushed on to the depth leaves, seeded with those gradients; an image
+  whose terms were all skipped is not rebuilt.
 - last, the smoothness terms.
 
 The leaves add the passes up in their ``.grad``. A gradient evaluation
 samples each ordered pair twice, and its peak is about twice a value
 evaluation's.
 
-`total_loss` returns the terms itemized in a `LossBreakdown`, so a single
-term is read from there (for example
-``total_loss(state).depth_consistency[(i, j)]``).
-
-Data that depends only on the cameras and images lives in a `ViewContext`:
-each ordered pair's `geometry.ViewPair` record, each view's comparator
-reference statistics (census bits, gradients, SSIM mean and variance) and
-smoothness edge weights, and the SSIM window normalizer, all computed when
-it is built. `solver.refine` builds one per run that evaluates a loss and
-hands it to every mask update and evaluation; an evaluation without one
-(`total_loss`) builds a fresh one, and a mask update without one
-(`compute_all_masks`) builds the pair records it reads.
-
-Data that depends on the depths is computed once per mask update or
-evaluation, but for the gradient's rebuilt second-order images. Each
-ordered pair's `geometry.pair_sampling` serves every warp of the pair: the
-first warp of one mask and the second of its reverse, or the pair's
-first- and second-order synthesis and its depth warp. Each
-synthesized image's `photometry.reference_stats` is computed once per
-evaluation, also when every term that compares it is skipped, and serves
-all of them: its unary or image-consistency term and, for a second-order
-image, the brightness terms on either side.
+Data that depends only on the cameras and images lives in a `ViewContext`,
+which `solver.refine` builds once per run and hands to every mask update
+and evaluation; `total_loss` builds a fresh one, and `compute_all_masks`
+without one builds the pair records it reads. Data that depends on the
+depths is computed once per mask update or evaluation, but for the
+gradient's rebuilt second-order images: each ordered pair's sampling
+serves every warp of the pair, and each synthesized image's
+`photometry.reference_stats` every term that compares it, also when all
+of them are skipped.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +82,8 @@ from .errors import EmptyMask, ShapeMismatch, TooFewViews
 from .photometry import LossWeights, charbonnier
 
 __all__ = [
+    "TERMS",
+    "TermKind",
     "OcclusionMask",
     "LossBreakdown",
     "SceneState",
@@ -105,6 +91,32 @@ __all__ = [
     "compute_all_masks",
     "total_loss",
 ]
+
+
+@dataclass(frozen=True)
+class TermKind:
+    """One kind of loss term: its short ``name`` in reports, skip keys and
+    logs, the `LossBreakdown` ``record`` that holds its values, and
+    ``weight``, its weight in the total given the `LossWeights`."""
+
+    name: str
+    record: str
+    weight: Callable[[LossWeights], float]
+
+    def label(self, key) -> str:
+        """The term at ``key``, a view or a tuple of views: ``Lu_0_1``."""
+        return "_".join([self.name, *map(str, key if isinstance(key, tuple) else (key,))])
+
+
+# Every kind of loss term, in report order. A view's smoothness enters the
+# synthesis loss of each pair it is in, averaged over the pair's two
+# views, so each pair weighs it by half its weight; halving is exact.
+UNARY = TermKind("Lu", "unary", lambda w: w.omega_u)
+SMOOTHNESS = TermKind("Ls", "smoothness", lambda w: 0.5 * w.omega_s)
+IMAGE = TermKind("Lm", "image_consistency", lambda w: w.lambda5)
+DEPTH = TermKind("Ld", "depth_consistency", lambda w: w.lambda6)
+BRIGHTNESS = TermKind("Lb", "brightness", lambda w: 1.0)
+TERMS = (UNARY, SMOOTHNESS, IMAGE, DEPTH, BRIGHTNESS)
 
 
 @dataclass
@@ -173,25 +185,18 @@ class LossBreakdown:
     def recomputed_total(self) -> float:
         return sum(self.synthesis.values()) + self.consistency_total
 
+    def term_sums(self) -> dict:
+        """The sum of each kind's terms, in record order, by short name."""
+        return {kind.name: sum(getattr(self, kind.record).values()) for kind in TERMS}
+
     def report_lines(self) -> list:
         """Flat key-value report, one term per line, deterministic order."""
-        lines = []
-        for (i, j), v in sorted(self.unary.items()):
-            lines.append(f"Lu_{i}_{j} = {v:.17g}")
-        for i, v in sorted(self.smoothness.items()):
-            lines.append(f"Ls_{i} = {v:.17g}")
-        for (i, j), v in sorted(self.image_consistency.items()):
-            lines.append(f"Lm_{i}_{j} = {v:.17g}")
-        for (i, j), v in sorted(self.depth_consistency.items()):
-            lines.append(f"Ld_{i}_{j} = {v:.17g}")
-        for (i, j, k), v in sorted(self.brightness.items()):
-            lines.append(f"Lb_{i}_{j}_{k} = {v:.17g}")
-        for (i, j), v in sorted(self.synthesis.items()):
-            lines.append(f"Lsynth_{i}_{j} = {v:.17g}")
-        for (i, j), v in sorted(self.pair_consistency.items()):
-            lines.append(f"Lc_{i}_{j} = {v:.17g}")
-        lines.append(f"Lconsistency = {self.consistency_total:.17g}")
-        lines.append(f"total = {self.total:.17g}")
+        lines = [f"{kind.label(key)} = {v:.17g}" for kind in TERMS
+                 for key, v in sorted(getattr(self, kind.record).items())]
+        for name, record in (("Lsynth", self.synthesis), ("Lc", self.pair_consistency)):
+            lines += [f"{name}_{i}_{j} = {v:.17g}" for (i, j), v in sorted(record.items())]
+        lines += [f"Lconsistency = {self.consistency_total:.17g}",
+                  f"total = {self.total:.17g}"]
         if self.skipped:
             lines.append("skipped = " + ",".join(sorted(self.skipped)))
         return lines
@@ -311,14 +316,12 @@ def compute_all_masks(views, depths, weights: LossWeights,
     else:
         grid, pairs = context.grid, context.pairs
     _check_grid(depths, grid)
+    values = [d.values for d in depths]
     valid = {}
     for i in range(n):
         for j in range(i + 1, n):
-            keys = ((i, j), (j, i))
-            samplings = {(t, s): geometry.pair_sampling(pairs[t, s], depths[t].values,
-                                                        depths[t].valid)
-                         for t, s in keys}
-            for t, s in keys:
+            samplings = _pair_samplings(pairs, values, depths, i, j)
+            for t, s in samplings:
                 there, there_ok = geometry.warp_depth_values(
                     pairs[s, t], samplings[s, t], depths[t].values, depths[t].valid)
                 back, back_ok = geometry.warp_depth_values(
@@ -328,6 +331,14 @@ def compute_all_masks(views, depths, weights: LossWeights,
                                   <= weights.tau_occ))
     return {(i, j): OcclusionMask((i, j), valid[i, j])
             for i in range(n) for j in range(n) if i != j}
+
+
+def _pair_samplings(pairs, values, depths, i, j) -> dict:
+    """The `geometry.pair_sampling` of the records ``pairs[t, s]`` of (i, j)
+    and (j, i), keyed by them in that order, each at its target view t's
+    depths ``values[t]`` (plain or a leaf) and ``depths[t].valid``."""
+    return {(t, s): geometry.pair_sampling(pairs[t, s], values[t], depths[t].valid)
+            for t, s in ((i, j), (j, i))}
 
 
 # -- term evaluation -----------------------------------------------------------
@@ -343,10 +354,8 @@ def _pair_warps(ctx, views, leaves, depths, i, j):
     grid. The second-order images are plain values, whatever the leaves
     (`_second_orders` rebuilds them on a tape). The two samplings die on
     return."""
-    keys = ((i, j), (j, i))
-    samplings = {(t, s): geometry.pair_sampling(ctx.pairs[t, s], leaves[t],
-                                                depths[t].valid)
-                 for t, s in keys}
+    samplings = _pair_samplings(ctx.pairs, leaves, depths, i, j)
+    keys = tuple(samplings)
     first = {(t, s): geometry.synth_values(samplings[t, s], views[s].image)
              for t, s in keys}
     second = {}
@@ -367,9 +376,7 @@ def _second_orders(ctx, views, leaves, depths, i, j, keys):
     the depth leaves of views i and j: (i, j) and (j, i) are sampled once
     each, and each image is view t's own, synthesized on view s's grid and
     pulled back onto view t's."""
-    samplings = {(t, s): geometry.pair_sampling(ctx.pairs[t, s], leaves[t],
-                                                depths[t].valid)
-                 for t, s in ((i, j), (j, i))}
+    samplings = _pair_samplings(ctx.pairs, leaves, depths, i, j)
     return [geometry.synth_values(
                 samplings[t, s], *geometry.synth_values(samplings[s, t], views[t].image))[0]
             for t, s in keys]
@@ -378,10 +385,7 @@ def _second_orders(ctx, views, leaves, depths, i, j, keys):
 def _depth_consistency(leaf, warped, mask):
     """Mean Charbonnier disagreement of a view's depth and another view's
     depth warped onto its grid, over ``mask``; EmptyMask if it is empty."""
-    count = int(mask.sum())
-    if count == 0:
-        raise EmptyMask("no valid pixels for depth consistency")
-    m = mask.astype(np.float64)
+    count, m = photometry._mask_weights(mask, "depth consistency")
     lv, wv = value_of(leaf), value_of(warped)
 
     def vjp(g):
@@ -399,14 +403,14 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     ``with_grad``, the leaves are autodiff leaves and hold in ``.grad`` the
     gradient of ``breakdown.total``: every term (except the locally
     constant census part) is differentiated with respect to them, pushed
-    back with its weight in the objective as soon as its group is done (see
-    the module docstring). Camera- and image-only data comes from
-    ``context``, the run's `ViewContext`; without one, a fresh context
-    serves this evaluation alone. A context built for other alphas raises
-    ValueError; a depth map count other than the view count, a depth map
-    off its grid, or a missing ordered pair's mask or one off the grid
-    raises ShapeMismatch. A term whose mask is empty records zero and
-    lands in ``skipped``.
+    back with its weight from `TERMS` as soon as its group is done (see
+    the module docstring); the breakdown's sums read the same weights.
+    Camera- and image-only data comes from ``context``, the run's
+    `ViewContext`; without one, a fresh context serves this evaluation. A
+    context built for other alphas raises ValueError; a depth map count
+    other than the view count, a depth map off its grid, or a missing
+    ordered pair's mask or one off the grid raises ShapeMismatch. A term whose mask is empty records zero and
+    lands in ``skipped`` under its `TermKind.label`.
     """
     ctx = context if context is not None else ViewContext(views, weights)
     if ctx.alphas != (weights.alpha1, weights.alpha2):
@@ -420,13 +424,22 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     n = len(views)
     leaves = [Var(d.values) if with_grad else d.values for d in depths]
     bd = LossBreakdown()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # (i, j) then (j, i) for each i < j: the order every per-pair record
+    # is filled in, whatever order its terms are taken in, which
+    # order-sensitive sums of a record rely on.
+    ordered = [key for i, j in pairs for key in ((i, j), (j, i))]
+    terms = {kind: dict.fromkeys(ordered) for kind in (UNARY, IMAGE, DEPTH)}
+    terms[BRIGHTNESS] = {}
 
-    def term(prefix, key, fn, *args):
+    def term(kind, key, fn, *args):
         try:
-            return fn(*args)
+            value = fn(*args)
         except EmptyMask:
-            bd.skipped.add("_".join([prefix, *map(str, key)]))
-            return 0.0
+            bd.skipped.add(kind.label(key))
+            value = 0.0
+        terms[kind][key] = value
+        return value
 
     def stats(image):
         return photometry.reference_stats(image, ctx.norm)
@@ -434,23 +447,19 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     # One unordered pair at a time: its depth-consistency and unary terms,
     # pushed back to the depths together, keeping only its second-order
     # images. `ad.backprop` does nothing without a Var.
-    lu, lm, ld, lb, second, adjoint = {}, {}, {}, {}, {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            keys = ((i, j), (j, i))
-            first, second_ij, dwarp = _pair_warps(ctx, views, leaves, depths, i, j)
-            second.update(second_ij)
-            for t, s in keys:
-                ld[t, s] = term("Ld", (t, s), _depth_consistency, leaves[t],
-                                dwarp[t, s][0],
-                                masks[t, s].valid & depths[t].valid & dwarp[t, s][1])
-            for t, s in keys:
-                lu[t, s] = term("Lu", (t, s), photometry.unary_comparator,
-                                ctx.refs[t], stats(first[t, s][0]),
-                                masks[t, s].valid & first[t, s][1], w)
-            del first, dwarp
-            ad.backprop([ld[key] for key in keys] + [lu[key] for key in keys],
-                        [w.lambda6] * 2 + [w.omega_u] * 2)
+    second, adjoint = {}, {}
+    for i, j in pairs:
+        keys = ((i, j), (j, i))
+        first, second_ij, dwarp = _pair_warps(ctx, views, leaves, depths, i, j)
+        second.update(second_ij)
+        ld = [term(DEPTH, (t, s), _depth_consistency, leaves[t], dwarp[t, s][0],
+                   masks[t, s].valid & depths[t].valid & dwarp[t, s][1])
+              for t, s in keys]
+        lu = [term(UNARY, (t, s), photometry.unary_comparator, ctx.refs[t],
+                   stats(first[t, s][0]), masks[t, s].valid & first[t, s][1], w)
+              for t, s in keys]
+        del first, dwarp
+        ad.backprop(ld + lu, [DEPTH.weight(w)] * 2 + [UNARY.weight(w)] * 2)
     # One reference view r at a time: the statistics of its second-order
     # images, and the image-consistency and brightness terms that read
     # them. With gradients the images are fresh leaves, whose gradients
@@ -463,19 +472,15 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
                 image, valid[s] = second.pop((r, s))
                 images[s] = Var(image) if with_grad else image
         second_stats = {s: stats(image) for s, image in images.items()}
-        for s in second_stats:
-            lm[s, r] = term("Lm", (s, r), photometry.unary_comparator, ctx.refs[r],
-                            second_stats[s], masks[r, s].valid & valid[s], w)
-        triples = [(r, j, k) for j in range(n) for k in range(j + 1, n)
-                   if r not in (j, k)]
-        for _, j, k in triples:
-            lb[r, j, k] = term(
-                "Lb", (r, j, k), photometry.unary_comparator,
-                second_stats[j], second_stats[k],
-                masks[r, j].valid & masks[r, k].valid & valid[j] & valid[k], w)
+        lm = [term(IMAGE, (s, r), photometry.unary_comparator, ctx.refs[r],
+                   second_stats[s], masks[r, s].valid & valid[s], w)
+              for s in second_stats]
+        lb = [term(BRIGHTNESS, (r, j, k), photometry.unary_comparator,
+                   second_stats[j], second_stats[k],
+                   masks[r, j].valid & masks[r, k].valid & valid[j] & valid[k], w)
+              for j in range(n) for k in range(j + 1, n) if r not in (j, k)]
         del second_stats
-        ad.backprop([lm[s, r] for s in images] + [lb[key] for key in triples],
-                    [w.lambda5] * len(images) + [1.0] * len(triples))
+        ad.backprop(lm + lb, [IMAGE.weight(w)] * len(lm) + [BRIGHTNESS.weight(w)] * len(lb))
         if with_grad:
             adjoint.update(((r, s), image.grad) for s, image in images.items()
                            if image.grad is not None)
@@ -486,40 +491,31 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
                     ad.backprop(_second_orders(ctx, views, leaves, depths, i, r, keys),
                                 [adjoint.pop(key) for key in keys])
     # Last, each view's smoothness, weighted once for every pair it enters.
-    smooth = [photometry.smoothness_term(leaves[i], depths[i].valid, ctx.edges[i])
-              for i in range(n)]
-    ad.backprop(smooth, [0.5 * w.omega_s * (n - 1)] * n)
+    terms[SMOOTHNESS] = {i: photometry.smoothness_term(leaves[i], depths[i].valid,
+                                                       ctx.edges[i])
+                         for i in range(n)}
+    ad.backprop(list(terms[SMOOTHNESS].values()), [SMOOTHNESS.weight(w) * (n - 1)] * n)
 
-    # (i, j) then (j, i) for each i < j: the order every per-pair record
-    # is filled in, which order-sensitive sums of a record rely on.
-    ordered = [key for i in range(n) for j in range(i + 1, n)
-               for key in ((i, j), (j, i))]
-    for record, values in ((bd.unary, lu), (bd.image_consistency, lm),
-                           (bd.depth_consistency, ld)):
-        for key in ordered:
-            record[key] = float(value_of(values[key]))
-    for key, value in lb.items():
-        bd.brightness[key] = float(value_of(value))
-    for i in range(n):
-        bd.smoothness[i] = float(value_of(smooth[i]))
+    for kind in TERMS:
+        getattr(bd, kind.record).update(
+            (key, float(value_of(value))) for key, value in terms[kind].items())
 
     # The objective is a fixed weighted sum of the terms, taken on the
-    # recorded floats.
-    u, s, m, d = bd.unary, bd.smoothness, bd.image_consistency, bd.depth_consistency
-    synth_sum = 0.0
-    cons_sum = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_synth = (w.omega_u * (u[i, j] + u[j, i])
-                          + w.omega_s * (0.5 * (s[i] + s[j])))
-            bd.synthesis[(i, j)] = pair_synth
-            synth_sum = synth_sum + pair_synth
-            pair_cons = (w.lambda5 * (m[i, j] + m[j, i])
-                         + w.lambda6 * (d[i, j] + d[j, i]))
-            bd.pair_consistency[(i, j)] = pair_cons
-            cons_sum = cons_sum + pair_cons
-    for key in lb:
-        cons_sum = cons_sum + bd.brightness[key]
+    # recorded floats: a kind's weight times the sum of its two terms in
+    # the unordered pair (i, j), a smoothness term's by view.
+    def weighted(kind, i, j):
+        a, b = (i, j) if kind is SMOOTHNESS else ((i, j), (j, i))
+        record = getattr(bd, kind.record)
+        return kind.weight(w) * (record[a] + record[b])
+
+    synth_sum = cons_sum = 0.0
+    for i, j in pairs:
+        bd.synthesis[i, j] = weighted(UNARY, i, j) + weighted(SMOOTHNESS, i, j)
+        bd.pair_consistency[i, j] = weighted(IMAGE, i, j) + weighted(DEPTH, i, j)
+        synth_sum = synth_sum + bd.synthesis[i, j]
+        cons_sum = cons_sum + bd.pair_consistency[i, j]
+    for value in bd.brightness.values():
+        cons_sum = cons_sum + BRIGHTNESS.weight(w) * value
 
     bd.consistency_total = cons_sum
     bd.total = synth_sum + cons_sum

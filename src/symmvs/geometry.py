@@ -156,10 +156,8 @@ class DepthHypotheses:
 
     @staticmethod
     def check_count(count, name="count"):
-        """Raise ValueError naming ``name`` unless ``count`` is an integer
-        of at least 2."""
-        if not (isinstance(count, (int, np.integer)) and count >= 2):
-            raise ValueError(f"{name} must be an integer >= 2, got {count!r}")
+        """`check_integer` of a hypothesis count: at least 2."""
+        check_integer(name, count, 2)
 
     @property
     def spacing(self) -> float:
@@ -179,6 +177,13 @@ class WarpField:
 
 
 # -- small helpers ----------------------------------------------------------
+
+
+def check_integer(name: str, value, least: int):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer of at
+    least ``least``: the one rule of every integer setting."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def intrinsics_inverse(K: np.ndarray) -> np.ndarray:

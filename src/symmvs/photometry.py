@@ -11,8 +11,9 @@ synthesized counterpart, all averaged over a shared validity mask:
   locally constant by the gradient path).
 
 Edge-aware first- and second-order smoothness penalizes depth variation
-where the image is flat. All pieces accept autodiff Vars where gradients
-are needed and plain arrays otherwise; images are (H, W, C).
+where the image is flat. The pieces a gradient flows through accept
+autodiff Vars where gradients are needed and plain arrays otherwise;
+images are (H, W, C).
 
 These are building blocks: the pairwise synthesis loss and every other term
 of the objective are assembled from them by the one loss evaluation in
@@ -28,21 +29,18 @@ edge weights, so an image compared many times is processed once: a view
 image once per run (`consistency.ViewContext`), a synthesized image once
 per loss evaluation, whichever side of each comparison it is on.
 
-Each formula is one `autodiff.fused` tape node, so the gradient path keeps
-one value per formula instead of one per array operation (see `autodiff`
-for what that costs): `charbonnier`, the forward difference `_forward_diff`
-along either axis, `ssim_map`, `unary_comparator` and `smoothness_term`. Their
-forward passes are the plain expressions, with the same values bit for
-bit; their VJPs are derived by hand. The SSIM window means and variances
-are plain arrays in `reference_stats`, and `ssim_map`'s VJP carries the
-gradient through them and the covariance to both images; it recomputes
-the few products it needs, so the tape keeps only the covariance of them.
-The comparator's node takes both images, their gradients and the
-`ssim_map` node as inputs, and recomputes its residuals in the VJP. Op by
-op, with 4 views at 64x48, these formulas held most of the 54.6 MB that
-one gradient evaluation kept: 29% in the per-channel SSIM ratio, 16% in
-Charbonnier, 16% in the comparator's sums and masked means and 9% in the
-SSIM window statistics.
+Each formula a gradient flows through is one `autodiff.fused` tape node:
+the forward difference `_forward_diff` along either axis, `ssim_map`,
+`unary_comparator` and `smoothness_term`. Their forward passes are the
+plain expressions, with the same values bit for bit; their VJPs are
+derived by hand. `ssim_map`'s VJP carries the gradient through the plain
+window statistics of `reference_stats` and the covariance to both images,
+recomputing the few products it needs. The comparator's node takes both
+images, their gradients and the `ssim_map` node as inputs, and recomputes
+its residuals in the VJP. `charbonnier` is a plain kernel: its callers
+apply it to plain residuals and write its slope ``x / charbonnier(x)``
+into their VJPs. A term's masked mean, and the `EmptyMask` of an empty
+mask, come from `_mask_weights`.
 
 The census of an image is its eight bit planes: an (8, H, W) boolean array,
 one plane per neighbor of the 3x3 window. The transform writes each
@@ -113,13 +111,22 @@ class LossWeights:
 
 
 def charbonnier(x):
-    """Smooth robust penalty sqrt(x^2 + 1e-6); even, with floor 1e-3 at 0.
+    """Smooth robust penalty sqrt(x^2 + 1e-6) of a plain array; even, with
+    floor 1e-3 at 0.
 
     Its derivative is ``x / charbonnier(x)``.
     """
-    v = value_of(x)
-    out = np.sqrt(v * v + 1.0e-6)
-    return ad.fused(out, (x,), lambda g: (g * (v / out),))
+    return np.sqrt(x * x + 1.0e-6)
+
+
+def _mask_weights(mask, what: str):
+    """(count, weights) of a loss term's mask, its masked mean being
+    ``(term * weights).sum() / count``; EmptyMask naming ``what`` if empty."""
+    mask = np.asarray(mask, dtype=bool)
+    count = int(mask.sum())
+    if count == 0:
+        raise EmptyMask(f"no valid pixels for {what}")
+    return count, mask.astype(np.float64)
 
 
 def channel_mean(a):
@@ -306,11 +313,7 @@ def unary_comparator(ref, syn, mask, weights: LossWeights):
     """
     if value_of(ref.image).shape != value_of(syn.image).shape:
         raise ShapeMismatch("comparator images must share shape")
-    mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
-        raise EmptyMask("no valid pixels for the unary comparator")
-    m = mask.astype(np.float64)
+    count, m = _mask_weights(mask, "the unary comparator")
 
     def masked_mean(term):
         return (term * m).sum() / count
@@ -333,7 +336,7 @@ def unary_comparator(ref, syn, mask, weights: LossWeights):
     channels = value_of(ref.image).shape[2]
 
     def vjp(g):
-        dm = mask * (g / count)
+        dm = m * (g / count)
         scales = (weights.lambda1, weights.lambda2 / 2.0, weights.lambda2 / 2.0)
         grads = [None] * 6
         for k, ((a, b), lam) in enumerate(zip(operands, scales)):

@@ -83,8 +83,7 @@ class SolverConfig:
         positive ``convergence_tol`` or ``temperature`` (NaN fails)."""
         least = cls._LEAST.get(name)
         if least is not None:
-            if not (isinstance(value, (int, np.integer)) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            geometry.check_integer(name, value, least)
         # written as `not x > 0` so that NaN fails
         elif not value > 0:
             raise ValueError(f"{name} must be positive")
@@ -173,9 +172,9 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
     band after the other, so no whole-image volume is built unless it
     fits; the depths are those of the whole-image sweep.
 
-    The views are checked first, as a loss evaluation checks them: at least
-    two, each with an image of one shape at least 2 by 2, errors naming the
-    view at fault.
+    The temperature is checked first, as `SolverConfig` checks it, and then
+    the views, as a loss evaluation checks them: at least two, each with an
+    image of one shape at least 2 by 2, errors naming the view at fault.
     Just before its sweep, a reference view raises NoParallax naming it and
     its largest displacement when no source camera moves any of its pixels
     by `MIN_PARALLAX_PX` or more over the hypothesis range (a source at its
@@ -184,6 +183,7 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
     naming it: no second view sees any of its pixels at any hypothesis, so
     the range misses the scene.
     """
+    SolverConfig.check("temperature", temperature)
     consistency._check_views(views, "initialization")
     feats = [volume.extract_features(v.image) for v in views]
     depths = []
@@ -317,18 +317,9 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
 
         bd_end = _total(state, state.depths, context, skipped)
         _warn_skipped(outer, skipped)
-        state.outer_log.append(
-            {
-                "iter": outer,
-                "total": bd_end.total,
-                "Lu": sum(bd_end.unary.values()),
-                "Ls": sum(bd_end.smoothness.values()),
-                "Lm": sum(bd_end.image_consistency.values()),
-                "Ld": sum(bd_end.depth_consistency.values()),
-                "Lb": sum(bd_end.brightness.values()),
-                "mask_valid": sum(m.valid_count for m in state.masks.values()),
-            }
-        )
+        state.outer_log.append({
+            "iter": outer, "total": bd_end.total, **bd_end.term_sums(),
+            "mask_valid": sum(m.valid_count for m in state.masks.values())})
 
         rel_decrease = (f_phase_start - f_cur) / max(abs(f_phase_start), 1e-300)
         if not accepted_any:

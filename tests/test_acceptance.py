@@ -164,6 +164,7 @@ def test_criterion_05_refinement_efficacy(plane_scene):
 
         err1 = median_abs_error(state.depths, gt)
         assert err1 <= 0.5 * err0
+        assert not state.diverged
         # loss history non-increasing within each mask-frozen phase
         totals = [t for _, t in state.history]
         iters = [i for i, _ in state.history]

@@ -304,6 +304,37 @@ def test_rejected_run_config_solver_setting_exits_1_naming_its_line(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("count", ["1", "0", "-3"])
+def test_sweep_hypothesis_count_below_two_exits_1_naming_the_flag(
+        workspace, tmp_path, capsys, monkeypatch, count):
+    # a count of 1 used to build the hypotheses first, whose error named
+    # neither the flag nor the count
+    monkeypatch.setattr(solver, "init_depths",
+                        lambda *args: pytest.fail("the bundle was swept"))
+    code = main(["sweep", str(workspace["bundle"]), str(tmp_path / "out"),
+                 "--hyp-count", count])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: --hyp-count must be an integer >= 2, got {count}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("temperature", ["0", "nan"])
+def test_sweep_temperature_not_positive_exits_1_naming_the_flag(
+        workspace, tmp_path, capsys, monkeypatch, temperature):
+    # it used to be caught only after the first band's volume was built
+    monkeypatch.setattr(solver, "init_depths",
+                        lambda *args: pytest.fail("the bundle was swept"))
+    code = main(["sweep", str(workspace["bundle"]), str(tmp_path / "out"),
+                 "--temperature", temperature])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: --temperature must be positive\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_rejects_a_zero_depth_interval(tmp_path, capsys):
     # a range of 1.8 to 1.8 would be written into every camera file
     scene = tmp_path / "flat.cfg"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symmvs import DepthHypotheses, DepthMap, LossWeights, PointCloud, fileio
+from symmvs import DepthHypotheses, DepthMap, LossWeights, PointCloud, cli, fileio
 from symmvs.errors import NonFiniteValue, ParseError, UnsupportedVariant
 from symmvs.fileio import (
     load_bundle,
@@ -360,6 +360,28 @@ class TestSceneConfig:
         views, depths, _ = render_scene(spec)
         assert views[0].image.shape == (24, 32, 1)
 
+    def test_rotation_and_translation_camera_form(self, tmp_path):
+        # ``rot=``/``t=`` give the world-to-camera pose itself; with the
+        # identity rotation, ``t`` is minus the camera centre
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(
+            "size 32 24\n"
+            "depth_range 1.5 0.05\n"
+            "camera fx=30 cx=15.5 cy=11.5 center=0.3,-0.1,0.2\n"
+            "camera fx=30 fy=31 cx=15.5 cy=11.5 skew=0.5 "
+            "rot=0,-1,0,1,0,0,0,0,1 t=0.3,-0.1,0.2\n"
+            "plane normal=0,0,1 offset=2.4\n"
+        )
+        spec, _, _ = read_scene_config(cfg)
+        centred, posed = spec.cameras
+        np.testing.assert_array_equal(centred.rotation, np.eye(3))
+        np.testing.assert_array_equal(centred.translation, [-0.3, 0.1, -0.2])
+        np.testing.assert_array_equal(posed.rotation,
+                                      [[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(posed.translation, [0.3, -0.1, 0.2])
+        np.testing.assert_array_equal(posed.intrinsics,
+                                      [[30, 0.5, 15.5], [0, 31, 11.5], [0, 0, 1]])
+
     def test_unknown_entry_rejected(self, tmp_path):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("size 8 8\ndepth_range 1 0.1\nsphere radius=1\n")
@@ -439,6 +461,27 @@ class TestRunConfig:
                            + "$"):
             read_run_config(cfg)
 
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a run\n\n   \nlambda1 = 0.4  # the L1 weight\n"
+                       "   # indented comment\nhyp_count = 32\n")
+        weights, solver_kw = read_run_config(cfg)
+        assert weights == LossWeights(lambda1=0.4)
+        assert solver_kw == {"hyp_count": 32}
+
+    @pytest.mark.parametrize("line, message", [
+        ("lambda1 0.4", "expected key = value"),
+        ("lambda1 = heavy", "bad number 'heavy'"),
+        ("max_outer_iters = 2.5", "bad value '2.5'"),
+        ("temperature = warm", "bad value 'warm'"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tau_occ = 1.0\n\n{line}\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{cfg}:3: {message}")
+                           + "$"):
+            read_run_config(cfg)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lamda1 = 0.4\n")
@@ -464,9 +507,10 @@ class TestRunConfig:
         block = doc.split("## Run configuration", 1)[1].split("```", 2)[1]
         documented = {k: float(v) for k, v in re.findall(r"(\w+) = (\S+)", block)}
         defaults = {**vars(LossWeights()), **vars(SolverConfig(DepthHypotheses(1, 2, 2)))}
+        # hyp_count stands for the hypotheses; its default is the CLI's
+        defaults["hyp_count"] = cli.HYP_COUNT
         for key, value in documented.items():
-            if key != "hyp_count":  # stands for the hypotheses; 64 in the CLI
-                assert value == defaults[key], key
+            assert value == defaults[key], key
 
     def test_solver_keys_are_the_solver_config_fields(self):
         # hyp_count stands for the hypotheses; the weights have their own keys

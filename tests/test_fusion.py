@@ -195,3 +195,15 @@ class TestDepthsToCloud:
         assert cloud.colors is not None
         assert cloud.colors.shape == (len(cloud), 3)
         assert (cloud.colors >= 0).all() and (cloud.colors <= 1).all()
+
+    def test_rgb_views_give_their_own_colours(self):
+        # a gray view's colour is its one channel, repeated; an RGB view's
+        # is its pixel as it is
+        rng = np.random.default_rng(2)
+        image = rng.uniform(size=(4, 5, 3))
+        view = CameraView(make_camera(0.0, width=5, height=4).intrinsics, np.eye(3),
+                          np.zeros(3), image)
+        valid = np.zeros((4, 5), dtype=bool)
+        valid[1, 2] = valid[3, 0] = True
+        cloud = depths_to_cloud([DepthMap(np.full((4, 5), 2.0), valid)], [view])
+        np.testing.assert_array_equal(cloud.colors, image[[1, 3], [2, 0]])

@@ -1,13 +1,18 @@
 """The package imports only the standard library, numpy, scipy and itself,
 keeps the sampling primitives inside the modules that own them, builds
 camera records in `geometry` only, records tape nodes only through
-`autodiff.fused`, and builds occlusion masks in one mask pass."""
+`autodiff.fused` and only where a gradient flows, builds occlusion masks in
+one mask pass, and names the loss terms in `consistency`'s term table
+only."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "symmvs"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -111,6 +116,32 @@ def test_tape_nodes_are_leaves_or_fused_formulas():
     makers = {f"{path.name}:{func}" for path in SOURCES
               for func in calls_of(path, "Var")}
     assert makers == {"autodiff.py:fused", "consistency.py:_evaluate"}
+
+
+# A box sum or a Charbonnier penalty on its own is never differentiated:
+# both are plain kernels, and a Var handed to one raises instead of
+# becoming a value that carries no gradient.
+@pytest.mark.parametrize("kernel", ["autodiff.box_sum3", "photometry.charbonnier"])
+def test_plain_kernels_refuse_a_var(kernel):
+    import symmvs
+    from symmvs.autodiff import Var
+
+    module, name = kernel.split(".")
+    with pytest.raises(TypeError):
+        getattr(getattr(symmvs, module), name)(Var(np.ones((3, 4))))
+
+
+# Every module reads a loss term's short name from `consistency.TERMS`.
+def test_only_the_term_table_spells_the_term_names():
+    from symmvs.consistency import TERMS
+
+    names = {kind.name for kind in TERMS}
+    spelled = [f"{path.name}:{node.lineno}: {node.value!r}"
+               for path in SOURCES if path.name != "consistency.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.partition("_")[0] in names]
+    assert spelled == []
 
 
 # Every occlusion mask comes from the one round trip of the mask pass.
