@@ -18,7 +18,6 @@ from .geometry import (
     bilinear_sample,
     pair_records,
     plane_homography,
-    synthesize_view,
     warp_depth,
     warp_field_from_homography,
 )

@@ -1,4 +1,6 @@
-"""Pinhole camera geometry: the sampling chain, warping, and view synthesis.
+"""Pinhole camera geometry: the sampling chain, warping, view synthesis,
+and the two steps of the sweep's image pyramid (`halve_view`,
+`upsample_depth`).
 
 Conventions
 -----------
@@ -53,7 +55,8 @@ __all__ = [
     "pair_coefficients",
     "pair_records",
     "bilinear_sample",
-    "synthesize_view",
+    "halve_view",
+    "upsample_depth",
     "warp_depth",
     "backproject_pixels",
     "project_points",
@@ -181,8 +184,10 @@ class WarpField:
 
 def check_integer(name: str, value, least: int):
     """Raise ValueError naming ``name`` unless ``value`` is an integer of at
-    least ``least``: the one rule of every integer setting."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    least ``least``: the one rule of every integer setting. A `bool` is not
+    a count, though Python calls it an int."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -492,22 +497,61 @@ def warp_depth_values(pair: ViewPair, sampling, source_depth_values,
     return ad.fused(np.where(ok, z, 0.0), (x, y, d_src), vjp), ok
 
 
-# -- public warping operations ------------------------------------------------
+# -- image pyramid -------------------------------------------------------------
 
 
-def synthesize_view(target_depth: DepthMap, source: CameraView, target: CameraView):
-    """Synthesize the target view's image from the source view's pixels.
+def halve_view(view: CameraView) -> CameraView:
+    """The view on a grid of half the width and height (both must be even).
 
-    Each target pixel is backprojected with the target depth, transformed
-    into the source camera, projected, and bilinearly sampled. Returns
-    (image, valid); valid requires in-bounds sampling, a valid target
-    depth, and a positive transformed depth.
+    Each pixel is the mean of a 2x2 block of the image, so the coarse pixel
+    centre x_c sits at (x + 1/2) / 2 - 1/2 of the fine pixel centres x it
+    averages. The intrinsics follow: K' = diag(1/2, 1/2, 1) K, with the
+    principal point moved to c / 2 - 1/4, so a world point projects to
+    (x + 1/2) / 2 - 1/2 of its fine projection x. The pose is unchanged.
     """
-    if source.image is None:
-        raise ValueError("source view has no image")
-    pair = pair_coefficients(target, source, *target_depth.values.shape)
-    return synth_values(pair_sampling(pair, target_depth.values, target_depth.valid),
-                        source.image)
+    img = view.image
+    if img is None:
+        raise ValueError("the view has no image to halve")
+    h, w = img.shape[:2]
+    if h % 2 or w % 2:
+        raise ShapeMismatch(f"a {w}x{h} image has an odd side and cannot be halved")
+    K = np.diag([0.5, 0.5, 1.0]) @ view.intrinsics
+    K[:2, 2] -= 0.25
+    coarse = (img[0::2, 0::2] + img[0::2, 1::2] + img[1::2, 0::2]
+              + img[1::2, 1::2]) * 0.25
+    return CameraView(K, view.rotation, view.translation, coarse)
+
+
+def _upsample_taps(coarse: int):
+    """Per fine index of a grid twice ``coarse`` long: the lower coarse tap
+    and the weight of the upper one, at x_c = (x_f + 1/2) / 2 - 1/2 clamped
+    to [0, coarse - 1]."""
+    x = np.clip((np.arange(2 * coarse) + 0.5) / 2.0 - 0.5, 0.0, coarse - 1.0)
+    lo = np.minimum(x.astype(np.intp), coarse - 2)
+    return lo, x - lo
+
+
+def upsample_depth(depth: DepthMap) -> DepthMap:
+    """The depth map on a grid of twice its width and height, the inverse
+    of `halve_view`'s grid: bilinear in the coarse depths at
+    x_c = (x_f + 1/2) / 2 - 1/2 (and alike in y), clamped at the edges.
+
+    A fine pixel is valid iff all four of its coarse taps are, zero weights
+    included; invalid pixels hold 0. Needs a coarse grid of at least 2x2.
+    """
+    h, w = depth.values.shape
+    if h < 2 or w < 2:
+        raise ShapeMismatch(f"a {w}x{h} depth map has no 2x2 taps to upsample")
+    (r0, fy), (c0, fx) = _upsample_taps(h), _upsample_taps(w)
+    vals = np.where(depth.valid, depth.values, 0.0)
+    rows = vals[r0] * (1.0 - fy)[:, None] + vals[r0 + 1] * fy[:, None]
+    vals = rows[:, c0] * (1.0 - fx) + rows[:, c0 + 1] * fx
+    ok = depth.valid[r0] & depth.valid[r0 + 1]
+    ok = ok[:, c0] & ok[:, c0 + 1]
+    return DepthMap(np.where(ok, vals, 0.0), ok)
+
+
+# -- public warping operations ------------------------------------------------
 
 
 def warp_depth(source_depth: DepthMap, target_depth: DepthMap,
@@ -517,7 +561,10 @@ def warp_depth(source_depth: DepthMap, target_depth: DepthMap,
     Each target pixel is backprojected via the target depth, projected into
     the source view, the source depth is bilinearly sampled there, and the
     sampled source-frame point is rigid-transformed into the target camera;
-    its z-component is the output. Validity follows `synthesize_view`.
+    its z-component is the output. A target pixel is valid where its depth
+    is, its sample lands in front of the source camera and inside its grid,
+    every bilinear corner carrying weight is a valid source depth, and the
+    transformed depth is positive.
     """
     pair = pair_coefficients(target, source, *target_depth.values.shape)
     vals, ok = warp_depth_values(

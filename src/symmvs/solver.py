@@ -1,4 +1,5 @@
-"""End-to-end symmetric pipeline: per-view plane-sweep initialization, then
+"""End-to-end symmetric pipeline: per-view plane-sweep initialization at
+the coarsest level of an image pyramid, upsampled to the input grid, then
 alternating occlusion-mask re-estimation and joint gradient refinement of
 all depth maps against the full multi-view objective.
 
@@ -108,35 +109,71 @@ SolverState = SceneState
 # more memory (16 MiB bands: 1.8x the sweep's peak with 8 MiB bands).
 SWEEP_BAND_BYTES = 8 * 2**20
 
+# The sweep's image pyramid: `init_depths` halves every view while both
+# sides of the grid are even and the halved grid is still at least this
+# (width, height), sweeps each reference at the coarsest level where it
+# has parallax, and upsamples its depths back level by level. A grid of
+# this size or smaller is swept as it is.
+SWEEP_MIN_GRID = (64, 48)
+
 # A reference view needs a source camera that moves at least one of its
-# pixels this far, in source pixels, between the ends of the hypothesis
-# range. Below it every hypothesis samples nearly the same texture, the
-# softmax is nearly flat, and every depth lands near the range's midpoint.
+# pixels this far, in source pixels of the level it is swept at, between
+# the ends of the hypothesis range. Below it every hypothesis samples nearly
+# the same texture, the softmax is nearly flat, and every depth lands near
+# the range's midpoint.
 MIN_PARALLAX_PX = 0.5
 
 
-def _sweep_reference(views, feats, ref: int, hypotheses: DepthHypotheses,
-                     temperature: float) -> DepthMap:
-    """The depth map of reference view ``ref``, swept in bands of rows.
+def _sweep_levels(height: int, width: int) -> int:
+    """How many times `init_depths` may halve a (height, width) grid before
+    it sweeps: 2 at 256x192, 1 at 128x96, 0 at 64x48 or at an odd side."""
+    min_w, min_h = SWEEP_MIN_GRID
+    levels = 0
+    while (height % 2 == 0 and width % 2 == 0
+           and width // 2 >= min_w and height // 2 >= min_h):
+        height, width, levels = height // 2, width // 2, levels + 1
+    return levels
 
-    Its whole-grid `geometry.ViewPair` records serve its NoParallax check
-    and, as row views, every band.
+
+def _swept_level(pyramid, ref: int, hypotheses: DepthHypotheses):
+    """The level of ``pyramid`` (a list of view lists, input grid first) that
+    reference ``ref`` is swept at, and its whole-grid `geometry.ViewPair`
+    records there: the coarsest level where some source camera moves one of
+    its pixels by `MIN_PARALLAX_PX` of that level's pixels or more.
+
+    A displacement in pixels halves with every level, so a reference short
+    of it at the coarsest level is tried one level finer, up to the input
+    grid; short of it there, it raises NoParallax naming the reference and
+    its largest displacement on the input grid.
+    """
+    for level in range(len(pyramid) - 1, -1, -1):
+        views = pyramid[level]
+        h, w = views[ref].image.shape[:2]
+        pairs = {(ref, s): geometry.pair_coefficients(views[ref], source, h, w)
+                 for s, source in enumerate(views) if s != ref}
+        moved = max(_largest_parallax(pair, hypotheses) for pair in pairs.values())
+        if moved >= MIN_PARALLAX_PX:
+            return level, pairs
+    raise NoParallax(
+        f"view {ref}: no other camera moves any of its pixels by "
+        f"{MIN_PARALLAX_PX:g} px over the depth range "
+        f"[{hypotheses.d_min:g}, {hypotheses.d_max:g}]; the largest "
+        f"displacement is {moved:.3g} px, so its depth cannot be estimated")
+
+
+def _sweep_reference(pairs, feats, ref: int, hypotheses: DepthHypotheses,
+                     temperature: float) -> DepthMap:
+    """The depth map of reference view ``ref``, swept in bands of rows on
+    the grid of ``feats``, the pyramid level `_swept_level` picked for it.
+
+    Its whole-grid `geometry.ViewPair` records ``pairs`` of that level serve,
+    as row views, every band.
     Cost, smoothing and regression are independent per row apart from the
     3x3x3 smoothing window, so each band's volume carries one halo row on
     either side (clipped at the image edges) and keeps only its own rows:
     the depths equal the whole-image sweep's bit for bit.
     """
     h, w = feats[ref].shape[1:]
-    pairs = {(ref, s): geometry.pair_coefficients(views[ref], source, h, w)
-             for s, source in enumerate(views) if s != ref}
-    moved = max(_largest_parallax(pair, hypotheses) for pair in pairs.values())
-    if moved < MIN_PARALLAX_PX:
-        raise NoParallax(
-            f"view {ref}: no other camera moves any of its pixels by "
-            f"{MIN_PARALLAX_PX:g} px over the depth range "
-            f"[{hypotheses.d_min:g}, {hypotheses.d_max:g}]; the largest "
-            f"displacement is {moved:.3g} px, so its depth cannot be "
-            "estimated")
     band = max(1, SWEEP_BAND_BYTES // (hypotheses.count * w * 8))
     values = np.empty((h, w))
     valid = np.empty((h, w), dtype=bool)
@@ -163,32 +200,51 @@ def _largest_parallax(pair: geometry.ViewPair, hypotheses: DepthHypotheses) -> f
 
 
 def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
-    """Initial depth map for every view from its own smoothed cost volume.
+    """Initial depth map for every view from its own smoothed cost volume,
+    swept once at the coarsest level of an image pyramid where it has
+    parallax.
 
-    Every view serves as reference exactly once, so the initialization is
-    symmetric under view relabeling. The features are `volume`'s fixed
-    grad3 stack and the smoothing its 3x3x3 window. Each reference is
-    swept in bands of rows whose float cost fits `SWEEP_BAND_BYTES`, one
-    band after the other, so no whole-image volume is built unless it
-    fits; the depths are those of the whole-image sweep.
+    The pyramid halves every view (`geometry.halve_view`) while both sides
+    of the grid are even and the halved grid is at least `SWEEP_MIN_GRID`,
+    so 256x192 and 128x96 both sweep at 64x48, and a grid of 64x48 or
+    smaller, or with an odd side, is swept as it is. A reference view
+    whose largest displacement (below) falls short at that level is swept
+    one level finer, and so on up to the input grid. Its swept depths are
+    upsampled back to the input grid one level at a time
+    (`geometry.upsample_depth`); there is no per-level refinement or
+    re-sweep. Every view serves as reference exactly once, so the
+    initialization is symmetric under view relabeling. The features are
+    `volume`'s fixed grad3 stack and the smoothing its 3x3x3 window. Each
+    reference is swept in bands of rows whose float cost fits
+    `SWEEP_BAND_BYTES`, one band after the other, so no whole-image volume
+    is built unless it fits; the depths are those of the whole-image sweep
+    of the swept level.
 
     The temperature is checked first, as `SolverConfig` checks it, and then
     the views, as a loss evaluation checks them: at least two, each with an
     image of one shape at least 2 by 2, errors naming the view at fault.
     Just before its sweep, a reference view raises NoParallax naming it and
     its largest displacement when no source camera moves any of its pixels
-    by `MIN_PARALLAX_PX` or more over the hypothesis range (a source at its
-    centre moves none): its costs barely change with the hypothesis. The
-    first reference view without a single valid depth raises EmptySweep
-    naming it: no second view sees any of its pixels at any hypothesis, so
-    the range misses the scene.
+    by `MIN_PARALLAX_PX` or more over the hypothesis range, even on the
+    input grid (a source at its centre moves none): its costs barely change
+    with the hypothesis. The first reference view without a single valid
+    depth on the input grid raises EmptySweep naming it: no second view
+    sees any of its pixels at any hypothesis, so the range misses the scene.
     """
     SolverConfig.check("temperature", temperature)
     consistency._check_views(views, "initialization")
-    feats = [volume.extract_features(v.image) for v in views]
+    pyramid = [list(views)]
+    for _ in range(_sweep_levels(*views[0].image.shape[:2])):
+        pyramid.append([geometry.halve_view(v) for v in pyramid[-1]])
+    feats = {}
     depths = []
     for ref in range(len(views)):
-        depth = _sweep_reference(views, feats, ref, hypotheses, temperature)
+        level, pairs = _swept_level(pyramid, ref, hypotheses)
+        if level not in feats:
+            feats[level] = [volume.extract_features(v.image) for v in pyramid[level]]
+        depth = _sweep_reference(pairs, feats[level], ref, hypotheses, temperature)
+        for _ in range(level):
+            depth = geometry.upsample_depth(depth)
         if not depth.valid.any():
             raise EmptySweep(
                 f"view {ref}: no pixel sees a second view at any depth in "

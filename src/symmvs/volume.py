@@ -9,10 +9,14 @@ population variance across the contributing views. A validity-aware
 3x3x3 box filter stands in for learned regularization, and the depth is
 read out as the softmax-weighted expectation over hypotheses.
 
-`build_cost_volume` sweeps the reference rows its records cover;
-`solver.init_depths` sweeps each reference view in horizontal bands of
-rows, so a volume here is a band's (D, rows, W) unless the whole image's
-volume fits the band budget.
+`build_cost_volume` sweeps the reference rows its records cover, on the
+grid of the features it is handed. `solver.init_depths` hands it the
+coarsest level of an image pyramid: it halves the views while both sides
+are even and the halved grid is at least 64x48, so a 256x192 or 128x96
+image is swept at 64x48 and upsampled afterwards, with no per-level
+refinement or re-sweep. It sweeps each reference view of that level in
+horizontal bands of rows, so a volume here is a band's (D, rows, W) unless
+the whole level's volume fits the band budget.
 
 What each stage holds at the size (D, rows, W) of its volume, beyond its
 input:

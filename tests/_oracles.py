@@ -7,9 +7,11 @@ ones must match bit for bit (`cost_volume_loop`,
 `smooth_cost_volume_whole`, `regress_depth_whole`,
 `camera_rays_world_int_grid`, `box_sum3_padded`, `pad_zero_np`,
 `sample_validity_direct`, `census_distance_mean`, `synth_values_unshared`,
-`warp_depth_values_unshared`); `round_trip_mask` builds an occlusion mask
-from two whole-map depth warps; `box_sum_axis_loop` fixes the order in which
-the cost-volume smoothing adds each slice's depth neighbours. The loss formulas that the
+`warp_depth_values_unshared`); `synthesize_view` composes the sampling
+chain into one view synthesis on a fresh pair record; `round_trip_mask`
+builds an occlusion mask from two whole-map depth warps;
+`box_sum_axis_loop` fixes the order in which the cost-volume smoothing adds
+each slice's depth neighbours. The loss formulas that the
 library records as single tape nodes are kept here in their op-by-op form,
 one node per array operation (`charbonnier_chain` to `smoothness_chain`,
 built on `OpVar` arithmetic and the helpers `sqrt`, `absolute`,
@@ -263,6 +265,21 @@ def sample_validity_direct(valid, xv, yv, inb):
     ok &= valid[y0 + 1, x0] | ((1 - wx) * wy <= tol)
     ok &= valid[y0 + 1, x0 + 1] | (wx * wy <= tol)
     return ok & inb
+
+
+def synthesize_view(target_depth, source, target):
+    """The target view's image synthesized from the source view's pixels:
+    (image, valid) of the library's sampling chain on a fresh pair record,
+    as one loss term sees it. Valid requires in-bounds sampling, a valid
+    target depth and a positive transformed depth."""
+    from symmvs import geometry
+
+    if source.image is None:
+        raise ValueError("source view has no image")
+    pair = geometry.pair_coefficients(target, source, *target_depth.values.shape)
+    return geometry.synth_values(
+        geometry.pair_sampling(pair, target_depth.values, target_depth.valid),
+        source.image)
 
 
 def synth_values_unshared(target, source, depth_values, depth_valid,

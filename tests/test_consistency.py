@@ -14,7 +14,6 @@ from symmvs import (
     compute_all_masks,
     geometry,
     photometry,
-    synthesize_view,
     total_loss,
 )
 from symmvs.autodiff import Var, value_of
@@ -29,7 +28,7 @@ from symmvs.errors import ShapeMismatch, TooFewViews
 from symmvs.photometry import box_norm, edge_weights, reference_stats, unary_comparator
 from symmvs.solver import loss_gradient
 
-from _oracles import round_trip_mask
+from _oracles import round_trip_mask, synthesize_view
 from conftest import noisy_depths, same_bytes, scene_state
 
 PHI_0 = math.sqrt(1e-6)

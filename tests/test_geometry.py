@@ -10,7 +10,6 @@ from symmvs import (
     build_cost_volume,
     extract_features,
     plane_homography,
-    synthesize_view,
     warp_depth,
     warp_field_from_homography,
 )
@@ -31,6 +30,7 @@ from _oracles import (
     project_reproject,
     sample_validity_direct,
     synth_values_unshared,
+    synthesize_view,
     warp_depth_values_unshared,
     where_mask,
 )
@@ -637,3 +637,79 @@ def test_chain_coordinates_outside_front_are_never_read(monkeypatch):
     poisoned = _chain_consumers(views, np.random.default_rng(3))
     for a, b in zip(plain, poisoned):
         assert same_bytes(a, b)
+
+
+class TestPyramid:
+    def test_halved_camera_projects_to_the_coarse_pixel_of_the_fine_projection(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            cam = random_camera(rng)
+            fine = CameraView(cam.intrinsics, cam.rotation, cam.translation,
+                              rng.uniform(size=(48, 64, 2)))
+            coarse = geometry.halve_view(fine)
+            pts = rng.uniform([-1.0, -1.0, 2.0], [1.0, 1.0, 5.0], (200, 3))
+            xf, yf, zf = geometry.project_points(fine, pts)
+            xc, yc, zc = geometry.project_points(coarse, pts)
+            np.testing.assert_allclose(xc, (xf + 0.5) / 2 - 0.5, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(yc, (yf + 0.5) / 2 - 0.5, rtol=0, atol=1e-12)
+            assert same_bytes(zc, zf)
+            assert same_bytes(coarse.rotation, fine.rotation)
+            assert same_bytes(coarse.translation, fine.translation)
+
+    def test_halved_image_is_the_mean_of_each_2x2_block(self):
+        rng = np.random.default_rng(3)
+        img = rng.uniform(size=(6, 8, 3))
+        coarse = geometry.halve_view(CameraView(make_camera(0.0).intrinsics,
+                                                np.eye(3), np.zeros(3), img))
+        assert coarse.image.shape == (3, 4, 3)
+        for r in range(3):
+            for c in range(4):
+                block = img[2 * r:2 * r + 2, 2 * c:2 * c + 2]
+                np.testing.assert_allclose(coarse.image[r, c], block.mean(axis=(0, 1)),
+                                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(5, 8), (6, 7)])
+    def test_an_odd_side_cannot_be_halved(self, shape):
+        view = CameraView(make_camera(0.0).intrinsics, np.eye(3), np.zeros(3),
+                          np.zeros(shape))
+        with pytest.raises(ShapeMismatch, match="odd side"):
+            geometry.halve_view(view)
+
+    def test_upsampled_affine_depth_is_exact_away_from_the_clamped_border(self):
+        # dyadic slopes keep every product and sum exact, and the taps'
+        # weights 1/4 and 3/4 sum to 1: bilinear is exact on an affine map
+        h, w = 12, 16
+        ys, xs = np.mgrid[0:h, 0:w].astype(float)
+        depth = geometry.upsample_depth(DepthMap(2.0 + 0.125 * xs + 0.0625 * ys))
+        assert depth.values.shape == (2 * h, 2 * w) and depth.valid.all()
+        yf, xf = np.mgrid[0:2 * h, 0:2 * w].astype(float)
+        xc, yc = (xf + 0.5) / 2 - 0.5, (yf + 0.5) / 2 - 0.5
+        want = 2.0 + 0.125 * xc + 0.0625 * yc
+        inner = (slice(1, -1), slice(1, -1))
+        assert same_bytes(depth.values[inner], want[inner])
+        # the outermost fine rows and columns read the clamped edge
+        clamped = (2.0 + 0.125 * np.clip(xc, 0, w - 1)
+                   + 0.0625 * np.clip(yc, 0, h - 1))
+        np.testing.assert_array_equal(depth.values, clamped)
+
+    def test_upsampled_pixel_is_valid_iff_all_four_taps_are(self):
+        rng = np.random.default_rng(5)
+        h, w = 7, 9
+        values = rng.uniform(1.0, 3.0, (h, w))
+        valid = rng.uniform(size=(h, w)) > 0.15
+        depth = geometry.upsample_depth(DepthMap(np.where(valid, values, 0.0), valid))
+        for yf in range(2 * h):
+            for xf in range(2 * w):
+                taps = []
+                for p, n in ((yf, h), (xf, w)):
+                    c = min(max((p + 0.5) / 2 - 0.5, 0.0), n - 1.0)
+                    lo = min(int(np.floor(c)), n - 2)
+                    taps.append((lo, c - lo))
+                (r, fy), (c, fx) = taps
+                ok = valid[r:r + 2, c:c + 2].all()
+                assert depth.valid[yf, xf] == ok
+                if ok:
+                    want = bilinear_at(values, c + fx, r + fy)
+                    assert abs(depth.values[yf, xf] - want) < 1e-12
+                else:
+                    assert depth.values[yf, xf] == 0.0

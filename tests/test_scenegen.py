@@ -80,7 +80,7 @@ class TestTextureBandLimit:
             assert max(gx, gy) < 0.15
 
     def test_resampling_error_small_at_ground_truth(self, plane_scene):
-        from symmvs import synthesize_view
+        from _oracles import synthesize_view
         views, gt = plane_scene["views"], plane_scene["gt"]
         img, ok = synthesize_view(gt[1], views[0], views[1])
         assert np.abs(img - views[1].image)[ok].mean() < 0.005

@@ -57,6 +57,16 @@ def whole_image_depths(views, hyp):
     return depths
 
 
+def swept_whole(views):
+    """``views`` cropped by their last row and column where the level rule
+    would halve their grid, so that `init_depths` sweeps them as they are.
+    The kept pixels keep their coordinates, and so the cameras."""
+    if not solver._sweep_levels(*views[0].image.shape[:2]):
+        return views
+    return [CameraView(v.intrinsics, v.rotation, v.translation, v.image[:-1, :-1])
+            for v in views]
+
+
 def record_builds(monkeypatch):
     """A list that collects (reference, rows) of every cost-volume build."""
     builds = []
@@ -161,6 +171,78 @@ class TestInitDepths:
         with pytest.raises(NoParallax, match="^view 0: "):
             run_pipeline(views, desk_config(hyp))
 
+    def test_no_parallax_on_the_input_grid_names_its_displacement(self, plane_scene):
+        # the rig above at 128x96 with twice the focal length and spread
+        # 1e-3: view 0 falls short at 64x48 (0.0389 px) and then on the
+        # input grid, whose displacement the error gives
+        spec = plane_scene["spec"]
+        cams = [make_camera(x, f=110.0, width=128, height=96)
+                for x in (-1e-3, 0.0, 1e-3)]
+        rig = SceneSpec(spec.primitives, cams, width=128, height=96, channels=1,
+                        seed=7)
+        views, hyp = render_scene(rig)[0], plane_scene["hyp"]
+        with pytest.raises(NoParallax, match=r"^view 0: .*the largest displacement "
+                                             r"is 0\.0778 px, so"):
+            init_depths(views, hyp, DESK_TEMPERATURE)
+
+    def test_a_reference_short_of_parallax_is_swept_a_level_finer(
+            self, plane_scene, monkeypatch):
+        # cameras at -0.02, 0 and +0.02 at 128x96 with twice the focal
+        # length above: the outer views move a pixel by up to 1.56 px on the
+        # input grid and 0.778 px at 64x48, the middle view by half that,
+        # 0.389 px at 64x48. So the outer views are swept at 64x48 and
+        # upsampled, the middle one at 128x96
+        spec = plane_scene["spec"]
+        cams = [make_camera(x, f=110.0, width=128, height=96)
+                for x in (-2e-2, 0.0, 2e-2)]
+        rig = SceneSpec(spec.primitives, cams, width=128, height=96, channels=1,
+                        seed=7)
+        views, hyp = render_scene(rig)[0], plane_scene["hyp"]
+        builds = record_builds(monkeypatch)
+        got = init_depths(views, hyp, DESK_TEMPERATURE)
+        assert builds == [(0, (0, 48)), (1, (0, 96)), (2, (0, 48))]
+        monkeypatch.undo()
+        coarse = whole_image_depths([geometry.halve_view(v) for v in views], hyp)
+        fine = whole_image_depths(views, hyp)
+        want = [geometry.upsample_depth(coarse[0]), fine[1],
+                geometry.upsample_depth(coarse[2])]
+        for g, e in zip(got, want):
+            assert same_bytes(g.values, e.values) and same_bytes(g.valid, e.valid)
+
+    @pytest.mark.parametrize("height, width, levels", [
+        (192, 256, 2), (96, 128, 1), (48, 64, 0), (24, 32, 0), (12, 16, 0),
+        (384, 512, 3), (191, 255, 0), (96, 126, 0), (94, 128, 0), (200, 130, 1),
+    ])
+    def test_sweep_levels_halve_while_even_and_at_least_64x48(self, height, width,
+                                                              levels):
+        assert solver._sweep_levels(height, width) == levels
+
+    def test_init_is_the_upsampled_whole_image_sweep_of_the_swept_level(
+            self, occluder_scene):
+        # 128x96 is swept at 64x48 and upsampled (a 64x48 grid is swept as
+        # it is: see the banded-sweep test on the plane)
+        views = occluder_scene["views"]
+        hyp = DepthHypotheses(1.5, 4.0, 16)
+        assert solver._sweep_levels(*views[0].image.shape[:2]) == 1
+        want = whole_image_depths([geometry.halve_view(v) for v in views], hyp)
+        want = [geometry.upsample_depth(d) for d in want]
+        got = init_depths(views, hyp, DESK_TEMPERATURE)
+        for g, e in zip(got, want):
+            assert g.values.shape == views[0].image.shape[:2]
+            assert same_bytes(g.values, e.values) and same_bytes(g.valid, e.valid)
+
+    def test_pyramid_init_permutes_with_the_views_and_reruns_identically(
+            self, occluder_scene):
+        views, hyp = occluder_scene["views"], DepthHypotheses(1.2, 4.35, 64)
+        base = init_depths(views, hyp, DESK_TEMPERATURE)
+        for a, b in zip(base, init_depths(views, hyp, DESK_TEMPERATURE)):
+            assert same_bytes(a.values, b.values) and same_bytes(a.valid, b.valid)
+        perm = [2, 0, 1]
+        permuted = init_depths([views[k] for k in perm], hyp, DESK_TEMPERATURE)
+        for new, old in enumerate(perm):
+            np.testing.assert_array_equal(permuted[new].valid, base[old].valid)
+            assert np.abs(permuted[new].values - base[old].values).max() < 1e-12
+
     def test_single_view_rejected(self, plane_scene):
         with pytest.raises(TooFewViews):
             init_depths(plane_scene["views"][:1], plane_scene["hyp"], 1.0)
@@ -245,9 +327,10 @@ class TestInitDepths:
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
     def test_banded_sweep_is_bit_identical_to_whole_image(self, request, scene,
                                                           monkeypatch):
-        # 13 rows per band divide neither 48 nor 96 rows; each band carries
-        # one halo row on either side
-        views = request.getfixturevalue(scene)["views"]
+        # 13 rows per band divide neither 48 nor 95 rows; each band carries
+        # one halo row on either side. The 128x96 occluder is cropped to
+        # 127x95, which the level rule sweeps whole
+        views = swept_whole(request.getfixturevalue(scene)["views"])
         hyp = DepthHypotheses(1.5, 4.0, 16)
         h, w = views[0].image.shape[:2]
         want = whole_image_depths(views, hyp)
@@ -299,14 +382,16 @@ class TestInitDepths:
         assert sorted(built) == [(t, s) for t in range(n) for s in range(n) if t != s]
 
     def test_sweep_memory_stays_near_two_volumes(self, occluder_scene):
-        # one float volume at 3 views, 96x128, 32 hypotheses is 3 MiB; the
+        # one float volume at 3 views, 95x127, 32 hypotheses is 2.9 MiB; the
         # sweep holds a raw and a smoothed volume, or a smoothed volume and
         # its probabilities, plus the features and one hypothesis' samplings.
-        # Measured: 3.27 volumes; whole-volume smoothing or regression
+        # The occluder is cropped to 127x95 so that the level rule sweeps it
+        # as it is, and the bound is in volumes of the grid actually swept.
+        # Measured: 3.08 volumes; whole-volume smoothing or regression
         # temporaries, an int64 view count per entry or a previous
         # reference's volume kept alive each give 4.1 to 5.7 (7.7 before
         # streaming)
-        views, hyp = occluder_scene["views"], DepthHypotheses(1.5, 4.0, 32)
+        views, hyp = swept_whole(occluder_scene["views"]), DepthHypotheses(1.5, 4.0, 32)
         h, w = views[0].image.shape[:2]
         tracemalloc.start()
         try:
@@ -317,12 +402,13 @@ class TestInitDepths:
         assert peak <= 3.8 * hyp.count * h * w * 8
 
     def test_banded_sweep_holds_less_than_one_whole_volume(self, monkeypatch):
-        # the bench's 256x192 plane at 64 hypotheses: three bands of 64 rows
-        # under the default budget. The whole volume as `build_cost_volume`
-        # returns it takes 9 bytes an entry (float cost and validity),
-        # 27 MiB. Measured: 24.0 MiB; a single whole-image band gives
-        # 60.1 MiB, and a 12 MiB budget (two bands) 32.9 MiB
-        width, height = 256, 192
+        # the bench's plane at 255x191, which the level rule sweeps whole,
+        # at 64 hypotheses: three bands of 64 rows under the default
+        # budget. The whole volume as `build_cost_volume` returns it takes
+        # 9 bytes an entry (float cost and validity), 26.8 MiB. Measured:
+        # 26.2 MiB; a single whole-image band gives 62.6 MiB, and a 12 MiB
+        # budget (two bands) 35.2 MiB
+        width, height = 255, 191
         cams = [make_camera(x, f=220.0, width=width, height=height)
                 for x in (-0.55, 0.0, 0.55)]
         spec = SceneSpec([PlanePrimitive(normal=[0, 0, 1], offset=3.0,
@@ -337,7 +423,7 @@ class TestInitDepths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [rows for _, rows in builds] == [(0, 65), (63, 129), (127, 192)] * 3
+        assert [rows for _, rows in builds] == [(0, 65), (63, 129), (127, 191)] * 3
         assert peak < hyp.count * height * width * 9
 
 
@@ -892,6 +978,21 @@ def test_assigning_a_checked_field_raises(plane_scene, make, field, value):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, field, value)
     assert getattr(obj, field) is before
+
+
+@pytest.mark.parametrize("field, call", [
+    ("max_outer_iters", lambda hyp: SolverConfig(hyp, max_outer_iters=True)),
+    ("max_outer_iters", lambda hyp: SolverConfig(hyp, max_outer_iters=False)),
+    ("inner_steps_per_mask_update",
+     lambda hyp: SolverConfig(hyp, inner_steps_per_mask_update=True)),
+    ("count", lambda hyp: DepthHypotheses(1.0, 2.0, True)),
+    ("count", lambda hyp: DepthHypotheses(1.0, 2.0, np.bool_(True))),
+])
+def test_bool_count_is_rejected_naming_its_field(plane_scene, field, call):
+    # `isinstance(True, int)` holds, so a flag used to pass as the count 1
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= \d, "
+                                         r"got (np\.)?(True|False)"):
+        call(plane_scene["hyp"])
 
 
 def test_numpy_integer_counts_are_accepted(plane_scene):

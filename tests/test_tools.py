@@ -77,3 +77,25 @@ def test_evalcost_prints_one_line_per_workload_and_grid():
     # replay and 5 for the smoothness terms
     assert isinstance(record["gradient_nodes"], int)
     assert 5 < record["gradient_nodes"] <= 4 + 6 * 21 + 4 * 22 + 6 * 9 + 5
+
+
+def test_quality_prints_one_line_per_scene_and_grid():
+    cmd = [sys.executable, str(ROOT / "tools" / "quality.py"),
+           "--scene", "plane+0.25", "--grid", "16x12", "--outer", "1"]
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True,
+                         timeout=300).stdout
+    lines = out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"scene", "grid", "seed", "outer", "init_abs_err",
+                           "refined_abs_err", "init_gross", "refined_gross",
+                           "f_score", "final_loss", "steps", "stop_reason",
+                           "solve_s"}
+    assert (record["scene"], record["grid"], record["seed"], record["outer"]) == (
+        "plane+0.25", "16x12", 7, 1)
+    assert record["stop_reason"] in STOP_REASONS
+    assert isinstance(record["steps"], int) and record["steps"] >= 0
+    assert all(0.0 <= record[key] <= 1.0 for key in ("init_gross", "refined_gross"))
+    assert 0.0 <= record["f_score"] <= 100.0
+    assert record["refined_abs_err"] > 0 and record["final_loss"] > 0
+    assert record["solve_s"] > 0
