@@ -254,7 +254,7 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
     return depths
 
 
-def loss_gradient(state: SceneState, context=None):
+def loss_gradient(state: SceneState, context=None, breakdown: bool = False):
     """Analytic gradient of the total loss w.r.t. every depth pixel.
 
     Masks are held fixed; the census term is locally constant and
@@ -263,13 +263,17 @@ def loss_gradient(state: SceneState, context=None):
     gradient is what the evaluation leaves in its depth leaves' ``.grad``:
     it pushes each group of terms back with their weights in the objective
     as soon as the group is done, so no tape outlives its group, and every
-    leaf enters its view's smoothness term.
+    leaf enters its view's smoothness term. With ``breakdown``, returns
+    (the evaluation's `consistency.LossBreakdown`, the gradients): the
+    evaluation computes every term's value on the way, with the bits of a
+    value-only evaluation.
     """
-    _, leaves = consistency._evaluate(
+    bd, leaves = consistency._evaluate(
         state.views, state.depths, state.masks, state.weights, True, context
     )
-    return [np.where(depth.valid, leaf.grad, 0.0)
-            for leaf, depth in zip(leaves, state.depths)]
+    grads = [np.where(depth.valid, leaf.grad, 0.0)
+             for leaf, depth in zip(leaves, state.depths)]
+    return (bd, grads) if breakdown else grads
 
 
 def _total(state: SceneState, depths, context, skipped: Counter):
@@ -327,17 +331,20 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
     for outer in range(config.max_outer_iters):
         state.masks = consistency.compute_all_masks(state.views, state.depths,
                                                     state.weights, context)
-        skipped = Counter()
-        bd = _total(state, state.depths, context, skipped)
-        f_cur = bd.total
-        f_phase_start = f_cur
+        # the phase's first gradient evaluation also gives its start value;
+        # every later state was value-evaluated as the trial that got
+        # accepted, so each state is evaluated once
+        bd_end, grads = loss_gradient(state, context, breakdown=True)
+        skipped = Counter(bd_end.skipped)
+        f_cur = f_phase_start = bd_end.total
         state.history.append((state.iteration, f_cur))
 
         alpha = step0
         accepted_any = False
         smallest_trial = None
-        for _ in range(config.inner_steps_per_mask_update):
-            grads = loss_gradient(state, context)
+        for step in range(config.inner_steps_per_mask_update):
+            if step:
+                grads = loss_gradient(state, context)
             ginf = max(float(np.abs(g).max()) for g in grads)
             if ginf == 0.0:
                 break
@@ -356,8 +363,8 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
                     )
                     move_sq += float(((new_vals - d.values) ** 2).sum())
                     cand.append(DepthMap(new_vals, d.valid.copy()))
-                f_new = _total(state, cand, context, skipped).total
-                smallest_trial = f_new
+                bd_new = _total(state, cand, context, skipped)
+                f_new = smallest_trial = bd_new.total
                 if np.isfinite(f_new) and f_new <= f_cur - (ARMIJO_C / a) * move_sq:
                     accepted = True
                     break
@@ -365,13 +372,12 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
             if not accepted:
                 break
             state.depths = cand
-            f_cur = f_new
+            f_cur, bd_end = f_new, bd_new
             alpha = a
             state.iteration += 1
             state.history.append((state.iteration, f_cur))
             accepted_any = True
 
-        bd_end = _total(state, state.depths, context, skipped)
         _warn_skipped(outer, skipped)
         state.outer_log.append({
             "iter": outer, "total": bd_end.total, **bd_end.term_sums(),

@@ -827,7 +827,7 @@ class TestRunPipeline:
 
 
 def test_quick_start_refine_trajectory(monkeypatch):
-    """The README quick-start scene refines with 93 value and 21 gradient
+    """The README quick-start scene refines with 81 value and 21 gradient
     evaluations over 20 accepted steps in 6 outer iterations. A gradient
     that changes by more than rounding flips a line-search decision, and
     these counts with it."""
@@ -844,7 +844,7 @@ def test_quick_start_refine_trajectory(monkeypatch):
     monkeypatch.setattr(consistency, "_evaluate", counted)
     state = run_pipeline(views, config)
     assert state.converged and not state.diverged
-    assert (evaluations[False], evaluations[True]) == (93, 21)
+    assert (evaluations[False], evaluations[True]) == (81, 21)
     assert (state.iteration, len(state.outer_log)) == (20, 6)
 
 
