@@ -56,7 +56,6 @@ config = SolverConfig(
     hypotheses=hyp,
     max_outer_iters=50,
     inner_steps_per_mask_update=4,
-    temperature=3e-6,
     convergence_tol=1e-6,
     weights=LossWeights(tau_occ=1.0),
 )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import consistency, fileio, fusion, metrics, scenegen, solver, volume
+from . import consistency, fileio, fusion, metrics, scenegen, solver
 from .errors import SymmvsError
 from .geometry import DepthHypotheses
 from .photometry import LossWeights
@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("bundle")
     sp.add_argument("out_dir")
     sp.add_argument("--hyp-count", type=int, default=HYP_COUNT)
-    sp.add_argument("--temperature", type=float, default=volume.DEFAULT_TEMPERATURE)
 
     sp = sub.add_parser("optimize", help="full pipeline: init + refinement")
     sp.add_argument("bundle")
@@ -90,10 +89,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_sweep(args) -> int:
     DepthHypotheses.check_count(args.hyp_count, "--hyp-count")
-    solver.SolverConfig.check("--temperature", args.temperature)
     views, d_min, d_interval, _ = fileio.load_bundle(args.bundle)
     hyp = _hypotheses(d_min, d_interval, args.hyp_count)
-    depths = solver.init_depths(views, hyp, args.temperature)
+    depths = solver.init_depths(views, hyp)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, d in enumerate(depths):

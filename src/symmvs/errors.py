@@ -33,6 +33,12 @@ class EmptySweep(SymmvsError):
     hypothesis, so the hypothesis range misses the scene."""
 
 
+class MinimumAtRangeEnd(EmptySweep):
+    """A reference view has no valid depth, and pixels of it that see a
+    second view have their cost minimum at an end of the hypothesis range,
+    so the range does not bracket the scene."""
+
+
 class EmptyMask(SymmvsError):
     """A masked reduction has no valid pixels; the term must be skipped."""
 

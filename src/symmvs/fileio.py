@@ -481,7 +481,6 @@ _SOLVER_KEYS = {
     "inner_steps_per_mask_update": int,
     "convergence_tol": float,
     "hyp_count": int,
-    "temperature": float,
 }
 
 

@@ -1,7 +1,8 @@
 """End-to-end symmetric pipeline: per-view plane-sweep initialization at
-the coarsest level of an image pyramid, upsampled to the input grid, then
-alternating occlusion-mask re-estimation and joint gradient refinement of
-all depth maps against the full multi-view objective.
+the coarsest level of an image pyramid, read out at each pixel's cost
+minimum and upsampled to the input grid, then alternating occlusion-mask
+re-estimation and joint gradient refinement of all depth maps against the
+full multi-view objective.
 
 Refinement runs projected gradient descent with a backtracking (Armijo)
 line search on the total loss, masks frozen within each inner phase, so
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import consistency, geometry, volume
 from .consistency import SceneState
-from .errors import EmptySweep, NoParallax
+from .errors import EmptySweep, MinimumAtRangeEnd, NoParallax
 from .geometry import DepthHypotheses, DepthMap
 from .photometry import LossWeights
 
@@ -65,13 +66,16 @@ class SolverConfig:
     threshold used at mask updates; `refine` requires the state's weights
     to equal them. Each setting is checked by `check` when the config is
     built, and the config is frozen, so no later assignment skips it.
+
+    ``temperature`` is accepted and never read; the benchmark's harness
+    still passes it.
     """
 
     hypotheses: DepthHypotheses
     max_outer_iters: int = 30
     inner_steps_per_mask_update: int = 4
     convergence_tol: float = 1e-5
-    temperature: float = volume.DEFAULT_TEMPERATURE
+    temperature: float | None = None
     weights: LossWeights = field(default_factory=LossWeights)
 
     # the least value of each integer setting; the others must be positive
@@ -81,7 +85,7 @@ class SolverConfig:
     def check(cls, name: str, value):
         """Raise ValueError naming ``name`` unless ``value`` suits that
         setting: an integer count at or above its least value, or a
-        positive ``convergence_tol`` or ``temperature`` (NaN fails)."""
+        positive ``convergence_tol`` (NaN fails)."""
         least = cls._LEAST.get(name)
         if least is not None:
             geometry.check_integer(name, value, least)
@@ -91,7 +95,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("max_outer_iters", "inner_steps_per_mask_update",
-                     "convergence_tol", "temperature"):
+                     "convergence_tol"):
             self.check(name, getattr(self, name))
 
 
@@ -119,8 +123,7 @@ SWEEP_MIN_GRID = (64, 48)
 # A reference view needs a source camera that moves at least one of its
 # pixels this far, in source pixels of the level it is swept at, between
 # the ends of the hypothesis range. Below it every hypothesis samples nearly
-# the same texture, the softmax is nearly flat, and every depth lands near
-# the range's midpoint.
+# the same texture, and the costs barely tell the depths apart.
 MIN_PARALLAX_PX = 0.5
 
 
@@ -161,10 +164,10 @@ def _swept_level(pyramid, ref: int, hypotheses: DepthHypotheses):
         f"displacement is {moved:.3g} px, so its depth cannot be estimated")
 
 
-def _sweep_reference(pairs, feats, ref: int, hypotheses: DepthHypotheses,
-                     temperature: float) -> DepthMap:
+def _sweep_reference(pairs, feats, ref: int, hypotheses: DepthHypotheses):
     """The depth map of reference view ``ref``, swept in bands of rows on
-    the grid of ``feats``, the pyramid level `_swept_level` picked for it.
+    the grid of ``feats``, the pyramid level `_swept_level` picked for it,
+    and the number of its pixels whose cost minimum sits at a range end.
 
     Its whole-grid `geometry.ViewPair` records ``pairs`` of that level serve,
     as row views, every band.
@@ -177,17 +180,19 @@ def _sweep_reference(pairs, feats, ref: int, hypotheses: DepthHypotheses,
     band = max(1, SWEEP_BAND_BYTES // (hypotheses.count * w * 8))
     values = np.empty((h, w))
     valid = np.empty((h, w), dtype=bool)
+    at_end = 0
     for top in range(0, h, band):
         bottom = min(top + band, h)
         lo, hi = max(0, top - 1), min(h, bottom + 1)
         band_pairs = {key: pair.band(lo, hi) for key, pair in pairs.items()}
         vol = volume.build_cost_volume(band_pairs, feats, ref, hypotheses)
         vol = volume.smooth_cost_volume(vol)
-        depth = volume.regress_depth(vol, temperature)[0]
+        depth, ends = volume.regress_depth(vol)
         del vol  # the next band's sweep holds no volume of this one
         values[top:bottom] = depth.values[top - lo:bottom - lo]
         valid[top:bottom] = depth.valid[top - lo:bottom - lo]
-    return DepthMap(values, valid)
+        at_end += int(ends[top - lo:bottom - lo].sum())
+    return DepthMap(values, valid), at_end
 
 
 def _largest_parallax(pair: geometry.ViewPair, hypotheses: DepthHypotheses) -> float:
@@ -199,10 +204,11 @@ def _largest_parallax(pair: geometry.ViewPair, hypotheses: DepthHypotheses) -> f
     return float(np.hypot(x1 - x0, y1 - y0)[front0 & front1].max(initial=0.0))
 
 
-def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
+def init_depths(views, hypotheses: DepthHypotheses, temperature=None):
     """Initial depth map for every view from its own smoothed cost volume,
     swept once at the coarsest level of an image pyramid where it has
-    parallax.
+    parallax and read out at each pixel's cost minimum
+    (`volume.regress_depth`).
 
     The pyramid halves every view (`geometry.halve_view`) while both sides
     of the grid are even and the halved grid is at least `SWEEP_MIN_GRID`,
@@ -218,20 +224,24 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
     reference is swept in bands of rows whose float cost fits
     `SWEEP_BAND_BYTES`, one band after the other, so no whole-image volume
     is built unless it fits; the depths are those of the whole-image sweep
-    of the swept level.
+    of the swept level. A pixel whose minimum sits at a range end is
+    invalid, as is every pixel upsampled from it.
 
-    The temperature is checked first, as `SolverConfig` checks it, and then
-    the views, as a loss evaluation checks them: at least two, each with an
-    image of one shape at least 2 by 2, errors naming the view at fault.
-    Just before its sweep, a reference view raises NoParallax naming it and
-    its largest displacement when no source camera moves any of its pixels
-    by `MIN_PARALLAX_PX` or more over the hypothesis range, even on the
-    input grid (a source at its centre moves none): its costs barely change
-    with the hypothesis. The first reference view without a single valid
-    depth on the input grid raises EmptySweep naming it: no second view
-    sees any of its pixels at any hypothesis, so the range misses the scene.
+    ``temperature`` is accepted and never read, as `SolverConfig`'s.
+
+    The views are checked first, as a loss evaluation checks them: at least
+    two, each with an image of one shape at least 2 by 2, errors naming the
+    view at fault. Just before its sweep, a reference view raises
+    NoParallax naming it and its largest displacement when no source camera
+    moves any of its pixels by `MIN_PARALLAX_PX` or more over the
+    hypothesis range, even on the input grid (a source at its centre moves
+    none): its costs barely change with the hypothesis. The first reference
+    view without a single valid depth on the input grid raises
+    MinimumAtRangeEnd naming it and its count of such pixels when some of
+    its pixels have their minimum at a range end (the range does not
+    bracket the scene), and EmptySweep otherwise: no second view sees any
+    of its pixels at any hypothesis, so the range misses the scene.
     """
-    SolverConfig.check("temperature", temperature)
     consistency._check_views(views, "initialization")
     pyramid = [list(views)]
     for _ in range(_sweep_levels(*views[0].image.shape[:2])):
@@ -242,10 +252,16 @@ def init_depths(views, hypotheses: DepthHypotheses, temperature: float):
         level, pairs = _swept_level(pyramid, ref, hypotheses)
         if level not in feats:
             feats[level] = [volume.extract_features(v.image) for v in pyramid[level]]
-        depth = _sweep_reference(pairs, feats[level], ref, hypotheses, temperature)
+        depth, at_end = _sweep_reference(pairs, feats[level], ref, hypotheses)
         for _ in range(level):
             depth = geometry.upsample_depth(depth)
         if not depth.valid.any():
+            if at_end:
+                raise MinimumAtRangeEnd(
+                    f"view {ref}: no valid depth; {at_end} of its pixels have "
+                    f"their cost minimum at an end of [{hypotheses.d_min:g}, "
+                    f"{hypotheses.d_max:g}], so the hypothesis range does not "
+                    "bracket the scene")
             raise EmptySweep(
                 f"view {ref}: no pixel sees a second view at any depth in "
                 f"[{hypotheses.d_min:g}, {hypotheses.d_max:g}], so the "
@@ -410,7 +426,7 @@ def run_pipeline(views, config: SolverConfig) -> SceneState:
 
     Deterministic for fixed inputs and configuration.
     """
-    depths = init_depths(views, config.hypotheses, config.temperature)
+    depths = init_depths(views, config.hypotheses)
     state = SceneState(views=list(views), depths=depths, masks={},
                        weights=config.weights)
     return refine(state, config)

@@ -7,7 +7,11 @@ records; this module reads no camera. The reference's own features join
 the group, and the per-pixel matching cost is the channel-averaged
 population variance across the contributing views. A validity-aware
 3x3x3 box filter stands in for learned regularization, and the depth is
-read out as the softmax-weighted expectation over hypotheses.
+read out at the cost minimum: the first minimum over the valid
+hypotheses, refined by the vertex of the parabola through it and its two
+neighbours (Scharstein & Szeliski, IJCV 2002). Nothing here is trained,
+so the readout need not be differentiable, as learned stereo's softmax
+expectation ("soft argmin", Kendall et al., ICCV 2017) is.
 
 `build_cost_volume` sweeps the reference rows its records cover, on the
 grid of the features it is handed. `solver.init_depths` hands it the
@@ -37,8 +41,8 @@ input:
   rounding of its own terms. Its row window is clipped to the volume's
   rows, so a band needs one halo row on each side, clipped at the image
   edges, for its own rows to match the whole-image volume's.
-- `regress_depth`: one float buffer, in which the logits become the
-  returned probabilities in place.
+- `regress_depth`: nothing at volume size. One pass over the depth
+  slices keeps each pixel's running minimum and its index.
 
 `solver.init_depths` drops each band's volumes before it builds the next,
 so a sweep holds at most two float volumes of one band at once.
@@ -55,20 +59,12 @@ from . import geometry, photometry
 from .errors import NonFiniteValue, ShapeMismatch, TooFewViews
 
 __all__ = [
-    "DEFAULT_TEMPERATURE",
     "CostVolume",
     "extract_features",
     "build_cost_volume",
     "smooth_cost_volume",
     "regress_depth",
 ]
-
-# Softmax temperature of `regress_depth`, and the default of
-# `solver.SolverConfig` and ``symmvs sweep``. Matching costs are feature
-# variances near 1e-3 on desk-scale scenes; a temperature of 1.0 flattens
-# the softmax so that every depth lands near the range's midpoint.
-DEFAULT_TEMPERATURE = 3e-6
-
 
 @dataclass
 class CostVolume:
@@ -228,38 +224,48 @@ def smooth_cost_volume(vol: CostVolume) -> CostVolume:
     return CostVolume(vol.hypotheses, cost, ok)
 
 
-def regress_depth(vol: CostVolume, temperature: float = DEFAULT_TEMPERATURE):
-    """Softmax expected depth over the hypotheses.
+def regress_depth(vol: CostVolume):
+    """Depth at the cost minimum of every pixel.
 
-    Per pixel, logits are -cost / temperature over the valid hypotheses;
-    the depth is the probability-weighted mean sample. Returns the depth
-    map and the (D, H, W) probabilities, which sum to 1 along D. Pixels
-    without any valid hypothesis are marked invalid (their distribution is
-    left uniform so the volume still normalizes).
+    Per pixel, k is the first hypothesis of least cost among the valid ones
+    (the lowest k on ties). When both neighbours k - 1 and k + 1 are valid,
+    the depth moves from sample k to the vertex of the parabola through the
+    three costs c-, c0, c+: by (c- - c+) / (2 ((c- - c0) + (c+ - c0)))
+    spacings, at most half a spacing either way, added only where that
+    denominator is positive (at a first minimum with both neighbours valid
+    it always is: c- > c0 <= c+). A pixel without a valid hypothesis, or
+    whose minimum sits at either end of the range, is invalid with depth 0:
+    the scene may lie beyond that end, so the end's depth is no estimate.
 
-    The logits, their exponentials and the probabilities are computed in
-    place in the one (D, H, W) buffer that is returned; the depth adds one
-    hypothesis at a time, in `sum(axis=0)`'s order.
+    Returns the depth map and the (rows, W) flags of the pixels that have a
+    valid hypothesis but their minimum at a range end.
     """
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
     d_count = vol.cost.shape[0]
-    prob = np.negative(vol.cost)
-    prob /= temperature
-    np.copyto(prob, -np.inf, where=~vol.valid)
-    any_valid = vol.valid.any(axis=0)
-    peak = np.where(any_valid, prob.max(axis=0), 0.0)
-    prob -= peak
-    np.exp(prob, out=prob)
-    norm = prob.sum(axis=0)
-    prob /= np.where(any_valid, norm, 1.0)
-    np.copyto(prob, 1.0 / d_count, where=~any_valid)
-    samples = vol.hypotheses.samples
-    depth = samples[0] * prob[0]
-    term = np.empty_like(depth)
-    for k in range(1, d_count):
-        np.multiply(samples[k], prob[k], out=term)
-        depth += term
-    depth = np.clip(depth, vol.hypotheses.d_min, vol.hypotheses.d_max)
-    depth = np.where(any_valid, depth, 0.0)
-    return geometry.DepthMap(depth, any_valid), prob
+    # one pass over the depth slices: the running least valid cost c0 and
+    # its first index k (`argmin` along axis 0 would copy the volume)
+    c0 = np.full(vol.cost.shape[1:], np.inf)
+    k = np.zeros(c0.shape, dtype=np.intp)
+    lower = np.empty(c0.shape, dtype=bool)
+    for d in range(d_count):
+        np.less(vol.cost[d], c0, out=lower)
+        lower &= vol.valid[d]
+        np.copyto(c0, vol.cost[d], where=lower)
+        np.copyto(k, d, where=lower)
+    seen = vol.valid.any(axis=0)
+    inner = (k > 0) & (k < d_count - 1)
+    ok = seen & inner
+
+    def at(a, idx):  # a[idx[y, x], y, x] for every pixel
+        return np.take_along_axis(a, idx[None], axis=0)[0]
+
+    # neighbour indices clipped at the range ends, where no offset is used;
+    # c0 is infinite only where no hypothesis is valid, which makes denom
+    # -inf there, not NaN, so nothing below warns
+    below, above = np.maximum(k - 1, 0), np.minimum(k + 1, d_count - 1)
+    cm, cp = at(vol.cost, below), at(vol.cost, above)
+    denom = (cm - c0) + (cp - c0)
+    fit = ok & at(vol.valid, below) & at(vol.valid, above) & (denom > 0.0)
+    offset = np.divide(cm - cp, 2.0 * denom, out=np.zeros(c0.shape), where=fit)
+    hyp = vol.hypotheses
+    depth = np.where(ok, hyp.samples[k] + offset * hyp.spacing, 0.0)
+    return geometry.DepthMap(depth, ok), seen & ~inner

@@ -4,14 +4,14 @@ Everything here is deliberately written the slow, obvious way (loops,
 direct formulas) and never calls the code paths it checks. The earlier
 forms of several vectorized routines are kept as references the current
 ones must match bit for bit (`cost_volume_loop`,
-`smooth_cost_volume_whole`, `regress_depth_whole`,
-`camera_rays_world_int_grid`, `box_sum3_padded`, `pad_zero_np`,
+`smooth_cost_volume_whole`, `camera_rays_world_int_grid`, `box_sum3_padded`, `pad_zero_np`,
 `sample_validity_direct`, `census_distance_mean`, `synth_values_unshared`,
 `warp_depth_values_unshared`); `synthesize_view` composes the sampling
 chain into one view synthesis on a fresh pair record; `round_trip_mask`
 builds an occlusion mask from two whole-map depth warps;
 `box_sum_axis_loop` fixes the order in which the cost-volume smoothing adds
-each slice's depth neighbours. The loss formulas that the
+each slice's depth neighbours; `regress_depth_loop` reads the depth at each
+pixel's cost minimum one pixel at a time. The loss formulas that the
 library records as single tape nodes are kept here in their op-by-op form,
 one node per array operation (`charbonnier_chain` to `smoothness_chain`,
 built on `OpVar` arithmetic and the helpers `sqrt`, `absolute`,
@@ -179,22 +179,36 @@ def smooth_cost_volume_whole(vol):
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0), ok
 
 
-def regress_depth_whole(vol, temperature):
-    """Softmax expected depth with one whole-volume temporary per step
-    (the library's earlier form). Returns (depth values, depth valid,
-    probabilities)."""
-    d_count = vol.cost.shape[0]
-    logits = np.where(vol.valid, -vol.cost / temperature, -np.inf)
-    any_valid = vol.valid.any(axis=0)
-    peak = np.where(any_valid, logits.max(axis=0), 0.0)
-    expo = np.where(vol.valid, np.exp(logits - peak), 0.0)
-    norm = expo.sum(axis=0)
-    prob = expo / np.where(any_valid, norm, 1.0)
-    prob = np.where(any_valid, prob, 1.0 / d_count)
-    samples = vol.hypotheses.samples
-    depth = (samples[:, None, None] * prob).sum(axis=0)
-    depth = np.clip(depth, vol.hypotheses.d_min, vol.hypotheses.d_max)
-    return np.where(any_valid, depth, 0.0), any_valid, prob
+def regress_depth_loop(vol):
+    """The cost-minimum readout, one pixel at a time in Python floats: the
+    first least valid cost, moved to the vertex of the parabola through its
+    two neighbours when both are valid. Returns (depth values, depth valid,
+    range-end flags)."""
+    d_count, h, w = vol.cost.shape
+    hyp = vol.hypotheses
+    values = np.zeros((h, w))
+    valid = np.zeros((h, w), bool)
+    at_end = np.zeros((h, w), bool)
+    for y in range(h):
+        for x in range(w):
+            cost = [float(c) for c in vol.cost[:, y, x]]
+            ok = [bool(v) for v in vol.valid[:, y, x]]
+            k = None
+            for d in range(d_count):
+                if ok[d] and (k is None or cost[d] < cost[k]):
+                    k = d
+            if k is None:
+                continue
+            if k in (0, d_count - 1):
+                at_end[y, x] = True
+                continue
+            offset = 0.0
+            if ok[k - 1] and ok[k + 1]:
+                offset = (cost[k - 1] - cost[k + 1]) / (
+                    2.0 * ((cost[k - 1] - cost[k]) + (cost[k + 1] - cost[k])))
+            values[y, x] = float(hyp.samples[k]) + offset * hyp.spacing
+            valid[y, x] = True
+    return values, valid, at_end
 
 
 def camera_rays_world_int_grid(cam, height, width):

@@ -14,11 +14,6 @@ from symmvs import (
 )
 from symmvs.consistency import SceneState
 
-# Desk-scale softmax temperature: matching costs live at the ~1e-3 feature-
-# variance scale here, so the expectation needs a sharp softmax. The
-# library's default, `volume.DEFAULT_TEMPERATURE`, has this value.
-DESK_TEMPERATURE = 3e-6
-
 
 def records(views, rows=None):
     """Every ordered pair's `geometry.ViewPair` record of ``views`` on their

@@ -33,7 +33,7 @@ from symmvs import consistency, geometry
 from symmvs.cli import main as cli_main
 from symmvs.solver import SolverConfig, SolverState, loss_gradient
 
-from conftest import (DESK_TEMPERATURE, median_abs_error, noisy_depths, records,
+from conftest import (median_abs_error, noisy_depths, records,
                       scene_state)
 
 
@@ -128,7 +128,7 @@ def test_criterion_03_cost_volume_sanity(plane_scene):
         assert (arg[interior] == 24).mean() >= 0.98
 
         smoothed = smooth_cost_volume(vol)
-        depth, _ = regress_depth(smoothed, DESK_TEMPERATURE)
+        depth, _ = regress_depth(smoothed)
         err = np.abs(depth.values - z0)[interior & depth.valid]
         assert np.median(err) < hyp.spacing
         elapsed = time.monotonic() - start
@@ -153,7 +153,7 @@ def test_criterion_05_refinement_efficacy(plane_scene):
         err0 = median_abs_error(start_depths, gt)
         config = SolverConfig(
             hypotheses=hyp, max_outer_iters=50, inner_steps_per_mask_update=4,
-            temperature=DESK_TEMPERATURE, convergence_tol=1e-6,
+            convergence_tol=1e-6,
             weights=LossWeights(tau_occ=1.0),
         )
         state = SolverState(views=views, depths=[d.copy() for d in start_depths],
@@ -201,7 +201,7 @@ def test_criterion_07_view_permutation_symmetry(plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
         config = SolverConfig(
             hypotheses=hyp, max_outer_iters=4, inner_steps_per_mask_update=3,
-            temperature=DESK_TEMPERATURE, convergence_tol=1e-6,
+            convergence_tol=1e-6,
             weights=LossWeights(tau_occ=1.0),
         )
         base = run_pipeline(views, config)
@@ -288,7 +288,6 @@ RUN_CFG = """\
 tau_occ = 1.0
 max_outer_iters = 3
 inner_steps_per_mask_update = 3
-temperature = 3e-6
 hyp_count = 32
 convergence_tol = 1e-6
 """

@@ -416,7 +416,7 @@ class TestRunConfig:
             "lambda1 = 0.4\n"
             "tau_occ = 1.0\n"
             "max_outer_iters = 7\n"
-            "temperature = 1e-5\n"
+            "convergence_tol = 1e-5\n"
             "hyp_count = 32\n"
         )
         weights, solver_kw = read_run_config(cfg)
@@ -424,7 +424,7 @@ class TestRunConfig:
         assert weights.lambda2 == LossWeights().lambda2
         assert weights.tau_occ == 1.0
         assert solver_kw["max_outer_iters"] == 7
-        assert solver_kw["temperature"] == 1e-5
+        assert solver_kw["convergence_tol"] == 1e-5
 
     @pytest.mark.parametrize("line, message", [
         ("lambda1 = -1", "loss weight lambda1 must be non-negative"),
@@ -447,8 +447,6 @@ class TestRunConfig:
          "inner_steps_per_mask_update must be an integer >= 1, got 0"),
         ("convergence_tol = 0", "convergence_tol must be positive"),
         ("convergence_tol = nan", "convergence_tol must be positive"),
-        ("temperature = -1e-6", "temperature must be positive"),
-        ("temperature = nan", "temperature must be positive"),
         ("hyp_count = 1", "hyp_count must be an integer >= 2, got 1"),
     ])
     def test_rejected_solver_setting_names_file_and_line(self, tmp_path, line,
@@ -473,7 +471,7 @@ class TestRunConfig:
         ("lambda1 0.4", "expected key = value"),
         ("lambda1 = heavy", "bad number 'heavy'"),
         ("max_outer_iters = 2.5", "bad value '2.5'"),
-        ("temperature = warm", "bad value 'warm'"),
+        ("convergence_tol = warm", "bad value 'warm'"),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
         cfg = tmp_path / "run.cfg"
@@ -513,14 +511,25 @@ class TestRunConfig:
             assert value == defaults[key], key
 
     def test_solver_keys_are_the_solver_config_fields(self):
-        # hyp_count stands for the hypotheses; the weights have their own keys
-        fields = set(SolverConfig.__dataclass_fields__) - {"hypotheses", "weights"}
+        # hyp_count stands for the hypotheses; the weights have their own
+        # keys; the temperature is accepted and never read, and has no key
+        fields = set(SolverConfig.__dataclass_fields__) - {"hypotheses", "weights",
+                                                           "temperature"}
         assert set(fileio._SOLVER_KEYS) - {"hyp_count"} == fields
+
+    def test_temperature_key_is_rejected_naming_file_and_line(self, tmp_path):
+        # the sweep reads out each pixel's cost minimum: no softmax
+        # temperature is left to set
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau_occ = 1.0\ntemperature = 3e-6\n")
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{cfg}:2: unknown key 'temperature'") + "$"):
+            read_run_config(cfg)
 
     @pytest.mark.parametrize("key", ["feature_mode", "smooth_radius_h"])
     def test_removed_sweep_keys_are_rejected(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"temperature = 1e-5\n{key} = 1\n")
+        cfg.write_text(f"convergence_tol = 1e-5\n{key} = 1\n")
         with pytest.raises(ParseError, match=f":2: unknown key '{key}'$"):
             read_run_config(cfg)
 
@@ -530,7 +539,7 @@ class TestRunConfig:
     def test_removed_line_search_keys_are_rejected(self, tmp_path, key, value):
         # the line search's first step and halvings are solver constants
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"temperature = 1e-5\n{key} = {value}\n")
+        cfg.write_text(f"convergence_tol = 1e-5\n{key} = {value}\n")
         with pytest.raises(ParseError, match=f":2: unknown key '{key}'$"):
             read_run_config(cfg)
 

@@ -14,7 +14,6 @@ import pytest
 
 from symmvs import (
     CameraView,
-    CostVolume,
     DepthHypotheses,
     DepthMap,
     LossWeights,
@@ -30,18 +29,18 @@ from symmvs import (
     init_depths,
     loss_gradient,
     refine,
-    regress_depth,
     render_scene,
     run_pipeline,
     total_loss,
 )
 from symmvs import geometry, photometry, solver, volume
 from symmvs.consistency import OcclusionMask, _evaluate
-from symmvs.errors import EmptySweep, NoParallax, ShapeMismatch, TooFewViews
+from symmvs.errors import (EmptySweep, MinimumAtRangeEnd, NoParallax, ShapeMismatch,
+                           TooFewViews)
 from symmvs.solver import SolverConfig, SolverState
 
 from _oracles import smoothness_gradient_flat_image
-from conftest import (DESK_TEMPERATURE, make_camera, median_abs_error, noisy_depths,
+from conftest import (make_camera, median_abs_error, noisy_depths,
                       records, same_bytes)
 
 
@@ -53,7 +52,7 @@ def whole_image_depths(views, hyp):
     for ref in range(len(views)):
         vol = volume.build_cost_volume(records(views), feats, ref, hyp)
         vol = volume.smooth_cost_volume(vol)
-        depths.append(volume.regress_depth(vol, DESK_TEMPERATURE)[0])
+        depths.append(volume.regress_depth(vol)[0])
     return depths
 
 
@@ -87,12 +86,13 @@ def sweep_in_bands(monkeypatch, band_rows, hyp, width):
     return record_builds(monkeypatch)
 
 
-def quick_start_scene():
-    """The README quick-start plane: its views and true depths."""
+def quick_start_scene(z=3.0):
+    """The README quick-start plane, at depth ``z``: its views and true
+    depths."""
     K = np.array([[55.0, 0, 31.5], [0, 55.0, 23.5], [0, 0, 1.0]])
     cams = [CameraView(K, np.eye(3), np.array([-cx, 0.0, 0.0]), None)
             for cx in (-0.55, 0.0, 0.55)]
-    scene = SceneSpec([PlanePrimitive([0, 0, 1], 3.0, texture_scale=1.3)],
+    scene = SceneSpec([PlanePrimitive([0, 0, 1], z, texture_scale=1.3)],
                       cams, width=64, height=48, seed=7)
     views, gt, _ = render_scene(scene)
     return views, gt
@@ -103,7 +103,6 @@ def desk_config(hyp, **kw):
         hypotheses=hyp,
         max_outer_iters=30,
         inner_steps_per_mask_update=4,
-        temperature=DESK_TEMPERATURE,
         convergence_tol=1e-6,
         weights=LossWeights(tau_occ=1.0),
     )
@@ -113,17 +112,40 @@ def desk_config(hyp, **kw):
 
 class TestInitDepths:
     def test_default_temperature_recovers_the_quick_start_plane(self):
-        # within the bench's init bound on this scene, 0.06; a temperature
-        # of 1.0 flattens the softmax and gives 0.43
+        # the cost minimum reads 0.0378 here (the softmax it replaced,
+        # 0.0492); a temperature is accepted and never read, as the bench's
+        # harness still passes one
         views, gt = quick_start_scene()
         hyp = DepthHypotheses(1.8, 4.95, 64)
         depths = init_depths(views, hyp, SolverConfig(hyp).temperature)
         err = [depth_metrics(d, g).abs_diff for d, g in zip(depths, gt)]
-        assert np.mean(err) <= 0.06
+        assert np.mean(err) <= 0.042
+        for a, b in zip(depths, init_depths(views, hyp, 3e-6)):
+            assert same_bytes(a.values, b.values) and same_bytes(a.valid, b.valid)
+
+    def test_off_grid_plane_init_error(self):
+        # the quick-start plane moved half a spacing off the samples, to
+        # z = 3.025, where the samples nearest the plane are 0.025 off: the
+        # parabola's vertex reads 0.0371, the softmax read 0.0500
+        views, gt = quick_start_scene(3.0 + 0.025)
+        hyp = DepthHypotheses(1.8, 4.95, 64)
+        depths = init_depths(views, hyp)
+        err = [depth_metrics(d, g).abs_diff for d, g in zip(depths, gt)]
+        assert np.mean(err) <= 0.042
+
+    def test_range_with_every_minimum_at_an_end_raises_range_end(self, plane_scene):
+        # two hypotheses are both range ends, so no minimum lies inside the
+        # range; every pixel sees a second view, so it is not EmptySweep's
+        # "no pixel sees a second view"
+        views, hyp = plane_scene["views"], DepthHypotheses(2.5, 3.5, 2)
+        with pytest.raises(MinimumAtRangeEnd,
+                           match=r"^view 0: no valid depth; \d+ of its pixels have "
+                                 r"their cost minimum at an end of \[2\.5, 3\.5\]"):
+            init_depths(views, hyp)
 
     def test_three_views_agree_with_each_other(self, plane_scene):
         views, hyp = plane_scene["views"], plane_scene["hyp"]
-        depths = init_depths(views, hyp, DESK_TEMPERATURE)
+        depths = init_depths(views, hyp)
         # margins cover the largest cross-pair disparity over the swept range
         interior = np.zeros(depths[0].values.shape, bool)
         interior[4:-4, 22:-22] = True
@@ -135,7 +157,7 @@ class TestInitDepths:
 
     def test_two_views_recover_plane_depth(self, plane_scene):
         views, hyp, z0 = plane_scene["views"], plane_scene["hyp"], plane_scene["z0"]
-        depths = init_depths(views[:2], hyp, DESK_TEMPERATURE)
+        depths = init_depths(views[:2], hyp)
         interior = np.zeros(depths[0].values.shape, bool)
         interior[4:-4, 20:-20] = True
         err = np.abs(depths[0].values - z0)[interior & depths[0].valid]
@@ -148,11 +170,11 @@ class TestInitDepths:
         v = views[1]
         twin = CameraView(v.intrinsics, v.rotation, v.translation, v.image[::-1])
         with pytest.raises(NoParallax, match="view 0"):
-            init_depths([v, twin], hyp, DESK_TEMPERATURE)
+            init_depths([v, twin], hyp)
         with pytest.raises(NoParallax, match="view 0"):
             run_pipeline([v, twin], desk_config(hyp))
         # a third view gives every reference a baseline
-        assert len(init_depths([v, twin, views[2]], hyp, DESK_TEMPERATURE)) == 3
+        assert len(init_depths([v, twin, views[2]], hyp)) == 3
 
     @pytest.mark.parametrize("spread, moved", [(1e-3, "0.0389"), (1e-2, "0.389")])
     def test_near_zero_parallax_raises_naming_the_largest_displacement(
@@ -167,7 +189,7 @@ class TestInitDepths:
         views, hyp = render_scene(rig)[0], plane_scene["hyp"]
         with pytest.raises(NoParallax, match=(r"^view 0: .*\[1\.8, 4\.95\]; the "
                                               rf"largest displacement is {moved} px")):
-            init_depths(views, hyp, DESK_TEMPERATURE)
+            init_depths(views, hyp)
         with pytest.raises(NoParallax, match="^view 0: "):
             run_pipeline(views, desk_config(hyp))
 
@@ -183,7 +205,7 @@ class TestInitDepths:
         views, hyp = render_scene(rig)[0], plane_scene["hyp"]
         with pytest.raises(NoParallax, match=r"^view 0: .*the largest displacement "
                                              r"is 0\.0778 px, so"):
-            init_depths(views, hyp, DESK_TEMPERATURE)
+            init_depths(views, hyp)
 
     def test_a_reference_short_of_parallax_is_swept_a_level_finer(
             self, plane_scene, monkeypatch):
@@ -199,7 +221,7 @@ class TestInitDepths:
                         seed=7)
         views, hyp = render_scene(rig)[0], plane_scene["hyp"]
         builds = record_builds(monkeypatch)
-        got = init_depths(views, hyp, DESK_TEMPERATURE)
+        got = init_depths(views, hyp)
         assert builds == [(0, (0, 48)), (1, (0, 96)), (2, (0, 48))]
         monkeypatch.undo()
         coarse = whole_image_depths([geometry.halve_view(v) for v in views], hyp)
@@ -226,7 +248,7 @@ class TestInitDepths:
         assert solver._sweep_levels(*views[0].image.shape[:2]) == 1
         want = whole_image_depths([geometry.halve_view(v) for v in views], hyp)
         want = [geometry.upsample_depth(d) for d in want]
-        got = init_depths(views, hyp, DESK_TEMPERATURE)
+        got = init_depths(views, hyp)
         for g, e in zip(got, want):
             assert g.values.shape == views[0].image.shape[:2]
             assert same_bytes(g.values, e.values) and same_bytes(g.valid, e.valid)
@@ -234,11 +256,11 @@ class TestInitDepths:
     def test_pyramid_init_permutes_with_the_views_and_reruns_identically(
             self, occluder_scene):
         views, hyp = occluder_scene["views"], DepthHypotheses(1.2, 4.35, 64)
-        base = init_depths(views, hyp, DESK_TEMPERATURE)
-        for a, b in zip(base, init_depths(views, hyp, DESK_TEMPERATURE)):
+        base = init_depths(views, hyp)
+        for a, b in zip(base, init_depths(views, hyp)):
             assert same_bytes(a.values, b.values) and same_bytes(a.valid, b.valid)
         perm = [2, 0, 1]
-        permuted = init_depths([views[k] for k in perm], hyp, DESK_TEMPERATURE)
+        permuted = init_depths([views[k] for k in perm], hyp)
         for new, old in enumerate(perm):
             np.testing.assert_array_equal(permuted[new].valid, base[old].valid)
             assert np.abs(permuted[new].values - base[old].values).max() < 1e-12
@@ -247,22 +269,13 @@ class TestInitDepths:
         with pytest.raises(TooFewViews):
             init_depths(plane_scene["views"][:1], plane_scene["hyp"], 1.0)
 
-    @pytest.mark.parametrize("temperature", [0.0, -1e-6, float("nan")])
-    def test_temperature_checked_before_any_sweep(self, plane_scene, monkeypatch,
-                                                  temperature):
-        # it used to be caught by `regress_depth`, after the first volume
-        monkeypatch.setattr(volume, "build_cost_volume",
-                            lambda *args: pytest.fail("a volume was built"))
-        with pytest.raises(ValueError, match="^temperature must be positive$"):
-            init_depths(plane_scene["views"], plane_scene["hyp"], temperature)
-
     def test_missing_image_names_the_view(self, plane_scene):
         # the same check as a loss evaluation's, before any camera is read
         views = list(plane_scene["views"])
         views[1] = CameraView(views[1].intrinsics, views[1].rotation,
                               views[1].translation, None)
         with pytest.raises(ValueError, match="^view 1 has no image; "):
-            init_depths(views, plane_scene["hyp"], DESK_TEMPERATURE)
+            init_depths(views, plane_scene["hyp"])
 
     @pytest.mark.parametrize("width, height", [(16, 1), (1, 16)])
     def test_grid_one_pixel_tall_or_wide_names_the_view(self, plane_scene, width,
@@ -277,7 +290,7 @@ class TestInitDepths:
         hyp = DepthHypotheses(1.8, 4.95, 32)
         message = rf"^view 0 image is \({height}, {width}, 1\); "
         with pytest.raises(ShapeMismatch, match=message + "initialization needs"):
-            init_depths(views, hyp, DESK_TEMPERATURE)
+            init_depths(views, hyp)
         with pytest.raises(ShapeMismatch, match=message + "initialization needs"):
             run_pipeline(views, desk_config(hyp))
         state = SolverState(views=views, depths=gt, masks={},
@@ -292,7 +305,7 @@ class TestInitDepths:
         # a loss of 0 on depth maps without a valid pixel
         views, hyp = plane_scene["views"], DepthHypotheses(0.01, 0.02, 8)
         with pytest.raises(EmptySweep, match=r"^view 0: .*\[0\.01, 0\.02\]"):
-            init_depths(views, hyp, DESK_TEMPERATURE)
+            init_depths(views, hyp)
         with pytest.raises(EmptySweep, match="^view 0: "):
             run_pipeline(views, desk_config(hyp))
 
@@ -305,7 +318,7 @@ class TestInitDepths:
                          views[2].image)
         hyp = DepthHypotheses(1.8, 2.2, 4)
         with pytest.raises(EmptySweep, match="^view 2: "):
-            init_depths([views[0], views[1], far], hyp, DESK_TEMPERATURE)
+            init_depths([views[0], views[1], far], hyp)
 
     def test_banded_sweep_names_the_empty_view(self, plane_scene, monkeypatch):
         # the two cases above, in bands of 13 rows: every band of the
@@ -316,12 +329,11 @@ class TestInitDepths:
                          views[2].image)
         builds = sweep_in_bands(monkeypatch, 13, DepthHypotheses(1.8, 2.2, 4), 64)
         with pytest.raises(EmptySweep, match=r"^view 0: .*\[0\.01, 0\.02\]"):
-            init_depths(views, DepthHypotheses(0.01, 0.02, 4), DESK_TEMPERATURE)
+            init_depths(views, DepthHypotheses(0.01, 0.02, 4))
         assert [ref for ref, _ in builds] == [0] * 4
         builds.clear()
         with pytest.raises(EmptySweep, match="^view 2: "):
-            init_depths([views[0], views[1], far], DepthHypotheses(1.8, 2.2, 4),
-                        DESK_TEMPERATURE)
+            init_depths([views[0], views[1], far], DepthHypotheses(1.8, 2.2, 4))
         assert [ref for ref, _ in builds] == [0] * 4 + [1] * 4 + [2] * 4
 
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder_scene"])
@@ -335,7 +347,7 @@ class TestInitDepths:
         h, w = views[0].image.shape[:2]
         want = whole_image_depths(views, hyp)
         builds = sweep_in_bands(monkeypatch, 13, hyp, w)
-        got = init_depths(views, hyp, DESK_TEMPERATURE)
+        got = init_depths(views, hyp)
         bands = [(max(0, t - 1), min(h, t + 14)) for t in range(0, h, 13)]
         assert len(bands) >= 4
         assert builds == [(ref, rows) for ref in range(len(views)) for rows in bands]
@@ -352,7 +364,7 @@ class TestInitDepths:
                views[2]]
         want = whole_image_depths(rig, hyp)
         sweep_in_bands(monkeypatch, 13, hyp, 64)
-        got = init_depths(rig, hyp, DESK_TEMPERATURE)
+        got = init_depths(rig, hyp)
         for g, e in zip(got, want):
             assert same_bytes(g.values, e.values) and same_bytes(g.valid, e.valid)
         assert same_bytes(got[0].values, got[1].values)
@@ -376,7 +388,7 @@ class TestInitDepths:
             return coefficients(target, source, *grid)
 
         monkeypatch.setattr(geometry, "pair_coefficients", counting)
-        init_depths(views, hyp, DESK_TEMPERATURE)
+        init_depths(views, hyp)
         n = len(views)
         assert len(builds) == 3 * n
         assert sorted(built) == [(t, s) for t in range(n) for s in range(n) if t != s]
@@ -395,7 +407,7 @@ class TestInitDepths:
         h, w = views[0].image.shape[:2]
         tracemalloc.start()
         try:
-            init_depths(views, hyp, DESK_TEMPERATURE)
+            init_depths(views, hyp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,7 +431,7 @@ class TestInitDepths:
         builds = record_builds(monkeypatch)
         tracemalloc.start()
         try:
-            init_depths(views, hyp, DESK_TEMPERATURE)
+            init_depths(views, hyp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -767,8 +779,7 @@ class TestRunPipeline:
         hyp = DepthHypotheses(1.2, 4.35, 64)
         weights = LossWeights(tau_occ=0.3)
         config = SolverConfig(hypotheses=hyp, max_outer_iters=6,
-                              inner_steps_per_mask_update=3,
-                              temperature=DESK_TEMPERATURE, weights=weights,
+                              inner_steps_per_mask_update=3, weights=weights,
                               convergence_tol=1e-6)
         state = run_pipeline(views, config)
         # view 1 sees both planes; check its depth where everything is
@@ -827,13 +838,13 @@ class TestRunPipeline:
 
 
 def test_quick_start_refine_trajectory(monkeypatch):
-    """The README quick-start scene refines with 81 value and 21 gradient
-    evaluations over 20 accepted steps in 6 outer iterations. A gradient
+    """The README quick-start scene refines with 36 value and 9 gradient
+    evaluations over 8 accepted steps in 3 outer iterations. A gradient
     that changes by more than rounding flips a line-search decision, and
     these counts with it."""
     views, _ = quick_start_scene()
     config = SolverConfig(hypotheses=DepthHypotheses(1.8, 4.95, 64),
-                          temperature=3e-6, weights=LossWeights(tau_occ=1.0))
+                          weights=LossWeights(tau_occ=1.0))
     evaluations = {False: 0, True: 0}
     evaluate = consistency._evaluate
 
@@ -844,8 +855,8 @@ def test_quick_start_refine_trajectory(monkeypatch):
     monkeypatch.setattr(consistency, "_evaluate", counted)
     state = run_pipeline(views, config)
     assert state.converged and not state.diverged
-    assert (evaluations[False], evaluations[True]) == (81, 21)
-    assert (state.iteration, len(state.outer_log)) == (20, 6)
+    assert (evaluations[False], evaluations[True]) == (36, 9)
+    assert (state.iteration, len(state.outer_log)) == (8, 3)
 
 
 def _refine_digest(views, depths, config):
@@ -916,15 +927,7 @@ def test_skipped_terms_warned_once_per_mask_phase(plane_scene, caplog):
     assert set(terms) <= total_loss(state).skipped
 
 
-def _flat_volume():
-    shape = (2, 1, 1)
-    return CostVolume(DepthHypotheses(1.0, 2.0, 2), np.zeros(shape),
-                      np.ones(shape, bool))
-
-
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda sc: SolverConfig(sc["hyp"], temperature=np.nan),
-                 id="solver-temperature"),
     pytest.param(lambda sc: SolverConfig(sc["hyp"], convergence_tol=np.nan),
                  id="convergence_tol"),
     pytest.param(lambda sc: LossWeights(omega_u=np.nan), id="omega_u"),
@@ -937,8 +940,6 @@ def _flat_volume():
     pytest.param(lambda sc: compute_all_masks(
         sc["views"], sc["gt"], dataclasses.replace(sc["weights"], tau_occ=np.nan)),
                  id="occlusion-tau"),
-    pytest.param(lambda sc: regress_depth(_flat_volume(), np.nan),
-                 id="regress-temperature"),
 ])
 def test_nan_parameter_is_rejected(plane_scene, call):
     with pytest.raises(ValueError, match=r"must be (positive|non-negative)$"):

@@ -87,15 +87,33 @@ def test_quality_prints_one_line_per_scene_and_grid():
     lines = out.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert set(record) == {"scene", "grid", "seed", "outer", "init_abs_err",
-                           "refined_abs_err", "init_gross", "refined_gross",
-                           "f_score", "final_loss", "steps", "stop_reason",
+    assert set(record) == {"scene", "grid", "seed", "texture_seed", "outer",
+                           "init_abs_err", "refined_abs_err", "init_gross",
+                           "refined_gross", "init_valid", "f_score",
+                           "completeness", "final_loss", "steps", "stop_reason",
                            "solve_s"}
-    assert (record["scene"], record["grid"], record["seed"], record["outer"]) == (
-        "plane+0.25", "16x12", 7, 1)
+    assert (record["scene"], record["grid"], record["seed"], record["outer"],
+            record["texture_seed"]) == ("plane+0.25", "16x12", 7, 1, 7)
     assert record["stop_reason"] in STOP_REASONS
     assert isinstance(record["steps"], int) and record["steps"] >= 0
-    assert all(0.0 <= record[key] <= 1.0 for key in ("init_gross", "refined_gross"))
-    assert 0.0 <= record["f_score"] <= 100.0
+    assert all(0.0 <= record[key] <= 1.0
+               for key in ("init_gross", "refined_gross", "init_valid"))
+    assert all(0.0 <= record[key] <= 100.0 for key in ("f_score", "completeness"))
     assert record["refined_abs_err"] > 0 and record["final_loss"] > 0
     assert record["solve_s"] > 0
+
+    # several texture seeds: one line each, then their median and worst
+    out = subprocess.run(cmd + ["--texture-seed", "3", "--texture-seed", "7",
+                                "--texture-seed", "5"],
+                         check=True, capture_output=True, text=True,
+                         timeout=300).stdout
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [line.get("texture_seed") for line in lines] == [3, 7, 5, None]
+    assert lines[1] == {**record, "solve_s": lines[1]["solve_s"]}
+    summary = lines[3]
+    assert summary["over"] == [3, 7, 5]
+    assert set(summary) == {"scene", "grid", "seed", "outer", "over", "median", "worst"}
+    for key, values in ((k, [line[k] for line in lines[:3]]) for k in summary["median"]):
+        assert summary["median"][key] == sorted(values)[1]
+        worst = min if key in ("init_valid", "f_score", "completeness") else max
+        assert summary["worst"][key] == worst(values)

@@ -1,5 +1,7 @@
 """Feature extraction, plane-sweep cost volumes, smoothing, and regression."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,10 @@ from _oracles import (
     box_filter_valid_brute,
     cost_volume_loop,
     population_variance_brute,
-    regress_depth_whole,
+    regress_depth_loop,
     smooth_cost_volume_whole,
 )
-from conftest import DESK_TEMPERATURE, make_camera, records
+from conftest import make_camera, records
 
 
 def gray_features(view):
@@ -305,67 +307,121 @@ class TestSmoothCostVolume:
         assert same_bits(out.cost, np.zeros(vol.cost.shape))
 
 
+def one_pixel_volume(cost, valid=None):
+    """A (D, 1, 1) volume over the samples 1, 2, ..., D."""
+    cost = np.asarray(cost, dtype=np.float64).reshape(-1, 1, 1)
+    valid = (np.ones(cost.shape, bool) if valid is None
+             else np.asarray(valid, bool).reshape(cost.shape))
+    return CostVolume(DepthHypotheses(1.0, cost.shape[0], cost.shape[0]), cost, valid)
+
+
 class TestRegressDepth:
-    def test_uniform_cost_gives_midpoint(self):
-        hyp = DepthHypotheses(425.0, 935.0, 192)
-        vol = CostVolume(hyp, np.full((192, 4, 5), 0.3), np.ones((192, 4, 5), bool))
-        depth, prob = regress_depth(vol, temperature=1.0)
-        np.testing.assert_allclose(depth.values, 680.0, rtol=1e-12)
-        np.testing.assert_allclose(prob.sum(axis=0), 1.0, atol=1e-6)
+    def test_exact_vertex_on_a_quadratic_cost(self):
+        # the parabola through three samples of a quadratic is the quadratic
+        hyp = DepthHypotheses(1.0, 2.0, 11)
+        z = np.array([[1.234, 1.5], [1.1 + 0.05, 1.87]])
+        cost = (hyp.samples[:, None, None] - z) ** 2
+        vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
+        depth, at_end = regress_depth(vol)
+        assert depth.valid.all() and not at_end.any()
+        np.testing.assert_allclose(depth.values, z, rtol=0, atol=1e-12)
+
+    def test_first_minimum_on_ties(self):
+        # two equal minima apart: the first; next to each other: the
+        # parabola's vertex halfway between them
+        depth, _ = regress_depth(one_pixel_volume([5.0, 1.0, 4.0, 1.0, 5.0]))
+        assert depth.values[0, 0] == pytest.approx(2.0 + 1.0 / 14.0, abs=1e-15)
+        depth, _ = regress_depth(one_pixel_volume([5.0, 1.0, 1.0, 5.0]))
+        assert depth.values[0, 0] == 2.5
+
+    def test_no_offset_next_to_an_invalid_entry(self):
+        cost = [3.0, 2.0, 1.0, 1.5, 3.0]
+        for invalid in (1, 3):
+            valid = np.ones(5, bool)
+            valid[invalid] = False
+            depth, _ = regress_depth(one_pixel_volume(cost, valid))
+            assert depth.valid[0, 0] and depth.values[0, 0] == 3.0
+        # both neighbours valid: the vertex, a sixth of a spacing above
+        depth, _ = regress_depth(one_pixel_volume(cost))
+        assert depth.values[0, 0] == pytest.approx(3.0 + 1.0 / 6.0, abs=1e-15)
+
+    def test_no_offset_on_a_symmetric_or_flat_parabola(self):
+        # equal neighbours put the vertex on the sample. A flat parabola
+        # (c- = c0 = c+) cannot occur at a first minimum with both
+        # neighbours valid, since c- > c0 there; the equal right neighbour
+        # is the flattest case, and it moves half a spacing
+        depth, _ = regress_depth(one_pixel_volume([4.0, 2.0, 1.0, 2.0, 4.0]))
+        assert depth.values[0, 0] == 3.0
+        depth, _ = regress_depth(one_pixel_volume([4.0, 2.0, 1.0, 1.0, 4.0]))
+        assert depth.values[0, 0] == 3.5
+
+    def test_range_end_minimum_and_all_invalid_pixel_are_invalid(self):
+        hyp = DepthHypotheses(1.0, 2.0, 5)
+        cost = np.tile(np.array([3.0, 2.0, 1.0, 2.0, 3.0])[:, None, None], (1, 1, 4))
+        cost[:, 0, 0] = [0.5, 1.0, 2.0, 3.0, 4.0]  # minimum at d_min
+        cost[:, 0, 1] = [4.0, 3.0, 2.0, 1.0, 0.5]  # minimum at d_max
+        valid = np.ones(cost.shape, bool)
+        valid[:, 0, 2] = False  # no valid hypothesis
+        depth, at_end = regress_depth(CostVolume(hyp, cost, valid))
+        assert depth.valid.tolist() == [[False, False, False, True]]
+        assert at_end.tolist() == [[True, True, False, False]]
+        assert (depth.values[~depth.valid] == 0.0).all()
+        assert depth.values[0, 3] == 1.5
+
+    def test_no_runtime_warning(self):
+        # invalid entries next to minima, pixels without a valid
+        # hypothesis, range-end minima and huge costs: nothing may warn
+        vol = random_volume(21, (9, 7, 8), p_valid=0.5)
+        vol.cost[:, 0] *= 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            depth, at_end = regress_depth(vol)
+        assert np.isfinite(depth.values).all()
+        assert not (depth.valid & at_end).any()
 
     def test_one_hot_limit(self):
         hyp = DepthHypotheses(1.0, 2.0, 8)
         cost = np.full((8, 3, 3), 1e4)
         cost[5] = 0.0
         vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
-        depth, _ = regress_depth(vol, temperature=1.0)
-        np.testing.assert_allclose(depth.values, hyp.samples[5], rtol=1e-12)
-
-    def test_symmetric_distribution_mean(self):
-        # costs engineered so softmax gives probabilities (1/4, 1/2, 1/4)
-        hyp = DepthHypotheses(1.0, 3.0, 3)
-        cost = np.zeros((3, 2, 2))
-        cost[0] = cost[2] = np.log(2.0)
-        vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
-        depth, prob = regress_depth(vol, temperature=1.0)
-        np.testing.assert_allclose(prob[:, 0, 0], [0.25, 0.5, 0.25], atol=1e-12)
-        np.testing.assert_allclose(depth.values, 2.0, atol=1e-12)
+        depth, _ = regress_depth(vol)
+        assert (depth.values == hyp.samples[5]).all()
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
         hyp = DepthHypotheses(1.0, 2.0, 16)
         cost = rng.uniform(size=(16, 4, 4))
         vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
-        d1, _ = regress_depth(vol, 0.1)
+        d1, _ = regress_depth(vol)
         vol2 = CostVolume(hyp, cost + 3.7, vol.valid)
-        d2, _ = regress_depth(vol2, 0.1)
+        d2, _ = regress_depth(vol2)
+        assert (d1.valid == d2.valid).all()
         np.testing.assert_allclose(d1.values, d2.values, atol=1e-9)
 
     def test_output_in_range_and_invalid_pixels_flagged(self):
         rng = np.random.default_rng(7)
         hyp = DepthHypotheses(1.0, 2.0, 8)
         cost = rng.uniform(size=(8, 3, 3))
+        cost[[0, -1]] = 2.0  # no minimum at a range end
         valid = np.ones(cost.shape, bool)
         valid[:, 0, 0] = False
         vol = CostVolume(hyp, cost, valid)
-        depth, prob = regress_depth(vol, 0.05)
+        depth, _ = regress_depth(vol)
         assert not depth.valid[0, 0]
-        assert depth.valid[1:].all()
+        assert depth.valid.sum() == 8
         sel = depth.valid
         assert (depth.values[sel] >= hyp.d_min).all()
         assert (depth.values[sel] <= hyp.d_max).all()
-        np.testing.assert_allclose(prob.sum(axis=0), 1.0, atol=1e-6)
 
     def test_partial_hypothesis_validity_normalizes_over_the_valid_subset(self):
-        hyp = DepthHypotheses(1.0, 4.0, 4)
-        cost = np.zeros((4, 1, 1))
-        valid = np.array([True, True, False, False]).reshape(4, 1, 1)
-        vol = CostVolume(hyp, cost, valid)
-        depth, prob = regress_depth(vol, 1.0)
-        # equal costs over the two valid samples {1, 2}: expectation 1.5
-        np.testing.assert_allclose(prob[:, 0, 0], [0.5, 0.5, 0.0, 0.0],
-                                   atol=1e-12)
-        assert depth.values[0, 0] == pytest.approx(1.5, rel=1e-12)
+        # the minimum is taken over the valid entries only: the invalid
+        # entries' costs (here lower) are never read
+        hyp = DepthHypotheses(1.0, 5.0, 5)
+        cost = np.array([0.0, 2.0, 1.0, 3.0, 0.0]).reshape(5, 1, 1)
+        valid = np.array([False, True, True, True, False]).reshape(5, 1, 1)
+        depth, at_end = regress_depth(CostVolume(hyp, cost, valid))
+        assert depth.valid[0, 0] and not at_end[0, 0]
+        assert depth.values[0, 0] == 3.0 + (2.0 - 3.0) / (2.0 * (1.0 + 2.0))
 
     @given(st.floats(min_value=0.01, max_value=10.0))
     @settings(max_examples=30, deadline=None)
@@ -374,38 +430,37 @@ class TestRegressDepth:
         hyp = DepthHypotheses(1.0, 2.0, 6)
         cost = rng.uniform(size=(6, 2, 2))
         vol = CostVolume(hyp, cost, np.ones(cost.shape, bool))
-        d1, _ = regress_depth(vol, 0.5)
+        d1, _ = regress_depth(vol)
         vol2 = CostVolume(hyp, cost + shift, vol.valid)
-        d2, _ = regress_depth(vol2, 0.5)
+        d2, _ = regress_depth(vol2)
         np.testing.assert_allclose(d1.values, d2.values, atol=1e-9)
 
-
     @pytest.mark.parametrize("shape", VOLUME_SHAPES)
-    @pytest.mark.parametrize("temperature", [1e-3, 0.3, 50.0])
-    def test_in_place_matches_whole_volume_form_bit_for_bit(self, shape,
-                                                            temperature):
+    @pytest.mark.parametrize("scale", [1e-3, 0.3, 50.0])
+    def test_in_place_matches_whole_volume_form_bit_for_bit(self, shape, scale):
+        # the vectorized readout against the per-pixel loop, at costs of
+        # several magnitudes
         vol = random_volume(sum(shape) + 1, shape)
-        depth, prob = regress_depth(vol, temperature)
-        values, any_valid, expected_prob = regress_depth_whole(vol, temperature)
+        vol.cost *= scale
+        depth, at_end = regress_depth(vol)
+        values, valid, expected_at_end = regress_depth_loop(vol)
         assert same_bits(depth.values, values)
-        assert same_bits(depth.valid, any_valid)
-        assert same_bits(prob, expected_prob)
+        assert same_bits(depth.valid, valid)
+        assert same_bits(at_end, expected_at_end)
         assert not depth.valid.all()
 
     def test_no_valid_hypothesis_anywhere(self):
         vol = random_volume(14, (4, 3, 5), p_valid=0.0)
-        depth, prob = regress_depth(vol, 0.5)
-        values, any_valid, expected_prob = regress_depth_whole(vol, 0.5)
-        assert same_bits(depth.values, values) and same_bits(prob, expected_prob)
-        assert not depth.valid.any()
-        assert (prob == 0.25).all()
+        depth, at_end = regress_depth(vol)
+        assert not depth.valid.any() and not at_end.any()
+        assert same_bits(depth.values, np.zeros((3, 5)))
 
     def test_input_volume_is_left_unchanged(self):
         vol = random_volume(15, (6, 4, 5))
         before = [a.copy() for a in (vol.cost, vol.valid)]
         out = smooth_cost_volume(vol)
-        regress_depth(vol, 0.5)
-        regress_depth(out, 0.5)
+        regress_depth(vol)
+        regress_depth(out)
         for a, b in zip(before, (vol.cost, vol.valid)):
             assert same_bits(a, b)
 
@@ -421,11 +476,10 @@ def test_sweep_stages_match_whole_volume_forms_on_scenes(request, scene):
         smoothed = smooth_cost_volume(vol)
         cost, ok = smooth_cost_volume_whole(vol)
         assert same_bits(smoothed.cost, cost) and same_bits(smoothed.valid, ok)
-        depth, prob = regress_depth(smoothed, DESK_TEMPERATURE)
-        values, any_valid, expected_prob = regress_depth_whole(smoothed,
-                                                               DESK_TEMPERATURE)
-        assert same_bits(depth.values, values) and same_bits(depth.valid, any_valid)
-        assert same_bits(prob, expected_prob)
+        depth, at_end = regress_depth(smoothed)
+        values, valid, expected_at_end = regress_depth_loop(smoothed)
+        assert same_bits(depth.values, values) and same_bits(depth.valid, valid)
+        assert same_bits(at_end, expected_at_end)
 
 
 def test_smoothed_regression_accuracy_on_plane(plane_scene):
@@ -433,7 +487,7 @@ def test_smoothed_regression_accuracy_on_plane(plane_scene):
     feats = [extract_features(v.image) for v in views]
     vol = build_cost_volume(records(views), feats, 1, hyp)
     vol = smooth_cost_volume(vol)
-    depth, _ = regress_depth(vol, DESK_TEMPERATURE)
+    depth, _ = regress_depth(vol)
     gt = plane_scene["gt"][1]
     err = np.abs(depth.values - gt.values)[depth.valid & gt.valid]
     assert np.median(err) < hyp.spacing

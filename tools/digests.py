@@ -21,9 +21,10 @@ differ in shape) and whether every discrete output is identical under
 point count. A refactor that reorders floating-point work states its
 largest output difference from these lines.
 
-Each scene, its hypotheses, solver config and sweep temperature come from
-``bench/harness.py`` (`WORKLOADS`, `build_scene`, `TEMPERATURE`). The solve
-is the harness's: `init_depths`, then `refine` of a `SceneState` on the init
+Each scene, its hypotheses and solver config come from ``bench/harness.py``
+(`WORKLOADS`, `build_scene`); its `TEMPERATURE` is passed to `init_depths`
+as the harness passes it, for checkouts whose sweep still reads it. The
+solve is the harness's: `init_depths`, then `refine` of a `SceneState` on the init
 depths, then `filter_consistent` and `depths_to_cloud`. Digested are the
 init depths and validity, `loss_gradient` at the init depths and their
 `compute_all_masks` masks, the refined depths and validity, every final mask

@@ -13,9 +13,9 @@ scaled to the width. ``--root`` points at another checkout, such as the
 parent commit, whose ``src/symmvs`` and ``bench/harness.py`` are imported
 in place of this one's.
 
-The scene, its hypotheses, loss weights and sweep temperature come from
-``bench/harness.py`` (`WORKLOADS`, `build_scene`, `TEMPERATURE`), as in
-``tools/digests.py``. Every number is taken at the scene's `init_depths`
+The scene, its hypotheses and loss weights come from ``bench/harness.py``
+(`WORKLOADS`, `build_scene`), and its `TEMPERATURE` goes to `init_depths`,
+as in ``tools/digests.py``. Every number is taken at the scene's `init_depths`
 and their `compute_all_masks` masks:
 
 - ``value_ms``: the median time of one value-only evaluation
