@@ -320,17 +320,18 @@ def test_sweep_hypothesis_count_below_two_exits_1_naming_the_flag(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("temperature", ["3e-6", "0", "nan"])
 def test_sweep_temperature_flag_is_rejected(workspace, tmp_path, capsys,
-                                            monkeypatch):
+                                            monkeypatch, temperature):
     # the sweep reads out each pixel's cost minimum; there is no softmax
-    # temperature left to set
+    # temperature left to set, valid or not
     monkeypatch.setattr(solver, "init_depths",
                         lambda *args: pytest.fail("the bundle was swept"))
     code = main(["sweep", str(workspace["bundle"]), str(tmp_path / "out"),
-                 "--temperature", "3e-6"])
+                 "--temperature", temperature])
     assert code == 1
     err = capsys.readouterr().err
-    assert "error: unrecognized arguments: --temperature 3e-6\n" in err
+    assert f"error: unrecognized arguments: --temperature {temperature}\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

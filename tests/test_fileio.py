@@ -517,11 +517,13 @@ class TestRunConfig:
                                                            "temperature"}
         assert set(fileio._SOLVER_KEYS) - {"hyp_count"} == fields
 
-    def test_temperature_key_is_rejected_naming_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("value", ["3e-6", "-1e-6", "nan", "warm"])
+    def test_temperature_key_is_rejected_naming_file_and_line(self, tmp_path,
+                                                              value):
         # the sweep reads out each pixel's cost minimum: no softmax
-        # temperature is left to set
+        # temperature is left to set, valid, out of range or malformed
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau_occ = 1.0\ntemperature = 3e-6\n")
+        cfg.write_text(f"tau_occ = 1.0\ntemperature = {value}\n")
         with pytest.raises(ParseError, match="^" + re.escape(
                 f"{cfg}:2: unknown key 'temperature'") + "$"):
             read_run_config(cfg)
