@@ -59,13 +59,18 @@ evaluation's.
 
 Data that depends only on the cameras and images lives in a `ViewContext`,
 which `solver.refine` builds once per run and hands to every mask update
-and evaluation; `total_loss` builds a fresh one, and `compute_all_masks`
-without one builds the pair records it reads. Data that depends on the
-depths is computed once per mask update or evaluation, but for the
-gradient's rebuilt second-order images: each ordered pair's sampling
-serves every warp of the pair, and each synthesized image's
-`photometry.reference_stats` every term that compares it, also when all
-of them are skipped.
+and evaluation: its n(n - 1) camera records (`geometry.ViewPair`) are
+built once per run and live as long as it does. A one-shot pass, one
+given no context (`total_loss`, a `compute_all_masks` or a
+`solver.loss_gradient` without one), holds one unordered pair's two
+records at a time: it builds them when it reaches the pair and drops them
+after it, and a gradient's second-order replay of the pair builds them
+again. Such an evaluation builds the image-only data for itself. Data
+that depends on the depths is computed once per mask update or
+evaluation, but for the gradient's rebuilt second-order images: each
+ordered pair's sampling serves every warp of the pair, and each
+synthesized image's `photometry.reference_stats` every term that compares
+it, also when all of them are skipped.
 """
 
 from __future__ import annotations
@@ -182,9 +187,6 @@ class LossBreakdown:
     total: float = 0.0
     skipped: set = field(default_factory=set)
 
-    def recomputed_total(self) -> float:
-        return sum(self.synthesis.values()) + self.consistency_total
-
     def term_sums(self) -> dict:
         """The sum of each kind's terms, in record order, by short name."""
         return {kind.name: sum(getattr(self, kind.record).values()) for kind in TERMS}
@@ -202,7 +204,24 @@ class LossBreakdown:
         return lines
 
 
-class ViewContext:
+class _ImageContext:
+    """The image-only part of a `ViewContext`, which a one-shot evaluation
+    builds for itself. It holds no records (``pairs`` is None):
+    `_pair_records` builds the two records of each unordered pair when the
+    pass reaches it, and the pass drops them after it."""
+
+    pairs = None
+
+    def __init__(self, views, weights: LossWeights):
+        _check_views(views, "the objective")
+        self.alphas = (weights.alpha1, weights.alpha2)
+        self.grid = views[0].image.shape[:2]
+        self.norm = photometry.box_norm(*self.grid)
+        self.refs = [photometry.reference_stats(v.image, self.norm) for v in views]
+        self.edges = [photometry.edge_weights(v.image, *self.alphas) for v in views]
+
+
+class ViewContext(_ImageContext):
     """What one refinement run derives from its views' cameras and images
     alone, all computed when it is built.
 
@@ -216,16 +235,16 @@ class ViewContext:
     (ShapeMismatch), each error naming the view at fault. Nothing outlives
     the context, so a run that creates one and drops it on return leaves
     no state behind.
+
+    A context holds all n(n - 1) records for as long as it lives, which
+    `solver.refine` pays once per run so that no evaluation rebuilds one.
+    A pass given no context holds one unordered pair's two records at a
+    time.
     """
 
     def __init__(self, views, weights: LossWeights):
-        _check_views(views, "the objective")
-        self.alphas = (weights.alpha1, weights.alpha2)
-        self.grid = views[0].image.shape[:2]
-        self.norm = photometry.box_norm(*self.grid)
+        super().__init__(views, weights)
         self.pairs = geometry.pair_records(views, self.grid)
-        self.refs = [photometry.reference_stats(v.image, self.norm) for v in views]
-        self.edges = [photometry.edge_weights(v.image, *self.alphas) for v in views]
 
 
 def _check_views(views, user: str):
@@ -305,39 +324,57 @@ def compute_all_masks(views, depths, weights: LossWeights,
     sampled once, at its target's depth: (t, s) serves the second warp of
     mask (t, s) and the first of mask (s, t), which are computed together,
     one unordered pair at a time, so only that pair's two samplings are
-    held at once.
+    held at once. Without a context, that pair's two records are built
+    there and dropped with its samplings, so the pass holds one unordered
+    pair's records at a time; with one, it reads the context's.
     """
     _check_count(depths, views)
     _check_image_grids(depths, views)
     n = len(views)
-    if context is None:
-        grid = depths[0].values.shape
-        pairs = geometry.pair_records(views, grid)
-    else:
-        grid, pairs = context.grid, context.pairs
+    grid = depths[0].values.shape if context is None else context.grid
     _check_grid(depths, grid)
-    values = [d.values for d in depths]
+    pairs = None if context is None else context.pairs
     valid = {}
     for i in range(n):
         for j in range(i + 1, n):
-            samplings = _pair_samplings(pairs, values, depths, i, j)
-            for t, s in samplings:
-                there, there_ok = geometry.warp_depth_values(
-                    pairs[s, t], samplings[s, t], depths[t].values, depths[t].valid)
-                back, back_ok = geometry.warp_depth_values(
-                    pairs[t, s], samplings[t, s], value_of(there), there_ok)
-                valid[t, s] = (back_ok & depths[t].valid
-                               & (np.abs(depths[t].values - value_of(back))
-                                  <= weights.tau_occ))
+            valid.update(_pair_masks(views, grid, pairs, depths, weights.tau_occ, i, j))
     return {(i, j): OcclusionMask((i, j), valid[i, j])
             for i in range(n) for j in range(n) if i != j}
 
 
-def _pair_samplings(pairs, values, depths, i, j) -> dict:
-    """The `geometry.pair_sampling` of the records ``pairs[t, s]`` of (i, j)
+def _pair_masks(views, grid, pairs, depths, tau_occ, i, j) -> dict:
+    """The round-trip flags of masks (i, j) and (j, i), keyed by them: see
+    `compute_all_masks`. The pair's records and samplings die on return."""
+    records = _pair_records(views, grid, pairs, i, j)
+    values = [d.values for d in depths]
+    samplings = _pair_samplings(records, values, depths, i, j)
+    valid = {}
+    for t, s in samplings:
+        there, there_ok = geometry.warp_depth_values(
+            records[s, t], samplings[s, t], depths[t].values, depths[t].valid)
+        back, back_ok = geometry.warp_depth_values(
+            records[t, s], samplings[t, s], value_of(there), there_ok)
+        valid[t, s] = (back_ok & depths[t].valid
+                       & (np.abs(depths[t].values - value_of(back)) <= tau_occ))
+    return valid
+
+
+def _pair_records(views, grid, pairs, i, j) -> dict:
+    """The `geometry.ViewPair` records of (i, j) and (j, i), keyed by them
+    in that order: read from ``pairs``, a `ViewContext`'s records of every
+    ordered pair, or, when it is None, built now on ``grid``."""
+    keys = ((i, j), (j, i))
+    if pairs is None:
+        return {(t, s): geometry.pair_coefficients(views[t], views[s], *grid)
+                for t, s in keys}
+    return {key: pairs[key] for key in keys}
+
+
+def _pair_samplings(records, values, depths, i, j) -> dict:
+    """The `geometry.pair_sampling` of the records ``records[t, s]`` of (i, j)
     and (j, i), keyed by them in that order, each at its target view t's
     depths ``values[t]`` (plain or a leaf) and ``depths[t].valid``."""
-    return {(t, s): geometry.pair_sampling(pairs[t, s], values[t], depths[t].valid)
+    return {(t, s): geometry.pair_sampling(records[t, s], values[t], depths[t].valid)
             for t, s in ((i, j), (j, i))}
 
 
@@ -352,9 +389,11 @@ def _pair_warps(ctx, views, leaves, depths, i, j):
     ``second[t, s]`` view s's ``first`` of view t pulled back onto view t's
     grid, and ``dwarp[t, s]`` view s's depth re-expressed on view t's
     grid. The second-order images are plain values, whatever the leaves
-    (`_second_orders` rebuilds them on a tape). The two samplings die on
+    (`_second_orders` rebuilds them on a tape). The two samplings, and the
+    two records when ``ctx`` holds none (`_pair_records`), die on
     return."""
-    samplings = _pair_samplings(ctx.pairs, leaves, depths, i, j)
+    records = _pair_records(views, ctx.grid, ctx.pairs, i, j)
+    samplings = _pair_samplings(records, leaves, depths, i, j)
     keys = tuple(samplings)
     first = {(t, s): geometry.synth_values(samplings[t, s], views[s].image)
              for t, s in keys}
@@ -364,7 +403,7 @@ def _pair_warps(ctx, views, leaves, depths, i, j):
         image, valid = first[s, t]
         second[t, s] = geometry.synth_values((value_of(x), value_of(y), ok, taps),
                                              value_of(image), valid)
-    dwarp = {(t, s): geometry.warp_depth_values(ctx.pairs[t, s], samplings[t, s],
+    dwarp = {(t, s): geometry.warp_depth_values(records[t, s], samplings[t, s],
                                                 leaves[s], depths[s].valid)
              for t, s in keys}
     return first, second, dwarp
@@ -375,8 +414,10 @@ def _second_orders(ctx, views, leaves, depths, i, j, keys):
     ``keys`` of the unordered pair (i, j), with the same bits, rebuilt on
     the depth leaves of views i and j: (i, j) and (j, i) are sampled once
     each, and each image is view t's own, synthesized on view s's grid and
-    pulled back onto view t's."""
-    samplings = _pair_samplings(ctx.pairs, leaves, depths, i, j)
+    pulled back onto view t's. When ``ctx`` holds no records, the pair's
+    two are built again here (`_pair_records`)."""
+    samplings = _pair_samplings(_pair_records(views, ctx.grid, ctx.pairs, i, j),
+                                leaves, depths, i, j)
     return [geometry.synth_values(
                 samplings[t, s], *geometry.synth_values(samplings[s, t], views[t].image))[0]
             for t, s in keys]
@@ -406,13 +447,16 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     back with its weight from `TERMS` as soon as its group is done (see
     the module docstring); the breakdown's sums read the same weights.
     Camera- and image-only data comes from ``context``, the run's
-    `ViewContext`; without one, a fresh context serves this evaluation. A
-    context built for other alphas raises ValueError; a depth map count
-    other than the view count, a depth map off its grid, or a missing
-    ordered pair's mask or one off the grid raises ShapeMismatch. A term whose mask is empty records zero and
-    lands in ``skipped`` under its `TermKind.label`.
+    `ViewContext`. Without one, this evaluation builds the image-only part
+    for itself and each unordered pair's two records at that pair's
+    stage, dropped after it; a gradient's second-order replay of the pair
+    builds them again. A context built for other alphas raises ValueError;
+    a depth map count other than the view count, a depth map off its grid,
+    or a missing ordered pair's mask or one off the grid raises
+    ShapeMismatch. A term whose mask is empty records zero and lands in
+    ``skipped`` under its `TermKind.label`.
     """
-    ctx = context if context is not None else ViewContext(views, weights)
+    ctx = context if context is not None else _ImageContext(views, weights)
     if ctx.alphas != (weights.alpha1, weights.alpha2):
         raise ValueError(f"the view context's edge weights are for (alpha1, "
                          f"alpha2) = {ctx.alphas}, the loss weights give "
@@ -529,6 +573,9 @@ def total_loss(state: SceneState) -> LossBreakdown:
     """Evaluate the full objective; every term lands in the breakdown.
 
     The grand total is the sum of the per-pair synthesis terms plus the
-    consistency total, and stays recomputable from the recorded parts.
+    consistency total. This is a one-shot pass: it gets no `ViewContext`,
+    so it builds the image-only data for itself and holds one unordered
+    pair's two camera records at a time, built when the evaluation
+    reaches the pair and dropped after it.
     """
     return _evaluate(state.views, state.depths, state.masks, state.weights)[0]

@@ -587,7 +587,12 @@ def backproject_pixels(cam: CameraView, xs, ys, depths) -> np.ndarray:
 
 
 def project_points(cam: CameraView, points_world: np.ndarray):
-    """Pixel coordinates and camera depth of world points. Returns (x, y, z)."""
+    """Pixel coordinates and camera depth of world points. Returns (x, y, z).
+
+    The library projects no points itself: its warps read `ViewPair`
+    records. This stays public as the inverse of `backproject_pixels`,
+    the independent check that the fusion, geometry and acceptance tests
+    hold fused points and warps against."""
     x_cam = points_world @ cam.rotation.T + cam.translation
     z = x_cam[..., 2]
     q = x_cam @ cam.intrinsics.T

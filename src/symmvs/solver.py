@@ -325,10 +325,12 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
 
     Camera- and image-only data is computed once per run, in one
     `consistency.ViewContext` that is dropped on return; a run with
-    ``max_outer_iters == 0`` only updates the masks and builds none. Loss
-    terms skipped for an empty mask are logged once per mask phase, with
-    counts. Every mask and loss reads ``state.weights``, so weights that
-    differ from ``config.weights`` raise ValueError naming the fields.
+    ``max_outer_iters == 0`` only updates the masks and builds none, so
+    its one mask pass holds one unordered pair's camera records at a
+    time. Loss terms skipped for an empty mask are logged once per mask
+    phase, with counts. Every mask and loss reads ``state.weights``, so
+    weights that differ from ``config.weights`` raise ValueError naming
+    the fields.
     """
     if state.weights != config.weights:
         fields = [f for f in vars(config.weights)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from symmvs import (
     DepthMap,
     LossWeights,
     compute_all_masks,
+    consistency,
     geometry,
     photometry,
     total_loss,
@@ -26,7 +28,7 @@ from symmvs.consistency import (
 )
 from symmvs.errors import ShapeMismatch, TooFewViews
 from symmvs.photometry import box_norm, edge_weights, reference_stats, unary_comparator
-from symmvs.solver import loss_gradient
+from symmvs.solver import SolverConfig, loss_gradient, refine
 
 from _oracles import round_trip_mask, synthesize_view
 from conftest import noisy_depths, same_bytes, scene_state
@@ -214,7 +216,8 @@ class TestTotalLoss:
         state = scene_state(plane_scene["views"], plane_scene["gt"],
                             plane_scene["weights"])
         bd = total_loss(state)
-        assert abs(bd.recomputed_total() - bd.total) < 1e-12
+        assert abs(sum(bd.synthesis.values()) + bd.consistency_total
+                   - bd.total) < 1e-12
 
     def test_relabeling_leaves_total_unchanged(self, plane_scene):
         views, gt, weights = (plane_scene["views"], plane_scene["gt"],
@@ -673,6 +676,54 @@ class TestSharedWork:
         for key, m in masks.items():
             assert m.pair == key
             assert same_bytes(m.valid, alone[key]), key
+
+    @pytest.mark.parametrize("run", [
+        lambda state: compute_all_masks(state.views, state.depths, state.weights),
+        total_loss,
+        loss_gradient,
+    ], ids=["masks", "total_loss", "gradient"])
+    def test_one_shot_pass_holds_one_pairs_records(self, occluder4_scene, run,
+                                                   monkeypatch):
+        # four views have twelve records; a pass without a context builds
+        # each unordered pair's two when it reaches the pair and drops them
+        views, depths, masks, weights, _ = self.state(occluder4_scene)
+        alive, held = weakref.WeakSet(), []
+        coefficients = geometry.pair_coefficients
+        samplings = consistency._pair_samplings
+
+        def building(*args):
+            held.append(len(alive))
+            record = coefficients(*args)
+            alive.add(record)
+            return record
+
+        def sampling(records, *args):
+            held.append(len(alive))
+            return samplings(records, *args)
+
+        monkeypatch.setattr(geometry, "pair_coefficients", building)
+        monkeypatch.setattr(consistency, "_pair_samplings", sampling)
+        run(SceneState(views, depths, masks, weights))
+        assert held and max(held) == 2
+
+    def test_refine_builds_each_ordered_pair_record_once(self, occluder4_scene,
+                                                         monkeypatch):
+        views, depths, _, weights, _ = self.state(occluder4_scene)
+        built = []
+        coefficients = geometry.pair_coefficients
+        index = {id(v): k for k, v in enumerate(views)}
+
+        def counting(target, source, *grid):
+            built.append((index[id(target)], index[id(source)]))
+            return coefficients(target, source, *grid)
+
+        monkeypatch.setattr(geometry, "pair_coefficients", counting)
+        state = refine(SceneState(views, depths, {}, weights),
+                       SolverConfig(occluder4_scene["hyp"], max_outer_iters=2,
+                                    inner_steps_per_mask_update=2, weights=weights))
+        assert state.iteration > 0
+        n = len(views)
+        assert sorted(built) == [(t, s) for t in range(n) for s in range(n) if t != s]
 
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
     @pytest.mark.parametrize("with_grad", [False, True])

@@ -63,13 +63,13 @@ def test_evalcost_prints_one_line_per_workload_and_grid():
     record = json.loads(lines[0])
     assert set(record) == {"workload", "seed", "grid", "value_ms",
                            "gradient_ms", "mask_ms", "total_loss_peak_mib",
-                           "value_peak_mib", "gradient_peak_mib",
-                           "gradient_nodes"}
+                           "mask_peak_mib", "value_peak_mib",
+                           "gradient_peak_mib", "gradient_nodes"}
     assert (record["workload"], record["seed"], record["grid"]) == (
         "refine-occluder4-64", 7, "16x12")
     assert all(record[key] > 0 for key in ("value_ms", "gradient_ms", "mask_ms",
                                            "total_loss_peak_mib",
-                                           "value_peak_mib",
+                                           "mask_peak_mib", "value_peak_mib",
                                            "gradient_peak_mib"))
     # more than the four depth leaves and one pass's root, and no more than
     # the nodes of an occluder evaluation that skips no term: 4 leaves, 21

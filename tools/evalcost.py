@@ -1,7 +1,8 @@
 """Print the cost of one loss evaluation on a bench scene: the time of a
 value evaluation, of a gradient evaluation and of a mask pass, the memory
-peaks of one `total_loss`, of one value evaluation and of one
-`loss_gradient`, and the number of tape nodes the gradient makes.
+peaks of one `total_loss`, of one mask pass without a context, of one
+value evaluation and of one `loss_gradient`, and the number of tape nodes
+the gradient makes.
 
     python3 tools/evalcost.py [--root CHECKOUT] [--workload W] [--grid WxH]
                               [--seed S] [--calls N]
@@ -26,7 +27,9 @@ and their `compute_all_masks` masks:
 - ``mask_ms``: the median time of one `consistency.compute_all_masks` with
   that context;
 - ``total_loss_peak_mib``: the `tracemalloc` peak of one `total_loss`,
-  which builds its own context;
+  which gets no context;
+- ``mask_peak_mib``: the `tracemalloc` peak of one `compute_all_masks`
+  without a context, as a sweep-only `refine` runs it;
 - ``value_peak_mib``: the `tracemalloc` peak of one value-only
   `consistency._evaluate` with the context, which is built before tracing
   starts;
@@ -100,6 +103,7 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
             fn()
             spent.append(time.perf_counter() - t0)
     peak = _peak(lambda: consistency.total_loss(state))
+    mask_peak = _peak(lambda: consistency.compute_all_masks(views, depths, weights))
     value_peak = _peak(value)
     gradient_peak = _peak(gradient)
     # `next` takes a number itself, so the nodes in between are one fewer
@@ -112,6 +116,7 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
             "gradient_ms": 1e3 * statistics.median(times[gradient][1:]),
             "mask_ms": 1e3 * statistics.median(times[mask_pass][1:]),
             "total_loss_peak_mib": peak / 2**20,
+            "mask_peak_mib": mask_peak / 2**20,
             "value_peak_mib": value_peak / 2**20,
             "gradient_peak_mib": gradient_peak / 2**20,
             "gradient_nodes": nodes}
