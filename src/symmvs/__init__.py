@@ -14,12 +14,8 @@ from .geometry import (
     CameraView,
     DepthHypotheses,
     DepthMap,
-    WarpField,
-    bilinear_sample,
     pair_records,
-    plane_homography,
     warp_depth,
-    warp_field_from_homography,
 )
 from .metrics import (
     CloudMetrics,
@@ -38,7 +34,6 @@ from .photometry import (
 from .scenegen import PlanePrimitive, SceneSpec, render_scene
 from .solver import (
     SolverConfig,
-    SolverState,
     init_depths,
     loss_gradient,
     refine,

@@ -29,9 +29,10 @@ One evaluation streams its terms, in one order for values and gradients:
   and the images.
 - last, every view's smoothness term.
 
-Then the records of the breakdown are filled, and the sums taken, in a
-fixed order that the streaming does not change: (i, j) then (j, i) for
-each i < j, and the brightness terms by reference view r, then j < k.
+Each term's float goes into its `LossBreakdown` record when the term is
+taken. The records are keyed, and the sums taken, in a fixed order that
+the streaming does not change: (i, j) then (j, i) for each i < j, and the
+brightness terms by reference view r, then j < k.
 The peak of a value evaluation grows with the number of views, not with
 the number of pairs.
 
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -93,6 +95,7 @@ __all__ = [
     "LossBreakdown",
     "SceneState",
     "ViewContext",
+    "check_depths",
     "compute_all_masks",
     "total_loss",
 ]
@@ -216,8 +219,7 @@ class _ImageContext:
         _check_views(views, "the objective")
         self.alphas = (weights.alpha1, weights.alpha2)
         self.grid = views[0].image.shape[:2]
-        self.norm = photometry.box_norm(*self.grid)
-        self.refs = [photometry.reference_stats(v.image, self.norm) for v in views]
+        self.refs = [photometry.reference_stats(v.image) for v in views]
         self.edges = [photometry.edge_weights(v.image, *self.alphas) for v in views]
 
 
@@ -225,16 +227,16 @@ class ViewContext(_ImageContext):
     """What one refinement run derives from its views' cameras and images
     alone, all computed when it is built.
 
-    ``norm`` is the SSIM window normalizer of the views' shared ``grid``;
-    ``pairs[t, s]`` the `geometry.ViewPair` of every ordered pair (target
-    t, source s); ``refs[i]`` view i's
-    `photometry.reference_stats` and ``edges[i]`` its
+    ``grid`` is the views' shared image grid; ``pairs[t, s]`` the
+    `geometry.ViewPair` of every ordered pair (target t, source s);
+    ``refs[i]`` view i's `photometry.reference_stats` and ``edges[i]`` its
     `photometry.edge_weights` for ``alphas``, the weights' (alpha1,
     alpha2). Building one checks the views: at least two (TooFewViews),
     each with an image (ValueError) of one shape, at least 2 by 2
-    (ShapeMismatch), each error naming the view at fault. Nothing outlives
-    the context, so a run that creates one and drops it on return leaves
-    no state behind.
+    (ShapeMismatch), each error naming the view at fault. Nothing but the
+    read-only per-grid caches (`photometry.box_norm`, the pixel grid of
+    `geometry.view_rays`) outlives the context, so a run that creates one
+    and drops it on return leaves no state of its views behind.
 
     A context holds all n(n - 1) records for as long as it lives, which
     `solver.refine` pays once per run so that no evaluation rebuilds one.
@@ -266,28 +268,19 @@ def _check_views(views, user: str):
                                 "needs at least 2 rows and 2 columns")
 
 
-def _check_count(depths, views):
-    """Raise ShapeMismatch naming both counts unless there is one depth map
-    per view."""
+def check_depths(depths, views, grid=None):
+    """Raise ShapeMismatch unless there is one depth map per view, each on
+    its view's image grid (if it has an image) and, given ``grid``, on it:
+    checked in that order, the message names both counts or the first view
+    whose depth map is off a grid."""
     if len(depths) != len(views):
         raise ShapeMismatch(f"{len(depths)} depth maps for {len(views)} views")
-
-
-def _check_grid(depths, grid, labels=None):
-    """Raise ShapeMismatch naming the first depth map off ``grid``; map k
-    is view ``labels[k]``, or view k without labels."""
-    for k, d in enumerate(depths):
-        if d.values.shape != grid:
-            raise ShapeMismatch(f"view {k if labels is None else labels[k]} depth "
-                                f"map is {d.values.shape}, the views' grid is {grid}")
-
-
-def _check_image_grids(depths, views):
-    """Raise ShapeMismatch naming the first view that carries an image
-    whose depth map is off the image's grid."""
-    for k, (d, v) in enumerate(zip(depths, views)):
-        if v.image is not None:
-            _check_grid([d], v.image.shape[:2], [k])
+    image_grids = [None if v.image is None else v.image.shape[:2] for v in views]
+    for grids in (image_grids, [grid] * len(depths)):
+        for k, (d, g) in enumerate(zip(depths, grids)):
+            if g is not None and d.values.shape != g:
+                raise ShapeMismatch(f"view {k} depth map is {d.values.shape}, "
+                                    f"the views' grid is {g}")
 
 
 def _check_masks(masks, n, grid):
@@ -328,11 +321,10 @@ def compute_all_masks(views, depths, weights: LossWeights,
     there and dropped with its samplings, so the pass holds one unordered
     pair's records at a time; with one, it reads the context's.
     """
-    _check_count(depths, views)
-    _check_image_grids(depths, views)
+    grid = (context.grid if context is not None
+            else depths[0].values.shape if depths else None)
+    check_depths(depths, views, grid)
     n = len(views)
-    grid = depths[0].values.shape if context is None else context.grid
-    _check_grid(depths, grid)
     pairs = None if context is None else context.pairs
     valid = {}
     for i in range(n):
@@ -461,8 +453,7 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
         raise ValueError(f"the view context's edge weights are for (alpha1, "
                          f"alpha2) = {ctx.alphas}, the loss weights give "
                          f"{(weights.alpha1, weights.alpha2)}")
-    _check_count(depths, views)
-    _check_grid(depths, ctx.grid)
+    check_depths(depths, views, ctx.grid)
     _check_masks(masks, len(views), ctx.grid)
     w = weights
     n = len(views)
@@ -470,40 +461,48 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     bd = LossBreakdown()
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # (i, j) then (j, i) for each i < j: the order every per-pair record
-    # is filled in, whatever order its terms are taken in, which
+    # is keyed in, whatever order its terms are taken in, which
     # order-sensitive sums of a record rely on.
-    ordered = [key for i, j in pairs for key in ((i, j), (j, i))]
-    terms = {kind: dict.fromkeys(ordered) for kind in (UNARY, IMAGE, DEPTH)}
-    terms[BRIGHTNESS] = {}
+    for kind in (UNARY, IMAGE, DEPTH):
+        setattr(bd, kind.record, {key: None for i, j in pairs for key in ((i, j), (j, i))})
 
-    def term(kind, key, fn, *args):
+    taken = []  # (term, seed) of each term since the last push with a gradient
+
+    def term(kind, key, fn, *args, times=1):
+        """Take one term and record its float; one that carries a gradient
+        waits in ``taken``, seeded with its weight ``times`` over."""
         try:
             value = fn(*args)
         except EmptyMask:
             bd.skipped.add(kind.label(key))
             value = 0.0
-        terms[kind][key] = value
-        return value
+        getattr(bd, kind.record)[key] = float(value_of(value))
+        if isinstance(value, Var):
+            taken.append((value, kind.weight(w) * times))
 
-    def stats(image):
-        return photometry.reference_stats(image, ctx.norm)
+    def push():
+        """Push the waiting terms back together (`ad.backprop`)."""
+        if taken:
+            ad.backprop(*zip(*taken))
+            taken.clear()
 
     # One unordered pair at a time: its depth-consistency and unary terms,
     # pushed back to the depths together, keeping only its second-order
-    # images. `ad.backprop` does nothing without a Var.
+    # images.
     second, adjoint = {}, {}
     for i, j in pairs:
         keys = ((i, j), (j, i))
         first, second_ij, dwarp = _pair_warps(ctx, views, leaves, depths, i, j)
         second.update(second_ij)
-        ld = [term(DEPTH, (t, s), _depth_consistency, leaves[t], dwarp[t, s][0],
-                   masks[t, s].valid & depths[t].valid & dwarp[t, s][1])
-              for t, s in keys]
-        lu = [term(UNARY, (t, s), photometry.unary_comparator, ctx.refs[t],
-                   stats(first[t, s][0]), masks[t, s].valid & first[t, s][1], w)
-              for t, s in keys]
+        for t, s in keys:
+            term(DEPTH, (t, s), _depth_consistency, leaves[t], dwarp[t, s][0],
+                 masks[t, s].valid & depths[t].valid & dwarp[t, s][1])
+        for t, s in keys:
+            term(UNARY, (t, s), photometry.unary_comparator, ctx.refs[t],
+                 photometry.reference_stats(first[t, s][0]),
+                 masks[t, s].valid & first[t, s][1], w)
         del first, dwarp
-        ad.backprop(ld + lu, [DEPTH.weight(w)] * 2 + [UNARY.weight(w)] * 2)
+        push()
     # One reference view r at a time: the statistics of its second-order
     # images, and the image-consistency and brightness terms that read
     # them. With gradients the images are fresh leaves, whose gradients
@@ -515,16 +514,17 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
             if s != r:
                 image, valid[s] = second.pop((r, s))
                 images[s] = Var(image) if with_grad else image
-        second_stats = {s: stats(image) for s, image in images.items()}
-        lm = [term(IMAGE, (s, r), photometry.unary_comparator, ctx.refs[r],
-                   second_stats[s], masks[r, s].valid & valid[s], w)
-              for s in second_stats]
-        lb = [term(BRIGHTNESS, (r, j, k), photometry.unary_comparator,
-                   second_stats[j], second_stats[k],
-                   masks[r, j].valid & masks[r, k].valid & valid[j] & valid[k], w)
-              for j in range(n) for k in range(j + 1, n) if r not in (j, k)]
+        second_stats = {s: photometry.reference_stats(image)
+                        for s, image in images.items()}
+        for s in second_stats:
+            term(IMAGE, (s, r), photometry.unary_comparator, ctx.refs[r],
+                 second_stats[s], masks[r, s].valid & valid[s], w)
+        for j, k in combinations(second_stats, 2):
+            term(BRIGHTNESS, (r, j, k), photometry.unary_comparator,
+                 second_stats[j], second_stats[k],
+                 masks[r, j].valid & masks[r, k].valid & valid[j] & valid[k], w)
         del second_stats
-        ad.backprop(lm + lb, [IMAGE.weight(w)] * len(lm) + [BRIGHTNESS.weight(w)] * len(lb))
+        push()
         if with_grad:
             adjoint.update(((r, s), image.grad) for s, image in images.items()
                            if image.grad is not None)
@@ -535,14 +535,10 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
                     ad.backprop(_second_orders(ctx, views, leaves, depths, i, r, keys),
                                 [adjoint.pop(key) for key in keys])
     # Last, each view's smoothness, weighted once for every pair it enters.
-    terms[SMOOTHNESS] = {i: photometry.smoothness_term(leaves[i], depths[i].valid,
-                                                       ctx.edges[i])
-                         for i in range(n)}
-    ad.backprop(list(terms[SMOOTHNESS].values()), [SMOOTHNESS.weight(w) * (n - 1)] * n)
-
-    for kind in TERMS:
-        getattr(bd, kind.record).update(
-            (key, float(value_of(value))) for key, value in terms[kind].items())
+    for i in range(n):
+        term(SMOOTHNESS, i, photometry.smoothness_term, leaves[i], depths[i].valid,
+             ctx.edges[i], times=n - 1)
+    push()
 
     # The objective is a fixed weighted sum of the terms, taken on the
     # recorded floats: a kind's weight times the sum of its two terms in

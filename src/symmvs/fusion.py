@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .consistency import _check_count, _check_grid, _check_image_grids
+from .consistency import check_depths
 
 __all__ = ["PointCloud", "filter_consistent", "depths_to_cloud"]
 
@@ -54,10 +54,7 @@ def filter_consistent(depths, views, tau_fuse: float, min_views: int = 2):
     ``min_views`` below 1 or above the number of other views raises
     ValueError.
     """
-    _check_count(depths, views)
-    _check_image_grids(depths, views)
-    if depths:
-        _check_grid(depths, depths[0].values.shape)
+    check_depths(depths, views, depths[0].values.shape if depths else None)
     if min_views < 1:
         raise ValueError("min_views must be >= 1")
     if depths and min_views > len(depths) - 1:
@@ -94,8 +91,7 @@ def depths_to_cloud(filtered, views) -> PointCloud:
     raises ShapeMismatch, and so does a depth map off its view's image
     grid, naming its view.
     """
-    _check_count(filtered, views)
-    _check_image_grids(filtered, views)
+    check_depths(filtered, views)
     points = []
     colors = []
     for depth, view in zip(filtered, views):

@@ -15,8 +15,11 @@ Conventions
 One camera model serves every stage, and only this module turns cameras
 into records. `pair_coefficients` builds the `ViewPair` record of an
 ordered (target, source) pair from the two cameras and the grid alone, and
-`pair_records` those of a view list, so callers build each once; a sweep's
-row bands read row views of it (`ViewPair.band`). The per-depth functions
+`pair_records` those of a view list, so callers build each once: a sweep
+once per reference view and pyramid level, its row bands reading row views
+of it (`ViewPair.band`), a refine run once (`consistency.ViewContext`), a
+fusion once per call, and a one-shot mask or loss pass each unordered
+pair's two when it reaches the pair (`consistency`). The per-depth functions
 read a record and no camera. `sampling_chain` sends
 a target pixel at depth d to the homogeneous source pixel ``a * d + b``;
 `pair_sampling`, at per-pixel depths or one constant sweep depth, bundles

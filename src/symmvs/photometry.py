@@ -21,13 +21,14 @@ of the objective are assembled from them by the one loss evaluation in
 `consistency.total_loss`.
 
 What depends on one image alone is split out and passed in: its gradients,
-census bits and SSIM window statistics (`reference_stats`, with the SSIM
-window normalizer `box_norm`) and the smoothness edge weights
-(`edge_weights`). `ssim_map` and `unary_comparator` take the
-`reference_stats` of both images they compare, and `smoothness_term` the
-edge weights, so an image compared many times is processed once: a view
-image once per run (`consistency.ViewContext`), a synthesized image once
-per loss evaluation, whichever side of each comparison it is on.
+census bits and SSIM window statistics (`reference_stats`) and the
+smoothness edge weights (`edge_weights`). `ssim_map` and
+`unary_comparator` take the `reference_stats` of both images they compare,
+and `smoothness_term` the edge weights, so an image compared many times is
+processed once: a view image once per run (`consistency.ViewContext`), a
+synthesized image once per loss evaluation, whichever side of each
+comparison it is on. What depends on the grid alone, the SSIM window
+normalizer `box_norm`, is made once per grid and cached read-only.
 
 Each formula a gradient flows through is one `autodiff.fused` tape node:
 the forward difference `_forward_diff` along either axis, `ssim_map`,
@@ -52,6 +53,7 @@ per-pixel formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,9 +205,13 @@ def census_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- SSIM ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def box_norm(height: int, width: int) -> np.ndarray:
-    """In-image pixel count of every 3x3 window: the SSIM normalizer."""
-    return ad.box_sum3(np.ones((height, width)))
+    """In-image pixel count of every 3x3 window: the SSIM normalizer, made
+    once per grid and shared by every caller, so it is read-only."""
+    norm = ad.box_sum3(np.ones((height, width)))
+    norm.flags.writeable = False
+    return norm
 
 
 def ssim_map(ref, syn):
@@ -221,7 +227,7 @@ def ssim_map(ref, syn):
         raise ShapeMismatch("ssim inputs must share shape")
     a, b = value_of(ref.image), value_of(syn.image)
     mu_a, var_a, mu_b, var_b = ref.mu, ref.var, syn.mu, syn.var
-    norm = ref.norm[:, :, None]
+    norm = box_norm(*a.shape[:2])[:, :, None]
     cov = ad.box_sum3(a * b) / norm - mu_a * mu_b
 
     def parts():
@@ -268,13 +274,12 @@ def ssim_map(ref, syn):
 class ReferenceStats:
     """The image-only parts of the unary comparator, for either of its
     images: the image itself, its forward-difference gradients, the
-    (8, H, W) census planes of its `census_transform`, the SSIM windowed
-    mean ``mu`` and variance ``var`` per pixel and channel, and the grid's
-    `box_norm`. Only the image and its gradients are Vars when the image
-    is one: `ssim_map` differentiates through the window statistics
-    itself. A run keeps one per view image; a loss
-    evaluation makes one per synthesized image it compares, whichever side
-    that image is on."""
+    (8, H, W) census planes of its `census_transform`, and the SSIM
+    windowed mean ``mu`` and variance ``var`` per pixel and channel. Only
+    the image and its gradients are Vars when the image is one: `ssim_map`
+    differentiates through the window statistics itself. A run keeps one
+    per view image; a loss evaluation makes one per synthesized image it
+    compares, whichever side that image is on."""
 
     image: object
     grad_x: object
@@ -282,21 +287,18 @@ class ReferenceStats:
     census: np.ndarray
     mu: np.ndarray
     var: np.ndarray
-    norm: np.ndarray
 
 
-def reference_stats(image, norm) -> ReferenceStats:
-    """Image-only comparator statistics of ``image`` (Var-aware).
-
-    ``norm`` is the `box_norm` of the image's grid.
-    """
+def reference_stats(image) -> ReferenceStats:
+    """Image-only comparator statistics of ``image`` (Var-aware); the window
+    statistics are normalized by the `box_norm` of the image's grid."""
     v = value_of(image)
-    n = norm[:, :, None]
+    n = box_norm(*v.shape[:2])[:, :, None]
     mu = ad.box_sum3(v) / n
     return ReferenceStats(
         image, _forward_diff(image, 1), _forward_diff(image, 0),
         census_transform(channel_mean(v)),
-        mu, ad.box_sum3(v * v) / n - mu * mu, norm,
+        mu, ad.box_sum3(v * v) / n - mu * mu,
     )
 
 

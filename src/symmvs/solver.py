@@ -2,7 +2,10 @@
 the coarsest level of an image pyramid, read out at each pixel's cost
 minimum and upsampled to the input grid, then alternating occlusion-mask
 re-estimation and joint gradient refinement of all depth maps against the
-full multi-view objective.
+full multi-view objective. How far the sweep halves a grid
+(`_sweep_levels`), when a view is swept a level finer (`MIN_PARALLAX_PX`)
+and how many rows one band of its cost volume holds (`SWEEP_BAND_BYTES`)
+are fixed rules, stated where they are defined.
 
 Refinement runs projected gradient descent with a backtracking (Armijo)
 line search on the total loss, masks frozen within each inner phase, so

@@ -31,7 +31,8 @@ from symmvs import (
 )
 from symmvs import consistency, geometry
 from symmvs.cli import main as cli_main
-from symmvs.solver import SolverConfig, SolverState, loss_gradient
+from symmvs.consistency import SceneState
+from symmvs.solver import SolverConfig, loss_gradient
 
 from conftest import (median_abs_error, noisy_depths, records,
                       scene_state)
@@ -81,8 +82,8 @@ def test_criterion_02_gradient_oracle(plane_scene):
         fd_weights = LossWeights(lambda4=0.0, tau_occ=1.0)
         depths = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=5)
         masks = compute_all_masks(views, depths, weights)
-        state = SolverState(views=views, depths=depths, masks=masks,
-                            weights=weights)
+        state = SceneState(views=views, depths=depths, masks=masks,
+                           weights=weights)
 
         start = time.monotonic()
         grads = loss_gradient(state)
@@ -156,8 +157,8 @@ def test_criterion_05_refinement_efficacy(plane_scene):
             convergence_tol=1e-6,
             weights=LossWeights(tau_occ=1.0),
         )
-        state = SolverState(views=views, depths=[d.copy() for d in start_depths],
-                            masks={}, weights=config.weights)
+        state = SceneState(views=views, depths=[d.copy() for d in start_depths],
+                           masks={}, weights=config.weights)
         start = time.monotonic()
         state = refine(state, config)
         elapsed = time.monotonic() - start

@@ -14,6 +14,7 @@ from symmvs import (
     LossWeights,
     compute_all_masks,
     consistency,
+    fusion,
     geometry,
     photometry,
     total_loss,
@@ -27,7 +28,7 @@ from symmvs.consistency import (
     _pair_warps,
 )
 from symmvs.errors import ShapeMismatch, TooFewViews
-from symmvs.photometry import box_norm, edge_weights, reference_stats, unary_comparator
+from symmvs.photometry import edge_weights, reference_stats, unary_comparator
 from symmvs.solver import SolverConfig, loss_gradient, refine
 
 from _oracles import round_trip_mask, synthesize_view
@@ -410,6 +411,34 @@ def test_breakdown_records_keep_their_insertion_order(occluder4_scene, with_grad
     assert list(bd.smoothness) == list(range(n))
 
 
+# Every pass that reads one depth map per view checks them by one rule, so
+# one fault reads the same from each of them.
+DEPTH_PASSES = {
+    "compute_all_masks": lambda v, d, m, w: compute_all_masks(v, d, w),
+    "total_loss": lambda v, d, m, w: total_loss(SceneState(v, d, m, w)),
+    "loss_gradient": lambda v, d, m, w: loss_gradient(SceneState(v, d, m, w)),
+    "filter_consistent": lambda v, d, m, w: fusion.filter_consistent(d, v, 0.05),
+    "depths_to_cloud": lambda v, d, m, w: fusion.depths_to_cloud(d, v),
+}
+DEPTH_FAULTS = {
+    "two_maps_for_three_views": (lambda gt: gt[:2], r"^2 depth maps for 3 views$"),
+    "view_1_one_row_short": (
+        lambda gt: [gt[0], DepthMap(gt[1].values[:-1], gt[1].valid[:-1]), gt[2]],
+        r"^view 1 depth map is \(47, 64\), the views' grid is \(48, 64\)$"),
+}
+
+
+@pytest.mark.parametrize("fault", list(DEPTH_FAULTS))
+@pytest.mark.parametrize("entry", list(DEPTH_PASSES))
+def test_one_depth_fault_reads_the_same_from_every_pass(plane_scene, entry, fault):
+    views, gt, weights = (plane_scene["views"], plane_scene["gt"],
+                          plane_scene["weights"])
+    masks = compute_all_masks(views, gt, weights)
+    depths, message = DEPTH_FAULTS[fault]
+    with pytest.raises(ShapeMismatch, match=message):
+        DEPTH_PASSES[entry](views, depths(gt), masks, weights)
+
+
 class TestViewContext:
     """A context shared by many evaluations gives exactly what a fresh
     evaluation of each call gives, and rejects views and caller data it
@@ -450,10 +479,9 @@ class TestViewContext:
             for (i, j), m in masks.items():
                 img, ok = synthesize_view(depths[i], views[j], views[i])
                 if (m.valid & ok).any():
-                    norm = box_norm(*views[i].image.shape[:2])
                     assert kept_bd.unary[(i, j)] == float(unary_comparator(
-                        reference_stats(views[i].image, norm),
-                        reference_stats(img, norm), m.valid & ok, weights))
+                        reference_stats(views[i].image),
+                        reference_stats(img), m.valid & ok, weights))
             for a, b in zip(loss_gradient(state), loss_gradient(state, ctx)):
                 assert np.array_equal(a, b)
 
@@ -637,11 +665,10 @@ class TestSharedWork:
             request.getfixturevalue(scene))
         bd, _ = _evaluate(views, depths, masks, weights, False, ctx)
         pairs, first, second = self.standalone(views, depths)
-        norm = box_norm(*ctx.grid)
 
         def compare(a, b, mask):
-            return float(unary_comparator(reference_stats(a, norm),
-                                          reference_stats(b, norm), mask, weights))
+            return float(unary_comparator(reference_stats(a),
+                                          reference_stats(b), mask, weights))
 
         for i, j in pairs:
             img, ok = first[(i, j)]

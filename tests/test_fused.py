@@ -123,7 +123,7 @@ def test_ssim_map(rng, channels, as_var):
     w = rng.normal(size=shape[:2])
 
     def fused(x, y):
-        return ssim_map(reference_stats(x, norm), reference_stats(y, norm))
+        return ssim_map(reference_stats(x), reference_stats(y))
 
     assert_same_node(fused, lambda x, y: ssim_map_chain(x, y, norm), [a, b],
                      as_var, w)
@@ -141,8 +141,7 @@ def test_unary_comparator(rng, channels, as_var):
     weights = LossWeights()
 
     def fused(x, y):
-        return unary_comparator(reference_stats(x, norm), reference_stats(y, norm),
-                                mask, weights)
+        return unary_comparator(reference_stats(x), reference_stats(y), mask, weights)
 
     def chain(x, y):
         return unary_comparator_chain(x, y, mask, weights, norm)

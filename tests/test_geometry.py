@@ -6,12 +6,9 @@ import pytest
 from symmvs import (
     CameraView,
     DepthMap,
-    bilinear_sample,
     build_cost_volume,
     extract_features,
-    plane_homography,
     warp_depth,
-    warp_field_from_homography,
 )
 from symmvs.errors import NonFiniteResult, NonFiniteValue, ShapeMismatch
 from symmvs import autodiff as ad
@@ -20,8 +17,11 @@ from symmvs.autodiff import Var
 from symmvs.geometry import (
     DepthHypotheses,
     WarpField,
+    bilinear_sample,
     intrinsics_inverse,
+    plane_homography,
     relative_motion,
+    warp_field_from_homography,
 )
 
 from _oracles import (

@@ -42,18 +42,14 @@ def smoothness(image, depth, w):
                            edge_weights(image, w.alpha1, w.alpha2))
 
 
-def stats(image):
-    """`reference_stats` of an (H, W, C) image on its own grid."""
-    return reference_stats(image, box_norm(*image.shape[:2]))
-
-
 def ssim(a, b):
     """`ssim_map` of two (H, W, C) images, ``a`` as the reference."""
-    return ssim_map(stats(a), stats(b))
+    return ssim_map(reference_stats(a), reference_stats(b))
 
 
 def unary(image_ref, image_syn, mask, w):
-    return unary_comparator(stats(image_ref), stats(image_syn), mask, w)
+    return unary_comparator(reference_stats(image_ref), reference_stats(image_syn),
+                            mask, w)
 
 
 def pair_synthesis(view_i, view_j, depth_i, depth_j, w):
@@ -192,6 +188,16 @@ class TestSSIM:
         s = ssim(a[..., None], b[..., None])
         assert (s <= 1.0 + 1e-12).all()
         assert (s >= -1.0 - 1e-12).all()
+
+    def test_window_normalizer_is_one_read_only_array_per_grid(self):
+        # the normalizer depends on the grid alone: it is made once and
+        # shared by every caller, so none may write into it
+        norm = box_norm(5, 7)
+        assert box_norm(5, 7) is norm
+        with pytest.raises(ValueError):
+            norm[0, 0] = 0.0
+        # the in-image pixel count of each 3x3 window
+        assert (norm[0, 0], norm[0, 3], norm[2, 3]) == (4.0, 6.0, 9.0)
 
     def test_channel_average(self):
         rng = np.random.default_rng(6)

@@ -34,10 +34,10 @@ from symmvs import (
     total_loss,
 )
 from symmvs import geometry, photometry, solver, volume
-from symmvs.consistency import OcclusionMask, _evaluate
+from symmvs.consistency import OcclusionMask, SceneState, _evaluate
 from symmvs.errors import (EmptySweep, MinimumAtRangeEnd, NoParallax, ShapeMismatch,
                            TooFewViews)
-from symmvs.solver import SolverConfig, SolverState
+from symmvs.solver import SolverConfig
 
 from _oracles import smoothness_gradient_flat_image
 from conftest import (make_camera, median_abs_error, noisy_depths,
@@ -111,7 +111,7 @@ def desk_config(hyp, **kw):
 
 
 class TestInitDepths:
-    def test_default_temperature_recovers_the_quick_start_plane(self):
+    def test_cost_minimum_recovers_the_quick_start_plane(self):
         # the cost minimum reads 0.0378 here (the softmax it replaced,
         # 0.0492); a temperature is accepted and never read, as the bench's
         # harness still passes one
@@ -293,8 +293,8 @@ class TestInitDepths:
             init_depths(views, hyp)
         with pytest.raises(ShapeMismatch, match=message + "initialization needs"):
             run_pipeline(views, desk_config(hyp))
-        state = SolverState(views=views, depths=gt, masks={},
-                            weights=LossWeights(tau_occ=100.0))
+        state = SceneState(views=views, depths=gt, masks={},
+                           weights=LossWeights(tau_occ=100.0))
         for evaluation in (total_loss, loss_gradient):
             with pytest.raises(ShapeMismatch, match=message + "the objective needs"):
                 evaluation(state)
@@ -395,8 +395,8 @@ class TestInitDepths:
 
     def test_sweep_memory_stays_near_two_volumes(self, occluder_scene):
         # one float volume at 3 views, 95x127, 32 hypotheses is 2.9 MiB; the
-        # sweep holds a raw and a smoothed volume, or a smoothed volume and
-        # its probabilities, plus the features and one hypothesis' samplings.
+        # sweep holds a raw and a smoothed volume, plus the features and one
+        # hypothesis' samplings.
         # The occluder is cropped to 127x95 so that the level rule sweeps it
         # as it is, and the bound is in volumes of the grid actually swept.
         # Measured: 3.08 volumes; whole-volume smoothing or regression
@@ -446,7 +446,7 @@ class TestLossGradient:
                               tau_occ=1.0)
         views, gt = plane_scene["views"], plane_scene["gt"]
         masks = compute_all_masks(views, gt, weights)
-        state = SolverState(views=views, depths=gt, masks=masks, weights=weights)
+        state = SceneState(views=views, depths=gt, masks=masks, weights=weights)
         for g in loss_gradient(state):
             np.testing.assert_array_equal(g, 0.0)
 
@@ -459,7 +459,7 @@ class TestLossGradient:
             valid[10:14, 20:24] = False
             holed.append(DepthMap(np.where(valid, d.values, 0.0), valid))
         masks = compute_all_masks(views, holed, weights)
-        state = SolverState(views=views, depths=holed, masks=masks, weights=weights)
+        state = SceneState(views=views, depths=holed, masks=masks, weights=weights)
         for g, d in zip(loss_gradient(state), holed):
             np.testing.assert_array_equal(g[~d.valid], 0.0)
 
@@ -477,8 +477,8 @@ class TestLossGradient:
         for masks, skipped in [(full, set()),
                                (cut, {"Lu_0_1", "Ld_0_1", "Lm_1_0", "Lb_0_1_2"})]:
             assert _evaluate(views, depths, masks, weights)[0].skipped == skipped
-            state = SolverState(views=views, depths=depths, masks=masks,
-                                weights=weights)
+            state = SceneState(views=views, depths=depths, masks=masks,
+                               weights=weights)
             grads = loss_gradient(state)
             rng = np.random.default_rng(2)
             h = 1e-4
@@ -513,8 +513,8 @@ class TestLossGradient:
         fd_weights = LossWeights(lambda4=0.0, tau_occ=1.0)
         depths = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=9)
         masks = compute_all_masks(views, depths, weights)
-        state = SolverState(views=views, depths=depths, masks=masks,
-                            weights=weights)
+        state = SceneState(views=views, depths=depths, masks=masks,
+                           weights=weights)
         grads = loss_gradient(state)
         step = 1e-3
         regions = [fd_smooth_region(views, depths, v, step) for v in range(3)]
@@ -562,8 +562,8 @@ class TestLossGradient:
             return rebuild(ctx, views, leaves, depths, i, j, keys)
 
         monkeypatch.setattr(consistency, "_second_orders", recorded)
-        grads = loss_gradient(SolverState(views=views, depths=depths, masks=masks,
-                                          weights=weights))
+        grads = loss_gradient(SceneState(views=views, depths=depths, masks=masks,
+                                         weights=weights))
         assert replayed[0, 1] == [(1, 0)]
         assert all(len(keys) == 2 for pair, keys in replayed.items() if pair != (0, 1))
         step = 1e-4
@@ -606,7 +606,7 @@ class TestLossGradient:
         # is switched off so only the smoothness gradient remains
         weights = LossWeights(lambda3=0.0, lambda5=0.0, lambda6=0.0, tau_occ=10.0)
         masks = compute_all_masks(views, depths, weights)
-        state = SolverState(views=views, depths=depths, masks=masks, weights=weights)
+        state = SceneState(views=views, depths=depths, masks=masks, weights=weights)
         grads = loss_gradient(state)
         # per-pair weight: omega_s * mean over both views of the term
         expected = 0.1 * 0.5 * smoothness_gradient_flat_image(gx)
@@ -617,8 +617,8 @@ class TestRefine:
     def test_start_at_ground_truth_stays_put(self, plane_scene):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         config = desk_config(hyp, max_outer_iters=3, convergence_tol=1e-5)
-        state = SolverState(views=views, depths=[d.copy() for d in gt],
-                            masks={}, weights=config.weights)
+        state = SceneState(views=views, depths=[d.copy() for d in gt],
+                           masks={}, weights=config.weights)
         state = refine(state, config)
         assert state.converged and not state.diverged
         assert state.stop_reason == "stationary_stall"
@@ -630,8 +630,8 @@ class TestRefine:
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         start = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=4)
         config = desk_config(hyp, max_outer_iters=6)
-        state = SolverState(views=views, depths=start, masks={},
-                            weights=config.weights)
+        state = SceneState(views=views, depths=start, masks={},
+                           weights=config.weights)
         state = refine(state, config)
         # history restarts at each mask update (phase start); within a phase
         # the accepted totals never increase
@@ -645,8 +645,8 @@ class TestRefine:
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         start = noisy_depths(gt, 4 * hyp.spacing, hyp, seed=6)
         config = desk_config(hyp, max_outer_iters=4)
-        state = refine(SolverState(views=views, depths=start, masks={},
-                                   weights=config.weights), config)
+        state = refine(SceneState(views=views, depths=start, masks={},
+                                  weights=config.weights), config)
         for d in state.depths:
             assert (d.values[d.valid] >= hyp.d_min).all()
             assert (d.values[d.valid] <= hyp.d_max).all()
@@ -661,7 +661,7 @@ class TestRefine:
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         config = desk_config(hyp, max_outer_iters=outer,
                              weights=LossWeights(tau_occ=1.0, lambda4=0.0))
-        state = SolverState(views=views, depths=gt, masks={}, weights=LossWeights())
+        state = SceneState(views=views, depths=gt, masks={}, weights=LossWeights())
         with pytest.raises(ValueError, match=r"config's in lambda4, tau_occ;"):
             refine(state, config)
         assert state.masks == {} and state.stop_reason is None
@@ -670,8 +670,8 @@ class TestRefine:
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         start = noisy_depths(gt, 2 * hyp.spacing, hyp, seed=6)
         config = desk_config(hyp, max_outer_iters=4, convergence_tol=0.9)
-        state = refine(SolverState(views=views, depths=start, masks={},
-                                   weights=config.weights), config)
+        state = refine(SceneState(views=views, depths=start, masks={},
+                                  weights=config.weights), config)
         assert state.stop_reason == "tol_reached" and len(state.outer_log) == 1
         assert state.converged and state.iteration > 0
 
@@ -680,8 +680,8 @@ class TestRefine:
         zero = LossWeights(**{name: 0.0 for name in LossWeights.__dataclass_fields__
                               if name != "tau_occ"}, tau_occ=1.0)
         config = desk_config(hyp, max_outer_iters=3, weights=zero)
-        state = refine(SolverState(views=views, depths=[d.copy() for d in gt],
-                                   masks={}, weights=zero), config)
+        state = refine(SceneState(views=views, depths=[d.copy() for d in gt],
+                                  masks={}, weights=zero), config)
         assert state.stop_reason == "zero_gradient" and state.iteration == 0
         assert state.converged and not state.diverged
 
@@ -689,8 +689,8 @@ class TestRefine:
                                                     monkeypatch):
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         config = desk_config(hyp, max_outer_iters=0)
-        state = SolverState(views=views, depths=[d.copy() for d in gt],
-                            masks={}, weights=config.weights)
+        state = SceneState(views=views, depths=[d.copy() for d in gt],
+                           masks={}, weights=config.weights)
         called = []
         # no loss is evaluated, so no view context's image data is built
         for name in ("reference_stats", "edge_weights"):
@@ -710,8 +710,8 @@ class TestRefine:
         views, gt, hyp = plane_scene["views"], plane_scene["gt"], plane_scene["hyp"]
         config = desk_config(hyp, max_outer_iters=0)
         half = [DepthMap(d.values[::2, ::2], d.valid[::2, ::2]) for d in gt]
-        state = SolverState(views=views, depths=half, masks={},
-                            weights=config.weights)
+        state = SceneState(views=views, depths=half, masks={},
+                           weights=config.weights)
         with pytest.raises(ShapeMismatch, match=r"^view 0 depth map is \(24, 32\)"):
             refine(state, config)
 
@@ -721,8 +721,8 @@ class TestRefine:
         # a tight occlusion threshold so masks start partial and recover
         config = desk_config(hyp, max_outer_iters=10,
                              weights=LossWeights(tau_occ=3 * hyp.spacing))
-        state = SolverState(views=views, depths=start, masks={},
-                            weights=config.weights)
+        state = SceneState(views=views, depths=start, masks={},
+                           weights=config.weights)
         state = refine(state, config)
         totals = [e["total"] for e in state.outer_log]
         counts = [e["mask_valid"] for e in state.outer_log]
@@ -740,7 +740,7 @@ class TestRefine:
                  "zero_gradient": (True, False), "stationary_stall": (True, False),
                  "line_search_failed": (False, True), None: (False, False)}
         assert set(flags) - {None} == set(solver.STOP_REASONS)
-        state = SolverState(views=[], depths=[], masks={}, weights=LossWeights())
+        state = SceneState(views=[], depths=[], masks={}, weights=LossWeights())
         for reason, (converged, diverged) in flags.items():
             state.stop_reason = reason
             assert (state.converged, state.diverged) == (converged, diverged)
@@ -754,8 +754,8 @@ class TestRefine:
         monkeypatch.setattr(solver, "INITIAL_STEP", 1e6 / hyp.spacing)
         monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
         config = desk_config(hyp, max_outer_iters=3)
-        state = refine(SolverState(views=views, depths=start, masks={},
-                                   weights=config.weights), config)
+        state = refine(SceneState(views=views, depths=start, masks={},
+                                  weights=config.weights), config)
         assert state.diverged and not state.converged
         assert state.stop_reason == "line_search_failed"
 
@@ -819,8 +819,8 @@ class TestRunPipeline:
                                   hyp.d_min, hyp.d_max), d.valid.copy())
                  for d in gt]
         config = desk_config(hyp, max_outer_iters=6, inner_steps_per_mask_update=3)
-        state = SolverState(views=views, depths=[d.copy() for d in noisy],
-                            masks={}, weights=config.weights)
+        state = SceneState(views=views, depths=[d.copy() for d in noisy],
+                           masks={}, weights=config.weights)
         err0 = median_abs_error(noisy, gt)
         state = refine(state, config)
         assert median_abs_error(state.depths, gt) < err0
@@ -861,8 +861,8 @@ def test_quick_start_refine_trajectory(monkeypatch):
 
 def _refine_digest(views, depths, config):
     """sha256 over everything a refine run returns."""
-    state = refine(SolverState(views=list(views), depths=[d.copy() for d in depths],
-                               masks={}, weights=config.weights), config)
+    state = refine(SceneState(views=list(views), depths=[d.copy() for d in depths],
+                              masks={}, weights=config.weights), config)
     h = hashlib.sha256()
     for d in state.depths:
         h.update(d.values.tobytes())
@@ -913,8 +913,8 @@ def test_skipped_terms_warned_once_per_mask_phase(plane_scene, caplog):
                          inner_steps_per_mask_update=2)
     depths = noisy_depths(plane_scene["gt"][:2], 0.1, plane_scene["hyp"])
     with caplog.at_level("WARNING", logger="symmvs"):
-        state = refine(SolverState(views=views, depths=depths, masks={},
-                                   weights=config.weights), config)
+        state = refine(SceneState(views=views, depths=depths, masks={},
+                                  weights=config.weights), config)
     records = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(state.outer_log) == 2
     assert len(records) == len(state.outer_log)
@@ -1009,10 +1009,10 @@ def test_numpy_integer_counts_are_accepted(plane_scene):
                                                              sc["weights"]),
                  id="compute_all_masks"),
     pytest.param(lambda sc, views, depths: total_loss(
-        SolverState(views=views, depths=depths, masks={}, weights=sc["weights"])),
+        SceneState(views=views, depths=depths, masks={}, weights=sc["weights"])),
                  id="total_loss"),
     pytest.param(lambda sc, views, depths: refine(
-        SolverState(views=views, depths=depths, masks={}, weights=sc["weights"]),
+        SceneState(views=views, depths=depths, masks={}, weights=sc["weights"]),
         desk_config(sc["hyp"])),
                  id="refine"),
     pytest.param(lambda sc, views, depths: filter_consistent(depths, views, 0.1),

@@ -122,7 +122,8 @@ class TestBuildCostVolume:
         feats = [gray_features(v) for v in views]
         vol = build_cost_volume(records(views), feats, 0, hyp)
         # spot-check a few cells against the direct per-view resampling
-        from symmvs import plane_homography, warp_field_from_homography, bilinear_sample
+        from symmvs.geometry import (bilinear_sample, plane_homography,
+                                     warp_field_from_homography)
         rng = np.random.default_rng(3)
         h, w = feats[0].shape[1:]
         for _ in range(20):

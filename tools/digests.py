@@ -22,16 +22,18 @@ point count. A refactor that reorders floating-point work states its
 largest output difference from these lines.
 
 Each scene, its hypotheses and solver config come from ``bench/harness.py``
-(`WORKLOADS`, `build_scene`); its `TEMPERATURE` is passed to `init_depths`
-as the harness passes it, for checkouts whose sweep still reads it. The
-solve is the harness's: `init_depths`, then `refine` of a `SceneState` on the init
-depths, then `filter_consistent` and `depths_to_cloud`. Digested are the
-init depths and validity, `loss_gradient` at the init depths and their
-`compute_all_masks` masks, the refined depths and validity, every final mask
-in key order, the filtered depths with the fused points and colours,
-`history`, `outer_log` and `total_loss(...).report_lines()`; `stop_reason`
-and `iteration` are printed verbatim. Only those library names are used,
-so any checkout that has them can be compared.
+(`WORKLOADS`, `build_scene`), and the solve is the harness's own
+`_timed_solve`: `init_depths`, `refine`, `filter_consistent` and
+`depths_to_cloud`, so a change to the bench's pipeline is a change to the
+digests. Beside it the tool computes the outputs the solve does not
+return: `loss_gradient` at the init depths and their `compute_all_masks`
+masks, the filtered depths (`filter_consistent` of the refined ones, as
+the solve takes them) and `total_loss(...).report_lines()`. Digested are
+the init depths and validity, that gradient, the refined depths and
+validity, every final mask in key order, the filtered depths with the
+fused points and colours, `history`, `outer_log` and the loss report;
+`stop_reason` and `iteration` are printed verbatim. Only those names are
+used, so any checkout that has them can be compared.
 """
 
 import argparse
@@ -77,20 +79,17 @@ def solve(harness, workload: str, seed: int) -> dict:
     from symmvs import consistency, fusion, solver
 
     scene = harness.build_scene(harness.WORKLOADS[workload], seed)
-    views, config = scene.views, scene.config
-    hyp, weights = config.hypotheses, config.weights
-    init = solver.init_depths(views, hyp, harness.TEMPERATURE)
+    views, weights = scene.views, scene.config.weights
+    with tempfile.TemporaryDirectory() as work_dir:
+        _, init, state, cloud = harness._timed_solve(scene, Path(work_dir))
     out = {"workload": workload, "seed": seed, "init": _depths(init)}
     masks = consistency.compute_all_masks(views, init, weights)
     at_init = consistency.SceneState(list(views), init, masks, weights)
     out["init_gradient"] = list(solver.loss_gradient(at_init))
-    state = consistency.SceneState(list(views), init, {}, weights)
-    state = solver.refine(state, config)
     out["refined"] = _depths(state.depths)
     out["masks"] = [(key, state.masks[key].valid) for key in sorted(state.masks)]
-    filtered = fusion.filter_consistent(state.depths, views, hyp.spacing)
-    cloud = fusion.depths_to_cloud(filtered, views)
-    out["filtered"] = _depths(filtered)
+    out["filtered"] = _depths(fusion.filter_consistent(
+        state.depths, views, scene.config.hypotheses.spacing))
     out["cloud"] = (cloud.points, cloud.colors)
     out["history"] = state.history
     out["outer_log"] = state.outer_log
