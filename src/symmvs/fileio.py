@@ -1,13 +1,18 @@
 """File formats: plain-text camera files, PFM depth maps, PGM/PPM images,
 PLY point clouds, scene configs, run configs, and problem bundles.
 
-All writers are deterministic (fixed float formatting, fixed ordering), so
-identical inputs produce byte-identical files. Exact layouts are
-documented in docs/formats.md.
+Each format has one reader and one writer (the two configs are only read),
+and each states its rule once: the text formats share one line reader
+(``#`` comments, blank lines skipped), a camera file is one token layout,
+run.cfg one key table, PGM/PPM one magic-to-channels table, and a PLY
+vertex one record that both encodings write. All writers are deterministic
+(fixed float formatting, fixed ordering), so identical inputs produce
+byte-identical files. Exact layouts are documented in docs/formats.md.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +43,21 @@ __all__ = [
 _F17 = "{:.17g}"
 
 
+def _lines(path):
+    """(line number, text before any ``#``, stripped) of every line of a
+    text file that holds more than blanks and a comment."""
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
+
+
 # -- camera files ---------------------------------------------------------------
+
+
+# The tokens of a camera file in order: a keyword, or `float` for a number.
+_CAMERA_LAYOUT = ("extrinsic",) + (float,) * 16 + ("intrinsic",) + (float,) * 11
 
 
 def read_camera(path):
@@ -50,49 +69,29 @@ def read_camera(path):
     depth_interval).
     """
     path = Path(path)
-    tokens = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                tokens.append((tok, lineno))
-
-    pos = 0
-
-    def expect_keyword(word):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] != word:
-            line = tokens[pos][1] if pos < len(tokens) else "EOF"
-            raise ParseError(f"{path}:{line}: expected keyword {word!r}")
-        pos += 1
-
-    def take_floats(n):
-        nonlocal pos
-        vals = []
-        for _ in range(n):
-            if pos >= len(tokens):
-                raise ParseError(f"{path}:EOF: unexpected end of file")
-            tok, line = tokens[pos]
+    tokens = [(tok, lineno) for lineno, line in _lines(path) for tok in line.split()]
+    numbers = []
+    for want, (tok, line) in zip(_CAMERA_LAYOUT,
+                                 chain(tokens, repeat((None, "EOF")))):
+        if want is not float:
+            if tok != want:
+                raise ParseError(f"{path}:{line}: expected keyword {want!r}")
+        elif tok is None:
+            raise ParseError(f"{path}:{line}: unexpected end of file")
+        else:
             try:
-                vals.append(float(tok))
+                numbers.append(float(tok))
             except ValueError:
                 raise ParseError(f"{path}:{line}: bad number {tok!r}") from None
-            pos += 1
-        return np.array(vals)
-
-    expect_keyword("extrinsic")
-    ext = take_floats(16).reshape(4, 4)
-    expect_keyword("intrinsic")
-    intr = take_floats(9).reshape(3, 3)
-    d_min, d_interval = take_floats(2)
-    if pos != len(tokens):
-        raise ParseError(f"{path}:{tokens[pos][1]}: trailing content")
-    if not (np.isfinite(ext).all() and np.isfinite(intr).all()
-            and np.isfinite([d_min, d_interval]).all()):
+    if len(tokens) > len(_CAMERA_LAYOUT):
+        raise ParseError(f"{path}:{tokens[len(_CAMERA_LAYOUT)][1]}: trailing content")
+    if not np.isfinite(numbers).all():
         raise NonFiniteValue(f"{path}: non-finite camera values")
-    _check_positive(path, tokens[pos - 1][1], depth_min=d_min,
-                    depth_interval=d_interval)
-    return intr, ext[:3, :3], ext[:3, 3], float(d_min), float(d_interval)
+    ext = np.array(numbers[:16]).reshape(4, 4)
+    intr = np.array(numbers[16:25]).reshape(3, 3)
+    d_min, d_interval = numbers[25:]
+    _check_positive(path, tokens[-1][1], depth_min=d_min, depth_interval=d_interval)
+    return intr, ext[:3, :3], ext[:3, 3], d_min, d_interval
 
 
 def _check_positive(path, line, **values):
@@ -176,6 +175,10 @@ def read_pfm(path) -> DepthMap:
 # -- PGM / PPM images ----------------------------------------------------------------
 
 
+# magic number of a binary 8-bit PGM / PPM -> its channel count
+_PNM_CHANNELS = {b"P5": 1, b"P6": 3}
+
+
 def write_image(path, image: np.ndarray):
     """8-bit binary PGM (grayscale) or PPM (RGB) from values in [0, 1].
 
@@ -185,18 +188,14 @@ def write_image(path, image: np.ndarray):
     if Path(path).suffix not in (".pgm", ".ppm"):
         raise UnsupportedVariant(f"{path}: images are written as .pgm or .ppm only")
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 3 and img.shape[2] == 1:
-        img = img[:, :, 0]
-    quant = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = quant.shape[:2]
-    if quant.ndim == 2:
-        header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    elif quant.shape[2] == 3:
-        header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    else:
+    h, w = img.shape[:2]
+    # an (H, W) image is grayscale
+    magic = {(c,): m for m, c in _PNM_CHANNELS.items()}.get(img.shape[2:] or (1,))
+    if magic is None:
         raise UnsupportedVariant("images must be grayscale or RGB")
+    quant = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quant.tobytes())
 
 
@@ -236,16 +235,15 @@ def read_image(path) -> np.ndarray:
         magic, w, h, maxval = _read_pnm_header(fh, path)
         if maxval != 255:
             raise UnsupportedVariant(f"{path}: only 8-bit images are supported")
-        if magic == b"P5":
-            count, shape = w * h, (h, w, 1)
-        elif magic == b"P6":
-            count, shape = 3 * w * h, (h, w, 3)
-        else:
+        channels = _PNM_CHANNELS.get(magic)
+        if channels is None:
             raise ParseError(f"{path}: not a binary PGM/PPM")
+        count = h * w * channels
         buf = fh.read(count)
         if len(buf) != count:
             raise ParseError(f"{path}: truncated pixel data")
-    return np.frombuffer(buf, dtype=np.uint8).reshape(shape).astype(np.float64) / 255.0
+    pixels = np.frombuffer(buf, dtype=np.uint8).reshape(h, w, channels)
+    return pixels.astype(np.float64) / 255.0
 
 
 def write_mask_pgm(path, mask: np.ndarray):
@@ -256,42 +254,35 @@ def write_mask_pgm(path, mask: np.ndarray):
 # -- PLY point clouds --------------------------------------------------------------
 
 
+# PLY property type -> numpy type; `write_ply` writes float and uchar
+_PLY_TYPES = {"float": "<f4", "float32": "<f4", "double": "<f8",
+              "uchar": "u1", "uint8": "u1"}
+_XYZ = ("x", "y", "z")
+_RGB = ("red", "green", "blue")
+
+
 def write_ply(path, cloud: PointCloud, binary: bool = True):
-    """PLY with float x/y/z and optional uchar red/green/blue properties."""
-    n = len(cloud)
-    has_color = cloud.colors is not None
-    header = ["ply"]
-    header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
-    header.append(f"element vertex {n}")
-    header += ["property float x", "property float y", "property float z"]
-    if has_color:
-        header += ["property uchar red", "property uchar green", "property uchar blue"]
-    header.append("end_header")
-    pts = cloud.points.astype("<f4")
-    if has_color:
-        rgb = np.clip(np.rint(cloud.colors * 255.0), 0, 255).astype(np.uint8)
+    """PLY with float x/y/z and optional uchar red/green/blue properties:
+    one record per point, packed in a binary file and one row of
+    17-significant-digit numbers in an ASCII one."""
+    props = [("float", name) for name in _XYZ]
+    values = cloud.points
+    if cloud.colors is not None:
+        props += [("uchar", name) for name in _RGB]
+        values = np.hstack([values, np.clip(np.rint(cloud.colors * 255.0), 0, 255)])
+    rec = np.empty(len(cloud), dtype=[(name, _PLY_TYPES[ty]) for ty, name in props])
+    for (_, name), column in zip(props, values.T):
+        rec[name] = column
+    header = ["ply", "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+              f"element vertex {len(cloud)}"]
+    header += [f"property {ty} {name}" for ty, name in props] + ["end_header"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         if binary:
-            if has_color:
-                rec = np.empty(
-                    n,
-                    dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
-                           ("r", "u1"), ("g", "u1"), ("b", "u1")],
-                )
-                rec["x"], rec["y"], rec["z"] = pts[:, 0], pts[:, 1], pts[:, 2]
-                rec["r"], rec["g"], rec["b"] = rgb[:, 0], rgb[:, 1], rgb[:, 2]
-                fh.write(rec.tobytes())
-            else:
-                fh.write(pts.tobytes())
+            fh.write(rec.tobytes())
         else:
-            rows = []
-            for i in range(n):
-                row = " ".join(_F17.format(float(v)) for v in pts[i])
-                if has_color:
-                    row += " " + " ".join(str(int(v)) for v in rgb[i])
-                rows.append(row)
-            fh.write(("\n".join(rows) + ("\n" if rows else "")).encode("ascii"))
+            fh.write("".join(" ".join(map(_F17.format, row)) + "\n"
+                             for row in rec.tolist()).encode("ascii"))
 
 
 def read_ply(path) -> PointCloud:
@@ -343,15 +334,13 @@ def read_ply(path) -> PointCloud:
         if n < 0:
             raise ParseError(f"{path}: negative vertex count {n}")
         names = [p[1] for p in props]
-        for needed in ("x", "y", "z"):
+        for needed in _XYZ:
             if needed not in names:
                 raise ParseError(f"{path}: missing property {needed}")
-        has_color = all(c in names for c in ("red", "green", "blue"))
+        has_color = all(c in names for c in _RGB)
 
-        type_map = {"float": "<f4", "float32": "<f4", "double": "<f8",
-                    "uchar": "u1", "uint8": "u1"}
         try:
-            np_props = [(name, type_map[ty]) for ty, name in props]
+            np_props = [(name, _PLY_TYPES[ty]) for ty, name in props]
         except KeyError as exc:
             raise UnsupportedVariant(f"{path}: property type {exc} unsupported")
 
@@ -372,11 +361,10 @@ def read_ply(path) -> PointCloud:
             arr = arr.reshape(n, width)
             rec = {name: arr[:, k] for k, (name, _) in enumerate(np_props)}
 
-    pts = np.stack([np.asarray(rec[k], np.float64) for k in ("x", "y", "z")], axis=1)
+    pts = np.stack([np.asarray(rec[k], np.float64) for k in _XYZ], axis=1)
     colors = None
     if has_color:
-        colors = np.stack([np.asarray(rec[k], np.float64)
-                           for k in ("red", "green", "blue")], axis=1) / 255.0
+        colors = np.stack([np.asarray(rec[k], np.float64) for k in _RGB], axis=1) / 255.0
     if not (np.isfinite(pts).all() and (colors is None or np.isfinite(colors).all())):
         raise NonFiniteValue(f"{path}: non-finite vertex values")
     return PointCloud(pts, colors)
@@ -414,60 +402,60 @@ def read_scene_config(path) -> tuple:
     depth_interval = None
     cameras = []
     planes = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind = parts[0]
-            try:
-                if kind == "size":
-                    size = (int(parts[1]), int(parts[2]))
-                elif kind == "channels":
-                    channels = int(parts[1])
-                elif kind == "seed":
-                    seed = int(parts[1])
-                elif kind == "depth_range":
-                    depth_min, depth_interval = float(parts[1]), float(parts[2])
-                    _check_positive(path, lineno, depth_min=depth_min,
-                                    depth_interval=depth_interval)
-                elif kind == "camera":
-                    kv = _parse_kv(parts[1:], path, lineno)
-                    fx = float(kv["fx"])
-                    fy = float(kv.get("fy", kv["fx"]))
-                    cx, cy = float(kv["cx"]), float(kv["cy"])
-                    skew = float(kv.get("skew", "0"))
-                    K = np.array([[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
-                    if "center" in kv:
-                        c = np.array(_floats(kv["center"]))
-                        R = np.eye(3)
-                        t = -c
-                    else:
-                        R = np.array(_floats(kv["rot"])).reshape(3, 3)
-                        t = np.array(_floats(kv["t"]))
-                    cameras.append(CameraView(K, R, t, None))
-                elif kind == "plane":
-                    kv = _parse_kv(parts[1:], path, lineno)
-                    planes.append(
-                        PlanePrimitive(
-                            normal=np.array(_floats(kv["normal"])),
-                            offset=float(kv["offset"]),
-                            texture_id=int(kv.get("texture", "0")),
-                            texture_scale=float(kv.get("scale", "1")),
-                            bounds=tuple(_floats(kv["bounds"])) if "bounds" in kv else None,
-                        )
-                    )
+    for lineno, line in _lines(path):
+        parts = line.split()
+        kind = parts[0]
+        try:
+            if kind == "size":
+                size = (int(parts[1]), int(parts[2]))
+                SceneSpec._check(width=size[0], height=size[1])
+            elif kind == "channels":
+                channels = int(parts[1])
+                SceneSpec._check(channels=channels)
+            elif kind == "seed":
+                seed = int(parts[1])
+            elif kind == "depth_range":
+                depth_min, depth_interval = float(parts[1]), float(parts[2])
+                _check_positive(path, lineno, depth_min=depth_min,
+                                depth_interval=depth_interval)
+            elif kind == "camera":
+                kv = _parse_kv(parts[1:], path, lineno)
+                fx = float(kv["fx"])
+                fy = float(kv.get("fy", kv["fx"]))
+                cx, cy = float(kv["cx"]), float(kv["cy"])
+                skew = float(kv.get("skew", "0"))
+                K = np.array([[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
+                if "center" in kv:
+                    c = np.array(_floats(kv["center"]))
+                    R = np.eye(3)
+                    t = -c
                 else:
-                    raise ParseError(f"{path}:{lineno}: unknown entry {kind!r}")
-            except (KeyError, ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+                    R = np.array(_floats(kv["rot"])).reshape(3, 3)
+                    t = np.array(_floats(kv["t"]))
+                cameras.append(CameraView(K, R, t, None))
+            elif kind == "plane":
+                kv = _parse_kv(parts[1:], path, lineno)
+                planes.append(
+                    PlanePrimitive(
+                        normal=np.array(_floats(kv["normal"])),
+                        offset=float(kv["offset"]),
+                        texture_id=int(kv.get("texture", "0")),
+                        texture_scale=float(kv.get("scale", "1")),
+                        bounds=tuple(_floats(kv["bounds"])) if "bounds" in kv else None,
+                    )
+                )
+            else:
+                raise ParseError(f"{path}:{lineno}: unknown entry {kind!r}")
+        except (KeyError, ValueError, IndexError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     if size is None:
         raise ParseError(f"{path}: missing 'size W H'")
     if depth_min is None or depth_interval is None:
         raise ParseError(f"{path}: missing 'depth_range d_min d_interval'")
     if not cameras:
         raise ParseError(f"{path}: no cameras")
+    if not planes:
+        raise ParseError(f"{path}: no planes")
     spec = SceneSpec(planes, cameras, size[0], size[1], channels, seed)
     return spec, depth_min, depth_interval
 
@@ -475,13 +463,14 @@ def read_scene_config(path) -> tuple:
 # -- run config ----------------------------------------------------------------------
 
 
-_WEIGHT_KEYS = set(LossWeights().__dataclass_fields__)
 _SOLVER_KEYS = {
     "max_outer_iters": int,
     "inner_steps_per_mask_update": int,
     "convergence_tol": float,
     "hyp_count": int,
 }
+# every run.cfg key -> the type its value parses as
+_RUN_KEYS = {**dict.fromkeys(LossWeights.__dataclass_fields__, float), **_SOLVER_KEYS}
 
 
 def read_run_config(path) -> tuple:
@@ -497,37 +486,28 @@ def read_run_config(path) -> tuple:
     path = Path(path)
     weights_kw = {}
     solver_kw = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key in _WEIGHT_KEYS:
-                try:
-                    weights_kw[key] = float(val)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad number {val!r}") from None
-                try:
-                    LossWeights(**{key: weights_kw[key]})
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
-            elif key in _SOLVER_KEYS:
-                try:
-                    solver_kw[key] = _SOLVER_KEYS[key](val)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad value {val!r}") from None
-                try:
-                    if key == "hyp_count":
-                        DepthHypotheses.check_count(solver_kw[key], key)
-                    else:
-                        SolverConfig.check(key, solver_kw[key])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in _lines(path):
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key = value")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _RUN_KEYS:
+            raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+        is_weight = key not in _SOLVER_KEYS
+        try:
+            value = _RUN_KEYS[key](val)
+        except ValueError:
+            what = "bad number" if is_weight else "bad value"
+            raise ParseError(f"{path}:{lineno}: {what} {val!r}") from None
+        try:
+            if is_weight:
+                LossWeights(**{key: value})
+            elif key == "hyp_count":
+                DepthHypotheses.check_count(value, key)
             else:
-                raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+                SolverConfig.check(key, value)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        (weights_kw if is_weight else solver_kw)[key] = value
     return LossWeights(**weights_kw), solver_kw
 
 
@@ -566,12 +546,8 @@ def load_bundle(bundle_dir) -> tuple:
     d_min = d_int = None
     for cam_path in cam_files:
         stem = cam_path.name[: -len("_cam.txt")]
-        img_path = None
-        for suffix in (".pgm", ".ppm"):
-            candidate = bundle / f"{stem}{suffix}"
-            if candidate.exists():
-                img_path = candidate
-                break
+        img_path = next((p for p in (bundle / f"{stem}.pgm", bundle / f"{stem}.ppm")
+                         if p.exists()), None)
         if img_path is None:
             raise ParseError(f"{bundle}: missing image for {cam_path.name}")
         K, R, t, dm, di = read_camera(cam_path)

@@ -9,7 +9,7 @@ metrics count distances strictly below the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,22 @@ __all__ = [
 ]
 
 
+class _Report:
+    """``report_lines``: every field in order as ``name = value`` with 17
+    significant digits, each ``*_var`` line followed by its ``*_std`` line."""
+
+    def report_lines(self):
+        lines = []
+        for field in fields(self):
+            value = getattr(self, field.name)
+            lines.append(f"{field.name} = {value:.17g}")
+            if field.name.endswith("_var"):
+                lines.append(f"{field.name[:-4]}_std = {np.sqrt(value):.17g}")
+        return lines
+
+
 @dataclass
-class DepthMetrics:
+class DepthMetrics(_Report):
     """Standard depth error statistics plus the three inlier ratios."""
 
     abs_rel: float
@@ -40,22 +54,9 @@ class DepthMetrics:
     delta3: float
     n_evaluated: int
 
-    def report_lines(self):
-        return [
-            f"abs_rel = {self.abs_rel:.17g}",
-            f"abs_diff = {self.abs_diff:.17g}",
-            f"sq_rel = {self.sq_rel:.17g}",
-            f"rmse = {self.rmse:.17g}",
-            f"rmse_log = {self.rmse_log:.17g}",
-            f"delta1 = {self.delta1:.17g}",
-            f"delta2 = {self.delta2:.17g}",
-            f"delta3 = {self.delta3:.17g}",
-            f"n_evaluated = {self.n_evaluated}",
-        ]
-
 
 @dataclass
-class CloudMetrics:
+class CloudMetrics(_Report):
     """Accuracy / completeness distance statistics and threshold percentages.
 
     Variance fields are population variances; the matching standard
@@ -74,23 +75,6 @@ class CloudMetrics:
     comp_pct: float
     f_score: float
     threshold: float
-
-    def report_lines(self):
-        return [
-            f"acc_mean = {self.acc_mean:.17g}",
-            f"acc_median = {self.acc_median:.17g}",
-            f"acc_var = {self.acc_var:.17g}",
-            f"acc_std = {np.sqrt(self.acc_var):.17g}",
-            f"comp_mean = {self.comp_mean:.17g}",
-            f"comp_median = {self.comp_median:.17g}",
-            f"comp_var = {self.comp_var:.17g}",
-            f"comp_std = {np.sqrt(self.comp_var):.17g}",
-            f"overall = {self.overall:.17g}",
-            f"acc_pct = {self.acc_pct:.17g}",
-            f"comp_pct = {self.comp_pct:.17g}",
-            f"f_score = {self.f_score:.17g}",
-            f"threshold = {self.threshold:.17g}",
-        ]
 
 
 def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:

@@ -66,9 +66,16 @@ class SceneSpec:
     def __post_init__(self):
         if len(self.primitives) < 1:
             raise ValueError("a scene needs at least one primitive")
-        if self.channels not in (1, 3):
+        self._check(self.width, self.height, self.channels)
+
+    @staticmethod
+    def _check(width=1, height=1, channels=1):
+        """Raise ValueError unless ``channels`` is 1 or 3 and ``width`` and
+        ``height`` are at least 1; the scene-config reader checks each
+        line by it."""
+        if channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
-        if not (self.width >= 1 and self.height >= 1):
+        if not (width >= 1 and height >= 1):
             raise ValueError("width and height must be at least 1")
 
 

@@ -1,5 +1,6 @@
 """Round trips and error handling for every file format."""
 
+import hashlib
 import re
 import tempfile
 from pathlib import Path
@@ -401,6 +402,23 @@ class TestSceneConfig:
                            match="^" + re.escape(f"{cfg}:2: {name} must be positive")):
             read_scene_config(cfg)
 
+    @pytest.mark.parametrize("body, message", [
+        ("channels 2\nplane normal=0,0,1 offset=2", ":3: channels must be 1 or 3"),
+        ("size 0 8\nplane normal=0,0,1 offset=2",
+         ":3: width and height must be at least 1"),
+        ("size 8 -1\nplane normal=0,0,1 offset=2",
+         ":3: width and height must be at least 1"),
+        ("seed 3", ": no planes"),
+    ], ids=["channels", "zero_width", "negative_height", "no_plane"])
+    def test_value_the_scene_rejects_names_file(self, tmp_path, body, message):
+        # `SceneSpec` checked these after the file was read, and its error
+        # named neither the file nor the line
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(f"size 8 8\ndepth_range 1 0.1\n{body}\n"
+                       "camera fx=8 cx=3.5 cy=3.5 center=0,0,0\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{cfg}{message}") + "$"):
+            read_scene_config(cfg)
+
     def test_missing_size_rejected(self, tmp_path):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("depth_range 1 0.1\ncamera fx=1 cx=0 cy=0 center=0,0,0\n"
@@ -621,6 +639,64 @@ class TestBundle:
         msg = str(info.value)
         assert msg.startswith(str(out / "view_0002.pgm"))
         assert "(40, 60, 1)" in msg and "(48, 64, 1)" in msg
+
+
+def _fixed_cloud(colored):
+    points = np.array([[0.5, -1.25, 2.0], [1.0 / 3.0, 0.1, 2.75],
+                       [-0.2, 7.5e-3, 3.1], [2.0, 1e-5, 4.0]])
+    colors = np.array([[0.0, 0.5, 1.0], [0.2, 0.4, 0.6],
+                       [1.0, 1.0, 0.0], [0.01, 0.99, 0.502]])
+    return PointCloud(points, colors if colored else None)
+
+
+# each writer on a fixed small input -> the sha256 of the file it writes
+WRITER_BYTES = {
+    "cam.txt": (
+        lambda p: write_camera(
+            p, np.array([[55.3, 0.17, 31.49], [0, 54.9, 23.51], [0, 0, 1.0]]),
+            np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([0.1, -2.0 / 3.0, 1e-7]), 425.0, 2.6),
+        "34d0fddc19ce4c2730aba2ebb37ab36077348c4a27a7de0adce5ecc5c6f8b18b"),
+    "depth.pfm": (
+        lambda p: write_pfm(p, DepthMap(
+            np.array([[1.5, 2.0 / 3.0, 3.0], [4.25, 9.0, 1e-3]]),
+            np.array([[True, True, True], [True, False, True]]))),
+        "41591b5f3499fcc0172fb3cad193b77b840a1441acf7a29b736f83dd62e3bf19"),
+    "grey.pgm": (
+        lambda p: write_image(p, np.array([[[0.0], [0.5], [1.0]],
+                                           [[0.25], [0.002], [0.998]]])),
+        "0f6ac56653cb9b949104285d2462e96fccff8c81ebc8ac6470eba5bb5c60698a"),
+    "rgb.ppm": (
+        lambda p: write_image(p, np.linspace(0.0, 1.0, 18).reshape(2, 3, 3)),
+        "6d9d374a4b28918496df02eccb2da67f0fdc7c0ead82cdacd97c90c642f73bfb"),
+    "mask.pgm": (
+        lambda p: write_mask_pgm(p, np.array([[True, False, True],
+                                              [False, True, True]])),
+        "87d9aa97180d2bf8b2a4f00ff2979412d7513160cf2192d62c491d2e27cd3419"),
+    "binary_rgb.ply": (
+        lambda p: write_ply(p, _fixed_cloud(True), binary=True),
+        "f4e0992ce2ad0a262828628d1e2faa6e2a4d3a5759d52606986ebffffe5cb0f8"),
+    "binary_xyz.ply": (
+        lambda p: write_ply(p, _fixed_cloud(False), binary=True),
+        "6a259ca84418e9079f56717427827b20f2190259c2ed87eb23f74b589efd4142"),
+    "ascii_rgb.ply": (
+        lambda p: write_ply(p, _fixed_cloud(True), binary=False),
+        "a824185be9e04c64b543f5933c4761141ac4b2ac4d373361ea073e9c8a3530ee"),
+    "ascii_xyz.ply": (
+        lambda p: write_ply(p, _fixed_cloud(False), binary=False),
+        "486ec64e37744a4d67d7481a5cdd499373258c1b6babf99839d133a86d6f3864"),
+}
+
+
+class TestWriterBytes:
+    """Every writer's bytes, not only the values a reader gets back."""
+
+    @pytest.mark.parametrize("name", list(WRITER_BYTES))
+    def test_writer_bytes_are_pinned(self, tmp_path, name):
+        write, digest = WRITER_BYTES[name]
+        path = tmp_path / name
+        write(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

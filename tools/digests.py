@@ -197,10 +197,30 @@ def diff(a: dict, b: dict) -> dict:
     return line
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def load_harness(ap, argv=None):
+    """Parse ``argv`` with ``ap`` and a ``--root`` option, then import the
+    ``bench/harness.py`` of that checkout, with its ``src/`` first on the
+    path and one BLAS/OpenMP thread set before numpy loads, as the bench
+    does. A ``--workload`` the bench lacks is a usage error. Returns
+    (args, harness)."""
     ap.add_argument("--root", type=Path, default=ROOT,
                     help="checkout whose src/ and bench/ are imported")
+    args = ap.parse_args(argv)
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import harness
+
+    unknown = set(getattr(args, "workload", None) or ()) - set(harness.WORKLOADS)
+    if unknown:
+        ap.error(f"unknown workload {sorted(unknown)[0]!r}; the bench has "
+                 f"{', '.join(harness.WORKLOADS)}")
+    return args, harness
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", action="append",
                     help="bench workload (repeatable; default: all)")
     ap.add_argument("--seed", type=int, action="append",
@@ -209,18 +229,7 @@ def main(argv=None) -> int:
                     help="print the largest output differences from checkout "
                          "OTHER in place of the digests")
     ap.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    # One BLAS/OpenMP thread, set before numpy loads, as the bench does.
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    import harness
-
-    unknown = set(args.workload or ()) - set(harness.WORKLOADS)
-    if unknown:
-        ap.error(f"unknown workload {sorted(unknown)[0]!r}; the bench has "
-                 f"{', '.join(harness.WORKLOADS)}")
+    args, harness = load_harness(ap, argv)
     runs = [(w, s) for w in args.workload or list(harness.WORKLOADS)
             for s in args.seed or SEEDS]
     if args.dump is not None:

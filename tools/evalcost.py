@@ -48,14 +48,12 @@ of each. The tool sets no bounds and is not part of the bench.
 import argparse
 import dataclasses
 import json
-import os
 import statistics
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
-from digests import ROOT, THREAD_VARS
+from digests import load_harness
 
 
 def _grid(text: str) -> tuple:
@@ -124,8 +122,6 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--root", type=Path, default=ROOT,
-                    help="checkout whose src/ and bench/ are imported")
     ap.add_argument("--workload", action="append",
                     help="bench workload (repeatable; default: all)")
     ap.add_argument("--grid", type=_grid, action="append",
@@ -134,20 +130,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7, help="view-order seed")
     ap.add_argument("--calls", type=int, default=7,
                     help="timed calls of each evaluation")
-    args = ap.parse_args(argv)
+    args, harness = load_harness(ap, argv)
     if args.calls < 1:
         ap.error("--calls must be at least 1")
-    # One BLAS/OpenMP thread, set before numpy loads, as the bench does.
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    import harness
-
-    unknown = set(args.workload or ()) - set(harness.WORKLOADS)
-    if unknown:
-        ap.error(f"unknown workload {sorted(unknown)[0]!r}; the bench has "
-                 f"{', '.join(harness.WORKLOADS)}")
     for name in args.workload or list(harness.WORKLOADS):
         wl = harness.WORKLOADS[name]
         for width, height in args.grid or [(wl.width, wl.height)]:

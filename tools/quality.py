@@ -52,13 +52,12 @@ The tool sets no bounds and is not part of the bench.
 import argparse
 import dataclasses
 import json
-import os
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 
-from digests import ROOT, THREAD_VARS
+from digests import load_harness
 from evalcost import _grid
 
 GRIDS = ((64, 48), (128, 96), (256, 192))
@@ -145,8 +144,6 @@ def summary(lines) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--root", type=Path, default=ROOT,
-                    help="checkout whose src/ and bench/ are imported")
     ap.add_argument("--scene", action="append", choices=list(SCENES),
                     help="scene (repeatable; default: all)")
     ap.add_argument("--grid", type=_grid, action="append",
@@ -158,16 +155,9 @@ def main(argv=None) -> int:
     ap.add_argument("--texture-seed", type=int, action="append",
                     help="texture seed of the scenes (repeatable; default: "
                          "the harness's)")
-    args = ap.parse_args(argv)
+    args, harness = load_harness(ap, argv)
     if args.outer is not None and args.outer < 0:
         ap.error("--outer must be at least 0")
-    # One BLAS/OpenMP thread, set before numpy loads, as the bench does.
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    import harness
-
     for scene_name in args.scene or list(SCENES):
         for grid in args.grid or GRIDS:
             lines = []
