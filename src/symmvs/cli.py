@@ -87,15 +87,30 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _depth_path(directory, name) -> Path:
+    """The depth map file of the bundle's view ``name`` in ``directory``,
+    which `sweep` and `optimize` write and `fuse` reads: ``view_NNNN``
+    gives ``depth_NNNN.pfm``, the name `eval-depth` pairs with
+    ``view_NNNN_gt.pfm``."""
+    return Path(directory) / f"depth_{name.removeprefix('view_')}.pfm"
+
+
+def _write_depths(out_dir, bundle, depths) -> Path:
+    """Write the depth map of each view of ``bundle`` into ``out_dir``,
+    created if needed, and return its path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, d in zip(fileio.view_names(bundle), depths):
+        fileio.write_pfm(_depth_path(out, name), d)
+    return out
+
+
 def _cmd_sweep(args) -> int:
     DepthHypotheses.check_count(args.hyp_count, "--hyp-count")
     views, d_min, d_interval, _ = fileio.load_bundle(args.bundle)
     hyp = _hypotheses(d_min, d_interval, args.hyp_count)
     depths = solver.init_depths(views, hyp)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, d in enumerate(depths):
-        fileio.write_pfm(out / f"depth_{i:04d}.pfm", d)
+    out = _write_depths(args.out_dir, args.bundle, depths)
     print(f"wrote {len(depths)} depth maps to {out}")
     return 0
 
@@ -117,10 +132,7 @@ def _cmd_optimize(args) -> int:
     )
     state = solver.run_pipeline(views, config)
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, d in enumerate(state.depths):
-        fileio.write_pfm(out / f"depth_{i:04d}.pfm", d)
+    out = _write_depths(args.out_dir, args.bundle, state.depths)
     for (i, j), mask in sorted(state.masks.items()):
         fileio.write_mask_pgm(out / f"mask_{i}_{j}.pgm", mask.valid)
     rows = [",".join(_HISTORY_COLUMNS)]
@@ -140,10 +152,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_fuse(args) -> int:
     views, _, d_interval, _ = fileio.load_bundle(args.bundle)
-    depth_dir = Path(args.depth_dir)
     depths = []
-    for i in range(len(views)):
-        path = depth_dir / f"depth_{i:04d}.pfm"
+    for name in fileio.view_names(args.bundle):
+        path = _depth_path(args.depth_dir, name)
         if not path.exists():
             raise FileNotFoundError(str(path))
         depths.append(fileio.read_pfm(path))
@@ -162,12 +173,11 @@ def _cmd_eval_depth(args) -> int:
         raise FileNotFoundError(f"no PFM files in {pred_dir}")
     rows = []
     for pf in pred_files:
-        gt_path = gt_dir / pf.name
-        if not gt_path.exists():
-            alt = pf.name.replace("depth_", "view_").replace(".pfm", "_gt.pfm")
-            gt_path = gt_dir / alt
-        if not gt_path.exists():
-            raise FileNotFoundError(str(gt_path))
+        names = (pf.name, pf.name.replace("depth_", "view_").replace(".pfm", "_gt.pfm"))
+        gt_path = next((gt_dir / n for n in names if (gt_dir / n).exists()), None)
+        if gt_path is None:
+            raise FileNotFoundError(f"missing ground truth for {pf.name}: "
+                                    f"{gt_dir} holds neither {' nor '.join(names)}")
         m = metrics.depth_metrics(fileio.read_pfm(pf), fileio.read_pfm(gt_path))
         print(f"[{pf.name}]")
         for line in m.report_lines():
@@ -203,10 +213,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SymmvsError, OSError, ValueError) as exc:
+    except (_UsageError, SymmvsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,17 +58,11 @@ The leaves add the passes up in their ``.grad``. A gradient evaluation
 samples each ordered pair twice, and its peak is about twice a value
 evaluation's.
 
-Data that depends only on the cameras and images lives in a `ViewContext`,
-which `solver.refine` builds once per run and hands to every mask update
-and evaluation: its n(n - 1) camera records (`geometry.ViewPair`) are
-built once per run and live as long as it does. A one-shot pass, one
-given no context (`total_loss`, a `compute_all_masks` or a
-`solver.loss_gradient` without one), holds one unordered pair's two
-records at a time: it builds them when it reaches the pair and drops them
-after it, and a gradient's second-order replay of the pair builds them
-again. Such an evaluation builds the image-only data for itself. Data
-that depends on the depths is computed once per mask update or
-evaluation, but for the gradient's rebuilt second-order images: each
+Data that depends only on the cameras and images lives in a `ViewContext`
+(a pair's camera record is a 3x3 matrix and a few numbers), which
+`solver.refine` builds once per run and a pass given none builds for
+itself. Data that depends on the depths is computed once per mask update
+or evaluation, but for the gradient's rebuilt second-order images: each
 ordered pair's sampling serves every warp of the pair, and each
 synthesized image's `photometry.reference_stats` every term that compares
 it, also when all of them are skipped.
@@ -207,25 +201,9 @@ class LossBreakdown:
         return lines
 
 
-class _ImageContext:
-    """The image-only part of a `ViewContext`, which a one-shot evaluation
-    builds for itself. It holds no records (``pairs`` is None):
-    `_pair_records` builds the two records of each unordered pair when the
-    pass reaches it, and the pass drops them after it."""
-
-    pairs = None
-
-    def __init__(self, views, weights: LossWeights):
-        _check_views(views, "the objective")
-        self.alphas = (weights.alpha1, weights.alpha2)
-        self.grid = views[0].image.shape[:2]
-        self.refs = [photometry.reference_stats(v.image) for v in views]
-        self.edges = [photometry.edge_weights(v.image, *self.alphas) for v in views]
-
-
-class ViewContext(_ImageContext):
-    """What one refinement run derives from its views' cameras and images
-    alone, all computed when it is built.
+class ViewContext:
+    """What a pass derives from its views' cameras and images alone, all
+    computed when it is built.
 
     ``grid`` is the views' shared image grid; ``pairs[t, s]`` the
     `geometry.ViewPair` of every ordered pair (target t, source s);
@@ -235,18 +213,17 @@ class ViewContext(_ImageContext):
     each with an image (ValueError) of one shape, at least 2 by 2
     (ShapeMismatch), each error naming the view at fault. Nothing but the
     read-only per-grid caches (`photometry.box_norm`, the pixel grid of
-    `geometry.view_rays`) outlives the context, so a run that creates one
-    and drops it on return leaves no state of its views behind.
-
-    A context holds all n(n - 1) records for as long as it lives, which
-    `solver.refine` pays once per run so that no evaluation rebuilds one.
-    A pass given no context holds one unordered pair's two records at a
-    time.
+    `geometry.sampling_chain`) outlives the context, so a run that creates
+    one and drops it on return leaves no state of its views behind.
     """
 
     def __init__(self, views, weights: LossWeights):
-        super().__init__(views, weights)
+        _check_views(views, "the objective")
+        self.alphas = (weights.alpha1, weights.alpha2)
+        self.grid = views[0].image.shape[:2]
         self.pairs = geometry.pair_records(views, self.grid)
+        self.refs = [photometry.reference_stats(v.image) for v in views]
+        self.edges = [photometry.edge_weights(v.image, *self.alphas) for v in views]
 
 
 def _check_views(views, user: str):
@@ -301,8 +278,7 @@ def _check_masks(masks, n, grid):
 # -- occlusion reasoning -------------------------------------------------------
 
 
-def compute_all_masks(views, depths, weights: LossWeights,
-                      context: ViewContext | None = None) -> dict:
+def compute_all_masks(views, depths, weights: LossWeights) -> dict:
     """Occlusion masks for every ordered view pair at the current depths.
 
     Mask (t, s) warps view t's depth onto view s and back; a pixel stays
@@ -310,34 +286,28 @@ def compute_all_masks(views, depths, weights: LossWeights,
     trip moves its depth by at most ``weights.tau_occ``, which
     `LossWeights` has checked to be positive.
 
-    ``context`` is the run's `ViewContext` over ``views``, if it has one.
     A depth map count other than the view count raises ShapeMismatch, and
-    so does a depth map off its view's image grid, off the context's grid,
-    or off view 0's depth grid, naming its view. Each ordered pair is
-    sampled once, at its target's depth: (t, s) serves the second warp of
-    mask (t, s) and the first of mask (s, t), which are computed together,
-    one unordered pair at a time, so only that pair's two samplings are
-    held at once. Without a context, that pair's two records are built
-    there and dropped with its samplings, so the pass holds one unordered
-    pair's records at a time; with one, it reads the context's.
+    so does a depth map off its view's image grid or off view 0's depth
+    grid, naming its view. Each ordered pair is sampled once, at its
+    target's depth: (t, s) serves the second warp of mask (t, s) and the
+    first of mask (s, t), which are computed together, one unordered pair
+    at a time, so only that pair's two samplings are held at once.
     """
-    grid = (context.grid if context is not None
-            else depths[0].values.shape if depths else None)
+    grid = depths[0].values.shape if depths else None
     check_depths(depths, views, grid)
+    records = geometry.pair_records(views, grid)
     n = len(views)
-    pairs = None if context is None else context.pairs
     valid = {}
     for i in range(n):
         for j in range(i + 1, n):
-            valid.update(_pair_masks(views, grid, pairs, depths, weights.tau_occ, i, j))
+            valid.update(_pair_masks(records, depths, weights.tau_occ, i, j))
     return {(i, j): OcclusionMask((i, j), valid[i, j])
             for i in range(n) for j in range(n) if i != j}
 
 
-def _pair_masks(views, grid, pairs, depths, tau_occ, i, j) -> dict:
+def _pair_masks(records, depths, tau_occ, i, j) -> dict:
     """The round-trip flags of masks (i, j) and (j, i), keyed by them: see
-    `compute_all_masks`. The pair's records and samplings die on return."""
-    records = _pair_records(views, grid, pairs, i, j)
+    `compute_all_masks`. The pair's samplings die on return."""
     values = [d.values for d in depths]
     samplings = _pair_samplings(records, values, depths, i, j)
     valid = {}
@@ -349,17 +319,6 @@ def _pair_masks(views, grid, pairs, depths, tau_occ, i, j) -> dict:
         valid[t, s] = (back_ok & depths[t].valid
                        & (np.abs(depths[t].values - value_of(back)) <= tau_occ))
     return valid
-
-
-def _pair_records(views, grid, pairs, i, j) -> dict:
-    """The `geometry.ViewPair` records of (i, j) and (j, i), keyed by them
-    in that order: read from ``pairs``, a `ViewContext`'s records of every
-    ordered pair, or, when it is None, built now on ``grid``."""
-    keys = ((i, j), (j, i))
-    if pairs is None:
-        return {(t, s): geometry.pair_coefficients(views[t], views[s], *grid)
-                for t, s in keys}
-    return {key: pairs[key] for key in keys}
 
 
 def _pair_samplings(records, values, depths, i, j) -> dict:
@@ -381,11 +340,9 @@ def _pair_warps(ctx, views, leaves, depths, i, j):
     ``second[t, s]`` view s's ``first`` of view t pulled back onto view t's
     grid, and ``dwarp[t, s]`` view s's depth re-expressed on view t's
     grid. The second-order images are plain values, whatever the leaves
-    (`_second_orders` rebuilds them on a tape). The two samplings, and the
-    two records when ``ctx`` holds none (`_pair_records`), die on
+    (`_second_orders` rebuilds them on a tape). The two samplings die on
     return."""
-    records = _pair_records(views, ctx.grid, ctx.pairs, i, j)
-    samplings = _pair_samplings(records, leaves, depths, i, j)
+    samplings = _pair_samplings(ctx.pairs, leaves, depths, i, j)
     keys = tuple(samplings)
     first = {(t, s): geometry.synth_values(samplings[t, s], views[s].image)
              for t, s in keys}
@@ -395,7 +352,7 @@ def _pair_warps(ctx, views, leaves, depths, i, j):
         image, valid = first[s, t]
         second[t, s] = geometry.synth_values((value_of(x), value_of(y), ok, taps),
                                              value_of(image), valid)
-    dwarp = {(t, s): geometry.warp_depth_values(records[t, s], samplings[t, s],
+    dwarp = {(t, s): geometry.warp_depth_values(ctx.pairs[t, s], samplings[t, s],
                                                 leaves[s], depths[s].valid)
              for t, s in keys}
     return first, second, dwarp
@@ -406,10 +363,8 @@ def _second_orders(ctx, views, leaves, depths, i, j, keys):
     ``keys`` of the unordered pair (i, j), with the same bits, rebuilt on
     the depth leaves of views i and j: (i, j) and (j, i) are sampled once
     each, and each image is view t's own, synthesized on view s's grid and
-    pulled back onto view t's. When ``ctx`` holds no records, the pair's
-    two are built again here (`_pair_records`)."""
-    samplings = _pair_samplings(_pair_records(views, ctx.grid, ctx.pairs, i, j),
-                                leaves, depths, i, j)
+    pulled back onto view t's."""
+    samplings = _pair_samplings(ctx.pairs, leaves, depths, i, j)
     return [geometry.synth_values(
                 samplings[t, s], *geometry.synth_values(samplings[s, t], views[t].image))[0]
             for t, s in keys]
@@ -439,16 +394,13 @@ def _evaluate(views, depths, masks, weights, with_grad=False, context=None):
     back with its weight from `TERMS` as soon as its group is done (see
     the module docstring); the breakdown's sums read the same weights.
     Camera- and image-only data comes from ``context``, the run's
-    `ViewContext`. Without one, this evaluation builds the image-only part
-    for itself and each unordered pair's two records at that pair's
-    stage, dropped after it; a gradient's second-order replay of the pair
-    builds them again. A context built for other alphas raises ValueError;
-    a depth map count other than the view count, a depth map off its grid,
-    or a missing ordered pair's mask or one off the grid raises
-    ShapeMismatch. A term whose mask is empty records zero and lands in
-    ``skipped`` under its `TermKind.label`.
+    `ViewContext`, or one built here. A context built for other alphas
+    raises ValueError; a depth map count other than the view count, a
+    depth map off its grid, or a missing ordered pair's mask or one off
+    the grid raises ShapeMismatch. A term whose mask is empty records zero
+    and lands in ``skipped`` under its `TermKind.label`.
     """
-    ctx = context if context is not None else _ImageContext(views, weights)
+    ctx = context if context is not None else ViewContext(views, weights)
     if ctx.alphas != (weights.alpha1, weights.alpha2):
         raise ValueError(f"the view context's edge weights are for (alpha1, "
                          f"alpha2) = {ctx.alphas}, the loss weights give "
@@ -569,9 +521,6 @@ def total_loss(state: SceneState) -> LossBreakdown:
     """Evaluate the full objective; every term lands in the breakdown.
 
     The grand total is the sum of the per-pair synthesis terms plus the
-    consistency total. This is a one-shot pass: it gets no `ViewContext`,
-    so it builds the image-only data for itself and holds one unordered
-    pair's two camera records at a time, built when the evaluation
-    reaches the pair and dropped after it.
+    consistency total. The evaluation builds its own `ViewContext`.
     """
     return _evaluate(state.views, state.depths, state.masks, state.weights)[0]

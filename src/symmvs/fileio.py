@@ -37,6 +37,7 @@ __all__ = [
     "read_scene_config",
     "read_run_config",
     "write_bundle",
+    "view_names",
     "load_bundle",
 ]
 
@@ -530,22 +531,31 @@ def write_bundle(out_dir, views, depth_min: float, depth_interval: float,
             write_pfm(out / f"view_{i:04d}_gt.pfm", gt_depths[i])
 
 
+def view_names(bundle_dir) -> list:
+    """The name ``view_NNNN`` of every view of a bundle directory, in the
+    order `load_bundle` loads them: that of its sorted camera files."""
+    bundle = Path(bundle_dir)
+    names = [p.name[: -len("_cam.txt")] for p in sorted(bundle.glob("view_*_cam.txt"))]
+    if not names:
+        raise ParseError(f"{bundle}: no camera files (view_*_cam.txt)")
+    return names
+
+
 def load_bundle(bundle_dir) -> tuple:
     """Load a bundle directory written by `write_bundle`.
 
-    Returns (views, depth_min, depth_interval, gt_depths_or_None). Every
-    image must have a matching camera file, and all shapes and camera depth
-    ranges must agree; errors name the camera or image file at fault.
+    Returns (views, depth_min, depth_interval, gt_depths_or_None), the
+    views in `view_names` order. Every image must have a matching camera
+    file, and all shapes and camera depth ranges must agree; errors name
+    the camera or image file at fault.
     """
     bundle = Path(bundle_dir)
-    cam_files = sorted(bundle.glob("view_*_cam.txt"))
-    if not cam_files:
-        raise ParseError(f"{bundle}: no camera files (view_*_cam.txt)")
+    names = view_names(bundle)
     views = []
     gt = []
     d_min = d_int = None
-    for cam_path in cam_files:
-        stem = cam_path.name[: -len("_cam.txt")]
+    for stem in names:
+        cam_path = bundle / f"{stem}_cam.txt"
         img_path = next((p for p in (bundle / f"{stem}.pgm", bundle / f"{stem}.ppm")
                          if p.exists()), None)
         if img_path is None:
@@ -555,7 +565,7 @@ def load_bundle(bundle_dir) -> tuple:
             d_min, d_int = dm, di
         elif (dm, di) != (d_min, d_int):
             raise ParseError(f"{cam_path}: depth range {dm} {di} differs from "
-                             f"{cam_files[0].name}'s {d_min} {d_int}")
+                             f"{names[0]}_cam.txt's {d_min} {d_int}")
         image = read_image(img_path)
         if views and image.shape != views[0].image.shape:
             raise ParseError(f"{img_path}: image is {image.shape}, the first "

@@ -14,23 +14,21 @@ Conventions
 
 One camera model serves every stage, and only this module turns cameras
 into records. `pair_coefficients` builds the `ViewPair` record of an
-ordered (target, source) pair from the two cameras and the grid alone, and
-`pair_records` those of a view list, so callers build each once: a sweep
-once per reference view and pyramid level, its row bands reading row views
-of it (`ViewPair.band`), a refine run once (`consistency.ViewContext`), a
-fusion once per call, and a one-shot mask or loss pass each unordered
-pair's two when it reaches the pair (`consistency`). The per-depth functions
-read a record and no camera. `sampling_chain` sends
-a target pixel at depth d to the homogeneous source pixel ``a * d + b``;
-`pair_sampling`, at per-pixel depths or one constant sweep depth, bundles
-what every warp of the pair reads: the chain's coordinates, the flag of
-samples in front, in bounds and at a valid target depth, and the
-`autodiff.bilinear_taps` at that flag. It reads no source data, so the
-sweep's feature gathers, both syntheses of a pair and its depth warp share
-one (`synth_values`, `warp_depth_values`). Where a warp checks the
-validity of the sampled grid, the check and the sampler read those taps,
-computed at the flag before the check narrows it (`autodiff.bilinear`
-explains why the result is the same as with taps at the narrowed mask).
+ordered (target, source) pair, a 3x3 matrix and a few numbers, from the
+two cameras and the grid alone, and `pair_records` those of a view list; a
+record costs microseconds, so every pass builds its own. The per-depth
+functions read a record and no camera. `sampling_chain` sends the target
+pixel (x, y) at depth d to the homogeneous source pixel
+``m (x, y, 1) d + b``; `pair_sampling`, at per-pixel depths or one
+constant sweep depth, bundles what every warp of the pair reads: the
+chain's coordinates, the flag of samples in front, in bounds and at a
+valid target depth, and the `autodiff.bilinear_taps` at that flag. It
+reads no source data, so the sweep's feature gathers, both syntheses of a
+pair and its depth warp share one (`synth_values`, `warp_depth_values`).
+Where a warp checks the validity of the sampled grid, the check and the
+sampler read those taps, computed at the flag before the check narrows it
+(`autodiff.bilinear` explains why the result is the same as with taps at
+the narrowed mask).
 """
 
 from __future__ import annotations
@@ -236,12 +234,13 @@ def relative_motion(src: CameraView, dst: CameraView):
 
 
 @lru_cache(maxsize=32)
-def _pixel_grid(height: int, width: int):
-    """Column and row coordinates of every pixel; shared by every caller,
-    so they are read-only."""
-    grid = np.mgrid[0:height, 0:width].astype(np.float64)
+def _pixel_grid(height: int, width: int) -> np.ndarray:
+    """The homogeneous coordinates (x, y, 1) of every pixel, (3, H, W);
+    shared by every caller, so read-only."""
+    grid = np.ones((3, height, width))
+    grid[1::-1] = np.mgrid[0:height, 0:width]
     grid.flags.writeable = False
-    return grid[1], grid[0]
+    return grid
 
 
 def _rays(cam: CameraView, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -256,7 +255,7 @@ def _rays(cam: CameraView, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def view_rays(cam: CameraView, height: int, width: int) -> np.ndarray:
     """Backprojected ray per pixel, K^-1 @ (x, y, 1); z-component exactly 1."""
-    return _rays(cam, *_pixel_grid(height, width))
+    return _rays(cam, *_pixel_grid(height, width)[:2])
 
 
 # Tolerance band on the bounds test: coordinates that land on an image
@@ -315,7 +314,7 @@ def plane_homography(src: CameraView, dst: CameraView, depth: float) -> np.ndarr
 def warp_field_from_homography(hmat: np.ndarray, height: int, width: int) -> WarpField:
     """Apply a homography to the full pixel grid and flag usable samples:
     in front of the camera and inside the grid."""
-    gx, gy = _pixel_grid(height, width)
+    gx, gy, _ = _pixel_grid(height, width)
     den = hmat[2, 0] * gx + hmat[2, 1] * gy + hmat[2, 2]
     front = den > 1e-12
     den_safe = np.where(front, den, 1.0)
@@ -354,10 +353,11 @@ class ViewPair:
     target rows ``rows`` = (top, bottom) of it, so every per-depth result
     has ``bottom - top`` rows, while bounds and bilinear taps address the
     whole source grid. ``same`` flags identical cameras, whose chain is the
-    exact pixel grid of those rows. ``a`` (3, bottom - top, W) and ``b``
-    are the chain's ``K_s R_ts ray(x, y)`` and ``K_s t_ts``, for the
-    motion from target to source. The source-frame point
-    ``K_s^-1 (x, y, 1) d`` has the target-frame z
+    exact pixel grid of those rows. ``m`` = ``K_s R_ts K_t^-1`` (the
+    infinite homography) and ``b`` = ``K_s t_ts`` map the target pixel
+    (x, y) at depth d to the homogeneous source pixel
+    ``m (x, y, 1) d + b``, for the motion from target to source. The
+    source-frame point ``K_s^-1 (x, y, 1) d`` has the target-frame z
     ``(z_row @ (x, y, 1)) * d + z_off``: ``z_row = R_st[2] @ K_s^-1`` and
     ``z_off = t_st[2]``.
     """
@@ -365,20 +365,19 @@ class ViewPair:
     grid: tuple
     rows: tuple
     same: bool
-    a: np.ndarray
+    m: np.ndarray
     b: np.ndarray
     z_row: np.ndarray
     z_off: float
 
     def band(self, top: int, bottom: int) -> "ViewPair":
         """The record over the grid's target rows [top, bottom), which lie
-        within this record's rows (else ValueError): a row view of ``a``."""
+        within this record's rows (else ValueError)."""
         first, last = self.rows
         if not first <= top < bottom <= last:
             raise ValueError(f"rows ({top}, {bottom}) lie outside the record's "
                              f"rows {self.rows}")
-        return replace(self, rows=(top, bottom),
-                       a=self.a[:, top - first:bottom - first])
+        return replace(self, rows=(top, bottom))
 
 
 def pair_coefficients(target: CameraView, source: CameraView, height: int,
@@ -386,13 +385,12 @@ def pair_coefficients(target: CameraView, source: CameraView, height: int,
     """The `ViewPair` record of (target, source) over every row of a
     (height, width) grid."""
     r_ts, t_ts = relative_motion(target, source)
-    a = view_rays(target, height, width) @ (source.intrinsics @ r_ts).T
     r_st, t_st = relative_motion(source, target)
     return ViewPair(
         grid=(height, width),
         rows=(0, height),
         same=same_camera(target, source),
-        a=np.ascontiguousarray(np.moveaxis(a, -1, 0)),
+        m=source.intrinsics @ r_ts @ intrinsics_inverse(target.intrinsics),
         b=source.intrinsics @ t_ts,
         z_row=r_st[2] @ intrinsics_inverse(source.intrinsics),
         z_off=t_st[2],
@@ -417,30 +415,39 @@ def sampling_chain(pair: ViewPair, target_depth_values):
     tape node each over it. Identical cameras short-circuit to the
     exact pixel grid of the pair's rows.
     """
-    if pair.same:
-        top, bottom = pair.rows
-        gx, gy = (g[top:bottom] for g in _pixel_grid(*pair.grid))
-        front = value_of(target_depth_values) > 0.0
-        return gx, gy, front
-
-    a, b = pair.a, pair.b
+    top, bottom = pair.rows
+    grid = _pixel_grid(*pair.grid)[:, top:bottom]
     d = target_depth_values
     dv = value_of(d)
-    qx = a[0] * dv + b[0]
-    qy = a[1] * dv + b[1]
+    if pair.same:
+        return grid[0], grid[1], dv > 0.0
+
+    # the homogeneous source pixels q = m (x, y, 1) d + b, each m[i] @
+    # (x, y, 1) summed in that order
+    m, b = pair.m, pair.b
+    if np.ndim(dv) == 0:
+        # one depth for every pixel, as a sweep hypothesis, folds into the
+        # matrix, q = (d m + b e_3^T) (x, y, 1); a constant is no Var, so
+        # no VJP reads ``a``
+        c = m * dv
+        c[:, 2] += b
+        a, q = None, np.einsum("ij,jhw->ihw", c, grid)
+    else:
+        a = np.einsum("ij,jhw->ihw", m, grid)
+        q = a * dv + b[:, None, None]
     # K's bottom row is (0, 0, 1), so the projective divisor is the source-
     # camera z directly.
-    z = a[2] * dv + b[2]
+    z = q[2]
     front = z > 1e-12
     z_safe = np.where(front, z, 1.0)
 
-    def coordinate(q, a_q):
+    def coordinate(i):
         # d(q / z)/dd = (a_q - (q / z) a_z) / z where z is not clamped to 1
-        p = q / z_safe
+        p = q[i] / z_safe
         return ad.fused(p, (d,), lambda g: (
-            g / z_safe * (a_q - np.where(front, p, 0.0) * a[2]),))
+            g / z_safe * (a[i] - np.where(front, p, 0.0) * a[2]),))
 
-    return coordinate(qx, a[0]), coordinate(qy, a[1]), front
+    return coordinate(0), coordinate(1), front
 
 
 def pair_sampling(pair: ViewPair, target_depth_values, target_depth_valid):

@@ -355,6 +355,20 @@ def unary_comparator(ref, syn, mask, weights: LossWeights):
 # -- smoothness -------------------------------------------------------------------
 
 
+def _first_differences(a):
+    """The first-order smoothness stencils of a grid (a depth map, or an
+    image with channels last): the differences along x and along y from
+    every pixel but those of the last row and column."""
+    return a[:-1, 1:] - a[:-1, :-1], a[1:, :-1] - a[:-1, :-1]
+
+
+def _laplacian(a):
+    """The second-order smoothness stencil of a grid: the 5-point
+    Laplacian at every pixel off the border."""
+    return (a[1:-1, 2:] + a[1:-1, :-2] + a[2:, 1:-1] + a[:-2, 1:-1]
+            - 4.0 * a[1:-1, 1:-1])
+
+
 def edge_weights(image, alpha1: float, alpha2: float):
     """The image-only factors of `smoothness_term`: ``exp(-alpha1 |grad I|)``
     on the first-order stencils and ``exp(-alpha2 |lap I|)`` on the
@@ -363,15 +377,10 @@ def edge_weights(image, alpha1: float, alpha2: float):
     h, w = img.shape[:2]
     first = second = None
     if h >= 2 and w >= 2:
-        gi = (channel_mean(np.abs(img[:-1, 1:] - img[:-1, :-1]))
-              + channel_mean(np.abs(img[1:, :-1] - img[:-1, :-1])))
-        first = np.exp(-alpha1 * gi)
+        dx, dy = _first_differences(img)
+        first = np.exp(-alpha1 * (channel_mean(np.abs(dx)) + channel_mean(np.abs(dy))))
     if h >= 3 and w >= 3:
-        lap_i = channel_mean(np.abs(
-            img[1:-1, 2:] + img[1:-1, :-2] + img[2:, 1:-1] + img[:-2, 1:-1]
-            - 4.0 * img[1:-1, 1:-1]
-        ))
-        second = np.exp(-alpha2 * lap_i)
+        second = np.exp(-alpha2 * channel_mean(np.abs(_laplacian(img))))
     return first, second
 
 
@@ -389,8 +398,7 @@ def smoothness_term(depth_values, depth_valid, edges):
     total = 0.0
 
     if first is not None:
-        dx = d[:-1, 1:] - d[:-1, :-1]
-        dy = d[1:, :-1] - d[:-1, :-1]
+        dx, dy = _first_differences(d)
         grad_d = np.abs(dx) + np.abs(dy)
         ok = depth_valid[:-1, :-1] & depth_valid[:-1, 1:] & depth_valid[1:, :-1]
         w1 = first * ok
@@ -398,10 +406,7 @@ def smoothness_term(depth_values, depth_valid, edges):
         total = total + (grad_d * w1).sum() / n1
 
     if second is not None:
-        lap_d = (
-            d[1:-1, 2:] + d[1:-1, :-2] + d[2:, 1:-1] + d[:-2, 1:-1]
-            - 4.0 * d[1:-1, 1:-1]
-        )
+        lap_d = _laplacian(d)
         ok = (
             depth_valid[1:-1, 1:-1]
             & depth_valid[1:-1, 2:]

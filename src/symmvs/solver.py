@@ -172,8 +172,8 @@ def _sweep_reference(pairs, feats, ref: int, hypotheses: DepthHypotheses):
     the grid of ``feats``, the pyramid level `_swept_level` picked for it,
     and the number of its pixels whose cost minimum sits at a range end.
 
-    Its whole-grid `geometry.ViewPair` records ``pairs`` of that level serve,
-    as row views, every band.
+    Its whole-grid `geometry.ViewPair` records ``pairs`` of that level serve
+    every band (`ViewPair.band`).
     Cost, smoothing and regression are independent per row apart from the
     3x3x3 smoothing window, so each band's volume carries one halo row on
     either side (clipped at the image edges) and keeps only its own rows:
@@ -278,8 +278,9 @@ def loss_gradient(state: SceneState, context=None, breakdown: bool = False):
 
     Masks are held fixed; the census term is locally constant and
     contributes nothing; invalid pixels get exactly zero. ``context`` is
-    the run's `consistency.ViewContext` over ``state.views``, if any. The
-    gradient is what the evaluation leaves in its depth leaves' ``.grad``:
+    the run's `consistency.ViewContext` over ``state.views``; without
+    one, the evaluation builds its own. The gradient is what the
+    evaluation leaves in its depth leaves' ``.grad``:
     it pushes each group of terms back with their weights in the objective
     as soon as the group is done, so no tape outlives its group, and every
     leaf enters its view's smoothness term. With ``breakdown``, returns
@@ -326,14 +327,12 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
     best depths found so far are returned. ``state.stop_reason`` says which
     of `STOP_REASONS` ended the run.
 
-    Camera- and image-only data is computed once per run, in one
-    `consistency.ViewContext` that is dropped on return; a run with
-    ``max_outer_iters == 0`` only updates the masks and builds none, so
-    its one mask pass holds one unordered pair's camera records at a
-    time. Loss terms skipped for an empty mask are logged once per mask
-    phase, with counts. Every mask and loss reads ``state.weights``, so
-    weights that differ from ``config.weights`` raise ValueError naming
-    the fields.
+    The loss evaluations read camera- and image-only data computed once
+    per run, in one `consistency.ViewContext` that is dropped on return.
+    Loss terms skipped for an empty mask are logged once per mask phase,
+    with counts. Every mask and loss reads ``state.weights``, so weights
+    that differ from ``config.weights`` raise ValueError naming the
+    fields.
     """
     if state.weights != config.weights:
         fields = [f for f in vars(config.weights)
@@ -351,7 +350,7 @@ def refine(state: SceneState, config: SolverConfig) -> SceneState:
 
     for outer in range(config.max_outer_iters):
         state.masks = consistency.compute_all_masks(state.views, state.depths,
-                                                    state.weights, context)
+                                                    state.weights)
         # the phase's first gradient evaluation also gives its start value;
         # every later state was value-evaluated as the trial that got
         # accepted, so each state is evaluated once

@@ -111,9 +111,9 @@ def build_cost_volume(pairs, features, ref: int,
     """Sweep depth hypotheses and score cross-view feature agreement.
 
     ``pairs[ref, s]`` is the `geometry.ViewPair` record of every source s
-    (`geometry.pair_records`), or its row view (`ViewPair.band`): the
-    volume covers the records' rows, and each entry has the bits of the
-    whole-image volume's entry. Sources are sampled over their whole
+    (`geometry.pair_records`), or its record over a band of rows
+    (`ViewPair.band`): the volume covers the records' rows, and each entry
+    has the bits of the whole-image volume's entry. Sources are sampled over their whole
     images. The population variance is accumulated from pairwise squared
     differences, so identical contributions give exactly zero cost.
     ``features`` holds one channel-first (F, H, W) array per view, F >= 1,

@@ -741,8 +741,12 @@ def unary_comparator_chain(a, b, mask, weights, norm):
 
 def sampling_chain_ops(pair, d):
     """`geometry.sampling_chain` of a distinct-camera pair at depths ``d``
-    (a Var or plain)."""
-    a, b = pair.a, pair.b
+    (a Var or plain): the pixel (x, y) of the pair's rows goes to the
+    homogeneous source pixel ``m (x, y, 1) d + b``."""
+    m, b = pair.m, pair.b
+    top, bottom = pair.rows
+    gy, gx = np.mgrid[top:bottom, 0:pair.grid[1]].astype(np.float64)
+    a = [m[i, 0] * gx + m[i, 1] * gy + m[i, 2] for i in range(3)]
     d = lift(d)
     qx = a[0] * d + b[0]
     qy = a[1] * d + b[1]

@@ -166,6 +166,34 @@ def test_malformed_ply_exits_1_naming_its_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_outputs_follow_the_bundles_view_numbers(tmp_path, capsys):
+    # a 4-view bundle without view_0000: every output and every reader
+    # names a view by its number in the bundle, not by its position
+    scene, bundle, out = tmp_path / "four.cfg", tmp_path / "b", tmp_path / "out"
+    scene.write_text(SCENE_CFG.replace(
+        "camera fx=42 cx=23.5 cy=17.5 center=0.4,0,0\n",
+        "camera fx=42 cx=23.5 cy=17.5 center=0.4,0,0\n"
+        "camera fx=42 cx=23.5 cy=17.5 center=0.8,0,0\n"))
+    assert main(["synth", str(scene), str(bundle)]) == 0
+    for path in bundle.glob("view_0000*"):
+        path.unlink()
+    assert main(["sweep", str(bundle), str(out), "--hyp-count", "32"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "depth_0001.pfm", "depth_0002.pfm", "depth_0003.pfm"]
+    capsys.readouterr()
+    assert main(["eval-depth", str(out), str(bundle)]) == 0
+    blocks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[")]
+    assert blocks == ["[depth_0001.pfm]", "[depth_0002.pfm]", "[depth_0003.pfm]"]
+    assert main(["fuse", str(out), str(bundle), str(tmp_path / "out.ply")]) == 0
+    (bundle / "view_0002_gt.pfm").unlink()
+    capsys.readouterr()
+    assert main(["eval-depth", str(out), str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert "error: missing ground truth for depth_0002.pfm" in err
+    assert "view_0002_gt.pfm" in err
+
+
 def test_fuse_missing_depth_file_exits_1(workspace, tmp_path, capsys):
     empty = tmp_path / "no_depths"
     empty.mkdir()

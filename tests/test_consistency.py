@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from symmvs import (
     DepthMap,
     LossWeights,
     compute_all_masks,
-    consistency,
     fusion,
     geometry,
     photometry,
@@ -467,10 +465,6 @@ class TestViewContext:
         ctx = ViewContext(views, weights)
         for depths in self.candidates(gt, 1.0, 5.0):
             masks = compute_all_masks(views, depths, weights)
-            kept = compute_all_masks(views, depths, weights, ctx)
-            assert masks.keys() == kept.keys()
-            for key in masks:
-                assert np.array_equal(masks[key].valid, kept[key].valid)
             state = SceneState(views, depths, masks, weights)
             fresh_bd = total_loss(state)
             kept_bd, _ = _evaluate(views, depths, masks, weights, False, ctx)
@@ -510,14 +504,13 @@ class TestViewContext:
         views, gt, weights = (plane_scene["views"], plane_scene["gt"],
                               plane_scene["weights"])
         ctx = ViewContext(views, weights)
-        masks = compute_all_masks(views, gt, weights, ctx)
+        masks = compute_all_masks(views, gt, weights)
         for rows, cols in [(48, 63), (40, 64)]:
             off = DepthMap(gt[2].values[:rows, :cols], gt[2].valid[:rows, :cols])
             depths = gt[:2] + [off]
             message = rf"^view 2 depth map is \({rows}, {cols}\)"
-            for context in (ctx, None):
-                with pytest.raises(ShapeMismatch, match=message):
-                    compute_all_masks(views, depths, weights, context)
+            with pytest.raises(ShapeMismatch, match=message):
+                compute_all_masks(views, depths, weights)
             with pytest.raises(ShapeMismatch, match=message):
                 _evaluate(views, depths, masks, weights, False, ctx)
             with pytest.raises(ShapeMismatch, match=message):
@@ -563,7 +556,7 @@ class TestViewContext:
         views, gt, weights = (plane_scene["views"], plane_scene["gt"],
                               plane_scene["weights"])
         ctx = ViewContext(views, weights)
-        masks = compute_all_masks(views, gt, weights, ctx)
+        masks = compute_all_masks(views, gt, weights)
         other = dataclasses.replace(weights, **change)
         with pytest.raises(ValueError, match="alpha1, alpha2"):
             _evaluate(views, gt, masks, other, False, ctx)
@@ -685,72 +678,32 @@ class TestSharedWork:
             assert value == compare(a, b, m)
 
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
-    @pytest.mark.parametrize("kept", [False, True])
-    def test_mask_pass_samples_each_ordered_pair_once(self, scene, kept, request,
-                                                      monkeypatch):
-        views, depths, _, weights, ctx = self.state(request.getfixturevalue(scene))
+    @pytest.mark.parametrize("in_refine", [False, True])
+    def test_mask_pass_samples_each_ordered_pair_once(self, scene, in_refine,
+                                                      request, monkeypatch):
+        # alone, or as the one mask update of a refine run capped at zero
+        # outer iterations: either builds its own records
+        sc = request.getfixturevalue(scene)
+        views, depths, _, weights, _ = self.state(sc)
         weights = dataclasses.replace(weights, tau_occ=0.05)
         alone = {(i, j): round_trip_mask(views, depths, i, j, weights.tau_occ)
                  for i in range(len(views)) for j in range(len(views)) if i != j}
         calls = self.counting(monkeypatch, geometry,
                               ["pair_sampling", "pair_coefficients"])
-        masks = compute_all_masks(views, depths, weights, ctx if kept else None)
+        if in_refine:
+            masks = refine(SceneState(views, depths, {}, weights),
+                           SolverConfig(sc["hyp"], max_outer_iters=0,
+                                        weights=weights)).masks
+        else:
+            masks = compute_all_masks(views, depths, weights)
         n = len(views)
         assert calls == {"pair_sampling": n * (n - 1),
-                         "pair_coefficients": 0 if kept else n * (n - 1)}
+                         "pair_coefficients": n * (n - 1)}
         assert masks.keys() == alone.keys()
         assert any(not m.all() for m in alone.values())
         for key, m in masks.items():
             assert m.pair == key
             assert same_bytes(m.valid, alone[key]), key
-
-    @pytest.mark.parametrize("run", [
-        lambda state: compute_all_masks(state.views, state.depths, state.weights),
-        total_loss,
-        loss_gradient,
-    ], ids=["masks", "total_loss", "gradient"])
-    def test_one_shot_pass_holds_one_pairs_records(self, occluder4_scene, run,
-                                                   monkeypatch):
-        # four views have twelve records; a pass without a context builds
-        # each unordered pair's two when it reaches the pair and drops them
-        views, depths, masks, weights, _ = self.state(occluder4_scene)
-        alive, held = weakref.WeakSet(), []
-        coefficients = geometry.pair_coefficients
-        samplings = consistency._pair_samplings
-
-        def building(*args):
-            held.append(len(alive))
-            record = coefficients(*args)
-            alive.add(record)
-            return record
-
-        def sampling(records, *args):
-            held.append(len(alive))
-            return samplings(records, *args)
-
-        monkeypatch.setattr(geometry, "pair_coefficients", building)
-        monkeypatch.setattr(consistency, "_pair_samplings", sampling)
-        run(SceneState(views, depths, masks, weights))
-        assert held and max(held) == 2
-
-    def test_refine_builds_each_ordered_pair_record_once(self, occluder4_scene,
-                                                         monkeypatch):
-        views, depths, _, weights, _ = self.state(occluder4_scene)
-        built = []
-        coefficients = geometry.pair_coefficients
-        index = {id(v): k for k, v in enumerate(views)}
-
-        def counting(target, source, *grid):
-            built.append((index[id(target)], index[id(source)]))
-            return coefficients(target, source, *grid)
-
-        monkeypatch.setattr(geometry, "pair_coefficients", counting)
-        state = refine(SceneState(views, depths, {}, weights),
-                       SolverConfig(occluder4_scene["hyp"], max_outer_iters=2,
-                                    inner_steps_per_mask_update=2, weights=weights))
-        assert state.iteration > 0
-        n = len(views)
-        assert sorted(built) == [(t, s) for t in range(n) for s in range(n) if t != s]
 
     @pytest.mark.parametrize("scene", ["plane_scene", "occluder4_scene"])
     @pytest.mark.parametrize("with_grad", [False, True])

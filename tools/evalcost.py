@@ -1,8 +1,7 @@
 """Print the cost of one loss evaluation on a bench scene: the time of a
 value evaluation, of a gradient evaluation and of a mask pass, the memory
-peaks of one `total_loss`, of one mask pass without a context, of one
-value evaluation and of one `loss_gradient`, and the number of tape nodes
-the gradient makes.
+peaks of one `total_loss`, of one mask pass, of one value evaluation and
+of one `loss_gradient`, and the number of tape nodes the gradient makes.
 
     python3 tools/evalcost.py [--root CHECKOUT] [--workload W] [--grid WxH]
                               [--seed S] [--calls N]
@@ -24,12 +23,11 @@ and their `compute_all_masks` masks:
   runs it);
 - ``gradient_ms``: the median time of one `solver.loss_gradient` with that
   context;
-- ``mask_ms``: the median time of one `consistency.compute_all_masks` with
-  that context;
+- ``mask_ms``: the median time of one `consistency.compute_all_masks`,
+  which builds its own camera records, as every mask pass does;
 - ``total_loss_peak_mib``: the `tracemalloc` peak of one `total_loss`,
-  which gets no context;
-- ``mask_peak_mib``: the `tracemalloc` peak of one `compute_all_masks`
-  without a context, as a sweep-only `refine` runs it;
+  which builds its own context;
+- ``mask_peak_mib``: the `tracemalloc` peak of one `compute_all_masks`;
 - ``value_peak_mib``: the `tracemalloc` peak of one value-only
   `consistency._evaluate` with the context, which is built before tracing
   starts;
@@ -92,7 +90,7 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
         solver.loss_gradient(state, ctx)
 
     def mask_pass():
-        consistency.compute_all_masks(views, depths, weights, ctx)
+        consistency.compute_all_masks(views, depths, weights)
 
     times = {value: [], gradient: [], mask_pass: []}
     for _ in range(calls + 1):
@@ -101,7 +99,7 @@ def cost(harness, workload, seed: int, calls: int) -> dict:
             fn()
             spent.append(time.perf_counter() - t0)
     peak = _peak(lambda: consistency.total_loss(state))
-    mask_peak = _peak(lambda: consistency.compute_all_masks(views, depths, weights))
+    mask_peak = _peak(mask_pass)
     value_peak = _peak(value)
     gradient_peak = _peak(gradient)
     # `next` takes a number itself, so the nodes in between are one fewer
